@@ -181,11 +181,6 @@ def monomial_eval(M: MonomialMapData, xi: Sequence[complex]) -> tuple[complex, .
     return tuple(out)
 
 
-def compose_exponents(F_outer: IntMatrix, E_inner: IntMatrix) -> IntMatrix:
-    """Exponent matrix of m_F after m_E, which is the product F * E."""
-    return mat_mul(F_outer, E_inner)
-
-
 def transition_map(C1: ChartData, C2: ChartData) -> MonomialMapData:
     """Chart change phi_sigma2 after psi_sigma1 as a monomial map.
 

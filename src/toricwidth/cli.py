@@ -28,12 +28,10 @@ from .polytope import (
     HalfspacePolytope,
     NotDelzantError,
     UnboundedPolytopeError,
-    enumerate_vertices,
+    clear_denominators,
     from_dict,
     is_delzant,
     lattice_points,
-    offset_denominator_scale,
-    scale,
 )
 from .verify import polytope_suites
 from .width import width_report
@@ -77,11 +75,10 @@ def _emit(obj: dict, fmt: str) -> None:
 
 def cmd_analyze(args) -> int:
     P = load_polytope(args.input)
-    q = offset_denominator_scale(P)
-    Pq = scale(P, q) if q != 1 else P
+    vertices = P.vertices  # before clearing denominators, so qP inherits them
+    q, Pq = clear_denominators(P)
     F = normal_fan(Pq)
     g = support_function(Pq)
-    vertices = enumerate_vertices(P)
     out = {
         "dim": P.dim,
         "facets": P.num_facets,
@@ -99,7 +96,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_width(args) -> int:
     P = load_polytope(args.input)
-    count = len(enumerate_vertices(P))
+    count = len(P.vertices)
     if not 0 <= args.vertex < count:
         raise ParseFailure(f"vertex index out of range (have {count})")
     rep = width_report(P, vertex_index=args.vertex)
@@ -136,9 +133,8 @@ def cmd_embed(args) -> int:
     P = load_polytope(args.input)
     if not is_delzant(P):
         raise NotDelzantError("the embedding requires a Delzant polytope")
-    q = offset_denominator_scale(P)
-    Pq = scale(P, q) if q != 1 else P
-    vertices = enumerate_vertices(Pq)
+    _, Pq = clear_denominators(P)
+    vertices = Pq.vertices
     if not 0 <= args.vertex < len(vertices):
         raise ParseFailure(f"vertex index out of range (have {len(vertices)})")
     E = sections_by_polytope(Pq, vertices[args.vertex])
@@ -148,8 +144,7 @@ def cmd_embed(args) -> int:
 
 def cmd_verify(args) -> int:
     P = load_polytope(args.input)
-    q = offset_denominator_scale(P)
-    Pq = scale(P, q) if q != 1 else P
+    _, Pq = clear_denominators(P)
     results = polytope_suites(Pq, seed=args.seed, samples=args.samples)
     if args.format == "json":
         print(

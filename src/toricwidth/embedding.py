@@ -21,7 +21,6 @@ from .polytope import (
     HalfspacePolytope,
     Vertex,
     bounding_box,
-    enumerate_vertices,
     lattice_points,
     normalize_at_vertex,
 )
@@ -71,14 +70,19 @@ def twist_exponents(C: ChartData, g: SupportFunction) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _vertex_of_cone(F: Fan, g: SupportFunction, cone: Sequence[int]) -> Vertex:
-    P = polytope_from_support(F, g)
-    rows = [F.generators[i] for i in cone]
-    point = solve_rational(rows, [g.values[i] for i in cone])
-    for v in enumerate_vertices(P):
+def _vertex_of_cone(P: HalfspacePolytope, cone: Sequence[int]) -> Vertex:
+    point = solve_rational([P.normals[i] for i in cone], [P.offsets[i] for i in cone])
+    for v in P.vertices:
         if v.point == point:
             return v
     raise ValueError(f"cone {tuple(cone)} does not cut out a vertex of the polytope")
+
+
+def _complement_exponents(C: ChartData, g: SupportFunction, x: IntVector) -> IntVector:
+    """x_j = <x_sigma + g_u, v_j> - g(u_j) per complement generator j, in chart order."""
+    shifted = [xi + g.values[i] for xi, i in zip(x, C.cone)]
+    cols = transpose(C.V)  # row l is the column vector v_j for complement[l]
+    return tuple(dot(shifted, cols[l]) - g.values[j] for l, j in enumerate(C.complement))
 
 
 def sections_by_conditions(
@@ -95,23 +99,15 @@ def sections_by_conditions(
     C = chart_for_cone(F, cone_index)
     cone = C.cone
     P = polytope_from_support(F, g)
-    v = _vertex_of_cone(F, g, cone)
+    v = _vertex_of_cone(P, cone)
     _, Q = normalize_at_vertex(P, v)
     lo, hi = bounding_box(Q)
-    g_u = [g.values[i] for i in cone]
-    cols = transpose(C.V)  # row l is the column vector v_j for complement[l]
-    found = []
     ranges = [range(max(0, a), b + 1) for a, b in zip(lo, hi)]
-    for x in product(*ranges):
-        shifted = [xi + gi for xi, gi in zip(x, g_u)]
-        ok = True
-        for l, j in enumerate(C.complement):
-            xj = dot(shifted, cols[l]) - g.values[j]
-            if xj < 0:
-                ok = False
-                break
-        if ok:
-            found.append(x)
+    found = [
+        x
+        for x in product(*ranges)
+        if all(xj >= 0 for xj in _complement_exponents(C, g, x))
+    ]
     return MonomialEmbedding(tuple(found), source=f"cone {tuple(cone)}")
 
 
@@ -128,14 +124,7 @@ def full_section_exponents(
     """Pairs (x_sigma, x_complement) for each section, complement in chart order."""
     C = chart_for_cone(F, cone_index)
     E = sections_by_conditions(F, g, cone_index)
-    g_u = [g.values[i] for i in C.cone]
-    cols = transpose(C.V)
-    out = []
-    for x in E.exponents:
-        shifted = [xi + gi for xi, gi in zip(x, g_u)]
-        comp = tuple(dot(shifted, cols[l]) - g.values[j] for l, j in enumerate(C.complement))
-        out.append((x, comp))
-    return out
+    return [(x, _complement_exponents(C, g, x)) for x in E.exponents]
 
 
 def kodaira_eval(E: MonomialEmbedding, xi: Sequence[complex]) -> tuple[complex, ...]:

@@ -23,7 +23,7 @@ from .lattice import (
     matrix_rank,
     solve_rational,
 )
-from .polytope import HalfspacePolytope, NotDelzantError, enumerate_vertices
+from .polytope import HalfspacePolytope, NotDelzantError, format_point
 
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
@@ -195,10 +195,10 @@ def normal_fan(P: HalfspacePolytope) -> Fan:
     """
     n = P.dim
     cones = []
-    for v in enumerate_vertices(P):
+    for v in P.vertices:
         if len(v.active) != n:
             raise NotDelzantError(
-                f"vertex {v.point} lies on {len(v.active)} facets; fan undefined"
+                f"vertex {format_point(v.point)} lies on {len(v.active)} facets; fan undefined"
             )
         cones.append(v.active)
     return Fan(P.normals, tuple(cones), from_polytope=True)
@@ -239,7 +239,10 @@ def cone_linear_parts(F: Fan, g: SupportFunction) -> dict[tuple[int, ...], tuple
 
 def evaluate_support(F: Fan, g: SupportFunction, w: Sequence) -> Fraction:
     """Value of the piecewise linear extension of g at w."""
-    parts = cone_linear_parts(F, g)
+    return _evaluate(F, cone_linear_parts(F, g), w)
+
+
+def _evaluate(F: Fan, parts: dict[tuple[int, ...], tuple], w: Sequence) -> Fraction:
     for c in F.max_cones:
         if cone_contains(F.generators, c, w):
             return Fraction(dot(parts[c], w))
@@ -272,7 +275,7 @@ def is_strictly_convex(F: Fan, g: SupportFunction) -> bool:
                 if i == j:
                     continue
                 w = tuple(x + y for x, y in zip(F.generators[i], F.generators[j]))
-                lhs = evaluate_support(F, g, w)
+                lhs = _evaluate(F, parts, w)
                 rhs = g.values[i] + g.values[j]
                 if lhs < rhs:
                     return False

@@ -43,27 +43,11 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Sequence) -> tuple:
-    return tuple(c * a for a in u)
-
-
 def is_primitive(u: Sequence[int]) -> bool:
     """A nonzero integer vector is primitive when its entries have gcd 1."""
     if all(x == 0 for x in u):
         return False
     return math.gcd(*(abs(int(x)) for x in u)) == 1 if len(u) > 1 else abs(int(u[0])) == 1
-
-
-def identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def transpose(M: Sequence[Sequence]) -> tuple:

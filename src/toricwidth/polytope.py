@@ -7,6 +7,7 @@ all run in exact arithmetic; nothing here touches floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,6 +79,15 @@ class HalfspacePolytope:
     def contains(self, x: Sequence) -> bool:
         return all(dot(x, u) >= l for u, l in zip(self.normals, self.offsets))
 
+    @functools.cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """enumerate_vertices(self), computed at most once per polytope object.
+
+        scale and apply_lattice_map hand their image the mapped list once
+        this one is known, so derived polytopes do not enumerate again.
+        """
+        return tuple(enumerate_vertices(self))
+
 
 @dataclass(frozen=True)
 class Vertex:
@@ -85,6 +95,11 @@ class Vertex:
 
     point: RationalVector
     active: tuple[int, ...]
+
+
+def format_point(x: Sequence) -> str:
+    """A point for messages, as (0, 1/2) rather than the reprs of its Fractions."""
+    return "(" + ", ".join(str(c) for c in x) + ")"
 
 
 @dataclass(frozen=True)
@@ -185,7 +200,7 @@ def delzant_certificate(P: HalfspacePolytope) -> list[DelzantCheck]:
     """Per-vertex record: exactly n tight facets whose normals form a Z-basis."""
     n = P.dim
     checks = []
-    for v in enumerate_vertices(P):
+    for v in P.vertices:
         simple = len(v.active) == n
         unimodular = simple and is_z_basis([P.normals[i] for i in v.active])
         checks.append(DelzantCheck(v, simple, unimodular))
@@ -198,7 +213,7 @@ def is_delzant(P: HalfspacePolytope) -> bool:
 
 def bounding_box(P: HalfspacePolytope) -> tuple[IntVector, IntVector]:
     """Componentwise integer bounds covering the polytope: (lo, hi)."""
-    pts = [v.point for v in enumerate_vertices(P)]
+    pts = [v.point for v in P.vertices]
     lo = tuple(math.ceil(min(p[i] for p in pts)) for i in range(P.dim))
     hi = tuple(math.floor(max(p[i] for p in pts)) for i in range(P.dim))
     return lo, hi
@@ -211,6 +226,18 @@ def lattice_points(P: HalfspacePolytope) -> list[IntVector]:
     return [x for x in product(*ranges) if P.contains(x)]
 
 
+def _with_mapped_vertices(Q: HalfspacePolytope, P: HalfspacePolytope, f) -> HalfspacePolytope:
+    """Give Q = f(P) the images of P's vertices, if P already knows them.
+
+    f must be an affine bijection that keeps the facet order, so each image
+    vertex has the same tight facets; only the lexicographic order can change.
+    """
+    if "vertices" in vars(P):
+        images = (Vertex(f(v.point), v.active) for v in P.vertices)
+        vars(Q)["vertices"] = tuple(sorted(images, key=lambda v: v.point))
+    return Q
+
+
 def apply_lattice_map(P: HalfspacePolytope, f: AffineLatticeMap) -> HalfspacePolytope:
     """Image polytope: normals become M^-T u, offsets pick up <t, u'>."""
     Minv = inverse_unimodular(f.matrix)
@@ -220,7 +247,9 @@ def apply_lattice_map(P: HalfspacePolytope, f: AffineLatticeMap) -> HalfspacePol
         u2 = mat_vec(transpose(Minv), u)
         new_normals.append(u2)
         new_offsets.append(l + dot(f.translation, u2))
-    return HalfspacePolytope(tuple(new_normals), tuple(new_offsets))
+    return _with_mapped_vertices(
+        HalfspacePolytope(tuple(new_normals), tuple(new_offsets)), P, f.apply
+    )
 
 
 def normalize_at_vertex(
@@ -235,10 +264,10 @@ def normalize_at_vertex(
     """
     n = P.dim
     if len(v.active) != n:
-        raise NotDelzantError(f"vertex {v.point} lies on {len(v.active)} facets")
+        raise NotDelzantError(f"vertex {format_point(v.point)} lies on {len(v.active)} facets")
     cols = [P.normals[i] for i in v.active]
     if not is_z_basis(cols):
-        raise NotDelzantError(f"normals at {v.point} do not form a Z-basis")
+        raise NotDelzantError(f"normals at {format_point(v.point)} do not form a Z-basis")
     Ut = tuple(cols)  # rows of U^T are the active normals
     g = tuple(-P.offsets[i] for i in v.active)
     f = AffineLatticeMap(Ut, g)
@@ -250,12 +279,22 @@ def scale(P: HalfspacePolytope, c) -> HalfspacePolytope:
     c = Fraction(c)
     if c <= 0:
         raise ValueError("scale factor must be positive")
-    return HalfspacePolytope(P.normals, tuple(c * l for l in P.offsets))
+    return _with_mapped_vertices(
+        HalfspacePolytope(P.normals, tuple(c * l for l in P.offsets)),
+        P,
+        lambda x: tuple(c * a for a in x),
+    )
 
 
 def offset_denominator_scale(P: HalfspacePolytope) -> int:
     """Smallest q >= 1 such that q * offsets are integers."""
     return math.lcm(*(l.denominator for l in P.offsets))
+
+
+def clear_denominators(P: HalfspacePolytope) -> tuple[int, HalfspacePolytope]:
+    """(q, qP) with q = offset_denominator_scale(P); qP is P itself when q = 1."""
+    q = offset_denominator_scale(P)
+    return q, scale(P, q) if q != 1 else P
 
 
 def to_dict(P: HalfspacePolytope) -> dict:

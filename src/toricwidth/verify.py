@@ -27,7 +27,6 @@ from .lattice import dot, integer_kernel_basis, mat_mul, matrix_from_columns
 from .numeric import (
     ToricPotential,
     axis_radius_bound,
-    fs_diastasis,
     potential_partial,
     potential_value,
     pullback_check,
@@ -36,7 +35,7 @@ from .numeric import (
     sup_along_path,
     suggested_path_exponent,
 )
-from .polytope import HalfspacePolytope, enumerate_vertices
+from .polytope import HalfspacePolytope
 
 CHART_TOL = 1e-9
 GRADIENT_TOL = 1e-5
@@ -197,13 +196,6 @@ def numeric_suite(
             if abs(w[j]) > axis_radius_bound(T, j) + 1e-9:
                 ok = False
     results.append(CheckResult("psi_within_cylinder", ok, None, None))
-
-    # ambient distance-like potential is nonnegative
-    vals = []
-    for _ in range(samples):
-        u = [_random_coord(rng, 0.0, 3.0) for _ in range(4)]
-        vals.append(fs_diastasis(u))
-    results.append(CheckResult("diastasis_nonnegative", all(v >= 0 for v in vals), None, None))
     return results
 
 
@@ -213,7 +205,6 @@ def polytope_suites(
     """Chart and numeric suites derived from one polytope."""
     F = normal_fan(P)
     results = chart_suite(F, seed=seed, samples=samples)
-    v = enumerate_vertices(P)[0]
-    E = sections_by_polytope(P, v)
+    E = sections_by_polytope(P, P.vertices[0])
     results += numeric_suite(ToricPotential(E), seed=seed, samples=samples)
     return results

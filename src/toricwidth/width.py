@@ -27,11 +27,9 @@ from .polytope import (
     HalfspacePolytope,
     NotDelzantError,
     Vertex,
-    enumerate_vertices,
+    clear_denominators,
     is_delzant,
     lattice_points,
-    offset_denominator_scale,
-    scale,
 )
 
 GAMMA_CAVEAT = (
@@ -226,15 +224,13 @@ def width_report(P: HalfspacePolytope, vertex_index: int = 0) -> WidthReport:
     """
     if not is_delzant(P):
         raise NotDelzantError("width bounds require a Delzant polytope")
-    vertices = enumerate_vertices(P)
+    vertices = P.vertices
     if not 0 <= vertex_index < len(vertices):
         raise ValueError(f"vertex index out of range (have {len(vertices)} vertices)")
     v = vertices[vertex_index]
-    q = offset_denominator_scale(P)
-    Pq = scale(P, q) if q != 1 else P
-    vq_point = tuple(q * c for c in v.point)
-    vq = next(w for w in enumerate_vertices(Pq) if w.point == vq_point)
-    E = sections_by_polytope(Pq, vq)
+    q, Pq = clear_denominators(P)
+    # dilation by q > 0 keeps the lexicographic order of the vertices
+    E = sections_by_polytope(Pq, Pq.vertices[vertex_index])
     cyl = cylinder_bound(E)
     lam = lu_lambda(P)
     cert = fano_check(P)

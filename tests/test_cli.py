@@ -4,6 +4,7 @@ import subprocess
 
 import pytest
 
+import toricwidth.polytope
 from toricwidth.cli import main
 from toricwidth.fixtures import blown_up_hirzebruch, unit_square
 from toricwidth.polytope import to_dict
@@ -185,6 +186,54 @@ def test_geometry_errors_exit_3(capsys, tmp_path):
     assert main(["width", str(not_delzant)]) == 3
     assert main(["embed", str(not_delzant)]) == 3
     capsys.readouterr()
+
+
+def test_non_simple_vertex_message_is_readable(capsys, tmp_path):
+    # unit cube cut by x + y + z <= 1: the vertex (0, 0, 1) lies on 4 facets
+    cut_cube = tmp_path / "cut_cube.json"
+    cut_cube.write_text(
+        json.dumps(
+            {
+                "dim": 3,
+                "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0],
+                            [0, 0, -1], [-1, -1, -1]],
+                "offsets": ["0", "0", "0", "-1", "-1", "-1", "-1"],
+            }
+        )
+    )
+    for sub in ("analyze", "verify"):
+        assert main([sub, str(cut_cube)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: vertex (0, 0, 1) lies on 4 facets; fan undefined\n"
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The polytopes passed to enumerate_vertices while the test runs."""
+    calls = []
+    real = toricwidth.polytope.enumerate_vertices
+    monkeypatch.setattr(
+        toricwidth.polytope, "enumerate_vertices", lambda P: calls.append(P) or real(P)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["example-3.7", "example-3.8:2"])
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["width"], ["width", "--vertex", "4"], ["embed"], ["embed", "--vertex", "2"],
+     ["verify", "--samples", "2"]],
+)
+def test_one_vertex_enumeration_per_call(capsys, enumerations, spec, argv):
+    assert main([argv[0], spec, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(enumerations) == 1
+
+
+def test_width_on_fano_input_adds_one_enumeration(capsys, enumerations):
+    # the extra one is the sign-pattern polytope of the Fano certificate
+    assert run_json(capsys, "width", "cpn:2:1")["fano"]["is_fano"] is True
+    assert len(enumerations) == 2
 
 
 def test_rational_offsets_cleared_for_analysis(capsys):

@@ -157,6 +157,17 @@ def test_strict_convexity():
     assert not is_strictly_convex(square_fan, SupportFunction((0, 1, -1, 0)))
 
 
+def test_strict_convexity_builds_linear_parts_once(monkeypatch):
+    import toricwidth.fan as fan
+
+    calls = []
+    real = fan.cone_linear_parts
+    monkeypatch.setattr(fan, "cone_linear_parts", lambda F, g: calls.append(F) or real(F, g))
+    P = blown_up_hirzebruch()
+    assert is_strictly_convex(normal_fan(P), support_function(P))
+    assert len(calls) == 1
+
+
 def test_strict_convexity_requires_smooth_complete():
     with pytest.raises(ValueError):
         is_strictly_convex(Fan(((1, 0), (1, 2)), ((0, 1),)), SupportFunction((0, 0)))

@@ -12,11 +12,13 @@ from geomgen import (
 )
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
+    hirzebruch,
     iterated_plane_blowup,
     projective_space,
     unit_square,
 )
 from toricwidth.polytope import (
+    AffineLatticeMap,
     EmptyPolytopeError,
     HalfspacePolytope,
     NotDelzantError,
@@ -156,8 +158,49 @@ def test_normalize_at_vertex_blowup():
 def test_normalize_requires_delzant_vertex():
     P = HalfspacePolytope(((1, 0), (0, 1), (-2, -1)), (0, 0, -2))
     bad = next(v for v in enumerate_vertices(P) if v.point == (1, 0))
-    with pytest.raises(NotDelzantError):
+    with pytest.raises(NotDelzantError, match=r"^normals at \(1, 0\) do not form a Z-basis$"):
         normalize_at_vertex(P, bad)
+
+
+def test_vertices_property_matches_enumeration():
+    P = blown_up_hirzebruch()
+    assert P.vertices == tuple(enumerate_vertices(P))
+    assert P.vertices is P.vertices
+    with pytest.raises(UnboundedPolytopeError):
+        HalfspacePolytope(((1, 0), (0, 1)), (0, 0)).vertices
+
+
+def test_derived_vertices_match_fresh_enumeration():
+    """scale, apply_lattice_map and normalize_at_vertex pass mapped vertices on;
+    each list must equal a fresh enumeration of an equal, newly built polytope."""
+    rng = random.Random(41)
+    polytopes = [
+        unit_square(),
+        hirzebruch(),
+        blown_up_hirzebruch(),
+        iterated_plane_blowup(2),
+        iterated_plane_blowup(7),
+        projective_space(1, 3),
+        projective_space(3, 2),
+        projective_space(4, 1),
+    ] + [random_delzant_polygon(rng) for _ in range(12)]
+    for P in polytopes:
+        P.vertices
+        if P.dim == 1:
+            f = AffineLatticeMap(((-1,),), (Fraction(5, 2),))
+        else:
+            f = random_unimodular_map(rng, P.dim)
+        images = [scale(P, Fraction(3, 2)), scale(P, 4), apply_lattice_map(P, f)]
+        images += [normalize_at_vertex(P, v)[1] for v in P.vertices]
+        for Q in images:
+            assert "vertices" in vars(Q)  # derived, not enumerated again
+            fresh = HalfspacePolytope(Q.normals, Q.offsets)
+            assert list(Q.vertices) == enumerate_vertices(fresh)
+
+
+def test_unknown_vertices_are_not_derived():
+    Q = scale(blown_up_hirzebruch(), 2)
+    assert "vertices" not in vars(Q)
 
 
 def test_scale():

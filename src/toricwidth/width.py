@@ -5,11 +5,14 @@ Three bounds are computed from a Delzant polytope:
   * cylinder_bound: 2 * min_j max_k (J_k)_j over the exponents J_k of the
     monomial embedding at a vertex.  The embedded manifold misses a divisor
     outside a cylinder of that capacity, so non-squeezing caps the width.
+    max_k (J_k)_j is read off the vertices: it is the largest slack of the
+    j-th facet through the chosen vertex.
   * lu_lambda: 2 * max{-sum lambda_i a_i} over integer relations
     sum a_i u_i = 0 with a >= 0 and 1 <= sum a_i <= n + 1.
   * lu_gamma: 2 * min positive -sum lambda_i a_i over such relations, valid
-    only when the class is monotone (Fano check below); reported with the
-    search bound used, since the defining set is infinite.
+    only when the class is monotone (Fano check below, one exact solve of
+    r(lambda_i + <m, u_i>) = -1); reported with the search bound used, since
+    the defining set is infinite.
 
 Exact rational arithmetic throughout; pi is kept symbolic as a coefficient.
 """
@@ -18,18 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
-from .embedding import MonomialEmbedding, sections_by_polytope
 from .lattice import IntVector, RationalVector, dot, rref
 from .polytope import (
     EmptyPolytopeError,
     HalfspacePolytope,
     NotDelzantError,
     Vertex,
-    clear_denominators,
     is_delzant,
     lattice_points,
+    offset_denominator_scale,
 )
 
 GAMMA_CAVEAT = (
@@ -40,14 +42,24 @@ GAMMA_CAVEAT = (
 
 @dataclass(frozen=True)
 class CylinderBound:
-    coefficient_pi: int  # 2 * min_j max_k (J_k)_j
-    radius_sq: int
+    coefficient_pi: Fraction  # 2 * min_j max_k (J_k)_j
+    radius_sq: Fraction
     axis: int  # smallest j attaining the min
-    axis_maxima: IntVector
+    axis_maxima: RationalVector
 
 
-def cylinder_bound(E: MonomialEmbedding) -> CylinderBound:
-    maxima = E.axis_maxima()
+def cylinder_bound(P: HalfspacePolytope, v: Vertex) -> CylinderBound:
+    """Cylinder bound of the embedding at the Delzant vertex v of P.
+
+    Normalizing at v makes coordinate j the slack <x, u> - lambda of the j-th
+    facet through v, so its maximum over P is attained at a vertex.  For
+    integral offsets the vertices are lattice points, so this is the maximum
+    over the embedding exponents; rational offsets give that of qP over q.
+    """
+    maxima = tuple(
+        max(dot(w.point, P.normals[a]) for w in P.vertices) - P.offsets[a]
+        for a in v.active
+    )
     m = min(maxima)
     axis = maxima.index(m)
     return CylinderBound(2 * m, 2 * m, axis, maxima)
@@ -66,11 +78,11 @@ class GammaBound:
     search_bound: int
 
 
-def _relations(P: HalfspacePolytope, max_total: int):
-    """Nonnegative integer a with sum a_i u_i = 0 and 1 <= sum a_i <= max_total."""
+def _relations(P: HalfspacePolytope, totals):
+    """Nonnegative integer a with sum a_i u_i = 0 and sum a_i in totals, in order."""
     d = P.num_facets
     n = P.dim
-    for total in range(1, max_total + 1):
+    for total in totals:
         for combo in combinations_with_replacement(range(d), total):
             a = [0] * d
             for i in combo:
@@ -87,7 +99,7 @@ def lu_lambda(P: HalfspacePolytope) -> LambdaBound | None:
     """
     best_value = None
     best_witnesses = []
-    for a in _relations(P, P.dim + 1):
+    for a in _relations(P, range(1, P.dim + 2)):
         value = -dot(P.offsets, a)
         if best_value is None or value > best_value:
             best_value = value
@@ -101,15 +113,19 @@ def lu_lambda(P: HalfspacePolytope) -> LambdaBound | None:
 
 @dataclass(frozen=True)
 class FanoCertificate:
-    """Data certifying <y, u_i> + r lambda_i = s_i with signs s, r > 0, and
-    that the interior of {z : <z, u_i> >= s_i} contains exactly the origin."""
+    """Data certifying <y, u_i> + r lambda_i = s_i with r > 0, and that the
+    interior of {z : <z, u_i> >= s_i} contains exactly the origin.
+
+    fano_check only ever finds s = (-1, ..., -1); the signs are kept so that a
+    certificate can be rechecked exactly as written.
+    """
 
     r: Fraction
     m: RationalVector  # y / r
     signs: tuple[int, ...]
 
 
-def _interior_lattice_points(Q: HalfspacePolytope) -> list[IntVector] | None:
+def _interior_lattice_points(Q: HalfspacePolytope) -> list[IntVector]:
     try:
         pts = lattice_points(Q)
     except EmptyPolytopeError:
@@ -122,38 +138,29 @@ def _interior_lattice_points(Q: HalfspacePolytope) -> list[IntVector] | None:
 
 
 def fano_check(P: HalfspacePolytope) -> FanoCertificate | None:
-    """Search sign patterns s in {-1,1}^d for an exact solution of
-    <y, u_i> + r lambda_i = s_i with r > 0 whose polytope {<z,u_i> >= s_i}
-    has the origin as its only interior lattice point."""
-    d = P.num_facets
+    """Solve <y, u_i> + r lambda_i = -1 exactly for a unique (y, r) with r > 0
+    and certify that {<z, u_i> >= -1} has the origin as its only interior
+    lattice point (Batyrev's reflexivity criterion).
+
+    Signs s_i = +1 need not be tried: the origin would have to satisfy
+    <0, u_i> > 1 to be interior.
+    """
     n = P.dim
-    for signs in product((-1, 1), repeat=d):
-        rows = [tuple(P.normals[i]) + (P.offsets[i],) for i in range(d)]
-        aug = [rows[i] + (Fraction(signs[i]),) for i in range(d)]
-        R, pivots = rref(aug)
-        if n + 1 in pivots:  # pivot in the rhs column: inconsistent
-            continue
-        if len(pivots) < n + 1:  # underdetermined; no unique (y, r)
-            continue
-        sol = [Fraction(0)] * (n + 1)
-        for r_idx, p in enumerate(pivots):
-            sol[p] = R[r_idx][n + 1]
-        if any(dot(rows[i], sol) != signs[i] for i in range(d)):
-            continue
-        y, r = tuple(sol[:n]), sol[n]
-        if r <= 0:
-            continue
-        Q = HalfspacePolytope(P.normals, tuple(Fraction(s) for s in signs))
-        interior = _interior_lattice_points(Q)
-        if interior == [(0,) * n]:
-            m = tuple(c / r for c in y)
-            return FanoCertificate(r, m, signs)
-    return None
+    aug = [tuple(u) + (l, Fraction(-1)) for u, l in zip(P.normals, P.offsets)]
+    R, pivots = rref(aug)
+    # a unique (y, r) pivots on every unknown and never on the rhs column
+    if pivots != tuple(range(n + 1)):
+        return None
+    y, r = tuple(R[k][n + 1] for k in range(n)), R[n][n + 1]
+    if r <= 0:
+        return None
+    cert = FanoCertificate(r, tuple(c / r for c in y), (-1,) * P.num_facets)
+    return cert if verify_fano_certificate(P, cert) else None
 
 
 def verify_fano_certificate(P: HalfspacePolytope, cert: FanoCertificate) -> bool:
     """Recheck a certificate from scratch, exactly."""
-    if cert.r <= 0:
+    if cert.r <= 0 or len(cert.signs) != P.num_facets or len(cert.m) != P.dim:
         return False
     for u, l, s in zip(P.normals, P.offsets, cert.signs):
         if cert.r * (l + dot(cert.m, u)) != s:
@@ -169,32 +176,27 @@ def lu_gamma(
     search_bound: int | None = None,
     fano: FanoCertificate | None = None,
 ) -> GammaBound | None:
-    """Smallest positive -sum lambda_i a_i over relations with
-    sum a_i <= search_bound (default 2(n+1)); requires a Fano certificate.
+    """Smallest positive -sum lambda_i a_i over all relations; requires a
+    Fano certificate.
 
-    Returns None when the class is not monotone or no positive relation
-    exists within the bound.  The true infimum ranges over all relations, so
-    the reported value is an upper bound for it attained within the search.
+    Under the certificate -sum lambda_i a_i = (sum a_i) / r for every
+    relation, so the minimum sits at the smallest total that has a relation
+    and every relation of that total attains it; the witness is the least
+    of them.  Totals are searched up to search_bound (default 2(n+1)).  A
+    returned value is exact, since no smaller total has a relation; only a
+    None for a monotone class depends on the bound.
     """
     if fano is None:
         fano = fano_check(P)
     if fano is None:
         return None
     bound = search_bound if search_bound is not None else 2 * (P.dim + 1)
-    best_value = None
-    best_witnesses = []
-    for a in _relations(P, bound):
-        value = -dot(P.offsets, a)
-        if value <= 0:
-            continue
-        if best_value is None or value < best_value:
-            best_value = value
-            best_witnesses = [a]
-        elif value == best_value:
-            best_witnesses.append(a)
-    if best_value is None:
-        return None
-    return GammaBound(2 * Fraction(best_value), min(best_witnesses), bound)
+    for total in range(1, bound + 1):
+        found = list(_relations(P, (total,)))
+        if found:
+            a = min(found)
+            return GammaBound(-2 * Fraction(dot(P.offsets, a)), a, bound)
+    return None
 
 
 @dataclass(frozen=True)
@@ -219,8 +221,8 @@ def width_report(P: HalfspacePolytope, vertex_index: int = 0) -> WidthReport:
     """All bounds for one polytope; vertex_index picks the embedding vertex
     from the lexicographically sorted vertex list (0 = smallest).
 
-    Rational offsets are handled by scaling with the lcm q of their
-    denominators, computing on qP, and dividing the cylinder bound by q.
+    denominator_scale is the lcm q of the offset denominators: the embedding
+    is that of qP, and the cylinder bound is reported divided by q.
     """
     if not is_delzant(P):
         raise NotDelzantError("width bounds require a Delzant polytope")
@@ -228,10 +230,7 @@ def width_report(P: HalfspacePolytope, vertex_index: int = 0) -> WidthReport:
     if not 0 <= vertex_index < len(vertices):
         raise ValueError(f"vertex index out of range (have {len(vertices)} vertices)")
     v = vertices[vertex_index]
-    q, Pq = clear_denominators(P)
-    # dilation by q > 0 keeps the lexicographic order of the vertices
-    E = sections_by_polytope(Pq, Pq.vertices[vertex_index])
-    cyl = cylinder_bound(E)
+    cyl = cylinder_bound(P, v)
     lam = lu_lambda(P)
     cert = fano_check(P)
     gamma = lu_gamma(P, fano=cert) if cert is not None else None
@@ -240,18 +239,18 @@ def width_report(P: HalfspacePolytope, vertex_index: int = 0) -> WidthReport:
         gamma_note = GAMMA_CAVEAT
     elif gamma is None:
         gamma_note = "gamma bound omitted: no positive relation within the search bound"
-    candidates = [Fraction(cyl.coefficient_pi, q)]
+    candidates = [cyl.coefficient_pi]
     if lam is not None:
         candidates.append(lam.coefficient_pi)
     if gamma is not None:
         candidates.append(gamma.coefficient_pi)
     return WidthReport(
         vertex=v,
-        denominator_scale=q,
-        cylinder_pi=Fraction(cyl.coefficient_pi, q),
-        radius_sq=Fraction(cyl.radius_sq, q),
+        denominator_scale=offset_denominator_scale(P),
+        cylinder_pi=cyl.coefficient_pi,
+        radius_sq=cyl.radius_sq,
         axis=cyl.axis,
-        axis_maxima=tuple(Fraction(m, q) for m in cyl.axis_maxima),
+        axis_maxima=cyl.axis_maxima,
         lu_lambda_pi=None if lam is None else lam.coefficient_pi,
         lambda_witness=None if lam is None else lam.witness,
         fano=cert,

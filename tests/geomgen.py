@@ -6,7 +6,15 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from toricwidth.polytope import AffineLatticeMap, HalfspacePolytope, apply_lattice_map
+from toricwidth.lattice import dot, rref
+from toricwidth.polytope import (
+    AffineLatticeMap,
+    EmptyPolytopeError,
+    HalfspacePolytope,
+    apply_lattice_map,
+    lattice_points,
+)
+from toricwidth.width import FanoCertificate
 
 
 def random_unimodular_map(rng: random.Random, n: int = 2) -> AffineLatticeMap:
@@ -100,3 +108,76 @@ def oracle_lu_lambda(P: HalfspacePolytope):
     if best is None:
         return None
     return 2 * Fraction(best), min(witnesses)
+
+
+def oracle_fano_check(P: HalfspacePolytope):
+    """Every sign pattern s in {-1,1}^d: an exact solution of
+    <y, u_i> + r lambda_i = s_i with r > 0 whose polytope {<z,u_i> >= s_i}
+    has the origin as its only interior lattice point."""
+    d = P.num_facets
+    n = P.dim
+    for signs in product((-1, 1), repeat=d):
+        rows = [tuple(P.normals[i]) + (P.offsets[i],) for i in range(d)]
+        aug = [rows[i] + (Fraction(signs[i]),) for i in range(d)]
+        R, pivots = rref(aug)
+        if n + 1 in pivots or len(pivots) < n + 1:
+            continue
+        sol = [Fraction(0)] * (n + 1)
+        for r_idx, p in enumerate(pivots):
+            sol[p] = R[r_idx][n + 1]
+        if any(dot(rows[i], sol) != signs[i] for i in range(d)):
+            continue
+        y, r = tuple(sol[:n]), sol[n]
+        if r <= 0:
+            continue
+        Q = HalfspacePolytope(P.normals, tuple(Fraction(s) for s in signs))
+        try:
+            pts = lattice_points(Q)
+        except EmptyPolytopeError:
+            pts = []
+        interior = [x for x in pts if all(dot(x, u) > s for u, s in zip(Q.normals, signs))]
+        if interior == [(0,) * n]:
+            return FanoCertificate(r, tuple(c / r for c in y), signs)
+    return None
+
+
+def _nonnegative_vectors(d: int, max_total: int):
+    """All a in Z_{>=0}^d with sum(a) <= max_total, by recursion on the first entry."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(max_total + 1):
+        for rest in _nonnegative_vectors(d - 1, max_total - first):
+            yield (first,) + rest
+
+
+def oracle_lu_gamma(P: HalfspacePolytope, search_bound: int):
+    """Smallest positive -sum lambda_i a_i over every relation with
+    sum a_i <= search_bound, as (2 * value, least witness attaining it); None
+    when no positive relation is in range.  Meant for monotone classes."""
+    d = P.num_facets
+    best = None
+    witnesses = []
+    for a in _nonnegative_vectors(d, search_bound):
+        if sum(a) == 0 or any(
+            sum(a[i] * P.normals[i][c] for i in range(d)) != 0 for c in range(P.dim)
+        ):
+            continue
+        value = -sum(l * ai for l, ai in zip(P.offsets, a))
+        if value <= 0:
+            continue
+        if best is None or value < best:
+            best, witnesses = value, [a]
+        elif value == best:
+            witnesses.append(a)
+    if best is None:
+        return None
+    return 2 * Fraction(best), min(witnesses)
+
+
+def blow_up(P: HalfspacePolytope, active: tuple[int, ...], k: int = 1) -> HalfspacePolytope:
+    """Cut the vertex on the facets `active` by the facet sum(u_i) at offset
+    sum(lambda_i) + k; Delzant again when k is shorter than the adjacent edges."""
+    u = tuple(sum(P.normals[i][c] for i in active) for c in range(P.dim))
+    lam = sum(P.offsets[i] for i in active) + k
+    return HalfspacePolytope(P.normals + (u,), P.offsets + (lam,))

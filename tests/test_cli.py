@@ -4,7 +4,10 @@ import subprocess
 
 import pytest
 
+import toricwidth.cli
+import toricwidth.embedding
 import toricwidth.polytope
+import toricwidth.width
 from toricwidth.cli import main
 from toricwidth.fixtures import blown_up_hirzebruch, unit_square
 from toricwidth.polytope import to_dict
@@ -231,9 +234,22 @@ def test_one_vertex_enumeration_per_call(capsys, enumerations, spec, argv):
 
 
 def test_width_on_fano_input_adds_one_enumeration(capsys, enumerations):
-    # the extra one is the sign-pattern polytope of the Fano certificate
+    # the extra one is {<z, u_i> >= -1}, whose interior lattice points the
+    # Fano certificate counts
     assert run_json(capsys, "width", "cpn:2:1")["fano"]["is_fano"] is True
     assert len(enumerations) == 2
+
+
+def test_width_reads_no_lattice_points(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("width must not enumerate lattice points or sections")
+
+    for mod in (toricwidth.width, toricwidth.embedding, toricwidth.polytope, toricwidth.cli):
+        for name in ("sections_by_polytope", "lattice_points"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    out = run_json(capsys, "width", "example-3.8:50")
+    assert out["paper_bound_pi"] == "8" and out["denominator_scale"] == 51
 
 
 def test_rational_offsets_cleared_for_analysis(capsys):

@@ -3,8 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from geomgen import oracle_lu_lambda, random_delzant_polygon
-from toricwidth.embedding import MonomialEmbedding, sections_by_polytope
+import toricwidth.width
+from geomgen import (
+    blow_up,
+    oracle_fano_check,
+    oracle_lu_gamma,
+    oracle_lu_lambda,
+    random_delzant_polygon,
+    random_unimodular_map,
+)
+from toricwidth.embedding import sections_by_polytope
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
     hirzebruch,
@@ -12,7 +20,14 @@ from toricwidth.fixtures import (
     projective_space,
     unit_square,
 )
-from toricwidth.polytope import HalfspacePolytope, enumerate_vertices, scale
+from toricwidth.polytope import (
+    HalfspacePolytope,
+    apply_lattice_map,
+    enumerate_vertices,
+    is_delzant,
+    offset_denominator_scale,
+    scale,
+)
 from toricwidth.width import (
     GAMMA_CAVEAT,
     cylinder_bound,
@@ -26,8 +41,7 @@ from toricwidth.width import (
 
 def test_cylinder_bound_blowup():
     P = blown_up_hirzebruch()
-    E = sections_by_polytope(P, enumerate_vertices(P)[0])
-    b = cylinder_bound(E)
+    b = cylinder_bound(P, enumerate_vertices(P)[0])
     assert b.axis_maxima == (4, 3)
     assert b.coefficient_pi == 6
     assert b.radius_sq == 6
@@ -35,8 +49,8 @@ def test_cylinder_bound_blowup():
 
 
 def test_cylinder_bound_tie_breaks_to_smallest_axis():
-    E = MonomialEmbedding(((0, 0), (1, 0), (0, 1), (1, 1)))
-    assert cylinder_bound(E).axis == 0
+    P = unit_square()
+    assert cylinder_bound(P, enumerate_vertices(P)[0]).axis == 0
 
 
 def test_lu_lambda_simplex():
@@ -116,6 +130,10 @@ def test_verify_fano_rejects_tampering():
     cert = fano_check(P)
     bad = type(cert)(r=cert.r, m=(Fraction(0), Fraction(0)), signs=cert.signs)
     assert not verify_fano_certificate(P, bad)
+    for signs in (cert.signs[:-1], cert.signs + (-1,)):
+        assert not verify_fano_certificate(P, type(cert)(cert.r, cert.m, signs))
+    for m in (cert.m[:-1], cert.m + (Fraction(-1, 3),)):
+        assert not verify_fano_certificate(P, type(cert)(cert.r, m, cert.signs))
 
 
 def test_lu_gamma_simplex_and_square():
@@ -197,7 +215,7 @@ def test_cylinder_bound_scales_linearly():
     for _ in range(10):
         P = random_delzant_polygon(rng)
         v = enumerate_vertices(P)[0]
-        base = cylinder_bound(sections_by_polytope(P, v)).coefficient_pi
+        base = cylinder_bound(P, v).coefficient_pi
         for q in (2, 3):
             Pq = scale(P, q)
             vq = next(
@@ -205,4 +223,113 @@ def test_cylinder_bound_scales_linearly():
                 for w in enumerate_vertices(Pq)
                 if w.point == tuple(q * c for c in v.point)
             )
-            assert cylinder_bound(sections_by_polytope(Pq, vq)).coefficient_pi == q * base
+            assert cylinder_bound(Pq, vq).coefficient_pi == q * base
+
+
+def _product(*factors):
+    """Product polytope of halfspace polytopes, facets in factor order."""
+    dims = [F.dim for F in factors]
+    normals, offsets = [], []
+    for k, F in enumerate(factors):
+        before, after = sum(dims[:k]), sum(dims[k + 1:])
+        normals += [(0,) * before + tuple(u) + (0,) * after for u in F.normals]
+        offsets += F.offsets
+    return HalfspacePolytope(tuple(normals), tuple(offsets))
+
+
+REFLEXIVE_HEXAGON = HalfspacePolytope(
+    ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)), (-1,) * 6
+)
+
+
+def _random_blown_up_polygons(rng, count, max_facets=10):
+    """geomgen polygons blown up at random vertices, up to max_facets facets."""
+    out = []
+    while len(out) < count:
+        P = random_delzant_polygon(rng)
+        while P.num_facets < max_facets and rng.random() < 0.8:
+            cuts = [blow_up(P, v.active, k) for v in enumerate_vertices(P) for k in (1, 2)]
+            # a deep cut can swallow a vertex and leave a facet that touches nothing
+            cuts = [Q for Q in cuts if is_delzant(Q) and len(Q.vertices) == Q.num_facets]
+            if not cuts:
+                break
+            P = rng.choice(cuts)
+        out.append(P)
+    return out
+
+
+def _fano_ladder():
+    rng = random.Random(2006)
+    base = [
+        blown_up_hirzebruch(),
+        hirzebruch(),
+        iterated_plane_blowup(1),
+        iterated_plane_blowup(2),
+        *(projective_space(n, k) for n in (1, 2, 3, 4) for k in (1, 2)),
+        unit_square(),
+        REFLEXIVE_HEXAGON,
+        _product(projective_space(1), projective_space(2)),
+        _product(unit_square(), projective_space(1)),
+    ]
+    dilated = [scale(P, c) for P in base for c in (2, Fraction(1, 3), Fraction(5, 2))]
+    images = [
+        apply_lattice_map(P, random_unimodular_map(rng, P.dim))
+        for P in base + dilated
+        if P.dim > 1
+    ]
+    return base + dilated + images + _random_blown_up_polygons(rng, 20)
+
+
+def test_fano_and_gamma_match_sign_pattern_oracles():
+    monotone = 0
+    for P in _fano_ladder():
+        cert = fano_check(P)
+        assert cert == oracle_fano_check(P)
+        if cert is None:
+            assert lu_gamma(P) is None
+            continue
+        monotone += 1
+        for bound in range(1, 9):
+            gamma = lu_gamma(P, search_bound=bound, fano=cert)
+            want = oracle_lu_gamma(P, bound)
+            got = None if gamma is None else (gamma.coefficient_pi, gamma.witness)
+            assert got == want
+        assert lu_gamma(P, fano=cert) == lu_gamma(P, search_bound=2 * (P.dim + 1))
+    assert monotone >= 40
+
+
+def test_cylinder_bound_matches_lattice_point_maxima():
+    rng = random.Random(1996)
+    polygons = [random_delzant_polygon(rng) for _ in range(20)]
+    fixtures = [
+        blown_up_hirzebruch(),
+        hirzebruch(),
+        iterated_plane_blowup(1),
+        iterated_plane_blowup(3),
+        projective_space(3, 2),
+        unit_square(),
+    ]
+    dilations = [scale(P, c) for P in polygons for c in (Fraction(2, 3), Fraction(5, 2))]
+    for P in fixtures + polygons + dilations:
+        q = offset_denominator_scale(P)
+        Pq = scale(P, q)
+        for v in enumerate_vertices(P):
+            vq = next(w for w in Pq.vertices if w.point == tuple(q * c for c in v.point))
+            want = sections_by_polytope(Pq, vq).axis_maxima()
+            assert tuple(q * m for m in cylinder_bound(P, v).axis_maxima) == want
+
+
+def test_fano_check_is_one_solve(monkeypatch):
+    calls = []
+    real = toricwidth.width.rref
+    monkeypatch.setattr(toricwidth.width, "rref", lambda M: calls.append(M) or real(M))
+    octagon = HalfspacePolytope(
+        ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)),
+        (0, 0, -9, -9, 3, -6, -15, -6),
+    )
+    P = blow_up(blow_up(octagon, (0, 4)), (1, 4))
+    assert P.num_facets == 10 and is_delzant(P)
+    for Q in (P, REFLEXIVE_HEXAGON):
+        calls.clear()
+        fano_check(Q)
+        assert len(calls) == 1

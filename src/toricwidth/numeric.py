@@ -9,6 +9,13 @@ x_l = |xi_l|^2 and Phi~(x) = 2 log sum_k x^{J_k}, the map
 is a symplectomorphism onto its image wherever the partials are positive.
 This module evaluates those quantities and verifies the pullback identity
 by central finite differences.
+
+Everything is computed in log space, t = log x, on the N x n exponent array:
+Phi~ = 2 logsumexp(J t) and x_j dPhi~/dx_j = 2 (softmax-weighted mean of the
+j-th exponents), so no monomial is ever formed and none can overflow.  The
+batched functions take one point per row and work through the rows a few at
+a time, so that a batch never holds more than BATCH_ENTRIES point-monomial
+pairs.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +36,9 @@ HESSIAN_STEP = 1e-4
 # singular determinant, while honest Jacobians here have |det| of order 1
 DEGENERATE_JACOBIAN_TOL = 1e-8
 ZERO_DENOMINATOR_BUMP = 1e-12
+# points x exponents held at once: 128 KiB per float work array, small
+# enough to be reused from the heap; a larger budget buys no speed
+BATCH_ENTRIES = 1 << 14
 
 
 class DegenerateJacobianWarning(UserWarning):
@@ -48,24 +59,96 @@ class ToricPotential:
     def exponents(self) -> tuple:
         return self.embedding.exponents
 
+    @cached_property
+    def exponent_array(self) -> np.ndarray:
+        """The exponents as an N x n float array, one row per monomial."""
+        return np.array(self.exponents, dtype=float)
 
-def _monomial(x: Sequence[float], J: Sequence[int]) -> float:
-    v = 1.0
-    for xi, e in zip(x, J):
-        if e:
-            v *= xi**e
-    return v
+
+def _batched(T: ToricPotential, X: np.ndarray, fn) -> np.ndarray:
+    """fn applied to the rows of X in slices of at most BATCH_ENTRIES entries."""
+    step = max(1, BATCH_ENTRIES // len(T.exponents))
+    if len(X) <= step:
+        return fn(X)
+    return np.concatenate([fn(X[i:i + step]) for i in range(0, len(X), step)])
+
+
+def _log_sum(T: ToricPotential, X: np.ndarray):
+    """For rows x >= 0 of X: the unmasked log-monomials sum_j J_kj log x_j
+    (log 0 read as 0), the softmax weights of the monomials that do not
+    vanish, their sum and log sum_k x^{J_k}.  Rows whose monomials all
+    vanish get nan weights and a nan log sum."""
+    J = T.exponent_array
+    zero = X == 0
+    t = np.log(np.where(zero, 1.0, X))
+    # axis by axis rather than one matrix product, so that a row's values
+    # do not depend on the other rows of its batch
+    raw = t[:, :1] * J[:, 0]
+    for j in range(1, T.dim):
+        raw = raw + t[:, j:j + 1] * J[:, j]
+    L = np.where(zero @ (J.T > 0), -np.inf, raw) if zero.any() else raw
+    top = L.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        W = np.exp(L - top[:, None])
+    den = W.sum(axis=1)
+    return raw, W, den, top + np.log(den)
+
+
+def _partials(T: ToricPotential, X: np.ndarray) -> np.ndarray:
+    J = T.exponent_array
+    raw, W, den, lse = _log_sum(T, X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # einsum, not W @ J: BLAS sums in an order that varies with the batch
+        out = 2.0 * np.einsum("mk,kj->mj", W, J) / den[:, None] / X
+    # on x_j = 0 only the reduced monomials x^{J_k - e_j} with (J_k)_j = 1
+    # survive, and only if no other zero coordinate kills them
+    zero = X == 0
+    for r, j in zip(*np.nonzero(zero)):
+        others = zero[r].copy()
+        others[j] = False
+        alive = (J[:, j] == 1) & ~(J[:, others] > 0).any(axis=1)
+        out[r, j] = 2.0 * np.exp(raw[r, alive] - lse[r]).sum()
+    return out
+
+
+def _points(T: ToricPotential, X, dtype=float) -> np.ndarray:
+    X = np.asarray(X, dtype=dtype)
+    if X.ndim != 2 or X.shape[1] != T.dim:
+        raise ValueError(f"need points with {T.dim} coordinates, one per row")
+    if dtype is float and (X < 0).any():
+        raise ValueError("coordinates must be nonnegative")
+    return X
+
+
+def potential_values(T: ToricPotential, X) -> np.ndarray:
+    """Phi~ at each row of X (points with nonnegative coordinates)."""
+    values = _batched(T, _points(T, X), lambda C: 2.0 * _log_sum(T, C)[3])
+    if np.isnan(values).any():
+        raise ValueError("potential undefined: monomial sum vanishes")
+    return values
+
+
+def potential_partials(T: ToricPotential, X) -> np.ndarray:
+    """dPhi~/dx_j at each row of X, one column per axis.
+
+    On a coordinate hyperplane x_j = 0 the partial is continued through the
+    reduced exponents J_k - e_j; rows where the monomial sum vanishes are nan.
+    """
+    return _batched(T, _points(T, X), lambda C: _partials(T, C))
+
+
+def radial_quantities(T: ToricPotential, X) -> np.ndarray:
+    """sqrt(x_j * dPhi~/dx_j) at each row of X > 0."""
+    X = _points(T, X)
+    if (X == 0).any():
+        raise ValueError("coordinates must be positive")
+    return np.sqrt(X * potential_partials(T, X))
 
 
 def potential_value(T: ToricPotential, x: Sequence[float]) -> float:
     if len(x) != T.dim:
         raise ValueError(f"need {T.dim} coordinates")
-    if any(c < 0 for c in x):
-        raise ValueError("coordinates must be nonnegative")
-    s = sum(_monomial(x, J) for J in T.exponents)
-    if s <= 0:
-        raise ValueError("potential undefined: monomial sum vanishes")
-    return 2.0 * math.log(s)
+    return float(potential_values(T, [x])[0])
 
 
 def potential_partial(T: ToricPotential, x: Sequence[float], j: int) -> float:
@@ -80,21 +163,28 @@ def potential_partial(T: ToricPotential, x: Sequence[float], j: int) -> float:
         raise ValueError("axis out of range")
     if any(c <= 0 for c in x):
         raise ValueError("coordinates must be positive")
-    return _partial_extended(T, x, j)
+    return float(potential_partials(T, [x])[0, j])
 
 
-def _partial_extended(T: ToricPotential, x: Sequence[float], j: int) -> float:
-    num = 0.0
-    den = 0.0
-    for J in T.exponents:
-        den += _monomial(x, J)
-        if J[j]:
-            reduced = list(J)
-            reduced[j] -= 1
-            num += J[j] * _monomial(x, reduced)
-    if den == 0.0:
-        raise ZeroDivisionError
-    return 2.0 * num / den
+def psi_maps(T: ToricPotential, XI) -> np.ndarray:
+    """Psi at each row of the complex array XI, extended continuously to the
+    coordinate hyperplanes; raises if some partial is nonpositive."""
+    XI = _points(T, XI, complex)
+    X = np.abs(XI) ** 2
+    partials = potential_partials(T, X)
+    vanished = np.isnan(partials).any(axis=1)
+    if vanished.any():
+        # the monomial sum vanishes on this hyperplane; step just inside
+        X = X[vanished]
+        partials[vanished] = potential_partials(T, np.where(X > 0, X, ZERO_DENOMINATOR_BUMP))
+        warnings.warn(
+            "potential degenerates on a coordinate hyperplane; evaluated "
+            f"at distance {ZERO_DENOMINATOR_BUMP} instead",
+            DegenerateJacobianWarning,
+        )
+    if (partials <= 0).any():
+        raise ValueError("a partial is nonpositive; the map is not defined here")
+    return np.sqrt(partials) * XI
 
 
 def psi_map(T: ToricPotential, xi: Sequence[complex]) -> tuple[complex, ...]:
@@ -102,38 +192,7 @@ def psi_map(T: ToricPotential, xi: Sequence[complex]) -> tuple[complex, ...]:
     to the coordinate hyperplanes; raises if some partial is nonpositive."""
     if len(xi) != T.dim:
         raise ValueError(f"need {T.dim} coordinates")
-    x = [abs(complex(c)) ** 2 for c in xi]
-    partials = []
-    try:
-        partials = [_partial_extended(T, x, k) for k in range(T.dim)]
-    except ZeroDivisionError:
-        # the monomial sum vanishes on this hyperplane; step just inside
-        x = [c if c > 0 else ZERO_DENOMINATOR_BUMP for c in x]
-        warnings.warn(
-            "potential degenerates on a coordinate hyperplane; evaluated "
-            f"at distance {ZERO_DENOMINATOR_BUMP} instead",
-            DegenerateJacobianWarning,
-        )
-        partials = [_partial_extended(T, x, k) for k in range(T.dim)]
-    if any(p <= 0 for p in partials):
-        raise ValueError("a partial is nonpositive; the map is not defined here")
-    return tuple(math.sqrt(p) * complex(c) for p, c in zip(partials, xi))
-
-
-def _xi_from_real(p: Sequence[float], n: int) -> list[complex]:
-    return [complex(p[k], p[n + k]) for k in range(n)]
-
-
-def _psi_real(T: ToricPotential, p: Sequence[float]) -> np.ndarray:
-    n = T.dim
-    out = psi_map(T, _xi_from_real(p, n))
-    return np.array([w.real for w in out] + [w.imag for w in out])
-
-
-def _potential_real(T: ToricPotential, p: Sequence[float]) -> float:
-    n = T.dim
-    x = [p[k] ** 2 + p[n + k] ** 2 for k in range(n)]
-    return potential_value(T, x)
+    return tuple(complex(w) for w in psi_maps(T, [xi])[0])
 
 
 def _standard_form(n: int) -> np.ndarray:
@@ -147,42 +206,46 @@ def pullback_check(T: ToricPotential, xi: Sequence[complex]) -> float:
     """Max entrywise deviation between J^T Omega0 J for the real Jacobian J
     of Psi and the form matrix of (i/2) del delbar Phi at xi.
 
-    Both sides are built by central finite differences; a numerically
-    singular Jacobian is reported as a warning.
+    Both sides are built by central finite differences, each stencil in one
+    batched evaluation; a numerically singular Jacobian is reported as a
+    warning.
     """
     n = T.dim
     if len(xi) != n:
         raise ValueError(f"need {n} coordinates")
     p0 = np.array([complex(c).real for c in xi] + [complex(c).imag for c in xi])
-    jac = np.zeros((2 * n, 2 * n))
-    for b in range(2 * n):
-        h = GRADIENT_STEP * max(1.0, abs(p0[b]))
+    steps = [GRADIENT_STEP * max(1.0, abs(p0[b])) for b in range(2 * n)]
+    stencil = []
+    for b, h in enumerate(steps):
         e = np.zeros(2 * n)
         e[b] = h
-        jac[:, b] = (_psi_real(T, p0 + e) - _psi_real(T, p0 - e)) / (2 * h)
+        stencil += [p0 + e, p0 - e]
+    P = np.array(stencil)
+    psi = psi_maps(T, P[:, :n] + 1j * P[:, n:])
+    psi = np.hstack([psi.real, psi.imag])
+    jac = np.zeros((2 * n, 2 * n))
+    for b, h in enumerate(steps):
+        jac[:, b] = (psi[2 * b] - psi[2 * b + 1]) / (2 * h)
     if abs(np.linalg.det(jac)) < DEGENERATE_JACOBIAN_TOL:
         warnings.warn("Jacobian of Psi is numerically singular", DegenerateJacobianWarning)
     lhs = jac.T @ _standard_form(n) @ jac
 
     h = HESSIAN_STEP
-
-    def second(a: int, b: int) -> float:
-        ea = np.zeros(2 * n)
-        eb = np.zeros(2 * n)
-        ea[a] = h
-        eb[b] = h
-        return (
-            _potential_real(T, p0 + ea + eb)
-            - _potential_real(T, p0 + ea - eb)
-            - _potential_real(T, p0 - ea + eb)
-            + _potential_real(T, p0 - ea - eb)
-        ) / (4 * h * h)
+    e = np.eye(2 * n) * h
+    corners = [
+        [p0 + e[a] + e[b], p0 + e[a] - e[b], p0 - e[a] + e[b], p0 - e[a] - e[b]]
+        for a in range(2 * n)
+        for b in range(2 * n)
+    ]
+    P = np.array(corners).reshape(-1, 2 * n)
+    V = potential_values(T, P[:, :n] ** 2 + P[:, n:] ** 2).reshape(2 * n, 2 * n, 4)
+    second = (V[..., 0] - V[..., 1] - V[..., 2] + V[..., 3]) / (4 * h * h)
 
     H = np.zeros((n, n), dtype=complex)
     for k in range(n):
         for l in range(n):
             H[k, l] = 0.25 * (
-                second(k, l) + second(n + k, n + l) + 1j * (second(k, n + l) - second(n + k, l))
+                second[k, l] + second[n + k, n + l] + 1j * (second[k, n + l] - second[n + k, l])
             )
     phases = [1.0 + 0.0j] * n + [1.0j] * n
     axes = list(range(n)) + list(range(n))
@@ -196,20 +259,19 @@ def pullback_check(T: ToricPotential, xi: Sequence[complex]) -> float:
 def radial_quantity(T: ToricPotential, x: Sequence[float], j: int) -> float:
     """sqrt(x_j * dPhi~/dx_j) = |Psi(xi)_j| at x = |xi|^2; bounded above by
     sqrt(2 max_k (J_k)_j)."""
-    if any(c <= 0 for c in x):
-        raise ValueError("coordinates must be positive")
-    return math.sqrt(x[j] * potential_partial(T, x, j))
+    return float(radial_quantities(T, [x])[0, j])
 
 
 def axis_radius_bound(T: ToricPotential, j: int) -> float:
-    return math.sqrt(2 * max(J[j] for J in T.exponents))
+    return math.sqrt(2 * T.exponent_array[:, j].max())
 
 
 def suggested_path_exponent(T: ToricPotential, j: int) -> int:
     """Smallest s certain to make the axis-j terms dominate along the path
     x = (t^s on axis j, t elsewhere): one more than the largest complementary
     degree appearing in the exponent set."""
-    return 1 + max(sum(J) - J[j] for J in T.exponents)
+    J = T.exponent_array
+    return 1 + int((J.sum(axis=1) - J[:, j]).max())
 
 
 def sup_along_path(T: ToricPotential, j: int, s: int, t_max: float) -> float:
@@ -217,16 +279,10 @@ def sup_along_path(T: ToricPotential, j: int, s: int, t_max: float) -> float:
     in log space so that huge powers like t^60 cannot overflow."""
     if t_max <= 1:
         raise ValueError("t_max must exceed 1")
-    L = math.log(t_max)
-    weights = [(J[j] * s + (sum(J) - J[j])) for J in T.exponents]
-    m = max(weights)
-    num = 0.0
-    den = 0.0
-    for J, w in zip(T.exponents, weights):
-        e = math.exp((w - m) * L)
-        den += e
-        num += J[j] * e
-    return math.sqrt(2 * num / den)
+    J = T.exponent_array
+    weights = J[:, j] * s + (J.sum(axis=1) - J[:, j])
+    e = np.exp((weights - weights.max()) * math.log(t_max))
+    return math.sqrt(2 * (J[:, j] @ e) / e.sum())
 
 
 def fs_diastasis(u: Sequence[complex]) -> float:

@@ -12,6 +12,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .charts import (
     chart_for_cone,
     kernel_param,
@@ -27,11 +29,11 @@ from .lattice import dot, integer_kernel_basis, mat_mul, matrix_from_columns
 from .numeric import (
     ToricPotential,
     axis_radius_bound,
-    potential_partial,
-    potential_value,
+    potential_partials,
+    potential_values,
+    psi_maps,
     pullback_check,
-    radial_quantity,
-    psi_map,
+    radial_quantities,
     sup_along_path,
     suggested_path_exponent,
 )
@@ -67,11 +69,11 @@ def chart_suite(F: Fan, seed: int = 0, samples: int = 10) -> list[CheckResult]:
     d = len(F.generators)
     n = F.dim
     results = []
+    charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
 
     # phi after psi is the identity on each chart
     worst = 0.0
-    for ci in range(len(F.max_cones)):
-        C = chart_for_cone(F, ci)
+    for C in charts:
         for _ in range(samples):
             xi = [_random_coord(rng, 0.5, 2.0) for _ in range(n)]
             back = phi_sigma(C, psi_sigma(C, xi))
@@ -80,8 +82,7 @@ def chart_suite(F: Fan, seed: int = 0, samples: int = 10) -> list[CheckResult]:
 
     # kernel parametrization lands in the kernel of the torus map
     worst = 0.0
-    for ci in range(len(F.max_cones)):
-        C = chart_for_cone(F, ci)
+    for C in charts:
         if not C.complement:
             continue
         for _ in range(samples):
@@ -93,8 +94,7 @@ def chart_suite(F: Fan, seed: int = 0, samples: int = 10) -> list[CheckResult]:
 
     # chart maps are invariant under the kernel torus
     worst = 0.0
-    for ci in range(len(F.max_cones)):
-        C = chart_for_cone(F, ci)
+    for C in charts:
         if not C.complement:
             continue
         for _ in range(samples):
@@ -108,30 +108,28 @@ def chart_suite(F: Fan, seed: int = 0, samples: int = 10) -> list[CheckResult]:
     # exponent rows pair to zero with every relation among the generators
     exact = True
     rel_basis = integer_kernel_basis(matrix_from_columns(F.generators))
-    for ci in range(len(F.max_cones)):
-        rows = chart_for_cone(F, ci).exponent_rows()
-        for r in rows:
+    for C in charts:
+        for r in C.exponent_rows():
             for w in rel_basis:
                 if dot(r, w) != 0:
                     exact = False
     results.append(CheckResult("exponents_kill_relations", exact, None, None))
 
-    # transitions: numeric agreement and the exact cocycle identity
+    # transitions: numeric agreement and the exact cocycle identity, each
+    # transition built once per ordered pair of charts
+    k = len(charts)
+    E = {(a, b): transition_map(charts[a], charts[b]) for a in range(k) for b in range(k)}
     worst = 0.0
     cocycle = True
-    charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
-    for C1 in charts:
-        for C2 in charts:
-            E12 = transition_map(C1, C2)
+    for a in range(k):
+        for b in range(k):
             for _ in range(samples):
                 xi = [_random_coord(rng, 0.5, 2.0) for _ in range(n)]
-                direct = phi_sigma(C2, psi_sigma(C1, xi))
-                viaE = monomial_eval(E12, xi)
+                direct = phi_sigma(charts[b], psi_sigma(charts[a], xi))
+                viaE = monomial_eval(E[a, b], xi)
                 worst = max(worst, _rel_dev(viaE, direct))
-            for C3 in charts:
-                E23 = transition_map(C2, C3)
-                E13 = transition_map(C1, C3)
-                if mat_mul(E23.exponents, E12.exponents) != E13.exponents:
+            for c in range(k):
+                if mat_mul(E[b, c].exponents, E[a, b].exponents) != E[a, c].exponents:
                     cocycle = False
     results.append(CheckResult("transition_matches_charts", worst < CHART_TOL, worst, CHART_TOL))
     results.append(CheckResult("transition_cocycle_exact", cocycle, None, None))
@@ -141,23 +139,23 @@ def chart_suite(F: Fan, seed: int = 0, samples: int = 10) -> list[CheckResult]:
 def numeric_suite(
     T: ToricPotential, seed: int = 0, samples: int = 10
 ) -> list[CheckResult]:
+    """Each sweep draws its samples from rng in the order a per-sample loop
+    would, then evaluates them in one batch; the pullback sweep batches the
+    stencil of each sample."""
     rng = random.Random(seed)
     n = T.dim
     results = []
+    bounds = np.array([axis_radius_bound(T, j) for j in range(n)])
 
     # exact partials against central differences of the potential
-    worst = 0.0
-    for _ in range(samples):
-        x = [rng.uniform(0.1, 10.0) for _ in range(n)]
-        for j in range(n):
-            h = 1e-6 * max(1.0, abs(x[j]))
-            xp = list(x)
-            xm = list(x)
-            xp[j] += h
-            xm[j] -= h
-            fd = (potential_value(T, xp) - potential_value(T, xm)) / (2 * h)
-            exact = potential_partial(T, x, j)
-            worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
+    x = np.array([rng.uniform(0.1, 10.0) for _ in range(samples * n)]).reshape(samples, n)
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    shift = np.eye(n) * h[:, :, None]  # shift[s, j] moves sample s along axis j
+    stencil = np.concatenate([x[:, None, :] + shift, x[:, None, :] - shift])
+    values = potential_values(T, stencil.reshape(-1, n)).reshape(2, samples, n)
+    fd = (values[0] - values[1]) / (2 * h)
+    exact = potential_partials(T, x)
+    worst = float(np.max(np.abs(fd - exact) / np.maximum(1.0, np.abs(exact)), initial=0.0))
     results.append(CheckResult("gradient_finite_difference", worst < GRADIENT_TOL, worst, GRADIENT_TOL))
 
     # pullback of the standard form through Psi reproduces the form of Phi
@@ -168,33 +166,23 @@ def numeric_suite(
     results.append(CheckResult("symplectic_pullback", worst < PULLBACK_TOL, worst, PULLBACK_TOL))
 
     # |Psi_j| never exceeds the per-axis radius bound
-    ok = True
-    worst = 0.0
-    for _ in range(10 * samples):
-        x = [rng.uniform(0.1, 3.0) ** 2 for _ in range(n)]
-        for j in range(n):
-            gap = radial_quantity(T, x, j) - axis_radius_bound(T, j)
-            worst = max(worst, gap)
-            if gap > 1e-9:
-                ok = False
-    results.append(CheckResult("radial_bound", ok, worst, 1e-9))
+    x = np.array([rng.uniform(0.1, 3.0) ** 2 for _ in range(10 * samples * n)])
+    gap = radial_quantities(T, x.reshape(-1, n)) - bounds
+    worst = float(np.max(gap, initial=0.0))
+    results.append(CheckResult("radial_bound", not (gap > 1e-9).any(), worst, 1e-9))
 
     # the radial quantity attains the bound along the distinguished path
     worst = 0.0
     for j in range(n):
         s = suggested_path_exponent(T, j)
         got = sup_along_path(T, j, s, 1e6)
-        worst = max(worst, abs(got - axis_radius_bound(T, j)))
+        worst = max(worst, abs(got - float(bounds[j])))
     results.append(CheckResult("radial_sup_along_path", worst < PATH_TOL, worst, PATH_TOL))
 
     # Psi extends to the closed chart with |Psi_j|^2 below 2 max_k (J_k)_j
-    ok = True
-    for _ in range(samples):
-        xi = [_random_coord(rng, 0.1, 3.0) for _ in range(n)]
-        w = psi_map(T, xi)
-        for j in range(n):
-            if abs(w[j]) > axis_radius_bound(T, j) + 1e-9:
-                ok = False
+    xi = [_random_coord(rng, 0.1, 3.0) for _ in range(samples * n)]
+    w = psi_maps(T, np.array(xi, dtype=complex).reshape(-1, n))
+    ok = not (np.abs(w) > bounds + 1e-9).any()
     results.append(CheckResult("psi_within_cylinder", ok, None, None))
     return results
 

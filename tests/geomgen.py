@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from toricwidth.lattice import dot, rref
+from toricwidth.numeric import GRADIENT_STEP, HESSIAN_STEP
 from toricwidth.polytope import (
     AffineLatticeMap,
     EmptyPolytopeError,
@@ -181,3 +185,89 @@ def blow_up(P: HalfspacePolytope, active: tuple[int, ...], k: int = 1) -> Halfsp
     u = tuple(sum(P.normals[i][c] for i in active) for c in range(P.dim))
     lam = sum(P.offsets[i] for i in active) + k
     return HalfspacePolytope(P.normals + (u,), P.offsets + (lam,))
+
+
+def _monomial(x, J) -> float:
+    v = 1.0
+    for xi, e in zip(x, J):
+        if e:
+            v *= xi**e
+    return v
+
+
+def oracle_potential_value(T, x) -> float:
+    """2 log sum_k x^{J_k}, monomial by monomial in linear space."""
+    return 2.0 * math.log(sum(_monomial(x, J) for J in T.exponents))
+
+
+def oracle_potential_partial(T, x, j: int) -> float:
+    """2 sum_k (J_k)_j x^{J_k - e_j} / sum_k x^{J_k}; the reduced exponents
+    continue it to the coordinate hyperplanes."""
+    num = 0.0
+    den = 0.0
+    for J in T.exponents:
+        den += _monomial(x, J)
+        if J[j]:
+            reduced = list(J)
+            reduced[j] -= 1
+            num += J[j] * _monomial(x, reduced)
+    return 2.0 * num / den
+
+
+def oracle_psi_map(T, xi) -> tuple[complex, ...]:
+    """sqrt(dPhi~/dx_k at |xi|^2) * xi_k, one partial at a time."""
+    x = [abs(complex(c)) ** 2 for c in xi]
+    return tuple(
+        math.sqrt(oracle_potential_partial(T, x, k)) * complex(c) for k, c in enumerate(xi)
+    )
+
+
+def oracle_pullback_check(T, xi, value=oracle_potential_value, psi=oracle_psi_map) -> float:
+    """The pullback deviation of numeric.pullback_check, one stencil point
+    at a time: value(T, x) gives the potential and psi(T, xi) the map."""
+    n = T.dim
+    p0 = np.array([complex(c).real for c in xi] + [complex(c).imag for c in xi])
+
+    def psi_real(p):
+        out = psi(T, [complex(p[k], p[n + k]) for k in range(n)])
+        return np.array([w.real for w in out] + [w.imag for w in out])
+
+    def potential_real(p):
+        return value(T, [p[k] ** 2 + p[n + k] ** 2 for k in range(n)])
+
+    jac = np.zeros((2 * n, 2 * n))
+    for b in range(2 * n):
+        h = GRADIENT_STEP * max(1.0, abs(p0[b]))
+        e = np.zeros(2 * n)
+        e[b] = h
+        jac[:, b] = (psi_real(p0 + e) - psi_real(p0 - e)) / (2 * h)
+    omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    lhs = jac.T @ omega @ jac
+
+    h = HESSIAN_STEP
+
+    def second(a: int, b: int) -> float:
+        ea = np.zeros(2 * n)
+        eb = np.zeros(2 * n)
+        ea[a] = h
+        eb[b] = h
+        return (
+            potential_real(p0 + ea + eb)
+            - potential_real(p0 + ea - eb)
+            - potential_real(p0 - ea + eb)
+            + potential_real(p0 - ea - eb)
+        ) / (4 * h * h)
+
+    H = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            H[k, l] = 0.25 * (
+                second(k, l) + second(n + k, n + l) + 1j * (second(k, n + l) - second(n + k, l))
+            )
+    phases = [1.0 + 0.0j] * n + [1.0j] * n
+    axes = list(range(n)) + list(range(n))
+    rhs = np.zeros((2 * n, 2 * n))
+    for a in range(2 * n):
+        for b in range(2 * n):
+            rhs[a, b] = -(H[axes[a], axes[b]] * phases[a] * np.conj(phases[b])).imag
+    return float(np.max(np.abs(lhs - rhs)))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import toricwidth.verify
 from toricwidth.charts import (
     NonUnimodularConeError,
     chart_for_cone,
@@ -25,6 +26,7 @@ from toricwidth.fixtures import (
 )
 from toricwidth.lattice import dot, integer_kernel_basis, mat_mul, matrix_from_columns
 from toricwidth.polytope import scale
+from toricwidth.verify import chart_suite
 
 TOL = 1e-9
 
@@ -188,6 +190,23 @@ def test_transition_cocycle_exact():
                     E23 = transition_map(C2, C3)
                     E13 = transition_map(C1, C3)
                     assert mat_mul(E23.exponents, E12.exponents) == E13.exponents
+
+
+def test_chart_suite_passes_and_catches_a_wrong_transition(monkeypatch):
+    F = normal_fan(blown_up_hirzebruch())
+    assert all(r.passed for r in chart_suite(F, seed=3, samples=2))
+
+    first, second = F.max_cones[0], F.max_cones[1]
+
+    def wrong(C1, C2):
+        # the chart change from the first cone to the second is the identity
+        if (C1.cone, C2.cone) == (first, second):
+            return transition_map(C1, C1)
+        return transition_map(C1, C2)
+
+    monkeypatch.setattr(toricwidth.verify, "transition_map", wrong)
+    failed = {r.name for r in chart_suite(F, seed=3, samples=2) if not r.passed}
+    assert failed == {"transition_matches_charts", "transition_cocycle_exact"}
 
 
 def test_monomial_composition_is_matrix_product():

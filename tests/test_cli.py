@@ -1,16 +1,20 @@
 import json
+import random
 import shutil
 import subprocess
 
 import pytest
 
+import toricwidth.charts
 import toricwidth.cli
 import toricwidth.embedding
 import toricwidth.polytope
+import toricwidth.verify
 import toricwidth.width
+from geomgen import blow_up, random_delzant_polygon
 from toricwidth.cli import main
 from toricwidth.fixtures import blown_up_hirzebruch, unit_square
-from toricwidth.polytope import to_dict
+from toricwidth.polytope import is_delzant, scale, to_dict
 from toricwidth.verify import CheckResult
 
 
@@ -155,6 +159,49 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     rc, out = run(capsys, "verify", "cpn:1:1")
     assert rc == 4
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError, FloatingPointError])
+def test_arithmetic_error_exits_3_with_one_line(capsys, monkeypatch, error):
+    def overflow(P, seed, samples):
+        raise error("numerical result out of range")
+
+    monkeypatch.setattr("toricwidth.cli.polytope_suites", overflow)
+    assert main(["verify", "cpn:2:1"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {error.__name__}: numerical result out of range\n"
+    assert "Traceback" not in err
+
+
+def test_verify_high_degree_does_not_overflow(capsys):
+    # 400^th powers of coordinates up to 10 leave double range; log space does not
+    out = run_json(capsys, "verify", "cpn:1:400", "--format", "json")
+    assert out and all(row["passed"] for row in out)
+
+
+def test_verify_builds_each_chart_and_transition_once(capsys, monkeypatch, tmp_path):
+    P = scale(random_delzant_polygon(random.Random(10)), 3)  # room for the cuts
+    while P.num_facets < 10:
+        P = next(
+            Q for v in P.vertices
+            if is_delzant(Q := blow_up(P, v.active)) and len(Q.vertices) == Q.num_facets
+        )
+    path = tmp_path / "polygon.json"
+    path.write_text(json.dumps(to_dict(P)))
+    calls = {"chart_for_cone": 0, "transition_map": 0}
+    for name in calls:
+        real = getattr(toricwidth.charts, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for mod in (toricwidth.charts, toricwidth.embedding, toricwidth.verify):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
+    assert main(["verify", str(path), "--samples", "2"]) == 0
+    capsys.readouterr()
+    assert calls == {"chart_for_cone": 10, "transition_map": 100}
 
 
 def test_parse_errors_exit_2(capsys, tmp_path):

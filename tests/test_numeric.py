@@ -3,24 +3,38 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
+import toricwidth.numeric
+import toricwidth.verify
+from geomgen import (
+    oracle_potential_partial,
+    oracle_potential_value,
+    oracle_psi_map,
+    oracle_pullback_check,
+)
 from toricwidth.embedding import MonomialEmbedding, sections_by_polytope
-from toricwidth.fixtures import blown_up_hirzebruch, projective_space
+from toricwidth.fixtures import blown_up_hirzebruch, projective_space, resolve_fixture
 from toricwidth.numeric import (
     DegenerateJacobianWarning,
     ToricPotential,
     axis_radius_bound,
     fs_diastasis,
     potential_partial,
+    potential_partials,
     potential_value,
+    potential_values,
     psi_map,
+    psi_maps,
     pullback_check,
+    radial_quantities,
     radial_quantity,
     sup_along_path,
     suggested_path_exponent,
 )
-from toricwidth.polytope import enumerate_vertices
+from toricwidth.polytope import clear_denominators, enumerate_vertices
+from toricwidth.verify import numeric_suite
 
 CP2 = ToricPotential(MonomialEmbedding(((0, 0), (1, 0), (0, 1))))
 
@@ -190,3 +204,122 @@ def test_projective_space_potential_matches_fubini_study():
     u = (0.4 + 0.3j, 0.2 - 0.6j)
     x = [abs(c) ** 2 for c in u]
     assert potential_value(T, x) == pytest.approx(2 * fs_diastasis(u))
+
+
+def fixture_potential(spec: str) -> ToricPotential:
+    _, P = clear_denominators(resolve_fixture(spec))
+    return ToricPotential(sections_by_polytope(P, P.vertices[0]))
+
+
+ORACLE_POTENTIALS = ["cpn:2:1", "example-3.7", "cpn:3:3", "example-3.8:3"]
+
+
+def oracle_points(T: ToricPotential, rng: random.Random) -> list[list[float]]:
+    """Points of [0.1, 10]^n, each also with one and with two coordinates zeroed."""
+    points = []
+    for _ in range(20):
+        x = [rng.uniform(0.1, 10.0) for _ in range(T.dim)]
+        points.append(x)
+        points += [x[:j] + [0.0] + x[j + 1:] for j in range(T.dim)]
+        points.append([0.0, 0.0] + x[2:])
+    return points
+
+
+@pytest.fixture(params=ORACLE_POTENTIALS)
+def oracle_potential(request) -> ToricPotential:
+    return fixture_potential(request.param)
+
+
+def test_potential_matches_scalar_oracle(oracle_potential):
+    T = oracle_potential
+    for x in oracle_points(T, random.Random(31)):
+        assert potential_value(T, x) == pytest.approx(oracle_potential_value(T, x), rel=1e-12)
+        got = potential_partials(T, [x])[0]
+        for j in range(T.dim):
+            want = oracle_potential_partial(T, x, j)
+            assert got[j] == pytest.approx(want, rel=1e-12, abs=0)
+            if min(x) > 0:
+                assert potential_partial(T, x, j) == pytest.approx(want, rel=1e-12)
+
+
+def test_psi_map_matches_scalar_oracle(oracle_potential):
+    T = oracle_potential
+    rng = random.Random(32)
+    for x in oracle_points(T, rng):
+        xi = [math.sqrt(c) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for c in x]
+        try:
+            want = oracle_psi_map(T, xi)
+        except ValueError:  # a partial vanishes on this hyperplane
+            with pytest.raises(ValueError):
+                psi_map(T, xi)
+            continue
+        for got, w in zip(psi_map(T, xi), want):
+            assert abs(got - w) <= 1e-12 * abs(w)
+
+
+def test_pullback_check_matches_per_point_stencil(oracle_potential):
+    # the batched stencils do the per-point finite-difference arithmetic
+    T = oracle_potential
+    rng = random.Random(33)
+    for _ in range(5):
+        xi = random_modulus_point(rng, T.dim)
+        got = pullback_check(T, xi)
+        per_point = oracle_pullback_check(T, xi, potential_value, psi_map)
+        assert got == pytest.approx(per_point, rel=1e-9, abs=1e-9)
+        # through the linear-space oracle the difference is finite-difference
+        # noise: a 1e-16 change of the potential divided by 4 h^2 = 4e-8
+        assert abs(got - oracle_pullback_check(T, xi)) < 1e-6
+
+
+def test_batches_split_by_entry_budget_without_changing_values(monkeypatch):
+    T = fixture_potential("example-3.8:3")
+    rng = np.random.default_rng(34)
+    X = rng.uniform(0.1, 10.0, (50, 2))
+    X[::7, 0] = 0.0
+    XI = np.sqrt(X) * np.exp(1j * rng.uniform(0, 2 * np.pi, X.shape))
+    whole = potential_values(T, X), potential_partials(T, X), psi_maps(T, XI)
+    monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 3 * len(T.exponents))
+    split = potential_values(T, X), potential_partials(T, X), psi_maps(T, XI)
+    for a, b in zip(whole, split):
+        assert np.array_equal(a, b)
+
+
+def test_high_degree_stays_finite():
+    # x^400 at x = 10 is far outside double range; the potential is not
+    T = fixture_potential("cpn:1:400")
+    # sum_k 10^k = (10^401 - 1) / 9, and the weighted mean degree is 400 - 1/9
+    assert potential_value(T, [10.0]) == pytest.approx(2 * (401 * math.log(10) - math.log(9)))
+    assert potential_partial(T, [10.0], 0) == pytest.approx(2 * (400 - 1 / 9) / 10, rel=1e-12)
+    assert radial_quantity(T, [10.0], 0) <= axis_radius_bound(T, 0)
+    assert np.isfinite(psi_map(T, [3.0 + 1j])).all()
+
+
+def test_psi_map_steps_inside_where_the_sum_vanishes():
+    # x_0 + x_0^2 x_1 vanishes on x_0 = 0; stepping to x_0 = b gives
+    # dPhi~/dx_1 = 2 b / (1 + b x_1)
+    T = ToricPotential(MonomialEmbedding(((1, 0), (2, 1))))
+    b = toricwidth.numeric.ZERO_DENOMINATOR_BUMP
+    with pytest.warns(DegenerateJacobianWarning, match="distance 1e-12"):
+        out = psi_map(T, (0.0, 0.5j))
+    assert out[0] == 0.0
+    assert out[1] == pytest.approx(math.sqrt(2 * b / (1 + b * 0.25)) * 0.5j, rel=1e-12)
+    with pytest.raises(ValueError, match="monomial sum vanishes"):
+        potential_value(T, (0.0, 1.0))
+
+
+def test_radial_quantities_match_pointwise():
+    T = blowup_potential()
+    X = np.random.default_rng(35).uniform(0.1, 3.0, (30, 2))
+    R = radial_quantities(T, X)
+    for x, r in zip(X, R):
+        for j in range(2):
+            assert r[j] == pytest.approx(math.sqrt(x[j] * potential_partial(T, x, j)), rel=1e-12)
+
+
+def test_numeric_suite_passes_and_catches_a_low_radius_bound(monkeypatch):
+    T = fixture_potential("example-3.8:3")
+    assert all(r.passed for r in numeric_suite(T, seed=4, samples=3))
+    true_bound = toricwidth.numeric.axis_radius_bound
+    monkeypatch.setattr(toricwidth.verify, "axis_radius_bound", lambda T, j: 0.5 * true_bound(T, j))
+    failed = {r.name for r in numeric_suite(T, seed=4, samples=3) if not r.passed}
+    assert failed == {"radial_bound", "radial_sup_along_path", "psi_within_cylinder"}

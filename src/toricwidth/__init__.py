@@ -39,7 +39,6 @@ from .numeric import (
     potential_partial,
     psi_map,
     pullback_check,
-    radial_quantity,
     sup_along_path,
 )
 from .polytope import (

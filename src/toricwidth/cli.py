@@ -144,6 +144,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ParseFailure(f"--samples must be at least 1 (got {args.samples})")
     P = load_polytope(args.input)
     _, Pq = clear_denominators(P)
     results = polytope_suites(Pq, seed=args.seed, samples=args.samples)

@@ -2,7 +2,8 @@
 
 Smoothness and (for surfaces) completeness are decided exactly.  Piecewise
 linear support functions live here too, together with the strict convexity
-test used to certify very ample classes.
+test used to certify very ample classes: one inequality per maximal cone
+and generator outside it, <h_sigma, u_j> > g(u_j).
 """
 
 from __future__ import annotations
@@ -229,20 +230,15 @@ def cone_linear_parts(F: Fan, g: SupportFunction) -> dict[tuple[int, ...], tuple
     """Per maximal cone sigma, the vector h with <h, u_i> = g(u_i) on sigma."""
     if len(g.values) != len(F.generators):
         raise ValueError("need one support value per generator")
-    out = {}
-    for c in F.max_cones:
-        rows = [F.generators[i] for i in c]
-        h = solve_rational(rows, [g.values[i] for i in c])
-        out[c] = h
-    return out
+    return {
+        c: solve_rational([F.generators[i] for i in c], [g.values[i] for i in c])
+        for c in F.max_cones
+    }
 
 
 def evaluate_support(F: Fan, g: SupportFunction, w: Sequence) -> Fraction:
     """Value of the piecewise linear extension of g at w."""
-    return _evaluate(F, cone_linear_parts(F, g), w)
-
-
-def _evaluate(F: Fan, parts: dict[tuple[int, ...], tuple], w: Sequence) -> Fraction:
+    parts = cone_linear_parts(F, g)
     for c in F.max_cones:
         if cone_contains(F.generators, c, w):
             return Fraction(dot(parts[c], w))
@@ -252,35 +248,19 @@ def _evaluate(F: Fan, parts: dict[tuple[int, ...], tuple], w: Sequence) -> Fract
 def is_strictly_convex(F: Fan, g: SupportFunction) -> bool:
     """Strict convexity of g on a smooth complete fan.
 
-    Checks (a) g(v1 + v2) >= g(v1) + g(v2) for generators of adjacent maximal
-    cones, strictly when v1, v2 span a wall crossing, and (b) the per-cone
-    linear parts are pairwise distinct.
+    g is strictly convex iff <h_sigma, u_j> > g(u_j) for every maximal cone
+    sigma, with linear part h_sigma, and every generator u_j that lies in
+    some maximal cone but not in sigma (Cox-Little-Schenck, Toric Varieties,
+    section 6.1): each h_sigma is then a vertex of {x : <x, u_i> >= g(u_i)}
+    whose tight facets are exactly those of sigma.
     """
     if not is_smooth(F):
         raise ValueError("fan must be smooth")
     if completeness(F) != COMPLETE:
         raise ValueError("fan must be complete")
-    parts = cone_linear_parts(F, g)
-    hs = list(parts.values())
-    for i in range(len(hs)):
-        for j in range(i + 1, len(hs)):
-            if hs[i] == hs[j]:
-                return False
-    n = F.dim
-    for a, b in itertools.combinations(F.max_cones, 2):
-        if len(set(a) & set(b)) != n - 1:
-            continue
-        for i in a:
-            for j in b:
-                if i == j:
-                    continue
-                w = tuple(x + y for x, y in zip(F.generators[i], F.generators[j]))
-                lhs = _evaluate(F, parts, w)
-                rhs = g.values[i] + g.values[j]
-                if lhs < rhs:
-                    return False
-                # equality is allowed only when some cone contains both rays
-                share = any(i in c and j in c for c in F.max_cones)
-                if lhs == rhs and not share:
-                    return False
-    return True
+    used = {i for c in F.max_cones for i in c}
+    return all(
+        dot(h, F.generators[j]) > g.values[j]
+        for c, h in cone_linear_parts(F, g).items()
+        for j in used.difference(c)
+    )

@@ -138,7 +138,8 @@ def potential_partials(T: ToricPotential, X) -> np.ndarray:
 
 
 def radial_quantities(T: ToricPotential, X) -> np.ndarray:
-    """sqrt(x_j * dPhi~/dx_j) at each row of X > 0."""
+    """sqrt(x_j * dPhi~/dx_j) = |Psi(xi)_j| at x = |xi|^2, for each row of
+    X > 0; bounded above by sqrt(2 max_k (J_k)_j)."""
     X = _points(T, X)
     if (X == 0).any():
         raise ValueError("coordinates must be positive")
@@ -256,12 +257,6 @@ def pullback_check(T: ToricPotential, xi: Sequence[complex]) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def radial_quantity(T: ToricPotential, x: Sequence[float], j: int) -> float:
-    """sqrt(x_j * dPhi~/dx_j) = |Psi(xi)_j| at x = |xi|^2; bounded above by
-    sqrt(2 max_k (J_k)_j)."""
-    return float(radial_quantities(T, [x])[0, j])
-
-
 def axis_radius_bound(T: ToricPotential, j: int) -> float:
     return math.sqrt(2 * T.exponent_array[:, j].max())
 
@@ -275,8 +270,9 @@ def suggested_path_exponent(T: ToricPotential, j: int) -> int:
 
 
 def sup_along_path(T: ToricPotential, j: int, s: int, t_max: float) -> float:
-    """radial_quantity along x_j = t^s, x_i = t (i != j), evaluated at t_max
-    in log space so that huge powers like t^60 cannot overflow."""
+    """Column j of radial_quantities along x_j = t^s, x_i = t (i != j),
+    evaluated at t_max in log space so that huge powers like t^60 cannot
+    overflow."""
     if t_max <= 1:
         raise ValueError("t_max must exceed 1")
     J = T.exponent_array

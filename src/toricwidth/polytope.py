@@ -305,10 +305,19 @@ def to_dict(P: HalfspacePolytope) -> dict:
     }
 
 
+def _exact_int(x) -> int:
+    """int(x), refusing what int() would truncate (1.5, true, 2.7): the value
+    must equal its exact parse Fraction(str(x)), as offsets are parsed."""
+    n = int(x)
+    if Fraction(str(x)) != n:
+        raise ValueError(f"{x} is not an integer")
+    return n
+
+
 def from_dict(data: dict) -> HalfspacePolytope:
     try:
-        dim = int(data["dim"])
-        normals = tuple(tuple(int(x) for x in u) for u in data["normals"])
+        dim = _exact_int(data["dim"])
+        normals = tuple(tuple(_exact_int(x) for x in u) for u in data["normals"])
         offsets = tuple(Fraction(str(l)) for l in data["offsets"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ValueError(f"malformed polytope data: {e}") from e

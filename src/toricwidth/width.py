@@ -10,9 +10,14 @@ Three bounds are computed from a Delzant polytope:
   * lu_lambda: 2 * max{-sum lambda_i a_i} over integer relations
     sum a_i u_i = 0 with a >= 0 and 1 <= sum a_i <= n + 1.
   * lu_gamma: 2 * min positive -sum lambda_i a_i over such relations, valid
-    only when the class is monotone (Fano check below, one exact solve of
-    r(lambda_i + <m, u_i>) = -1); reported with the search bound used, since
-    the defining set is infinite.
+    only when the class is monotone; reported with the search bound used,
+    since the defining set is infinite.
+
+The class is monotone iff r(lambda_i + <m, u_i>) = -1 has a solution with
+r > 0 (Batyrev's reflexivity criterion: the translated and rescaled polytope
+{<z, u_i> >= -1} has the origin as its only interior lattice point, which
+holds for every bounded P, see verify_fano_certificate).  So the Fano check
+is one exact solve, and its recheck lists no lattice points.
 
 Exact rational arithmetic throughout; pi is kept symbolic as a coefficient.
 """
@@ -25,13 +30,12 @@ from itertools import combinations_with_replacement
 
 from .lattice import IntVector, RationalVector, dot, rref
 from .polytope import (
-    EmptyPolytopeError,
     HalfspacePolytope,
     NotDelzantError,
     Vertex,
     is_delzant,
-    lattice_points,
     offset_denominator_scale,
+    recession_direction,
 )
 
 GAMMA_CAVEAT = (
@@ -125,22 +129,10 @@ class FanoCertificate:
     signs: tuple[int, ...]
 
 
-def _interior_lattice_points(Q: HalfspacePolytope) -> list[IntVector]:
-    try:
-        pts = lattice_points(Q)
-    except EmptyPolytopeError:
-        return []
-    return [
-        x
-        for x in pts
-        if all(dot(x, u) > l for u, l in zip(Q.normals, Q.offsets))
-    ]
-
-
 def fano_check(P: HalfspacePolytope) -> FanoCertificate | None:
-    """Solve <y, u_i> + r lambda_i = -1 exactly for a unique (y, r) with r > 0
-    and certify that {<z, u_i> >= -1} has the origin as its only interior
-    lattice point (Batyrev's reflexivity criterion).
+    """Solve <y, u_i> + r lambda_i = -1 exactly for a unique (y, r) with r > 0;
+    {<z, u_i> >= -1} then has the origin as its only interior lattice point
+    (Batyrev's reflexivity criterion), as verify_fano_certificate rechecks.
 
     Signs s_i = +1 need not be tried: the origin would have to satisfy
     <0, u_i> > 1 to be interior.
@@ -159,7 +151,14 @@ def fano_check(P: HalfspacePolytope) -> FanoCertificate | None:
 
 
 def verify_fano_certificate(P: HalfspacePolytope, cert: FanoCertificate) -> bool:
-    """Recheck a certificate from scratch, exactly."""
+    """Recheck a certificate from scratch, exactly.
+
+    The interior lattice points of Q = {z : <z, u_i> >= s_i} are found
+    without listing them.  A sign s_i = +1 leaves the origin outside the
+    interior, since <0, u_i> = 0 < 1.  With every s_i = -1, an integral z
+    has <z, u_i> > -1 iff <z, u_i> >= 0, so they are the lattice points of
+    the recession cone {<z, u_i> >= 0} of P, which is {0} iff P is bounded.
+    """
     if cert.r <= 0 or len(cert.signs) != P.num_facets or len(cert.m) != P.dim:
         return False
     for u, l, s in zip(P.normals, P.offsets, cert.signs):
@@ -167,8 +166,7 @@ def verify_fano_certificate(P: HalfspacePolytope, cert: FanoCertificate) -> bool
             return False
         if s not in (-1, 1):
             return False
-    Q = HalfspacePolytope(P.normals, tuple(Fraction(s) for s in cert.signs))
-    return _interior_lattice_points(Q) == [(0,) * P.dim]
+    return all(s == -1 for s in cert.signs) and recession_direction(P) is None
 
 
 def lu_gamma(

@@ -9,6 +9,7 @@ from itertools import product
 
 import numpy as np
 
+from toricwidth.fan import polytope_from_support
 from toricwidth.lattice import dot, rref
 from toricwidth.numeric import GRADIENT_STEP, HESSIAN_STEP
 from toricwidth.polytope import (
@@ -60,6 +61,17 @@ def random_delzant_polygon(rng: random.Random) -> HalfspacePolytope:
             offsets.append(lam)
     P = HalfspacePolytope(tuple(normals), tuple(Fraction(x) for x in offsets))
     return apply_lattice_map(P, random_unimodular_map(rng))
+
+
+def product_polytope(*factors) -> HalfspacePolytope:
+    """Product polytope of halfspace polytopes, facets in factor order."""
+    dims = [F.dim for F in factors]
+    normals, offsets = [], []
+    for k, F in enumerate(factors):
+        before, after = sum(dims[:k]), sum(dims[k + 1:])
+        normals += [(0,) * before + tuple(u) + (0,) * after for u in F.normals]
+        offsets += F.offsets
+    return HalfspacePolytope(tuple(normals), tuple(offsets))
 
 
 def random_simple_non_delzant_polygon(rng: random.Random) -> HalfspacePolytope:
@@ -143,6 +155,16 @@ def oracle_fano_check(P: HalfspacePolytope):
         if interior == [(0,) * n]:
             return FanoCertificate(r, tuple(c / r for c in y), signs)
     return None
+
+
+def oracle_is_strictly_convex(F, g) -> bool:
+    """g is strictly convex iff the polytope {<x, u_i> >= g(u_i)} has vertices
+    whose tight facet sets are exactly the maximal cones of F."""
+    try:
+        vertices = polytope_from_support(F, g).vertices
+    except EmptyPolytopeError:
+        return False
+    return sorted(v.active for v in vertices) == sorted(F.max_cones)
 
 
 def _nonnegative_vectors(d: int, max_total: int):

@@ -218,6 +218,31 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "dim, normal",
+    [(2, [1.5, 0]), (2, [True, 0]), (2.7, [1, 0])],
+    ids=["fractional-normal", "boolean-normal", "fractional-dim"],
+)
+@pytest.mark.parametrize("sub", ["analyze", "width", "embed", "verify"])
+def test_non_integral_input_is_a_parse_error(capsys, tmp_path, sub, dim, normal):
+    # int() would truncate each of these to a different, valid polytope
+    path = tmp_path / "square.json"
+    data = {"dim": dim, "normals": [normal, [0, 1], [-1, 0], [0, -1]],
+            "offsets": ["0", "0", "-1", "-1"]}
+    path.write_text(json.dumps(data))
+    assert main([sub, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse {str(path)!r}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_needs_a_sample(capsys, samples):
+    assert main(["verify", "example-3.7", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --samples must be at least 1 (got {samples})\n"
+
+
 def test_geometry_errors_exit_3(capsys, tmp_path):
     unbounded = tmp_path / "unbounded.json"
     unbounded.write_text(
@@ -268,23 +293,17 @@ def enumerations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("spec", ["example-3.7", "example-3.8:2"])
+# cpn:2:1 is monotone, so width also rechecks its Fano certificate
+@pytest.mark.parametrize("spec", ["example-3.7", "example-3.8:2", "cpn:2:1"])
 @pytest.mark.parametrize(
     "argv",
-    [["analyze"], ["width"], ["width", "--vertex", "4"], ["embed"], ["embed", "--vertex", "2"],
+    [["analyze"], ["width"], ["width", "--vertex", "2"], ["embed"], ["embed", "--vertex", "2"],
      ["verify", "--samples", "2"]],
 )
 def test_one_vertex_enumeration_per_call(capsys, enumerations, spec, argv):
     assert main([argv[0], spec, *argv[1:]]) == 0
     capsys.readouterr()
     assert len(enumerations) == 1
-
-
-def test_width_on_fano_input_adds_one_enumeration(capsys, enumerations):
-    # the extra one is {<z, u_i> >= -1}, whose interior lattice points the
-    # Fano certificate counts
-    assert run_json(capsys, "width", "cpn:2:1")["fano"]["is_fano"] is True
-    assert len(enumerations) == 2
 
 
 def test_width_reads_no_lattice_points(capsys, monkeypatch):

@@ -73,6 +73,9 @@ def test_sections_by_conditions_requires_strict_convexity():
     F = normal_fan(unit_square())
     with pytest.raises(ValueError):
         sections_by_conditions(F, SupportFunction((0, 0, 0, 0)), 0)
+    # the polytope {x >= 0, y >= 0, -x - y >= 1} of this g is empty
+    with pytest.raises(ValueError, match="support function is not strictly convex"):
+        sections_by_conditions(normal_fan(projective_space(2, 1)), SupportFunction((0, 0, 1)), 0)
 
 
 def test_dual_section_methods_agree_everywhere():

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from geomgen import random_delzant_polygon, random_simple_non_delzant_polygon
+from geomgen import (
+    blow_up,
+    oracle_is_strictly_convex,
+    product_polytope,
+    random_delzant_polygon,
+    random_simple_non_delzant_polygon,
+)
 from toricwidth.fan import (
     COMPLETE,
     INCOMPLETE,
@@ -29,6 +35,7 @@ from toricwidth.fixtures import (
 from toricwidth.polytope import (
     HalfspacePolytope,
     NotDelzantError,
+    clear_denominators,
     is_delzant,
     scale,
 )
@@ -152,6 +159,9 @@ def test_strict_convexity():
     assert is_strictly_convex(F, support_function(P))
     # zero support function: all linear parts agree
     assert not is_strictly_convex(F, SupportFunction((0, 0, 0)))
+    # {x >= 0, y >= 0, -x - y >= 1} is empty; any two rays of this fan span
+    # a cone, so testing g on sums of two rays cannot see it
+    assert not is_strictly_convex(F, SupportFunction((0, 0, 1)))
     # support of a lower-dimensional (empty-interior) degeneration
     square_fan = normal_fan(unit_square())
     assert not is_strictly_convex(square_fan, SupportFunction((0, 1, -1, 0)))
@@ -194,3 +204,28 @@ def test_strict_convexity_random_polygons():
         P = random_delzant_polygon(rng)
         F = normal_fan(P)
         assert is_strictly_convex(F, support_function(P))
+
+
+def test_strict_convexity_matches_the_support_polytope_oracle():
+    rng = random.Random(5)
+    cube = product_polytope(*(projective_space(1, 2),) * 3)
+    polytopes = [random_delzant_polygon(rng) for _ in range(12)] + [
+        blown_up_hirzebruch(),
+        clear_denominators(iterated_plane_blowup(1))[1],
+        hirzebruch(),
+        unit_square(),
+        *(projective_space(n) for n in (1, 2, 3, 4)),
+        cube,
+        blow_up(cube, cube.vertices[0].active),
+        product_polytope(projective_space(1), projective_space(2)),
+    ]
+    verdicts = []
+    for P in polytopes:
+        F = normal_fan(P)
+        for _ in range(30):
+            g = SupportFunction(tuple(rng.randint(-4, 4) for _ in F.generators))
+            want = oracle_is_strictly_convex(F, g)
+            assert is_strictly_convex(F, g) == want, (F, g)
+            verdicts.append((P.dim, want))
+    # both verdicts occur, in every dimension from 1 to 4
+    assert {(n, w) for n in range(1, 5) for w in (True, False)} <= set(verdicts)

@@ -29,7 +29,6 @@ from toricwidth.numeric import (
     psi_maps,
     pullback_check,
     radial_quantities,
-    radial_quantity,
     sup_along_path,
     suggested_path_exponent,
 )
@@ -123,8 +122,7 @@ def test_radial_quantity_bounded_by_axis_maximum():
         bounds = [axis_radius_bound(T, j) for j in range(T.dim)]
         for _ in range(100):
             x = [rng.uniform(0.1, 3.0) for _ in range(T.dim)]
-            for j in range(T.dim):
-                assert radial_quantity(T, x, j) <= bounds[j] + 1e-12
+            assert (radial_quantities(T, [x])[0] <= np.array(bounds) + 1e-12).all()
 
 
 def test_radial_quantity_matches_psi_modulus():
@@ -133,9 +131,9 @@ def test_radial_quantity_matches_psi_modulus():
     for _ in range(10):
         xi = random_modulus_point(rng, 2)
         out = psi_map(T, xi)
-        x = [abs(c) ** 2 for c in xi]
+        radial = radial_quantities(T, [[abs(c) ** 2 for c in xi]])[0]
         for j in range(2):
-            assert abs(out[j]) == pytest.approx(radial_quantity(T, x, j))
+            assert abs(out[j]) == pytest.approx(radial[j])
 
 
 def test_suggested_path_exponent():
@@ -181,8 +179,8 @@ def test_error_paths():
         potential_partial(CP2, (1.0, 1.0), 2)
     with pytest.raises(ValueError):
         psi_map(CP2, (1.0,))
-    with pytest.raises(ValueError):
-        radial_quantity(CP2, (0.0, 1.0), 0)
+    with pytest.raises(ValueError, match="coordinates must be positive"):
+        radial_quantities(CP2, [(0.0, 1.0)])
     with pytest.raises(ValueError):
         sup_along_path(CP2, 0, 2, 1.0)
 
@@ -290,7 +288,7 @@ def test_high_degree_stays_finite():
     # sum_k 10^k = (10^401 - 1) / 9, and the weighted mean degree is 400 - 1/9
     assert potential_value(T, [10.0]) == pytest.approx(2 * (401 * math.log(10) - math.log(9)))
     assert potential_partial(T, [10.0], 0) == pytest.approx(2 * (400 - 1 / 9) / 10, rel=1e-12)
-    assert radial_quantity(T, [10.0], 0) <= axis_radius_bound(T, 0)
+    assert radial_quantities(T, [[10.0]])[0, 0] <= axis_radius_bound(T, 0)
     assert np.isfinite(psi_map(T, [3.0 + 1j])).all()
 
 

@@ -9,6 +9,7 @@ from geomgen import (
     oracle_fano_check,
     oracle_lu_gamma,
     oracle_lu_lambda,
+    product_polytope,
     random_delzant_polygon,
     random_unimodular_map,
 )
@@ -30,6 +31,7 @@ from toricwidth.polytope import (
 )
 from toricwidth.width import (
     GAMMA_CAVEAT,
+    FanoCertificate,
     cylinder_bound,
     fano_check,
     lu_gamma,
@@ -134,6 +136,16 @@ def test_verify_fano_rejects_tampering():
         assert not verify_fano_certificate(P, type(cert)(cert.r, cert.m, signs))
     for m in (cert.m[:-1], cert.m + (Fraction(-1, 3),)):
         assert not verify_fano_certificate(P, type(cert)(cert.r, m, cert.signs))
+    # the equations hold, but the sign +1 leaves the origin outside the interior
+    assert not verify_fano_certificate(P, type(cert)(Fraction(1), (-1, -1), (-1, -1, 1)))
+
+
+def test_verify_fano_certificate_rejects_unbounded_input():
+    # r = 1, m = 0 solves the equations of {x >= -1, y >= -1}, but every
+    # lattice point of the quadrant is interior to {x >= -1, y >= -1}
+    P = HalfspacePolytope(((1, 0), (0, 1)), (-1, -1))
+    cert = FanoCertificate(Fraction(1), (Fraction(0), Fraction(0)), (-1, -1))
+    assert verify_fano_certificate(P, cert) is False
 
 
 def test_lu_gamma_simplex_and_square():
@@ -226,17 +238,6 @@ def test_cylinder_bound_scales_linearly():
             assert cylinder_bound(Pq, vq).coefficient_pi == q * base
 
 
-def _product(*factors):
-    """Product polytope of halfspace polytopes, facets in factor order."""
-    dims = [F.dim for F in factors]
-    normals, offsets = [], []
-    for k, F in enumerate(factors):
-        before, after = sum(dims[:k]), sum(dims[k + 1:])
-        normals += [(0,) * before + tuple(u) + (0,) * after for u in F.normals]
-        offsets += F.offsets
-    return HalfspacePolytope(tuple(normals), tuple(offsets))
-
-
 REFLEXIVE_HEXAGON = HalfspacePolytope(
     ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)), (-1,) * 6
 )
@@ -268,8 +269,8 @@ def _fano_ladder():
         *(projective_space(n, k) for n in (1, 2, 3, 4) for k in (1, 2)),
         unit_square(),
         REFLEXIVE_HEXAGON,
-        _product(projective_space(1), projective_space(2)),
-        _product(unit_square(), projective_space(1)),
+        product_polytope(projective_space(1), projective_space(2)),
+        product_polytope(unit_square(), projective_space(1)),
     ]
     dilated = [scale(P, c) for P in base for c in (2, Fraction(1, 3), Fraction(5, 2))]
     images = [

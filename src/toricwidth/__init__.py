@@ -50,6 +50,7 @@ from .polytope import (
     Vertex,
     enumerate_vertices,
     is_delzant,
+    lattice_fibres,
     lattice_points,
     normalize_at_vertex,
     scale,

@@ -32,7 +32,7 @@ from .polytope import (
     clear_denominators,
     from_dict,
     is_delzant,
-    lattice_points,
+    lattice_fibres,
 )
 from .verify import polytope_suites
 from .width import width_report
@@ -88,7 +88,7 @@ def cmd_analyze(args) -> int:
         "complete": completeness(F),
         "strictly_convex": is_strictly_convex(F, g),
         "vertices": [[str(c) for c in v.point] for v in vertices],
-        "lattice_point_count": len(lattice_points(P)),
+        "lattice_point_count": sum(b - a + 1 for _, a, b in lattice_fibres(P)),
         "offset_scale_cleared": q,
     }
     _emit(out, args.format)

@@ -10,6 +10,7 @@ from itertools import product
 import numpy as np
 
 from toricwidth.fan import polytope_from_support
+from toricwidth.fixtures import projective_space
 from toricwidth.lattice import dot, rref
 from toricwidth.numeric import GRADIENT_STEP, HESSIAN_STEP
 from toricwidth.polytope import (
@@ -18,6 +19,7 @@ from toricwidth.polytope import (
     HalfspacePolytope,
     apply_lattice_map,
     lattice_points,
+    scale,
 )
 from toricwidth.width import FanoCertificate
 
@@ -100,6 +102,55 @@ def oracle_lattice_points(P: HalfspacePolytope) -> list[tuple[int, ...]]:
         ):
             out.append(x)
     return sorted(out)
+
+
+def lattice_point_ladder() -> list[HalfspacePolytope]:
+    """Delzant polytopes whose fibres end at exact rational points.
+
+    Segments, P^3 and P^4 at several degrees, the cube, the cube with a
+    corner cut and P^1 x P^2; their dilations by 5/2 and 1/3; unimodular
+    images with negative coordinates; small polytopes with vertices but no
+    lattice point; and two dilations moved past 2^63, beyond int64.
+    """
+    rng = random.Random(66)
+    cube = product_polytope(*(projective_space(1, 2),) * 3)
+    base = [
+        projective_space(1, 1),
+        projective_space(1, 4),
+        HalfspacePolytope(((1,), (-1,)), (Fraction(-7, 3), Fraction(-11, 5))),
+        *(projective_space(3, k) for k in (1, 2, 3, 5)),
+        *(projective_space(4, k) for k in (1, 2, 3)),
+        cube,
+        blow_up(cube, cube.vertices[0].active),
+        product_polytope(projective_space(1), projective_space(2)),
+    ]
+    # the 4-D dilations stop at P^4 itself, so the oracle's box stays small
+    dilated = [
+        scale(P, c)
+        for P in base
+        if P.dim < 4 or P == projective_space(4)
+        for c in (Fraction(5, 2), Fraction(1, 3))
+    ]
+    images = [
+        apply_lattice_map(P, random_unimodular_map(rng, P.dim))
+        for P in base + dilated
+        if P.dim > 1
+    ]
+
+    def shifted(P, t):
+        identity = tuple(tuple(int(i == j) for j in range(P.dim)) for i in range(P.dim))
+        return apply_lattice_map(P, AffineLatticeMap(identity, tuple(t)))
+
+    far = -(10**20) + Fraction(1, 3)
+    latticeless = [
+        HalfspacePolytope(((1,), (-1,)), (Fraction(1, 3), Fraction(-2, 3))),
+        shifted(scale(projective_space(2), Fraction(1, 3)), (Fraction(1, 2), Fraction(-5, 2))),
+        shifted(scale(cube, Fraction(1, 4)), (Fraction(1, 4),) * 3),
+    ]
+    return base + dilated + images + latticeless + [
+        shifted(scale(projective_space(2, 3), Fraction(5, 2)), (far, 10**19)),
+        shifted(scale(cube, Fraction(5, 2)), (far, 10**19, 10**19)),
+    ]
 
 
 def oracle_lu_lambda(P: HalfspacePolytope):

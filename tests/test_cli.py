@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import shutil
 import subprocess
@@ -11,7 +12,7 @@ import toricwidth.embedding
 import toricwidth.polytope
 import toricwidth.verify
 import toricwidth.width
-from geomgen import blow_up, random_delzant_polygon
+from geomgen import blow_up, lattice_point_ladder, oracle_lattice_points, random_delzant_polygon
 from toricwidth.cli import main
 from toricwidth.fixtures import blown_up_hirzebruch, unit_square
 from toricwidth.polytope import is_delzant, scale, to_dict
@@ -220,12 +221,15 @@ def test_parse_errors_exit_2(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "dim, normal",
-    [(2, [1.5, 0]), (2, [True, 0]), (2.7, [1, 0])],
-    ids=["fractional-normal", "boolean-normal", "fractional-dim"],
+    [(2, [1.5, 0]), (2, [True, 0]), (2.7, [1, 0]),
+     (2, [math.inf, 0]), (2, [-math.inf, 0]), (math.inf, [1, 0]), (-math.inf, [1, 0])],
+    ids=["fractional-normal", "boolean-normal", "fractional-dim",
+         "infinite-normal", "negative-infinite-normal", "infinite-dim", "negative-infinite-dim"],
 )
 @pytest.mark.parametrize("sub", ["analyze", "width", "embed", "verify"])
 def test_non_integral_input_is_a_parse_error(capsys, tmp_path, sub, dim, normal):
-    # int() would truncate each of these to a different, valid polytope
+    # int() would truncate the finite ones to a different, valid polytope,
+    # and refuses the infinite ones with an OverflowError
     path = tmp_path / "square.json"
     data = {"dim": dim, "normals": [normal, [0, 1], [-1, 0], [0, -1]],
             "offsets": ["0", "0", "-1", "-1"]}
@@ -316,6 +320,29 @@ def test_width_reads_no_lattice_points(capsys, monkeypatch):
                 monkeypatch.setattr(mod, name, refuse)
     out = run_json(capsys, "width", "example-3.8:50")
     assert out["paper_bound_pi"] == "8" and out["denominator_scale"] == 51
+
+
+def test_analyze_counts_lattice_points_of_the_ladder(capsys, tmp_path):
+    path = tmp_path / "P.json"
+    for P in lattice_point_ladder():
+        path.write_text(json.dumps(to_dict(P)))
+        out = run_json(capsys, "analyze", str(path))
+        assert out["lattice_point_count"] == len(oracle_lattice_points(P))
+
+
+@pytest.mark.parametrize("argv", [["embed", "example-3.8:30"], ["analyze", "cpn:3:20"]])
+def test_embed_and_analyze_test_no_box_point(capsys, monkeypatch, argv):
+    # only vertex enumeration calls contains, once per n-subset of facets it solves
+    calls = []
+    real = toricwidth.polytope.HalfspacePolytope.contains
+    monkeypatch.setattr(
+        toricwidth.polytope.HalfspacePolytope, "contains",
+        lambda P, x: calls.append(P) or real(P, x),
+    )
+    assert main(argv) == 0
+    capsys.readouterr()
+    P = calls[0]
+    assert 0 < len(calls) <= math.comb(P.num_facets, P.dim)
 
 
 def test_rational_offsets_cleared_for_analysis(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from geomgen import (
+    lattice_point_ladder,
     oracle_lattice_points,
     random_delzant_polygon,
     random_simple_non_delzant_polygon,
@@ -29,6 +30,7 @@ from toricwidth.polytope import (
     enumerate_vertices,
     from_dict,
     is_delzant,
+    lattice_fibres,
     lattice_points,
     normalize_at_vertex,
     offset_denominator_scale,
@@ -129,7 +131,8 @@ def test_lattice_points_blowup():
 
 
 def test_lattice_points_against_oracle_fixtures():
-    for P in (unit_square(), SIMPLEX, blown_up_hirzebruch(), iterated_plane_blowup(3)):
+    fixtures = [unit_square(), SIMPLEX, blown_up_hirzebruch(), iterated_plane_blowup(3)]
+    for P in fixtures + lattice_point_ladder():
         assert lattice_points(P) == oracle_lattice_points(P)
 
 
@@ -138,6 +141,23 @@ def test_lattice_points_against_oracle_random():
     for _ in range(25):
         P = random_delzant_polygon(rng)
         assert lattice_points(P) == oracle_lattice_points(P)
+
+
+def test_lattice_fibres_simplex_doubled():
+    # x_2 <= 2 - x_1 on each fibre; the facet x_1 >= 0 (c = 0) keeps every prefix
+    assert lattice_fibres(scale(SIMPLEX, 2)) == [((0,), 0, 2), ((1,), 0, 1), ((2,), 0, 0)]
+    # ceil(1/3) = 1 and floor(8/3) = 2 on the segment [1/3, 8/3]
+    segment = HalfspacePolytope(((1,), (-1,)), (Fraction(1, 3), Fraction(-8, 3)))
+    assert lattice_fibres(segment) == [((), 1, 2)]
+
+
+def test_lattice_fibres_drop_prefixes_cut_by_a_flat_facet():
+    # the prism (simplex) x [0, 2]: x_1 + x_2 <= 1 has c = 0 and drops the
+    # box prefix (1, 1), whose x_3 range the other facets leave as [0, 2]
+    P = HalfspacePolytope(
+        ((1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)), (0, 0, -1, 0, -2)
+    )
+    assert lattice_fibres(P) == [((0, 0), 0, 2), ((0, 1), 0, 2), ((1, 0), 0, 2)]
 
 
 def test_normalize_at_vertex_blowup():

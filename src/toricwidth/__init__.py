@@ -11,26 +11,18 @@ from .charts import (
     psi_sigma,
     transition_map,
 )
-from .embedding import (
-    MonomialEmbedding,
-    kodaira_eval,
-    sections_by_conditions,
-    sections_by_polytope,
-    twist_exponents,
-)
+from .embedding import MonomialEmbedding, sections_by_polytope
 from .fan import (
     Fan,
     SupportFunction,
     is_smooth,
     is_strictly_convex,
     normal_fan,
-    polytope_from_support,
     support_function,
 )
 from .lattice import det, inverse_unimodular, is_z_basis, solve_rational
 from .numeric import (
     ToricPotential,
-    fs_diastasis,
     potential_partial,
     psi_map,
     pullback_check,

@@ -9,8 +9,8 @@
 file {"dim": n, "normals": [[...], ...], "offsets": ["p/q", ...]}.
 
 Exit codes: 0 success, 2 parse error, 3 infeasible or unbounded (or otherwise
-unusable) polytope, or a floating point failure such as an overflow, 4 property
-suite failure.
+unusable) polytope, a floating point failure such as an overflow, or running out
+of memory, 4 property suite failure.
 """
 
 from __future__ import annotations
@@ -220,6 +220,9 @@ def main(argv=None) -> int:
         return EXIT_GEOMETRY
     except ArithmeticError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_GEOMETRY
+    except MemoryError as e:
+        print(f"error: MemoryError: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_GEOMETRY
 
 

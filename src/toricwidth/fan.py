@@ -11,7 +11,6 @@ generator outside it: <h_sigma, u_j> > g(u_j).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lattice import IntVector, dot, is_z_basis, solve_rational
 from .polytope import HalfspacePolytope, NotDelzantError, format_point
@@ -69,13 +68,6 @@ def support_function(P: HalfspacePolytope) -> SupportFunction:
     if any(l.denominator != 1 for l in P.offsets):
         raise ValueError("offsets must be integral; clear denominators first")
     return SupportFunction(tuple(int(l) for l in P.offsets))
-
-
-def polytope_from_support(F: Fan, g: SupportFunction) -> HalfspacePolytope:
-    """The polytope {x : <x, u_i> >= g(u_i)} cut out by the fan's generators."""
-    if len(g.values) != len(F.generators):
-        raise ValueError("need one support value per generator")
-    return HalfspacePolytope(F.generators, tuple(Fraction(v) for v in g.values))
 
 
 def cone_linear_parts(F: Fan, g: SupportFunction) -> dict[tuple[int, ...], tuple]:

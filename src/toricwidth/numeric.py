@@ -280,8 +280,3 @@ def sup_along_path(T: ToricPotential, j: int, s: int, t_max: float) -> float:
     e = np.exp((weights - weights.max()) * math.log(t_max))
     return math.sqrt(2 * (J[:, j] @ e) / e.sum())
 
-
-def fs_diastasis(u: Sequence[complex]) -> float:
-    """log(1 + sum |u_j|^2): the distance-like potential of the ambient
-    metric between the origin chart point and u; always >= 0."""
-    return math.log1p(sum(abs(complex(c)) ** 2 for c in u))

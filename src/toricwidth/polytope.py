@@ -188,30 +188,12 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
     return [Vertex(pt, tuple(sorted(found[pt]))) for pt in sorted(found)]
 
 
-@dataclass(frozen=True)
-class DelzantCheck:
-    vertex: Vertex
-    simple: bool
-    unimodular: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.simple and self.unimodular
-
-
-def delzant_certificate(P: HalfspacePolytope) -> list[DelzantCheck]:
-    """Per-vertex record: exactly n tight facets whose normals form a Z-basis."""
-    n = P.dim
-    checks = []
-    for v in P.vertices:
-        simple = len(v.active) == n
-        unimodular = simple and is_z_basis([P.normals[i] for i in v.active])
-        checks.append(DelzantCheck(v, simple, unimodular))
-    return checks
-
-
 def is_delzant(P: HalfspacePolytope) -> bool:
-    return all(c.ok for c in delzant_certificate(P))
+    """Every vertex has exactly n tight facets whose normals form a Z-basis."""
+    return all(
+        len(v.active) == P.dim and is_z_basis([P.normals[i] for i in v.active])
+        for v in P.vertices
+    )
 
 
 def bounding_box(P: HalfspacePolytope) -> tuple[IntVector, IntVector]:

@@ -10,16 +10,28 @@ from itertools import combinations, product
 
 import numpy as np
 
-from toricwidth.fan import polytope_from_support
+from toricwidth.charts import ChartData, chart_for_cone
+from toricwidth.embedding import MonomialEmbedding
+from toricwidth.fan import Fan, SupportFunction, is_strictly_convex
 from toricwidth.fixtures import projective_space, unit_square
-from toricwidth.lattice import dot, matrix_from_columns, rref, solve_rational
+from toricwidth.lattice import (
+    IntVector,
+    dot,
+    matrix_from_columns,
+    rref,
+    solve_rational,
+    transpose,
+)
 from toricwidth.numeric import GRADIENT_STEP, HESSIAN_STEP
 from toricwidth.polytope import (
     AffineLatticeMap,
     EmptyPolytopeError,
     HalfspacePolytope,
+    Vertex,
     apply_lattice_map,
+    bounding_box,
     lattice_points,
+    normalize_at_vertex,
     scale,
 )
 from toricwidth.width import FanoCertificate
@@ -232,6 +244,13 @@ def oracle_fano_check(P: HalfspacePolytope):
     return None
 
 
+def polytope_from_support(F: Fan, g: SupportFunction) -> HalfspacePolytope:
+    """The polytope {x : <x, u_i> >= g(u_i)} cut out by the fan's generators."""
+    if len(g.values) != len(F.generators):
+        raise ValueError("need one support value per generator")
+    return HalfspacePolytope(F.generators, tuple(Fraction(v) for v in g.values))
+
+
 def oracle_is_strictly_convex(F, g) -> bool:
     """g is strictly convex iff the polytope {<x, u_i> >= g(u_i)} has vertices
     whose tight facet sets are exactly the maximal cones of F."""
@@ -240,6 +259,71 @@ def oracle_is_strictly_convex(F, g) -> bool:
     except EmptyPolytopeError:
         return False
     return sorted(v.active for v in vertices) == sorted(F.max_cones)
+
+
+def twist_exponents(C: ChartData, g: SupportFunction) -> tuple[int, ...]:
+    """Per complement generator j: c_j = g(u_j) - sum_k V[k][l] g(u_{j_k}).
+
+    These are the exponents twisting a section when it is rewritten in the
+    chart of sigma; integrality is automatic.
+    """
+    if len(g.values) != len(C.fan.generators):
+        raise ValueError("support function does not match the fan")
+    g_cone = [g.values[j] for j in C.cone]
+    out = []
+    for l, j in enumerate(C.complement):
+        col = [C.V[k][l] for k in range(C.dim)]
+        out.append(g.values[j] - dot(col, g_cone))
+    return tuple(out)
+
+
+def _vertex_of_cone(P: HalfspacePolytope, cone) -> Vertex:
+    point = solve_rational([P.normals[i] for i in cone], [P.offsets[i] for i in cone])
+    for v in P.vertices:
+        if v.point == point:
+            return v
+    raise ValueError(f"cone {tuple(cone)} does not cut out a vertex of the polytope")
+
+
+def _complement_exponents(C: ChartData, g: SupportFunction, x: IntVector) -> IntVector:
+    """x_j = <x_sigma + g_u, v_j> - g(u_j) per complement generator j, in chart order."""
+    shifted = [xi + g.values[i] for xi, i in zip(x, C.cone)]
+    cols = transpose(C.V)  # row l is the column vector v_j for complement[l]
+    return tuple(dot(shifted, cols[l]) - g.values[j] for l, j in enumerate(C.complement))
+
+
+def sections_by_conditions(F: Fan, g: SupportFunction, cone_index: int) -> MonomialEmbedding:
+    """Invariant monomial sections in the chart of one maximal cone: the
+    oracle of sections_by_polytope, by the invariance conditions.
+
+    A section restricted to the chart is x^{x_sigma} with x_sigma >= 0, and
+    invariance pins the complement exponents to _complement_exponents, which
+    must be nonnegative too.  Enumerates candidate chart exponents over the
+    bounding box of the normalized polytope and keeps those.  Requires a
+    strictly convex g.
+    """
+    if not is_strictly_convex(F, g):
+        raise ValueError("support function is not strictly convex")
+    C = chart_for_cone(F, cone_index)
+    P = polytope_from_support(F, g)
+    _, Q = normalize_at_vertex(P, _vertex_of_cone(P, C.cone))
+    lo, hi = bounding_box(Q)
+    ranges = [range(max(0, a), b + 1) for a, b in zip(lo, hi)]
+    found = [
+        x
+        for x in product(*ranges)
+        if all(xj >= 0 for xj in _complement_exponents(C, g, x))
+    ]
+    return MonomialEmbedding(tuple(found))
+
+
+def full_section_exponents(
+    F: Fan, g: SupportFunction, cone_index: int
+) -> list[tuple[IntVector, IntVector]]:
+    """Pairs (x_sigma, x_complement) for each section, complement in chart order."""
+    C = chart_for_cone(F, cone_index)
+    E = sections_by_conditions(F, g, cone_index)
+    return [(x, _complement_exponents(C, g, x)) for x in E.exponents]
 
 
 def _cone_contains(gens, cone, w) -> bool:
@@ -350,6 +434,12 @@ def blow_up(P: HalfspacePolytope, active: tuple[int, ...], k: int = 1) -> Halfsp
     u = tuple(sum(P.normals[i][c] for i in active) for c in range(P.dim))
     lam = sum(P.offsets[i] for i in active) + k
     return HalfspacePolytope(P.normals + (u,), P.offsets + (lam,))
+
+
+def fs_diastasis(u) -> float:
+    """log(1 + sum |u_j|^2): the distance-like potential of the ambient
+    metric between the origin chart point and u; always >= 0."""
+    return math.log1p(sum(abs(complex(c)) ** 2 for c in u))
 
 
 def _monomial(x, J) -> float:

@@ -13,15 +13,14 @@ from fractions import Fraction
 
 from geomgen import (
     oracle_lattice_points,
+    polytope_from_support,
     random_delzant_polygon,
     random_simple_non_delzant_polygon,
+    sections_by_conditions,
 )
 from toricwidth.charts import chart_for_cone, kernel_param, phi_sigma, transition_map
-from toricwidth.embedding import (
-    sections_by_conditions,
-    sections_by_polytope,
-)
-from toricwidth.fan import is_smooth, normal_fan, polytope_from_support, support_function
+from toricwidth.embedding import sections_by_polytope
+from toricwidth.fan import is_smooth, normal_fan, support_function
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
     hirzebruch,
@@ -115,8 +114,12 @@ def test_projective_space_sanity():
 
 
 def test_section_methods_agree_on_every_cone():
+    # embed's lattice-point construction against the invariance-conditions
+    # oracle, cone by cone, on the fixtures and 30 random Delzant polygons
+    rng = random.Random(8)
+    polygons = [random_delzant_polygon(rng) for _ in range(30)]
     total = 0
-    for P in TEST_POLYTOPES:
+    for P in TEST_POLYTOPES + polygons:
         F = normal_fan(P)
         g = support_function(P)
         for ci, cone in enumerate(F.max_cones):
@@ -124,7 +127,7 @@ def test_section_methods_agree_on_every_cone():
             by_polytope = sections_by_polytope(P, vertex_for_cone(P, cone))
             assert by_conditions.exponents == by_polytope.exponents
             total += 1
-    print(f"PASS dual section routes agree on all {total} maximal cones of 5 fans")
+    print(f"PASS dual section routes agree on all {total} maximal cones of 35 fans")
 
 
 def test_chart_cocycle_and_kernel_invariance():

@@ -184,6 +184,18 @@ def test_arithmetic_error_exits_3_with_one_line(capsys, monkeypatch, error):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["embed", "verify"])
+def test_memory_error_exits_3_with_one_line(capsys, monkeypatch, command):
+    # what listing the lattice points of a huge polytope does under an
+    # address-space limit, e.g. the degree-10^5 triangle under ulimit -v 1000000
+    def exhausted(P):
+        raise MemoryError()
+
+    monkeypatch.setattr(toricwidth.embedding, "lattice_points", exhausted)
+    assert main([command, "cpn:2:1"]) == 3
+    assert capsys.readouterr().err == "error: MemoryError: out of memory\n"
+
+
 def test_verify_high_degree_does_not_overflow(capsys):
     # 400^th powers of coordinates up to 10 leave double range; log space does not
     out = run_json(capsys, "verify", "cpn:1:400", "--format", "json")

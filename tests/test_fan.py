@@ -11,6 +11,7 @@ from geomgen import (
     oracle_cones_meet_in_faces,
     oracle_is_complete,
     oracle_is_strictly_convex,
+    polytope_from_support,
     product_polytope,
     random_delzant_polygon,
     random_simple_non_delzant_polygon,
@@ -23,7 +24,6 @@ from toricwidth.fan import (
     is_smooth,
     is_strictly_convex,
     normal_fan,
-    polytope_from_support,
     support_function,
 )
 from toricwidth.fixtures import (

@@ -9,6 +9,7 @@ import pytest
 import toricwidth.numeric
 import toricwidth.verify
 from geomgen import (
+    fs_diastasis,
     oracle_potential_partial,
     oracle_potential_value,
     oracle_psi_map,
@@ -20,7 +21,6 @@ from toricwidth.numeric import (
     DegenerateJacobianWarning,
     ToricPotential,
     axis_radius_bound,
-    fs_diastasis,
     potential_partial,
     potential_partials,
     potential_value,

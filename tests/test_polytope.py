@@ -18,6 +18,7 @@ from toricwidth.fixtures import (
     projective_space,
     unit_square,
 )
+from toricwidth.lattice import is_z_basis
 from toricwidth.polytope import (
     AffineLatticeMap,
     EmptyPolytopeError,
@@ -26,7 +27,6 @@ from toricwidth.polytope import (
     UnboundedPolytopeError,
     apply_lattice_map,
     bounding_box,
-    delzant_certificate,
     enumerate_vertices,
     from_dict,
     is_delzant,
@@ -104,9 +104,10 @@ def test_is_delzant_examples():
     # conv{(0,0), (1,0), (0,2)}: hypotenuse normal (-2,-1) breaks det at (1,0)
     P = HalfspacePolytope(((1, 0), (0, 1), (-2, -1)), (0, 0, -2))
     assert not is_delzant(P)
-    cert = delzant_certificate(P)
-    bad = [c for c in cert if not c.ok]
-    assert len(bad) == 1 and bad[0].simple and not bad[0].unimodular
+    # every vertex is simple; only the tight normals at (1,0) miss a Z-basis
+    assert all(len(v.active) == 2 for v in P.vertices)
+    bad = [v.point for v in P.vertices if not is_z_basis([P.normals[i] for i in v.active])]
+    assert bad == [(1, 0)]
 
 
 def test_non_simple_vertex_detected():
@@ -114,9 +115,10 @@ def test_non_simple_vertex_detected():
     P = HalfspacePolytope(
         ((1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)), (0, 0, -1, -1, -2)
     )
-    cert = delzant_certificate(P)
-    corner = [c for c in cert if c.vertex.point == (1, 1)]
-    assert corner and not corner[0].simple
+    assert not is_delzant(P)
+    corner = [v for v in P.vertices if v.point == (1, 1)]
+    assert corner and corner[0].active == (2, 3, 4)
+    assert all(len(v.active) == 2 for v in P.vertices if v.point != (1, 1))
 
 
 def test_lattice_points_simplex_doubled():

@@ -71,6 +71,18 @@ def test_sections_by_conditions_requires_strict_convexity():
         sections_by_conditions(normal_fan(projective_space(2, 1)), SupportFunction((0, 0, 1)), 0)
 
 
+def test_dual_section_methods_agree_everywhere():
+    for P in TEST_POLYTOPES:
+        F = normal_fan(P)
+        g = support_function(P)
+        vertices = enumerate_vertices(P)
+        for ci, cone in enumerate(F.max_cones):
+            A = sections_by_conditions(F, g, ci)
+            v = next(w for w in vertices if w.active == cone)
+            B = sections_by_polytope(P, v)
+            assert A.exponents == B.exponents
+
+
 def test_section_count_is_vertex_independent():
     for P in TEST_POLYTOPES:
         counts = {len(sections_by_polytope(P, v).exponents) for v in enumerate_vertices(P)}

@@ -9,12 +9,21 @@ map on homogeneous coordinates z in C^d is
 
 and its right inverse psi_sigma places xi on the sigma slots and 1 elsewhere.
 All exponent data is exact integer arithmetic; only evaluation uses floats.
+
+Each map has a form on rows of points (phi_sigmas, psi_sigmas, kernel_params,
+torus_images, monomial_evals) that evaluates it with numpy, one point per
+row; the single-point functions call it with one row.  The chart forms take
+ChartArrays, which hold either one chart or one chart per row, so a sweep over
+many charts and points is one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .fan import Fan
 from .lattice import (
@@ -55,6 +64,17 @@ class ChartData:
         full = matrix_from_columns(self.fan.generators)
         return mat_mul(self.U_inv, full)
 
+    @cached_property
+    def arrays(self) -> ChartArrays:
+        """cone, complement and V as integer arrays, for the row forms."""
+        n = self.dim
+        return ChartArrays(
+            len(self.fan.generators),
+            np.array(self.cone, dtype=np.int64),
+            np.array(self.complement, dtype=np.int64),
+            np.array(self.V, dtype=np.int64).reshape(n, len(self.complement)),
+        )
+
 
 def chart_for_cone(F: Fan, cone_index: int) -> ChartData:
     """Chart data for F.max_cones[cone_index]; the cone must be unimodular."""
@@ -75,76 +95,115 @@ def chart_for_cone(F: Fan, cone_index: int) -> ChartData:
     return ChartData(F, cone, complement, U, U_inv, V)
 
 
-def phi_sigma(C: ChartData, z: Sequence[complex]) -> tuple[complex, ...]:
-    """Evaluate the chart map at homogeneous coordinates z.
+def monomials(X, E) -> np.ndarray:
+    """prod_m X[..., m] ** E[..., k, m] for each k: the monomial map with
+    integer exponent rows E at each row of X.  E is one matrix for every
+    row, or one matrix per row stacked along its first axis."""
+    return (np.asarray(X, dtype=complex)[..., None, :] ** E).prod(axis=-1)
 
-    Complement coordinates must be nonzero whenever they carry a negative
-    exponent; we simply require them all nonzero.
-    """
-    d = len(C.fan.generators)
-    if len(z) != d:
-        raise ValueError(f"need {d} homogeneous coordinates")
-    for l, j in enumerate(C.complement):
-        if z[j] == 0:
-            raise ValueError(f"coordinate {j} is zero but lies off the cone")
-    out = []
-    for k in range(C.dim):
-        val = complex(z[C.cone[k]])
-        for l, j in enumerate(C.complement):
-            e = C.V[k][l]
-            if e:
-                val *= complex(z[j]) ** e
-        out.append(val)
-    return tuple(out)
+
+@dataclass(frozen=True)
+class ChartArrays:
+    """The cone slots, complement and V of one chart as integer arrays, or
+    of one chart per row of points, stacked along a leading axis."""
+
+    d: int
+    cone: np.ndarray  # (n,) or (rows, n)
+    complement: np.ndarray  # (d - n,) or (rows, d - n)
+    V: np.ndarray  # (n, d - n) or (rows, n, d - n)
+
+    def take(self, rows) -> "ChartArrays":
+        """The stacked charts self[rows[r]], one for each row r."""
+        return ChartArrays(self.d, self.cone[rows], self.complement[rows], self.V[rows])
+
+
+def stack_charts(charts: Sequence[ChartData]) -> ChartArrays:
+    """Arrays of charts[i] in row i; take() then picks a chart per point."""
+    arrays = [C.arrays for C in charts]
+    return ChartArrays(
+        arrays[0].d,
+        np.stack([a.cone for a in arrays]),
+        np.stack([a.complement for a in arrays]),
+        np.stack([a.V for a in arrays]),
+    )
+
+
+def _rows(X: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """index, shared or one per row, as one copy for each row of X."""
+    return np.broadcast_to(index, X.shape[:-1] + index.shape[-1:])
+
+
+def phi_sigmas(A: ChartArrays, Z) -> np.ndarray:
+    """The chart map at each row of Z (homogeneous coordinates, one point
+    per row): the cone slots times the complement coordinates to the
+    powers V.  Complement coordinates must be nonzero whenever they carry
+    a negative exponent; we simply require them all nonzero."""
+    Z = np.asarray(Z, dtype=complex)
+    if Z.shape[-1] != A.d:
+        raise ValueError(f"need {A.d} homogeneous coordinates")
+    complement = _rows(Z, A.complement)
+    off = np.take_along_axis(Z, complement, -1)
+    if (off == 0).any():
+        raise ValueError(f"coordinate {complement[off == 0][0]} is zero but lies off the cone")
+    return np.take_along_axis(Z, _rows(Z, A.cone), -1) * monomials(off, A.V)
+
+
+def phi_sigma(C: ChartData, z: Sequence[complex]) -> tuple[complex, ...]:
+    """Evaluate the chart map at homogeneous coordinates z."""
+    return tuple(complex(w) for w in phi_sigmas(C.arrays, [z])[0])
+
+
+def psi_sigmas(A: ChartArrays, XI) -> np.ndarray:
+    """Homogeneous representatives with each row of XI on the cone slots
+    and 1 elsewhere."""
+    XI = np.asarray(XI, dtype=complex)
+    if XI.shape[-1] != A.cone.shape[-1]:
+        raise ValueError(f"need {A.cone.shape[-1]} chart coordinates")
+    Z = np.ones(XI.shape[:-1] + (A.d,), dtype=complex)
+    np.put_along_axis(Z, _rows(Z, A.cone), XI, -1)
+    return Z
 
 
 def psi_sigma(C: ChartData, xi: Sequence[complex]) -> tuple[complex, ...]:
     """Homogeneous representative with xi on the cone slots and 1 elsewhere."""
-    if len(xi) != C.dim:
-        raise ValueError(f"need {C.dim} chart coordinates")
-    z = [1.0 + 0.0j] * len(C.fan.generators)
-    for k, j in enumerate(C.cone):
-        z[j] = complex(xi[k])
-    return tuple(z)
+    return tuple(complex(z) for z in psi_sigmas(C.arrays, [xi])[0])
+
+
+def kernel_params(A: ChartArrays, AC) -> np.ndarray:
+    """Extend complement torus values (one point per row of AC) to elements
+    of the kernel torus.
+
+    The cone slots are forced: alpha_{j_k} = prod_l alpha_{j_l}^{-V[k][l]}.
+    Each result alpha satisfies prod_k alpha_k^{u_k,i} = 1 for every i.
+    """
+    AC = np.asarray(AC, dtype=complex)
+    if AC.shape[-1] != A.complement.shape[-1]:
+        raise ValueError(f"need {A.complement.shape[-1]} complement values")
+    if (AC == 0).any():
+        raise ValueError("kernel torus values must be nonzero")
+    alpha = np.ones(AC.shape[:-1] + (A.d,), dtype=complex)
+    np.put_along_axis(alpha, _rows(alpha, A.complement), AC, -1)
+    np.put_along_axis(alpha, _rows(alpha, A.cone), monomials(AC, -A.V), -1)
+    return alpha
 
 
 def kernel_param(C: ChartData, alpha_complement: Sequence[complex]) -> tuple[complex, ...]:
-    """Extend complement torus values to an element of the kernel torus.
+    """Extend complement torus values to an element of the kernel torus."""
+    return tuple(complex(a) for a in kernel_params(C.arrays, [alpha_complement])[0])
 
-    The cone slots are forced: alpha_{j_k} = prod_l alpha_{j_l}^{-V[k][l]}.
-    The result alpha satisfies prod_k alpha_k^{u_k,i} = 1 for every i.
-    """
-    if len(alpha_complement) != len(C.complement):
-        raise ValueError(f"need {len(C.complement)} complement values")
-    if any(a == 0 for a in alpha_complement):
-        raise ValueError("kernel torus values must be nonzero")
-    alpha = [1.0 + 0.0j] * len(C.fan.generators)
-    for l, j in enumerate(C.complement):
-        alpha[j] = complex(alpha_complement[l])
-    for k, j in enumerate(C.cone):
-        val = 1.0 + 0.0j
-        for l, jc in enumerate(C.complement):
-            e = C.V[k][l]
-            if e:
-                val *= complex(alpha_complement[l]) ** (-e)
-        alpha[j] = val
-    return tuple(alpha)
+
+def torus_images(F: Fan, alpha) -> np.ndarray:
+    """The map (C^*)^d -> (C^*)^n, alpha -> (prod_k alpha_k^{u_k,i})_i, at
+    each row of alpha."""
+    alpha = np.asarray(alpha, dtype=complex)
+    if alpha.shape[-1] != len(F.generators):
+        raise ValueError(f"need {len(F.generators)} torus coordinates")
+    return monomials(alpha, np.array(F.generators, dtype=np.int64).T)
 
 
 def torus_image(F: Fan, alpha: Sequence[complex]) -> tuple[complex, ...]:
     """The map (C^*)^d -> (C^*)^n, alpha -> (prod_k alpha_k^{u_k,i})_i."""
-    d = len(F.generators)
-    if len(alpha) != d:
-        raise ValueError(f"need {d} torus coordinates")
-    out = []
-    for i in range(F.dim):
-        val = 1.0 + 0.0j
-        for k in range(d):
-            e = F.generators[k][i]
-            if e:
-                val *= complex(alpha[k]) ** e
-        out.append(val)
-    return tuple(out)
+    return tuple(complex(w) for w in torus_images(F, [alpha])[0])
 
 
 @dataclass(frozen=True)
@@ -165,20 +224,19 @@ def monomial_map(E: IntMatrix) -> MonomialMapData:
     return MonomialMapData(tuple(tuple(row) for row in E), needs)
 
 
-def monomial_eval(M: MonomialMapData, xi: Sequence[complex]) -> tuple[complex, ...]:
-    if len(xi) != len(M.needs_nonzero):
+def monomial_evals(M: MonomialMapData, XI) -> np.ndarray:
+    """The monomial map at each row of XI."""
+    XI = np.asarray(XI, dtype=complex)
+    if XI.shape[-1] != len(M.needs_nonzero):
         raise ValueError("wrong input length")
-    for m, needed in enumerate(M.needs_nonzero):
-        if needed and xi[m] == 0:
-            raise ValueError(f"input {m} must be nonzero for this map")
-    out = []
-    for row in M.exponents:
-        val = 1.0 + 0.0j
-        for m, e in enumerate(row):
-            if e:
-                val *= complex(xi[m]) ** e
-        out.append(val)
-    return tuple(out)
+    zero = ((XI == 0) & np.array(M.needs_nonzero, dtype=bool)).reshape(-1, XI.shape[-1])
+    if zero.any():
+        raise ValueError(f"input {zero.any(axis=0).argmax()} must be nonzero for this map")
+    return monomials(XI, np.array(M.exponents, dtype=np.int64))
+
+
+def monomial_eval(M: MonomialMapData, xi: Sequence[complex]) -> tuple[complex, ...]:
+    return tuple(complex(w) for w in monomial_evals(M, [xi])[0])
 
 
 def transition_map(C1: ChartData, C2: ChartData) -> MonomialMapData:

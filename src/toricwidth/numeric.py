@@ -203,58 +203,63 @@ def _standard_form(n: int) -> np.ndarray:
     return O
 
 
-def pullback_check(T: ToricPotential, xi: Sequence[complex]) -> float:
-    """Max entrywise deviation between J^T Omega0 J for the real Jacobian J
-    of Psi and the form matrix of (i/2) del delbar Phi at xi.
-
-    Both sides are built by central finite differences, each stencil in one
-    batched evaluation; a numerically singular Jacobian is reported as a
-    warning.
-    """
-    n = T.dim
-    if len(xi) != n:
-        raise ValueError(f"need {n} coordinates")
-    p0 = np.array([complex(c).real for c in xi] + [complex(c).imag for c in xi])
-    steps = [GRADIENT_STEP * max(1.0, abs(p0[b])) for b in range(2 * n)]
-    stencil = []
-    for b, h in enumerate(steps):
-        e = np.zeros(2 * n)
-        e[b] = h
-        stencil += [p0 + e, p0 - e]
-    P = np.array(stencil)
+def _pullback_deviations(T: ToricPotential, XI: np.ndarray):
+    """The deviation of pullback_check at each row of XI, and whether the
+    Jacobian of Psi is numerically singular there.  Every step works row by
+    row, so a row's values do not depend on the other rows."""
+    m, n = XI.shape
+    p0 = np.hstack([XI.real, XI.imag])
+    steps = GRADIENT_STEP * np.maximum(1.0, np.abs(p0))
+    shift = np.eye(2 * n) * steps[:, :, None]  # shift[r, b] moves row r along axis b
+    P = np.stack([p0[:, None] + shift, p0[:, None] - shift], axis=2).reshape(-1, 2 * n)
     psi = psi_maps(T, P[:, :n] + 1j * P[:, n:])
-    psi = np.hstack([psi.real, psi.imag])
-    jac = np.zeros((2 * n, 2 * n))
-    for b, h in enumerate(steps):
-        jac[:, b] = (psi[2 * b] - psi[2 * b + 1]) / (2 * h)
-    if abs(np.linalg.det(jac)) < DEGENERATE_JACOBIAN_TOL:
-        warnings.warn("Jacobian of Psi is numerically singular", DegenerateJacobianWarning)
-    lhs = jac.T @ _standard_form(n) @ jac
+    psi = np.hstack([psi.real, psi.imag]).reshape(m, 2 * n, 2, 2 * n)
+    # row b of jac_t is the central difference of Psi along axis b: J^T
+    jac_t = (psi[:, :, 0] - psi[:, :, 1]) / (2 * steps[:, :, None])
+    singular = np.abs(np.linalg.det(jac_t)) < DEGENERATE_JACOBIAN_TOL
+    lhs = jac_t @ _standard_form(n) @ jac_t.transpose(0, 2, 1)
 
     h = HESSIAN_STEP
     e = np.eye(2 * n) * h
-    corners = [
-        [p0 + e[a] + e[b], p0 + e[a] - e[b], p0 - e[a] + e[b], p0 - e[a] - e[b]]
-        for a in range(2 * n)
-        for b in range(2 * n)
-    ]
-    P = np.array(corners).reshape(-1, 2 * n)
-    V = potential_values(T, P[:, :n] ** 2 + P[:, n:] ** 2).reshape(2 * n, 2 * n, 4)
+    plus, minus = p0[:, None, None] + e[:, None], p0[:, None, None] - e[:, None]
+    corners = np.stack([plus + e, plus - e, minus + e, minus - e], axis=3)
+    V = potential_values(T, (corners[..., :n] ** 2 + corners[..., n:] ** 2).reshape(-1, n))
+    V = V.reshape(m, 2 * n, 2 * n, 4)
     second = (V[..., 0] - V[..., 1] - V[..., 2] + V[..., 3]) / (4 * h * h)
+    # the form matrix of (i/2) del delbar Phi in real coordinates (x, y):
+    # [[-Im H, Re H], [-Re H, -Im H]] for the complex Hessian H
+    re = 0.25 * (second[:, :n, :n] + second[:, n:, n:])
+    im = 0.25 * (second[:, :n, n:] - second[:, n:, :n])
+    rhs = np.block([[-im, re], [-re, -im]])
+    return np.abs(lhs - rhs).max(axis=(1, 2)), singular
 
-    H = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            H[k, l] = 0.25 * (
-                second[k, l] + second[n + k, n + l] + 1j * (second[k, n + l] - second[n + k, l])
-            )
-    phases = [1.0 + 0.0j] * n + [1.0j] * n
-    axes = list(range(n)) + list(range(n))
-    rhs = np.zeros((2 * n, 2 * n))
-    for a in range(2 * n):
-        for b in range(2 * n):
-            rhs[a, b] = -(H[axes[a], axes[b]] * phases[a] * np.conj(phases[b])).imag
-    return float(np.max(np.abs(lhs - rhs)))
+
+def pullback_check(T: ToricPotential, xi) -> float:
+    """Max entrywise deviation between J^T Omega0 J for the real Jacobian J
+    of Psi and the form matrix of (i/2) del delbar Phi at xi.
+
+    xi is one point or an m x n array of points, one per row; the result is
+    the worst deviation over the rows.  Both sides are built by central
+    finite differences, with the stencils of many rows in one batched
+    evaluation: the rows go through in slices whose stencil points hold at
+    most BATCH_ENTRIES point-monomial pairs, and each row's deviation equals
+    that of a call with the row alone.  A numerically singular Jacobian at
+    any row gives one warning.
+    """
+    n = T.dim
+    XI = np.asarray(xi, dtype=complex)
+    if XI.ndim not in (1, 2) or XI.shape[-1] != n:
+        raise ValueError(f"need {n} coordinates")
+    XI = XI.reshape(-1, n)
+    # 4n points for the Jacobian and 4 (2n)^2 for the Hessian per row
+    step = max(1, BATCH_ENTRIES // ((4 * n + 16 * n * n) * len(T.exponents)))
+    worst, singular = 0.0, False
+    for i in range(0, len(XI), step):
+        dev, sing = _pullback_deviations(T, XI[i:i + step])
+        worst, singular = max(worst, float(dev.max())), singular or bool(sing.any())
+    if singular:
+        warnings.warn("Jacobian of Psi is numerically singular", DegenerateJacobianWarning)
+    return worst
 
 
 def axis_radius_bound(T: ToricPotential, j: int) -> float:

@@ -3,24 +3,43 @@
 Each check returns a CheckResult; a suite is a list of them.  Chart checks
 run at relative tolerance 1e-9 on coordinates with modulus in [0.5, 2];
 numeric sweeps use modulus in [0.1, 3].
+
+Every sweep draws its points from the seeded rng in the order and number of
+a loop over charts (or ordered pairs of charts), then samples, then
+coordinates, so a seed gives the same points however they are evaluated.
+The chart sweeps put one (chart, sample) or (chart a, chart b, sample) on
+each row and evaluate a slice of rows in one numpy pass, each row with its
+own chart arrays (charts.stack_charts); a slice holds at most
+numeric.BATCH_ENTRIES entries of n * d per row and draws its own points, so
+memory does not grow with the sample count.  The pullback sweep hands all
+samples to one pullback_check call, which slices its stencils the same way.
+
+The exact cocycle identity E[b,c] E[a,b] = E[a,c] for the transition
+exponents is checked on pairs only: E[a,a] = I for every a and
+E[a,b] = E[0,b] E[a,0] for every (a, b), k^2 products instead of k^3.  With
+M_a = E[a,0] these give E[0,b] M_b = E[b,b] = I, so E[a,b] = M_b^-1 M_a and
+every triple composes.  Conversely the triple identity gives both facts for
+invertible E (at a = b = c, and at b = 0), as every U_b^-1 U_a is, so the
+pair check rejects every table that the triple check rejects.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import numeric
 from .charts import (
     chart_for_cone,
-    kernel_param,
-    monomial_eval,
-    phi_sigma,
-    psi_sigma,
-    torus_image,
+    kernel_params,
+    monomials,
+    phi_sigmas,
+    psi_sigmas,
+    stack_charts,
+    torus_images,
     transition_map,
 )
 from .embedding import sections_by_polytope
@@ -54,13 +73,31 @@ class CheckResult:
     detail: str = ""
 
 
-def _random_coord(rng: random.Random, lo: float, hi: float) -> complex:
-    return cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 * math.pi))
+def _coords(rng: random.Random, m: int, lo: float, hi: float) -> np.ndarray:
+    """m points cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 pi)), drawn
+    from rng in that order and evaluated as random.uniform and cmath.rect
+    do."""
+    draw = rng.random
+    u = np.array([draw() for _ in range(2 * m)]).reshape(m, 2)
+    r = lo + (hi - lo) * u[:, 0]
+    angle = 2 * math.pi * u[:, 1]
+    out = np.empty(m, dtype=complex)
+    out.real = r * np.cos(angle)
+    out.imag = r * np.sin(angle)
+    return out
 
 
-def _rel_dev(a, b) -> float:
+def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)), initial=0.0))
+
+
+def _sweep(rows: int, width: int, check) -> float:
+    """The worst of check(r) over consecutive slices r of range(rows), each
+    slice small enough that a work array of `width` entries per row stays
+    within numeric.BATCH_ENTRIES."""
+    step = max(1, numeric.BATCH_ENTRIES // width)
     return max(
-        abs(x - y) / max(1.0, abs(y)) for x, y in zip(a, b)
+        (check(np.arange(i, min(i + step, rows))) for i in range(0, rows, step)), default=0.0
     )
 
 
@@ -70,68 +107,70 @@ def chart_suite(F: Fan, seed: int = 0, samples: int = 10) -> list[CheckResult]:
     n = F.dim
     results = []
     charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
+    k = len(charts)
+    stack = stack_charts(charts)
+    # rows are (chart, sample) or (chart a, chart b, sample), in the order of
+    # a loop over them; each slice draws its own points from rng
 
-    # phi after psi is the identity on each chart
-    worst = 0.0
-    for C in charts:
-        for _ in range(samples):
-            xi = [_random_coord(rng, 0.5, 2.0) for _ in range(n)]
-            back = phi_sigma(C, psi_sigma(C, xi))
-            worst = max(worst, _rel_dev(back, xi))
+    def identity(rows):
+        # phi after psi is the identity on each chart
+        xi = _coords(rng, len(rows) * n, 0.5, 2.0).reshape(-1, n)
+        A = stack.take(rows // samples)
+        return _rel_dev(phi_sigmas(A, psi_sigmas(A, xi)), xi)
+
+    worst = _sweep(k * samples, n * d, identity)
     results.append(CheckResult("phi_after_psi_identity", worst < CHART_TOL, worst, CHART_TOL))
 
-    # kernel parametrization lands in the kernel of the torus map
-    worst = 0.0
-    for C in charts:
-        if not C.complement:
-            continue
-        for _ in range(samples):
-            ac = [_random_coord(rng, 0.5, 2.0) for _ in C.complement]
-            alpha = kernel_param(C, ac)
-            image = torus_image(F, alpha)
-            worst = max(worst, max(abs(w - 1.0) for w in image))
+    # every chart has d - n complement generators; with none, there is no
+    # kernel torus to check
+    kernel_rows = k * samples if d > n else 0
+
+    def in_kernel(rows):
+        # kernel parametrization lands in the kernel of the torus map
+        ac = _coords(rng, len(rows) * (d - n), 0.5, 2.0).reshape(-1, d - n)
+        image = torus_images(F, kernel_params(stack.take(rows // samples), ac))
+        return float(np.max(np.abs(image - 1.0), initial=0.0))
+
+    worst = _sweep(kernel_rows, n * d, in_kernel)
     results.append(CheckResult("kernel_param_in_kernel", worst < CHART_TOL, worst, CHART_TOL))
 
-    # chart maps are invariant under the kernel torus
-    worst = 0.0
-    for C in charts:
-        if not C.complement:
-            continue
-        for _ in range(samples):
-            z = [_random_coord(rng, 0.5, 2.0) for _ in range(d)]
-            ac = [_random_coord(rng, 0.5, 2.0) for _ in C.complement]
-            alpha = kernel_param(C, ac)
-            moved = [a * w for a, w in zip(alpha, z)]
-            worst = max(worst, _rel_dev(phi_sigma(C, moved), phi_sigma(C, z)))
+    def invariance(rows):
+        # chart maps are invariant under the kernel torus
+        draws = _coords(rng, len(rows) * (2 * d - n), 0.5, 2.0).reshape(-1, 2 * d - n)
+        z, ac = draws[:, :d], draws[:, d:]
+        A = stack.take(rows // samples)
+        return _rel_dev(phi_sigmas(A, kernel_params(A, ac) * z), phi_sigmas(A, z))
+
+    worst = _sweep(kernel_rows, n * d, invariance)
     results.append(CheckResult("kernel_invariance", worst < CHART_TOL, worst, CHART_TOL))
 
     # exponent rows pair to zero with every relation among the generators
-    exact = True
     rel_basis = integer_kernel_basis(matrix_from_columns(F.generators))
-    for C in charts:
-        for r in C.exponent_rows():
-            for w in rel_basis:
-                if dot(r, w) != 0:
-                    exact = False
+    exact = all(dot(r, w) == 0 for C in charts for r in C.exponent_rows() for w in rel_basis)
     results.append(CheckResult("exponents_kill_relations", exact, None, None))
 
-    # transitions: numeric agreement and the exact cocycle identity, each
-    # transition built once per ordered pair of charts
-    k = len(charts)
-    E = {(a, b): transition_map(charts[a], charts[b]) for a in range(k) for b in range(k)}
-    worst = 0.0
-    cocycle = True
-    for a in range(k):
-        for b in range(k):
-            for _ in range(samples):
-                xi = [_random_coord(rng, 0.5, 2.0) for _ in range(n)]
-                direct = phi_sigma(charts[b], psi_sigma(charts[a], xi))
-                viaE = monomial_eval(E[a, b], xi)
-                worst = max(worst, _rel_dev(viaE, direct))
-            for c in range(k):
-                if mat_mul(E[b, c].exponents, E[a, b].exponents) != E[a, c].exponents:
-                    cocycle = False
+    # transitions: numeric agreement with phi_b(psi_a(xi)), each transition
+    # built once per ordered pair of charts
+    E = [transition_map(charts[a], charts[b]) for a in range(k) for b in range(k)]
+    exponents = np.array([M.exponents for M in E], dtype=np.int64)
+
+    def transitions(rows):
+        xi = _coords(rng, len(rows) * n, 0.5, 2.0).reshape(-1, n)
+        pair = rows // samples
+        direct = phi_sigmas(stack.take(pair % k), psi_sigmas(stack.take(pair // k), xi))
+        return _rel_dev(monomials(xi, exponents[pair]), direct)
+
+    worst = _sweep(k * k * samples, n * d, transitions)
     results.append(CheckResult("transition_matches_charts", worst < CHART_TOL, worst, CHART_TOL))
+
+    # the exact cocycle E[b,c] E[a,b] = E[a,c] on every triple follows from
+    # E[a,a] = I and E[a,b] = E[0,b] E[a,0] on every pair (see module doc)
+    identity_matrix = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    cocycle = all(E[a * k + a].exponents == identity_matrix for a in range(k)) and all(
+        mat_mul(E[b].exponents, E[a * k].exponents) == E[a * k + b].exponents
+        for a in range(k)
+        for b in range(k)
+    )
     results.append(CheckResult("transition_cocycle_exact", cocycle, None, None))
     return results
 
@@ -140,8 +179,8 @@ def numeric_suite(
     T: ToricPotential, seed: int = 0, samples: int = 10
 ) -> list[CheckResult]:
     """Each sweep draws its samples from rng in the order a per-sample loop
-    would, then evaluates them in one batch; the pullback sweep batches the
-    stencil of each sample."""
+    would, then evaluates them in one batch; the pullback sweep is one
+    pullback_check call on all samples."""
     rng = random.Random(seed)
     n = T.dim
     results = []
@@ -159,10 +198,7 @@ def numeric_suite(
     results.append(CheckResult("gradient_finite_difference", worst < GRADIENT_TOL, worst, GRADIENT_TOL))
 
     # pullback of the standard form through Psi reproduces the form of Phi
-    worst = 0.0
-    for _ in range(samples):
-        xi = [_random_coord(rng, 0.1, 0.9) for _ in range(n)]
-        worst = max(worst, pullback_check(T, xi))
+    worst = pullback_check(T, _coords(rng, samples * n, 0.1, 0.9).reshape(samples, n))
     results.append(CheckResult("symplectic_pullback", worst < PULLBACK_TOL, worst, PULLBACK_TOL))
 
     # |Psi_j| never exceeds the per-axis radius bound
@@ -180,8 +216,7 @@ def numeric_suite(
     results.append(CheckResult("radial_sup_along_path", worst < PATH_TOL, worst, PATH_TOL))
 
     # Psi extends to the closed chart with |Psi_j|^2 below 2 max_k (J_k)_j
-    xi = [_random_coord(rng, 0.1, 3.0) for _ in range(samples * n)]
-    w = psi_maps(T, np.array(xi, dtype=complex).reshape(-1, n))
+    w = psi_maps(T, _coords(rng, samples * n, 0.1, 3.0).reshape(-1, n))
     ok = not (np.abs(w) > bounds + 1e-9).any()
     results.append(CheckResult("psi_within_cylinder", ok, None, None))
     return results

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import random
@@ -10,13 +11,15 @@ from itertools import combinations, product
 
 import numpy as np
 
-from toricwidth.charts import ChartData, chart_for_cone
+from toricwidth.charts import ChartData, chart_for_cone, transition_map
 from toricwidth.embedding import MonomialEmbedding
 from toricwidth.fan import Fan, SupportFunction, is_strictly_convex
 from toricwidth.fixtures import projective_space, unit_square
 from toricwidth.lattice import (
     IntVector,
     dot,
+    integer_kernel_basis,
+    mat_mul,
     matrix_from_columns,
     rref,
     solve_rational,
@@ -34,6 +37,7 @@ from toricwidth.polytope import (
     normalize_at_vertex,
     scale,
 )
+from toricwidth.verify import CHART_TOL, CheckResult
 from toricwidth.width import FanoCertificate
 
 
@@ -526,3 +530,130 @@ def oracle_pullback_check(T, xi, value=oracle_potential_value, psi=oracle_psi_ma
         for b in range(2 * n):
             rhs[a, b] = -(H[axes[a], axes[b]] * phases[a] * np.conj(phases[b])).imag
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def _oracle_phi(C: ChartData, z) -> list[complex]:
+    """The chart map one component and one complement power at a time."""
+    out = []
+    for k in range(C.dim):
+        val = complex(z[C.cone[k]])
+        for l, j in enumerate(C.complement):
+            if C.V[k][l]:
+                val *= complex(z[j]) ** C.V[k][l]
+        out.append(val)
+    return out
+
+
+def _oracle_psi(C: ChartData, xi) -> list[complex]:
+    z = [1.0 + 0.0j] * len(C.fan.generators)
+    for k, j in enumerate(C.cone):
+        z[j] = complex(xi[k])
+    return z
+
+
+def _oracle_kernel_param(C: ChartData, ac) -> list[complex]:
+    alpha = [1.0 + 0.0j] * len(C.fan.generators)
+    for l, j in enumerate(C.complement):
+        alpha[j] = complex(ac[l])
+    for k, j in enumerate(C.cone):
+        val = 1.0 + 0.0j
+        for l in range(len(C.complement)):
+            if C.V[k][l]:
+                val *= complex(ac[l]) ** (-C.V[k][l])
+        alpha[j] = val
+    return alpha
+
+
+def _oracle_monomials(E, xi) -> list[complex]:
+    out = []
+    for row in E:
+        val = 1.0 + 0.0j
+        for m, e in enumerate(row):
+            if e:
+                val *= complex(xi[m]) ** e
+        out.append(val)
+    return out
+
+
+def _oracle_coord(rng: random.Random, lo: float, hi: float) -> complex:
+    return cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 * math.pi))
+
+
+def _oracle_rel_dev(a, b) -> float:
+    return max(abs(x - y) / max(1.0, abs(y)) for x, y in zip(a, b))
+
+
+def oracle_chart_suite(F: Fan, seed: int = 0, samples: int = 10, transition=transition_map):
+    """verify.chart_suite one chart, pair and sample at a time in pure
+    Python, with the cocycle identity checked on every triple of charts;
+    transition(C1, C2) builds the chart changes."""
+    rng = random.Random(seed)
+    d = len(F.generators)
+    n = F.dim
+    results = []
+    charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
+
+    worst = 0.0
+    for C in charts:
+        for _ in range(samples):
+            xi = [_oracle_coord(rng, 0.5, 2.0) for _ in range(n)]
+            worst = max(worst, _oracle_rel_dev(_oracle_phi(C, _oracle_psi(C, xi)), xi))
+    results.append(CheckResult("phi_after_psi_identity", worst < CHART_TOL, worst, CHART_TOL))
+
+    generator_rows = list(zip(*F.generators))
+    worst = 0.0
+    for C in charts:
+        if not C.complement:
+            continue
+        for _ in range(samples):
+            ac = [_oracle_coord(rng, 0.5, 2.0) for _ in C.complement]
+            image = _oracle_monomials(generator_rows, _oracle_kernel_param(C, ac))
+            worst = max(worst, max(abs(w - 1.0) for w in image))
+    results.append(CheckResult("kernel_param_in_kernel", worst < CHART_TOL, worst, CHART_TOL))
+
+    worst = 0.0
+    for C in charts:
+        if not C.complement:
+            continue
+        for _ in range(samples):
+            z = [_oracle_coord(rng, 0.5, 2.0) for _ in range(d)]
+            ac = [_oracle_coord(rng, 0.5, 2.0) for _ in C.complement]
+            moved = [a * w for a, w in zip(_oracle_kernel_param(C, ac), z)]
+            worst = max(worst, _oracle_rel_dev(_oracle_phi(C, moved), _oracle_phi(C, z)))
+    results.append(CheckResult("kernel_invariance", worst < CHART_TOL, worst, CHART_TOL))
+
+    rel_basis = integer_kernel_basis(matrix_from_columns(F.generators))
+    exact = all(
+        dot(r, w) == 0 for C in charts for r in C.exponent_rows() for w in rel_basis
+    )
+    results.append(CheckResult("exponents_kill_relations", exact, None, None))
+
+    k = len(charts)
+    E = {(a, b): transition(charts[a], charts[b]) for a in range(k) for b in range(k)}
+    worst = 0.0
+    cocycle = True
+    for a in range(k):
+        for b in range(k):
+            for _ in range(samples):
+                xi = [_oracle_coord(rng, 0.5, 2.0) for _ in range(n)]
+                direct = _oracle_phi(charts[b], _oracle_psi(charts[a], xi))
+                worst = max(worst, _oracle_rel_dev(_oracle_monomials(E[a, b].exponents, xi), direct))
+            for c in range(k):
+                if mat_mul(E[b, c].exponents, E[a, b].exponents) != E[a, c].exponents:
+                    cocycle = False
+    results.append(CheckResult("transition_matches_charts", worst < CHART_TOL, worst, CHART_TOL))
+    results.append(CheckResult("transition_cocycle_exact", cocycle, None, None))
+    return results
+
+
+def assert_same_results(got, want):
+    """Same check names, order, pass flags and tolerances; deviations
+    within 1e-12."""
+    assert [(r.name, r.passed, r.tolerance) for r in got] == [
+        (r.name, r.passed, r.tolerance) for r in want
+    ]
+    for g, w in zip(got, want):
+        if w.deviation is None:
+            assert g.deviation is None
+        else:
+            assert abs(g.deviation - w.deviation) <= 1e-12

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 import toricwidth.verify
@@ -9,13 +10,20 @@ from toricwidth.charts import (
     NonUnimodularConeError,
     chart_for_cone,
     kernel_param,
+    kernel_params,
     monomial_eval,
+    monomial_evals,
     monomial_map,
     phi_sigma,
+    phi_sigmas,
     psi_sigma,
+    psi_sigmas,
+    stack_charts,
     torus_image,
+    torus_images,
     transition_map,
 )
+from geomgen import assert_same_results, oracle_chart_suite
 from toricwidth.fan import Fan, normal_fan
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
@@ -196,17 +204,25 @@ def test_chart_suite_passes_and_catches_a_wrong_transition(monkeypatch):
     F = normal_fan(blown_up_hirzebruch())
     assert all(r.passed for r in chart_suite(F, seed=3, samples=2))
 
-    first, second = F.max_cones[0], F.max_cones[1]
+    # each ordered pair of the 6 charts in turn gets the identity as its
+    # chart change; both transition checks fail, as under the k^3 oracle
+    k = len(F.max_cones)
+    for a in range(k):
+        for b in range(k):
+            if a == b:
+                continue
+            pair = (F.max_cones[a], F.max_cones[b])
 
-    def wrong(C1, C2):
-        # the chart change from the first cone to the second is the identity
-        if (C1.cone, C2.cone) == (first, second):
-            return transition_map(C1, C1)
-        return transition_map(C1, C2)
+            def wrong(C1, C2, pair=pair):
+                if (C1.cone, C2.cone) == pair:
+                    return transition_map(C1, C1)
+                return transition_map(C1, C2)
 
-    monkeypatch.setattr(toricwidth.verify, "transition_map", wrong)
-    failed = {r.name for r in chart_suite(F, seed=3, samples=2) if not r.passed}
-    assert failed == {"transition_matches_charts", "transition_cocycle_exact"}
+            monkeypatch.setattr(toricwidth.verify, "transition_map", wrong)
+            got = chart_suite(F, seed=a * k + b, samples=2)
+            failed = {r.name for r in got if not r.passed}
+            assert failed == {"transition_matches_charts", "transition_cocycle_exact"}
+            assert_same_results(got, oracle_chart_suite(F, a * k + b, 2, transition=wrong))
 
 
 def test_monomial_composition_is_matrix_product():
@@ -233,3 +249,34 @@ def test_transition_rejects_mismatched_fans():
     F2 = normal_fan(unit_square())
     with pytest.raises(ValueError):
         transition_map(chart_for_cone(F1, 0), chart_for_cone(F2, 0))
+
+
+def test_row_forms_with_a_chart_per_row_match_single_points():
+    rng = random.Random(7)
+    for F in TEST_FANS:
+        charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
+        d, n = len(F.generators), F.dim
+        which = np.array([rng.randrange(len(charts)) for _ in range(20)])
+        A = stack_charts(charts).take(which)
+        Z = np.array([random_torus_point(rng, d) for _ in which])
+        XI, AC = Z[:, :n], Z[:, n:]
+        phi, psi, alpha = phi_sigmas(A, Z), psi_sigmas(A, XI), kernel_params(A, AC)
+        image = torus_images(F, alpha)
+        for r, c in enumerate(which):
+            assert tuple(phi[r]) == phi_sigma(charts[c], Z[r])
+            assert tuple(psi[r]) == psi_sigma(charts[c], XI[r])
+            assert tuple(alpha[r]) == kernel_param(charts[c], AC[r])
+            assert tuple(image[r]) == torus_image(F, alpha[r])
+
+
+def test_row_forms_guard_zeros_in_any_row():
+    F = normal_fan(projective_space(2, 1))
+    C = chart_for_cone(F, F.max_cones.index((0, 1)))
+    with pytest.raises(ValueError, match="coordinate 2 is zero"):
+        phi_sigmas(C.arrays, [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="must be nonzero"):
+        kernel_params(C.arrays, [[2.0], [0.0]])
+    E = monomial_map(((-1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="input 0 must be nonzero"):
+        monomial_evals(E, [[2.0, 0.0], [0.0, 1.0]])
+    assert monomial_evals(E, [[2.0, 0.0], [4.0, 1.0]]).tolist() == [[0.5, 0.0], [0.25, 1.0]]

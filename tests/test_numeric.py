@@ -269,6 +269,35 @@ def test_pullback_check_matches_per_point_stencil(oracle_potential):
         assert abs(got - oracle_pullback_check(T, xi)) < 1e-6
 
 
+def test_pullback_check_on_rows_is_the_worst_row_bit_for_bit(monkeypatch):
+    rng = random.Random(36)
+    cases = [
+        (T, [random_modulus_point(rng, T.dim) for _ in range(13)])
+        for T in (CP2, blowup_potential(), fixture_potential("example-3.8:3"))
+    ]
+    worst = [max(pullback_check(T, xi) for xi in rows) for T, rows in cases]
+    assert [pullback_check(T, rows) for T, rows in cases] == worst
+    # one row per slice
+    monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 1)
+    assert [pullback_check(T, np.array(rows)) for T, rows in cases] == worst
+
+
+def test_pullback_check_warns_once_for_singular_rows():
+    # on P^1, det J = 2 / (1 + |xi|^2)^2 falls below the tolerance far out
+    T = fixture_potential("cpn:1:1")
+    rows = [[0.5], [400.0], [0.3j], [500j]]
+    per_row = []
+    for xi in rows:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            per_row.append(pullback_check(T, xi))
+        assert len(caught) == (abs(xi[0]) > 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert pullback_check(T, rows) == max(per_row)
+    assert [w.category for w in caught] == [DegenerateJacobianWarning]
+
+
 def test_batches_split_by_entry_budget_without_changing_values(monkeypatch):
     T = fixture_potential("example-3.8:3")
     rng = np.random.default_rng(34)

@@ -110,11 +110,47 @@ def is_z_basis(vectors: Sequence[Sequence[int]]) -> bool:
     return abs(det(vectors)) == 1
 
 
+def fraction_free_solve(
+    M: Sequence[Sequence[int]], B: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]] | None:
+    """Integers (D, Y) with M Y = D B and D > 0; None when M is singular.
+
+    M is an n x n integer matrix and B an integer matrix of n rows, given as
+    rows.  Fraction-free Gauss-Jordan elimination on [M | B] (Bareiss 1968;
+    Nakos, Turner and Williams 1997): every division by the previous pivot is
+    exact, so entries stay integers of polynomial size.  The left block ends
+    as the last pivot, +-det M, times the identity, so D = |det M| and
+    Y = D M^-1 B; the left block is not stored.
+    """
+    n = len(M)
+    if n == 0 or any(len(row) != n for row in M) or len(B) != n:
+        raise ValueError("need a square system with matching right-hand side")
+    A = [[*row, *rhs] for row, rhs in zip(M, B)]
+    prev = 1
+    for k in range(n):
+        if A[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
+            if pivot is None:
+                return None
+            A[k], A[pivot] = A[pivot], A[k]
+        top = A[k]
+        p = top[k]
+        tail = top[k + 1 :]
+        for i, row in enumerate(A):
+            if i != k:
+                f = row[k]
+                row[k + 1 :] = [(p * a - f * t) // prev for a, t in zip(row[k + 1 :], tail)]
+        prev = p
+    Y = [row[n:] for row in A]
+    if prev < 0:
+        return -prev, [[-y for y in row] for row in Y]
+    return prev, Y
+
+
 def solve_rational(M: Sequence[Sequence], b: Sequence) -> RationalVector | None:
     """Solve the square system M x = b exactly; None when M is singular.
 
-    Bareiss forward elimination on the integer-scaled augmented matrix,
-    then exact back substitution.
+    Each row of [M | b] is scaled to integers, then fraction_free_solve.
     """
     n = len(M)
     if n == 0 or any(len(row) != n for row in M) or len(b) != n:
@@ -123,40 +159,21 @@ def solve_rational(M: Sequence[Sequence], b: Sequence) -> RationalVector | None:
     for row, rhs in zip(M, b):
         frow = [Fraction(x) for x in row] + [Fraction(rhs)]
         l = math.lcm(*(f.denominator for f in frow))
-        A.append([int(f * l) for f in frow])
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if pivot is None:
-                return None
-            A[k], A[pivot] = A[pivot], A[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    if A[n - 1][n - 1] == 0:
+        A.append([f.numerator * (l // f.denominator) for f in frow])
+    solved = fraction_free_solve([row[:n] for row in A], [row[n:] for row in A])
+    if solved is None:
         return None
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(A[i][n]) - sum(Fraction(A[i][j]) * x[j] for j in range(i + 1, n))
-        x[i] = s / A[i][i]
-    return tuple(x)
+    D, Y = solved
+    return tuple(Fraction(y, D) for y, in Y)
 
 
 def inverse_unimodular(M: Sequence[Sequence[int]]) -> IntMatrix:
-    """Exact inverse of an integer matrix with det +-1; stays integral."""
+    """Exact inverse of an integer matrix with det +-1: one elimination of [M | I]."""
     n = len(M)
-    d = det(M)
-    if abs(d) != 1:
-        raise ValueError(f"matrix is not unimodular (det = {d})")
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        col = solve_rational(M, e)
-        cols.append(tuple(_as_int(x) for x in col))
-    return transpose(cols)
+    solved = fraction_free_solve(M, [[int(i == j) for j in range(n)] for i in range(n)])
+    if solved is None or solved[0] != 1:
+        raise ValueError(f"matrix is not unimodular (det = {det(M)})")
+    return tuple(tuple(row) for row in solved[1])
 
 
 def rref(M: Sequence[Sequence]) -> tuple[RationalMatrix, tuple[int, ...]]:

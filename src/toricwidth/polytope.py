@@ -2,7 +2,11 @@
 
 Normals are primitive integer vectors, offsets are rationals.  Vertex
 enumeration, Delzant verification, lattice points and vertex normalization
-all run in exact arithmetic; nothing here touches floats.  Lattice points
+all run in exact arithmetic; nothing here touches floats.  Vertices come
+from a walk along the edges of a simple polytope, one integer elimination
+per vertex, started at the first feasible n-subset of facets; a polytope
+that is not simple, or an input that is empty or unbounded, is handed to
+the scan of every n-subset instead.  Lattice points
 come fibre by fibre: for each integer prefix x_1..x_{n-1} of the bounding
 box, the integer interval of x_n, with ends from integer ceiling and floor
 divisions, one facet at a time.
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -23,6 +28,7 @@ from .lattice import (
     RationalVector,
     det,
     dot,
+    fraction_free_solve,
     int_vector,
     integer_kernel_basis,
     inverse_unimodular,
@@ -31,7 +37,6 @@ from .lattice import (
     mat_vec,
     matrix_rank,
     rational_vector,
-    solve_rational,
     transpose,
 )
 
@@ -160,32 +165,110 @@ def recession_direction(P: HalfspacePolytope) -> IntVector | None:
     return None
 
 
+def _feasible_bases(P: HalfspacePolytope, q: int, b: Sequence[int]):
+    """(basis, point, tight facets) for every n-subset of facets, in
+    combinations order, whose equalities meet in one point of P.
+
+    b holds the offsets times q = offset_denominator_scale(P), so each subset
+    is one integer elimination and feasibility is an integer sign test.
+    """
+    for basis in combinations(range(P.num_facets), P.dim):
+        solved = fraction_free_solve([P.normals[i] for i in basis], [(b[i],) for i in basis])
+        if solved is None:
+            continue
+        D, Y = solved
+        X = [y for y, in Y]
+        slack = [sum(map(operator.mul, u, X)) - D * bi for u, bi in zip(P.normals, b)]
+        if min(slack) >= 0:
+            point = tuple(Fraction(x, D * q) for x in X)
+            yield basis, point, tuple(i for i, s in enumerate(slack) if s == 0)
+
+
+def _edge_walk(
+    P: HalfspacePolytope, q: int, b: Sequence[int], start: tuple[int, ...]
+) -> list[Vertex] | None:
+    """Every vertex, by a depth-first search of the edge graph from the
+    simple vertex on the facets `start`; None when an edge is unbounded or a
+    ratio test ties.
+
+    At a vertex x on the n facets A, with U_A their normals as rows, one
+    elimination of [U_A | b_A | I] gives D q x and D U_A^-1.  Column j of the
+    latter is an edge direction e_j that leaves the j-th facet of A and stays
+    on the others.  Along x + t e_j the scaled slack D (q <x, u_i> - b_i) of
+    facet i changes by t D q <e_j, u_i>, so the neighbour's new facet is the
+    i with <e_j, u_i> < 0 and the least ratio slack_i / -<e_j, u_i>,
+    compared by integer cross-multiplication.  No such i means an unbounded
+    edge.  A unique least ratio keeps the neighbour simple, so every visited
+    vertex is simple and its tight facets are its basis.
+    """
+    n, d = P.dim, P.num_facets
+    U = P.normals
+    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen = {start}
+    stack = [start]
+    vertices = []
+    while stack:
+        basis = stack.pop()
+        D, Y = fraction_free_solve(
+            [U[i] for i in basis], [(b[i], *identity[k]) for k, i in enumerate(basis)]
+        )
+        X, *edges = zip(*Y)
+        vertices.append(Vertex(tuple(Fraction(x, D * q) for x in X), basis))
+        others = [i for i in range(d) if i not in basis]
+        slack = {i: sum(map(operator.mul, U[i], X)) - D * b[i] for i in others}
+        for j, e in enumerate(edges):
+            best, tie = None, False
+            for i in others:
+                r = sum(map(operator.mul, U[i], e))
+                if r >= 0:
+                    continue
+                # c > 0 iff slack[i] / -r < s_best / -r_best
+                c = 1 if best is None else slack[i] * r_best - s_best * r
+                if c > 0:
+                    best, s_best, r_best, tie = i, slack[i], r, False
+                elif c == 0:
+                    tie = True
+            if best is None or tie:
+                return None
+            nxt = tuple(sorted(basis[:j] + basis[j + 1 :] + (best,)))
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return sorted(vertices, key=lambda v: v.point)
+
+
 def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
     """All vertices, deduplicated, sorted lexicographically by point.
 
-    Solves every n-subset of facet equalities exactly and keeps the feasible
-    solutions.  Raises for unbounded or empty input.
+    The start is the first n-subset of facets, in combinations order, whose
+    equalities meet in a point of P.  If that vertex is simple, an edge walk
+    from it lists every vertex with one integer elimination each; a walk that
+    meets no unbounded edge also proves P bounded.  When there is no start
+    (P is empty or contains a line), an edge is unbounded, or P is not simple,
+    the subset scan runs to its end instead: after recession_direction rules
+    out an unbounded P, it keeps the feasible solutions of every n-subset.
+    Raises for unbounded or empty input.
     """
-    n = P.dim
+    q = offset_denominator_scale(P)
+    b = [l.numerator * (q // l.denominator) for l in P.offsets]
+    scan = _feasible_bases(P, q, b)
+    found: dict[RationalVector, tuple[int, ...]] = {}
+    start = next(scan, None)
+    if start is not None:
+        basis, point, tight = start
+        if len(tight) == P.dim:
+            walked = _edge_walk(P, q, b, basis)
+            if walked is not None:
+                return walked
+        found[point] = tight
     r = recession_direction(P)
     if r is not None:
         raise UnboundedPolytopeError(f"recession direction {r}")
-    found: dict[RationalVector, set[int]] = {}
-    for idx in combinations(range(P.num_facets), n):
-        M = [P.normals[i] for i in idx]
-        b = [P.offsets[i] for i in idx]
-        x = solve_rational(M, b)
-        if x is None or not P.contains(x):
-            continue
-        if x not in found:
-            found[x] = {
-                i
-                for i in range(P.num_facets)
-                if dot(x, P.normals[i]) == P.offsets[i]
-            }
+    for _, point, tight in scan:
+        found.setdefault(point, tight)
     if not found:
         raise EmptyPolytopeError("no feasible vertex")
-    return [Vertex(pt, tuple(sorted(found[pt]))) for pt in sorted(found)]
+    return [Vertex(pt, found[pt]) for pt in sorted(found)]
 
 
 def is_delzant(P: HalfspacePolytope) -> bool:

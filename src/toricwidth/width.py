@@ -32,10 +32,10 @@ from .lattice import IntVector, RationalVector, dot, rref
 from .polytope import (
     HalfspacePolytope,
     NotDelzantError,
+    UnboundedPolytopeError,
     Vertex,
     is_delzant,
     offset_denominator_scale,
-    recession_direction,
 )
 
 GAMMA_CAVEAT = (
@@ -158,6 +158,8 @@ def verify_fano_certificate(P: HalfspacePolytope, cert: FanoCertificate) -> bool
     interior, since <0, u_i> = 0 < 1.  With every s_i = -1, an integral z
     has <z, u_i> > -1 iff <z, u_i> >= 0, so they are the lattice points of
     the recession cone {<z, u_i> >= 0} of P, which is {0} iff P is bounded.
+    The certificate puts -m in the interior of P, so P is not empty, and
+    P.vertices raises exactly when P is unbounded.
     """
     if cert.r <= 0 or len(cert.signs) != P.num_facets or len(cert.m) != P.dim:
         return False
@@ -166,7 +168,13 @@ def verify_fano_certificate(P: HalfspacePolytope, cert: FanoCertificate) -> bool
             return False
         if s not in (-1, 1):
             return False
-    return all(s == -1 for s in cert.signs) and recession_direction(P) is None
+    if any(s != -1 for s in cert.signs):
+        return False
+    try:
+        P.vertices
+    except UnboundedPolytopeError:
+        return False
+    return True
 
 
 def lu_gamma(

@@ -30,11 +30,13 @@ from toricwidth.polytope import (
     AffineLatticeMap,
     EmptyPolytopeError,
     HalfspacePolytope,
+    UnboundedPolytopeError,
     Vertex,
     apply_lattice_map,
     bounding_box,
     lattice_points,
     normalize_at_vertex,
+    recession_direction,
     scale,
 )
 from toricwidth.verify import CHART_TOL, CheckResult
@@ -82,6 +84,16 @@ def random_delzant_polygon(rng: random.Random) -> HalfspacePolytope:
     return apply_lattice_map(P, random_unimodular_map(rng))
 
 
+def edge_lengths(P: HalfspacePolytope, v: Vertex) -> list[int]:
+    """Lattice lengths of the edges at a simple vertex v of an integral P:
+    each neighbour shares all but one of v's tight facets."""
+    return [
+        math.gcd(*(int(a - b) for a, b in zip(v.point, w.point)))
+        for w in P.vertices
+        if len(set(v.active) & set(w.active)) == P.dim - 1
+    ]
+
+
 def blowup_polygon(rng: random.Random, facets: int) -> HalfspacePolytope:
     """Unit square cut at random vertices until it has `facets` facets.
 
@@ -90,14 +102,9 @@ def blowup_polygon(rng: random.Random, facets: int) -> HalfspacePolytope:
     offset is doubled.  The same process makes the benchmark's blow-up
     polygons, whose cost grows with the facet count at small area.
     """
-
-    def edge_length(v, facet):
-        w = next(w for w in P.vertices if w is not v and facet in w.active)
-        return math.gcd(*(int(a - b) for a, b in zip(v.point, w.point)))
-
     P = unit_square()
     while P.num_facets < facets:
-        roomy = [v for v in P.vertices if all(edge_length(v, i) >= 2 for i in v.active)]
+        roomy = [v for v in P.vertices if min(edge_lengths(P, v)) >= 2]
         if roomy:
             P = blow_up(P, rng.choice(roomy).active)
         else:
@@ -124,6 +131,54 @@ def random_simple_non_delzant_polygon(rng: random.Random) -> HalfspacePolytope:
     offsets = (0, 0, -k, -l, 1)
     P = HalfspacePolytope(normals, tuple(Fraction(x) for x in offsets))
     return apply_lattice_map(P, random_unimodular_map(rng))
+
+
+def oracle_vertices(P: HalfspacePolytope) -> list[Vertex]:
+    """The subset solve: every n-subset of facet equalities solved in
+    Fractions, the feasible solutions kept, after a kernel search for a
+    recession direction rules out unbounded input."""
+    n = P.dim
+    r = recession_direction(P)
+    if r is not None:
+        raise UnboundedPolytopeError(f"recession direction {r}")
+    found: dict[tuple, set[int]] = {}
+    for idx in combinations(range(P.num_facets), n):
+        M = [P.normals[i] for i in idx]
+        b = [P.offsets[i] for i in idx]
+        x = solve_rational(M, b)
+        if x is None or not P.contains(x):
+            continue
+        if x not in found:
+            found[x] = {
+                i
+                for i in range(P.num_facets)
+                if dot(x, P.normals[i]) == P.offsets[i]
+            }
+    if not found:
+        raise EmptyPolytopeError("no feasible vertex")
+    return [Vertex(pt, tuple(sorted(found[pt]))) for pt in sorted(found)]
+
+
+def random_delzant_polytope(rng: random.Random, n: int) -> HalfspacePolytope:
+    """A box or a dilated simplex in dimension n, with random vertices cut,
+    then a random lattice map.
+
+    blow_up by k keeps P Delzant when k is shorter than every edge at the
+    vertex: the new vertices sit at k along those edges, and the vertex with
+    the second least value of the cut's linear form is a neighbour.
+    """
+    if rng.random() < 0.5:
+        P = product_polytope(*(projective_space(1, rng.randint(2, 4)) for _ in range(n)))
+    else:
+        P = projective_space(n, rng.randint(3, 5))
+    for _ in range(rng.randint(1, 4)):
+        roomy = [(v, min(edge_lengths(P, v))) for v in P.vertices]
+        roomy = [(v, m) for v, m in roomy if m >= 2]
+        if not roomy:
+            break
+        v, m = rng.choice(roomy)
+        P = blow_up(P, v.active, rng.randint(1, m - 1))
+    return apply_lattice_map(P, random_unimodular_map(rng, n))
 
 
 def oracle_lattice_points(P: HalfspacePolytope) -> list[tuple[int, ...]]:

@@ -383,7 +383,8 @@ def test_analyze_solves_once_per_facet_pair_and_cone(capsys, monkeypatch, tmp_pa
 
 @pytest.mark.parametrize("argv", [["embed", "example-3.8:30"], ["analyze", "cpn:3:20"]])
 def test_embed_and_analyze_test_no_box_point(capsys, monkeypatch, argv):
-    # only vertex enumeration calls contains, once per n-subset of facets it solves
+    # no box point is tested: contains runs at most once per n-subset of
+    # facets (the edge walk runs it never, so the count may be 0)
     calls = []
     real = toricwidth.polytope.HalfspacePolytope.contains
     monkeypatch.setattr(
@@ -392,8 +393,49 @@ def test_embed_and_analyze_test_no_box_point(capsys, monkeypatch, argv):
     )
     assert main(argv) == 0
     capsys.readouterr()
-    P = calls[0]
-    assert 0 < len(calls) <= math.comb(P.num_facets, P.dim)
+    P = toricwidth.cli.load_polytope(argv[1])
+    assert len(calls) <= math.comb(P.num_facets, P.dim)
+
+
+@pytest.mark.parametrize("sub", ["analyze", "width", "embed", "verify"])
+def test_bounded_inputs_make_no_recession_search(capsys, monkeypatch, tmp_path, sub):
+    # the edge walk proves these bounded, so it never falls back to the scan
+    p16 = tmp_path / "p16.json"
+    p16.write_text(json.dumps(to_dict(blowup_polygon(random.Random(100016), 16))))
+    calls = []
+    real = toricwidth.polytope.recession_direction
+    for mod in vars(toricwidth).values():
+        if getattr(mod, "recession_direction", None) is real:
+            monkeypatch.setattr(mod, "recession_direction", lambda P: calls.append(P) or real(P))
+    for spec in ("example-3.7", str(p16)):
+        assert main([sub, spec, *(["--samples", "2"] if sub == "verify" else [])]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_fano_check_makes_one_rref(capsys, monkeypatch):
+    # cpn:2:1 is monotone, so its certificate is rechecked too, without an rref
+    inside, calls = [], []
+    real_check, real_rref = toricwidth.width.fano_check, toricwidth.lattice.rref
+
+    def check(P):
+        inside.append(P)
+        try:
+            return real_check(P)
+        finally:
+            inside.pop()
+
+    def rref(M):
+        if inside:
+            calls.append(M)
+        return real_rref(M)
+
+    monkeypatch.setattr(toricwidth.width, "fano_check", check)
+    for mod in (toricwidth.lattice, toricwidth.width):
+        monkeypatch.setattr(mod, "rref", rref)
+    out = run_json(capsys, "width", "cpn:2:1")
+    assert out["fano"]["is_fano"] is True
+    assert len(calls) == 1
 
 
 def test_rational_offsets_cleared_for_analysis(capsys):

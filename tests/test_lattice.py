@@ -6,6 +6,7 @@ import pytest
 from toricwidth.lattice import (
     det,
     dot,
+    fraction_free_solve,
     int_vector,
     integer_kernel_basis,
     inverse_unimodular,
@@ -62,6 +63,35 @@ def test_inverse_unimodular():
     assert inverse_unimodular(((1, 1), (0, 1))) == ((1, -1), (0, 1))
     with pytest.raises(ValueError):
         inverse_unimodular(((2, 0), (0, 1)))
+
+
+def test_inverse_unimodular_reports_the_signed_determinant():
+    with pytest.raises(ValueError, match=r"^matrix is not unimodular \(det = -2\)$"):
+        inverse_unimodular(((2, 0), (0, -1)))
+    with pytest.raises(ValueError, match=r"^matrix is not unimodular \(det = 0\)$"):
+        inverse_unimodular(((1, 2), (2, 4)))
+
+
+def test_fraction_free_solve():
+    # M Y = D B with D = |det M|, also when a zero pivot forces a row swap
+    assert fraction_free_solve(((0, 1), (2, 0)), ((1, 0), (3, 5))) == (2, [[3, 5], [2, 0]])
+    assert fraction_free_solve(((1, 2), (2, 4)), ((1,), (1,))) is None
+    rng = random.Random(3)
+    for _ in range(300):
+        n, k = rng.randint(1, 5), rng.randint(1, 6)
+        M = tuple(
+            tuple(rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n))
+            for _ in range(n)
+        )
+        B = tuple(tuple(rng.randint(-9, 9) for _ in range(k)) for _ in range(n))
+        solved = fraction_free_solve(M, B)
+        if det(M) == 0:
+            assert solved is None
+            continue
+        D, Y = solved
+        assert D == abs(det(M))
+        assert mat_mul(M, Y) == tuple(tuple(D * x for x in row) for row in B)
+        assert all(type(y) is int for row in Y for y in row)
 
 
 def test_solve_rational():

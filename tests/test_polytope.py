@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 
 from geomgen import (
+    blowup_polygon,
     lattice_point_ladder,
     oracle_lattice_points,
+    oracle_vertices,
     random_delzant_polygon,
+    random_delzant_polytope,
     random_simple_non_delzant_polygon,
     random_unimodular_map,
 )
@@ -18,6 +21,7 @@ from toricwidth.fixtures import (
     projective_space,
     unit_square,
 )
+from toricwidth.fixtures import resolve_fixture
 from toricwidth.lattice import is_z_basis
 from toricwidth.polytope import (
     AffineLatticeMap,
@@ -289,3 +293,82 @@ def test_bounding_box():
     lo, hi = bounding_box(blown_up_hirzebruch())
     assert lo == (0, 0)
     assert hi == (4, 3)
+
+
+def assert_same_vertices(P):
+    """enumerate_vertices gives the oracle's list, or its exception and message."""
+    try:
+        want = oracle_vertices(P)
+    except (UnboundedPolytopeError, EmptyPolytopeError) as e:
+        with pytest.raises(type(e)) as got:
+            enumerate_vertices(P)
+        assert str(got.value) == str(e)
+    else:
+        assert enumerate_vertices(P) == want
+
+
+def half_spaces(normals, offsets):
+    return HalfspacePolytope(tuple(normals), tuple(Fraction(l) for l in offsets))
+
+
+# inputs the edge walk must hand to the subset scan, with the scan's result
+CUT_CUBE = half_spaces(
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (-1, -1, -1)],
+    [0, 0, 0, -1, -1, -1, -1],
+)
+FALLBACK_INPUTS = [
+    CUT_CUBE,
+    half_spaces([(1, 0), (0, 1)], [0, 0]),  # quadrant: no start
+    half_spaces([(1, 0), (-1, 0)], [0, -1]),  # strip: contains a line
+    half_spaces([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)], [2, 2, -3, -3, 1]),  # empty
+    half_spaces([(1, 0), (-1, 0)], [0, 1]),  # empty and contains a line
+    half_spaces([(1, 0), (0, 1), (-1, 0)], [0, 0, -1]),  # a walk that meets an unbounded edge
+    half_spaces([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)], [0, 0, -1, -1, -2]),  # non-simple
+    half_spaces([(1, 0), (0, 1), (-1, -1)], [0, 0, 0]),  # one point on three facets
+    half_spaces([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, 0, 0, -1]),  # a segment in the plane
+    half_spaces(  # unit cube and x + y + z <= 3, tight only at (1, 1, 1)
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (-1, -1, -1)],
+        [0, 0, 0, -1, -1, -1, -3],
+    ),
+    half_spaces(  # square pyramid: the apex lies on four facets
+        [(0, 0, 1), (0, 1, -1), (1, 0, -1), (0, -1, -1), (-1, 0, -1)], [0, -1, -1, -1, -1]
+    ),
+    half_spaces([(1,)], [3]),  # a ray
+    half_spaces([(1,), (-1,)], [2, -1]),  # an empty interval
+]
+
+
+def test_fallback_inputs_match_the_subset_scan():
+    for P in FALLBACK_INPUTS:
+        assert_same_vertices(P)
+    with pytest.raises(UnboundedPolytopeError, match=r"^recession direction \(0, 1\)$"):
+        enumerate_vertices(FALLBACK_INPUTS[5])
+    assert [len(v.active) for v in enumerate_vertices(CUT_CUBE)] == [3, 4, 4, 4]
+
+
+def test_edge_walk_matches_the_subset_scan():
+    rng = random.Random(755)
+    fixtures = [
+        resolve_fixture(name)
+        for name in ["example-3.7", "example-3.8:1", "example-3.8:2", "example-3.8:7",
+                     "cpn:1:3", "cpn:2:1", "cpn:3:10", "cpn:4:6"]
+    ] + [unit_square(), hirzebruch(), hirzebruch(3, 2, 5)]
+    polygons = [random_delzant_polygon(rng) for _ in range(600)]
+    variants = [
+        Q
+        for P in fixtures[:4] + polygons[:20]
+        for Q in (scale(P, Fraction(7, 3)), apply_lattice_map(P, random_unimodular_map(rng, P.dim)))
+    ]
+    blowups = [blowup_polygon(random.Random(d), d) for d in range(5, 25)]
+    non_delzant = [random_simple_non_delzant_polygon(rng) for _ in range(50)]
+    for P in fixtures + lattice_point_ladder() + polygons + variants + blowups + non_delzant:
+        assert_same_vertices(HalfspacePolytope(P.normals, P.offsets))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_edge_walk_matches_the_subset_scan_in_higher_dimensions(n):
+    rng = random.Random(n)
+    for _ in range(40):
+        P = random_delzant_polytope(rng, n)
+        assert is_delzant(P)
+        assert_same_vertices(HalfspacePolytope(P.normals, P.offsets))

@@ -28,7 +28,6 @@ import numpy as np
 from .fan import Fan
 from .lattice import (
     IntMatrix,
-    det,
     inverse_unimodular,
     mat_mul,
     matrix_from_columns,
@@ -83,9 +82,10 @@ def chart_for_cone(F: Fan, cone_index: int) -> ChartData:
     if len(cone) != n:
         raise NonUnimodularConeError(f"cone {cone} is not full-dimensional")
     U = matrix_from_columns([F.generators[i] for i in cone])
-    if abs(det(U)) != 1:
-        raise NonUnimodularConeError(f"cone {cone} generators are not a Z-basis")
-    U_inv = inverse_unimodular(U)
+    try:
+        U_inv = inverse_unimodular(U)  # one elimination of [U | I], which tests |det U| = 1
+    except ValueError:
+        raise NonUnimodularConeError(f"cone {cone} generators are not a Z-basis") from None
     complement = tuple(i for i in range(len(F.generators)) if i not in cone)
     if complement:
         W = matrix_from_columns([F.generators[i] for i in complement])

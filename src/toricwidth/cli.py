@@ -16,6 +16,7 @@ of memory, 4 property suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from . import fixtures
 from .embedding import sections_by_polytope
-from .fan import is_strictly_convex, normal_fan, support_function
+from .fan import is_smooth, normal_fan
 from .polytope import (
     EmptyPolytopeError,
     HalfspacePolytope,
@@ -79,16 +80,20 @@ def cmd_analyze(args) -> int:
     vertices = P.vertices  # before clearing denominators, so qP inherits them
     q, Pq = clear_denominators(P)
     F = normal_fan(Pq)  # exits on a non-simple vertex
-    # is_strictly_convex exits on a non-smooth fan, so past it P is Delzant:
-    # its normal fan is smooth, and complete because P is bounded
-    strictly_convex = is_strictly_convex(F, support_function(Pq))
+    if not is_smooth(F):
+        raise ValueError("fan must be smooth")
+    # Past both exits P is Delzant, its fan smooth and complete (P is bounded).
+    # g = lambda on qP is then strictly convex (Cox-Little-Schenck 6.1): h_sigma
+    # is the vertex of qP on the facets sigma, which is simple, so
+    # <h_sigma, u_j> > lambda_j for j outside sigma.  The tests keep
+    # fan.is_strictly_convex as the oracle.
     out = {
         "dim": P.dim,
         "facets": P.num_facets,
         "delzant": True,
         "smooth": True,
         "complete": "complete",
-        "strictly_convex": strictly_convex,
+        "strictly_convex": True,
         "vertices": [[str(c) for c in v.point] for v in vertices],
         "lattice_point_count": sum(b - a + 1 for _, a, b in lattice_fibres(P)),
         "offset_scale_cleared": q,
@@ -176,7 +181,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_PROPERTY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later main
+    call in the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(prog="toricwidth", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

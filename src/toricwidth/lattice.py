@@ -101,13 +101,15 @@ def det(M: Sequence[Sequence]) -> Fraction:
 
 
 def is_z_basis(vectors: Sequence[Sequence[int]]) -> bool:
-    """n integer vectors form a basis of the integer lattice iff |det| = 1."""
+    """n integer vectors form a basis of the integer lattice iff |det| = 1,
+    that is iff one fraction-free elimination ends with D = 1."""
     n = len(vectors)
     if n == 0:
         raise ValueError("no vectors given")
     if any(len(v) != n for v in vectors):
         raise ValueError(f"need {n} vectors of length {n}")
-    return abs(det(vectors)) == 1
+    solved = fraction_free_solve(vectors, [()] * n)
+    return solved is not None and solved[0] == 1
 
 
 def fraction_free_solve(

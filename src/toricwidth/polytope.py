@@ -26,7 +26,6 @@ from .lattice import (
     IntMatrix,
     IntVector,
     RationalVector,
-    det,
     dot,
     fraction_free_solve,
     int_vector,
@@ -120,7 +119,9 @@ class AffineLatticeMap:
     def __post_init__(self):
         M = tuple(int_vector(row) for row in self.matrix)
         t = rational_vector(self.translation)
-        if abs(det(M)) != 1:
+        if not M or any(len(row) != len(M) for row in M):
+            raise ValueError("matrix must be square and nonempty")
+        if not is_z_basis(M):
             raise ValueError("matrix must be unimodular")
         if len(t) != len(M):
             raise ValueError("translation length mismatch")

@@ -12,6 +12,7 @@ import pytest
 import toricwidth.charts
 import toricwidth.cli
 import toricwidth.embedding
+import toricwidth.fan
 import toricwidth.lattice
 import toricwidth.polytope
 import toricwidth.verify
@@ -370,15 +371,61 @@ def test_analyze_solves_once_per_facet_pair_and_cone(capsys, monkeypatch, tmp_pa
     # the benchmark's 16-facet polygon, drawn with polygon_rng(1, 16, 0)
     path = tmp_path / "p16.json"
     path.write_text(json.dumps(to_dict(blowup_polygon(random.Random(100016), 16))))
-    # C(16, 2) vertex candidates, then one linear part per maximal cone
-    calls = []
-    real = toricwidth.lattice.solve_rational
-    for mod in vars(toricwidth).values():
-        if getattr(mod, "solve_rational", None) is real:
-            monkeypatch.setattr(mod, "solve_rational", lambda M, b: calls.append(M) or real(M, b))
+    # the edge walk solves in integers, and strict convexity follows from the
+    # walked vertices, so no rational solve, linear part or convexity test runs
+    calls = {"solve_rational": [], "cone_linear_parts": [], "is_strictly_convex": []}
+    for name, mod in (("solve_rational", toricwidth.lattice),
+                      ("cone_linear_parts", toricwidth.fan),
+                      ("is_strictly_convex", toricwidth.fan)):
+        real = getattr(mod, name)
+        for m in vars(toricwidth).values():
+            if getattr(m, name, None) is real:
+                monkeypatch.setattr(
+                    m, name, lambda *a, _real=real, _name=name: calls[_name].append(a) or _real(*a)
+                )
     assert main(["analyze", str(path)]) == 0
-    capsys.readouterr()
-    assert 0 < len(calls) <= math.comb(16, 2) + 16
+    assert json.loads(capsys.readouterr().out)["strictly_convex"] is True
+    assert calls == {"solve_rational": [], "cone_linear_parts": [], "is_strictly_convex": []}
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    try:
+        rc = main(argv)
+    except SystemExit as e:
+        rc = e.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    build_parser = toricwidth.cli.build_parser
+    assert build_parser() is build_parser()
+    # successes and parse errors mixed, so state one call left in the shared
+    # parser would show in the next
+    sequence = [
+        ["analyze", "example-3.7"],
+        ["frobnicate", "example-3.7"],
+        ["analyze", "example-3.8:2", "--format", "text"],
+        ["width"],
+        ["width", "example-3.7", "--vertex", "5"],
+        ["width", "example-3.7", "--format", "xml"],
+        ["width", "cpn:2:1", "--vertex", "1", "--format", "text"],
+        ["verify", "cpn:2:1", "--samples", "0"],
+        ["embed", "example-3.7", "--vertex", "2"],
+        ["width", "example-3.7", "--vertex", "99"],
+        ["embed", "cpn:2:1"],
+        [],
+        ["verify", "cpn:1:2", "--samples", "1", "--format", "json"],
+        ["embed", "cpn:2:1", "--vertex", "x"],
+        ["verify", "cpn:2:1", "--samples", "2", "--seed", "3"],
+        ["analyze", "example-3.7", "--format", "text"],
+    ]
+    shared = [_outcome(capsys, argv) for argv in sequence]
+    assert {rc for rc, _, _ in shared} == {0, 2}
+    monkeypatch.setattr(toricwidth.cli, "build_parser", build_parser.__wrapped__)
+    assert toricwidth.cli.build_parser() is not toricwidth.cli.build_parser()
+    assert [_outcome(capsys, argv) for argv in sequence] == shared
 
 
 @pytest.mark.parametrize("argv", [["embed", "example-3.8:30"], ["analyze", "cpn:3:20"]])

@@ -3,6 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from geomgen import blowup_polygon, random_delzant_polytope
+from toricwidth.charts import NonUnimodularConeError, chart_for_cone
+from toricwidth.fan import Fan, normal_fan
+from toricwidth.fixtures import resolve_fixture
 from toricwidth.lattice import (
     det,
     dot,
@@ -20,6 +24,7 @@ from toricwidth.lattice import (
     solve_rational,
     transpose,
 )
+from toricwidth.polytope import AffineLatticeMap
 
 
 def test_det_2x2():
@@ -48,6 +53,73 @@ def test_is_z_basis():
     assert not is_z_basis(((1, 0), (1, 2)))
     with pytest.raises(ValueError):
         is_z_basis(((1, 0),))
+
+
+def _random_unimodular(rng, n):
+    """The identity under random integer row operations and row swaps."""
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(6 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        M[i] = [a + c * b for a, b in zip(M[i], M[j])]
+        if rng.random() < 0.3:
+            M[i], M[j] = M[j], M[i]
+    return tuple(tuple(row) for row in M)
+
+
+def test_integer_z_basis_test_agrees_with_the_determinant():
+    # random matrices, unimodular ones (det +-1) and singular ones (a row
+    # repeated or zeroed), n = 1..4
+    rng = random.Random(11)
+    kinds = {"unimodular": 0, "singular": 0, "other": 0}
+    for k in range(360):
+        n = rng.randint(1, 4)
+        if k % 3 == 0:
+            M = _random_unimodular(rng, n)
+        else:
+            M = [[rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(n)]
+                 for _ in range(n)]
+            if k % 3 == 1:
+                i, j = rng.randrange(n), rng.randrange(n)
+                M[i] = list(M[j]) if i != j else [0] * n
+            M = tuple(tuple(row) for row in M)
+        d = det(M)
+        kinds["unimodular" if abs(d) == 1 else "singular" if d == 0 else "other"] += 1
+        assert is_z_basis(M) == (abs(d) == 1), M
+    assert min(kinds.values()) >= 50, kinds
+
+
+def _fans():
+    specs = ["example-3.7", "example-3.8:1", "example-3.8:4", "cpn:1:3", "cpn:2:1",
+             "cpn:3:2", "cpn:4:1"]
+    yield from (normal_fan(resolve_fixture(s)) for s in specs)
+    yield from (normal_fan(blowup_polygon(random.Random(seed), d))
+                for seed, d in ((1, 6), (2, 9), (100016, 16)))
+    yield from (normal_fan(random_delzant_polytope(random.Random(seed), n))
+                for seed, n in ((1, 3), (2, 4)))
+
+
+def test_chart_inverse_is_the_unimodular_inverse():
+    for F in _fans():
+        for k in range(len(F.max_cones)):
+            C = chart_for_cone(F, k)
+            assert C.U_inv == inverse_unimodular(C.U)
+
+
+def test_unimodularity_messages_are_unchanged():
+    with pytest.raises(NonUnimodularConeError, match=r"^cone \(0, 1\) generators are not a Z-basis$"):
+        chart_for_cone(Fan(((1, 0), (1, 2)), ((0, 1),)), 0)
+    with pytest.raises(NonUnimodularConeError, match=r"^cone \(0, 1\) generators are not a Z-basis$"):
+        chart_for_cone(Fan(((1, 0), (2, 0), (0, 1)), ((0, 1),)), 0)  # singular
+    with pytest.raises(NonUnimodularConeError, match=r"^cone \(0,\) is not full-dimensional$"):
+        chart_for_cone(Fan(((1, 0), (0, 1)), ((0,),)), 0)
+    for M in (((2, 0), (0, 1)), ((1, 2), (2, 4)), ((3,),)):
+        with pytest.raises(ValueError, match=r"^matrix must be unimodular$"):
+            AffineLatticeMap(M, (0,) * len(M))
+    for M in ((), ((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1, 0))):
+        with pytest.raises(ValueError, match=r"^matrix must be square and nonempty$"):
+            AffineLatticeMap(M, (0, 0))
+    assert AffineLatticeMap(((0, 1), (1, 0)), (0, 0)).matrix == ((0, 1), (1, 0))
 
 
 def test_is_primitive():

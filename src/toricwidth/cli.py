@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import fixtures
-from .embedding import sections_by_polytope
+from .embedding import MonomialEmbedding, sections_by_polytope
 from .fan import is_smooth, normal_fan
 from .polytope import (
     EmptyPolytopeError,
@@ -137,6 +137,19 @@ def cmd_width(args) -> int:
     return EXIT_OK
 
 
+def _exponents_json(E: MonomialEmbedding) -> str:
+    """json.dumps([list(J) for J in E.exponents]), written from the fibres:
+    one head "[p_1, ..., p_{n-1}, " per prefix and one "x]" per value of x_n,
+    so no exponent is listed."""
+    top = max(b for _, _, b in E.fibres)
+    tails = [f"{x}]" for x in range(top + 1)]
+    parts = []
+    for prefix, a, b in E.fibres:
+        head = "[" + "".join(f"{p}, " for p in prefix)
+        parts.append(head + (", " + head).join(tails[a:b + 1]))
+    return "[" + ", ".join(parts) + "]"
+
+
 def cmd_embed(args) -> int:
     P = load_polytope(args.input)
     if not is_delzant(P):
@@ -146,7 +159,7 @@ def cmd_embed(args) -> int:
     if not 0 <= args.vertex < len(vertices):
         raise ParseFailure(f"vertex index out of range (have {len(vertices)})")
     E = sections_by_polytope(Pq, vertices[args.vertex])
-    print(json.dumps([list(e) for e in E.exponents]))
+    print(_exponents_json(E))
     return EXIT_OK
 
 

@@ -17,6 +17,8 @@ RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _as_int(x) -> int:
+    if type(x) is int:  # not bool, which takes the exact parse below
+        return x
     f = Fraction(x)
     if f.denominator != 1:
         raise ValueError(f"not an integer: {x}")

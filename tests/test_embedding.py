@@ -37,6 +37,39 @@ def test_embedding_normalizes():
         MonomialEmbedding(((-1, 0),))
 
 
+def test_embedding_groups_exponents_into_fibres():
+    E = MonomialEmbedding(((1, 0), (0, 0), (0, 1), (0, 2), (3, 5)))
+    assert E.fibres == (((0,), 0, 2), ((1,), 0, 0), ((3,), 5, 5))
+    assert MonomialEmbedding.from_fibres(E.fibres) == E
+    assert E.dim == 2 and MonomialEmbedding(((2,), (1,))).fibres == (((), 1, 2),)
+    with pytest.raises(ValueError, match="duplicate exponent"):
+        MonomialEmbedding(((0, 0), (0, 0)))
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        MonomialEmbedding(((-1, 0),))
+    with pytest.raises(ValueError, match="exponents must share one dimension"):
+        MonomialEmbedding(((0, 0), (0,)))
+    with pytest.raises(ValueError, match="interval of x_n over each prefix"):
+        MonomialEmbedding(((0, 0), (0, 2)))
+
+
+@pytest.mark.parametrize(
+    "fibres, message",
+    [
+        ((), "at least one exponent"),
+        ((((0,), -2, -1),), "nonnegative"),  # negative ends
+        ((((0,), 0, -1),), r"empty fibre \[0, -1\]"),  # a negative end
+        ((((1, -1), 0, 3),), "nonnegative"),
+        ((((0,), 3, 2),), r"empty fibre \[3, 2\]"),
+        ((((0,), 0, 1), ((0,), 3, 4)), "increase strictly"),  # a repeated prefix
+        ((((1,), 0, 1), ((0,), 0, 1)), "increase strictly"),
+        ((((0,), 0, 1), ((1, 0), 0, 1)), "share one dimension"),
+    ],
+)
+def test_malformed_fibres_raise(fibres, message):
+    with pytest.raises(ValueError, match=message):
+        MonomialEmbedding.from_fibres(fibres)
+
+
 def test_twist_exponents_blowup():
     P = blown_up_hirzebruch()
     F = normal_fan(P)

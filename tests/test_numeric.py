@@ -9,11 +9,13 @@ import pytest
 import toricwidth.numeric
 import toricwidth.verify
 from geomgen import (
+    embedding_cases,
     fs_diastasis,
     oracle_potential_partial,
     oracle_potential_value,
     oracle_psi_map,
     oracle_pullback_check,
+    oracle_sections,
 )
 from toricwidth.embedding import MonomialEmbedding, sections_by_polytope
 from toricwidth.fixtures import blown_up_hirzebruch, projective_space, resolve_fixture
@@ -309,6 +311,20 @@ def test_batches_split_by_entry_budget_without_changing_values(monkeypatch):
     split = potential_values(T, X), potential_partials(T, X), psi_maps(T, XI)
     for a, b in zip(whole, split):
         assert np.array_equal(a, b)
+
+
+def test_exponent_array_is_the_oracle_exponents_as_floats():
+    # the rows np.array(exponents, float) gave, so every deviation is unchanged
+    for label, P, vertices in embedding_cases():
+        _, Pq = clear_denominators(P)
+        for k in vertices:
+            J = ToricPotential(sections_by_polytope(Pq, Pq.vertices[k])).exponent_array
+            want = np.array(oracle_sections(P, k), dtype=float)
+            assert J.dtype == want.dtype and J.flags.c_contiguous, (label, k)
+            assert np.array_equal(J, want), (label, k)
+    for exponents in (((0, 0), (1, 0), (0, 1)), ((1,),), ((3,), (4,)), ((1, 0), (2, 1))):
+        J = ToricPotential(MonomialEmbedding(exponents)).exponent_array
+        assert np.array_equal(J, np.array(sorted(exponents), dtype=float))
 
 
 def test_high_degree_stays_finite():

@@ -14,7 +14,8 @@ Each map has a form on rows of points (phi_sigmas, psi_sigmas, kernel_params,
 torus_images, monomial_evals) that evaluates it with numpy, one point per
 row; the single-point functions call it with one row.  The chart forms take
 ChartArrays, which hold either one chart or one chart per row, so a sweep over
-many charts and points is one pass.
+many charts and points is one pass.  transition_exponents gives the exponent
+matrices of every chart change from one stacked integer product.
 """
 
 from __future__ import annotations
@@ -52,16 +53,6 @@ class ChartData:
     @property
     def dim(self) -> int:
         return len(self.cone)
-
-    def exponent_rows(self) -> IntMatrix:
-        """Full n x d exponent matrix: row k gives phi_sigma component k.
-
-        Equals U^-1 times the matrix of all generators as columns, which is
-        how one sees that each row pairs to zero with every relation among
-        the generators (so the monomials are well defined on orbits).
-        """
-        full = matrix_from_columns(self.fan.generators)
-        return mat_mul(self.U_inv, full)
 
     @cached_property
     def arrays(self) -> ChartArrays:
@@ -201,11 +192,6 @@ def torus_images(F: Fan, alpha) -> np.ndarray:
     return monomials(alpha, np.array(F.generators, dtype=np.int64).T)
 
 
-def torus_image(F: Fan, alpha: Sequence[complex]) -> tuple[complex, ...]:
-    """The map (C^*)^d -> (C^*)^n, alpha -> (prod_k alpha_k^{u_k,i})_i."""
-    return tuple(complex(w) for w in torus_images(F, [alpha])[0])
-
-
 @dataclass(frozen=True)
 class MonomialMapData:
     """xi -> (prod_m xi_m^{E[k][m]})_k with integer exponent matrix E.
@@ -249,3 +235,11 @@ def transition_map(C1: ChartData, C2: ChartData) -> MonomialMapData:
         raise ValueError("charts belong to different fans")
     E = mat_mul(C2.U_inv, C1.U)
     return monomial_map(E)
+
+
+def transition_exponents(charts: Sequence[ChartData]) -> np.ndarray:
+    """E[a, b] = U_b^-1 U_a, the exponents of transition_map(charts[a], charts[b]), for
+    all pairs from one stacked product of object arrays: Python ints, exact at any size."""
+    U = np.array([C.U for C in charts], dtype=object)
+    U_inv = np.array([C.U_inv for C in charts], dtype=object)
+    return U_inv[None] @ U[:, None]

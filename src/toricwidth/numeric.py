@@ -39,7 +39,8 @@ HESSIAN_STEP = 1e-4
 DEGENERATE_JACOBIAN_TOL = 1e-8
 ZERO_DENOMINATOR_BUMP = 1e-12
 # points x exponents held at once: 128 KiB per float work array, small
-# enough to be reused from the heap; a larger budget buys no speed
+# enough to be reused from the heap (a larger budget buys no speed); with
+# N > BATCH_ENTRIES exponents a slice is one row, and a work array N floats
 BATCH_ENTRIES = 1 << 14
 
 

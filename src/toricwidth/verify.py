@@ -6,16 +6,18 @@ numeric sweeps use modulus in [0.1, 3].
 
 Every sweep draws its points from the seeded rng in the order and number of
 a loop over charts (or ordered pairs of charts), then samples, then
-coordinates, so a seed gives the same points however they are evaluated.
-The chart sweeps put one (chart, sample) or (chart a, chart b, sample) on
-each row and evaluate a slice of rows in one numpy pass, each row with its
-own chart arrays (charts.stack_charts); a slice holds at most
-numeric.BATCH_ENTRIES entries of n * d per row and draws its own points, so
-memory does not grow with the sample count.  The pullback sweep hands all
-samples to one pullback_check call, which slices its stencils the same way.
+coordinates, so a seed gives the same points however they are evaluated;
+each slice takes them from one getrandbits call.  The chart sweeps put one
+(chart, sample) or (chart a, chart b, sample) on each row and evaluate a
+slice of rows in one numpy pass, each row with its own chart arrays
+(charts.stack_charts); a slice holds at most numeric.BATCH_ENTRIES entries
+of n * d per row and draws its own points, so memory does not grow with
+the sample count.  The pullback sweep hands all samples to one
+pullback_check call, which slices its stencils the same way.
 
-The exact cocycle identity E[b,c] E[a,b] = E[a,c] for the transition
-exponents is checked on pairs only: E[a,a] = I for every a and
+The transition exponents E[a,b] = U_b^-1 U_a are one exact table from a
+single stacked product (charts.transition_exponents).  Its cocycle identity
+E[b,c] E[a,b] = E[a,c] is checked on pairs only: E[a,a] = I for every a and
 E[a,b] = E[0,b] E[a,0] for every (a, b), k^2 products instead of k^3.  With
 M_a = E[a,0] these give E[0,b] M_b = E[b,b] = I, so E[a,b] = M_b^-1 M_a and
 every triple composes.  Conversely the triple identity gives both facts for
@@ -33,6 +35,7 @@ import numpy as np
 
 from . import numeric
 from .charts import (
+    ChartData,
     chart_for_cone,
     kernel_params,
     monomials,
@@ -40,11 +43,11 @@ from .charts import (
     psi_sigmas,
     stack_charts,
     torus_images,
-    transition_map,
+    transition_exponents,
 )
 from .embedding import sections_by_polytope
 from .fan import Fan, normal_fan
-from .lattice import dot, integer_kernel_basis, mat_mul, matrix_from_columns
+from .lattice import integer_kernel_basis, matrix_from_columns
 from .numeric import (
     ToricPotential,
     axis_radius_bound,
@@ -76,9 +79,10 @@ class CheckResult:
 def _coords(rng: random.Random, m: int, lo: float, hi: float) -> np.ndarray:
     """m points cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 pi)), drawn
     from rng in that order and evaluated as random.uniform and cmath.rect
-    do."""
-    draw = rng.random
-    u = np.array([draw() for _ in range(2 * m)]).reshape(m, 2)
+    do: one getrandbits call gives the words, first drawn lowest, and two
+    words w0, w1 make random()'s ((w0 >> 5) 2^26 + (w1 >> 6)) 2^-53."""
+    w = np.frombuffer(rng.getrandbits(128 * m).to_bytes(16 * m, "little"), "<u4").reshape(m, 2, 2)
+    u = ((w[..., 0] >> 5) * 67108864.0 + (w[..., 1] >> 6)) * (1.0 / 9007199254740992.0)
     r = lo + (hi - lo) * u[:, 0]
     angle = 2 * math.pi * u[:, 1]
     out = np.empty(m, dtype=complex)
@@ -99,6 +103,14 @@ def _sweep(rows: int, width: int, check) -> float:
     return max(
         (check(np.arange(i, min(i + step, rows))) for i in range(0, rows, step)), default=0.0
     )
+
+
+def _exponents_kill_relations(F: Fan, charts: list[ChartData]) -> bool:
+    """Every chart's exponent rows U^-1 G kill each relation among the generators G."""
+    G = matrix_from_columns(F.generators)
+    R = np.array(integer_kernel_basis(G), dtype=object).reshape(-1, len(F.generators)).T
+    U_inv = np.array([C.U_inv for C in charts], dtype=object)
+    return not ((U_inv @ np.array(G, dtype=object)) @ R).any()
 
 
 def chart_suite(F: Fan, seed: int = 0, samples: int = 10) -> list[CheckResult]:
@@ -144,15 +156,12 @@ def chart_suite(F: Fan, seed: int = 0, samples: int = 10) -> list[CheckResult]:
     worst = _sweep(kernel_rows, n * d, invariance)
     results.append(CheckResult("kernel_invariance", worst < CHART_TOL, worst, CHART_TOL))
 
-    # exponent rows pair to zero with every relation among the generators
-    rel_basis = integer_kernel_basis(matrix_from_columns(F.generators))
-    exact = all(dot(r, w) == 0 for C in charts for r in C.exponent_rows() for w in rel_basis)
+    exact = _exponents_kill_relations(F, charts)
     results.append(CheckResult("exponents_kill_relations", exact, None, None))
 
-    # transitions: numeric agreement with phi_b(psi_a(xi)), each transition
-    # built once per ordered pair of charts
-    E = [transition_map(charts[a], charts[b]) for a in range(k) for b in range(k)]
-    exponents = np.array([M.exponents for M in E], dtype=np.int64)
+    # transitions: numeric agreement with phi_b(psi_a(xi)) for each pair
+    E = transition_exponents(charts)
+    exponents = E.reshape(k * k, n, n).astype(np.int64)
 
     def transitions(rows):
         xi = _coords(rng, len(rows) * n, 0.5, 2.0).reshape(-1, n)
@@ -165,12 +174,8 @@ def chart_suite(F: Fan, seed: int = 0, samples: int = 10) -> list[CheckResult]:
 
     # the exact cocycle E[b,c] E[a,b] = E[a,c] on every triple follows from
     # E[a,a] = I and E[a,b] = E[0,b] E[a,0] on every pair (see module doc)
-    identity_matrix = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    cocycle = all(E[a * k + a].exponents == identity_matrix for a in range(k)) and all(
-        mat_mul(E[b].exponents, E[a * k].exponents) == E[a * k + b].exponents
-        for a in range(k)
-        for b in range(k)
-    )
+    pairs = E[0][None] @ E[:, 0][:, None]  # E[0,b] E[a,0] at [a, b]
+    cocycle = bool((E[np.arange(k), np.arange(k)] == np.eye(n)).all()) and np.array_equal(pairs, E)
     results.append(CheckResult("transition_cocycle_exact", cocycle, None, None))
     return results
 

@@ -19,11 +19,18 @@ from toricwidth.charts import (
     psi_sigma,
     psi_sigmas,
     stack_charts,
-    torus_image,
     torus_images,
+    transition_exponents,
     transition_map,
 )
-from geomgen import assert_same_results, oracle_chart_suite
+from geomgen import (
+    assert_same_results,
+    exponent_rows,
+    oracle_chart_suite,
+    oracle_exponents_kill_relations,
+    random_delzant_polytope,
+    random_unimodular_map,
+)
 from toricwidth.fan import Fan, normal_fan
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
@@ -33,7 +40,7 @@ from toricwidth.fixtures import (
     unit_square,
 )
 from toricwidth.lattice import dot, integer_kernel_basis, mat_mul, matrix_from_columns
-from toricwidth.polytope import scale
+from toricwidth.polytope import apply_lattice_map, scale
 from toricwidth.verify import chart_suite
 
 TOL = 1e-9
@@ -47,6 +54,11 @@ TEST_FANS = [
 ]
 
 
+def torus_image(F, alpha):
+    """The torus map at one point, as torus_images gives it for one row."""
+    return tuple(complex(w) for w in torus_images(F, [alpha])[0])
+
+
 def random_torus_point(rng, n):
     return [cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi)) for _ in range(n)]
 
@@ -57,7 +69,7 @@ def test_cp2_chart_data():
     assert C.U == ((1, 0), (0, 1))
     assert C.U_inv == ((1, 0), (0, 1))
     assert C.V == ((-1,), (-1,))
-    assert C.exponent_rows() == ((1, 0, -1), (0, 1, -1))
+    assert exponent_rows(C) == ((1, 0, -1), (0, 1, -1))
 
 
 def test_blowup_chart_has_four_v_columns():
@@ -157,7 +169,7 @@ def test_exponent_rows_kill_relations():
         rel_basis = integer_kernel_basis(matrix_from_columns(F.generators))
         assert rel_basis  # d > n for all test fans
         for ci in range(len(F.max_cones)):
-            rows = chart_for_cone(F, ci).exponent_rows()
+            rows = exponent_rows(chart_for_cone(F, ci))
             for r in rows:
                 for w in rel_basis:
                     assert dot(r, w) == 0
@@ -200,29 +212,65 @@ def test_transition_cocycle_exact():
                     assert mat_mul(E23.exponents, E12.exponents) == E13.exponents
 
 
+def exponent_table_fans():
+    """TEST_FANS, 3-D and 4-D random Delzant polytopes, and a unimodular
+    image of the Hirzebruch surface of degree 2^70, whose transition
+    exponents lie past 2^63."""
+    rng = random.Random(12)
+    draws = [random_delzant_polytope(rng, n) for n in (3, 3, 4, 4)]
+    steep = apply_lattice_map(hirzebruch(2**70), random_unimodular_map(rng))
+    return TEST_FANS + [normal_fan(P) for P in draws + [steep]]
+
+
+def test_transition_exponents_match_each_transition_map():
+    for F in exponent_table_fans():
+        charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
+        E = transition_exponents(charts)
+        k, n = len(charts), F.dim
+        assert E.shape == (k, k, n, n) and E.dtype == object
+        for a in range(k):
+            for b in range(k):
+                assert tuple(map(tuple, E[a, b])) == transition_map(charts[a], charts[b]).exponents
+                assert all(type(e) is int for e in E[a, b].flat)
+    assert max(abs(e) for e in E.flat) > 2**63  # the steep surface comes last, exact
+
+
+def test_stacked_relation_check_matches_the_dot_loop(monkeypatch):
+    real = toricwidth.verify.integer_kernel_basis
+    for F in exponent_table_fans():
+        charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
+        # the first unit vector is no relation: U^-1 G e_0 = U^-1 u_0 != 0
+        unit = (1,) + (0,) * (len(F.generators) - 1)
+        for extra in ([], [unit]):
+            relations = real(matrix_from_columns(F.generators)) + extra
+            monkeypatch.setattr(toricwidth.verify, "integer_kernel_basis", lambda G: relations)
+            got = toricwidth.verify._exponents_kill_relations(F, charts)
+            assert got == oracle_exponents_kill_relations(F, relations) == (not extra)
+
+
 def test_chart_suite_passes_and_catches_a_wrong_transition(monkeypatch):
     F = normal_fan(blown_up_hirzebruch())
     assert all(r.passed for r in chart_suite(F, seed=3, samples=2))
 
     # each ordered pair of the 6 charts in turn gets the identity as its
     # chart change; both transition checks fail, as under the k^3 oracle
-    k = len(F.max_cones)
+    charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
+    k = len(charts)
     for a in range(k):
         for b in range(k):
             if a == b:
                 continue
-            pair = (F.max_cones[a], F.max_cones[b])
 
-            def wrong(C1, C2, pair=pair):
-                if (C1.cone, C2.cone) == pair:
-                    return transition_map(C1, C1)
-                return transition_map(C1, C2)
+            def wrong(charts, a=a, b=b):
+                E = transition_exponents(charts)
+                E[a, b] = E[a, a]
+                return E
 
-            monkeypatch.setattr(toricwidth.verify, "transition_map", wrong)
+            monkeypatch.setattr(toricwidth.verify, "transition_exponents", wrong)
             got = chart_suite(F, seed=a * k + b, samples=2)
             failed = {r.name for r in got if not r.passed}
             assert failed == {"transition_matches_charts", "transition_cocycle_exact"}
-            assert_same_results(got, oracle_chart_suite(F, a * k + b, 2, transition=wrong))
+            assert_same_results(got, oracle_chart_suite(F, a * k + b, 2, table=wrong(charts)))
 
 
 def test_monomial_composition_is_matrix_product():

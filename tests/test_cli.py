@@ -250,7 +250,7 @@ def test_verify_builds_each_chart_and_transition_once(capsys, monkeypatch, tmp_p
         )
     path = tmp_path / "polygon.json"
     path.write_text(json.dumps(to_dict(P)))
-    calls = {"chart_for_cone": 0, "transition_map": 0}
+    calls = {"chart_for_cone": 0, "transition_exponents": 0, "transition_map": 0}
     for name in calls:
         real = getattr(toricwidth.charts, name)
 
@@ -263,7 +263,7 @@ def test_verify_builds_each_chart_and_transition_once(capsys, monkeypatch, tmp_p
                 monkeypatch.setattr(mod, name, counted)
     assert main(["verify", str(path), "--samples", "2"]) == 0
     capsys.readouterr()
-    assert calls == {"chart_for_cone": 10, "transition_map": 100}
+    assert calls == {"chart_for_cone": 10, "transition_exponents": 1, "transition_map": 0}
 
 
 def test_parse_errors_exit_2(capsys, tmp_path):

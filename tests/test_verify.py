@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 import toricwidth.numeric
@@ -63,3 +64,17 @@ def test_points_are_drawn_as_a_per_sample_loop_draws_them():
     want = [cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi)) for _ in range(50)]
     got = toricwidth.verify._coords(random.Random(8), 50, 0.5, 2.0)
     assert all(abs(g - w) <= 1e-15 * abs(w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**70 + 1, -3])
+def test_draws_from_one_call_equal_a_per_draw_loop(seed):
+    # 312 points take 624 draws of two words each: two whole refills of the
+    # Mersenne Twister state, so 311 and 313 end on either side of one
+    for m in (0, 1, 311, 312, 313, 2420):
+        rng, loop = random.Random(seed), random.Random(seed)
+        got = toricwidth.verify._coords(rng, m, 0.5, 2.0)
+        u = np.array([loop.random() for _ in range(2 * m)]).reshape(m, 2)
+        r, angle = 0.5 + 1.5 * u[:, 0], 2 * math.pi * u[:, 1]
+        assert np.array_equal(got.real, r * np.cos(angle))
+        assert np.array_equal(got.imag, r * np.sin(angle))
+        assert rng.getstate() == loop.getstate()

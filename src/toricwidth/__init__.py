@@ -1,16 +1,7 @@
 """Exact toolkit for Delzant polytopes: charts, monomial embeddings, and
 Gromov-width upper bounds."""
 
-from .charts import (
-    ChartData,
-    MonomialMapData,
-    chart_for_cone,
-    kernel_param,
-    monomial_eval,
-    phi_sigma,
-    psi_sigma,
-    transition_map,
-)
+from .charts import ChartData, chart_for_cone, transition_map
 from .embedding import MonomialEmbedding, sections_by_polytope
 from .fan import (
     Fan,

@@ -5,23 +5,23 @@ the n x n matrix whose columns are those generators and V = U^-1 * W, where W
 collects the remaining generators as columns (ascending index).  The chart
 map on homogeneous coordinates z in C^d is
 
-    phi_sigma([z])_k = z_{j_k} * prod_l z_{j_l}^{V[k][l]}   (l over the complement)
+    phi([z])_k = z_{j_k} * prod_l z_{j_l}^{V[k][l]}   (l over the complement)
 
-and its right inverse psi_sigma places xi on the sigma slots and 1 elsewhere.
+and its right inverse psi places xi on the sigma slots and 1 elsewhere.
 All exponent data is exact integer arithmetic; only evaluation uses floats.
 
-Each map has a form on rows of points (phi_sigmas, psi_sigmas, kernel_params,
-torus_images, monomial_evals) that evaluates it with numpy, one point per
-row; the single-point functions call it with one row.  The chart forms take
-ChartArrays, which hold either one chart or one chart per row, so a sweep over
-many charts and points is one pass.  transition_exponents gives the exponent
-matrices of every chart change from one stacked integer product.
+Each map has one form, on rows of points (phi_sigmas, psi_sigmas,
+kernel_params, torus_images, monomials), evaluated with numpy.  The chart
+forms take ChartArrays, which hold one chart per row of points, so a sweep
+over many charts and points is one pass; a single point is a single row.
+transition_map gives the exponent matrix of one chart change, and
+transition_exponents those of every chart change from one stacked integer
+product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -54,17 +54,6 @@ class ChartData:
     def dim(self) -> int:
         return len(self.cone)
 
-    @cached_property
-    def arrays(self) -> ChartArrays:
-        """cone, complement and V as integer arrays, for the row forms."""
-        n = self.dim
-        return ChartArrays(
-            len(self.fan.generators),
-            np.array(self.cone, dtype=np.int64),
-            np.array(self.complement, dtype=np.int64),
-            np.array(self.V, dtype=np.int64).reshape(n, len(self.complement)),
-        )
-
 
 def chart_for_cone(F: Fan, cone_index: int) -> ChartData:
     """Chart data for F.max_cones[cone_index]; the cone must be unimodular."""
@@ -95,13 +84,13 @@ def monomials(X, E) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChartArrays:
-    """The cone slots, complement and V of one chart as integer arrays, or
-    of one chart per row of points, stacked along a leading axis."""
+    """The cone slots, complement and V of one chart per row of points, as
+    integer arrays stacked along a leading axis."""
 
     d: int
-    cone: np.ndarray  # (n,) or (rows, n)
-    complement: np.ndarray  # (d - n,) or (rows, d - n)
-    V: np.ndarray  # (n, d - n) or (rows, n, d - n)
+    cone: np.ndarray  # (rows, n)
+    complement: np.ndarray  # (rows, d - n)
+    V: np.ndarray  # (rows, n, d - n)
 
     def take(self, rows) -> "ChartArrays":
         """The stacked charts self[rows[r]], one for each row r."""
@@ -110,18 +99,13 @@ class ChartArrays:
 
 def stack_charts(charts: Sequence[ChartData]) -> ChartArrays:
     """Arrays of charts[i] in row i; take() then picks a chart per point."""
-    arrays = [C.arrays for C in charts]
+    k, n, d = len(charts), charts[0].dim, len(charts[0].fan.generators)
     return ChartArrays(
-        arrays[0].d,
-        np.stack([a.cone for a in arrays]),
-        np.stack([a.complement for a in arrays]),
-        np.stack([a.V for a in arrays]),
+        d,
+        np.array([C.cone for C in charts], dtype=np.int64),
+        np.array([C.complement for C in charts], dtype=np.int64).reshape(k, d - n),
+        np.array([C.V for C in charts], dtype=np.int64).reshape(k, n, d - n),
     )
-
-
-def _rows(X: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """index, shared or one per row, as one copy for each row of X."""
-    return np.broadcast_to(index, X.shape[:-1] + index.shape[-1:])
 
 
 def phi_sigmas(A: ChartArrays, Z) -> np.ndarray:
@@ -132,16 +116,10 @@ def phi_sigmas(A: ChartArrays, Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=complex)
     if Z.shape[-1] != A.d:
         raise ValueError(f"need {A.d} homogeneous coordinates")
-    complement = _rows(Z, A.complement)
-    off = np.take_along_axis(Z, complement, -1)
+    off = np.take_along_axis(Z, A.complement, -1)
     if (off == 0).any():
-        raise ValueError(f"coordinate {complement[off == 0][0]} is zero but lies off the cone")
-    return np.take_along_axis(Z, _rows(Z, A.cone), -1) * monomials(off, A.V)
-
-
-def phi_sigma(C: ChartData, z: Sequence[complex]) -> tuple[complex, ...]:
-    """Evaluate the chart map at homogeneous coordinates z."""
-    return tuple(complex(w) for w in phi_sigmas(C.arrays, [z])[0])
+        raise ValueError(f"coordinate {A.complement[off == 0][0]} is zero but lies off the cone")
+    return np.take_along_axis(Z, A.cone, -1) * monomials(off, A.V)
 
 
 def psi_sigmas(A: ChartArrays, XI) -> np.ndarray:
@@ -151,13 +129,8 @@ def psi_sigmas(A: ChartArrays, XI) -> np.ndarray:
     if XI.shape[-1] != A.cone.shape[-1]:
         raise ValueError(f"need {A.cone.shape[-1]} chart coordinates")
     Z = np.ones(XI.shape[:-1] + (A.d,), dtype=complex)
-    np.put_along_axis(Z, _rows(Z, A.cone), XI, -1)
+    np.put_along_axis(Z, A.cone, XI, -1)
     return Z
-
-
-def psi_sigma(C: ChartData, xi: Sequence[complex]) -> tuple[complex, ...]:
-    """Homogeneous representative with xi on the cone slots and 1 elsewhere."""
-    return tuple(complex(z) for z in psi_sigmas(C.arrays, [xi])[0])
 
 
 def kernel_params(A: ChartArrays, AC) -> np.ndarray:
@@ -173,14 +146,9 @@ def kernel_params(A: ChartArrays, AC) -> np.ndarray:
     if (AC == 0).any():
         raise ValueError("kernel torus values must be nonzero")
     alpha = np.ones(AC.shape[:-1] + (A.d,), dtype=complex)
-    np.put_along_axis(alpha, _rows(alpha, A.complement), AC, -1)
-    np.put_along_axis(alpha, _rows(alpha, A.cone), monomials(AC, -A.V), -1)
+    np.put_along_axis(alpha, A.complement, AC, -1)
+    np.put_along_axis(alpha, A.cone, monomials(AC, -A.V), -1)
     return alpha
-
-
-def kernel_param(C: ChartData, alpha_complement: Sequence[complex]) -> tuple[complex, ...]:
-    """Extend complement torus values to an element of the kernel torus."""
-    return tuple(complex(a) for a in kernel_params(C.arrays, [alpha_complement])[0])
 
 
 def torus_images(F: Fan, alpha) -> np.ndarray:
@@ -192,49 +160,14 @@ def torus_images(F: Fan, alpha) -> np.ndarray:
     return monomials(alpha, np.array(F.generators, dtype=np.int64).T)
 
 
-@dataclass(frozen=True)
-class MonomialMapData:
-    """xi -> (prod_m xi_m^{E[k][m]})_k with integer exponent matrix E.
-
-    needs_nonzero[m] marks inputs that occur with a negative exponent, where
-    the map is only defined away from xi_m = 0.
-    """
-
-    exponents: IntMatrix
-    needs_nonzero: tuple[bool, ...]
-
-
-def monomial_map(E: IntMatrix) -> MonomialMapData:
-    cols = len(E[0]) if E else 0
-    needs = tuple(any(row[m] < 0 for row in E) for m in range(cols))
-    return MonomialMapData(tuple(tuple(row) for row in E), needs)
-
-
-def monomial_evals(M: MonomialMapData, XI) -> np.ndarray:
-    """The monomial map at each row of XI."""
-    XI = np.asarray(XI, dtype=complex)
-    if XI.shape[-1] != len(M.needs_nonzero):
-        raise ValueError("wrong input length")
-    zero = ((XI == 0) & np.array(M.needs_nonzero, dtype=bool)).reshape(-1, XI.shape[-1])
-    if zero.any():
-        raise ValueError(f"input {zero.any(axis=0).argmax()} must be nonzero for this map")
-    return monomials(XI, np.array(M.exponents, dtype=np.int64))
-
-
-def monomial_eval(M: MonomialMapData, xi: Sequence[complex]) -> tuple[complex, ...]:
-    return tuple(complex(w) for w in monomial_evals(M, [xi])[0])
-
-
-def transition_map(C1: ChartData, C2: ChartData) -> MonomialMapData:
-    """Chart change phi_sigma2 after psi_sigma1 as a monomial map.
-
-    Its exponent matrix is U_2^-1 * U_1; transitions compose by matrix
-    product, so E_13 = E_23 * E_12 exactly.
+def transition_map(C1: ChartData, C2: ChartData) -> IntMatrix:
+    """Exponent matrix U_2^-1 * U_1 of the chart change phi_2 after psi_1
+    (the maps of C2 and C1), a monomial map that monomials evaluates;
+    transitions compose by matrix product, so E_13 = E_23 * E_12 exactly.
     """
     if C1.fan.generators != C2.fan.generators:
         raise ValueError("charts belong to different fans")
-    E = mat_mul(C2.U_inv, C1.U)
-    return monomial_map(E)
+    return mat_mul(C2.U_inv, C1.U)
 
 
 def transition_exponents(charts: Sequence[ChartData]) -> np.ndarray:

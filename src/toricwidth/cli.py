@@ -117,7 +117,7 @@ def cmd_width(args) -> int:
         }
     out = {
         "paper_bound_pi": _frac(rep.cylinder_pi),
-        "radius_sq": _frac(rep.radius_sq),
+        "radius_sq": _frac(rep.cylinder_pi),
         "lu_lambda_pi": _frac(rep.lu_lambda_pi),
         "fano": {"is_fano": rep.fano is not None, "certificate": cert},
         "lu_gamma_pi": _frac(rep.lu_gamma_pi),

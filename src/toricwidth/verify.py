@@ -1,8 +1,10 @@
 """Randomized property suites behind the command line verify subcommand.
 
 Each check returns a CheckResult; a suite is a list of them.  Chart checks
-run at relative tolerance 1e-9 on coordinates with modulus in [0.5, 2];
-numeric sweeps use modulus in [0.1, 3].
+run at relative tolerance 1e-9 on coordinates with modulus in [0.5, 2].
+Of the numeric sweeps, the gradient sweep draws real x in [0.1, 10], the
+pullback sweep modulus in [0.1, 0.9], and the radial and psi sweeps modulus
+in [0.1, 3].
 
 Every sweep draws its points from the seeded rng in the order and number of
 a loop over charts (or ordered pairs of charts), then samples, then
@@ -47,7 +49,6 @@ from .charts import (
 )
 from .embedding import sections_by_polytope
 from .fan import Fan, normal_fan
-from .lattice import integer_kernel_basis, matrix_from_columns
 from .numeric import (
     ToricPotential,
     axis_radius_bound,
@@ -106,11 +107,22 @@ def _sweep(rows: int, width: int, check) -> float:
 
 
 def _exponents_kill_relations(F: Fan, charts: list[ChartData]) -> bool:
-    """Every chart's exponent rows U^-1 G kill each relation among the generators G."""
-    G = matrix_from_columns(F.generators)
-    R = np.array(integer_kernel_basis(G), dtype=object).reshape(-1, len(F.generators)).T
-    U_inv = np.array([C.U_inv for C in charts], dtype=object)
-    return not ((U_inv @ np.array(G, dtype=object)) @ R).any()
+    """Relations R among the generators G read off chart 0 (-V_0 on its cone
+    rows, I on its complement rows) satisfy G R = 0, and every chart's
+    exponent rows (I on its cone, V on its complement) kill them.  Together
+    these hold exactly when every chart's V is U^-1 W."""
+    k, n, d = len(charts), F.dim, len(F.generators)
+    cone = np.array([C.cone for C in charts], dtype=np.int64)
+    complement = np.array([C.complement for C in charts], dtype=np.int64).reshape(k, d - n)
+    V = np.array([C.V for C in charts], dtype=object).reshape(k, n, d - n)
+    R = np.zeros((d, d - n), dtype=object)
+    R[complement[0], np.arange(d - n)] = 1
+    R[cone[0]] = -V[0]
+    X = np.zeros((k, n, d), dtype=object)
+    chart, row = np.arange(k)[:, None], np.arange(n)[None, :]
+    X[chart, row, cone] = 1
+    X[chart[..., None], row[..., None], complement[:, None, :]] = V
+    return not (np.array(F.generators, dtype=object).T @ R).any() and not (X @ R).any()
 
 
 def chart_suite(F: Fan, seed: int = 0, samples: int = 10) -> list[CheckResult]:

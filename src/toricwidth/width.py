@@ -46,8 +46,7 @@ GAMMA_CAVEAT = (
 
 @dataclass(frozen=True)
 class CylinderBound:
-    coefficient_pi: Fraction  # 2 * min_j max_k (J_k)_j
-    radius_sq: Fraction
+    coefficient_pi: Fraction  # 2 * min_j max_k (J_k)_j, the cylinder's radius^2
     axis: int  # smallest j attaining the min
     axis_maxima: RationalVector
 
@@ -66,7 +65,7 @@ def cylinder_bound(P: HalfspacePolytope, v: Vertex) -> CylinderBound:
     )
     m = min(maxima)
     axis = maxima.index(m)
-    return CylinderBound(2 * m, 2 * m, axis, maxima)
+    return CylinderBound(2 * m, axis, maxima)
 
 
 @dataclass(frozen=True)
@@ -210,7 +209,6 @@ class WidthReport:
     vertex: Vertex
     denominator_scale: int
     cylinder_pi: Fraction
-    radius_sq: Fraction
     axis: int
     axis_maxima: RationalVector
     lu_lambda_pi: Fraction | None
@@ -254,7 +252,6 @@ def width_report(P: HalfspacePolytope, vertex_index: int = 0) -> WidthReport:
         vertex=v,
         denominator_scale=offset_denominator_scale(P),
         cylinder_pi=cyl.coefficient_pi,
-        radius_sq=cyl.radius_sq,
         axis=cyl.axis,
         axis_maxima=cyl.axis_maxima,
         lu_lambda_pi=None if lam is None else lam.coefficient_pi,

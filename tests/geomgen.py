@@ -638,14 +638,23 @@ def exponent_rows(C: ChartData) -> tuple[tuple[int, ...], ...]:
     return mat_mul(C.U_inv, matrix_from_columns(C.fan.generators))
 
 
-def oracle_exponents_kill_relations(F: Fan, relations=None) -> bool:
-    """Every exponent row of every chart pairs to zero with every vector of
-    relations (by default the relation basis among the generators), one
-    dot product at a time."""
-    charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
-    if relations is None:
-        relations = integer_kernel_basis(matrix_from_columns(F.generators))
-    return all(dot(r, w) == 0 for C in charts for r in exponent_rows(C) for w in relations)
+def oracle_exponents_kill_relations(F: Fan, charts=None) -> bool:
+    """Every exponent row of every chart (by default the charts of F) pairs
+    to zero with every vector of the relation basis among the generators,
+    one dot product at a time.  Row k is read off the chart's V, as the
+    chart map uses it: 1 at cone slot k, V[k] on the complement."""
+    if charts is None:
+        charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
+    relations = integer_kernel_basis(matrix_from_columns(F.generators))
+    for C in charts:
+        for k in range(C.dim):
+            row = [0] * len(F.generators)
+            row[C.cone[k]] = 1
+            for l, j in enumerate(C.complement):
+                row[j] = C.V[k][l]
+            if any(dot(row, w) != 0 for w in relations):
+                return False
+    return True
 
 
 def _oracle_phi(C: ChartData, z) -> list[complex]:
@@ -744,7 +753,7 @@ def oracle_chart_suite(F: Fan, seed: int = 0, samples: int = 10, table=None):
 
     k = len(charts)
     E = {
-        (a, b): transition_map(charts[a], charts[b]).exponents
+        (a, b): transition_map(charts[a], charts[b])
         if table is None
         else tuple(map(tuple, table[a][b]))
         for a in range(k)

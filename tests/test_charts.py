@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 
@@ -9,14 +10,9 @@ import toricwidth.verify
 from toricwidth.charts import (
     NonUnimodularConeError,
     chart_for_cone,
-    kernel_param,
     kernel_params,
-    monomial_eval,
-    monomial_evals,
-    monomial_map,
-    phi_sigma,
+    monomials,
     phi_sigmas,
-    psi_sigma,
     psi_sigmas,
     stack_charts,
     torus_images,
@@ -24,6 +20,9 @@ from toricwidth.charts import (
     transition_map,
 )
 from geomgen import (
+    _oracle_kernel_param,
+    _oracle_phi,
+    _oracle_psi,
     assert_same_results,
     exponent_rows,
     oracle_chart_suite,
@@ -54,13 +53,26 @@ TEST_FANS = [
 ]
 
 
-def torus_image(F, alpha):
-    """The torus map at one point, as torus_images gives it for one row."""
-    return tuple(complex(w) for w in torus_images(F, [alpha])[0])
-
-
 def random_torus_point(rng, n):
     return [cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi)) for _ in range(n)]
+
+
+def random_torus_points(rng, rows, n):
+    return np.array([random_torus_point(rng, n) for _ in range(rows)]).reshape(rows, n)
+
+
+def charts_of(F):
+    return [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
+
+
+def each_chart(F, samples):
+    """The stacked charts of F, each repeated for `samples` rows, and their count."""
+    charts = charts_of(F)
+    return stack_charts(charts).take(np.repeat(np.arange(len(charts)), samples)), len(charts)
+
+
+def rel_dev(a, b):
+    return np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)))
 
 
 def test_cp2_chart_data():
@@ -89,18 +101,15 @@ def test_chart_rejects_non_unimodular():
 def test_phi_psi_identity():
     rng = random.Random(0)
     for F in TEST_FANS:
-        for ci in range(len(F.max_cones)):
-            C = chart_for_cone(F, ci)
-            for _ in range(10):
-                xi = random_torus_point(rng, F.dim)
-                back = phi_sigma(C, psi_sigma(C, xi))
-                assert max(abs(a - b) for a, b in zip(back, xi)) < 1e-12
+        A, k = each_chart(F, 10)
+        xi = random_torus_points(rng, 10 * k, F.dim)
+        assert np.abs(phi_sigmas(A, psi_sigmas(A, xi)) - xi).max() < 1e-12
 
 
 def test_psi_places_ones():
     F = normal_fan(projective_space(2, 1))
     C = chart_for_cone(F, 0)
-    z = psi_sigma(C, [0.0, 0.0])
+    z = psi_sigmas(stack_charts([C]), [[0.0, 0.0]])[0].tolist()
     assert z.count(1.0 + 0j) == 1
     assert [z[j] for j in C.cone] == [0j, 0j]
 
@@ -110,58 +119,47 @@ def test_phi_rejects_zero_complement():
     C = chart_for_cone(F, F.max_cones.index((0, 1)))
     z = [1.0, 1.0, 0.0]
     with pytest.raises(ValueError):
-        phi_sigma(C, z)
+        phi_sigmas(stack_charts([C]), [z])
 
 
 def test_kernel_param_cp2():
     F = normal_fan(projective_space(2, 1))
     C = chart_for_cone(F, F.max_cones.index((0, 1)))
-    alpha = kernel_param(C, [3.0 + 0j])
-    assert alpha == (3.0 + 0j, 3.0 + 0j, 3.0 + 0j)
+    alpha = kernel_params(stack_charts([C]), [[3.0 + 0j]])[0].tolist()
+    assert alpha == [3.0 + 0j, 3.0 + 0j, 3.0 + 0j]
 
 
 def test_kernel_param_lands_in_kernel():
     rng = random.Random(1)
     for F in TEST_FANS:
-        for ci in range(len(F.max_cones)):
-            C = chart_for_cone(F, ci)
-            for _ in range(10):
-                ac = random_torus_point(rng, len(C.complement))
-                alpha = kernel_param(C, ac)
-                image = torus_image(F, alpha)
-                assert max(abs(w - 1) for w in image) < TOL
+        A, k = each_chart(F, 10)
+        ac = random_torus_points(rng, 10 * k, len(F.generators) - F.dim)
+        image = torus_images(F, kernel_params(A, ac))
+        assert np.abs(image - 1).max() < TOL
 
 
 def test_kernel_invariance_of_charts():
     rng = random.Random(2)
     for F in TEST_FANS:
-        for ci in range(len(F.max_cones)):
-            C = chart_for_cone(F, ci)
-            for _ in range(10):
-                z = random_torus_point(rng, len(F.generators))
-                ac = random_torus_point(rng, len(C.complement))
-                alpha = kernel_param(C, ac)
-                moved = [a * w for a, w in zip(alpha, z)]
-                f1 = phi_sigma(C, moved)
-                f2 = phi_sigma(C, z)
-                rel = max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(f1, f2))
-                assert rel < TOL
+        A, k = each_chart(F, 10)
+        d = len(F.generators)
+        z = random_torus_points(rng, 10 * k, d)
+        ac = random_torus_points(rng, 10 * k, d - F.dim)
+        moved = kernel_params(A, ac) * z
+        assert rel_dev(phi_sigmas(A, moved), phi_sigmas(A, z)) < TOL
 
 
 def test_multiplicativity_of_charts():
     # phi_sigma(alpha . z) = phi_sigma(alpha) . phi_sigma(z) for torus alpha
     rng = random.Random(3)
     for F in TEST_FANS:
-        for ci in range(len(F.max_cones)):
-            C = chart_for_cone(F, ci)
-            d = len(F.generators)
-            for _ in range(5):
-                z = random_torus_point(rng, d)
-                alpha = random_torus_point(rng, d)
-                lhs = phi_sigma(C, [a * w for a, w in zip(alpha, z)])
-                rhs = [a * b for a, b in zip(phi_sigma(C, alpha), phi_sigma(C, z))]
-                rel = max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(lhs, rhs))
-                assert rel < TOL
+        A, k = each_chart(F, 5)
+        d = len(F.generators)
+        z = random_torus_points(rng, 5 * k, d)
+        alpha = random_torus_points(rng, 5 * k, d)
+        lhs = phi_sigmas(A, alpha * z)
+        rhs = phi_sigmas(A, alpha) * phi_sigmas(A, z)
+        assert rel_dev(lhs, rhs) < TOL
 
 
 def test_exponent_rows_kill_relations():
@@ -178,26 +176,21 @@ def test_exponent_rows_kill_relations():
 def test_transition_cp2():
     F = normal_fan(projective_space(2, 1))
     charts = {c: chart_for_cone(F, i) for i, c in enumerate(F.max_cones)}
-    E = transition_map(charts[(0, 1)], charts[(1, 2)])
-    assert E.exponents == ((-1, 1), (-1, 0))
-    assert E.needs_nonzero == (True, False)
-    same = transition_map(charts[(0, 1)], charts[(0, 1)])
-    assert same.exponents == ((1, 0), (0, 1))
+    assert transition_map(charts[(0, 1)], charts[(1, 2)]) == ((-1, 1), (-1, 0))
+    assert transition_map(charts[(0, 1)], charts[(0, 1)]) == ((1, 0), (0, 1))
 
 
 def test_transition_matches_chart_composition():
     rng = random.Random(4)
     for F in TEST_FANS:
-        charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
+        charts = charts_of(F)
         for C1 in charts:
             for C2 in charts:
-                E = transition_map(C1, C2)
-                for _ in range(5):
-                    xi = random_torus_point(rng, F.dim)
-                    direct = phi_sigma(C2, psi_sigma(C1, xi))
-                    via = monomial_eval(E, xi)
-                    rel = max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(via, direct))
-                    assert rel < TOL
+                E = np.array(transition_map(C1, C2), dtype=np.int64)
+                xi = random_torus_points(rng, 5, F.dim)
+                A1, A2 = (stack_charts([C]).take([0] * 5) for C in (C1, C2))
+                direct = phi_sigmas(A2, psi_sigmas(A1, xi))
+                assert rel_dev(monomials(xi, E), direct) < TOL
 
 
 def test_transition_cocycle_exact():
@@ -209,7 +202,7 @@ def test_transition_cocycle_exact():
                 for C3 in charts:
                     E23 = transition_map(C2, C3)
                     E13 = transition_map(C1, C3)
-                    assert mat_mul(E23.exponents, E12.exponents) == E13.exponents
+                    assert mat_mul(E23, E12) == E13
 
 
 def exponent_table_fans():
@@ -230,22 +223,38 @@ def test_transition_exponents_match_each_transition_map():
         assert E.shape == (k, k, n, n) and E.dtype == object
         for a in range(k):
             for b in range(k):
-                assert tuple(map(tuple, E[a, b])) == transition_map(charts[a], charts[b]).exponents
+                assert tuple(map(tuple, E[a, b])) == transition_map(charts[a], charts[b])
                 assert all(type(e) is int for e in E[a, b].flat)
     assert max(abs(e) for e in E.flat) > 2**63  # the steep surface comes last, exact
 
 
-def test_stacked_relation_check_matches_the_dot_loop(monkeypatch):
-    real = toricwidth.verify.integer_kernel_basis
+def test_relation_check_agrees_with_the_dot_loop_oracle():
     for F in exponent_table_fans():
-        charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
-        # the first unit vector is no relation: U^-1 G e_0 = U^-1 u_0 != 0
-        unit = (1,) + (0,) * (len(F.generators) - 1)
-        for extra in ([], [unit]):
-            relations = real(matrix_from_columns(F.generators)) + extra
-            monkeypatch.setattr(toricwidth.verify, "integer_kernel_basis", lambda G: relations)
-            got = toricwidth.verify._exponents_kill_relations(F, charts)
-            assert got == oracle_exponents_kill_relations(F, relations) == (not extra)
+        charts = charts_of(F)
+        assert toricwidth.verify._exponents_kill_relations(F, charts) is True
+        assert all(toricwidth.verify._exponents_kill_relations(F, [C]) for C in charts)
+        assert oracle_exponents_kill_relations(F) is True
+
+
+def test_relation_check_catches_every_wrong_v_entry():
+    # raising any one entry of any chart's V by 1 breaks V = U^-1 W; the
+    # relations then come either from a wrong V (chart 0) or meet one, and
+    # a wrong chart alone has relations that G does not kill
+    rng = random.Random(13)
+    fans = TEST_FANS + [normal_fan(random_delzant_polytope(rng, n)) for n in (3, 4)]
+    for F in fans:
+        charts = charts_of(F)
+        d, n = len(F.generators), F.dim
+        for c, C in enumerate(charts):
+            for i in range(n):
+                for l in range(d - n):
+                    V = [list(row) for row in C.V]
+                    V[i][l] += 1
+                    bad = list(charts)
+                    bad[c] = dataclasses.replace(C, V=tuple(map(tuple, V)))
+                    assert toricwidth.verify._exponents_kill_relations(F, bad) is False
+                    assert toricwidth.verify._exponents_kill_relations(F, bad[c:c + 1]) is False
+                    assert oracle_exponents_kill_relations(F, charts=bad) is False
 
 
 def test_chart_suite_passes_and_catches_a_wrong_transition(monkeypatch):
@@ -275,21 +284,12 @@ def test_chart_suite_passes_and_catches_a_wrong_transition(monkeypatch):
 
 def test_monomial_composition_is_matrix_product():
     rng = random.Random(6)
-    E = monomial_map(((1, -1), (0, 2)))
-    G = monomial_map(((2, 1), (-1, 0)))
-    GE = monomial_map(mat_mul(G.exponents, E.exponents))
-    for _ in range(10):
-        xi = random_torus_point(rng, 2)
-        lhs = monomial_eval(G, monomial_eval(E, xi))
-        rhs = monomial_eval(GE, xi)
-        assert max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(lhs, rhs)) < TOL
-
-
-def test_monomial_eval_guards_zero():
-    E = monomial_map(((-1, 0), (0, 1)))
-    with pytest.raises(ValueError):
-        monomial_eval(E, [0.0, 1.0])
-    assert monomial_eval(E, [2.0, 0.0]) == (0.5 + 0j, 0j)
+    E = ((1, -1), (0, 2))
+    G = ((2, 1), (-1, 0))
+    xi = random_torus_points(rng, 10, 2)
+    lhs = monomials(monomials(xi, np.array(E)), np.array(G))
+    rhs = monomials(xi, np.array(mat_mul(G, E)))
+    assert rel_dev(lhs, rhs) < TOL
 
 
 def test_transition_rejects_mismatched_fans():
@@ -300,31 +300,37 @@ def test_transition_rejects_mismatched_fans():
 
 
 def test_row_forms_with_a_chart_per_row_match_single_points():
+    # each row of a stacked call is bit for bit the one-row call of its
+    # chart, and matches the pure-Python oracles
     rng = random.Random(7)
-    for F in TEST_FANS:
-        charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
+    draws = [normal_fan(random_delzant_polytope(rng, n)) for n in (3, 3, 4, 4)]
+    for F in TEST_FANS + draws:
+        charts = charts_of(F)
+        stack = stack_charts(charts)
         d, n = len(F.generators), F.dim
         which = np.array([rng.randrange(len(charts)) for _ in range(20)])
-        A = stack_charts(charts).take(which)
-        Z = np.array([random_torus_point(rng, d) for _ in which])
+        A = stack.take(which)
+        Z = random_torus_points(rng, len(which), d)
         XI, AC = Z[:, :n], Z[:, n:]
         phi, psi, alpha = phi_sigmas(A, Z), psi_sigmas(A, XI), kernel_params(A, AC)
         image = torus_images(F, alpha)
         for r, c in enumerate(which):
-            assert tuple(phi[r]) == phi_sigma(charts[c], Z[r])
-            assert tuple(psi[r]) == psi_sigma(charts[c], XI[r])
-            assert tuple(alpha[r]) == kernel_param(charts[c], AC[r])
-            assert tuple(image[r]) == torus_image(F, alpha[r])
+            one = stack.take([c])
+            assert phi[r].tolist() == phi_sigmas(one, Z[[r]])[0].tolist()
+            assert psi[r].tolist() == psi_sigmas(one, XI[[r]])[0].tolist()
+            assert alpha[r].tolist() == kernel_params(one, AC[[r]])[0].tolist()
+            assert image[r].tolist() == torus_images(F, alpha[[r]])[0].tolist()
+            C = charts[c]
+            assert rel_dev(phi[r], np.array(_oracle_phi(C, Z[r]))) < TOL
+            assert psi[r].tolist() == _oracle_psi(C, XI[r])
+            assert rel_dev(alpha[r], np.array(_oracle_kernel_param(C, AC[r]))) < TOL
 
 
 def test_row_forms_guard_zeros_in_any_row():
     F = normal_fan(projective_space(2, 1))
     C = chart_for_cone(F, F.max_cones.index((0, 1)))
+    A = stack_charts([C, C])
     with pytest.raises(ValueError, match="coordinate 2 is zero"):
-        phi_sigmas(C.arrays, [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        phi_sigmas(A, [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="must be nonzero"):
-        kernel_params(C.arrays, [[2.0], [0.0]])
-    E = monomial_map(((-1, 0), (0, 1)))
-    with pytest.raises(ValueError, match="input 0 must be nonzero"):
-        monomial_evals(E, [[2.0, 0.0], [0.0, 1.0]])
-    assert monomial_evals(E, [[2.0, 0.0], [4.0, 1.0]]).tolist() == [[0.5, 0.0], [0.25, 1.0]]
+        kernel_params(A, [[2.0], [0.0]])

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from geomgen import full_section_exponents, sections_by_conditions, twist_exponents
-from toricwidth.charts import chart_for_cone, kernel_param
+from toricwidth.charts import chart_for_cone, kernel_params, stack_charts
 from toricwidth.embedding import MonomialEmbedding, sections_by_polytope
 from toricwidth.fan import SupportFunction, normal_fan, support_function
 from toricwidth.fixtures import (
@@ -157,7 +157,7 @@ def test_section_kernel_transformation_law():
             for _ in range(3):
                 z = [cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi)) for _ in range(d)]
                 ac = [cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi)) for _ in C.complement]
-                alpha = kernel_param(C, ac)
+                alpha = kernel_params(stack_charts([C]), [ac])[0].tolist()
 
                 def ev(w):
                     out = 1.0 + 0j

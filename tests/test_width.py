@@ -46,7 +46,6 @@ def test_cylinder_bound_blowup():
     b = cylinder_bound(P, enumerate_vertices(P)[0])
     assert b.axis_maxima == (4, 3)
     assert b.coefficient_pi == 6
-    assert b.radius_sq == 6
     assert b.axis == 1
 
 
@@ -170,7 +169,6 @@ def test_lu_gamma_respects_search_bound():
 def test_width_report_blowup():
     rep = width_report(blown_up_hirzebruch())
     assert rep.cylinder_pi == 6
-    assert rep.radius_sq == 6
     assert rep.lu_lambda_pi == 8
     assert rep.lambda_witness == (0, 1, 0, 1, 1, 0)
     assert rep.fano is None
@@ -185,7 +183,6 @@ def test_width_report_family():
     for m in (1, 2, 5, 10):
         rep = width_report(iterated_plane_blowup(m))
         assert rep.cylinder_pi == 8
-        assert rep.radius_sq == 8
         assert rep.lu_lambda_pi == 2 * (6 + Fraction(2 * m, m + 1))
         assert rep.min_bound_pi == 8
 

@@ -29,7 +29,7 @@ import numpy as np
 from .fan import Fan
 from .lattice import (
     IntMatrix,
-    inverse_unimodular,
+    fraction_free_solve,
     mat_mul,
     matrix_from_columns,
 )
@@ -62,16 +62,16 @@ def chart_for_cone(F: Fan, cone_index: int) -> ChartData:
     if len(cone) != n:
         raise NonUnimodularConeError(f"cone {cone} is not full-dimensional")
     U = matrix_from_columns([F.generators[i] for i in cone])
-    try:
-        U_inv = inverse_unimodular(U)  # one elimination of [U | I], which tests |det U| = 1
-    except ValueError:
-        raise NonUnimodularConeError(f"cone {cone} generators are not a Z-basis") from None
     complement = tuple(i for i in range(len(F.generators)) if i not in cone)
-    if complement:
-        W = matrix_from_columns([F.generators[i] for i in complement])
-        V = mat_mul(U_inv, W)
-    else:
-        V = tuple(() for _ in range(n))
+    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    # one elimination of [U | I | W], which tests |det U| = 1 and gives U^-1 [I | W]
+    solved = fraction_free_solve(
+        U, matrix_from_columns(identity + [F.generators[i] for i in complement])
+    )
+    if solved is None or solved[0] != 1:
+        raise NonUnimodularConeError(f"cone {cone} generators are not a Z-basis")
+    U_inv = tuple(tuple(row[:n]) for row in solved[1])
+    V = tuple(tuple(row[n:]) for row in solved[1])
     return ChartData(F, cone, complement, U, U_inv, V)
 
 

@@ -26,10 +26,8 @@ from . import fixtures
 from .embedding import MonomialEmbedding, sections_by_polytope
 from .fan import is_smooth, normal_fan
 from .polytope import (
-    EmptyPolytopeError,
     HalfspacePolytope,
     NotDelzantError,
-    UnboundedPolytopeError,
     clear_denominators,
     from_dict,
     is_delzant,
@@ -233,9 +231,6 @@ def main(argv=None) -> int:
     except ParseFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (UnboundedPolytopeError, EmptyPolytopeError, NotDelzantError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_GEOMETRY
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_GEOMETRY

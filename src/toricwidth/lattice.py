@@ -2,6 +2,11 @@
 
 Vectors are tuples, matrices are tuples of row tuples.  Everything in this
 module is exact: arbitrary-precision ints, fractions.Fraction, no floats.
+
+All elimination is one integer kernel, _eliminate (fraction-free
+Gauss-Jordan).  det reads sign * D over the row scale, fraction_free_solve
+and solve_rational read D and the right-hand block, rref the rows over D and
+the pivot columns; the rest sit on these.
 """
 
 from __future__ import annotations
@@ -47,9 +52,7 @@ def dot(u: Sequence, v: Sequence):
 
 def is_primitive(u: Sequence[int]) -> bool:
     """A nonzero integer vector is primitive when its entries have gcd 1."""
-    if all(x == 0 for x in u):
-        return False
-    return math.gcd(*(abs(int(x)) for x in u)) == 1 if len(u) > 1 else abs(int(u[0])) == 1
+    return math.gcd(*u) == 1
 
 
 def transpose(M: Sequence[Sequence]) -> tuple:
@@ -69,37 +72,57 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple:
     return tuple(tuple(dot(row, col) for col in Bt) for row in A)
 
 
-def det(M: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination.
-
-    Rows are first scaled to integers; intermediate entries stay integral,
-    which keeps coefficient growth polynomial instead of exponential.
-    """
-    n = len(M)
-    if n == 0 or any(len(row) != n for row in M):
-        raise ValueError("matrix must be square and nonempty")
-    scale = Fraction(1)
-    A = []
+def _integer_rows(M: Iterable[Iterable]) -> tuple[list[list[int]], int]:
+    """Each row scaled to integers by the lcm of its denominators, and the
+    product of those lcms."""
+    rows, scale = [], 1
     for row in M:
         frow = [Fraction(x) for x in row]
         l = math.lcm(*(f.denominator for f in frow))
         scale *= l
-        A.append([int(f * l) for f in frow])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            A[k], A[pivot] = A[pivot], A[k]
+        rows.append([f.numerator * (l // f.denominator) for f in frow])
+    return rows, scale
+
+
+def _eliminate(A: list[list[int]], width: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows A, in place,
+    with pivots in the first width columns; returns the pivot columns, the
+    last pivot D and the sign of the row swaps.
+
+    Each step updates whole rows, row <- (p * row - f * pivot row) / previous
+    pivot, and every division is exact (Bareiss 1968; Nakos, Turner and
+    Williams 1997).  Pivot row k ends with D in its pivot column and 0 in
+    the other pivot columns, so A / D is the reduced row echelon form; for a
+    square block with a pivot in every column, D is +-its determinant.
+    """
+    pivots, D, sign = [], 1, 1
+    for c in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            A[r], A[pivot] = A[pivot], A[r]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return Fraction(sign * A[n - 1][n - 1]) / scale
+        top = A[r]
+        p = top[c]
+        for i, row in enumerate(A):
+            if i != r:
+                f = row[c]
+                A[i] = [(p * a - f * t) // D for a, t in zip(row, top)]
+        pivots.append(c)
+        D = p
+    return pivots, D, sign
+
+
+def det(M: Sequence[Sequence]) -> Fraction:
+    """Determinant: sign * D of the eliminated integer rows, over their scale."""
+    n = len(M)
+    if n == 0 or any(len(row) != n for row in M):
+        raise ValueError("matrix must be square and nonempty")
+    A, scale = _integer_rows(M)
+    pivots, D, sign = _eliminate(A, n)
+    return Fraction(sign * D, scale) if len(pivots) == n else Fraction(0)
 
 
 def is_z_basis(vectors: Sequence[Sequence[int]]) -> bool:
@@ -120,55 +143,34 @@ def fraction_free_solve(
     """Integers (D, Y) with M Y = D B and D > 0; None when M is singular.
 
     M is an n x n integer matrix and B an integer matrix of n rows, given as
-    rows.  Fraction-free Gauss-Jordan elimination on [M | B] (Bareiss 1968;
-    Nakos, Turner and Williams 1997): every division by the previous pivot is
-    exact, so entries stay integers of polynomial size.  The left block ends
-    as the last pivot, +-det M, times the identity, so D = |det M| and
-    Y = D M^-1 B; the left block is not stored.
+    rows.  [M | B] is eliminated with pivots in M's columns: the left block
+    ends as the last pivot, +-det M, times the identity, so D = |det M| and
+    Y = D M^-1 B.
     """
     n = len(M)
     if n == 0 or any(len(row) != n for row in M) or len(B) != n:
         raise ValueError("need a square system with matching right-hand side")
     A = [[*row, *rhs] for row, rhs in zip(M, B)]
-    prev = 1
-    for k in range(n):
-        if A[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if pivot is None:
-                return None
-            A[k], A[pivot] = A[pivot], A[k]
-        top = A[k]
-        p = top[k]
-        tail = top[k + 1 :]
-        for i, row in enumerate(A):
-            if i != k:
-                f = row[k]
-                row[k + 1 :] = [(p * a - f * t) // prev for a, t in zip(row[k + 1 :], tail)]
-        prev = p
+    pivots, D, _ = _eliminate(A, n)
+    if len(pivots) < n:
+        return None
     Y = [row[n:] for row in A]
-    if prev < 0:
-        return -prev, [[-y for y in row] for row in Y]
-    return prev, Y
+    if D < 0:
+        return -D, [[-y for y in row] for row in Y]
+    return D, Y
 
 
 def solve_rational(M: Sequence[Sequence], b: Sequence) -> RationalVector | None:
     """Solve the square system M x = b exactly; None when M is singular.
 
-    Each row of [M | b] is scaled to integers, then fraction_free_solve.
+    The integer rows of [M | b] are eliminated with pivots in M's columns.
     """
     n = len(M)
     if n == 0 or any(len(row) != n for row in M) or len(b) != n:
         raise ValueError("need a square system with matching right-hand side")
-    A = []
-    for row, rhs in zip(M, b):
-        frow = [Fraction(x) for x in row] + [Fraction(rhs)]
-        l = math.lcm(*(f.denominator for f in frow))
-        A.append([f.numerator * (l // f.denominator) for f in frow])
-    solved = fraction_free_solve([row[:n] for row in A], [row[n:] for row in A])
-    if solved is None:
-        return None
-    D, Y = solved
-    return tuple(Fraction(y, D) for y, in Y)
+    A, _ = _integer_rows((*row, rhs) for row, rhs in zip(M, b))
+    pivots, D, _ = _eliminate(A, n)
+    return tuple(Fraction(row[n], D) for row in A) if len(pivots) == n else None
 
 
 def inverse_unimodular(M: Sequence[Sequence[int]]) -> IntMatrix:
@@ -181,33 +183,14 @@ def inverse_unimodular(M: Sequence[Sequence[int]]) -> IntMatrix:
 
 
 def rref(M: Sequence[Sequence]) -> tuple[RationalMatrix, tuple[int, ...]]:
-    """Reduced row echelon form over the rationals; returns (R, pivot columns)."""
-    A = [[Fraction(x) for x in row] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if A[i][c] != 0), None)
-        if pivot is None:
-            continue
-        A[r], A[pivot] = A[pivot], A[r]
-        p = A[r][c]
-        A[r] = [x / p for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return tuple(tuple(row) for row in A), tuple(pivots)
+    """Reduced row echelon form over the rationals, A / D for the integer rows
+    A of M eliminated over every column; returns (R, pivot columns)."""
+    A, _ = _integer_rows(M)
+    pivots, D, _ = _eliminate(A, len(A[0]) if A else 0)
+    return tuple(tuple(Fraction(a, D) for a in row) for row in A), tuple(pivots)
 
 
 def matrix_rank(M: Sequence[Sequence]) -> int:
-    if not M:
-        return 0
     return len(rref(M)[1])
 
 

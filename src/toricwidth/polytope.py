@@ -34,7 +34,6 @@ from .lattice import (
     is_primitive,
     is_z_basis,
     mat_vec,
-    matrix_rank,
     rational_vector,
     transpose,
 )
@@ -144,21 +143,17 @@ def recession_direction(P: HalfspacePolytope) -> IntVector | None:
     extreme ray cut out by n-1 linearly independent normals.
     """
     n = P.dim
-    if matrix_rank(P.normals) < n:
-        rows = []
-        for u in P.normals:
-            if matrix_rank(rows + [u]) > len(rows):
-                rows.append(u)
-        return integer_kernel_basis(rows)[0]
+    kernel = integer_kernel_basis(P.normals)  # empty iff the normals span R^n
+    if kernel:
+        return kernel[0]
     if n == 1:
         candidates = [(1,), (-1,)]
     else:
         candidates = []
         for idx in combinations(range(P.num_facets), n - 1):
-            rows = [P.normals[i] for i in idx]
-            if matrix_rank(rows) != n - 1:
-                continue
-            candidates.extend(integer_kernel_basis(rows))
+            kernel = integer_kernel_basis([P.normals[i] for i in idx])
+            if len(kernel) == 1:  # the n - 1 normals are independent
+                candidates.extend(kernel)
     for r in candidates:
         for s in (r, tuple(-x for x in r)):
             if all(dot(s, u) >= 0 for u in P.normals):

@@ -21,7 +21,6 @@ from toricwidth.lattice import (
     integer_kernel_basis,
     mat_mul,
     matrix_from_columns,
-    rref,
     solve_rational,
     transpose,
 )
@@ -43,6 +42,60 @@ from toricwidth.polytope import (
 )
 from toricwidth.verify import CHART_TOL, CheckResult
 from toricwidth.width import FanoCertificate
+
+
+def oracle_rref(M):
+    """Reduced row echelon form by Gauss-Jordan elimination in Fraction
+    arithmetic; returns (R, pivot columns)."""
+    A = [[Fraction(x) for x in row] for row in M]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if A[i][c] != 0), None)
+        if pivot is None:
+            continue
+        A[r], A[pivot] = A[pivot], A[r]
+        p = A[r][c]
+        A[r] = [x / p for x in A[r]]
+        for i in range(rows):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return tuple(tuple(row) for row in A), tuple(pivots)
+
+
+def oracle_det(M) -> Fraction:
+    """Determinant by Bareiss elimination on rows scaled to integers: each
+    step updates only the trailing block below and right of the pivot."""
+    n = len(M)
+    scale = Fraction(1)
+    A = []
+    for row in M:
+        frow = [Fraction(x) for x in row]
+        l = math.lcm(*(f.denominator for f in frow))
+        scale *= l
+        A.append([int(f * l) for f in frow])
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
+            if pivot is None:
+                return Fraction(0)
+            A[k], A[pivot] = A[pivot], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = A[k][k]
+    return Fraction(sign * A[n - 1][n - 1]) / scale
 
 
 def random_unimodular_map(rng: random.Random, n: int = 2) -> AffineLatticeMap:
@@ -321,7 +374,7 @@ def oracle_fano_check(P: HalfspacePolytope):
     for signs in product((-1, 1), repeat=d):
         rows = [tuple(P.normals[i]) + (P.offsets[i],) for i in range(d)]
         aug = [rows[i] + (Fraction(signs[i]),) for i in range(d)]
-        R, pivots = rref(aug)
+        R, pivots = oracle_rref(aug)
         if n + 1 in pivots or len(pivots) < n + 1:
             continue
         sol = [Fraction(0)] * (n + 1)

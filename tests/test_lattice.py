@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from geomgen import blowup_polygon, random_delzant_polytope
+from geomgen import blowup_polygon, oracle_det, oracle_rref, random_delzant_polytope
 from toricwidth.charts import NonUnimodularConeError, chart_for_cone
 from toricwidth.fan import Fan, normal_fan
 from toricwidth.fixtures import resolve_fixture
@@ -83,7 +84,7 @@ def test_integer_z_basis_test_agrees_with_the_determinant():
                 i, j = rng.randrange(n), rng.randrange(n)
                 M[i] = list(M[j]) if i != j else [0] * n
             M = tuple(tuple(row) for row in M)
-        d = det(M)
+        d = oracle_det(M)
         kinds["unimodular" if abs(d) == 1 else "singular" if d == 0 else "other"] += 1
         assert is_z_basis(M) == (abs(d) == 1), M
     assert min(kinds.values()) >= 50, kinds
@@ -101,9 +102,14 @@ def _fans():
 
 def test_chart_inverse_is_the_unimodular_inverse():
     for F in _fans():
+        n = F.dim
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         for k in range(len(F.max_cones)):
             C = chart_for_cone(F, k)
+            W = tuple(tuple(F.generators[j][i] for j in C.complement) for i in range(n))
             assert C.U_inv == inverse_unimodular(C.U)
+            assert mat_mul(C.U, C.U_inv) == identity
+            assert mat_mul(C.U, C.V) == W
 
 
 def test_unimodularity_messages_are_unchanged():
@@ -157,11 +163,11 @@ def test_fraction_free_solve():
         )
         B = tuple(tuple(rng.randint(-9, 9) for _ in range(k)) for _ in range(n))
         solved = fraction_free_solve(M, B)
-        if det(M) == 0:
+        if oracle_det(M) == 0:
             assert solved is None
             continue
         D, Y = solved
-        assert D == abs(det(M))
+        assert D == abs(oracle_det(M))
         assert mat_mul(M, Y) == tuple(tuple(D * x for x in row) for row in B)
         assert all(type(y) is int for row in Y for y in row)
 
@@ -177,6 +183,66 @@ def test_rref_and_rank():
     assert pivots == (0, 1)
     assert matrix_rank(((1, 2), (2, 4))) == 1
     assert matrix_rank(((1, 0), (0, 1))) == 2
+    assert rref(()) == ((), ()) and matrix_rank(()) == 0 and integer_kernel_basis(()) == []
+
+
+def _oracle_matrix(rng, kind):
+    """A random 1-6 x 1-8 matrix of the given kind: small integers, rank
+    deficient (rows combined from others, zero columns), rationals, entries
+    past 2^63, or zero leading entries that force row swaps."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 8)
+    if kind == "rational":
+        entry = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    elif kind == "huge":
+        entry = lambda: rng.choice((-1, 1)) * rng.randint(0, 2**70) if rng.random() < 0.8 else 0
+    else:
+        entry = lambda: rng.randint(-4, 4) if rng.random() < 0.7 else 0
+    M = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if kind == "deficient":
+        for i in range(1, rows):
+            if rng.random() < 0.6:
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                M[i] = [a * x + b * y for x, y in zip(M[rng.randrange(i)], M[rng.randrange(i)])]
+        for c in rng.sample(range(cols), rng.randint(0, cols // 2)):
+            for row in M:
+                row[c] = 0
+    if kind == "swaps":
+        for row in M[: rng.randint(1, rows)]:
+            lead = rng.randint(1, cols)
+            row[:lead] = [0] * lead
+    return tuple(tuple(row) for row in M)
+
+
+def test_elimination_agrees_with_the_fraction_oracles():
+    rng = random.Random(2024)
+    kinds = ("small", "deficient", "rational", "huge", "swaps")
+    seen = {"rank_deficient": 0, "square": 0, "swapped": 0, "past_2_63": 0}
+    for k in range(600):
+        M = _oracle_matrix(rng, kinds[k % len(kinds)])
+        rows, cols = len(M), len(M[0])
+        R, pivots = rref(M)
+        want_R, want_pivots = oracle_rref(M)
+        assert (R, pivots) == (want_R, want_pivots), M
+        assert all(type(x) is Fraction for row in R for x in row)
+        assert matrix_rank(M) == len(want_pivots)
+        m = min(rows, cols)
+        block = tuple(row[:m] for row in M[:m])
+        assert det(block) == oracle_det(block), block
+        if all(type(x) is int for row in M for x in row):
+            free = [c for c in range(cols) if c not in want_pivots]
+            basis = integer_kernel_basis(M)
+            assert len(basis) == len(free)
+            for f, x in zip(free, basis):
+                # the primitive kernel vector that is positive at f and 0 at
+                # every other free column, which pins it down
+                assert all(dot(row, x) == 0 for row in M)
+                assert x[f] > 0 and all(x[g] == 0 for g in free if g != f)
+                assert math.gcd(*x) == 1
+        seen["rank_deficient"] += len(want_pivots) < min(rows, cols)
+        seen["square"] += rows == cols
+        seen["swapped"] += M[0][0] == 0 and any(row[0] for row in M)
+        seen["past_2_63"] += any(abs(x) > 2**63 for row in M for x in row)
+    assert min(seen.values()) >= 40, seen
 
 
 def test_integer_kernel_basis():
@@ -202,7 +268,7 @@ def test_random_unimodular_roundtrip():
             for col in range(n):
                 M[i][col] += c * M[j][col]
         M = tuple(tuple(row) for row in M)
-        assert abs(det(M)) == 1
+        assert abs(oracle_det(M)) == 1
         Minv = inverse_unimodular(M)
         assert mat_mul(M, Minv) == tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
@@ -223,7 +289,7 @@ def test_random_solve_exactness():
         x = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
         b = mat_vec(M, x)
         got = solve_rational(M, b)
-        if det(M) == 0:
+        if oracle_det(M) == 0:
             assert got is None
         else:
             assert got == x

@@ -190,10 +190,6 @@ def rref(M: Sequence[Sequence]) -> tuple[RationalMatrix, tuple[int, ...]]:
     return tuple(tuple(Fraction(a, D) for a in row) for row in A), tuple(pivots)
 
 
-def matrix_rank(M: Sequence[Sequence]) -> int:
-    return len(rref(M)[1])
-
-
 def integer_kernel_basis(M: Sequence[Sequence[int]]) -> list[IntVector]:
     """Integer spanning set of {x : M x = 0}, one vector per free column."""
     if not M:

@@ -13,20 +13,23 @@ Three bounds are computed from a Delzant polytope:
     only when the class is monotone; reported with the search bound used,
     since the defining set is infinite.
 
+Lambda and gamma read their relations off one join of half-sum tables,
+built once per polytope, with integer values over q; see _relations.
+
 The class is monotone iff r(lambda_i + <m, u_i>) = -1 has a solution with
 r > 0 (Batyrev's reflexivity criterion: the translated and rescaled polytope
 {<z, u_i> >= -1} has the origin as its only interior lattice point, which
 holds for every bounded P, see verify_fano_certificate).  So the Fano check
 is one exact solve, and its recheck lists no lattice points.
 
-Exact rational arithmetic throughout; pi is kept symbolic as a coefficient.
+Exact arithmetic throughout; pi is kept symbolic as a coefficient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .lattice import IntVector, RationalVector, dot, rref
 from .polytope import (
@@ -58,9 +61,13 @@ def cylinder_bound(P: HalfspacePolytope, v: Vertex) -> CylinderBound:
     facet through v, so its maximum over P is attained at a vertex.  For
     integral offsets the vertices are lattice points, so this is the maximum
     over the embedding exponents; rational offsets give that of qP over q.
+    Each maximum is taken in integers, over the vertices scaled by the lcm Q
+    of their coordinates' denominators, and divided by Q once.
     """
+    Q = math.lcm(*(c.denominator for w in P.vertices for c in w.point))
+    points = [tuple(c.numerator * (Q // c.denominator) for c in w.point) for w in P.vertices]
     maxima = tuple(
-        max(dot(w.point, P.normals[a]) for w in P.vertices) - P.offsets[a]
+        Fraction(max(dot(p, P.normals[a]) for p in points), Q) - P.offsets[a]
         for a in v.active
     )
     m = min(maxima)
@@ -82,16 +89,28 @@ class GammaBound:
 
 
 def _relations(P: HalfspacePolytope, totals):
-    """Nonnegative integer a with sum a_i u_i = 0 and sum a_i in totals, in order."""
-    d = P.num_facets
-    n = P.dim
+    """(a, q * -sum lambda_i a_i), q = offset_denominator_scale(P), for the
+    nonnegative integer a with sum a_i u_i = 0 and sum a_i in totals.
+
+    The sorted index tuple of an a of total t splits into its first t // 2
+    and last t - t // 2 indices, L and R, whose normal sums cancel; so the
+    pairs of P.normal_sums entries with opposite sums and L[-1] <= R[0] give
+    each a once.  Values are integer sums of b = -q * lambda.  Callers take
+    least witnesses with min, so the join's order does not matter.
+    """
+    q = offset_denominator_scale(P)
+    b = [-l.numerator * (q // l.denominator) for l in P.offsets]
     for total in totals:
-        for combo in combinations_with_replacement(range(d), total):
-            a = [0] * d
-            for i in combo:
-                a[i] += 1
-            if all(sum(a[i] * P.normals[i][c] for i in range(d)) == 0 for c in range(n)):
-                yield tuple(a)
+        right = P.normal_sums(total - total // 2)
+        for s, lefts in P.normal_sums(total // 2).items():
+            rights = right.get(tuple(-c for c in s), ())
+            for L in lefts:
+                for R in rights:
+                    if not L or L[-1] <= R[0]:
+                        a = [0] * P.num_facets
+                        for i in L + R:
+                            a[i] += 1
+                        yield tuple(a), sum(b[i] for i in L + R)
 
 
 def lu_lambda(P: HalfspacePolytope) -> LambdaBound | None:
@@ -100,18 +119,12 @@ def lu_lambda(P: HalfspacePolytope) -> LambdaBound | None:
     None means no relation exists in that range.  Ties between maximizing
     relations are broken by the lexicographically smallest coefficient vector.
     """
-    best_value = None
-    best_witnesses = []
-    for a in _relations(P, range(1, P.dim + 2)):
-        value = -dot(P.offsets, a)
-        if best_value is None or value > best_value:
-            best_value = value
-            best_witnesses = [a]
-        elif value == best_value:
-            best_witnesses.append(a)
-    if best_value is None:
+    found = list(_relations(P, range(1, P.dim + 2)))
+    if not found:
         return None
-    return LambdaBound(2 * Fraction(best_value), min(best_witnesses))
+    best = max(value for _, value in found)
+    witness = min(a for a, value in found if value == best)
+    return LambdaBound(Fraction(2 * best, offset_denominator_scale(P)), witness)
 
 
 @dataclass(frozen=True)
@@ -199,8 +212,8 @@ def lu_gamma(
     for total in range(1, bound + 1):
         found = list(_relations(P, (total,)))
         if found:
-            a = min(found)
-            return GammaBound(-2 * Fraction(dot(P.offsets, a)), a, bound)
+            a, value = min(found)
+            return GammaBound(Fraction(2 * value, offset_denominator_scale(P)), a, bound)
     return None
 
 

@@ -7,7 +7,7 @@ import functools
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from toricwidth.polytope import (
     scale,
 )
 from toricwidth.verify import CHART_TOL, CheckResult
-from toricwidth.width import FanoCertificate
+from toricwidth.width import CylinderBound, FanoCertificate
 
 
 def oracle_rref(M):
@@ -339,6 +339,31 @@ def oracle_sections(P: HalfspacePolytope, k: int) -> tuple[tuple[int, ...], ...]
     _, Pq = clear_denominators(P)
     _, Q = normalize_at_vertex(Pq, Pq.vertices[k])
     return tuple(oracle_lattice_points(Q))
+
+
+def oracle_relations(P: HalfspacePolytope, totals):
+    """Nonnegative integer a with sum a_i u_i = 0 and sum a_i in totals, in order."""
+    d = P.num_facets
+    n = P.dim
+    for total in totals:
+        for combo in combinations_with_replacement(range(d), total):
+            a = [0] * d
+            for i in combo:
+                a[i] += 1
+            if all(sum(a[i] * P.normals[i][c] for i in range(d)) == 0 for c in range(n)):
+                yield tuple(a)
+
+
+def oracle_cylinder_bound(P: HalfspacePolytope, v: Vertex) -> CylinderBound:
+    """The cylinder bound in Fraction arithmetic: the largest slack over P's
+    vertices of each facet through v."""
+    maxima = tuple(
+        max(dot(w.point, P.normals[a]) for w in P.vertices) - P.offsets[a]
+        for a in v.active
+    )
+    m = min(maxima)
+    axis = maxima.index(m)
+    return CylinderBound(2 * m, axis, maxima)
 
 
 def oracle_lu_lambda(P: HalfspacePolytope):

@@ -20,7 +20,6 @@ from toricwidth.lattice import (
     mat_mul,
     mat_vec,
     matrix_from_columns,
-    matrix_rank,
     rref,
     solve_rational,
     transpose,
@@ -181,9 +180,9 @@ def test_solve_rational():
 def test_rref_and_rank():
     R, pivots = rref(((1, 2, 3), (2, 4, 6), (1, 0, 1)))
     assert pivots == (0, 1)
-    assert matrix_rank(((1, 2), (2, 4))) == 1
-    assert matrix_rank(((1, 0), (0, 1))) == 2
-    assert rref(()) == ((), ()) and matrix_rank(()) == 0 and integer_kernel_basis(()) == []
+    assert len(rref(((1, 2), (2, 4)))[1]) == 1
+    assert len(rref(((1, 0), (0, 1)))[1]) == 2
+    assert rref(()) == ((), ()) and len(rref(())[1]) == 0 and integer_kernel_basis(()) == []
 
 
 def _oracle_matrix(rng, kind):
@@ -224,7 +223,7 @@ def test_elimination_agrees_with_the_fraction_oracles():
         want_R, want_pivots = oracle_rref(M)
         assert (R, pivots) == (want_R, want_pivots), M
         assert all(type(x) is Fraction for row in R for x in row)
-        assert matrix_rank(M) == len(want_pivots)
+        assert len(rref(M)[1]) == len(want_pivots)
         m = min(rows, cols)
         block = tuple(row[:m] for row in M[:m])
         assert det(block) == oracle_det(block), block

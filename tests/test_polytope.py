@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -372,3 +373,15 @@ def test_edge_walk_matches_the_subset_scan_in_higher_dimensions(n):
         P = random_delzant_polytope(rng, n)
         assert is_delzant(P)
         assert_same_vertices(HalfspacePolytope(P.normals, P.offsets))
+
+
+def test_normal_sums_group_each_multiset_once_by_its_sum():
+    P = random_delzant_polytope(random.Random(4), 3)
+    for k in range(5):
+        table = P.normal_sums(k)
+        listed = sorted(m for ms in table.values() for m in ms)
+        assert listed == list(combinations_with_replacement(range(P.num_facets), k))
+        for s, ms in table.items():
+            for m in ms:
+                assert s == tuple(sum(P.normals[i][c] for i in m) for c in range(P.dim))
+        assert P.normal_sums(k) is table  # built once per polytope

@@ -6,11 +6,16 @@ import pytest
 import toricwidth.width
 from geomgen import (
     blow_up,
+    blowup_polygon,
+    oracle_cylinder_bound,
     oracle_fano_check,
     oracle_lu_gamma,
     oracle_lu_lambda,
+    oracle_relations,
     product_polytope,
     random_delzant_polygon,
+    random_delzant_polytope,
+    random_simple_non_delzant_polygon,
     random_unimodular_map,
 )
 from toricwidth.embedding import sections_by_polytope
@@ -19,8 +24,10 @@ from toricwidth.fixtures import (
     hirzebruch,
     iterated_plane_blowup,
     projective_space,
+    resolve_fixture,
     unit_square,
 )
+from toricwidth.lattice import dot
 from toricwidth.polytope import (
     HalfspacePolytope,
     apply_lattice_map,
@@ -32,6 +39,7 @@ from toricwidth.polytope import (
 from toricwidth.width import (
     GAMMA_CAVEAT,
     FanoCertificate,
+    _relations,
     cylinder_bound,
     fano_check,
     lu_gamma,
@@ -82,7 +90,13 @@ def test_lu_lambda_against_independent_enumeration():
         iterated_plane_blowup(3),
         projective_space(3, 2),
     ] + [random_delzant_polygon(rng) for _ in range(10)]
-    for P in fixtures:
+    # the oracle's grid has (n + 2)^d points, so the 3-D draws keep d <= 6
+    solids = []
+    while len(solids) < 5:
+        P = random_delzant_polytope(rng, 3)
+        if P.num_facets <= 6:
+            solids.append(P)
+    for P in fixtures + solids:
         got = lu_lambda(P)
         want = oracle_lu_lambda(P)
         assert (got.coefficient_pi, got.witness) == want
@@ -332,3 +346,48 @@ def test_fano_check_is_one_solve(monkeypatch):
         calls.clear()
         fano_check(Q)
         assert len(calls) == 1
+
+
+def _relation_ladder():
+    """Blow-up polygons with 4 to 16 facets at seeds 1 and 2, 3-D and 4-D
+    draws, projective spaces, the paper's examples, the square and the
+    hexagon; each with its dilations by 2, 1/3 and 5/2, so q > 1 occurs."""
+    rng = random.Random(1606)
+    base = [blowup_polygon(random.Random(seed), d) for seed in (1, 2) for d in range(4, 17)]
+    base += [random_delzant_polytope(rng, n) for n in (3, 4) for _ in range(3)]
+    base += [resolve_fixture(f) for f in ("cpn:2:1", "cpn:3:1", "cpn:4:1", "example-3.7", "example-3.8:5")]
+    base += [unit_square(), REFLEXIVE_HEXAGON]
+    return [[P] + [scale(P, c) for c in (2, Fraction(1, 3), Fraction(5, 2))] for P in base]
+
+
+def test_relation_join_matches_multiset_oracle():
+    """The join lists the oracle's relations, each once, with the value
+    q * -sum lambda_i a_i as an int, at every total up to 2(n + 1)."""
+    scales = set()
+    for family in _relation_ladder():
+        totals = range(1, 2 * (family[0].dim + 1) + 1)
+        want = {t: list(oracle_relations(family[0], (t,))) for t in totals}
+        for P in family:
+            q = offset_denominator_scale(P)
+            scales.add(q)
+            for t in totals:
+                got = sorted(_relations(P, (t,)))
+                assert all(type(v) is int for _, v in got)
+                assert got == sorted((a, -q * dot(P.offsets, a)) for a in want[t]), (P, t)
+    assert {1, 2, 3} <= scales
+
+
+def test_cylinder_bound_matches_fraction_oracle():
+    """At every vertex, including lattice images with negative coordinates
+    and non-Delzant polygons, whose vertices' denominators need not divide q."""
+    rng = random.Random(1607)
+    non_delzant = [random_simple_non_delzant_polygon(rng) for _ in range(5)]
+    negative = 0
+    for family in _relation_ladder() + [[P, scale(P, Fraction(5, 3))] for P in non_delzant]:
+        for P in family:
+            image = apply_lattice_map(P, random_unimodular_map(rng, P.dim))
+            negative += any(c < 0 for w in image.vertices for c in w.point)
+            for Q in (P, image):
+                for v in Q.vertices:
+                    assert cylinder_bound(Q, v) == oracle_cylinder_bound(Q, v)
+    assert negative >= 50

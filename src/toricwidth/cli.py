@@ -168,20 +168,8 @@ def cmd_verify(args) -> int:
     _, Pq = clear_denominators(P)
     results = polytope_suites(Pq, seed=args.seed, samples=args.samples)
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "deviation": r.deviation,
-                        "tolerance": r.tolerance,
-                    }
-                    for r in results
-                ],
-                indent=2,
-            )
-        )
+        keys = ("name", "passed", "deviation", "tolerance")
+        print(json.dumps([{k: getattr(r, k) for k in keys} for r in results], indent=2))
     else:
         width = max(len(r.name) for r in results)
         for r in results:

@@ -7,14 +7,12 @@ x_l = |xi_l|^2 and Phi~(x) = 2 log sum_k x^{J_k}, the map
     Psi(xi)_k = sqrt(dPhi~/dx_k at x) * xi_k
 
 is a symplectomorphism onto its image wherever the partials are positive.
-This module evaluates those quantities and verifies the pullback identity
-by central finite differences.
+This module evaluates those quantities and verifies the pullback identity:
+Psi's Jacobian is a central difference, the form side is in closed form.
 
 Everything is computed in log space, t = log x, on the N x n exponent array:
 Phi~ = 2 logsumexp(J t) and x_j dPhi~/dx_j = 2 (softmax-weighted mean of the
 j-th exponents), so no monomial is ever formed and none can overflow.  The
-array is built from the embedding's fibres with numpy, not from a list of
-exponent tuples, and its rows are the exponents in lexicographic order.  The
 batched functions take one point per row and work through the rows a few at
 a time, so that a batch never holds more than BATCH_ENTRIES point-monomial
 pairs.
@@ -33,7 +31,6 @@ import numpy as np
 from .embedding import MonomialEmbedding
 
 GRADIENT_STEP = 1e-6
-HESSIAN_STEP = 1e-4
 # central differences with step 1e-6 leave ~1e-10 of noise in an exactly
 # singular determinant, while honest Jacobians here have |det| of order 1
 DEGENERATE_JACOBIAN_TOL = 1e-8
@@ -214,11 +211,23 @@ def psi_map(T: ToricPotential, xi: Sequence[complex]) -> tuple[complex, ...]:
     return tuple(complex(w) for w in psi_maps(T, [xi])[0])
 
 
-def _standard_form(n: int) -> np.ndarray:
-    O = np.zeros((2 * n, 2 * n))
-    O[:n, n:] = np.eye(n)
-    O[n:, :n] = -np.eye(n)
-    return O
+def _complex_hessians(T: ToricPotential, XI: np.ndarray) -> np.ndarray:
+    """d^2 Phi / d xi_a d conj(xi_b) at each row of XI: in log coordinates
+    the Hessian of Phi~ is twice the covariance of the exponents under the
+    softmax weights (Abreu 2003), so H_ab = 2 Cov(J_a, J_b) / (xi_a conj(xi_b)).
+    On x_a = 0 row and column a vanish but for H_aa, the continued dPhi~/dx_a."""
+    X = np.abs(XI) ** 2
+    W, den, lse = _log_sum(T, X)[1:]  # the log-monomials are not kept
+    if np.isnan(lse).any():
+        raise ValueError("potential undefined: monomial sum vanishes")
+    W /= den[:, None]
+    # einsum, not @: BLAS sums in an order that varies with the batch
+    D = T.exponent_array - np.einsum("mk,kj->mj", W, T.exponent_array)[:, None]
+    xi = np.where(X == 0, 1.0, XI)
+    H = 2.0 * np.einsum("mk,mka,mkb->mab", W, D, D) / (xi[:, :, None] * xi.conj()[:, None])
+    r, a = np.nonzero(X == 0)
+    H[r, a, a] = _partials(T, X[r])[np.arange(len(r)), a]
+    return H
 
 
 def _pullback_deviations(T: ToricPotential, XI: np.ndarray):
@@ -235,21 +244,13 @@ def _pullback_deviations(T: ToricPotential, XI: np.ndarray):
     # row b of jac_t is the central difference of Psi along axis b: J^T
     jac_t = (psi[:, :, 0] - psi[:, :, 1]) / (2 * steps[:, :, None])
     singular = np.abs(np.linalg.det(jac_t)) < DEGENERATE_JACOBIAN_TOL
-    lhs = jac_t @ _standard_form(n) @ jac_t.transpose(0, 2, 1)
-
-    h = HESSIAN_STEP
-    e = np.eye(2 * n) * h
-    plus, minus = p0[:, None, None] + e[:, None], p0[:, None, None] - e[:, None]
-    corners = np.stack([plus + e, plus - e, minus + e, minus - e], axis=3)
-    V = potential_values(T, (corners[..., :n] ** 2 + corners[..., n:] ** 2).reshape(-1, n))
-    V = V.reshape(m, 2 * n, 2 * n, 4)
-    second = (V[..., 0] - V[..., 1] - V[..., 2] + V[..., 3]) / (4 * h * h)
+    # J^T Omega0 J = A B^T - B A^T for the real and imaginary blocks [A | B] of J^T
+    AB = jac_t[..., :n] @ jac_t[..., n:].transpose(0, 2, 1)
     # the form matrix of (i/2) del delbar Phi in real coordinates (x, y):
     # [[-Im H, Re H], [-Re H, -Im H]] for the complex Hessian H
-    re = 0.25 * (second[:, :n, :n] + second[:, n:, n:])
-    im = 0.25 * (second[:, :n, n:] - second[:, n:, :n])
-    rhs = np.block([[-im, re], [-re, -im]])
-    return np.abs(lhs - rhs).max(axis=(1, 2)), singular
+    H = _complex_hessians(T, XI)
+    rhs = np.block([[-H.imag, H.real], [-H.real, -H.imag]])
+    return np.abs(AB - AB.transpose(0, 2, 1) - rhs).max(axis=(1, 2)), singular
 
 
 def pullback_check(T: ToricPotential, xi) -> float:
@@ -257,20 +258,20 @@ def pullback_check(T: ToricPotential, xi) -> float:
     of Psi and the form matrix of (i/2) del delbar Phi at xi.
 
     xi is one point or an m x n array of points, one per row; the result is
-    the worst deviation over the rows.  Both sides are built by central
-    finite differences, with the stencils of many rows in one batched
-    evaluation: the rows go through in slices whose stencil points hold at
-    most BATCH_ENTRIES point-monomial pairs, and each row's deviation equals
-    that of a call with the row alone.  A numerically singular Jacobian at
-    any row gives one warning.
+    the worst deviation over the rows.  The Jacobian is a central difference
+    of psi_maps, the form is in closed form (_complex_hessians); the rows go
+    through in slices whose stencil points and rows hold at most
+    BATCH_ENTRIES point-monomial pairs, and each row's deviation equals that
+    of a call with the row alone.  A numerically singular Jacobian at any
+    row gives one warning.
     """
     n = T.dim
     XI = np.asarray(xi, dtype=complex)
     if XI.ndim not in (1, 2) or XI.shape[-1] != n:
         raise ValueError(f"need {n} coordinates")
     XI = XI.reshape(-1, n)
-    # 4n points for the Jacobian and 4 (2n)^2 for the Hessian per row
-    step = max(1, BATCH_ENTRIES // ((4 * n + 16 * n * n) * len(T.exponent_array)))
+    # 4n stencil points for the Jacobian and the row itself for the form
+    step = max(1, BATCH_ENTRIES // ((4 * n + 1) * len(T.exponent_array)))
     worst, singular = 0.0, False
     for i in range(0, len(XI), step):
         dev, sing = _pullback_deviations(T, XI[i:i + step])

@@ -15,7 +15,9 @@ slice of rows in one numpy pass, each row with its own chart arrays
 (charts.stack_charts); a slice holds at most numeric.BATCH_ENTRIES entries
 of n * d per row and draws its own points, so memory does not grow with
 the sample count.  The pullback sweep hands all samples to one
-pullback_check call, which slices its stencils the same way.
+pullback_check call, which takes the form side in closed form, differences
+only Psi and slices its stencils the same way.  The gradient and radial
+sweeps draw their reals with one getrandbits call each (_uniform).
 
 The transition exponents E[a,b] = U_b^-1 U_a are one exact table from a
 single stacked product (charts.transition_exponents).  Its cocycle identity
@@ -77,19 +79,21 @@ class CheckResult:
     detail: str = ""
 
 
+def _uniform(rng: random.Random, m: int, lo: float, hi: float) -> np.ndarray:
+    """m draws rng.uniform(lo, hi), evaluated as random.uniform does: one
+    getrandbits call gives the words, first drawn lowest, and two words w0,
+    w1 make random()'s ((w0 >> 5) 2^26 + (w1 >> 6)) 2^-53."""
+    w = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u4").reshape(m, 2)
+    return lo + (hi - lo) * (((w[:, 0] >> 5) * 67108864.0 + (w[:, 1] >> 6)) * 2.0**-53)
+
+
 def _coords(rng: random.Random, m: int, lo: float, hi: float) -> np.ndarray:
     """m points cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 pi)), drawn
-    from rng in that order and evaluated as random.uniform and cmath.rect
-    do: one getrandbits call gives the words, first drawn lowest, and two
-    words w0, w1 make random()'s ((w0 >> 5) 2^26 + (w1 >> 6)) 2^-53."""
-    w = np.frombuffer(rng.getrandbits(128 * m).to_bytes(16 * m, "little"), "<u4").reshape(m, 2, 2)
-    u = ((w[..., 0] >> 5) * 67108864.0 + (w[..., 1] >> 6)) * (1.0 / 9007199254740992.0)
-    r = lo + (hi - lo) * u[:, 0]
-    angle = 2 * math.pi * u[:, 1]
-    out = np.empty(m, dtype=complex)
-    out.real = r * np.cos(angle)
-    out.imag = r * np.sin(angle)
-    return out
+    from rng in that order and evaluated as cmath.rect does (adding 1j * b
+    to a leaves both parts as they are)."""
+    u = _uniform(rng, 2 * m, 0.0, 1.0).reshape(m, 2)
+    r, angle = lo + (hi - lo) * u[:, 0], 2 * math.pi * u[:, 1]
+    return r * np.cos(angle) + 1j * (r * np.sin(angle))
 
 
 def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
@@ -204,7 +208,7 @@ def numeric_suite(
     bounds = np.array([axis_radius_bound(T, j) for j in range(n)])
 
     # exact partials against central differences of the potential
-    x = np.array([rng.uniform(0.1, 10.0) for _ in range(samples * n)]).reshape(samples, n)
+    x = _uniform(rng, samples * n, 0.1, 10.0).reshape(samples, n)
     h = 1e-6 * np.maximum(1.0, np.abs(x))
     shift = np.eye(n) * h[:, :, None]  # shift[s, j] moves sample s along axis j
     stencil = np.concatenate([x[:, None, :] + shift, x[:, None, :] - shift])
@@ -219,7 +223,8 @@ def numeric_suite(
     results.append(CheckResult("symplectic_pullback", worst < PULLBACK_TOL, worst, PULLBACK_TOL))
 
     # |Psi_j| never exceeds the per-axis radius bound
-    x = np.array([rng.uniform(0.1, 3.0) ** 2 for _ in range(10 * samples * n)])
+    # squared by libm pow, as rng.uniform(0.1, 3.0) ** 2 was, not numpy's x * x
+    x = np.array([u**2 for u in _uniform(rng, 10 * samples * n, 0.1, 3.0).tolist()])
     gap = radial_quantities(T, x.reshape(-1, n)) - bounds
     worst = float(np.max(gap, initial=0.0))
     results.append(CheckResult("radial_bound", not (gap > 1e-9).any(), worst, 1e-9))

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import IntVector, RationalVector, dot, rref
+from .lattice import IntVector, RationalVector, _eliminate, _integer_rows, dot
 from .polytope import (
     HalfspacePolytope,
     NotDelzantError,
@@ -150,15 +150,15 @@ def fano_check(P: HalfspacePolytope) -> FanoCertificate | None:
     <0, u_i> > 1 to be interior.
     """
     n = P.dim
-    aug = [tuple(u) + (l, Fraction(-1)) for u, l in zip(P.normals, P.offsets)]
-    R, pivots = rref(aug)
-    # a unique (y, r) pivots on every unknown and never on the rhs column
-    if pivots != tuple(range(n + 1)):
-        return None
-    y, r = tuple(R[k][n + 1] for k in range(n)), R[n][n + 1]
+    # a unique (y, r) pivots on every unknown and never on the rhs column;
+    # only the rhs column of the eliminated rows, over D, is read
+    A, _ = _integer_rows(tuple(u) + (l, -1) for u, l in zip(P.normals, P.offsets))
+    pivots, D, _ = _eliminate(A, n + 2)
+    r = Fraction(A[n][n + 1], D) if pivots == list(range(n + 1)) else 0
     if r <= 0:
         return None
-    cert = FanoCertificate(r, tuple(c / r for c in y), (-1,) * P.num_facets)
+    m = tuple(Fraction(A[k][n + 1], A[n][n + 1]) for k in range(n))  # y / r
+    cert = FanoCertificate(r, m, (-1,) * P.num_facets)
     return cert if verify_fano_certificate(P, cert) else None
 
 

@@ -21,10 +21,11 @@ from toricwidth.lattice import (
     integer_kernel_basis,
     mat_mul,
     matrix_from_columns,
+    rref,
     solve_rational,
     transpose,
 )
-from toricwidth.numeric import GRADIENT_STEP, HESSIAN_STEP
+from toricwidth.numeric import GRADIENT_STEP
 from toricwidth.polytope import (
     AffineLatticeMap,
     EmptyPolytopeError,
@@ -41,7 +42,10 @@ from toricwidth.polytope import (
     scale,
 )
 from toricwidth.verify import CHART_TOL, CheckResult
-from toricwidth.width import CylinderBound, FanoCertificate
+from toricwidth.width import CylinderBound, FanoCertificate, verify_fano_certificate
+
+# step of oracle_pullback_check's second differences of the potential
+HESSIAN_STEP = 1e-4
 
 
 def oracle_rref(M):
@@ -421,6 +425,21 @@ def oracle_fano_check(P: HalfspacePolytope):
     return None
 
 
+def rref_fano_check(P: HalfspacePolytope):
+    """width.fano_check as it read (y, r) off the rational rref of
+    [U | lambda | -1]."""
+    n = P.dim
+    aug = [tuple(u) + (l, Fraction(-1)) for u, l in zip(P.normals, P.offsets)]
+    R, pivots = rref(aug)
+    if pivots != tuple(range(n + 1)):
+        return None
+    y, r = tuple(R[k][n + 1] for k in range(n)), R[n][n + 1]
+    if r <= 0:
+        return None
+    cert = FanoCertificate(r, tuple(c / r for c in y), (-1,) * P.num_facets)
+    return cert if verify_fano_certificate(P, cert) else None
+
+
 def polytope_from_support(F: Fan, g: SupportFunction) -> HalfspacePolytope:
     """The polytope {x : <x, u_i> >= g(u_i)} cut out by the fan's generators."""
     if len(g.values) != len(F.generators):
@@ -646,6 +665,39 @@ def oracle_potential_partial(T, x, j: int) -> float:
     return 2.0 * num / den
 
 
+def oracle_complex_hessian(T, xi) -> np.ndarray:
+    """d^2 Phi / d xi_a d conj(xi_b) for Phi = 2 log S(|xi|^2), from
+    S = sum_k x^{J_k} and its first and second partials S_a, S_ab, summed
+    monomial by monomial in linear space:
+    2 (delta_ab S_a + conj(xi_a) xi_b S_ab) / S - 2 conj(xi_a) xi_b S_a S_b / S^2.
+    Every term stays finite on the coordinate hyperplanes."""
+    n = T.dim
+    xi = [complex(c) for c in xi]
+    x = [abs(c) ** 2 for c in xi]
+    S = 0.0
+    S1 = [0.0] * n
+    S2 = [[0.0] * n for _ in range(n)]
+    for J in T.exponents:
+        S += _monomial(x, J)
+        for a in range(n):
+            if not J[a]:
+                continue
+            Ja = list(J)
+            Ja[a] -= 1
+            S1[a] += J[a] * _monomial(x, Ja)
+            for b in range(n):
+                if Ja[b]:
+                    Jab = list(Ja)
+                    Jab[b] -= 1
+                    S2[a][b] += J[a] * Ja[b] * _monomial(x, Jab)
+    H = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            c = xi[a].conjugate() * xi[b]
+            H[a, b] = 2 * ((a == b) * S1[a] + c * S2[a][b]) / S - 2 * c * S1[a] * S1[b] / S**2
+    return H
+
+
 def oracle_psi_map(T, xi) -> tuple[complex, ...]:
     """sqrt(dPhi~/dx_k at |xi|^2) * xi_k, one partial at a time."""
     x = [abs(complex(c)) ** 2 for c in xi]
@@ -655,8 +707,9 @@ def oracle_psi_map(T, xi) -> tuple[complex, ...]:
 
 
 def oracle_pullback_check(T, xi, value=oracle_potential_value, psi=oracle_psi_map) -> float:
-    """The pullback deviation of numeric.pullback_check, one stencil point
-    at a time: value(T, x) gives the potential and psi(T, xi) the map."""
+    """The pullback deviation of numeric.pullback_check with both sides by
+    central finite differences, one stencil point at a time: value(T, x)
+    gives the potential and psi(T, xi) the map."""
     n = T.dim
     p0 = np.array([complex(c).real for c in xi] + [complex(c).imag for c in xi])
 

@@ -498,10 +498,11 @@ def test_bounded_inputs_make_no_recession_search(capsys, monkeypatch, tmp_path, 
     assert calls == []
 
 
-def test_fano_check_makes_one_rref(capsys, monkeypatch):
-    # cpn:2:1 is monotone, so its certificate is rechecked too, without an rref
+def test_fano_check_makes_one_elimination(capsys, monkeypatch):
+    # cpn:2:1 is monotone, so its certificate is rechecked too, without an
+    # elimination
     inside, calls = [], []
-    real_check, real_rref = toricwidth.width.fano_check, toricwidth.lattice.rref
+    real_check, real_eliminate = toricwidth.width.fano_check, toricwidth.lattice._eliminate
 
     def check(P):
         inside.append(P)
@@ -510,14 +511,14 @@ def test_fano_check_makes_one_rref(capsys, monkeypatch):
         finally:
             inside.pop()
 
-    def rref(M):
+    def eliminate(A, width):
         if inside:
-            calls.append(M)
-        return real_rref(M)
+            calls.append(A)
+        return real_eliminate(A, width)
 
     monkeypatch.setattr(toricwidth.width, "fano_check", check)
     for mod in (toricwidth.lattice, toricwidth.width):
-        monkeypatch.setattr(mod, "rref", rref)
+        monkeypatch.setattr(mod, "_eliminate", eliminate)
     out = run_json(capsys, "width", "cpn:2:1")
     assert out["fano"]["is_fano"] is True
     assert len(calls) == 1

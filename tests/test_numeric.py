@@ -11,6 +11,7 @@ import toricwidth.verify
 from geomgen import (
     embedding_cases,
     fs_diastasis,
+    oracle_complex_hessian,
     oracle_potential_partial,
     oracle_potential_value,
     oracle_psi_map,
@@ -258,17 +259,45 @@ def test_psi_map_matches_scalar_oracle(oracle_potential):
 
 
 def test_pullback_check_matches_per_point_stencil(oracle_potential):
-    # the batched stencils do the per-point finite-difference arithmetic
+    # the oracle builds the form side by second differences of the potential,
+    # the check in closed form, so they differ by finite-difference noise:
+    # a 1e-16 change of the potential divided by 4 h^2 = 4e-8
     T = oracle_potential
     rng = random.Random(33)
     for _ in range(5):
         xi = random_modulus_point(rng, T.dim)
         got = pullback_check(T, xi)
-        per_point = oracle_pullback_check(T, xi, potential_value, psi_map)
-        assert got == pytest.approx(per_point, rel=1e-9, abs=1e-9)
-        # through the linear-space oracle the difference is finite-difference
-        # noise: a 1e-16 change of the potential divided by 4 h^2 = 4e-8
         assert abs(got - oracle_pullback_check(T, xi)) < 1e-6
+        assert abs(got - oracle_pullback_check(T, xi, potential_value, psi_map)) < 1e-6
+
+
+def test_complex_hessian_matches_linear_space_oracle(oracle_potential):
+    """The closed form 2 Cov(J_a, J_b) / (xi_a conj(xi_b)), and its limit on
+    the coordinate hyperplanes, against the sums S, S_a, S_ab."""
+    T = oracle_potential
+    rng = random.Random(37)
+    rows = []
+    for x in oracle_points(T, rng) + [[0.0] * T.dim]:
+        rows.append([math.sqrt(c) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for c in x])
+    got = toricwidth.numeric._complex_hessians(T, np.array(rows))
+    assert sum(0 in row for row in rows) > len(rows) // 2
+    for H, xi in zip(got, rows):
+        want = oracle_complex_hessian(T, xi)
+        assert np.abs(H - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), xi
+
+
+def test_pullback_check_raises_where_the_monomial_sum_vanishes():
+    T = ToricPotential(MonomialEmbedding(((1, 0), (0, 1))))
+    with pytest.raises(ValueError, match="monomial sum vanishes"):
+        pullback_check(T, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("spec", ["cpn:1:400", "example-3.8:50"])
+def test_symplectic_pullback_deviation_is_far_below_tolerance(spec):
+    # central differences of the potential left 5e-5 here, half the tolerance
+    check = next(r for r in numeric_suite(fixture_potential(spec), seed=1)
+                 if r.name == "symplectic_pullback")
+    assert check.passed and check.deviation < 1e-6
 
 
 def test_pullback_check_on_rows_is_the_worst_row_bit_for_bit(monkeypatch):

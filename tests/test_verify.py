@@ -78,3 +78,15 @@ def test_draws_from_one_call_equal_a_per_draw_loop(seed):
         assert np.array_equal(got.real, r * np.cos(angle))
         assert np.array_equal(got.imag, r * np.sin(angle))
         assert rng.getstate() == loop.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**70 + 1, -3])
+def test_uniform_draws_equal_rng_uniform(seed):
+    # 312 draws of two words each refill the Mersenne Twister state once
+    for m in (0, 1, 311, 312, 313, 2420):
+        for lo, hi in ((0.1, 10.0), (0.1, 3.0), (0.5, 2.0)):
+            rng, loop = random.Random(seed), random.Random(seed)
+            got = toricwidth.verify._uniform(rng, m, lo, hi)
+            want = [loop.uniform(lo, hi) for _ in range(m)]
+            assert got.tolist() == want
+            assert rng.getstate() == loop.getstate()

@@ -7,6 +7,7 @@ import toricwidth.width
 from geomgen import (
     blow_up,
     blowup_polygon,
+    lattice_point_ladder,
     oracle_cylinder_bound,
     oracle_fano_check,
     oracle_lu_gamma,
@@ -17,6 +18,7 @@ from geomgen import (
     random_delzant_polytope,
     random_simple_non_delzant_polygon,
     random_unimodular_map,
+    rref_fano_check,
 )
 from toricwidth.embedding import sections_by_polytope
 from toricwidth.fixtures import (
@@ -334,8 +336,10 @@ def test_cylinder_bound_matches_lattice_point_maxima():
 
 def test_fano_check_is_one_solve(monkeypatch):
     calls = []
-    real = toricwidth.width.rref
-    monkeypatch.setattr(toricwidth.width, "rref", lambda M: calls.append(M) or real(M))
+    real = toricwidth.width._eliminate
+    monkeypatch.setattr(
+        toricwidth.width, "_eliminate", lambda A, w: calls.append(A) or real(A, w)
+    )
     octagon = HalfspacePolytope(
         ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)),
         (0, 0, -9, -9, 3, -6, -15, -6),
@@ -391,3 +395,22 @@ def test_cylinder_bound_matches_fraction_oracle():
                 for v in Q.vertices:
                     assert cylinder_bound(Q, v) == oracle_cylinder_bound(Q, v)
     assert negative >= 50
+
+
+def test_fano_check_matches_the_rref_route():
+    """(y, r) read off the eliminated integer rows give the certificate that
+    the rational rref of [U | lambda | -1] gave, on every generator."""
+    rng = random.Random(1708)
+    inputs = _fano_ladder() + [P for family in _relation_ladder() for P in family]
+    inputs += [random_delzant_polygon(rng) for _ in range(20)]
+    inputs += [random_simple_non_delzant_polygon(rng) for _ in range(10)]
+    inputs += lattice_point_ladder()
+    # unbounded, and fewer facets than unknowns
+    inputs += [HalfspacePolytope(((1, 0), (0, 1), (1, 1)), (0, 0, 1)),
+               HalfspacePolytope(((1, 0), (0, 1)), (0, 0))]
+    certificates = 0
+    for P in inputs:
+        cert = fano_check(P)
+        assert cert == rref_fano_check(P), P
+        certificates += cert is not None
+    assert 50 <= certificates < len(inputs) - 50

@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import fixtures
 from .embedding import MonomialEmbedding, sections_by_polytope
@@ -61,8 +60,9 @@ def load_polytope(spec: str) -> HalfspacePolytope:
         raise ParseFailure(f"cannot parse {spec!r}: {e}") from e
 
 
-def _frac(x: Fraction | None) -> str | None:
-    return None if x is None else str(x)
+def _pi(bound) -> str | None:
+    """A bound's coefficient of pi as a string, None for a missing bound."""
+    return None if bound is None else str(bound.coefficient_pi)
 
 
 def _emit(obj: dict, fmt: str) -> None:
@@ -75,15 +75,13 @@ def _emit(obj: dict, fmt: str) -> None:
 
 def cmd_analyze(args) -> int:
     P = load_polytope(args.input)
-    vertices = P.vertices  # before clearing denominators, so qP inherits them
-    q, Pq = clear_denominators(P)
-    F = normal_fan(Pq)  # exits on a non-simple vertex
+    F = normal_fan(P)  # exits on a non-simple vertex; qP has the same fan
     if not is_smooth(F):
         raise ValueError("fan must be smooth")
     # Past both exits P is Delzant, its fan smooth and complete (P is bounded).
-    # g = lambda on qP is then strictly convex (Cox-Little-Schenck 6.1): h_sigma
-    # is the vertex of qP on the facets sigma, which is simple, so
-    # <h_sigma, u_j> > lambda_j for j outside sigma.  The tests keep
+    # g = q lambda, the offsets of qP, is then strictly convex (Cox-Little-
+    # Schenck 6.1): h_sigma is the vertex of qP on the facets sigma, which is
+    # simple, so <h_sigma, u_j> > q lambda_j for j outside sigma.  The tests keep
     # fan.is_strictly_convex as the oracle.
     out = {
         "dim": P.dim,
@@ -92,9 +90,9 @@ def cmd_analyze(args) -> int:
         "smooth": True,
         "complete": "complete",
         "strictly_convex": True,
-        "vertices": [[str(c) for c in v.point] for v in vertices],
+        "vertices": [[str(c) for c in v.point] for v in P.vertices],
         "lattice_point_count": sum(b - a + 1 for _, a, b in lattice_fibres(P)),
-        "offset_scale_cleared": q,
+        "offset_scale_cleared": P.integer_offsets[0],
     }
     _emit(out, args.format)
     return EXIT_OK
@@ -106,27 +104,24 @@ def cmd_width(args) -> int:
     if not 0 <= args.vertex < count:
         raise ParseFailure(f"vertex index out of range (have {count})")
     rep = width_report(P, vertex_index=args.vertex)
+    cyl, lam, fano, gamma = rep.cylinder, rep.lu_lambda, rep.fano, rep.lu_gamma
     cert = None
-    if rep.fano is not None:
-        cert = {
-            "r": str(rep.fano.r),
-            "m": [str(c) for c in rep.fano.m],
-            "signs": list(rep.fano.signs),
-        }
+    if fano is not None:
+        cert = {"r": str(fano.r), "m": [str(c) for c in fano.m], "signs": list(fano.signs)}
     out = {
-        "paper_bound_pi": _frac(rep.cylinder_pi),
-        "radius_sq": _frac(rep.cylinder_pi),
-        "lu_lambda_pi": _frac(rep.lu_lambda_pi),
-        "fano": {"is_fano": rep.fano is not None, "certificate": cert},
-        "lu_gamma_pi": _frac(rep.lu_gamma_pi),
-        "min_bound_pi": _frac(rep.min_bound_pi),
+        "paper_bound_pi": _pi(cyl),
+        "radius_sq": _pi(cyl),
+        "lu_lambda_pi": _pi(lam),
+        "fano": {"is_fano": fano is not None, "certificate": cert},
+        "lu_gamma_pi": _pi(gamma),
+        "min_bound_pi": str(rep.min_bound_pi),
         "witnesses": {
-            "lambda": None if rep.lambda_witness is None else list(rep.lambda_witness),
-            "gamma": None if rep.gamma_witness is None else list(rep.gamma_witness),
-            "axis_maxima": [str(m) for m in rep.axis_maxima],
-            "min_axis": rep.axis,
+            "lambda": None if lam is None else list(lam.witness),
+            "gamma": None if gamma is None else list(gamma.witness),
+            "axis_maxima": [str(m) for m in cyl.axis_maxima],
+            "min_axis": cyl.axis,
         },
-        "gamma_search_bound": rep.gamma_search_bound,
+        "gamma_search_bound": None if gamma is None else gamma.search_bound,
         "gamma_note": rep.gamma_note,
         "vertex": [str(c) for c in rep.vertex.point],
         "denominator_scale": rep.denominator_scale,

@@ -59,31 +59,25 @@ def normal_fan(P: HalfspacePolytope) -> Fan:
     return Fan(P.normals, tuple(cones))
 
 
-@dataclass(frozen=True)
-class SupportFunction:
-    """Integer values g(u_i) on the generators, linear on each maximal cone."""
-
-    values: tuple[int, ...]
-
-
-def support_function(P: HalfspacePolytope) -> SupportFunction:
-    """g(u_i) = lambda_i; defined for integral offsets only."""
+def support_function(P: HalfspacePolytope) -> IntVector:
+    """The integer values g(u_i) = lambda_i on the generators, linear on each
+    maximal cone; defined for integral offsets only."""
     if any(l.denominator != 1 for l in P.offsets):
         raise ValueError("offsets must be integral; clear denominators first")
-    return SupportFunction(tuple(int(l) for l in P.offsets))
+    return tuple(int(l) for l in P.offsets)
 
 
-def cone_linear_parts(F: Fan, g: SupportFunction) -> dict[tuple[int, ...], tuple]:
-    """Per maximal cone sigma, the vector h with <h, u_i> = g(u_i) on sigma."""
-    if len(g.values) != len(F.generators):
+def cone_linear_parts(F: Fan, g: IntVector) -> dict[tuple[int, ...], tuple]:
+    """Per maximal cone sigma, the vector h with <h, u_i> = g[i] on sigma."""
+    if len(g) != len(F.generators):
         raise ValueError("need one support value per generator")
     return {
-        c: solve_rational([F.generators[i] for i in c], [g.values[i] for i in c])
+        c: solve_rational([F.generators[i] for i in c], [g[i] for i in c])
         for c in F.max_cones
     }
 
 
-def is_strictly_convex(F: Fan, g: SupportFunction) -> bool:
+def is_strictly_convex(F: Fan, g: IntVector) -> bool:
     """Strict convexity of g on a smooth normal fan.
 
     g is strictly convex iff <h_sigma, u_j> > g(u_j) for every maximal cone
@@ -98,7 +92,7 @@ def is_strictly_convex(F: Fan, g: SupportFunction) -> bool:
         raise ValueError("fan must be smooth")
     used = {i for c in F.max_cones for i in c}
     return all(
-        dot(h, F.generators[j]) > g.values[j]
+        dot(h, F.generators[j]) > g[j]
         for c, h in cone_linear_parts(F, g).items()
         for j in used.difference(c)
     )

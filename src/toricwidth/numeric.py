@@ -132,6 +132,8 @@ def _points(T: ToricPotential, X, dtype=float) -> np.ndarray:
         raise ValueError(f"need points with {T.dim} coordinates, one per row")
     if dtype is float and (X < 0).any():
         raise ValueError("coordinates must be nonnegative")
+    if dtype is float and not np.isfinite(X).all():
+        raise ValueError("coordinate not finite: x = |xi|^2 overflows above |xi| ~ 1.3e154")
     return X
 
 
@@ -186,7 +188,8 @@ def psi_maps(T: ToricPotential, XI) -> np.ndarray:
     """Psi at each row of the complex array XI, extended continuously to the
     coordinate hyperplanes; raises if some partial is nonpositive."""
     XI = _points(T, XI, complex)
-    X = np.abs(XI) ** 2
+    with np.errstate(over="ignore"):  # an x overflowed to inf is refused below
+        X = np.abs(XI) ** 2
     partials = potential_partials(T, X)
     vanished = np.isnan(partials).any(axis=1)
     if vanished.any():

@@ -2,14 +2,16 @@
 
 Normals are primitive integer vectors, offsets are rationals.  Vertex
 enumeration, Delzant verification, lattice points and vertex normalization
-all run in exact arithmetic; nothing here touches floats.  Vertices come
-from a walk along the edges of a simple polytope, one integer elimination
-per vertex, started at the first feasible n-subset of facets; a polytope
-that is not simple, or an input that is empty or unbounded, is handed to
-the scan of every n-subset instead.  Lattice points
-come fibre by fibre: for each integer prefix x_1..x_{n-1} of the bounding
-box, the integer interval of x_n, with ends from integer ceiling and floor
-divisions, one facet at a time.
+all run in exact arithmetic; nothing here touches floats.  The denominator
+scale q of the offsets and the integers q * lambda_i are one cached
+property per polytope, integer_offsets, which the vertex walk, the width
+bounds and clear_denominators read.  Vertices come from a walk along the
+edges of a simple polytope, one integer elimination per vertex, started at
+the first feasible n-subset of facets; a polytope that is not simple, or an
+input that is empty or unbounded, is handed to the scan of every n-subset
+instead.  Lattice points come fibre by fibre: for each integer prefix
+x_1..x_{n-1} of the bounding box, the integer interval of x_n, with ends
+from integer ceiling and floor divisions, one facet at a time.
 """
 
 from __future__ import annotations
@@ -84,6 +86,13 @@ class HalfspacePolytope:
 
     def contains(self, x: Sequence) -> bool:
         return all(dot(x, u) >= l for u, l in zip(self.normals, self.offsets))
+
+    @functools.cached_property
+    def integer_offsets(self) -> tuple[int, IntVector]:
+        """(q, q * offsets) for the smallest q >= 1 that makes the offsets
+        integers, computed at most once per polytope object."""
+        q = math.lcm(*(l.denominator for l in self.offsets))
+        return q, tuple(l.numerator * (q // l.denominator) for l in self.offsets)
 
     @functools.cached_property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -180,13 +189,14 @@ def recession_direction(P: HalfspacePolytope) -> IntVector | None:
     return None
 
 
-def _feasible_bases(P: HalfspacePolytope, q: int, b: Sequence[int]):
+def _feasible_bases(P: HalfspacePolytope):
     """(basis, point, tight facets) for every n-subset of facets, in
     combinations order, whose equalities meet in one point of P.
 
-    b holds the offsets times q = offset_denominator_scale(P), so each subset
-    is one integer elimination and feasibility is an integer sign test.
+    (q, b) = P.integer_offsets, so each subset is one integer elimination
+    and feasibility is an integer sign test.
     """
+    q, b = P.integer_offsets
     for basis in combinations(range(P.num_facets), P.dim):
         solved = fraction_free_solve([P.normals[i] for i in basis], [(b[i],) for i in basis])
         if solved is None:
@@ -199,9 +209,7 @@ def _feasible_bases(P: HalfspacePolytope, q: int, b: Sequence[int]):
             yield basis, point, tuple(i for i, s in enumerate(slack) if s == 0)
 
 
-def _edge_walk(
-    P: HalfspacePolytope, q: int, b: Sequence[int], start: tuple[int, ...]
-) -> list[Vertex] | None:
+def _edge_walk(P: HalfspacePolytope, start: tuple[int, ...]) -> list[Vertex] | None:
     """Every vertex, by a depth-first search of the edge graph from the
     simple vertex on the facets `start`; None when an edge is unbounded or a
     ratio test ties.
@@ -214,10 +222,12 @@ def _edge_walk(
     i with <e_j, u_i> < 0 and the least ratio slack_i / -<e_j, u_i>,
     compared by integer cross-multiplication.  No such i means an unbounded
     edge.  A unique least ratio keeps the neighbour simple, so every visited
-    vertex is simple and its tight facets are its basis.
+    vertex is simple and its tight facets are its basis.  (q, b) are
+    P.integer_offsets.
     """
     n, d = P.dim, P.num_facets
     U = P.normals
+    q, b = P.integer_offsets
     identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     seen = {start}
     stack = [start]
@@ -264,15 +274,13 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
     out an unbounded P, it keeps the feasible solutions of every n-subset.
     Raises for unbounded or empty input.
     """
-    q = offset_denominator_scale(P)
-    b = [l.numerator * (q // l.denominator) for l in P.offsets]
-    scan = _feasible_bases(P, q, b)
+    scan = _feasible_bases(P)
     found: dict[RationalVector, tuple[int, ...]] = {}
     start = next(scan, None)
     if start is not None:
         basis, point, tight = start
         if len(tight) == P.dim:
-            walked = _edge_walk(P, q, b, basis)
+            walked = _edge_walk(P, basis)
             if walked is not None:
                 return walked
         found[point] = tight
@@ -407,14 +415,9 @@ def scale(P: HalfspacePolytope, c) -> HalfspacePolytope:
     )
 
 
-def offset_denominator_scale(P: HalfspacePolytope) -> int:
-    """Smallest q >= 1 such that q * offsets are integers."""
-    return math.lcm(*(l.denominator for l in P.offsets))
-
-
 def clear_denominators(P: HalfspacePolytope) -> tuple[int, HalfspacePolytope]:
-    """(q, qP) with q = offset_denominator_scale(P); qP is P itself when q = 1."""
-    q = offset_denominator_scale(P)
+    """(q, qP) with q = P.integer_offsets[0]; qP is P itself when q = 1."""
+    q = P.integer_offsets[0]
     return q, scale(P, q) if q != 1 else P
 
 

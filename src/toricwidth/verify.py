@@ -39,7 +39,7 @@ import numpy as np
 
 from . import numeric
 from .charts import (
-    ChartData,
+    ChartArrays,
     chart_for_cone,
     kernel_params,
     monomials,
@@ -110,15 +110,14 @@ def _sweep(rows: int, width: int, check) -> float:
     )
 
 
-def _exponents_kill_relations(F: Fan, charts: list[ChartData]) -> bool:
+def _exponents_kill_relations(F: Fan, A: ChartArrays) -> bool:
     """Relations R among the generators G read off chart 0 (-V_0 on its cone
     rows, I on its complement rows) satisfy G R = 0, and every chart's
     exponent rows (I on its cone, V on its complement) kill them.  Together
-    these hold exactly when every chart's V is U^-1 W."""
-    k, n, d = len(charts), F.dim, len(F.generators)
-    cone = np.array([C.cone for C in charts], dtype=np.int64)
-    complement = np.array([C.complement for C in charts], dtype=np.int64).reshape(k, d - n)
-    V = np.array([C.V for C in charts], dtype=object).reshape(k, n, d - n)
+    these hold exactly when every chart's V is U^-1 W.  The products are
+    taken in Python ints, exact at any size; V itself fits in int64."""
+    (k, n), d = A.cone.shape, A.d
+    cone, complement, V = A.cone, A.complement, A.V.astype(object)
     R = np.zeros((d, d - n), dtype=object)
     R[complement[0], np.arange(d - n)] = 1
     R[cone[0]] = -V[0]
@@ -172,7 +171,7 @@ def chart_suite(F: Fan, seed: int = 0, samples: int = 10) -> list[CheckResult]:
     worst = _sweep(kernel_rows, n * d, invariance)
     results.append(CheckResult("kernel_invariance", worst < CHART_TOL, worst, CHART_TOL))
 
-    exact = _exponents_kill_relations(F, charts)
+    exact = _exponents_kill_relations(F, stack)
     results.append(CheckResult("exponents_kill_relations", exact, None, None))
 
     # transitions: numeric agreement with phi_b(psi_a(xi)) for each pair

@@ -9,12 +9,16 @@ Three bounds are computed from a Delzant polytope:
     j-th facet through the chosen vertex.
   * lu_lambda: 2 * max{-sum lambda_i a_i} over integer relations
     sum a_i u_i = 0 with a >= 0 and 1 <= sum a_i <= n + 1.
-  * lu_gamma: 2 * min positive -sum lambda_i a_i over such relations, valid
-    only when the class is monotone; reported with the search bound used,
-    since the defining set is infinite.
+  * lu_gamma: 2 * min positive -sum lambda_i a_i over all relations, valid
+    only when the class is monotone, so it takes the Fano certificate;
+    relations are searched up to sum a_i = 2(n + 1), and the bound is
+    reported with that search bound, since the defining set is infinite.
 
 Lambda and gamma read their relations off one join of half-sum tables,
-built once per polytope, with integer values over q; see _relations.
+built once per polytope, with the integer values q * -sum lambda_i a_i for
+(q, q * lambda) = P.integer_offsets; see _relations.  width_report keeps
+the CylinderBound, LambdaBound and GammaBound it builds, and the command
+line writes its report from them.
 
 The class is monotone iff r(lambda_i + <m, u_i>) = -1 has a solution with
 r > 0 (Batyrev's reflexivity criterion: the translated and rescaled polytope
@@ -31,15 +35,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import IntVector, RationalVector, _eliminate, _integer_rows, dot
-from .polytope import (
-    HalfspacePolytope,
-    NotDelzantError,
-    UnboundedPolytopeError,
-    Vertex,
-    is_delzant,
-    offset_denominator_scale,
-)
+from .lattice import IntVector, RationalVector, _eliminate, dot
+from .polytope import HalfspacePolytope, NotDelzantError, UnboundedPolytopeError, Vertex, is_delzant
 
 GAMMA_CAVEAT = (
     "gamma bound omitted: the class is not monotone, and the bound is only "
@@ -89,17 +86,16 @@ class GammaBound:
 
 
 def _relations(P: HalfspacePolytope, totals):
-    """(a, q * -sum lambda_i a_i), q = offset_denominator_scale(P), for the
-    nonnegative integer a with sum a_i u_i = 0 and sum a_i in totals.
+    """(a, q * -sum lambda_i a_i), for (q, q * lambda) = P.integer_offsets,
+    for the nonnegative integer a with sum a_i u_i = 0 and sum a_i in totals.
 
     The sorted index tuple of an a of total t splits into its first t // 2
     and last t - t // 2 indices, L and R, whose normal sums cancel; so the
     pairs of P.normal_sums entries with opposite sums and L[-1] <= R[0] give
-    each a once.  Values are integer sums of b = -q * lambda.  Callers take
+    each a once.  Values are integer sums of the -q * lambda_i.  Callers take
     least witnesses with min, so the join's order does not matter.
     """
-    q = offset_denominator_scale(P)
-    b = [-l.numerator * (q // l.denominator) for l in P.offsets]
+    offsets = P.integer_offsets[1]
     for total in totals:
         right = P.normal_sums(total - total // 2)
         for s, lefts in P.normal_sums(total // 2).items():
@@ -110,7 +106,7 @@ def _relations(P: HalfspacePolytope, totals):
                         a = [0] * P.num_facets
                         for i in L + R:
                             a[i] += 1
-                        yield tuple(a), sum(b[i] for i in L + R)
+                        yield tuple(a), -sum(offsets[i] for i in L + R)
 
 
 def lu_lambda(P: HalfspacePolytope) -> LambdaBound | None:
@@ -124,7 +120,7 @@ def lu_lambda(P: HalfspacePolytope) -> LambdaBound | None:
         return None
     best = max(value for _, value in found)
     witness = min(a for a, value in found if value == best)
-    return LambdaBound(Fraction(2 * best, offset_denominator_scale(P)), witness)
+    return LambdaBound(Fraction(2 * best, P.integer_offsets[0]), witness)
 
 
 @dataclass(frozen=True)
@@ -150,14 +146,16 @@ def fano_check(P: HalfspacePolytope) -> FanoCertificate | None:
     <0, u_i> > 1 to be interior.
     """
     n = P.dim
-    # a unique (y, r) pivots on every unknown and never on the rhs column;
-    # only the rhs column of the eliminated rows, over D, is read
-    A, _ = _integer_rows(tuple(u) + (l, -1) for u, l in zip(P.normals, P.offsets))
+    q, offsets = P.integer_offsets
+    # the integer rows (u_i, q lambda_i, -1) have the unknowns (y, r / q); a
+    # unique solution pivots on every unknown and never on the rhs column,
+    # and only the rhs column of the eliminated rows, over D, is read
+    A = [[*u, l, -1] for u, l in zip(P.normals, offsets)]
     pivots, D, _ = _eliminate(A, n + 2)
-    r = Fraction(A[n][n + 1], D) if pivots == list(range(n + 1)) else 0
+    r = Fraction(q * A[n][n + 1], D) if pivots == list(range(n + 1)) else 0
     if r <= 0:
         return None
-    m = tuple(Fraction(A[k][n + 1], A[n][n + 1]) for k in range(n))  # y / r
+    m = tuple(Fraction(A[k][n + 1], q * A[n][n + 1]) for k in range(n))  # y / r
     cert = FanoCertificate(r, m, (-1,) * P.num_facets)
     return cert if verify_fano_certificate(P, cert) else None
 
@@ -167,21 +165,17 @@ def verify_fano_certificate(P: HalfspacePolytope, cert: FanoCertificate) -> bool
 
     The interior lattice points of Q = {z : <z, u_i> >= s_i} are found
     without listing them.  A sign s_i = +1 leaves the origin outside the
-    interior, since <0, u_i> = 0 < 1.  With every s_i = -1, an integral z
-    has <z, u_i> > -1 iff <z, u_i> >= 0, so they are the lattice points of
-    the recession cone {<z, u_i> >= 0} of P, which is {0} iff P is bounded.
-    The certificate puts -m in the interior of P, so P is not empty, and
-    P.vertices raises exactly when P is unbounded.
+    interior, since <0, u_i> = 0 < 1, so every sign must be -1.  Then an
+    integral z has <z, u_i> > -1 iff <z, u_i> >= 0, so they are the lattice
+    points of the recession cone {<z, u_i> >= 0} of P, which is {0} iff P
+    is bounded.  The certificate puts -m in the interior of P, so P is not
+    empty, and P.vertices raises exactly when P is unbounded.
     """
     if cert.r <= 0 or len(cert.signs) != P.num_facets or len(cert.m) != P.dim:
         return False
     for u, l, s in zip(P.normals, P.offsets, cert.signs):
-        if cert.r * (l + dot(cert.m, u)) != s:
+        if s != -1 or cert.r * (l + dot(cert.m, u)) != s:
             return False
-        if s not in (-1, 1):
-            return False
-    if any(s != -1 for s in cert.signs):
-        return False
     try:
         P.vertices
     except UnboundedPolytopeError:
@@ -189,49 +183,50 @@ def verify_fano_certificate(P: HalfspacePolytope, cert: FanoCertificate) -> bool
     return True
 
 
-def lu_gamma(
-    P: HalfspacePolytope,
-    search_bound: int | None = None,
-    fano: FanoCertificate | None = None,
-) -> GammaBound | None:
-    """Smallest positive -sum lambda_i a_i over all relations; requires a
-    Fano certificate.
+def lu_gamma(P: HalfspacePolytope, fano: FanoCertificate) -> GammaBound | None:
+    """Smallest positive -sum lambda_i a_i over all relations, for the
+    monotone class that fano = fano_check(P) certifies.
 
     Under the certificate -sum lambda_i a_i = (sum a_i) / r for every
     relation, so the minimum sits at the smallest total that has a relation
     and every relation of that total attains it; the witness is the least
-    of them.  Totals are searched up to search_bound (default 2(n+1)).  A
-    returned value is exact, since no smaller total has a relation; only a
-    None for a monotone class depends on the bound.
+    of them.  Totals are searched up to 2(n + 1).  A returned value is
+    exact, since no smaller total has a relation; only a None depends on
+    the bound.
     """
-    if fano is None:
-        fano = fano_check(P)
-    if fano is None:
-        return None
-    bound = search_bound if search_bound is not None else 2 * (P.dim + 1)
+    bound = 2 * (P.dim + 1)
     for total in range(1, bound + 1):
         found = list(_relations(P, (total,)))
         if found:
-            a, value = min(found)
-            return GammaBound(Fraction(2 * value, offset_denominator_scale(P)), a, bound)
+            return GammaBound(2 * total / fano.r, min(found)[0], bound)
     return None
 
 
 @dataclass(frozen=True)
 class WidthReport:
+    """The bounds of width_report, the cylinder bound at `vertex`.  lu_gamma
+    is None when fano is, since the class is then not monotone, or when no
+    relation is within the search bound; gamma_note says which."""
+
     vertex: Vertex
-    denominator_scale: int
-    cylinder_pi: Fraction
-    axis: int
-    axis_maxima: RationalVector
-    lu_lambda_pi: Fraction | None
-    lambda_witness: IntVector | None
+    denominator_scale: int  # q of P.integer_offsets
+    cylinder: CylinderBound
+    lu_lambda: LambdaBound | None
     fano: FanoCertificate | None
-    lu_gamma_pi: Fraction | None
-    gamma_witness: IntVector | None
-    gamma_search_bound: int | None
-    gamma_note: str | None
-    min_bound_pi: Fraction
+    lu_gamma: GammaBound | None
+
+    @property
+    def gamma_note(self) -> str | None:
+        if self.fano is None:
+            return GAMMA_CAVEAT
+        if self.lu_gamma is None:
+            return "gamma bound omitted: no positive relation within the search bound"
+        return None
+
+    @property
+    def min_bound_pi(self) -> Fraction:
+        bounds = (self.cylinder, self.lu_lambda, self.lu_gamma)
+        return min(b.coefficient_pi for b in bounds if b is not None)
 
 
 def width_report(P: HalfspacePolytope, vertex_index: int = 0) -> WidthReport:
@@ -247,32 +242,6 @@ def width_report(P: HalfspacePolytope, vertex_index: int = 0) -> WidthReport:
     if not 0 <= vertex_index < len(vertices):
         raise ValueError(f"vertex index out of range (have {len(vertices)} vertices)")
     v = vertices[vertex_index]
-    cyl = cylinder_bound(P, v)
-    lam = lu_lambda(P)
-    cert = fano_check(P)
-    gamma = lu_gamma(P, fano=cert) if cert is not None else None
-    gamma_note = None
-    if cert is None:
-        gamma_note = GAMMA_CAVEAT
-    elif gamma is None:
-        gamma_note = "gamma bound omitted: no positive relation within the search bound"
-    candidates = [cyl.coefficient_pi]
-    if lam is not None:
-        candidates.append(lam.coefficient_pi)
-    if gamma is not None:
-        candidates.append(gamma.coefficient_pi)
-    return WidthReport(
-        vertex=v,
-        denominator_scale=offset_denominator_scale(P),
-        cylinder_pi=cyl.coefficient_pi,
-        axis=cyl.axis,
-        axis_maxima=cyl.axis_maxima,
-        lu_lambda_pi=None if lam is None else lam.coefficient_pi,
-        lambda_witness=None if lam is None else lam.witness,
-        fano=cert,
-        lu_gamma_pi=None if gamma is None else gamma.coefficient_pi,
-        gamma_witness=None if gamma is None else gamma.witness,
-        gamma_search_bound=None if gamma is None else gamma.search_bound,
-        gamma_note=gamma_note,
-        min_bound_pi=min(candidates),
-    )
+    cyl, lam, fano = cylinder_bound(P, v), lu_lambda(P), fano_check(P)
+    gamma = None if fano is None else lu_gamma(P, fano)
+    return WidthReport(v, P.integer_offsets[0], cyl, lam, fano, gamma)

@@ -13,7 +13,7 @@ import numpy as np
 
 from toricwidth.charts import ChartData, chart_for_cone, transition_map
 from toricwidth.embedding import MonomialEmbedding
-from toricwidth.fan import Fan, SupportFunction, is_strictly_convex
+from toricwidth.fan import Fan, is_strictly_convex
 from toricwidth.fixtures import projective_space, unit_square
 from toricwidth.lattice import (
     IntVector,
@@ -440,11 +440,11 @@ def rref_fano_check(P: HalfspacePolytope):
     return cert if verify_fano_certificate(P, cert) else None
 
 
-def polytope_from_support(F: Fan, g: SupportFunction) -> HalfspacePolytope:
+def polytope_from_support(F: Fan, g: IntVector) -> HalfspacePolytope:
     """The polytope {x : <x, u_i> >= g(u_i)} cut out by the fan's generators."""
-    if len(g.values) != len(F.generators):
+    if len(g) != len(F.generators):
         raise ValueError("need one support value per generator")
-    return HalfspacePolytope(F.generators, tuple(Fraction(v) for v in g.values))
+    return HalfspacePolytope(F.generators, tuple(Fraction(v) for v in g))
 
 
 def oracle_is_strictly_convex(F, g) -> bool:
@@ -457,19 +457,19 @@ def oracle_is_strictly_convex(F, g) -> bool:
     return sorted(v.active for v in vertices) == sorted(F.max_cones)
 
 
-def twist_exponents(C: ChartData, g: SupportFunction) -> tuple[int, ...]:
+def twist_exponents(C: ChartData, g: IntVector) -> tuple[int, ...]:
     """Per complement generator j: c_j = g(u_j) - sum_k V[k][l] g(u_{j_k}).
 
     These are the exponents twisting a section when it is rewritten in the
     chart of sigma; integrality is automatic.
     """
-    if len(g.values) != len(C.fan.generators):
+    if len(g) != len(C.fan.generators):
         raise ValueError("support function does not match the fan")
-    g_cone = [g.values[j] for j in C.cone]
+    g_cone = [g[j] for j in C.cone]
     out = []
     for l, j in enumerate(C.complement):
         col = [C.V[k][l] for k in range(C.dim)]
-        out.append(g.values[j] - dot(col, g_cone))
+        out.append(g[j] - dot(col, g_cone))
     return tuple(out)
 
 
@@ -481,14 +481,14 @@ def _vertex_of_cone(P: HalfspacePolytope, cone) -> Vertex:
     raise ValueError(f"cone {tuple(cone)} does not cut out a vertex of the polytope")
 
 
-def _complement_exponents(C: ChartData, g: SupportFunction, x: IntVector) -> IntVector:
+def _complement_exponents(C: ChartData, g: IntVector, x: IntVector) -> IntVector:
     """x_j = <x_sigma + g_u, v_j> - g(u_j) per complement generator j, in chart order."""
-    shifted = [xi + g.values[i] for xi, i in zip(x, C.cone)]
+    shifted = [xi + g[i] for xi, i in zip(x, C.cone)]
     cols = transpose(C.V)  # row l is the column vector v_j for complement[l]
-    return tuple(dot(shifted, cols[l]) - g.values[j] for l, j in enumerate(C.complement))
+    return tuple(dot(shifted, cols[l]) - g[j] for l, j in enumerate(C.complement))
 
 
-def sections_by_conditions(F: Fan, g: SupportFunction, cone_index: int) -> MonomialEmbedding:
+def sections_by_conditions(F: Fan, g: IntVector, cone_index: int) -> MonomialEmbedding:
     """Invariant monomial sections in the chart of one maximal cone: the
     oracle of sections_by_polytope, by the invariance conditions.
 
@@ -514,7 +514,7 @@ def sections_by_conditions(F: Fan, g: SupportFunction, cone_index: int) -> Monom
 
 
 def full_section_exponents(
-    F: Fan, g: SupportFunction, cone_index: int
+    F: Fan, g: IntVector, cone_index: int
 ) -> list[tuple[IntVector, IntVector]]:
     """Pairs (x_sigma, x_complement) for each section, complement in chart order."""
     C = chart_for_cone(F, cone_index)

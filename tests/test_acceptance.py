@@ -80,10 +80,10 @@ def test_blown_up_hirzebruch_end_to_end():
     start = time.perf_counter()
     rep = width_report(blown_up_hirzebruch())
     elapsed = time.perf_counter() - start
-    assert rep.lu_lambda_pi == 8
-    assert rep.lambda_witness == (0, 1, 0, 1, 1, 0)
+    assert rep.lu_lambda.coefficient_pi == 8
+    assert rep.lu_lambda.witness == (0, 1, 0, 1, 1, 0)
     assert rep.fano is None
-    assert rep.cylinder_pi == 6
+    assert rep.cylinder.coefficient_pi == 6
     assert rep.min_bound_pi == 6
     assert elapsed < 1.0
     print(
@@ -97,12 +97,12 @@ def test_iterated_blowup_family_end_to_end():
         start = time.perf_counter()
         rep = width_report(iterated_plane_blowup(m))
         elapsed = time.perf_counter() - start
-        assert rep.lu_lambda_pi == 2 * (6 + Fraction(2 * m, m + 1))
+        assert rep.lu_lambda.coefficient_pi == 2 * (6 + Fraction(2 * m, m + 1))
         assert rep.fano is None
-        assert rep.cylinder_pi == 8
+        assert rep.cylinder.coefficient_pi == 8
         assert elapsed < 1.0
         print(
-            f"PASS blowup family m={m}: Lambda={rep.lu_lambda_pi}pi, "
+            f"PASS blowup family m={m}: Lambda={rep.lu_lambda.coefficient_pi}pi, "
             f"cylinder=8pi via scale q={rep.denominator_scale}, {elapsed:.3f}s"
         )
 
@@ -111,9 +111,9 @@ def test_projective_space_sanity():
     for n in (1, 2, 3):
         P = projective_space(n, 1)
         rep = width_report(P)
-        assert rep.cylinder_pi == 2
-        assert rep.lu_lambda_pi == 2
-        assert rep.lu_gamma_pi == 2
+        assert rep.cylinder.coefficient_pi == 2
+        assert rep.lu_lambda.coefficient_pi == 2
+        assert rep.lu_gamma.coefficient_pi == 2
         assert rep.fano is not None
         assert verify_fano_certificate(P, rep.fano)
     print("PASS projective spaces n=1,2,3: every bound equals 2pi, Fano re-verified")

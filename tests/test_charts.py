@@ -229,11 +229,20 @@ def test_transition_exponents_match_each_transition_map():
 
 
 def test_relation_check_agrees_with_the_dot_loop_oracle():
+    too_wide = 0
     for F in exponent_table_fans():
         charts = charts_of(F)
-        assert toricwidth.verify._exponents_kill_relations(F, charts) is True
-        assert all(toricwidth.verify._exponents_kill_relations(F, [C]) for C in charts)
         assert oracle_exponents_kill_relations(F) is True
+        try:
+            A = stack_charts(charts)
+        except OverflowError:
+            # the steep surface's V is past int64, so chart_suite stops at
+            # stack_charts, before the relation check
+            too_wide += 1
+            continue
+        assert toricwidth.verify._exponents_kill_relations(F, A) is True
+        assert all(toricwidth.verify._exponents_kill_relations(F, stack_charts([C])) for C in charts)
+    assert too_wide == 1
 
 
 def test_relation_check_catches_every_wrong_v_entry():
@@ -252,8 +261,8 @@ def test_relation_check_catches_every_wrong_v_entry():
                     V[i][l] += 1
                     bad = list(charts)
                     bad[c] = dataclasses.replace(C, V=tuple(map(tuple, V)))
-                    assert toricwidth.verify._exponents_kill_relations(F, bad) is False
-                    assert toricwidth.verify._exponents_kill_relations(F, bad[c:c + 1]) is False
+                    assert toricwidth.verify._exponents_kill_relations(F, stack_charts(bad)) is False
+                    assert toricwidth.verify._exponents_kill_relations(F, stack_charts(bad[c:c + 1])) is False
                     assert oracle_exponents_kill_relations(F, charts=bad) is False
 
 

@@ -361,6 +361,23 @@ def test_non_simple_vertex_message_is_readable(capsys, tmp_path):
         assert err == "error: vertex (0, 0, 1) lies on 4 facets; fan undefined\n"
 
 
+def test_analyze_names_the_vertex_of_the_input_polytope(capsys, tmp_path):
+    # the cut cube at half size: analyze reads the fan off P itself, not qP
+    half = tmp_path / "half_cube.json"
+    half.write_text(
+        json.dumps(
+            {
+                "dim": 3,
+                "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0],
+                            [0, 0, -1], [-1, -1, -1]],
+                "offsets": ["0", "0", "0", "-1/2", "-1/2", "-1/2", "-1/2"],
+            }
+        )
+    )
+    assert main(["analyze", str(half)]) == 3
+    assert capsys.readouterr().err == "error: vertex (0, 0, 1/2) lies on 4 facets; fan undefined\n"
+
+
 @pytest.fixture
 def enumerations(monkeypatch):
     """The polytopes passed to enumerate_vertices while the test runs."""

@@ -7,7 +7,7 @@ import pytest
 from geomgen import full_section_exponents, sections_by_conditions, twist_exponents
 from toricwidth.charts import chart_for_cone, kernel_params, stack_charts
 from toricwidth.embedding import MonomialEmbedding, sections_by_polytope
-from toricwidth.fan import SupportFunction, normal_fan, support_function
+from toricwidth.fan import normal_fan, support_function
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
     hirzebruch,
@@ -98,10 +98,10 @@ def test_sections_cp2():
 def test_sections_by_conditions_requires_strict_convexity():
     F = normal_fan(unit_square())
     with pytest.raises(ValueError):
-        sections_by_conditions(F, SupportFunction((0, 0, 0, 0)), 0)
+        sections_by_conditions(F, (0, 0, 0, 0), 0)
     # the polytope {x >= 0, y >= 0, -x - y >= 1} of this g is empty
     with pytest.raises(ValueError, match="support function is not strictly convex"):
-        sections_by_conditions(normal_fan(projective_space(2, 1)), SupportFunction((0, 0, 1)), 0)
+        sections_by_conditions(normal_fan(projective_space(2, 1)), (0, 0, 1), 0)
 
 
 def test_dual_section_methods_agree_everywhere():
@@ -166,7 +166,7 @@ def test_section_kernel_transformation_law():
                     return out
 
                 factor = 1.0 + 0j
-                for a, gi in zip(alpha, g.values):
+                for a, gi in zip(alpha, g):
                     factor *= a ** (-gi)
                 lhs = ev([a * w for a, w in zip(alpha, z)])
                 rhs = factor * ev(z)

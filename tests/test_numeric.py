@@ -292,6 +292,24 @@ def test_pullback_check_raises_where_the_monomial_sum_vanishes():
         pullback_check(T, (0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda T: pullback_check(T, (1e155,)),
+        lambda T: potential_values(T, [[math.inf]]),
+        lambda T: psi_maps(T, [[1e155]]),
+    ],
+    ids=["pullback_check", "potential_values", "psi_maps"],
+)
+def test_overflowing_coordinates_raise_naming_the_overflow(call):
+    # x = |xi|^2 is inf above |xi| ~ 1.3e154; that is the error, with no
+    # RuntimeWarning and no claim that the monomial sum vanishes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            call(fixture_potential("cpn:1:1"))
+
+
 @pytest.mark.parametrize("spec", ["cpn:1:400", "example-3.8:50"])
 def test_symplectic_pullback_deviation_is_far_below_tolerance(spec):
     # central differences of the potential left 5e-5 here, half the tolerance

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -38,7 +39,6 @@ from toricwidth.polytope import (
     lattice_fibres,
     lattice_points,
     normalize_at_vertex,
-    offset_denominator_scale,
     scale,
     to_dict,
 )
@@ -237,10 +237,16 @@ def test_scale():
         scale(SIMPLEX, 0)
 
 
-def test_offset_denominator_scale():
-    assert offset_denominator_scale(SIMPLEX) == 1
-    assert offset_denominator_scale(iterated_plane_blowup(2)) == 3
-    assert offset_denominator_scale(iterated_plane_blowup(10)) == 11
+def test_integer_offsets():
+    # the last offset is -2m / (m + 1), and every other one an integer
+    for m in (1, 2, 3, 5, 10, 50):
+        P = resolve_fixture(f"example-3.8:{m}")
+        q = math.lcm(*(l.denominator for l in P.offsets))
+        assert q == (m + 1) // math.gcd(2, m + 1)
+        assert P.integer_offsets == (q, tuple(int(q * l) for l in P.offsets))
+        assert all(type(b) is int for b in P.integer_offsets[1])
+        assert P.integer_offsets is P.integer_offsets  # computed once
+    assert SIMPLEX.integer_offsets == (1, (0, 0, -1))
 
 
 def test_affine_map_roundtrip():

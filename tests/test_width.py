@@ -35,7 +35,6 @@ from toricwidth.polytope import (
     apply_lattice_map,
     enumerate_vertices,
     is_delzant,
-    offset_denominator_scale,
     scale,
 )
 from toricwidth.width import (
@@ -164,53 +163,53 @@ def test_verify_fano_certificate_rejects_unbounded_input():
 
 
 def test_lu_gamma_simplex_and_square():
-    gamma = lu_gamma(projective_space(2, 1))
+    P = projective_space(2, 1)
+    gamma = lu_gamma(P, fano_check(P))
     assert gamma.coefficient_pi == 2
     assert gamma.search_bound == 6
-    gamma = lu_gamma(unit_square())
+    P = unit_square()
+    gamma = lu_gamma(P, fano_check(P))
     assert gamma.coefficient_pi == 2
     assert sum(gamma.witness) == 2
 
 
 def test_lu_gamma_requires_fano():
-    assert lu_gamma(blown_up_hirzebruch()) is None
-    assert lu_gamma(iterated_plane_blowup(1)) is None
-
-
-def test_lu_gamma_respects_search_bound():
-    gamma = lu_gamma(projective_space(2, 1), search_bound=2)
-    assert gamma is None  # the only relation needs sum(a) = 3
+    for P in (blown_up_hirzebruch(), iterated_plane_blowup(1)):
+        rep = width_report(P)
+        assert rep.fano is None and rep.lu_gamma is None
+        assert rep.gamma_note == GAMMA_CAVEAT
 
 
 def test_width_report_blowup():
     rep = width_report(blown_up_hirzebruch())
-    assert rep.cylinder_pi == 6
-    assert rep.lu_lambda_pi == 8
-    assert rep.lambda_witness == (0, 1, 0, 1, 1, 0)
+    assert rep.cylinder.coefficient_pi == 6
+    assert rep.lu_lambda.coefficient_pi == 8
+    assert rep.lu_lambda.witness == (0, 1, 0, 1, 1, 0)
     assert rep.fano is None
-    assert rep.lu_gamma_pi is None
+    assert rep.lu_gamma is None
     assert rep.gamma_note == GAMMA_CAVEAT
     assert rep.min_bound_pi == 6
-    assert rep.axis == 1
+    assert rep.cylinder.axis == 1
     assert rep.denominator_scale == 1
 
 
 def test_width_report_family():
     for m in (1, 2, 5, 10):
         rep = width_report(iterated_plane_blowup(m))
-        assert rep.cylinder_pi == 8
-        assert rep.lu_lambda_pi == 2 * (6 + Fraction(2 * m, m + 1))
+        assert rep.cylinder.coefficient_pi == 8
+        assert rep.lu_lambda.coefficient_pi == 2 * (6 + Fraction(2 * m, m + 1))
         assert rep.min_bound_pi == 8
 
 
 def test_width_report_projective_spaces():
     for n in (1, 2, 3):
         rep = width_report(projective_space(n, 1))
-        assert rep.cylinder_pi == 2
-        assert rep.lu_lambda_pi == 2
-        assert rep.lu_gamma_pi == 2
+        assert rep.cylinder.coefficient_pi == 2
+        assert rep.lu_lambda.coefficient_pi == 2
+        assert rep.lu_gamma.coefficient_pi == 2
         assert rep.min_bound_pi == 2
         assert rep.fano is not None
+        assert rep.gamma_note is None
 
 
 def test_width_report_vertex_choice():
@@ -218,7 +217,7 @@ def test_width_report_vertex_choice():
     rep = width_report(P, vertex_index=5)  # vertex (4, 3)
     assert rep.vertex.point == (4, 3)
     # maxima at the far vertex still dominate the polytope's extent
-    assert rep.cylinder_pi == min(rep.axis_maxima) * 2
+    assert rep.cylinder.coefficient_pi == min(rep.cylinder.axis_maxima) * 2
     with pytest.raises(ValueError):
         width_report(P, vertex_index=6)
 
@@ -231,8 +230,8 @@ def test_width_report_scales_offsets_exactly():
     )
     rep = width_report(P)
     assert rep.denominator_scale == 4
-    assert rep.cylinder_pi == Fraction(2 * 5, 4)
-    assert rep.axis_maxima == (Fraction(5, 4), Fraction(5, 4))
+    assert rep.cylinder.coefficient_pi == Fraction(2 * 5, 4)
+    assert rep.cylinder.axis_maxima == (Fraction(5, 4), Fraction(5, 4))
 
 
 def test_cylinder_bound_scales_linearly():
@@ -300,15 +299,12 @@ def test_fano_and_gamma_match_sign_pattern_oracles():
         cert = fano_check(P)
         assert cert == oracle_fano_check(P)
         if cert is None:
-            assert lu_gamma(P) is None
             continue
         monotone += 1
-        for bound in range(1, 9):
-            gamma = lu_gamma(P, search_bound=bound, fano=cert)
-            want = oracle_lu_gamma(P, bound)
-            got = None if gamma is None else (gamma.coefficient_pi, gamma.witness)
-            assert got == want
-        assert lu_gamma(P, fano=cert) == lu_gamma(P, search_bound=2 * (P.dim + 1))
+        gamma = lu_gamma(P, cert)
+        got = None if gamma is None else (gamma.coefficient_pi, gamma.witness)
+        assert got == oracle_lu_gamma(P, 2 * (P.dim + 1))
+        assert gamma is None or gamma.search_bound == 2 * (P.dim + 1)
     assert monotone >= 40
 
 
@@ -325,7 +321,7 @@ def test_cylinder_bound_matches_lattice_point_maxima():
     ]
     dilations = [scale(P, c) for P in polygons for c in (Fraction(2, 3), Fraction(5, 2))]
     for P in fixtures + polygons + dilations:
-        q = offset_denominator_scale(P)
+        q = P.integer_offsets[0]
         Pq = scale(P, q)
         for v in enumerate_vertices(P):
             vq = next(w for w in Pq.vertices if w.point == tuple(q * c for c in v.point))
@@ -372,7 +368,7 @@ def test_relation_join_matches_multiset_oracle():
         totals = range(1, 2 * (family[0].dim + 1) + 1)
         want = {t: list(oracle_relations(family[0], (t,))) for t in totals}
         for P in family:
-            q = offset_denominator_scale(P)
+            q = P.integer_offsets[0]
             scales.add(q)
             for t in totals:
                 got = sorted(_relations(P, (t,)))

@@ -25,6 +25,7 @@ from .polytope import (
     lattice_points,
     normalize_at_vertex,
     scale,
+    vertex_sums,
 )
 from .width import (
     FanoCertificate,

@@ -30,7 +30,7 @@ from .polytope import (
     clear_denominators,
     from_dict,
     is_delzant,
-    lattice_fibres,
+    vertex_sums,
 )
 from .verify import polytope_suites
 from .width import width_report
@@ -83,6 +83,7 @@ def cmd_analyze(args) -> int:
     # Schenck 6.1): h_sigma is the vertex of qP on the facets sigma, which is
     # simple, so <h_sigma, u_j> > q lambda_j for j outside sigma.  The tests keep
     # fan.is_strictly_convex as the oracle.
+    count, volume = vertex_sums(P)
     out = {
         "dim": P.dim,
         "facets": P.num_facets,
@@ -91,7 +92,8 @@ def cmd_analyze(args) -> int:
         "complete": "complete",
         "strictly_convex": True,
         "vertices": [[str(c) for c in v.point] for v in P.vertices],
-        "lattice_point_count": sum(b - a + 1 for _, a, b in lattice_fibres(P)),
+        "lattice_point_count": count,
+        "volume": str(volume),
         "offset_scale_cleared": P.integer_offsets[0],
     }
     _emit(out, args.format)
@@ -160,6 +162,7 @@ def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ParseFailure(f"--samples must be at least 1 (got {args.samples})")
     P = load_polytope(args.input)
+    normal_fan(P)  # names P's vertex if the fan is undefined; qP gets P's vertices
     _, Pq = clear_denominators(P)
     results = polytope_suites(Pq, seed=args.seed, samples=args.samples)
     if args.format == "json":

@@ -7,11 +7,16 @@ scale q of the offsets and the integers q * lambda_i are one cached
 property per polytope, integer_offsets, which the vertex walk, the width
 bounds and clear_denominators read.  Vertices come from a walk along the
 edges of a simple polytope, one integer elimination per vertex, started at
-the first feasible n-subset of facets; a polytope that is not simple, or an
-input that is empty or unbounded, is handed to the scan of every n-subset
-instead.  Lattice points come fibre by fibre: for each integer prefix
-x_1..x_{n-1} of the bounding box, the integer interval of x_n, with ends
-from integer ceiling and floor divisions, one facet at a time.
+the first feasible n-subset of facets; each walked vertex keeps its edge
+directions, and an unbounded edge is reported as the recession direction.
+A polytope that is not simple, or an input the walk cannot start on, is
+handed to the scan of every n-subset instead.  The lattice-point count and
+the volume of a Delzant polytope are vertex sums over those edge directions
+(Brion's and Lawrence's formulas), so their cost follows the vertices, not
+the volume.  The lattice points themselves come fibre by fibre: for each
+integer prefix x_1..x_{n-1} of the bounding box, the integer interval of
+x_n, with ends from integer ceiling and floor divisions, one facet at a
+time.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
@@ -125,10 +130,18 @@ class HalfspacePolytope:
 
 @dataclass(frozen=True)
 class Vertex:
-    """A vertex point together with the indices of all facets tight there."""
+    """A vertex point together with the indices of all facets tight there.
+
+    A vertex of the edge walk also keeps its edge directions: edges[k] is
+    column k of D U_A^-1, with U_A the normals of the facets `active` as
+    rows and D = |det U_A|, so it leaves facet active[k] and stays on the
+    others.  D = 1 at a Delzant vertex.  They are None on a vertex of the
+    subset scan, and not compared.
+    """
 
     point: RationalVector
     active: tuple[int, ...]
+    edges: tuple[IntVector, ...] | None = field(default=None, compare=False, repr=False)
 
 
 def format_point(x: Sequence) -> str:
@@ -211,8 +224,7 @@ def _feasible_bases(P: HalfspacePolytope):
 
 def _edge_walk(P: HalfspacePolytope, start: tuple[int, ...]) -> list[Vertex] | None:
     """Every vertex, by a depth-first search of the edge graph from the
-    simple vertex on the facets `start`; None when an edge is unbounded or a
-    ratio test ties.
+    simple vertex on the facets `start`; None when a ratio test ties.
 
     At a vertex x on the n facets A, with U_A their normals as rows, one
     elimination of [U_A | b_A | I] gives D q x and D U_A^-1.  Column j of the
@@ -221,9 +233,10 @@ def _edge_walk(P: HalfspacePolytope, start: tuple[int, ...]) -> list[Vertex] | N
     facet i changes by t D q <e_j, u_i>, so the neighbour's new facet is the
     i with <e_j, u_i> < 0 and the least ratio slack_i / -<e_j, u_i>,
     compared by integer cross-multiplication.  No such i means an unbounded
-    edge.  A unique least ratio keeps the neighbour simple, so every visited
-    vertex is simple and its tight facets are its basis.  (q, b) are
-    P.integer_offsets.
+    edge: then <e_j, u_i> >= 0 for every i, so e_j over the gcd of its
+    entries is raised as the recession direction.  A unique least ratio
+    keeps the neighbour simple, so every visited vertex is simple and its
+    tight facets are its basis.  (q, b) are P.integer_offsets.
     """
     n, d = P.dim, P.num_facets
     U = P.normals
@@ -238,7 +251,7 @@ def _edge_walk(P: HalfspacePolytope, start: tuple[int, ...]) -> list[Vertex] | N
             [U[i] for i in basis], [(b[i], *identity[k]) for k, i in enumerate(basis)]
         )
         X, *edges = zip(*Y)
-        vertices.append(Vertex(tuple(Fraction(x, D * q) for x in X), basis))
+        vertices.append(Vertex(tuple(Fraction(x, D * q) for x in X), basis, tuple(edges)))
         others = [i for i in range(d) if i not in basis]
         slack = {i: sum(map(operator.mul, U[i], X)) - D * b[i] for i in others}
         for j, e in enumerate(edges):
@@ -253,7 +266,10 @@ def _edge_walk(P: HalfspacePolytope, start: tuple[int, ...]) -> list[Vertex] | N
                     best, s_best, r_best, tie = i, slack[i], r, False
                 elif c == 0:
                     tie = True
-            if best is None or tie:
+            if best is None:
+                g = math.gcd(*e)
+                raise UnboundedPolytopeError(f"recession direction {tuple(x // g for x in e)}")
+            if tie:
                 return None
             nxt = tuple(sorted(basis[:j] + basis[j + 1 :] + (best,)))
             if nxt not in seen:
@@ -267,12 +283,12 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
 
     The start is the first n-subset of facets, in combinations order, whose
     equalities meet in a point of P.  If that vertex is simple, an edge walk
-    from it lists every vertex with one integer elimination each; a walk that
-    meets no unbounded edge also proves P bounded.  When there is no start
-    (P is empty or contains a line), an edge is unbounded, or P is not simple,
-    the subset scan runs to its end instead: after recession_direction rules
-    out an unbounded P, it keeps the feasible solutions of every n-subset.
-    Raises for unbounded or empty input.
+    from it lists every vertex with one integer elimination each, and raises
+    on the first unbounded edge it meets; a walk that meets none proves P
+    bounded.  When there is no start (P is empty or contains a line) or P is
+    not simple, the subset scan runs to its end instead: after
+    recession_direction rules out an unbounded P, it keeps the feasible
+    solutions of every n-subset.  Raises for unbounded or empty input.
     """
     scan = _feasible_bases(P)
     found: dict[RationalVector, tuple[int, ...]] = {}
@@ -355,29 +371,137 @@ def lattice_points(P: HalfspacePolytope) -> list[IntVector]:
     ]
 
 
-def _with_mapped_vertices(Q: HalfspacePolytope, P: HalfspacePolytope, f) -> HalfspacePolytope:
+@functools.cache
+def _todd_terms(n: int) -> tuple[int, tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]:
+    """[t^n] e^{beta t} prod_k Td(a_k t), with Td(x) = x / (e^x - 1), as an
+    integer polynomial over one denominator L.
+
+    log Td(x) = -x/2 - sum_{m >= 1} B_2m x^2m / (2m (2m)!), with B_j the
+    Bernoulli numbers, so the product is exp(g(t)) with g_1 = G / 2 for
+    G = 2 beta - p_1, and g_m = -B_m p_m / (m m!) for even m, where
+    p_m = sum_k a_k^m.  [t^n] exp(g) is the sum, over the partitions of n
+    into ones and even parts (k_m parts of size m), of prod_m g_m^k_m / k_m!.
+    Returns L and, per partition, (L times its coefficient, k_1, the pairs
+    (m, k_m) with k_m > 0), so a vertex costs one term per partition.
+    """
+    B = [Fraction(1)]
+    for m in range(1, n + 1):
+        B.append(-sum(math.comb(m + 1, k) * B[k] for k in range(m)) / (m + 1))
+
+    def partitions(rest, m):
+        if m < 2:
+            yield rest, ()
+            return
+        for k in range(rest // m + 1):
+            for ones, evens in partitions(rest - k * m, m - 2):
+                yield ones, ((m, k), *evens) if k else evens
+
+    terms = []
+    for ones, evens in partitions(n, n - n % 2):
+        c = Fraction(1, 2**ones * math.factorial(ones))
+        for m, k in evens:
+            c *= (-B[m] / (m * math.factorial(m))) ** k / math.factorial(k)
+        terms.append((c, ones, evens))
+    L = math.lcm(*(c.denominator for c, _, _ in terms))
+    return L, tuple((c.numerator * (L // c.denominator), ones, evens) for c, ones, evens in terms)
+
+
+def vertex_sums(P: HalfspacePolytope) -> tuple[int, Fraction]:
+    """The number of integer points and the volume of a Delzant polytope,
+    both as sums over its vertices, so their cost follows the vertices,
+    not the volume.
+
+    At a vertex on the facets A the walk gives the edge directions w_k, the
+    columns of U_A^-1.  Put c = (1, K, ..., K^(n-1)) with K = 1 + the
+    largest |entry| of any w_k; then a_k = <w_k, c> is nonzero, since the
+    last nonzero entry of w_k, times its power of K, outweighs the rest
+    (checked exactly all the same).
+    - The count, by Brion's formula (Brion 1988; Barvinok, Integer Points
+      in Polyhedra, 2008): U_A is unimodular, so the integer points of the
+      tangent cone are p_v + N w_1 + ... + N w_n with apex
+      p_v = U_A^-1 ceil(lambda_A), and at x = t c
+          sum_{m in P} e^{t <m, c>} = sum_v e^{t beta_v} / prod_k (1 - e^{t a_k})
+      with beta_v = <p_v, c> = sum_k ceil(lambda_{A_k}) a_k.  As
+      1 / (1 - e^{a t}) = -Td(a t) / (a t), the count, the t^0 coefficient,
+      is sum_v (-1)^n [t^n] e^{beta_v t} prod_k Td(a_k t) / prod_k a_k,
+      with [t^n] from _todd_terms.  The total must be an integer.
+    - The volume, by Lawrence's formula (Lawrence, Polytope volume
+      computation, 1991): sum_v <v, c>^n / (n! prod_k (-a_k)), where
+      <v, c> = sum_k lambda_{A_k} a_k, as v = U_A^-1 lambda_A.
+    Python integers throughout, and no vertex is inverted again.  Raises
+    NotDelzantError unless every vertex is a walked vertex with D = 1.
+    """
+    n = P.dim
+    q, b = P.integer_offsets
+    vertices = P.vertices
+    for v in vertices:
+        if v.edges is None or sum(map(operator.mul, v.edges[0], P.normals[v.active[0]])) != 1:
+            raise NotDelzantError(f"the tangent cone at {format_point(v.point)} is not unimodular")
+    K = 1 + max(abs(x) for v in vertices for w in v.edges for x in w)
+    c = [K**i for i in range(n)]
+    L, terms = _todd_terms(n)
+    even = range(2, n + 1, 2)
+    # both sums over the one denominator den = prod_v prod_k a_k; the common
+    # sign (-1)^n is applied at the end
+    count, vol, den = 0, 0, 1
+    for v in vertices:
+        a = [sum(map(operator.mul, w, c)) for w in v.edges]
+        if 0 in a:
+            raise ArithmeticError(f"an edge at {format_point(v.point)} is orthogonal to {c}")
+        beta = sum(-(-b[i] // q) * ak for i, ak in zip(v.active, a))
+        G = 2 * beta - sum(a)
+        p = {m: sum(ak**m for ak in a) for m in even}
+        S = 0
+        for coefficient, ones, evens in terms:
+            for m, k in evens:
+                coefficient *= p[m] ** k
+            S += coefficient * G**ones
+        height = sum(b[i] * ak for i, ak in zip(v.active, a))  # q <v, c>
+        d = math.prod(a)
+        count, vol, den = count * d + S * den, vol * d + height**n * den, den * d
+    sign = (-1) ** n
+    points, r = divmod(sign * count, den * L)
+    if r:
+        raise ArithmeticError("the vertex sum of the lattice-point count is not an integer")
+    return points, Fraction(sign * vol, den * math.factorial(n) * q**n)
+
+
+def _with_mapped_vertices(
+    Q: HalfspacePolytope, P: HalfspacePolytope, f, linear=None
+) -> HalfspacePolytope:
     """Give Q = f(P) the images of P's vertices, if P already knows them.
 
     f must be an affine bijection that keeps the facet order, so each image
     vertex has the same tight facets; only the lexicographic order can change.
+    The edge directions D U_A^-1 of the image are linear * w for a lattice
+    map with matrix `linear`; a dilation (linear None) keeps the normals, so
+    it keeps them too.
     """
     if "vertices" in vars(P):
-        images = (Vertex(f(v.point), v.active) for v in P.vertices)
+
+        def edges(v):
+            if linear is None or v.edges is None:
+                return v.edges
+            return tuple(
+                [tuple([sum(map(operator.mul, row, w)) for row in linear]) for w in v.edges]
+            )
+
+        images = (Vertex(f(v.point), v.active, edges(v)) for v in P.vertices)
         vars(Q)["vertices"] = tuple(sorted(images, key=lambda v: v.point))
     return Q
 
 
 def apply_lattice_map(P: HalfspacePolytope, f: AffineLatticeMap) -> HalfspacePolytope:
     """Image polytope: normals become M^-T u, offsets pick up <t, u'>."""
-    Minv = inverse_unimodular(f.matrix)
+    MinvT = transpose(inverse_unimodular(f.matrix))
     new_normals = []
     new_offsets = []
     for u, l in zip(P.normals, P.offsets):
-        u2 = mat_vec(transpose(Minv), u)
+        u2 = mat_vec(MinvT, u)
         new_normals.append(u2)
         new_offsets.append(l + dot(f.translation, u2))
     return _with_mapped_vertices(
-        HalfspacePolytope(tuple(new_normals), tuple(new_offsets)), P, f.apply
+        HalfspacePolytope(tuple(new_normals), tuple(new_offsets)), P, f.apply, f.matrix
     )
 
 

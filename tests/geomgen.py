@@ -36,6 +36,7 @@ from toricwidth.polytope import (
     bounding_box,
     clear_denominators,
     is_delzant,
+    lattice_fibres,
     lattice_points,
     normalize_at_vertex,
     recession_direction,
@@ -102,8 +103,9 @@ def oracle_det(M) -> Fraction:
     return Fraction(sign * A[n - 1][n - 1]) / scale
 
 
-def random_unimodular_map(rng: random.Random, n: int = 2) -> AffineLatticeMap:
-    """Product of random integer shears, plus a random integer translation."""
+def random_unimodular_map(rng: random.Random, n: int = 2, shear: int = 2) -> AffineLatticeMap:
+    """Product of 1 to 4 random integer shears with entries in [-shear, shear],
+    plus a random integer translation."""
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def mul(A, B):
@@ -115,7 +117,7 @@ def random_unimodular_map(rng: random.Random, n: int = 2) -> AffineLatticeMap:
     for _ in range(rng.randint(1, 4)):
         i, j = rng.sample(range(n), 2)
         S = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        S[i][j] = rng.randint(-2, 2)
+        S[i][j] = rng.randint(-shear, shear)
         M = mul(M, S)
     t = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
     return AffineLatticeMap(tuple(tuple(row) for row in M), t)
@@ -917,3 +919,30 @@ def assert_same_results(got, want):
             assert g.deviation is None
         else:
             assert abs(g.deviation - w.deviation) <= 1e-12
+
+
+def oracle_polygon_area(P: HalfspacePolytope) -> Fraction:
+    """The shoelace formula over the vertices of the subset scan, put in
+    boundary order: each next vertex shares a facet with the last one."""
+    vertices = oracle_vertices(P)
+    ring = [vertices[0]]
+    while len(ring) < len(vertices):
+        last = set(ring[-1].active)
+        ring.append(next(w for w in vertices if w not in ring and last & set(w.active)))
+    pts = [v.point for v in ring]
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))) / 2
+
+
+def fibre_count(P: HalfspacePolytope) -> int:
+    """The number of integer points of P, as the sum of its fibre lengths."""
+    return sum(b - a + 1 for _, a, b in lattice_fibres(P))
+
+
+def oracle_ehrhart_volume(P: HalfspacePolytope) -> Fraction:
+    """The leading coefficient of the Ehrhart polynomial k -> #(kP ∩ Z^n) of
+    a lattice polytope: its n-th finite difference at k = 1 .. n+1, over n!,
+    from the fibre counts of kP."""
+    n = P.dim
+    counts = [fibre_count(scale(P, k)) for k in range(1, n + 2)]
+    difference = sum((-1) ** (n - j) * math.comb(n, j) * counts[j] for j in range(n + 1))
+    return Fraction(difference, math.factorial(n))

@@ -60,6 +60,7 @@ def test_analyze_blowup(capsys):
     assert out["strictly_convex"] is True
     assert len(out["vertices"]) == 6
     assert out["lattice_point_count"] == 10
+    assert out["volume"] == "5"
     assert out["offset_scale_cleared"] == 1
 
 
@@ -67,6 +68,7 @@ def test_analyze_text_format(capsys):
     rc, out = run(capsys, "analyze", "example-3.7", "--format", "text")
     assert rc == 0
     assert "delzant: True" in out
+    assert "\nlattice_point_count: 10\nvolume: 5\noffset_scale_cleared: 1\n" in out
 
 
 def test_width_blowup_full_contract(capsys):
@@ -362,7 +364,8 @@ def test_non_simple_vertex_message_is_readable(capsys, tmp_path):
 
 
 def test_analyze_names_the_vertex_of_the_input_polytope(capsys, tmp_path):
-    # the cut cube at half size: analyze reads the fan off P itself, not qP
+    # the cut cube at half size: analyze and verify read the fan off P itself,
+    # not qP
     half = tmp_path / "half_cube.json"
     half.write_text(
         json.dumps(
@@ -374,8 +377,11 @@ def test_analyze_names_the_vertex_of_the_input_polytope(capsys, tmp_path):
             }
         )
     )
-    assert main(["analyze", str(half)]) == 3
-    assert capsys.readouterr().err == "error: vertex (0, 0, 1/2) lies on 4 facets; fan undefined\n"
+    for sub in ("analyze", "verify"):
+        assert main([sub, str(half)]) == 3
+        assert capsys.readouterr().err == (
+            "error: vertex (0, 0, 1/2) lies on 4 facets; fan undefined\n"
+        )
 
 
 @pytest.fixture
@@ -412,6 +418,52 @@ def test_width_reads_no_lattice_points(capsys, monkeypatch):
                 monkeypatch.setattr(mod, name, refuse)
     out = run_json(capsys, "width", "example-3.8:50")
     assert out["paper_bound_pi"] == "8" and out["denominator_scale"] == 51
+
+
+def test_analyze_reads_no_lattice_points(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("analyze must not enumerate fibres or lattice points")
+
+    for mod in (toricwidth.polytope, toricwidth.embedding, toricwidth.cli):
+        for name in ("lattice_fibres", "lattice_points"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    counts = {"example-3.8:50": (18, "31210/2601"), "cpn:3:20": (1771, "4000/3"),
+              "cpn:4:6": (210, "54")}
+    for spec, (count, volume) in counts.items():
+        out = run_json(capsys, "analyze", spec)
+        assert (out["lattice_point_count"], out["volume"]) == (count, volume)
+
+
+# inputs whose bounding box is far too large to scan: the triangle of degree
+# 10^12, and the parallelograms with normal (1, 2^40) and (1, 2^62), unimodular
+# images of the unit square
+HUGE_BOX_INPUTS = {
+    "triangle-1e12": (
+        {"dim": 2, "normals": [[1, 0], [0, 1], [-1, -1]], "offsets": ["0", "0", "-1000000000000"]},
+        (10**12 + 1) * (10**12 + 2) // 2, str(10**24 // 2),
+    ),
+    **{
+        f"parallelogram-2^{e}": (
+            {"dim": 2, "normals": [[1, 2**e], [0, 1], [-1, -(2**e)], [0, -1]],
+             "offsets": ["0", "0", "-1", "-1"]},
+            4, "1",
+        )
+        for e in (40, 62)
+    },
+}
+
+
+@pytest.mark.parametrize("name", HUGE_BOX_INPUTS)
+def test_analyze_is_exact_on_huge_boxes(capsys, tmp_path, name):
+    data, count, volume = HUGE_BOX_INPUTS[name]
+    path = tmp_path / "P.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert (out["lattice_point_count"], out["volume"]) == (count, volume)
 
 
 def test_analyze_counts_lattice_points_of_the_ladder(capsys, tmp_path):

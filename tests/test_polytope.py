@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -8,9 +9,13 @@ import pytest
 
 from geomgen import (
     blowup_polygon,
+    fibre_count,
     lattice_point_ladder,
+    oracle_ehrhart_volume,
     oracle_lattice_points,
+    oracle_polygon_area,
     oracle_vertices,
+    product_polytope,
     random_delzant_polygon,
     random_delzant_polytope,
     random_simple_non_delzant_polygon,
@@ -23,8 +28,9 @@ from toricwidth.fixtures import (
     projective_space,
     unit_square,
 )
+import toricwidth.polytope
 from toricwidth.fixtures import resolve_fixture
-from toricwidth.lattice import is_z_basis
+from toricwidth.lattice import det, dot, is_z_basis
 from toricwidth.polytope import (
     AffineLatticeMap,
     EmptyPolytopeError,
@@ -41,6 +47,7 @@ from toricwidth.polytope import (
     normalize_at_vertex,
     scale,
     to_dict,
+    vertex_sums,
 )
 
 SIMPLEX = projective_space(2, 1)
@@ -223,6 +230,7 @@ def test_derived_vertices_match_fresh_enumeration():
             assert "vertices" in vars(Q)  # derived, not enumerated again
             fresh = HalfspacePolytope(Q.normals, Q.offsets)
             assert list(Q.vertices) == enumerate_vertices(fresh)
+            assert [v.edges for v in Q.vertices] == [v.edges for v in fresh.vertices]
 
 
 def test_unknown_vertices_are_not_derived():
@@ -279,6 +287,69 @@ def test_lattice_point_count_invariant_under_maps():
         assert len(lattice_points(P)) == len(lattice_points(Q))
 
 
+# the benchmark's fixtures and those of the sections tests: n = 1 to 4,
+# rational offsets, up to 31,516 lattice points in qP
+COUNT_FIXTURES = (
+    "example-3.7", "example-3.8:1", "example-3.8:3", "example-3.8:10", "example-3.8:30",
+    "example-3.8:50", "cpn:1:5", "cpn:2:20", "cpn:2:60", "cpn:3:10", "cpn:3:20", "cpn:4:3",
+    "cpn:4:6",
+)
+
+
+def count_generators():
+    """The fixtures, the ladder, blow-up polygons with 4 to 16 facets, and ten
+    3-D and ten 4-D random_delzant_polytope draws."""
+    return (
+        [resolve_fixture(name) for name in COUNT_FIXTURES]
+        + lattice_point_ladder()
+        + [blowup_polygon(random.Random(d), d) for d in range(4, 17)]
+        + [random_delzant_polytope(random.Random(seed), n) for n in (3, 4) for seed in range(10)]
+    )
+
+
+def test_vertex_sum_count_equals_the_fibre_sum_on_every_generator():
+    for P in count_generators():
+        assert vertex_sums(P)[0] == fibre_count(P)
+
+
+def test_vertex_sums_hold_on_lattice_images_with_entries_up_to_2_40():
+    # the count is the preimage's fibre sum; the image's own box is too large
+    # to scan.  The image is walked afresh and also handed the mapped vertices.
+    rng = random.Random(40)
+    for P in count_generators():
+        if P.dim == 1:
+            f = AffineLatticeMap(((-1,),), (Fraction(2**40),))
+        else:
+            f = random_unimodular_map(rng, P.dim, shear=2**40)
+        Q = apply_lattice_map(P, f)
+        want = (fibre_count(P), vertex_sums(P)[1])
+        assert vertex_sums(Q) == want
+        assert vertex_sums(HalfspacePolytope(Q.normals, Q.offsets)) == want
+
+
+def test_volume_equals_the_shoelace_area_and_the_ehrhart_coefficient():
+    rng = random.Random(12)
+    polygons = (
+        [resolve_fixture(name) for name in COUNT_FIXTURES if name.startswith(("ex", "cpn:2"))]
+        + [blowup_polygon(random.Random(d), d) for d in range(4, 17)]
+        + [random_delzant_polygon(rng) for _ in range(30)]
+        + [scale(random_delzant_polygon(rng), Fraction(5, 3)) for _ in range(5)]
+    )
+    for P in polygons:
+        assert vertex_sums(P)[1] == oracle_polygon_area(P)
+    for n, draws in ((3, 10), (4, 5)):
+        for seed in range(draws):
+            P = random_delzant_polytope(random.Random(seed), n)
+            assert vertex_sums(P)[1] == oracle_ehrhart_volume(P)
+
+
+def test_vertex_sums_need_a_delzant_polytope():
+    non_delzant = random_simple_non_delzant_polygon(random.Random(3))
+    for P in (non_delzant, CUT_CUBE):
+        with pytest.raises(NotDelzantError, match=r"^the tangent cone at .* is not unimodular$"):
+            vertex_sums(P)
+
+
 def test_json_roundtrip():
     for P in (SIMPLEX, iterated_plane_blowup(2)):
         data = to_dict(P)
@@ -302,16 +373,39 @@ def test_bounding_box():
     assert hi == (4, 3)
 
 
+def assert_recession_direction(P, message):
+    """message names a nonzero integer r with <r, u_i> >= 0 for every i."""
+    match = re.fullmatch(r"recession direction \(([-\d, ]+?),?\)", message)
+    assert match, message
+    r = tuple(int(x) for x in match.group(1).split(", "))
+    assert len(r) == P.dim and any(r)
+    assert all(sum(a * b for a, b in zip(r, u)) >= 0 for u in P.normals)
+
+
 def assert_same_vertices(P):
-    """enumerate_vertices gives the oracle's list, or its exception and message."""
+    """enumerate_vertices gives the oracle's list, or its exception: the same
+    message for empty input, a recession direction for unbounded input (the
+    walk reports the first unbounded edge it meets, the oracle the first
+    direction of its subset scan).  Each walked vertex's edges are the
+    columns of D U_A^-1, D = |det U_A|."""
     try:
         want = oracle_vertices(P)
     except (UnboundedPolytopeError, EmptyPolytopeError) as e:
         with pytest.raises(type(e)) as got:
             enumerate_vertices(P)
-        assert str(got.value) == str(e)
+        if isinstance(e, UnboundedPolytopeError):
+            assert_recession_direction(P, str(got.value))
+        else:
+            assert str(got.value) == str(e)
     else:
-        assert enumerate_vertices(P) == want
+        got = enumerate_vertices(P)
+        assert got == want
+        for v in got:
+            if v.edges is not None:
+                D = abs(det([P.normals[i] for i in v.active]))
+                assert [[dot(e, P.normals[i]) for i in v.active] for e in v.edges] == [
+                    [D * (j == k) for k in range(P.dim)] for j in range(P.dim)
+                ]
 
 
 def half_spaces(normals, offsets):
@@ -325,7 +419,7 @@ CUT_CUBE = half_spaces(
 )
 FALLBACK_INPUTS = [
     CUT_CUBE,
-    half_spaces([(1, 0), (0, 1)], [0, 0]),  # quadrant: no start
+    half_spaces([(1, 0), (0, 1)], [0, 0]),  # quadrant: the walk's first edge is unbounded
     half_spaces([(1, 0), (-1, 0)], [0, -1]),  # strip: contains a line
     half_spaces([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)], [2, 2, -3, -3, 1]),  # empty
     half_spaces([(1, 0), (-1, 0)], [0, 1]),  # empty and contains a line
@@ -348,6 +442,8 @@ FALLBACK_INPUTS = [
 def test_fallback_inputs_match_the_subset_scan():
     for P in FALLBACK_INPUTS:
         assert_same_vertices(P)
+    with pytest.raises(UnboundedPolytopeError, match=r"^recession direction \(1, 0\)$"):
+        enumerate_vertices(FALLBACK_INPUTS[1])
     with pytest.raises(UnboundedPolytopeError, match=r"^recession direction \(0, 1\)$"):
         enumerate_vertices(FALLBACK_INPUTS[5])
     assert [len(v.active) for v in enumerate_vertices(CUT_CUBE)] == [3, 4, 4, 4]
@@ -370,6 +466,24 @@ def test_edge_walk_matches_the_subset_scan():
     non_delzant = [random_simple_non_delzant_polygon(rng) for _ in range(50)]
     for P in fixtures + lattice_point_ladder() + polygons + variants + blowups + non_delzant:
         assert_same_vertices(HalfspacePolytope(P.normals, P.offsets))
+
+
+def test_an_unbounded_edge_of_the_walk_is_the_recession_direction(monkeypatch):
+    # a 3-D prism over an 11-facet polygon, open upwards: the walk starts at
+    # a simple vertex, so no C(d, n - 1) subset search runs
+    def refuse(P):
+        raise AssertionError("the walk met an unbounded edge; no subset search should run")
+
+    monkeypatch.setattr(toricwidth.polytope, "recession_direction", refuse)
+    for facets in (4, 11):
+        polygon = blowup_polygon(random.Random(facets), facets)
+        P = product_polytope(polygon, half_spaces([(1,)], [0]))
+        with pytest.raises(UnboundedPolytopeError, match=r"^recession direction \(0, 0, 1\)$"):
+            enumerate_vertices(P)
+        Q = apply_lattice_map(P, random_unimodular_map(random.Random(facets), 3))
+        with pytest.raises(UnboundedPolytopeError) as got:
+            enumerate_vertices(Q)
+        assert_recession_direction(Q, str(got.value))
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -13,7 +13,6 @@ from .numeric import (
     sup_along_path,
 )
 from .polytope import (
-    AffineLatticeMap,
     EmptyPolytopeError,
     HalfspacePolytope,
     NotDelzantError,

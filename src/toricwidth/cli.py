@@ -23,7 +23,7 @@ import sys
 
 from . import fixtures
 from .embedding import MonomialEmbedding, sections_by_polytope
-from .fan import is_smooth, normal_fan
+from .fan import normal_fan
 from .polytope import (
     HalfspacePolytope,
     NotDelzantError,
@@ -75,8 +75,8 @@ def _emit(obj: dict, fmt: str) -> None:
 
 def cmd_analyze(args) -> int:
     P = load_polytope(args.input)
-    F = normal_fan(P)  # exits on a non-simple vertex; qP has the same fan
-    if not is_smooth(F):
+    normal_fan(P)  # exits on a non-simple vertex
+    if not is_delzant(P):
         raise ValueError("fan must be smooth")
     # Past both exits P is Delzant, its fan smooth and complete (P is bounded).
     # g = q lambda, the offsets of qP, is then strictly convex (Cox-Little-
@@ -162,9 +162,7 @@ def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ParseFailure(f"--samples must be at least 1 (got {args.samples})")
     P = load_polytope(args.input)
-    normal_fan(P)  # names P's vertex if the fan is undefined; qP gets P's vertices
-    _, Pq = clear_denominators(P)
-    results = polytope_suites(Pq, seed=args.seed, samples=args.samples)
+    results = polytope_suites(P, seed=args.seed, samples=args.samples)
     if args.format == "json":
         keys = ("name", "passed", "deviation", "tolerance")
         print(json.dumps([{k: getattr(r, k) for k in keys} for r in results], indent=2))

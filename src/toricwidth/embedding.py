@@ -95,5 +95,4 @@ class MonomialEmbedding:
 
 def sections_by_polytope(P: HalfspacePolytope, v: Vertex) -> MonomialEmbedding:
     """Lattice points of P normalized at the vertex v, as its fibres."""
-    _, Q = normalize_at_vertex(P, v)
-    return MonomialEmbedding.from_fibres(lattice_fibres(Q))
+    return MonomialEmbedding.from_fibres(lattice_fibres(normalize_at_vertex(P, v)))

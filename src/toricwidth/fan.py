@@ -3,12 +3,14 @@
 The fan of a polytope {x : <x, u_i> >= lambda_i} has the facet normals as
 generators and, as maximal cones, the tight facet sets of the vertices.  It
 is complete because the polytope is bounded, and smooth exactly when the
-polytope is Delzant.  Strict convexity of a support function, the test used
-to certify very ample classes, is one inequality per maximal cone and
-generator outside it: <h_sigma, u_j> > g(u_j).  For g = lambda on a Delzant
-polytope that is a theorem (h_sigma is the simple vertex on the facets
-sigma), so `analyze` does not run is_strictly_convex; the tests keep it as
-the oracle.
+polytope is Delzant.  The command line asks polytope.is_delzant, which
+reads |det U_A| = 1 off the vertex walk; is_smooth, one elimination per
+maximal cone, is for fans given by their cones, and the tests' oracle.
+Strict convexity of a support function, the test used to certify very
+ample classes, is one inequality per maximal cone and generator outside
+it: <h_sigma, u_j> > g(u_j).  For g = lambda on a Delzant polytope that
+is a theorem (h_sigma is the simple vertex on the facets sigma), so
+`analyze` does not run is_strictly_convex; the tests keep it as the oracle.
 """
 
 from __future__ import annotations

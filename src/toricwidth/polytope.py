@@ -10,13 +10,15 @@ edges of a simple polytope, one integer elimination per vertex, started at
 the first feasible n-subset of facets; each walked vertex keeps its edge
 directions, and an unbounded edge is reported as the recession direction.
 A polytope that is not simple, or an input the walk cannot start on, is
-handed to the scan of every n-subset instead.  The lattice-point count and
-the volume of a Delzant polytope are vertex sums over those edge directions
-(Brion's and Lawrence's formulas), so their cost follows the vertices, not
-the volume.  The lattice points themselves come fibre by fibre: for each
-integer prefix x_1..x_{n-1} of the bounding box, the integer interval of
-x_n, with ends from integer ceiling and floor divisions, one facet at a
-time.
+handed to the scan of every n-subset instead.  The walk is the one place
+a vertex is found unimodular: the Delzant test reads D = |det U_A| off the
+walked vertex and the normalization at a vertex reads U_A^-1 off it, with
+no elimination of their own.  The lattice-point count and the volume of a
+Delzant polytope are vertex sums over those edge directions (Brion's and
+Lawrence's formulas), so their cost follows the vertices, not the volume.
+The lattice points themselves come fibre by fibre: for each integer prefix
+x_1..x_{n-1} of the bounding box, the integer interval of x_n, with ends
+from integer ceiling and floor divisions, one facet at a time.
 """
 
 from __future__ import annotations
@@ -30,19 +32,14 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .lattice import (
-    IntMatrix,
     IntVector,
     RationalVector,
     dot,
     fraction_free_solve,
     int_vector,
     integer_kernel_basis,
-    inverse_unimodular,
     is_primitive,
-    is_z_basis,
-    mat_vec,
     rational_vector,
-    transpose,
 )
 
 
@@ -103,7 +100,7 @@ class HalfspacePolytope:
     def vertices(self) -> tuple[Vertex, ...]:
         """enumerate_vertices(self), computed at most once per polytope object.
 
-        scale and apply_lattice_map hand their image the mapped list once
+        scale and normalize_at_vertex hand their image the mapped list once
         this one is known, so derived polytopes do not enumerate again.
         """
         return tuple(enumerate_vertices(self))
@@ -135,8 +132,9 @@ class Vertex:
     A vertex of the edge walk also keeps its edge directions: edges[k] is
     column k of D U_A^-1, with U_A the normals of the facets `active` as
     rows and D = |det U_A|, so it leaves facet active[k] and stays on the
-    others.  D = 1 at a Delzant vertex.  They are None on a vertex of the
-    subset scan, and not compared.
+    others.  <edges[0], u_{A_0}> = D, so D = 1, a Z-basis of tight normals,
+    is read off them: is_delzant, vertex_sums and normalize_at_vertex do
+    so.  They are None on a vertex of the subset scan, and not compared.
     """
 
     point: RationalVector
@@ -147,33 +145,6 @@ class Vertex:
 def format_point(x: Sequence) -> str:
     """A point for messages, as (0, 1/2) rather than the reprs of its Fractions."""
     return "(" + ", ".join(str(c) for c in x) + ")"
-
-
-@dataclass(frozen=True)
-class AffineLatticeMap:
-    """x -> M x + t with M an integer matrix of determinant +-1."""
-
-    matrix: IntMatrix
-    translation: RationalVector
-
-    def __post_init__(self):
-        M = tuple(int_vector(row) for row in self.matrix)
-        t = rational_vector(self.translation)
-        if not M or any(len(row) != len(M) for row in M):
-            raise ValueError("matrix must be square and nonempty")
-        if not is_z_basis(M):
-            raise ValueError("matrix must be unimodular")
-        if len(t) != len(M):
-            raise ValueError("translation length mismatch")
-        object.__setattr__(self, "matrix", M)
-        object.__setattr__(self, "translation", t)
-
-    def apply(self, x: Sequence) -> RationalVector:
-        return tuple(a + b for a, b in zip(mat_vec(self.matrix, x), self.translation))
-
-    def inverse(self) -> "AffineLatticeMap":
-        Minv = inverse_unimodular(self.matrix)
-        return AffineLatticeMap(Minv, tuple(-a for a in mat_vec(Minv, self.translation)))
 
 
 def recession_direction(P: HalfspacePolytope) -> IntVector | None:
@@ -310,12 +281,24 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
     return [Vertex(pt, found[pt]) for pt in sorted(found)]
 
 
+def _unimodular(P: HalfspacePolytope, v: Vertex) -> bool:
+    """v is a vertex of the edge walk whose tight normals form a Z-basis:
+    D = <w_0, u_{A_0}> = 1, read off its first edge direction."""
+    if v.edges is None:
+        return False
+    return sum(map(operator.mul, v.edges[0], P.normals[v.active[0]])) == 1
+
+
 def is_delzant(P: HalfspacePolytope) -> bool:
-    """Every vertex has exactly n tight facets whose normals form a Z-basis."""
-    return all(
-        len(v.active) == P.dim and is_z_basis([P.normals[i] for i in v.active])
-        for v in P.vertices
-    )
+    """Every vertex has exactly n tight facets whose normals form a Z-basis.
+
+    Read off the walk, with no elimination of its own.  The walk's vertices
+    are all simple and each carries D in its edges.  The subset scan, whose
+    vertices carry no edges, runs only when P is not simple: when the start
+    vertex lies on more than n facets, or when a ratio test ties, which puts
+    n + 1 facets through the neighbour.  So the test is exact.
+    """
+    return all(_unimodular(P, v) for v in P.vertices)
 
 
 def bounding_box(P: HalfspacePolytope) -> tuple[IntVector, IntVector]:
@@ -435,7 +418,7 @@ def vertex_sums(P: HalfspacePolytope) -> tuple[int, Fraction]:
     q, b = P.integer_offsets
     vertices = P.vertices
     for v in vertices:
-        if v.edges is None or sum(map(operator.mul, v.edges[0], P.normals[v.active[0]])) != 1:
+        if not _unimodular(P, v):
             raise NotDelzantError(f"the tangent cone at {format_point(v.point)} is not unimodular")
     K = 1 + max(abs(x) for v in vertices for w in v.edges for x in w)
     c = [K**i for i in range(n)]
@@ -491,40 +474,40 @@ def _with_mapped_vertices(
     return Q
 
 
-def apply_lattice_map(P: HalfspacePolytope, f: AffineLatticeMap) -> HalfspacePolytope:
-    """Image polytope: normals become M^-T u, offsets pick up <t, u'>."""
-    MinvT = transpose(inverse_unimodular(f.matrix))
-    new_normals = []
-    new_offsets = []
-    for u, l in zip(P.normals, P.offsets):
-        u2 = mat_vec(MinvT, u)
-        new_normals.append(u2)
-        new_offsets.append(l + dot(f.translation, u2))
-    return _with_mapped_vertices(
-        HalfspacePolytope(tuple(new_normals), tuple(new_offsets)), P, f.apply, f.matrix
-    )
+def normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
+    """P moved by x -> U_A x - lambda_A, with U_A the normals of the facets A
+    tight at the Delzant vertex v as rows: v goes to the origin and facet
+    A_k to <y, e_k> >= 0, so the image sits in the nonnegative orthant.
 
-
-def normalize_at_vertex(
-    P: HalfspacePolytope, v: Vertex
-) -> tuple[AffineLatticeMap, HalfspacePolytope]:
-    """Move a Delzant vertex to the origin with its facets on the axes.
-
-    With U the matrix whose columns are the active normals (ascending facet
-    index), the map is x -> U^T x - g where g_k is the offset of the k-th
-    active facet.  Afterwards facet k reads <x, e_k> >= 0, so the polytope
-    sits in the nonnegative orthant with v at the origin.
+    Read off the walk at v, with no elimination: the edge directions w_k are
+    the columns of U_A^-1, so the image normals U_A^-T u_i are
+    (<w_k, u_i>)_k and the offsets lambda_i - <u_i, v>.  A vertex x maps to
+    its slacks <u_{A_k}, x> - lambda_{A_k}, in integers over one
+    denominator, and its edges by U_A.
     """
-    n = P.dim
-    if len(v.active) != n:
+    if len(v.active) != P.dim:
         raise NotDelzantError(f"vertex {format_point(v.point)} lies on {len(v.active)} facets")
-    cols = [P.normals[i] for i in v.active]
-    if not is_z_basis(cols):
+    if v.edges is None:  # a vertex of the subset scan
+        raise NotDelzantError(
+            f"vertex {format_point(v.point)} is on a polytope that is not simple"
+        )
+    if not _unimodular(P, v):
         raise NotDelzantError(f"normals at {format_point(v.point)} do not form a Z-basis")
-    Ut = tuple(cols)  # rows of U^T are the active normals
-    g = tuple(-P.offsets[i] for i in v.active)
-    f = AffineLatticeMap(Ut, g)
-    return f, apply_lattice_map(P, f)
+    q, b = P.integer_offsets
+    A = [P.normals[i] for i in v.active]
+    qv = [c.numerator * (q // c.denominator) for c in v.point]  # integral, as D = 1
+    normals = tuple(tuple(sum(map(operator.mul, w, u)) for w in v.edges) for u in P.normals)
+    offsets = tuple(Fraction(bi - sum(map(operator.mul, u, qv)), q) for u, bi in zip(P.normals, b))
+
+    def slacks(x):
+        m = math.lcm(q, *(c.denominator for c in x))
+        mx = [c.numerator * (m // c.denominator) for c in x]
+        return tuple(
+            Fraction(sum(map(operator.mul, u, mx)) - b[i] * (m // q), m)
+            for u, i in zip(A, v.active)
+        )
+
+    return _with_mapped_vertices(HalfspacePolytope(normals, offsets), P, slacks, A)
 
 
 def scale(P: HalfspacePolytope, c) -> HalfspacePolytope:

@@ -62,7 +62,7 @@ from .numeric import (
     sup_along_path,
     suggested_path_exponent,
 )
-from .polytope import HalfspacePolytope
+from .polytope import HalfspacePolytope, clear_denominators
 
 CHART_TOL = 1e-9
 GRADIENT_TOL = 1e-5
@@ -246,9 +246,14 @@ def numeric_suite(
 def polytope_suites(
     P: HalfspacePolytope, seed: int = 0, samples: int = 10
 ) -> list[CheckResult]:
-    """Chart and numeric suites derived from one polytope."""
-    F = normal_fan(P)
-    results = chart_suite(F, seed=seed, samples=samples)
-    E = sections_by_polytope(P, P.vertices[0])
+    """Chart and numeric suites derived from one polytope.
+
+    The fan is built once, on P, so an undefined fan names P's vertex; qP,
+    for q = P.integer_offsets[0], has the same fan and gets P's vertices,
+    and the embedding is that of qP at its first vertex.
+    """
+    results = chart_suite(normal_fan(P), seed=seed, samples=samples)
+    _, Pq = clear_denominators(P)
+    E = sections_by_polytope(Pq, Pq.vertices[0])
     results += numeric_suite(ToricPotential(E), seed=seed, samples=samples)
     return results

@@ -6,8 +6,10 @@ import cmath
 import functools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from typing import Sequence
 
 import numpy as np
 
@@ -16,29 +18,34 @@ from toricwidth.embedding import MonomialEmbedding
 from toricwidth.fan import Fan, is_strictly_convex
 from toricwidth.fixtures import projective_space, unit_square
 from toricwidth.lattice import (
+    IntMatrix,
     IntVector,
+    RationalVector,
     dot,
+    int_vector,
     integer_kernel_basis,
+    inverse_unimodular,
+    is_z_basis,
     mat_mul,
+    mat_vec,
     matrix_from_columns,
+    rational_vector,
     rref,
     solve_rational,
     transpose,
 )
 from toricwidth.numeric import GRADIENT_STEP
 from toricwidth.polytope import (
-    AffineLatticeMap,
     EmptyPolytopeError,
     HalfspacePolytope,
     UnboundedPolytopeError,
     Vertex,
-    apply_lattice_map,
+    _with_mapped_vertices,
     bounding_box,
     clear_denominators,
     is_delzant,
     lattice_fibres,
     lattice_points,
-    normalize_at_vertex,
     recession_direction,
     scale,
 )
@@ -101,6 +108,73 @@ def oracle_det(M) -> Fraction:
             A[i][k] = 0
         prev = A[k][k]
     return Fraction(sign * A[n - 1][n - 1]) / scale
+
+
+@dataclass(frozen=True)
+class AffineLatticeMap:
+    """x -> M x + t with M an integer matrix of determinant +-1."""
+
+    matrix: IntMatrix
+    translation: RationalVector
+
+    def __post_init__(self):
+        M = tuple(int_vector(row) for row in self.matrix)
+        t = rational_vector(self.translation)
+        if not M or any(len(row) != len(M) for row in M):
+            raise ValueError("matrix must be square and nonempty")
+        if not is_z_basis(M):
+            raise ValueError("matrix must be unimodular")
+        if len(t) != len(M):
+            raise ValueError("translation length mismatch")
+        object.__setattr__(self, "matrix", M)
+        object.__setattr__(self, "translation", t)
+
+    def apply(self, x: Sequence) -> RationalVector:
+        return tuple(a + b for a, b in zip(mat_vec(self.matrix, x), self.translation))
+
+    def inverse(self) -> "AffineLatticeMap":
+        Minv = inverse_unimodular(self.matrix)
+        return AffineLatticeMap(Minv, tuple(-a for a in mat_vec(Minv, self.translation)))
+
+
+def apply_lattice_map(P: HalfspacePolytope, f: AffineLatticeMap) -> HalfspacePolytope:
+    """Image polytope: normals become M^-T u, offsets pick up <t, u'>.  The
+    image gets P's vertices mapped by f, with edges mapped by M, if P knows
+    them, as polytope.normalize_at_vertex hands its image."""
+    MinvT = transpose(inverse_unimodular(f.matrix))
+    new_normals = []
+    new_offsets = []
+    for u, l in zip(P.normals, P.offsets):
+        u2 = mat_vec(MinvT, u)
+        new_normals.append(u2)
+        new_offsets.append(l + dot(f.translation, u2))
+    return _with_mapped_vertices(
+        HalfspacePolytope(tuple(new_normals), tuple(new_offsets)), P, f.apply, f.matrix
+    )
+
+
+def vertex_map(P: HalfspacePolytope, v: Vertex) -> AffineLatticeMap:
+    """x -> U_A x - lambda_A for the facets A tight at v, by an elimination of
+    its own: AffineLatticeMap refuses U_A unless it is a Z-basis."""
+    return AffineLatticeMap(
+        tuple(P.normals[i] for i in v.active), tuple(-P.offsets[i] for i in v.active)
+    )
+
+
+def oracle_normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
+    """The oracle of normalize_at_vertex: P under vertex_map(P, v), with
+    normals M^-T u from an inverse of its own and vertices mapped in
+    Fractions."""
+    return apply_lattice_map(P, vertex_map(P, v))
+
+
+def oracle_is_delzant(P: HalfspacePolytope) -> bool:
+    """The oracle of is_delzant: every vertex has n tight facets, and their
+    normals form a Z-basis by one is_z_basis elimination per vertex."""
+    return all(
+        len(v.active) == P.dim and is_z_basis([P.normals[i] for i in v.active])
+        for v in P.vertices
+    )
 
 
 def random_unimodular_map(rng: random.Random, n: int = 2, shear: int = 2) -> AffineLatticeMap:
@@ -343,8 +417,7 @@ def oracle_sections(P: HalfspacePolytope, k: int) -> tuple[tuple[int, ...], ...]
     points of qP normalized at its k-th vertex.  Cached, as the CLI and the
     numeric tests compare against the same cases."""
     _, Pq = clear_denominators(P)
-    _, Q = normalize_at_vertex(Pq, Pq.vertices[k])
-    return tuple(oracle_lattice_points(Q))
+    return tuple(oracle_lattice_points(oracle_normalize_at_vertex(Pq, Pq.vertices[k])))
 
 
 def oracle_relations(P: HalfspacePolytope, totals):
@@ -504,8 +577,7 @@ def sections_by_conditions(F: Fan, g: IntVector, cone_index: int) -> MonomialEmb
         raise ValueError("support function is not strictly convex")
     C = chart_for_cone(F, cone_index)
     P = polytope_from_support(F, g)
-    _, Q = normalize_at_vertex(P, _vertex_of_cone(P, C.cone))
-    lo, hi = bounding_box(Q)
+    lo, hi = bounding_box(oracle_normalize_at_vertex(P, _vertex_of_cone(P, C.cone)))
     ranges = [range(max(0, a), b + 1) for a, b in zip(lo, hi)]
     found = [
         x

@@ -21,6 +21,7 @@ from toricwidth.charts import (
 )
 from geomgen import (
     _oracle_kernel_param,
+    apply_lattice_map,
     _oracle_phi,
     _oracle_psi,
     assert_same_results,
@@ -39,7 +40,7 @@ from toricwidth.fixtures import (
     unit_square,
 )
 from toricwidth.lattice import dot, integer_kernel_basis, mat_mul, matrix_from_columns
-from toricwidth.polytope import apply_lattice_map, scale
+from toricwidth.polytope import scale
 from toricwidth.verify import chart_suite
 
 TOL = 1e-9

@@ -152,7 +152,7 @@ def test_embed_prints_the_oracle_points(capsys, tmp_path):
 def test_embed_and_verify_read_no_lattice_points(capsys, monkeypatch):
     # both read the fibres; the exponent list is the tests' alone
     _, Pq = clear_denominators(toricwidth.cli.load_polytope("example-3.8:50"))
-    _, Q = normalize_at_vertex(Pq, Pq.vertices[0])
+    Q = normalize_at_vertex(Pq, Pq.vertices[0])
     listed = json.dumps([list(J) for J in lattice_points(Q)]) + "\n"
     argvs = [["embed", "example-3.8:50"], ["verify", "cpn:2:20", "--format", "json"]]
     before = [_outcome(capsys, argv) for argv in argvs]
@@ -433,6 +433,47 @@ def test_analyze_reads_no_lattice_points(capsys, monkeypatch):
     for spec, (count, volume) in counts.items():
         out = run_json(capsys, "analyze", spec)
         assert (out["lattice_point_count"], out["volume"]) == (count, volume)
+
+
+def test_analyze_width_and_embed_read_unimodularity_off_the_walk(capsys, monkeypatch, tmp_path):
+    # no Z-basis test, inverse or smoothness test of their own, and no
+    # elimination beyond the vertex walk's but width's one in fano_check
+    path = tmp_path / "P.json"
+    path.write_text(json.dumps(HUGE_BOX_INPUTS["parallelogram-2^62"][0]))
+    specs = ["example-3.7", "example-3.8:50", "cpn:3:10", "cpn:4:3", str(path)]
+    argvs = [[cmd, spec] for spec in specs for cmd in ("analyze", "width", "embed")]
+    argvs += [["analyze", spec, "--format", "text"] for spec in specs[:2]]
+    argvs += [["width", "example-3.8:50", "--vertex", "5"], ["embed", "cpn:3:10", "--vertex", "3"]]
+    before = [_outcome(capsys, argv) for argv in argvs]
+    assert all(rc == 0 and err == "" for rc, _, err in before)
+
+    def refuse(*args):
+        raise AssertionError("the vertex walk has already decided unimodularity")
+
+    originals = [toricwidth.lattice.is_z_basis, toricwidth.lattice.inverse_unimodular,
+                 toricwidth.fan.is_smooth]
+    for mod in (toricwidth.lattice, toricwidth.fan, toricwidth.polytope, toricwidth.cli,
+                toricwidth.width, toricwidth.embedding):
+        for name, value in list(vars(mod).items()):
+            if any(value is f for f in originals):
+                monkeypatch.setattr(mod, name, refuse)
+    eliminations = 0
+    eliminate = toricwidth.lattice._eliminate
+
+    def counted(*args):
+        nonlocal eliminations
+        eliminations += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(toricwidth.lattice, "_eliminate", counted)
+    monkeypatch.setattr(toricwidth.width, "_eliminate", counted)
+    for argv, want in zip(argvs, before):
+        eliminations = 0
+        toricwidth.polytope.enumerate_vertices(toricwidth.cli.load_polytope(argv[1]))
+        walk = eliminations
+        eliminations = 0
+        assert _outcome(capsys, argv) == want, argv
+        assert eliminations == walk + (argv[0] == "width"), argv
 
 
 # inputs whose bounding box is far too large to scan: the triangle of degree

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from geomgen import blowup_polygon, oracle_det, oracle_rref, random_delzant_polytope
+from geomgen import (
+    AffineLatticeMap,
+    blowup_polygon,
+    oracle_det,
+    oracle_rref,
+    random_delzant_polytope,
+)
 from toricwidth.charts import NonUnimodularConeError, chart_for_cone
 from toricwidth.fan import Fan, normal_fan
 from toricwidth.fixtures import resolve_fixture
@@ -24,7 +30,6 @@ from toricwidth.lattice import (
     solve_rational,
     transpose,
 )
-from toricwidth.polytope import AffineLatticeMap
 
 
 def test_det_2x2():

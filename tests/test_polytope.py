@@ -8,11 +8,15 @@ from itertools import combinations_with_replacement
 import pytest
 
 from geomgen import (
+    AffineLatticeMap,
+    apply_lattice_map,
     blowup_polygon,
     fibre_count,
     lattice_point_ladder,
     oracle_ehrhart_volume,
+    oracle_is_delzant,
     oracle_lattice_points,
+    oracle_normalize_at_vertex,
     oracle_polygon_area,
     oracle_vertices,
     product_polytope,
@@ -20,6 +24,7 @@ from geomgen import (
     random_delzant_polytope,
     random_simple_non_delzant_polygon,
     random_unimodular_map,
+    vertex_map,
 )
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
@@ -32,12 +37,10 @@ import toricwidth.polytope
 from toricwidth.fixtures import resolve_fixture
 from toricwidth.lattice import det, dot, is_z_basis
 from toricwidth.polytope import (
-    AffineLatticeMap,
     EmptyPolytopeError,
     HalfspacePolytope,
     NotDelzantError,
     UnboundedPolytopeError,
-    apply_lattice_map,
     bounding_box,
     enumerate_vertices,
     from_dict,
@@ -178,7 +181,8 @@ def test_normalize_at_vertex_blowup():
     P = blown_up_hirzebruch()
     vs = enumerate_vertices(P)
     top = next(v for v in vs if v.point == (4, 3))
-    f, Q = normalize_at_vertex(P, top)
+    Q = normalize_at_vertex(P, top)
+    f = vertex_map(P, top)
     assert f.apply(top.point) == (0, 0)
     # active facets become coordinate facets through the origin
     for k, i in enumerate(top.active):
@@ -205,7 +209,7 @@ def test_vertices_property_matches_enumeration():
 
 
 def test_derived_vertices_match_fresh_enumeration():
-    """scale, apply_lattice_map and normalize_at_vertex pass mapped vertices on;
+    """scale, normalize_at_vertex and geomgen.apply_lattice_map pass mapped vertices on;
     each list must equal a fresh enumeration of an equal, newly built polytope."""
     rng = random.Random(41)
     polytopes = [
@@ -225,7 +229,7 @@ def test_derived_vertices_match_fresh_enumeration():
         else:
             f = random_unimodular_map(rng, P.dim)
         images = [scale(P, Fraction(3, 2)), scale(P, 4), apply_lattice_map(P, f)]
-        images += [normalize_at_vertex(P, v)[1] for v in P.vertices]
+        images += [normalize_at_vertex(P, v) for v in P.vertices]
         for Q in images:
             assert "vertices" in vars(Q)  # derived, not enumerated again
             fresh = HalfspacePolytope(Q.normals, Q.offsets)
@@ -348,6 +352,83 @@ def test_vertex_sums_need_a_delzant_polytope():
     for P in (non_delzant, CUT_CUBE):
         with pytest.raises(NotDelzantError, match=r"^the tangent cone at .* is not unimodular$"):
             vertex_sums(P)
+
+
+def lattice_image(P, rng, shear):
+    """P under a random lattice map with shears up to `shear`, newly built, so
+    its vertices are walked afresh."""
+    if P.dim == 1:
+        f = AffineLatticeMap(((-1,),), (Fraction(shear),))
+    else:
+        f = random_unimodular_map(rng, P.dim, shear=shear)
+    Q = apply_lattice_map(P, f)
+    return HalfspacePolytope(Q.normals, Q.offsets)
+
+
+def raises(f, *args) -> bool:
+    try:
+        f(*args)
+    except ValueError:
+        return True
+    return False
+
+
+def unimodularity_generators():
+    """count_generators() with five 5/3 dilates of blow-up polygons, simple
+    non-Delzant polygons, the bounded inputs the walk hands to the subset
+    scan, and lattice images of all of these with shears of 2^40 and 2^62."""
+    rng = random.Random(62)
+    scanned = [P for P in FALLBACK_INPUTS if not raises(enumerate_vertices, P)]
+    base = (
+        count_generators()
+        + [scale(blowup_polygon(random.Random(d), d), Fraction(5, 3)) for d in range(5, 10)]
+        + [random_simple_non_delzant_polygon(random.Random(seed)) for seed in range(10)]
+        + scanned
+    )
+    return base + [lattice_image(P, rng, shear) for shear in (2**40, 2**62) for P in base]
+
+
+def test_is_delzant_equals_the_oracle_on_every_generator():
+    answers = [(is_delzant(P), oracle_is_delzant(P)) for P in unimodularity_generators()]
+    assert all(got == want for got, want in answers)
+    assert {got for got, _ in answers} == {True, False}
+
+
+def test_normalize_at_vertex_equals_the_oracle_map_at_every_vertex():
+    # the image of the oracle map, with its vertices and edges enumerated
+    # afresh; vertices that are not unimodular are refused by both
+    for P in unimodularity_generators():
+        for v in P.vertices:
+            if len(v.active) != P.dim:
+                with pytest.raises(NotDelzantError, match=r"^vertex .* lies on \d+ facets$"):
+                    normalize_at_vertex(P, v)
+            elif v.edges is None:
+                with pytest.raises(NotDelzantError, match=r"polytope that is not simple$"):
+                    normalize_at_vertex(P, v)
+            elif raises(vertex_map, P, v):
+                with pytest.raises(NotDelzantError, match=r"do not form a Z-basis$"):
+                    normalize_at_vertex(P, v)
+            else:
+                Q = normalize_at_vertex(P, v)
+                want = oracle_normalize_at_vertex(P, v)
+                assert (Q.normals, Q.offsets) == (want.normals, want.offsets)
+                assert "vertices" in vars(Q)  # mapped, not walked again
+                fresh = HalfspacePolytope(want.normals, want.offsets)
+                assert Q.vertices == fresh.vertices
+                assert [w.edges for w in Q.vertices] == [w.edges for w in fresh.vertices]
+
+
+def test_normalize_at_vertex_names_what_is_not_delzant():
+    # the cut cube's origin is simple, but the walk ties, so the subset scan
+    # lists the vertices and no vertex carries the walk's edges
+    origin, corner = CUT_CUBE.vertices[:2]
+    assert (origin.point, len(origin.active), origin.edges) == ((0, 0, 0), 3, None)
+    with pytest.raises(
+        NotDelzantError, match=r"^vertex \(0, 0, 0\) is on a polytope that is not simple$"
+    ):
+        normalize_at_vertex(CUT_CUBE, origin)
+    with pytest.raises(NotDelzantError, match=r"^vertex \(0, 0, 1\) lies on 4 facets$"):
+        normalize_at_vertex(CUT_CUBE, corner)
 
 
 def test_json_roundtrip():

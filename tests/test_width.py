@@ -5,6 +5,7 @@ import pytest
 
 import toricwidth.width
 from geomgen import (
+    apply_lattice_map,
     blow_up,
     blowup_polygon,
     lattice_point_ladder,
@@ -32,7 +33,6 @@ from toricwidth.fixtures import (
 from toricwidth.lattice import dot
 from toricwidth.polytope import (
     HalfspacePolytope,
-    apply_lattice_map,
     enumerate_vertices,
     is_delzant,
     scale,

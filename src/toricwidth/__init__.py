@@ -3,8 +3,8 @@ Gromov-width upper bounds."""
 
 from .charts import ChartData, chart_for_cone, transition_map
 from .embedding import MonomialEmbedding, sections_by_polytope
-from .fan import Fan, is_smooth, is_strictly_convex, normal_fan, support_function
-from .lattice import det, inverse_unimodular, is_z_basis, solve_rational
+from .fan import Fan, is_strictly_convex, normal_fan
+from .lattice import solve_rational
 from .numeric import (
     ToricPotential,
     potential_partial,

@@ -27,12 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .fan import Fan
-from .lattice import (
-    IntMatrix,
-    fraction_free_solve,
-    mat_mul,
-    matrix_from_columns,
-)
+from .lattice import IntMatrix, fraction_free_solve, mat_mul, transpose
 
 
 class NonUnimodularConeError(ValueError):
@@ -61,12 +56,12 @@ def chart_for_cone(F: Fan, cone_index: int) -> ChartData:
     n = F.dim
     if len(cone) != n:
         raise NonUnimodularConeError(f"cone {cone} is not full-dimensional")
-    U = matrix_from_columns([F.generators[i] for i in cone])
+    U = transpose([F.generators[i] for i in cone])
     complement = tuple(i for i in range(len(F.generators)) if i not in cone)
     identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     # one elimination of [U | I | W], which tests |det U| = 1 and gives U^-1 [I | W]
     solved = fraction_free_solve(
-        U, matrix_from_columns(identity + [F.generators[i] for i in complement])
+        U, transpose(identity + [F.generators[i] for i in complement])
     )
     if solved is None or solved[0] != 1:
         raise NonUnimodularConeError(f"cone {cone} generators are not a Z-basis")

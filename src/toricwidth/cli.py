@@ -48,9 +48,13 @@ class ParseFailure(Exception):
 def load_polytope(spec: str) -> HalfspacePolytope:
     try:
         return fixtures.resolve_fixture(spec)
-    except ValueError:
-        pass
+    except fixtures.UnknownFixtureError:
+        bad_parameter = None
+    except ValueError as e:
+        bad_parameter = e
     if not os.path.exists(spec):
+        if bad_parameter is not None:
+            raise ParseFailure(f"fixture {spec!r}: {bad_parameter}")
         raise ParseFailure(f"not a fixture name and not a file: {spec!r}")
     try:
         with open(spec) as f:

@@ -24,37 +24,12 @@ from .polytope import HalfspacePolytope, Vertex, lattice_fibres, normalize_at_ve
 Fibre = tuple[IntVector, int, int]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MonomialEmbedding:
-    """A finite set of exponent vectors in Z^n_{>=0}, held as fibres.
-
-    MonomialEmbedding(exponents) takes tuples of ints in any order; they are
-    checked but not converted, then grouped into fibres, so the vectors over
-    each prefix x_1..x_{n-1} must fill an interval of x_n.
-    """
+    """A finite set of exponent vectors in Z^n_{>=0}, held as fibres; built
+    by from_fibres, which checks them."""
 
     fibres: tuple[Fibre, ...]
-
-    def __init__(self, exponents: Iterable[IntVector]):
-        exps = tuple(exponents)
-        if not exps:
-            raise ValueError("embedding needs at least one exponent")
-        n = len(exps[0])
-        if any(len(e) != n for e in exps):
-            raise ValueError("exponents must share one dimension")
-        if any(x < 0 for e in exps for x in e):
-            raise ValueError("exponents must be nonnegative")
-        if len(set(exps)) != len(exps):
-            raise ValueError("duplicate exponent")
-        fibres: list[list] = []
-        for e in sorted(exps):
-            if fibres and fibres[-1][0] == e[:-1]:
-                if fibres[-1][2] + 1 != e[-1]:
-                    raise ValueError("exponents must fill an interval of x_n over each prefix")
-                fibres[-1][2] = e[-1]
-            else:
-                fibres.append([e[:-1], e[-1], e[-1]])
-        object.__setattr__(self, "fibres", tuple(map(tuple, fibres)))
 
     @classmethod
     def from_fibres(cls, fibres: Iterable[Fibre]) -> MonomialEmbedding:
@@ -78,9 +53,7 @@ class MonomialEmbedding:
             if previous is not None and prefix <= previous:
                 raise ValueError("fibre prefixes must increase strictly")
             previous = prefix
-        E = cls.__new__(cls)
-        object.__setattr__(E, "fibres", fibres)
-        return E
+        return cls(fibres)
 
     @property
     def dim(self) -> int:

@@ -1,11 +1,9 @@
-"""Normal fans of simple polytopes, support functions and strict convexity.
+"""Normal fans of simple polytopes and strict convexity of support functions.
 
 The fan of a polytope {x : <x, u_i> >= lambda_i} has the facet normals as
 generators and, as maximal cones, the tight facet sets of the vertices.  It
 is complete because the polytope is bounded, and smooth exactly when the
-polytope is Delzant.  The command line asks polytope.is_delzant, which
-reads |det U_A| = 1 off the vertex walk; is_smooth, one elimination per
-maximal cone, is for fans given by their cones, and the tests' oracle.
+polytope is Delzant, which polytope.is_delzant reads off the vertex walk.
 Strict convexity of a support function, the test used to certify very
 ample classes, is one inequality per maximal cone and generator outside
 it: <h_sigma, u_j> > g(u_j).  For g = lambda on a Delzant polytope that
@@ -17,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import IntVector, dot, is_z_basis, solve_rational
+from .lattice import IntVector, dot, fraction_free_solve, solve_rational
 from .polytope import HalfspacePolytope, NotDelzantError, format_point
 
 
@@ -39,16 +37,11 @@ class Fan:
         return len(self.generators[0])
 
 
-def is_smooth(F: Fan) -> bool:
-    """Every maximal cone's generators form a Z-basis."""
-    return all(is_z_basis([F.generators[i] for i in c]) for c in F.max_cones)
-
-
 def normal_fan(P: HalfspacePolytope) -> Fan:
     """Fan on the facet normals whose maximal cones are the vertex normal cones.
 
     Requires every vertex to be simple (exactly n tight facets); smoothness is
-    not required, so is_smooth(normal_fan(P)) reports exactly is_delzant(P).
+    not required.
     """
     n = P.dim
     cones = []
@@ -59,14 +52,6 @@ def normal_fan(P: HalfspacePolytope) -> Fan:
             )
         cones.append(v.active)
     return Fan(P.normals, tuple(cones))
-
-
-def support_function(P: HalfspacePolytope) -> IntVector:
-    """The integer values g(u_i) = lambda_i on the generators, linear on each
-    maximal cone; defined for integral offsets only."""
-    if any(l.denominator != 1 for l in P.offsets):
-        raise ValueError("offsets must be integral; clear denominators first")
-    return tuple(int(l) for l in P.offsets)
 
 
 def cone_linear_parts(F: Fan, g: IntVector) -> dict[tuple[int, ...], tuple]:
@@ -88,10 +73,13 @@ def is_strictly_convex(F: Fan, g: IntVector) -> bool:
     section 6.1): each h_sigma is then a vertex of {x : <x, u_i> >= g(u_i)}
     whose tight facets are exactly those of sigma.  The criterion needs a
     complete fan, which a normal fan is because its polytope is bounded, so
-    only smoothness is checked.
+    only smoothness is checked: each cone's generators form a Z-basis, one
+    elimination ending with D = 1.
     """
-    if not is_smooth(F):
-        raise ValueError("fan must be smooth")
+    for c in F.max_cones:
+        solved = fraction_free_solve([F.generators[i] for i in c], [()] * len(c))
+        if solved is None or solved[0] != 1:
+            raise ValueError("fan must be smooth")
     used = {i for c in F.max_cones for i in c}
     return all(
         dot(h, F.generators[j]) > g[j]

@@ -55,13 +55,25 @@ def hirzebruch(r: int = 2, a: int = 1, b: int = 1) -> HalfspacePolytope:
     )
 
 
+class UnknownFixtureError(ValueError):
+    pass
+
+
+def _parameter(p: str) -> int:
+    try:
+        return int(p)
+    except ValueError:
+        raise ValueError(f"parameter {p!r} is not an integer") from None
+
+
 def resolve_fixture(name: str) -> HalfspacePolytope:
-    """Parse a fixture name; raises ValueError for anything unrecognized."""
+    """Parse a fixture name.  Raises UnknownFixtureError for a name that is
+    no fixture, and ValueError for a fixture's bad parameter."""
     parts = name.split(":")
     if parts[0] == "example-3.7" and len(parts) == 1:
         return blown_up_hirzebruch()
     if parts[0] == "example-3.8" and len(parts) == 2:
-        return iterated_plane_blowup(int(parts[1]))
+        return iterated_plane_blowup(_parameter(parts[1]))
     if parts[0] == "cpn" and len(parts) == 3:
-        return projective_space(int(parts[1]), int(parts[2]))
-    raise ValueError(f"unknown fixture {name!r}")
+        return projective_space(_parameter(parts[1]), _parameter(parts[2]))
+    raise UnknownFixtureError(f"unknown fixture {name!r}")

@@ -55,10 +55,6 @@ class ToricPotential:
     def dim(self) -> int:
         return self.embedding.dim
 
-    @property
-    def exponents(self) -> tuple:
-        return self.embedding.exponents
-
     @cached_property
     def exponent_array(self) -> np.ndarray:
         """The exponents as an N x n float array, one row per monomial in

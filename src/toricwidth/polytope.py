@@ -86,9 +86,6 @@ class HalfspacePolytope:
     def num_facets(self) -> int:
         return len(self.normals)
 
-    def contains(self, x: Sequence) -> bool:
-        return all(dot(x, u) >= l for u, l in zip(self.normals, self.offsets))
-
     @functools.cached_property
     def integer_offsets(self) -> tuple[int, IntVector]:
         """(q, q * offsets) for the smallest q >= 1 that makes the offsets
@@ -483,7 +480,8 @@ def normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
     the columns of U_A^-1, so the image normals U_A^-T u_i are
     (<w_k, u_i>)_k and the offsets lambda_i - <u_i, v>.  A vertex x maps to
     its slacks <u_{A_k}, x> - lambda_{A_k}, in integers over one
-    denominator, and its edges by U_A.
+    denominator m, kept as ints when m = 1 (x and the offsets integral, as
+    on the qP that embed and verify pass in), and its edges by U_A.
     """
     if len(v.active) != P.dim:
         raise NotDelzantError(f"vertex {format_point(v.point)} lies on {len(v.active)} facets")
@@ -502,10 +500,8 @@ def normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
     def slacks(x):
         m = math.lcm(q, *(c.denominator for c in x))
         mx = [c.numerator * (m // c.denominator) for c in x]
-        return tuple(
-            Fraction(sum(map(operator.mul, u, mx)) - b[i] * (m // q), m)
-            for u, i in zip(A, v.active)
-        )
+        s = [sum(map(operator.mul, u, mx)) - b[i] * (m // q) for u, i in zip(A, v.active)]
+        return tuple(s) if m == 1 else tuple(Fraction(t, m) for t in s)
 
     return _with_mapped_vertices(HalfspacePolytope(normals, offsets), P, slacks, A)
 
@@ -526,14 +522,6 @@ def clear_denominators(P: HalfspacePolytope) -> tuple[int, HalfspacePolytope]:
     """(q, qP) with q = P.integer_offsets[0]; qP is P itself when q = 1."""
     q = P.integer_offsets[0]
     return q, scale(P, q) if q != 1 else P
-
-
-def to_dict(P: HalfspacePolytope) -> dict:
-    return {
-        "dim": P.dim,
-        "normals": [list(u) for u in P.normals],
-        "offsets": [str(l) for l in P.offsets],
-    }
 
 
 def _exact_int(x) -> int:

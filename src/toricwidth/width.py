@@ -151,7 +151,7 @@ def fano_check(P: HalfspacePolytope) -> FanoCertificate | None:
     # unique solution pivots on every unknown and never on the rhs column,
     # and only the rhs column of the eliminated rows, over D, is read
     A = [[*u, l, -1] for u, l in zip(P.normals, offsets)]
-    pivots, D, _ = _eliminate(A, n + 2)
+    pivots, D = _eliminate(A, n + 2)
     r = Fraction(q * A[n][n + 1], D) if pivots == list(range(n + 1)) else 0
     if r <= 0:
         return None

@@ -23,12 +23,9 @@ from toricwidth.lattice import (
     RationalVector,
     dot,
     int_vector,
+    fraction_free_solve,
     integer_kernel_basis,
-    inverse_unimodular,
-    is_z_basis,
     mat_mul,
-    mat_vec,
-    matrix_from_columns,
     rational_vector,
     rref,
     solve_rational,
@@ -110,6 +107,55 @@ def oracle_det(M) -> Fraction:
     return Fraction(sign * A[n - 1][n - 1]) / scale
 
 
+def oracle_is_smooth(F: Fan) -> bool:
+    """Every maximal cone's generators form a Z-basis: n of them, with
+    |oracle_det| = 1."""
+    return all(
+        len(c) == F.dim and abs(oracle_det([F.generators[i] for i in c])) == 1
+        for c in F.max_cones
+    )
+
+
+def mat_vec(M: Sequence[Sequence], x: Sequence) -> tuple:
+    return tuple(dot(row, x) for row in M)
+
+
+def inverse_unimodular(M: Sequence[Sequence[int]]) -> IntMatrix:
+    """Exact inverse of an integer matrix with det +-1: one elimination of [M | I]."""
+    n = len(M)
+    solved = fraction_free_solve(M, [[int(i == j) for j in range(n)] for i in range(n)])
+    if solved is None or solved[0] != 1:
+        raise ValueError(f"matrix is not unimodular (det = {oracle_det(M)})")
+    return tuple(tuple(row) for row in solved[1])
+
+
+def embedding_from_exponents(exponents) -> MonomialEmbedding:
+    """The embedding of a set of exponent tuples given in any order: sorted,
+    then grouped into the fibres of MonomialEmbedding.from_fibres, so the
+    vectors over each prefix x_1..x_{n-1} must fill an interval of x_n."""
+    exps = tuple(exponents)
+    if len(set(exps)) != len(exps):
+        raise ValueError("duplicate exponent")
+    fibres: list[list] = []
+    for e in sorted(exps):
+        if fibres and fibres[-1][0] == e[:-1]:
+            if fibres[-1][2] + 1 != e[-1]:
+                raise ValueError("exponents must fill an interval of x_n over each prefix")
+            fibres[-1][2] = e[-1]
+        else:
+            fibres.append([e[:-1], e[-1], e[-1]])
+    return MonomialEmbedding.from_fibres(tuple(map(tuple, fibres)))
+
+
+def polytope_data(P: HalfspacePolytope) -> dict:
+    """The JSON input form of P, as the command line reads it."""
+    return {
+        "dim": P.dim,
+        "normals": [list(u) for u in P.normals],
+        "offsets": [str(l) for l in P.offsets],
+    }
+
+
 @dataclass(frozen=True)
 class AffineLatticeMap:
     """x -> M x + t with M an integer matrix of determinant +-1."""
@@ -122,7 +168,7 @@ class AffineLatticeMap:
         t = rational_vector(self.translation)
         if not M or any(len(row) != len(M) for row in M):
             raise ValueError("matrix must be square and nonempty")
-        if not is_z_basis(M):
+        if abs(oracle_det(M)) != 1:
             raise ValueError("matrix must be unimodular")
         if len(t) != len(M):
             raise ValueError("translation length mismatch")
@@ -170,9 +216,9 @@ def oracle_normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePoly
 
 def oracle_is_delzant(P: HalfspacePolytope) -> bool:
     """The oracle of is_delzant: every vertex has n tight facets, and their
-    normals form a Z-basis by one is_z_basis elimination per vertex."""
+    normals form a Z-basis, |oracle_det| = 1, at each vertex."""
     return all(
-        len(v.active) == P.dim and is_z_basis([P.normals[i] for i in v.active])
+        len(v.active) == P.dim and abs(oracle_det([P.normals[i] for i in v.active])) == 1
         for v in P.vertices
     )
 
@@ -281,7 +327,7 @@ def oracle_vertices(P: HalfspacePolytope) -> list[Vertex]:
         M = [P.normals[i] for i in idx]
         b = [P.offsets[i] for i in idx]
         x = solve_rational(M, b)
-        if x is None or not P.contains(x):
+        if x is None or any(dot(x, u) < l for u, l in zip(P.normals, P.offsets)):
             continue
         if x not in found:
             found[x] = {
@@ -584,7 +630,7 @@ def sections_by_conditions(F: Fan, g: IntVector, cone_index: int) -> MonomialEmb
         for x in product(*ranges)
         if all(xj >= 0 for xj in _complement_exponents(C, g, x))
     ]
-    return MonomialEmbedding(tuple(found))
+    return embedding_from_exponents(found)
 
 
 def full_section_exponents(
@@ -601,7 +647,7 @@ def _cone_contains(gens, cone, w) -> bool:
     cols = [gens[i] for i in cone]
     if len(cols) != len(w):
         return False
-    c = solve_rational(matrix_from_columns(cols), w)
+    c = solve_rational(transpose(cols), w)
     return c is not None and all(x >= 0 for x in c)
 
 
@@ -722,7 +768,7 @@ def _monomial(x, J) -> float:
 
 def oracle_potential_value(T, x) -> float:
     """2 log sum_k x^{J_k}, monomial by monomial in linear space."""
-    return 2.0 * math.log(sum(_monomial(x, J) for J in T.exponents))
+    return 2.0 * math.log(sum(_monomial(x, J) for J in T.embedding.exponents))
 
 
 def oracle_potential_partial(T, x, j: int) -> float:
@@ -730,7 +776,7 @@ def oracle_potential_partial(T, x, j: int) -> float:
     continue it to the coordinate hyperplanes."""
     num = 0.0
     den = 0.0
-    for J in T.exponents:
+    for J in T.embedding.exponents:
         den += _monomial(x, J)
         if J[j]:
             reduced = list(J)
@@ -751,7 +797,7 @@ def oracle_complex_hessian(T, xi) -> np.ndarray:
     S = 0.0
     S1 = [0.0] * n
     S2 = [[0.0] * n for _ in range(n)]
-    for J in T.exponents:
+    for J in T.embedding.exponents:
         S += _monomial(x, J)
         for a in range(n):
             if not J[a]:
@@ -840,7 +886,7 @@ def exponent_rows(C: ChartData) -> tuple[tuple[int, ...], ...]:
     one sees that each row pairs to zero with every relation among the
     generators (so the monomials are well defined on orbits).
     """
-    return mat_mul(C.U_inv, matrix_from_columns(C.fan.generators))
+    return mat_mul(C.U_inv, transpose(C.fan.generators))
 
 
 def oracle_exponents_kill_relations(F: Fan, charts=None) -> bool:
@@ -850,7 +896,7 @@ def oracle_exponents_kill_relations(F: Fan, charts=None) -> bool:
     chart map uses it: 1 at cone slot k, V[k] on the complement."""
     if charts is None:
         charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
-    relations = integer_kernel_basis(matrix_from_columns(F.generators))
+    relations = integer_kernel_basis(transpose(F.generators))
     for C in charts:
         for k in range(C.dim):
             row = [0] * len(F.generators)

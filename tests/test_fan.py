@@ -10,21 +10,16 @@ from geomgen import (
     lattice_point_ladder,
     oracle_cones_meet_in_faces,
     oracle_is_complete,
+    oracle_is_smooth,
     oracle_is_strictly_convex,
+    polytope_data,
     polytope_from_support,
     product_polytope,
     random_delzant_polygon,
     random_simple_non_delzant_polygon,
 )
 from toricwidth.cli import main
-from toricwidth.fan import (
-    Fan,
-    cone_linear_parts,
-    is_smooth,
-    is_strictly_convex,
-    normal_fan,
-    support_function,
-)
+from toricwidth.fan import Fan, cone_linear_parts, is_strictly_convex, normal_fan
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
     hirzebruch,
@@ -38,7 +33,6 @@ from toricwidth.polytope import (
     clear_denominators,
     is_delzant,
     scale,
-    to_dict,
 )
 
 CP2_FAN = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
@@ -51,10 +45,12 @@ def test_fan_validation():
 
 
 def test_is_smooth():
-    assert is_smooth(CP2_FAN)
-    assert not is_smooth(Fan(((1, 0), (1, 2)), ((0, 1),)))
+    assert oracle_is_smooth(CP2_FAN)
+    assert not oracle_is_smooth(Fan(((1, 0), (1, 2)), ((0, 1),)))
+    assert not oracle_is_smooth(Fan(((1, 0), (0, 1)), ((0,), (1,))))
+    # is_strictly_convex tests smoothness first: these cones are not square
     with pytest.raises(ValueError):
-        is_smooth(Fan(((1, 0), (0, 1)), ((0,), (1,))))
+        is_strictly_convex(Fan(((1, 0), (0, 1)), ((0,), (1,))), (0, 0))
 
 
 def test_completeness_2d():
@@ -96,31 +92,23 @@ def test_smooth_iff_delzant():
     rng = random.Random(31)
     for _ in range(15):
         P = random_delzant_polygon(rng)
-        assert is_smooth(normal_fan(P)) == is_delzant(P) == True
+        assert oracle_is_smooth(normal_fan(P)) == is_delzant(P) == True
     for _ in range(15):
         P = random_simple_non_delzant_polygon(rng)
-        assert is_smooth(normal_fan(P)) == is_delzant(P) == False
-
-
-def test_support_function():
-    P = blown_up_hirzebruch()
-    g = support_function(P)
-    assert g == (0, 0, -1, -1, -3, -3)
-    with pytest.raises(ValueError):
-        support_function(iterated_plane_blowup(2))
+        assert oracle_is_smooth(normal_fan(P)) == is_delzant(P) == False
 
 
 def test_polytope_from_support_roundtrip():
     for P in (unit_square(), blown_up_hirzebruch(), hirzebruch(), projective_space(3, 2)):
         F = normal_fan(P)
-        g = support_function(P)
+        g = P.integer_offsets[1]
         assert polytope_from_support(F, g) == P
 
 
 def test_cone_linear_parts_are_vertices():
     P = blown_up_hirzebruch()
     F = normal_fan(P)
-    g = support_function(P)
+    g = P.integer_offsets[1]
     parts = cone_linear_parts(F, g)
     from toricwidth.polytope import enumerate_vertices
 
@@ -131,7 +119,7 @@ def test_cone_linear_parts_are_vertices():
 def test_strict_convexity():
     P = projective_space(2, 1)
     F = normal_fan(P)
-    assert is_strictly_convex(F, support_function(P))
+    assert is_strictly_convex(F, P.integer_offsets[1])
     # zero support function: all linear parts agree
     assert not is_strictly_convex(F, (0, 0, 0))
     # {x >= 0, y >= 0, -x - y >= 1} is empty; any two rays of this fan span
@@ -149,7 +137,7 @@ def test_strict_convexity_builds_linear_parts_once(monkeypatch):
     real = fan.cone_linear_parts
     monkeypatch.setattr(fan, "cone_linear_parts", lambda F, g: calls.append(F) or real(F, g))
     P = blown_up_hirzebruch()
-    assert is_strictly_convex(normal_fan(P), support_function(P))
+    assert is_strictly_convex(normal_fan(P), P.integer_offsets[1])
     assert len(calls) == 1
 
 
@@ -170,7 +158,7 @@ def test_strict_convexity_of_all_fixture_supports():
         projective_space(3, 1),
     ):
         F = normal_fan(P)
-        assert is_strictly_convex(F, support_function(P))
+        assert is_strictly_convex(F, P.integer_offsets[1])
 
 
 def test_strict_convexity_random_polygons():
@@ -178,7 +166,7 @@ def test_strict_convexity_random_polygons():
     for _ in range(15):
         P = random_delzant_polygon(rng)
         F = normal_fan(P)
-        assert is_strictly_convex(F, support_function(P))
+        assert is_strictly_convex(F, P.integer_offsets[1])
 
 
 def test_strict_convexity_matches_the_support_polytope_oracle():
@@ -230,14 +218,14 @@ def test_normal_fan_flags_match_the_oracles(capsys, tmp_path):
             assert oracle_cones_meet_in_faces(F)
         if P.dim <= 2:
             assert oracle_is_complete(F)
-        assert is_smooth(F) == is_delzant(P)
-        g = support_function(clear_denominators(P)[1])
-        path.write_text(json.dumps(to_dict(P)))
+        assert oracle_is_smooth(F) == is_delzant(P)
+        g = P.integer_offsets[1]  # the offsets of qP
+        path.write_text(json.dumps(polytope_data(P)))
         assert main(["analyze", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert [out[k] for k in ("delzant", "smooth", "complete", "strictly_convex")] == [
             is_delzant(P),
-            is_smooth(F),
+            oracle_is_smooth(F),
             "complete",
             oracle_is_strictly_convex(F, g),
         ]
@@ -247,7 +235,7 @@ def test_analyze_stops_exactly_on_non_smooth_fans(capsys, tmp_path):
     rng = random.Random(72)
     path = tmp_path / "P.json"
     for P in [random_simple_non_delzant_polygon(rng) for _ in range(10)]:
-        assert not is_smooth(normal_fan(P))
-        path.write_text(json.dumps(to_dict(P)))
+        assert not oracle_is_smooth(normal_fan(P))
+        path.write_text(json.dumps(polytope_data(P)))
         assert main(["analyze", str(path)]) == 3
         assert capsys.readouterr().err == "error: fan must be smooth\n"

@@ -10,6 +10,7 @@ import toricwidth.numeric
 import toricwidth.verify
 from geomgen import (
     embedding_cases,
+    embedding_from_exponents,
     fs_diastasis,
     oracle_complex_hessian,
     oracle_potential_partial,
@@ -18,7 +19,7 @@ from geomgen import (
     oracle_pullback_check,
     oracle_sections,
 )
-from toricwidth.embedding import MonomialEmbedding, sections_by_polytope
+from toricwidth.embedding import sections_by_polytope
 from toricwidth.fixtures import blown_up_hirzebruch, projective_space, resolve_fixture
 from toricwidth.numeric import (
     DegenerateJacobianWarning,
@@ -38,7 +39,7 @@ from toricwidth.numeric import (
 from toricwidth.polytope import clear_denominators, enumerate_vertices
 from toricwidth.verify import numeric_suite
 
-CP2 = ToricPotential(MonomialEmbedding(((0, 0), (1, 0), (0, 1))))
+CP2 = ToricPotential(embedding_from_exponents(((0, 0), (1, 0), (0, 1))))
 
 
 def blowup_potential() -> ToricPotential:
@@ -90,7 +91,7 @@ def test_psi_map_extends_continuously():
 
 
 def test_psi_map_rejects_dead_axis():
-    T = ToricPotential(MonomialEmbedding(((0, 0), (0, 1))))
+    T = ToricPotential(embedding_from_exponents(((0, 0), (0, 1))))
     with pytest.raises(ValueError):
         psi_map(T, (0.5, 0.5))
 
@@ -113,7 +114,7 @@ def test_pullback_identity_blowup():
 def test_pullback_single_exponent_is_degenerate():
     # one monomial: Psi has constant modulus, so its differential drops rank
     # and both sides of the identity vanish
-    T = ToricPotential(MonomialEmbedding(((1,),)))
+    T = ToricPotential(embedding_from_exponents(((1,),)))
     with pytest.warns(DegenerateJacobianWarning):
         dev = pullback_check(T, (0.5 + 0.25j,))
     assert dev < 1e-4
@@ -144,8 +145,8 @@ def test_suggested_path_exponent():
     assert suggested_path_exponent(CP2, 1) == 2
     T = blowup_potential()
     # largest complementary degree on each axis of the section set
-    assert suggested_path_exponent(T, 0) == 1 + max(J[1] for J in T.exponents)
-    assert suggested_path_exponent(T, 1) == 1 + max(J[0] for J in T.exponents)
+    assert suggested_path_exponent(T, 0) == 1 + max(J[1] for J in T.embedding.exponents)
+    assert suggested_path_exponent(T, 1) == 1 + max(J[0] for J in T.embedding.exponents)
 
 
 def test_sup_along_path_attains_axis_bound():
@@ -287,7 +288,7 @@ def test_complex_hessian_matches_linear_space_oracle(oracle_potential):
 
 
 def test_pullback_check_raises_where_the_monomial_sum_vanishes():
-    T = ToricPotential(MonomialEmbedding(((1, 0), (0, 1))))
+    T = ToricPotential(embedding_from_exponents(((1, 0), (0, 1))))
     with pytest.raises(ValueError, match="monomial sum vanishes"):
         pullback_check(T, (0.0, 0.0))
 
@@ -354,7 +355,7 @@ def test_batches_split_by_entry_budget_without_changing_values(monkeypatch):
     X[::7, 0] = 0.0
     XI = np.sqrt(X) * np.exp(1j * rng.uniform(0, 2 * np.pi, X.shape))
     whole = potential_values(T, X), potential_partials(T, X), psi_maps(T, XI)
-    monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 3 * len(T.exponents))
+    monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 3 * len(T.embedding.exponents))
     split = potential_values(T, X), potential_partials(T, X), psi_maps(T, XI)
     for a, b in zip(whole, split):
         assert np.array_equal(a, b)
@@ -370,7 +371,7 @@ def test_exponent_array_is_the_oracle_exponents_as_floats():
             assert J.dtype == want.dtype and J.flags.c_contiguous, (label, k)
             assert np.array_equal(J, want), (label, k)
     for exponents in (((0, 0), (1, 0), (0, 1)), ((1,),), ((3,), (4,)), ((1, 0), (2, 1))):
-        J = ToricPotential(MonomialEmbedding(exponents)).exponent_array
+        J = ToricPotential(embedding_from_exponents(exponents)).exponent_array
         assert np.array_equal(J, np.array(sorted(exponents), dtype=float))
 
 
@@ -387,7 +388,7 @@ def test_high_degree_stays_finite():
 def test_psi_map_steps_inside_where_the_sum_vanishes():
     # x_0 + x_0^2 x_1 vanishes on x_0 = 0; stepping to x_0 = b gives
     # dPhi~/dx_1 = 2 b / (1 + b x_1)
-    T = ToricPotential(MonomialEmbedding(((1, 0), (2, 1))))
+    T = ToricPotential(embedding_from_exponents(((1, 0), (2, 1))))
     b = toricwidth.numeric.ZERO_DENOMINATOR_BUMP
     with pytest.warns(DegenerateJacobianWarning, match="distance 1e-12"):
         out = psi_map(T, (0.0, 0.5j))

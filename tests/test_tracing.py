@@ -1,9 +1,15 @@
-"""The benchmark's tracer binds names of the package by getattr; this test
-fails as soon as one of them is renamed or removed from src/."""
+"""The benchmark's tracer binds names of the package by getattr: the first
+test fails as soon as one of them is renamed or removed from src/, the
+second as soon as src/ exports code that neither a subcommand runs nor the
+tracer binds."""
 
+import importlib
 import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
+import toricwidth
 import toricwidth.cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -41,3 +47,59 @@ def test_traced_names_bind_and_record(capsys):
     count = len(spans)
     assert toricwidth.cli.main(["embed", "cpn:2:1"]) == 0
     assert len(tracer.spans) == count
+
+
+def _code(member):
+    """The code object of a function, property, cached property, class or
+    static method; None for anything else."""
+    for attr in ("fget", "func", "__func__"):
+        member = getattr(member, attr, member)
+    return getattr(member, "__code__", None)
+
+
+def test_every_exported_function_is_reached_or_traced(capsys):
+    # each function the package exports, and each method of an exported class
+    # written in src/, is run by a subcommand on these inputs (the tracer's
+    # hooks run too, as in a traced benchmark run) or bound by the tracer
+    src = Path(toricwidth.__file__).resolve().parent
+    targets = {}
+    for name, obj in vars(toricwidth).items():
+        if inspect.isfunction(obj):
+            targets[f"{obj.__module__}.{name}"] = obj.__code__
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                code = _code(member)
+                if code is not None and Path(code.co_filename).resolve().parent == src:
+                    targets[f"{obj.__module__}.{obj.__qualname__}.{attr}"] = code
+    tracing = load_tracing()
+    bound = {
+        getattr(importlib.import_module(f"toricwidth.{m}"), f).__code__
+        for m, names in tracing.TRACED.items()
+        for f in names
+    }
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for spec in ("example-3.8:2", "cpn:2:1"):
+            for argv in (["analyze"], ["width"], ["embed"], ["verify", "--samples", "1"]):
+                assert toricwidth.cli.main([argv[0], spec, *argv[1:]]) == 0
+    finally:
+        sys.setprofile(previous)
+        tracer.uninstall()
+    capsys.readouterr()
+    # a property, a cached property and a class method are each resolved
+    assert {
+        "toricwidth.embedding.MonomialEmbedding.dim",
+        "toricwidth.polytope.HalfspacePolytope.integer_offsets",
+        "toricwidth.embedding.MonomialEmbedding.from_fibres",
+    } <= set(targets)
+    unreached = sorted(n for n, code in targets.items() if code not in called | bound)
+    assert not unreached, "neither run nor traced: " + ", ".join(unreached)

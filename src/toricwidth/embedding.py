@@ -9,7 +9,10 @@ An embedding holds these exponents as the fibres (prefix, a, b) of the
 normalized polytope that lattice_fibres gives: the exponents (*prefix, x)
 for a <= x <= b, in strictly increasing prefix order.  So they are distinct
 and sorted lexicographically without being listed, and the checks run once
-per fibre, not once per point.
+per fibre, not once per point.  lattice_fibres walks the coordinates with
+one residual per facet and drops a partial prefix once a residual is out of
+reach of the rest of the box, so it costs the prefixes visited times the
+facets; on the normalized simplex every prefix it visits has a point above it.
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ walked vertex and the normalization at a vertex reads U_A^-1 off it, with
 no elimination of their own.  The lattice-point count and the volume of a
 Delzant polytope are vertex sums over those edge directions (Brion's and
 Lawrence's formulas), so their cost follows the vertices, not the volume.
-The lattice points themselves come fibre by fibre: for each integer prefix
-x_1..x_{n-1} of the bounding box, the integer interval of x_n, with ends
-from integer ceiling and floor divisions, one facet at a time.
+The lattice points themselves come fibre by fibre, x_n's interval above
+each prefix x_1..x_{n-1}, from a walk over the coordinates that drops a
+partial prefix once a facet is out of reach of the rest of the box.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence
 
 from .lattice import (
@@ -307,32 +307,59 @@ def bounding_box(P: HalfspacePolytope) -> tuple[IntVector, IntVector]:
 
 
 def lattice_fibres(P: HalfspacePolytope) -> list[tuple[IntVector, int, int]]:
-    """The integer points of P as fibres (prefix, a, b), in lexicographic order.
+    """The integer points of P as fibres (prefix, a, b), in lexicographic order:
+    [a, b] is the integer interval of x_n above each integer prefix
+    x_1..x_{n-1} with a point of P above it.
 
-    For each integer prefix x_1..x_{n-1} in the bounding box of the first
-    n - 1 coordinates with a point of P above it, [a, b] is the integer
-    interval of x_n.  A facet <x, u> >= p/q reads q c x_n >= p - q s with
-    c = u_n and s = <prefix, u'>: c > 0 raises a by a ceiling division,
-    c < 0 lowers b by a floor division, c = 0 keeps or drops the prefix.
-    Python integers only, so the ends are exact at any offset size.
+    Facet i reads <x, w_i> >= p_i, with w_i = q_i u_i for lambda_i = p_i / q_i.
+    A depth-first walk sets x_1, x_2, ... in increasing order and carries the
+    residuals r_i = p_i - sum_{k <= j} w_ik x_k, one multiply-subtract per
+    facet a step.  x_j runs over the interval, by integer ceiling and floor
+    divisions, where no r_i exceeds reach[j][i], the largest sum_{k > j}
+    w_ik x_k on the bounding box; no other prefix has a point above it.  At
+    x_n the reach is 0 and the interval is the fibre.  So the cost is the
+    prefixes visited times the facets, not the box; on a simplex at a vertex
+    every visited prefix has a point above it.  Exact in Python integers.
     """
     lo, hi = bounding_box(P)
-    facets = [(u[:-1], u[-1], l.numerator, l.denominator) for u, l in zip(P.normals, P.offsets)]
+    n = P.dim
+    cols = list(zip(*([l.denominator * c for c in u] for u, l in zip(P.normals, P.offsets))))
+    reach = [(0,) * P.num_facets]
+    for j in range(n - 1, 0, -1):
+        reach.insert(0, tuple(t + max(c * lo[j], c * hi[j]) for t, c in zip(reach[0], cols[j])))
     fibres = []
-    for prefix in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
-        a, b = lo[-1], hi[-1]
-        for head, c, p, q in facets:
-            r = p - q * dot(prefix, head)
+
+    def walk(j, prefix, r):
+        a, b = lo[j], hi[j]
+        for ri, c, t in zip(r, cols[j], reach[j]):  # c x_j >= r_i - t
             if c > 0:
-                a = max(a, -(-r // (q * c)))
+                a = max(a, -((t - ri) // c))
             elif c < 0:
-                b = min(b, r // (q * c))
-            elif r > 0:
-                break
-            if a > b:
-                break
-        else:
+                b = min(b, (ri - t) // c)
+        if a > b:
+            return
+        if j < n - 2:
+            for x in range(a, b + 1):
+                walk(j + 1, (*prefix, x), [ri - c * x for ri, c in zip(r, cols[j])])
+        elif j == n - 1:  # n = 1
             fibres.append((prefix, a, b))
+        else:  # the fibres: c x_n >= r_i - d x_{n-1}
+            low = [(ri, d, c) for ri, d, c in zip(r, cols[j], cols[-1]) if c > 0]
+            up = [(ri, d, c) for ri, d, c in zip(r, cols[j], cols[-1]) if c < 0]
+            for x in range(a, b + 1):
+                s, e = lo[-1], hi[-1]
+                for ri, d, c in low:
+                    v = (d * x - ri) // c
+                    if -v > s:
+                        s = -v
+                for ri, d, c in up:
+                    v = (ri - d * x) // c
+                    if v < e:
+                        e = v
+                if s <= e:
+                    fibres.append(((*prefix, x), s, e))
+
+    walk(0, (), [l.numerator for l in P.offsets])
     return fibres
 
 
@@ -478,10 +505,11 @@ def normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
 
     Read off the walk at v, with no elimination: the edge directions w_k are
     the columns of U_A^-1, so the image normals U_A^-T u_i are
-    (<w_k, u_i>)_k and the offsets lambda_i - <u_i, v>.  A vertex x maps to
-    its slacks <u_{A_k}, x> - lambda_{A_k}, in integers over one
-    denominator m, kept as ints when m = 1 (x and the offsets integral, as
-    on the qP that embed and verify pass in), and its edges by U_A.
+    (<w_k, u_i>)_k and the offsets lambda_i - <u_i, v>, handed over as ints
+    when q = 1 (as on the qP that embed and verify pass in), so each becomes
+    one Fraction.  A vertex x maps to its slacks <u_{A_k}, x> - lambda_{A_k},
+    in integers over one denominator m, kept as ints when m = 1, and its
+    edges by U_A.
     """
     if len(v.active) != P.dim:
         raise NotDelzantError(f"vertex {format_point(v.point)} lies on {len(v.active)} facets")
@@ -495,7 +523,9 @@ def normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
     A = [P.normals[i] for i in v.active]
     qv = [c.numerator * (q // c.denominator) for c in v.point]  # integral, as D = 1
     normals = tuple(tuple(sum(map(operator.mul, w, u)) for w in v.edges) for u in P.normals)
-    offsets = tuple(Fraction(bi - sum(map(operator.mul, u, qv)), q) for u, bi in zip(P.normals, b))
+    offsets = [bi - sum(map(operator.mul, u, qv)) for u, bi in zip(P.normals, b)]
+    if q != 1:
+        offsets = [Fraction(t, q) for t in offsets]
 
     def slacks(x):
         m = math.lcm(q, *(c.denominator for c in x))

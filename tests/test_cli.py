@@ -588,7 +588,8 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch):
 def test_embed_and_analyze_test_no_box_point(capsys, monkeypatch, argv):
     # no box point is tested: the polytope's dot products, one per point and
     # facet in a box scan, run at most once per prefix of the embedding's box
-    # and facet, in lattice_fibres (analyze runs none)
+    # and facet; the walk of lattice_fibres carries residuals instead, so
+    # neither command runs one
     calls = []
     real = toricwidth.polytope.dot
     monkeypatch.setattr(toricwidth.polytope, "dot", lambda u, v: calls.append(u) or real(u, v))
@@ -602,6 +603,7 @@ def test_embed_and_analyze_test_no_box_point(capsys, monkeypatch, argv):
     lo, hi = bounding_box(Q)
     prefixes = math.prod(b - a + 1 for a, b in zip(lo[:-1], hi[:-1]))
     assert len(calls) <= prefixes * Q.num_facets < prefixes * (hi[-1] - lo[-1] + 1)
+    assert calls == []
 
 
 @pytest.mark.parametrize("sub", ["analyze", "width", "embed", "verify"])

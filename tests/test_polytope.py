@@ -169,13 +169,58 @@ def test_lattice_fibres_simplex_doubled():
     assert lattice_fibres(segment) == [((), 1, 2)]
 
 
+PRISM = HalfspacePolytope(
+    ((1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)), (0, 0, -1, 0, -2)
+)
+
+
 def test_lattice_fibres_drop_prefixes_cut_by_a_flat_facet():
-    # the prism (simplex) x [0, 2]: x_1 + x_2 <= 1 has c = 0 and drops the
-    # box prefix (1, 1), whose x_3 range the other facets leave as [0, 2]
-    P = HalfspacePolytope(
-        ((1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)), (0, 0, -1, 0, -2)
-    )
-    assert lattice_fibres(P) == [((0, 0), 0, 2), ((0, 1), 0, 2), ((1, 0), 0, 2)]
+    # the prism (simplex) x [0, 2]: x_1 + x_2 <= 1 is flat in x_3 and drops
+    # the box prefix (1, 1), whose x_3 range the other facets leave as [0, 2]
+    assert lattice_fibres(PRISM) == [((0, 0), 0, 2), ((0, 1), 0, 2), ((1, 0), 0, 2)]
+
+
+def test_lattice_fibres_expand_to_the_oracle_points():
+    # the walk against the box scan of the oracle, as given and normalized at
+    # a vertex: a segment, Delzant and blow-up polygons to d = 16, 3-D and 4-D
+    # draws, a product, the flat-facet prism, and 5/3 dilates (rational
+    # offsets) of all but the 4-D draws, whose oracle box is the largest
+    rng = random.Random(22)
+    blowups = [blowup_polygon(random.Random(d), d) for d in range(4, 17)]
+    dilated = [
+        HalfspacePolytope(((1,), (-1,)), (Fraction(-7, 3), Fraction(-11, 5))),
+        *(random_delzant_polygon(rng) for _ in range(10)),
+        *blowups,
+        *(random_delzant_polytope(random.Random(seed), 3) for seed in range(4)),
+        product_polytope(blowups[0], blowups[1]),
+        PRISM,
+    ]
+    cases = dilated + [scale(P, Fraction(5, 3)) for P in dilated]
+    cases += [random_delzant_polytope(random.Random(seed), 4) for seed in range(3)]
+    for P in cases:
+        Q = normalize_at_vertex(P, rng.choice(P.vertices))
+        assert lattice_points(P) == oracle_lattice_points(P)
+        assert lattice_points(Q) == oracle_lattice_points(Q)
+
+
+def test_lattice_fibres_of_the_parallelogram_with_normal_2_40_and_1():
+    # the (1, 2^40) parallelogram with x_1, x_2 swapped, so the long side runs
+    # along x_n and the walk is two fibres, whose ends exceed 2^40; at a
+    # vertex it is the unit square
+    e = 2**40
+    P = HalfspacePolytope(((e, 1), (1, 0), (-e, -1), (-1, 0)), (0, 0, -1, -1))
+    assert lattice_fibres(P) == [((0,), 0, 1), ((1,), -e, 1 - e)]
+    for v in P.vertices:
+        Q = normalize_at_vertex(P, v)
+        assert lattice_points(Q) == oracle_lattice_points(Q) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("name", ["cpn:5:8", "cpn:6:6"])
+def test_lattice_fibres_count_the_points_of_5_and_6_dimensional_simplices(name):
+    # 1,287 and 924 points, whose prefix boxes hold 9^4 and 7^5 prefixes
+    P = resolve_fixture(name)
+    for Q in (P, normalize_at_vertex(P, P.vertices[-1])):
+        assert fibre_count(Q) == vertex_sums(P)[0]
 
 
 def test_normalize_at_vertex_blowup():

@@ -11,9 +11,12 @@ and its right inverse psi places xi on the sigma slots and 1 elsewhere.
 All exponent data is exact integer arithmetic; only evaluation uses floats.
 
 Each map has one form, on rows of points (phi_sigmas, psi_sigmas,
-kernel_params, torus_images, monomials), evaluated with numpy.  The chart
-forms take ChartArrays, which hold one chart per row of points, so a sweep
-over many charts and points is one pass; a single point is a single row.
+phi_after_psi_sigmas, kernel_params, torus_images, monomials), evaluated
+with numpy.  The chart forms take ChartArrays, which hold one chart per row
+of points, so a sweep over many charts and points is one pass; a single
+point is a single row.  phi_after_psi_sigmas takes the stack of all charts
+and a pair of chart indices per row, and evaluates phi_b after psi_a on
+the n coordinates that psi_a sets: n^2 powers a row, not n (d - n).
 transition_map gives the exponent matrix of one chart change, and
 transition_exponents those of every chart change from one stacked integer
 product.
@@ -22,6 +25,7 @@ product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -91,6 +95,24 @@ class ChartArrays:
         """The stacked charts self[rows[r]], one for each row r."""
         return ChartArrays(self.d, self.cone[rows], self.complement[rows], self.V[rows])
 
+    @cached_property
+    def places(self) -> np.ndarray:
+        """(rows, d): the slot of each generator in its row's cone, or n
+        for a generator off the cone."""
+        rows, n = self.cone.shape
+        places = np.full((rows, self.d), n)
+        np.put_along_axis(places, self.cone, np.arange(n), -1)
+        return places
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """(rows, n, d): V with column l moved to generator complement[l],
+        and 0 at the cone generators."""
+        rows, n = self.cone.shape
+        powers = np.zeros((rows, n, self.d), dtype=np.int64)
+        np.put_along_axis(powers, self.complement[:, None, :], self.V, -1)
+        return powers
+
 
 def stack_charts(charts: Sequence[ChartData]) -> ChartArrays:
     """Arrays of charts[i] in row i; take() then picks a chart per point."""
@@ -126,6 +148,31 @@ def psi_sigmas(A: ChartArrays, XI) -> np.ndarray:
     Z = np.ones(XI.shape[:-1] + (A.d,), dtype=complex)
     np.put_along_axis(Z, A.cone, XI, -1)
     return Z
+
+
+def phi_after_psi_sigmas(A: ChartArrays, a, b, XI) -> np.ndarray:
+    """phi_sigmas(A.take(b), psi_sigmas(A.take(a), XI)): row r of XI through
+    chart a[r] of the stack A, then chart b[r].
+
+    psi_a sets only the n coordinates of a's cone, and the others are 1, as
+    are their powers.  So coordinate k is XI at the slot in a's cone of b's
+    k-th cone generator (or 1), times the powers XI_m^V_b[k, l] over the
+    complement columns l of b whose generator is cone_a[m], in ascending l
+    (both tuples are sorted, so ascending m).  That is n^2 powers XI_m^e,
+    with e = 0 where cone_a[m] lies in b's cone.  Multiplying by an exact 1
+    changes nothing, so every product is the one phi_sigmas forms, bit for
+    bit."""
+    XI = np.asarray(XI, dtype=complex)
+    n = A.cone.shape[-1]
+    if XI.shape[-1] != n:
+        raise ValueError(f"need {n} chart coordinates")
+    a, b = np.asarray(a), np.asarray(b)
+    padded = np.concatenate([XI, np.ones(XI.shape[:-1] + (1,), dtype=complex)], -1)
+    slots = np.take_along_axis(padded, A.places[a[:, None], A.cone[b]], -1)
+    powers = A.powers[b[:, None, None], np.arange(n)[:, None], A.cone[a][:, None, :]]
+    # np.multiply, not *, which may swap the operands to reuse a temporary:
+    # a complex product rounds by operand order when numpy fuses its adds
+    return np.multiply(slots, monomials(XI, powers))
 
 
 def kernel_params(A: ChartArrays, AC) -> np.ndarray:

@@ -225,7 +225,8 @@ def _complex_hessians(T: ToricPotential, XI: np.ndarray) -> np.ndarray:
     xi = np.where(X == 0, 1.0, XI)
     H = 2.0 * np.einsum("mk,mka,mkb->mab", W, D, D) / (xi[:, :, None] * xi.conj()[:, None])
     r, a = np.nonzero(X == 0)
-    H[r, a, a] = _partials(T, X[r])[np.arange(len(r)), a]
+    if len(r):
+        H[r, a, a] = _partials(T, X[r])[np.arange(len(r)), a]
     return H
 
 

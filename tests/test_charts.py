@@ -12,6 +12,7 @@ from toricwidth.charts import (
     chart_for_cone,
     kernel_params,
     monomials,
+    phi_after_psi_sigmas,
     phi_sigmas,
     psi_sigmas,
     stack_charts,
@@ -25,9 +26,11 @@ from geomgen import (
     _oracle_phi,
     _oracle_psi,
     assert_same_results,
+    blowup_polygon,
     exponent_rows,
     oracle_chart_suite,
     oracle_exponents_kill_relations,
+    product_polytope,
     random_delzant_polytope,
     random_unimodular_map,
 )
@@ -37,6 +40,7 @@ from toricwidth.fixtures import (
     hirzebruch,
     iterated_plane_blowup,
     projective_space,
+    resolve_fixture,
     unit_square,
 )
 from toricwidth.lattice import dot, integer_kernel_basis, mat_mul, transpose
@@ -194,6 +198,34 @@ def test_transition_matches_chart_composition():
                 assert rel_dev(monomials(xi, E), direct) < TOL
 
 
+def pair_form_fans():
+    """n = 1, d - n < n (CP^2), CP^3 and CP^4, blow-up polygons with 4 to 16
+    facets, 3-D and 4-D draws and the product b8 x b8 (64 charts)."""
+    rng = random.Random(14)
+    specs = ["cpn:1:1", "cpn:1:7", "cpn:2:1", "cpn:2:4", "cpn:3:2", "cpn:4:1"]
+    polytopes = [resolve_fixture(s) for s in specs]
+    polytopes += [blowup_polygon(random.Random(40 + d), d) for d in range(4, 17)]
+    polytopes += [random_delzant_polytope(rng, n) for n in (3, 3, 4, 4)]
+    b8 = blowup_polygon(random.Random(1), 8)
+    return [normal_fan(P) for P in polytopes + [product_polytope(b8, b8)]]
+
+
+def test_phi_after_psi_on_the_set_coordinates_is_bit_for_bit_the_full_form():
+    rng = random.Random(15)
+    for F in pair_form_fans():
+        stack = stack_charts(charts_of(F))
+        k, n = len(F.max_cones), F.dim
+        samples = 3 if k <= 20 else 1
+        pair = np.repeat(np.arange(k * k), samples)
+        a, b = pair // k, pair % k
+        xi = random_torus_points(rng, len(pair), n)
+        got = phi_after_psi_sigmas(stack, a, b, xi)
+        assert np.array_equal(got, phi_sigmas(stack.take(b), psi_sigmas(stack.take(a), xi)))
+        # a slice of rows gives the same values as the whole
+        some = slice(len(pair) // 3, len(pair) // 2)
+        assert np.array_equal(phi_after_psi_sigmas(stack, a[some], b[some], xi[some]), got[some])
+
+
 def test_transition_cocycle_exact():
     for F in TEST_FANS:
         charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
@@ -290,6 +322,30 @@ def test_chart_suite_passes_and_catches_a_wrong_transition(monkeypatch):
             failed = {r.name for r in got if not r.passed}
             assert failed == {"transition_matches_charts", "transition_cocycle_exact"}
             assert_same_results(got, oracle_chart_suite(F, a * k + b, 2, table=wrong(charts)))
+
+
+def test_chart_suite_catches_a_wrong_v_entry_on_another_charts_cone(monkeypatch):
+    # the transition sweep reads V_b only on the columns whose generator lies
+    # in chart a's cone; raising any one entry of any V breaks it, since
+    # every generator of a complete fan lies in some maximal cone
+    F = normal_fan(blown_up_hirzebruch())
+    charts = charts_of(F)
+    d, n = len(F.generators), F.dim
+    for c, C in enumerate(charts):
+        for i in range(n):
+            for l in range(d - n):
+                assert any(C.complement[l] in other.cone for other in charts)
+                V = [list(row) for row in C.V]
+                V[i][l] += 1
+                bad = dataclasses.replace(C, V=tuple(map(tuple, V)))
+
+                def chart(F, ci, c=c, bad=bad):
+                    return bad if ci == c else chart_for_cone(F, ci)
+
+                monkeypatch.setattr(toricwidth.verify, "chart_for_cone", chart)
+                got = {r.name: r.passed for r in chart_suite(F, seed=c, samples=2)}
+                assert got["transition_matches_charts"] is False
+                assert got["phi_after_psi_identity"] and got["transition_cocycle_exact"]
 
 
 def test_monomial_composition_is_matrix_product():

@@ -9,6 +9,9 @@ map on homogeneous coordinates z in C^d is
 
 and its right inverse psi places xi on the sigma slots and 1 elsewhere.
 All exponent data is exact integer arithmetic; only evaluation uses floats.
+U^-1 is the fan's, the edge directions of the walked vertex on sigma
+(fan.normal_fan), so each entry of V is one dot product and no chart runs
+an elimination of its own; verify's exact checks cross-check the walk's.
 
 Each map has one form, on rows of points (phi_sigmas, psi_sigmas,
 phi_after_psi_sigmas, kernel_params, torus_images, monomials), evaluated
@@ -31,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .fan import Fan
-from .lattice import IntMatrix, fraction_free_solve, mat_mul, transpose
+from .lattice import IntMatrix, dot, transpose
 
 
 class NonUnimodularConeError(ValueError):
@@ -55,23 +58,17 @@ class ChartData:
 
 
 def chart_for_cone(F: Fan, cone_index: int) -> ChartData:
-    """Chart data for F.max_cones[cone_index]; the cone must be unimodular."""
+    """Chart data for F.max_cones[cone_index]; the cone must be unimodular.
+    V[k][l] = <w_k, u_{complement[l]}> over the rows w_k of F's U^-1."""
     cone = F.max_cones[cone_index]
-    n = F.dim
-    if len(cone) != n:
+    if len(cone) != F.dim:
         raise NonUnimodularConeError(f"cone {cone} is not full-dimensional")
-    U = transpose([F.generators[i] for i in cone])
-    complement = tuple(i for i in range(len(F.generators)) if i not in cone)
-    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    # one elimination of [U | I | W], which tests |det U| = 1 and gives U^-1 [I | W]
-    solved = fraction_free_solve(
-        U, transpose(identity + [F.generators[i] for i in complement])
-    )
-    if solved is None or solved[0] != 1:
+    U_inv = F.inverses[cone_index] if F.inverses else None
+    if U_inv is None:
         raise NonUnimodularConeError(f"cone {cone} generators are not a Z-basis")
-    U_inv = tuple(tuple(row[:n]) for row in solved[1])
-    V = tuple(tuple(row[n:]) for row in solved[1])
-    return ChartData(F, cone, complement, U, U_inv, V)
+    complement = tuple(i for i in range(len(F.generators)) if i not in cone)
+    V = tuple(tuple(dot(w, F.generators[j]) for j in complement) for w in U_inv)
+    return ChartData(F, cone, complement, transpose([F.generators[i] for i in cone]), U_inv, V)
 
 
 def monomials(X, E) -> np.ndarray:
@@ -209,7 +206,7 @@ def transition_map(C1: ChartData, C2: ChartData) -> IntMatrix:
     """
     if C1.fan.generators != C2.fan.generators:
         raise ValueError("charts belong to different fans")
-    return mat_mul(C2.U_inv, C1.U)
+    return tuple(tuple(dot(w, C1.fan.generators[j]) for j in C1.cone) for w in C2.U_inv)
 
 
 def transition_exponents(charts: Sequence[ChartData]) -> np.ndarray:

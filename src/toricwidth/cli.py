@@ -79,8 +79,7 @@ def _emit(obj: dict, fmt: str) -> None:
 
 def cmd_analyze(args) -> int:
     P = load_polytope(args.input)
-    normal_fan(P)  # exits on a non-simple vertex
-    if not is_delzant(P):
+    if None in normal_fan(P).inverses:  # normal_fan exits on a non-simple vertex
         raise ValueError("fan must be smooth")
     # Past both exits P is Delzant, its fan smooth and complete (P is bounded).
     # g = q lambda, the offsets of qP, is then strictly convex (Cox-Little-

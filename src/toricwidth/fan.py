@@ -3,20 +3,21 @@
 The fan of a polytope {x : <x, u_i> >= lambda_i} has the facet normals as
 generators and, as maximal cones, the tight facet sets of the vertices.  It
 is complete because the polytope is bounded, and smooth exactly when the
-polytope is Delzant, which polytope.is_delzant reads off the vertex walk.
-Strict convexity of a support function, the test used to certify very
-ample classes, is one inequality per maximal cone and generator outside
-it: <h_sigma, u_j> > g(u_j).  For g = lambda on a Delzant polytope that
-is a theorem (h_sigma is the simple vertex on the facets sigma), so
-`analyze` does not run is_strictly_convex; the tests keep it as the oracle.
+polytope is Delzant: normal_fan keeps each cone's inverse U^-1 off the
+vertex walk, so nothing here eliminates.  Strict convexity of a support
+function, the test used to certify very ample classes, is one inequality
+per maximal cone and generator outside it: <h_sigma, u_j> > g(u_j).  For
+g = lambda on a Delzant polytope that is a theorem (h_sigma is the simple
+vertex on the facets sigma), so `analyze` does not run is_strictly_convex;
+the tests keep it as the oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .lattice import IntVector, dot, fraction_free_solve, solve_rational
-from .polytope import HalfspacePolytope, NotDelzantError, format_point
+from .lattice import IntMatrix, IntVector, dot
+from .polytope import HalfspacePolytope, NotDelzantError, _unimodular, format_point
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,9 @@ class Fan:
     """The normal fan of a simple polytope: its primitive facet normals, and
     per vertex the sorted indices of the n facets tight there.
 
+    inverses[k] is U^-1 of max_cones[k], U its generators as columns: the
+    edge directions of the walked vertex on those facets, as rows.  It is
+    None for a cone that is not unimodular; a fan built by hand has none.
     Built by normal_fan, so it needs no checks of its own: the polytope has
     already checked the normals, and the n tight normals of a simple vertex
     are independent.
@@ -31,6 +35,7 @@ class Fan:
 
     generators: tuple[IntVector, ...]
     max_cones: tuple[tuple[int, ...], ...]
+    inverses: tuple[IntMatrix | None, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -41,26 +46,31 @@ def normal_fan(P: HalfspacePolytope) -> Fan:
     """Fan on the facet normals whose maximal cones are the vertex normal cones.
 
     Requires every vertex to be simple (exactly n tight facets); smoothness is
-    not required.
+    not required.  A walked vertex with D = 1 gives its edges as U^-1.
     """
     n = P.dim
-    cones = []
+    cones, inverses = [], []
     for v in P.vertices:
         if len(v.active) != n:
             raise NotDelzantError(
                 f"vertex {format_point(v.point)} lies on {len(v.active)} facets; fan undefined"
             )
         cones.append(v.active)
-    return Fan(P.normals, tuple(cones))
+        inverses.append(v.edges if _unimodular(P, v) else None)
+    return Fan(P.normals, tuple(cones), tuple(inverses))
 
 
 def cone_linear_parts(F: Fan, g: IntVector) -> dict[tuple[int, ...], tuple]:
-    """Per maximal cone sigma, the vector h with <h, u_i> = g[i] on sigma."""
+    """Per maximal cone sigma, the vector h with <h, u_i> = g[i] on sigma:
+    h = U^-T g_sigma = sum_k g[sigma_k] w_k over the rows w_k of the cone's
+    inverse, in integers for integer g.  Refuses a fan that is not smooth."""
+    if not F.inverses or None in F.inverses:
+        raise ValueError("fan must be smooth")
     if len(g) != len(F.generators):
         raise ValueError("need one support value per generator")
     return {
-        c: solve_rational([F.generators[i] for i in c], [g[i] for i in c])
-        for c in F.max_cones
+        c: tuple(dot([g[i] for i in c], column) for column in zip(*W))
+        for c, W in zip(F.max_cones, F.inverses)
     }
 
 
@@ -73,13 +83,8 @@ def is_strictly_convex(F: Fan, g: IntVector) -> bool:
     section 6.1): each h_sigma is then a vertex of {x : <x, u_i> >= g(u_i)}
     whose tight facets are exactly those of sigma.  The criterion needs a
     complete fan, which a normal fan is because its polytope is bounded, so
-    only smoothness is checked: each cone's generators form a Z-basis, one
-    elimination ending with D = 1.
+    only smoothness is checked, by cone_linear_parts.
     """
-    for c in F.max_cones:
-        solved = fraction_free_solve([F.generators[i] for i in c], [()] * len(c))
-        if solved is None or solved[0] != 1:
-            raise ValueError("fan must be smooth")
     used = {i for c in F.max_cones for i in c}
     return all(
         dot(h, F.generators[j]) > g[j]

@@ -42,19 +42,6 @@ def projective_space(n: int, degree: int = 1) -> HalfspacePolytope:
     return HalfspacePolytope(normals, offsets)
 
 
-def unit_square() -> HalfspacePolytope:
-    return HalfspacePolytope(
-        normals=((1, 0), (0, 1), (-1, 0), (0, -1)), offsets=(0, 0, -1, -1)
-    )
-
-
-def hirzebruch(r: int = 2, a: int = 1, b: int = 1) -> HalfspacePolytope:
-    """Four facets: x1 >= 0, x2 >= 0, -x1 + r x2 >= -a, -x2 >= -b."""
-    return HalfspacePolytope(
-        normals=((1, 0), (0, 1), (-1, r), (0, -1)), offsets=(0, 0, -a, -b)
-    )
-
-
 class UnknownFixtureError(ValueError):
     pass
 

@@ -6,7 +6,9 @@ module is exact: arbitrary-precision ints, fractions.Fraction, no floats.
 All elimination is one integer kernel, _eliminate (fraction-free
 Gauss-Jordan).  fraction_free_solve and solve_rational read D and the
 right-hand block, rref the rows over D and the pivot columns; the rest sit
-on these.  A Z-basis test is fraction_free_solve(M, [()] * n) with D = 1.
+on these.  No Z-basis test lives here: a vertex's tight normals form one
+when the edge walk's elimination there ends with D = 1, and the fan and the
+charts take their inverses from the walk.
 """
 
 from __future__ import annotations
@@ -57,11 +59,6 @@ def is_primitive(u: Sequence[int]) -> bool:
 
 def transpose(M: Sequence[Sequence]) -> tuple:
     return tuple(zip(*[tuple(row) for row in M]))
-
-
-def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple:
-    Bt = transpose(B)
-    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
 
 
 def _integer_rows(M: Iterable[Iterable]) -> list[list[int]]:

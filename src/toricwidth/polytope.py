@@ -12,10 +12,11 @@ directions, and an unbounded edge is reported as the recession direction.
 A polytope that is not simple, or an input the walk cannot start on, is
 handed to the scan of every n-subset instead.  The walk is the one place
 a vertex is found unimodular: the Delzant test reads D = |det U_A| off the
-walked vertex and the normalization at a vertex reads U_A^-1 off it, with
-no elimination of their own.  The lattice-point count and the volume of a
-Delzant polytope are vertex sums over those edge directions (Brion's and
-Lawrence's formulas), so their cost follows the vertices, not the volume.
+walked vertex, and the normalization at a vertex, the normal fan and its
+charts read U_A^-1 off it, with no elimination of their own.  The
+lattice-point count and the volume of a Delzant polytope are vertex sums
+over those edge directions (Brion's and Lawrence's formulas), so their
+cost follows the vertices, not the volume.
 The lattice points themselves come fibre by fibre, x_n's interval above
 each prefix x_1..x_{n-1}, from a walk over the coordinates that drops a
 partial prefix once a facet is out of reach of the rest of the box.
@@ -130,8 +131,9 @@ class Vertex:
     column k of D U_A^-1, with U_A the normals of the facets `active` as
     rows and D = |det U_A|, so it leaves facet active[k] and stays on the
     others.  <edges[0], u_{A_0}> = D, so D = 1, a Z-basis of tight normals,
-    is read off them: is_delzant, vertex_sums and normalize_at_vertex do
-    so.  They are None on a vertex of the subset scan, and not compared.
+    is read off them: is_delzant, vertex_sums, normalize_at_vertex and
+    fan.normal_fan do so.  They are None on a vertex of the subset scan,
+    and not compared.
     """
 
     point: RationalVector
@@ -253,10 +255,11 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
     equalities meet in a point of P.  If that vertex is simple, an edge walk
     from it lists every vertex with one integer elimination each, and raises
     on the first unbounded edge it meets; a walk that meets none proves P
-    bounded.  When there is no start (P is empty or contains a line) or P is
-    not simple, the subset scan runs to its end instead: after
-    recession_direction rules out an unbounded P, it keeps the feasible
-    solutions of every n-subset.  Raises for unbounded or empty input.
+    bounded.  With no start, P is empty or contains a line, and it is empty
+    when its normals span R^n.  Otherwise, or when P is not simple, the
+    subset scan runs to its end: after recession_direction rules out an
+    unbounded P, it keeps the feasible solutions of every n-subset.  Raises
+    for unbounded or empty input.
     """
     scan = _feasible_bases(P)
     found: dict[RationalVector, tuple[int, ...]] = {}
@@ -268,6 +271,8 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
             if walked is not None:
                 return walked
         found[point] = tight
+    elif not integer_kernel_basis(P.normals):  # P is pointed: if nonempty, it has a vertex
+        raise EmptyPolytopeError("no feasible vertex")
     r = recession_direction(P)
     if r is not None:
         raise UnboundedPolytopeError(f"recession direction {r}")

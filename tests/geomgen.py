@@ -13,10 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from toricwidth.charts import ChartData, chart_for_cone, transition_map
+from toricwidth.charts import ChartData, NonUnimodularConeError, chart_for_cone, transition_map
 from toricwidth.embedding import MonomialEmbedding
 from toricwidth.fan import Fan, is_strictly_convex
-from toricwidth.fixtures import projective_space, unit_square
+from toricwidth.fixtures import projective_space
 from toricwidth.lattice import (
     IntMatrix,
     IntVector,
@@ -25,7 +25,6 @@ from toricwidth.lattice import (
     int_vector,
     fraction_free_solve,
     integer_kernel_basis,
-    mat_mul,
     rational_vector,
     rref,
     solve_rational,
@@ -120,6 +119,11 @@ def mat_vec(M: Sequence[Sequence], x: Sequence) -> tuple:
     return tuple(dot(row, x) for row in M)
 
 
+def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple:
+    Bt = transpose(B)
+    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
+
+
 def inverse_unimodular(M: Sequence[Sequence[int]]) -> IntMatrix:
     """Exact inverse of an integer matrix with det +-1: one elimination of [M | I]."""
     n = len(M)
@@ -145,6 +149,19 @@ def embedding_from_exponents(exponents) -> MonomialEmbedding:
         else:
             fibres.append([e[:-1], e[-1], e[-1]])
     return MonomialEmbedding.from_fibres(tuple(map(tuple, fibres)))
+
+
+def unit_square() -> HalfspacePolytope:
+    return HalfspacePolytope(
+        normals=((1, 0), (0, 1), (-1, 0), (0, -1)), offsets=(0, 0, -1, -1)
+    )
+
+
+def hirzebruch(r: int = 2, a: int = 1, b: int = 1) -> HalfspacePolytope:
+    """Four facets: x1 >= 0, x2 >= 0, -x1 + r x2 >= -a, -x2 >= -b."""
+    return HalfspacePolytope(
+        normals=((1, 0), (0, 1), (-1, r), (0, -1)), offsets=(0, 0, -a, -b)
+    )
 
 
 def polytope_data(P: HalfspacePolytope) -> dict:
@@ -316,12 +333,10 @@ def random_simple_non_delzant_polygon(rng: random.Random) -> HalfspacePolytope:
 
 def oracle_vertices(P: HalfspacePolytope) -> list[Vertex]:
     """The subset solve: every n-subset of facet equalities solved in
-    Fractions, the feasible solutions kept, after a kernel search for a
-    recession direction rules out unbounded input."""
+    Fractions and the feasible solutions kept, then a kernel search for a
+    recession direction to rule out unbounded input.  With no feasible subset
+    and normals that span R^n, P is pointed, so empty, and no search runs."""
     n = P.dim
-    r = recession_direction(P)
-    if r is not None:
-        raise UnboundedPolytopeError(f"recession direction {r}")
     found: dict[tuple, set[int]] = {}
     for idx in combinations(range(P.num_facets), n):
         M = [P.normals[i] for i in idx]
@@ -335,6 +350,10 @@ def oracle_vertices(P: HalfspacePolytope) -> list[Vertex]:
                 for i in range(P.num_facets)
                 if dot(x, P.normals[i]) == P.offsets[i]
             }
+    if found or integer_kernel_basis(P.normals):
+        r = recession_direction(P)
+        if r is not None:
+            raise UnboundedPolytopeError(f"recession direction {r}")
     if not found:
         raise EmptyPolytopeError("no feasible vertex")
     return [Vertex(pt, tuple(sorted(found[pt]))) for pt in sorted(found)]
@@ -876,6 +895,28 @@ def oracle_pullback_check(T, xi, value=oracle_potential_value, psi=oracle_psi_ma
         for b in range(2 * n):
             rhs[a, b] = -(H[axes[a], axes[b]] * phases[a] * np.conj(phases[b])).imag
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def oracle_chart_for_cone(F: Fan, cone_index: int) -> ChartData:
+    """The oracle of chart_for_cone: the cone's own elimination, not the
+    inverse the fan took from the edge walk; it needs no walk, so it takes
+    a fan built by hand too."""
+    cone = F.max_cones[cone_index]
+    n = F.dim
+    if len(cone) != n:
+        raise NonUnimodularConeError(f"cone {cone} is not full-dimensional")
+    U = transpose([F.generators[i] for i in cone])
+    complement = tuple(i for i in range(len(F.generators)) if i not in cone)
+    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    # one elimination of [U | I | W], which tests |det U| = 1 and gives U^-1 [I | W]
+    solved = fraction_free_solve(
+        U, transpose(identity + [F.generators[i] for i in complement])
+    )
+    if solved is None or solved[0] != 1:
+        raise NonUnimodularConeError(f"cone {cone} generators are not a Z-basis")
+    U_inv = tuple(tuple(row[:n]) for row in solved[1])
+    V = tuple(tuple(row[n:]) for row in solved[1])
+    return ChartData(F, cone, complement, U, U_inv, V)
 
 
 def exponent_rows(C: ChartData) -> tuple[tuple[int, ...], ...]:

@@ -14,12 +14,15 @@ from fractions import Fraction
 import numpy as np
 
 from geomgen import (
+    hirzebruch,
+    mat_mul,
     oracle_is_smooth,
     oracle_lattice_points,
     polytope_from_support,
     random_delzant_polygon,
     random_simple_non_delzant_polygon,
     sections_by_conditions,
+    unit_square,
 )
 from toricwidth.charts import (
     chart_for_cone,
@@ -32,12 +35,9 @@ from toricwidth.embedding import sections_by_polytope
 from toricwidth.fan import normal_fan
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
-    hirzebruch,
     iterated_plane_blowup,
     projective_space,
-    unit_square,
 )
-from toricwidth.lattice import mat_mul
 from toricwidth.numeric import (
     ToricPotential,
     axis_radius_bound,

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from toricwidth.charts import (
     transition_map,
 )
 from geomgen import (
+    AffineLatticeMap,
     _oracle_kernel_param,
     apply_lattice_map,
     _oracle_phi,
@@ -28,22 +30,25 @@ from geomgen import (
     assert_same_results,
     blowup_polygon,
     exponent_rows,
+    hirzebruch,
+    mat_mul,
+    oracle_chart_for_cone,
     oracle_chart_suite,
     oracle_exponents_kill_relations,
     product_polytope,
     random_delzant_polytope,
+    random_simple_non_delzant_polygon,
     random_unimodular_map,
+    unit_square,
 )
 from toricwidth.fan import Fan, normal_fan
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
-    hirzebruch,
     iterated_plane_blowup,
     projective_space,
     resolve_fixture,
-    unit_square,
 )
-from toricwidth.lattice import dot, integer_kernel_basis, mat_mul, transpose
+from toricwidth.lattice import dot, integer_kernel_basis, transpose
 from toricwidth.polytope import scale
 from toricwidth.verify import chart_suite
 
@@ -100,6 +105,58 @@ def test_blowup_chart_has_four_v_columns():
 def test_chart_rejects_non_unimodular():
     F = Fan(((1, 0), (1, 2)), ((0, 1),))
     with pytest.raises(NonUnimodularConeError):
+        chart_for_cone(F, 0)
+
+
+def oracle_chart_fans():
+    """Blow-up polygons with 4 to 16 facets, 3-D and 4-D draws, b8 x b8, and
+    lattice images of a polygon and a 3-D draw whose normals have entries
+    of 2^40 and more."""
+    rng = random.Random(16)
+    polygons = [blowup_polygon(random.Random(40 + d), d) for d in range(4, 17)]
+    draws = [random_delzant_polytope(rng, n) for n in (3, 3, 4, 4)]
+    b8 = blowup_polygon(random.Random(1), 8)
+    shears = (((1, 2**40), (0, 1)), ((1, 0, 2**40), (0, 1, -(2**40)), (0, 0, 1)))
+    steep = [
+        apply_lattice_map(P, AffineLatticeMap(M, (0,) * len(M)))
+        for P, M in zip((polygons[-1], draws[0]), shears)
+    ]
+    return [normal_fan(P) for P in polygons + draws + [product_polytope(b8, b8)] + steep]
+
+
+def test_chart_for_cone_matches_its_own_elimination():
+    # the fan's inverses come from the edge walk; the oracle eliminates
+    # [U | I | W] per cone, as chart_for_cone did before it read them
+    fans = oracle_chart_fans()
+    for F in fans:
+        for ci in range(len(F.max_cones)):
+            got, want = chart_for_cone(F, ci), oracle_chart_for_cone(F, ci)
+            assert (got.cone, got.complement) == (want.cone, want.complement)
+            assert (got.U, got.U_inv, got.V) == (want.U, want.U_inv, want.V)
+            assert all(type(x) is int for M in (got.U_inv, got.V) for row in M for x in row)
+    assert all(max(abs(x) for u in F.generators for x in u) >= 2**40 for F in fans[-2:])
+
+
+def test_chart_for_cone_refuses_what_its_own_elimination_refuses():
+    rng = random.Random(17)
+    for _ in range(10):
+        F = normal_fan(random_simple_non_delzant_polygon(rng))
+        refused = 0
+        for ci in range(len(F.max_cones)):
+            try:
+                want = oracle_chart_for_cone(F, ci)
+            except NonUnimodularConeError as e:
+                with pytest.raises(NonUnimodularConeError, match=f"^{re.escape(str(e))}$"):
+                    chart_for_cone(F, ci)
+                refused += 1
+            else:
+                assert chart_for_cone(F, ci) == want
+        assert refused >= 1
+    # a fan built by hand has no inverses: only the oracle eliminates
+    F = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1),))
+    assert oracle_chart_for_cone(F, 0).U_inv == ((1, 0), (0, 1))
+    message = r"^cone \(0, 1\) generators are not a Z-basis$"
+    with pytest.raises(NonUnimodularConeError, match=message):
         chart_for_cone(F, 0)
 
 

@@ -26,9 +26,10 @@ from geomgen import (
     oracle_sections,
     polytope_data,
     random_delzant_polygon,
+    unit_square,
 )
 from toricwidth.cli import main
-from toricwidth.fixtures import blown_up_hirzebruch, unit_square
+from toricwidth.fixtures import blown_up_hirzebruch
 from toricwidth.polytope import (
     bounding_box,
     clear_denominators,
@@ -482,6 +483,42 @@ def test_analyze_width_and_embed_read_unimodularity_off_the_walk(capsys, monkeyp
         eliminations = 0
         assert _outcome(capsys, argv) == want, argv
         assert eliminations == walk + (argv[0] == "width"), argv
+
+
+def test_verify_eliminates_only_in_the_walk(capsys, monkeypatch, tmp_path):
+    # the facets workload's 11-facet polygon, drawn with polygon_rng(1, 11, 0):
+    # the fan, the charts and the exact checks take U^-1 off the walked
+    # vertices, so verify runs the walk's 12 eliminations and no other
+    path = tmp_path / "p11.json"
+    path.write_text(json.dumps(polytope_data(blowup_polygon(random.Random(100011), 11))))
+    calls = []
+    real = toricwidth.lattice._eliminate
+    for mod in (toricwidth.lattice, toricwidth.width):
+        monkeypatch.setattr(mod, "_eliminate", lambda *a: calls.append(a) or real(*a))
+    toricwidth.polytope.enumerate_vertices(toricwidth.cli.load_polytope(str(path)))
+    walk = len(calls)
+    calls.clear()
+    assert main(["verify", str(path), "--samples", "1"]) == 0
+    capsys.readouterr()
+    assert walk == len(calls) == 12
+
+
+# empty or unbounded inputs and the one-line cause each subcommand gives; the
+# first spans R^2 with its normals, so it is empty as no vertex is feasible
+UNUSABLE_INPUTS = {
+    "pointed-empty": ([[1, 0], [-1, 0], [0, 1]], ["0", "1", "0"], "no feasible vertex"),
+    "strip": ([[1, 0], [-1, 0]], ["0", "-1"], "recession direction (0, 1)"),
+    "quadrant": ([[1, 0], [0, 1]], ["0", "0"], "recession direction (1, 0)"),
+}
+
+
+@pytest.mark.parametrize("sub", ["analyze", "width", "embed", "verify"])
+@pytest.mark.parametrize("name", UNUSABLE_INPUTS)
+def test_empty_and_unbounded_inputs_name_the_cause(capsys, tmp_path, sub, name):
+    normals, offsets, message = UNUSABLE_INPUTS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"dim": 2, "normals": normals, "offsets": offsets}))
+    assert _outcome(capsys, [sub, str(path)]) == (3, "", f"error: {message}\n")
 
 
 # inputs whose bounding box is far too large to scan: the triangle of degree

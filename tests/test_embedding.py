@@ -7,18 +7,18 @@ import pytest
 from geomgen import (
     embedding_from_exponents,
     full_section_exponents,
+    hirzebruch,
     sections_by_conditions,
     twist_exponents,
+    unit_square,
 )
 from toricwidth.charts import chart_for_cone, kernel_params, stack_charts
 from toricwidth.embedding import MonomialEmbedding, sections_by_polytope
 from toricwidth.fan import normal_fan
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
-    hirzebruch,
     iterated_plane_blowup,
     projective_space,
-    unit_square,
 )
 from toricwidth.polytope import enumerate_vertices, scale
 

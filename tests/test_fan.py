@@ -7,6 +7,7 @@ import pytest
 from geomgen import (
     blow_up,
     blowup_polygon,
+    hirzebruch,
     lattice_point_ladder,
     oracle_cones_meet_in_faces,
     oracle_is_complete,
@@ -17,16 +18,16 @@ from geomgen import (
     product_polytope,
     random_delzant_polygon,
     random_simple_non_delzant_polygon,
+    unit_square,
 )
 from toricwidth.cli import main
 from toricwidth.fan import Fan, cone_linear_parts, is_strictly_convex, normal_fan
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
-    hirzebruch,
     iterated_plane_blowup,
     projective_space,
-    unit_square,
 )
+from toricwidth.lattice import solve_rational
 from toricwidth.polytope import (
     HalfspacePolytope,
     NotDelzantError,
@@ -48,7 +49,7 @@ def test_is_smooth():
     assert oracle_is_smooth(CP2_FAN)
     assert not oracle_is_smooth(Fan(((1, 0), (1, 2)), ((0, 1),)))
     assert not oracle_is_smooth(Fan(((1, 0), (0, 1)), ((0,), (1,))))
-    # is_strictly_convex tests smoothness first: these cones are not square
+    # is_strictly_convex refuses a fan without cone inverses, as one built by hand
     with pytest.raises(ValueError):
         is_strictly_convex(Fan(((1, 0), (0, 1)), ((0,), (1,))), (0, 0))
 
@@ -114,6 +115,32 @@ def test_cone_linear_parts_are_vertices():
 
     vertex_points = {v.point for v in enumerate_vertices(P)}
     assert set(parts.values()) == vertex_points
+
+
+def test_cone_linear_parts_match_a_rational_solve():
+    rng = random.Random(6)
+    cube = product_polytope(*(projective_space(1, 2),) * 3)
+    polytopes = [random_delzant_polygon(rng) for _ in range(8)] + [
+        blown_up_hirzebruch(),
+        blowup_polygon(random.Random(100016), 16),
+        cube,
+        blow_up(cube, cube.vertices[0].active),
+        *(projective_space(n, 2) for n in (1, 2, 3, 4)),
+    ]
+    for P in polytopes:
+        F = normal_fan(P)
+        for g in [P.integer_offsets[1]] + [
+            tuple(rng.randint(-9, 9) for _ in F.generators) for _ in range(5)
+        ]:
+            parts = cone_linear_parts(F, g)
+            assert list(parts) == list(F.max_cones)
+            for c, h in parts.items():
+                assert h == solve_rational([F.generators[i] for i in c], [g[i] for i in c])
+                assert all(type(x) is int for x in h)
+    # a fan with a cone that is not unimodular has no integer linear parts
+    P = random_simple_non_delzant_polygon(random.Random(4))
+    with pytest.raises(ValueError, match="^fan must be smooth$"):
+        cone_linear_parts(normal_fan(P), P.integer_offsets[1])
 
 
 def test_strict_convexity():

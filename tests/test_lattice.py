@@ -8,6 +8,7 @@ from geomgen import (
     AffineLatticeMap,
     blowup_polygon,
     inverse_unimodular,
+    mat_mul,
     mat_vec,
     oracle_det,
     oracle_rref,
@@ -22,7 +23,6 @@ from toricwidth.lattice import (
     int_vector,
     integer_kernel_basis,
     is_primitive,
-    mat_mul,
     rref,
     solve_rational,
     transpose,
@@ -47,8 +47,8 @@ def test_det_bigger():
 
 
 def is_z_basis(M) -> bool:
-    """The Z-basis test of fan.is_strictly_convex and charts.chart_for_cone:
-    one fraction-free elimination that ends with D = 1."""
+    """A Z-basis test by one fraction-free elimination that ends with D = 1,
+    the D the edge walk reads at each vertex."""
     solved = fraction_free_solve(M, [()] * len(M))
     return solved is not None and solved[0] == 1
 

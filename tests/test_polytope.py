@@ -12,6 +12,7 @@ from geomgen import (
     apply_lattice_map,
     blowup_polygon,
     fibre_count,
+    hirzebruch,
     lattice_point_ladder,
     oracle_det,
     oracle_ehrhart_volume,
@@ -26,14 +27,13 @@ from geomgen import (
     random_delzant_polytope,
     random_simple_non_delzant_polygon,
     random_unimodular_map,
+    unit_square,
     vertex_map,
 )
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
-    hirzebruch,
     iterated_plane_blowup,
     projective_space,
-    unit_square,
 )
 import toricwidth.polytope
 from toricwidth.fixtures import resolve_fixture
@@ -563,6 +563,7 @@ FALLBACK_INPUTS = [
     ),
     half_spaces([(1,)], [3]),  # a ray
     half_spaces([(1,), (-1,)], [2, -1]),  # an empty interval
+    half_spaces([(1, 0), (-1, 0), (0, 1)], [0, 1, 0]),  # empty, with a nonzero recession cone
 ]
 
 
@@ -574,6 +575,22 @@ def test_fallback_inputs_match_the_subset_scan():
     with pytest.raises(UnboundedPolytopeError, match=r"^recession direction \(0, 1\)$"):
         enumerate_vertices(FALLBACK_INPUTS[5])
     assert [len(v.active) for v in enumerate_vertices(CUT_CUBE)] == [3, 4, 4, 4]
+
+
+def test_a_pointed_input_with_no_feasible_vertex_is_empty(monkeypatch):
+    # its normals span R^n, so a nonempty P would have a vertex; the
+    # recession cone {x >= 0, x <= 0, y >= 0} is not {0}, but no search runs
+    def refuse(P):
+        raise AssertionError("no recession search on a pointed input")
+
+    monkeypatch.setattr(toricwidth.polytope, "recession_direction", refuse)
+    for P in (
+        half_spaces([(1, 0), (-1, 0), (0, 1)], [0, 1, 0]),
+        half_spaces([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], [0, 1, 0, 0]),
+        half_spaces([(1,), (-1,)], [2, -1]),
+    ):
+        with pytest.raises(EmptyPolytopeError, match="^no feasible vertex$"):
+            enumerate_vertices(P)
 
 
 def test_edge_walk_matches_the_subset_scan():

@@ -1,11 +1,13 @@
 """The benchmark's tracer binds names of the package by getattr: the first
 test fails as soon as one of them is renamed or removed from src/, the
-second as soon as src/ exports code that neither a subcommand runs nor the
-tracer binds."""
+second as soon as src/ defines a function or method that neither a
+subcommand runs nor the tracer binds."""
 
 import importlib
 import importlib.util
 import inspect
+import json
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -57,20 +59,41 @@ def _code(member):
     return getattr(member, "__code__", None)
 
 
-def test_every_exported_function_is_reached_or_traced(capsys):
-    # each function the package exports, and each method of an exported class
-    # written in src/, is run by a subcommand on these inputs (the tracer's
-    # hooks run too, as in a traced benchmark run) or bound by the tracer
+def test_every_exported_function_is_reached_or_traced(capsys, tmp_path):
+    # each function and each method of a class defined at module level in
+    # src/, exported or not, is run by a subcommand on these inputs (the
+    # tracer's hooks run too, as in a traced benchmark run) or bound by the
+    # tracer
     src = Path(toricwidth.__file__).resolve().parent
-    targets = {}
-    for name, obj in vars(toricwidth).items():
-        if inspect.isfunction(obj):
-            targets[f"{obj.__module__}.{name}"] = obj.__code__
-        elif inspect.isclass(obj):
-            for attr, member in vars(obj).items():
-                code = _code(member)
+    targets, cached = {}, []
+    for info in pkgutil.iter_modules([str(src)]):
+        module = importlib.import_module(f"toricwidth.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue  # imported, or not a function or class
+            members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+            for attr, member in members:
+                if hasattr(member, "cache_clear"):
+                    cached.append(member)
+                code = _code(inspect.unwrap(member) if callable(member) else member)
                 if code is not None and Path(code.co_filename).resolve().parent == src:
-                    targets[f"{obj.__module__}.{obj.__qualname__}.{attr}"] = code
+                    key = f"{module.__name__}.{name}" + (f".{attr}" if attr else "")
+                    targets[key] = code
+    inputs = {
+        "strip": ([[1, 0], [-1, 0]], ["0", "-1"]),
+        "pointed-empty": ([[1, 0], [-1, 0], [0, 1]], ["0", "1", "0"]),
+        "cut-cube": (
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1], [-1, -1, -1]],
+            ["0", "0", "0", "-1", "-1", "-1", "-1"],
+        ),
+        "non-delzant": ([[1, 0], [0, 1], [-1, -2]], ["0", "0", "-2"]),
+    }
+    unusable = []
+    for name, (normals, offsets) in inputs.items():
+        path = tmp_path / f"{name}.json"
+        data = {"dim": len(normals[0]), "normals": normals, "offsets": offsets}
+        path.write_text(json.dumps(data))
+        unusable.append(str(path))
     tracing = load_tracing()
     bound = {
         getattr(importlib.import_module(f"toricwidth.{m}"), f).__code__
@@ -88,18 +111,24 @@ def test_every_exported_function_is_reached_or_traced(capsys):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        for spec in ("example-3.8:2", "cpn:2:1"):
+        for f in cached:  # so this run calls what earlier calls cached
+            f.cache_clear()
+        for spec in ("example-3.7", "example-3.8:2", "cpn:2:1", *unusable):
             for argv in (["analyze"], ["width"], ["embed"], ["verify", "--samples", "1"]):
-                assert toricwidth.cli.main([argv[0], spec, *argv[1:]]) == 0
+                want = 3 if spec in unusable else 0
+                assert toricwidth.cli.main([argv[0], spec, *argv[1:]]) == want
     finally:
         sys.setprofile(previous)
         tracer.uninstall()
     capsys.readouterr()
-    # a property, a cached property and a class method are each resolved
+    # a property, a cached property, a class method, a private function and
+    # a cached one are each resolved
     assert {
         "toricwidth.embedding.MonomialEmbedding.dim",
         "toricwidth.polytope.HalfspacePolytope.integer_offsets",
         "toricwidth.embedding.MonomialEmbedding.from_fibres",
+        "toricwidth.polytope._edge_walk",
+        "toricwidth.polytope._todd_terms",
     } <= set(targets)
     unreached = sorted(n for n, code in targets.items() if code not in called | bound)
     assert not unreached, "neither run nor traced: " + ", ".join(unreached)

@@ -8,6 +8,7 @@ from geomgen import (
     apply_lattice_map,
     blow_up,
     blowup_polygon,
+    hirzebruch,
     lattice_point_ladder,
     oracle_cylinder_bound,
     oracle_fano_check,
@@ -20,15 +21,14 @@ from geomgen import (
     random_simple_non_delzant_polygon,
     random_unimodular_map,
     rref_fano_check,
+    unit_square,
 )
 from toricwidth.embedding import sections_by_polytope
 from toricwidth.fixtures import (
     blown_up_hirzebruch,
-    hirzebruch,
     iterated_plane_blowup,
     projective_space,
     resolve_fixture,
-    unit_square,
 )
 from toricwidth.lattice import dot
 from toricwidth.polytope import (

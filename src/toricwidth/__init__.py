@@ -1,17 +1,15 @@
 """Exact toolkit for Delzant polytopes: charts, monomial embeddings, and
-Gromov-width upper bounds."""
+Gromov-width upper bounds.
 
-from .charts import ChartData, chart_for_cone, transition_map
+The exact core imports only the standard library.  charts and numeric need
+numpy, so their names below are resolved on first access (PEP 562), and a
+process that runs only analyze, width or embed never loads numpy."""
+
+import importlib
+
 from .embedding import MonomialEmbedding, sections_by_polytope
 from .fan import Fan, is_strictly_convex, normal_fan
 from .lattice import solve_rational
-from .numeric import (
-    ToricPotential,
-    potential_partial,
-    psi_map,
-    pullback_check,
-    sup_along_path,
-)
 from .polytope import (
     EmptyPolytopeError,
     HalfspacePolytope,
@@ -38,3 +36,23 @@ from .width import (
 )
 
 __version__ = "0.1.0"
+
+_NUMPY_NAMES = {
+    "ChartData": "charts",
+    "chart_for_cone": "charts",
+    "transition_map": "charts",
+    "ToricPotential": "numeric",
+    "potential_partial": "numeric",
+    "psi_map": "numeric",
+    "pullback_check": "numeric",
+    "sup_along_path": "numeric",
+}
+
+
+def __getattr__(name):
+    module = _NUMPY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

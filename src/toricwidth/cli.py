@@ -32,7 +32,6 @@ from .polytope import (
     is_delzant,
     vertex_sums,
 )
-from .verify import polytope_suites
 from .width import width_report
 
 EXIT_OK = 0
@@ -135,17 +134,20 @@ def cmd_width(args) -> int:
     return EXIT_OK
 
 
-def _exponents_json(E: MonomialEmbedding) -> str:
-    """json.dumps([list(J) for J in E.exponents]), written from the fibres:
-    one head "[p_1, ..., p_{n-1}, " per prefix and one "x]" per value of x_n,
-    so no exponent is listed."""
+def _write_exponents(E: MonomialEmbedding) -> None:
+    """Write json.dumps([list(J) for J in E.exponents]) and a newline to
+    stdout one fibre at a time: one head "[p_1, ..., p_{n-1}, " per prefix
+    and one "x]" per value of x_n, so no exponent is listed and the whole
+    text is never held at once."""
     top = max(b for _, _, b in E.fibres)
     tails = [f"{x}]" for x in range(top + 1)]
-    parts = []
+    write = sys.stdout.write
+    sep = "["
     for prefix, a, b in E.fibres:
         head = "[" + "".join(f"{p}, " for p in prefix)
-        parts.append(head + (", " + head).join(tails[a:b + 1]))
-    return "[" + ", ".join(parts) + "]"
+        write(sep + head + (", " + head).join(tails[a:b + 1]))
+        sep = ", "
+    write("]\n")
 
 
 def cmd_embed(args) -> int:
@@ -157,13 +159,15 @@ def cmd_embed(args) -> int:
     if not 0 <= args.vertex < len(vertices):
         raise ParseFailure(f"vertex index out of range (have {len(vertices)})")
     E = sections_by_polytope(Pq, vertices[args.vertex])
-    print(_exponents_json(E))
+    _write_exponents(E)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ParseFailure(f"--samples must be at least 1 (got {args.samples})")
+    from .verify import polytope_suites  # loads numpy, which no other command needs
+
     P = load_polytope(args.input)
     results = polytope_suites(P, seed=args.seed, samples=args.samples)
     if args.format == "json":

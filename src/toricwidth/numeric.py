@@ -35,10 +35,18 @@ GRADIENT_STEP = 1e-6
 # singular determinant, while honest Jacobians here have |det| of order 1
 DEGENERATE_JACOBIAN_TOL = 1e-8
 ZERO_DENOMINATOR_BUMP = 1e-12
-# points x exponents held at once: 128 KiB per float work array, small
-# enough to be reused from the heap (a larger budget buys no speed); with
-# N > BATCH_ENTRIES exponents a slice is one row, and a work array N floats
+# points x exponents held at once: 128 KiB per float work array (a larger
+# budget buys no speed); with N > BATCH_ENTRIES exponents a slice is one
+# row, and a work array N floats
 BATCH_ENTRIES = 1 << 14
+# The work arrays are reused from the heap only once glibc's malloc has
+# raised its mmap threshold (128 KiB at start) above them, and its trim
+# threshold, twice the mmap one, above the few freed together after a batch;
+# else every call maps them afresh or trims the heap and faults it in again.
+# Freeing a mapped block raises both to its size, so allocating and dropping
+# this 512 KiB one here raises them whatever the process loaded before numpy,
+# whose own import raises them only when it comes first.
+np.empty(2 * BATCH_ENTRIES, dtype=complex)
 
 
 class DegenerateJacobianWarning(UserWarning):

@@ -255,11 +255,13 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
     equalities meet in a point of P.  If that vertex is simple, an edge walk
     from it lists every vertex with one integer elimination each, and raises
     on the first unbounded edge it meets; a walk that meets none proves P
-    bounded.  With no start, P is empty or contains a line, and it is empty
-    when its normals span R^n.  Otherwise, or when P is not simple, the
-    subset scan runs to its end: after recession_direction rules out an
-    unbounded P, it keeps the feasible solutions of every n-subset.  Raises
-    for unbounded or empty input.
+    bounded.  With no start, P is empty or contains a line.  When its
+    normals span R^n it is pointed, so empty; otherwise P is its slice by
+    K^perp plus the kernel K of the normals, and it is empty when that
+    pointed slice has no feasible n-subset either.  A P that is not empty,
+    or not simple, goes to the subset scan, which runs to its end: after
+    recession_direction rules out an unbounded P, it keeps the feasible
+    solutions of every n-subset.  Raises for unbounded or empty input.
     """
     scan = _feasible_bases(P)
     found: dict[RationalVector, tuple[int, ...]] = {}
@@ -271,8 +273,14 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
             if walked is not None:
                 return walked
         found[point] = tight
-    elif not integer_kernel_basis(P.normals):  # P is pointed: if nonempty, it has a vertex
-        raise EmptyPolytopeError("no feasible vertex")
+    else:
+        # with the rows +-k (offset 0) for k in the kernel K, P's pointed
+        # slice by K^perp, which has a vertex iff P is nonempty
+        kernel = integer_kernel_basis(P.normals)
+        rows = tuple(s for k in kernel for s in (k, tuple(-x for x in k)))
+        pointed = HalfspacePolytope(P.normals + rows, P.offsets + (0,) * len(rows))
+        if not kernel or next(_feasible_bases(pointed), None) is None:
+            raise EmptyPolytopeError("no feasible vertex")
     r = recession_direction(P)
     if r is not None:
         raise UnboundedPolytopeError(f"recession direction {r}")

@@ -335,7 +335,8 @@ def oracle_vertices(P: HalfspacePolytope) -> list[Vertex]:
     """The subset solve: every n-subset of facet equalities solved in
     Fractions and the feasible solutions kept, then a kernel search for a
     recession direction to rule out unbounded input.  With no feasible subset
-    and normals that span R^n, P is pointed, so empty, and no search runs."""
+    and normals that span R^n, P is pointed, so empty, and no search runs;
+    with normals that do not, oracle_meets_a_line tells empty from not."""
     n = P.dim
     found: dict[tuple, set[int]] = {}
     for idx in combinations(range(P.num_facets), n):
@@ -350,13 +351,37 @@ def oracle_vertices(P: HalfspacePolytope) -> list[Vertex]:
                 for i in range(P.num_facets)
                 if dot(x, P.normals[i]) == P.offsets[i]
             }
-    if found or integer_kernel_basis(P.normals):
+    if found or (integer_kernel_basis(P.normals) and oracle_meets_a_line(P)):
         r = recession_direction(P)
         if r is not None:
             raise UnboundedPolytopeError(f"recession direction {r}")
     if not found:
         raise EmptyPolytopeError("no feasible vertex")
     return [Vertex(pt, tuple(sorted(found[pt]))) for pt in sorted(found)]
+
+
+def oracle_meets_a_line(P: HalfspacePolytope) -> bool:
+    """P, whose normals span a subspace S of dimension r < n, is nonempty.
+
+    P is invariant under the kernel S^perp of its normals, so it is nonempty
+    iff some r independent facet equalities have a solution in P: a vertex
+    of P's slice by S lies on r of them, and any solution differs from it by
+    a vector of S^perp.  Each solution tried sets r coordinates on which the
+    r normals are independent and the others to 0."""
+    n = P.dim
+    r = n - len(integer_kernel_basis(P.normals))
+    for idx in combinations(range(P.num_facets), r):
+        for cols in combinations(range(n), r):
+            M = [[P.normals[i][c] for c in cols] for i in idx]
+            y = solve_rational(M, [P.offsets[i] for i in idx])
+            if y is None:
+                continue
+            x = [Fraction(0)] * n
+            for c, v in zip(cols, y):
+                x[c] = v
+            if all(dot(x, u) >= l for u, l in zip(P.normals, P.offsets)):
+                return True
+    return False
 
 
 def random_delzant_polytope(rng: random.Random, n: int) -> HalfspacePolytope:

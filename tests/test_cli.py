@@ -209,7 +209,7 @@ def test_verify_json_format(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = [CheckResult("forced", False, 1.0, 1e-9, "synthetic failure")]
-    monkeypatch.setattr("toricwidth.cli.polytope_suites", lambda P, seed, samples: failing)
+    monkeypatch.setattr("toricwidth.verify.polytope_suites", lambda P, seed, samples: failing)
     rc, out = run(capsys, "verify", "cpn:1:1")
     assert rc == 4
     assert "FAIL" in out
@@ -220,7 +220,7 @@ def test_arithmetic_error_exits_3_with_one_line(capsys, monkeypatch, error):
     def overflow(P, seed, samples):
         raise error("numerical result out of range")
 
-    monkeypatch.setattr("toricwidth.cli.polytope_suites", overflow)
+    monkeypatch.setattr("toricwidth.verify.polytope_suites", overflow)
     assert main(["verify", "cpn:2:1"]) == 3
     err = capsys.readouterr().err
     assert err == f"error: {error.__name__}: numerical result out of range\n"
@@ -504,9 +504,11 @@ def test_verify_eliminates_only_in_the_walk(capsys, monkeypatch, tmp_path):
 
 
 # empty or unbounded inputs and the one-line cause each subcommand gives; the
-# first spans R^2 with its normals, so it is empty as no vertex is feasible
+# first spans R^2 with its normals, so it is empty as no vertex is feasible;
+# the second does not, but its slice by the missing direction is empty too
 UNUSABLE_INPUTS = {
     "pointed-empty": ([[1, 0], [-1, 0], [0, 1]], ["0", "1", "0"], "no feasible vertex"),
+    "empty-strip": ([[1, 0], [-1, 0]], ["0", "1"], "no feasible vertex"),
     "strip": ([[1, 0], [-1, 0]], ["0", "-1"], "recession direction (0, 1)"),
     "quadrant": ([[1, 0], [0, 1]], ["0", "0"], "recession direction (1, 0)"),
 }

@@ -593,6 +593,22 @@ def test_a_pointed_input_with_no_feasible_vertex_is_empty(monkeypatch):
             enumerate_vertices(P)
 
 
+def test_an_empty_input_with_a_line_is_empty_not_unbounded():
+    # its normals miss a direction k, so P would contain lines along k; the
+    # slice by k^perp is pointed and has no vertex, so P is empty
+    for P in (
+        half_spaces([(1, 0), (-1, 0)], [0, 1]),
+        half_spaces([(1, 1, 0), (-1, -1, 0)], [Fraction(1, 2), 0]),
+        half_spaces([(1, 0, 0), (0, 1, 0), (-1, -1, 0)], [0, 0, 1]),
+    ):
+        with pytest.raises(EmptyPolytopeError, match="^no feasible vertex$"):
+            enumerate_vertices(P)
+        assert_same_vertices(P)
+    # the nonempty strip 0 <= x <= 1 keeps its recession direction
+    with pytest.raises(UnboundedPolytopeError, match=r"^recession direction \(0, 1\)$"):
+        enumerate_vertices(half_spaces([(1, 0), (-1, 0)], [0, -1]))
+
+
 def test_edge_walk_matches_the_subset_scan():
     rng = random.Random(755)
     fixtures = [

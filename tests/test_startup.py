@@ -1,0 +1,77 @@
+"""What a process loads: analyze, width and embed run on the exact core
+alone, and only verify (or a library import of charts or numeric) loads
+numpy.  verify's work arrays come back from the heap whatever was imported
+first."""
+
+import importlib
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import toricwidth
+
+SRC = Path(toricwidth.__file__).resolve().parents[1]
+
+
+def run_python(code: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_only_verify_loads_numpy():
+    out = run_python(
+        """
+import contextlib, io, sys
+import toricwidth.cli
+loaded = []
+for sub in ("analyze", "width", "embed", "verify"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert toricwidth.cli.main([sub, "example-3.8:1"]) == 0
+    loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+    )
+    assert out == "[False, False, False, True]\n"
+
+
+def test_lazy_names_are_the_submodules_own():
+    for name, module in toricwidth._NUMPY_NAMES.items():
+        assert getattr(toricwidth, name) is getattr(
+            importlib.import_module(f"toricwidth.{module}"), name)
+    from toricwidth import chart_for_cone
+
+    assert chart_for_cone is importlib.import_module("toricwidth.charts").chart_for_cone
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        toricwidth.no_such_name
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_verify_reuses_its_work_arrays_after_a_late_numpy_import():
+    # numpy comes in after the exact core, on the first verify call; each
+    # later call should fault in next to no fresh pages
+    out = run_python(
+        """
+import contextlib, io, resource
+import toricwidth.cli
+def call(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert toricwidth.cli.main(list(argv)) == 0
+for sub in ("analyze", "width", "embed"):
+    call(sub, "cpn:2:1")
+for _ in range(3):
+    call("verify", "cpn:3:10")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    call("verify", "cpn:3:10")
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+    )
+    assert float(out) < 16

@@ -166,7 +166,17 @@ def cmd_embed(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ParseFailure(f"--samples must be at least 1 (got {args.samples})")
-    from .verify import polytope_suites  # loads numpy, which no other command needs
+    try:
+        import numpy  # noqa: F401  # no other command needs numpy
+    except ImportError as e:
+        # numpy missing, or its libraries unmappable under a memory cap: name
+        # the innermost cause in one line, not numpy's page of advice, and
+        # leave through main's exit-3 arm for ValueError
+        while e.__cause__ is not None:
+            e = e.__cause__
+        cause = (str(e).strip() or type(e).__name__).splitlines()[0]
+        raise ValueError(f"cannot import numpy: {cause}") from None
+    from .verify import polytope_suites
 
     P = load_polytope(args.input)
     results = polytope_suites(P, seed=args.seed, samples=args.samples)

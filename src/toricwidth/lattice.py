@@ -57,10 +57,6 @@ def is_primitive(u: Sequence[int]) -> bool:
     return math.gcd(*u) == 1
 
 
-def transpose(M: Sequence[Sequence]) -> tuple:
-    return tuple(zip(*[tuple(row) for row in M]))
-
-
 def _integer_rows(M: Iterable[Iterable]) -> list[list[int]]:
     """Each row scaled to integers by the lcm of its denominators."""
     rows = []

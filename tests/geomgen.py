@@ -13,7 +13,14 @@ from typing import Sequence
 
 import numpy as np
 
-from toricwidth.charts import ChartData, NonUnimodularConeError, chart_for_cone, transition_map
+from toricwidth.charts import (
+    ChartArrays,
+    ChartData,
+    ChartTable,
+    NonUnimodularConeError,
+    chart_for_cone,
+    transition_map,
+)
 from toricwidth.embedding import MonomialEmbedding
 from toricwidth.fan import Fan, is_strictly_convex
 from toricwidth.fixtures import projective_space
@@ -28,7 +35,6 @@ from toricwidth.lattice import (
     rational_vector,
     rref,
     solve_rational,
-    transpose,
 )
 from toricwidth.numeric import GRADIENT_STEP
 from toricwidth.polytope import (
@@ -113,6 +119,10 @@ def oracle_is_smooth(F: Fan) -> bool:
         len(c) == F.dim and abs(oracle_det([F.generators[i] for i in c])) == 1
         for c in F.max_cones
     )
+
+
+def transpose(M: Sequence[Sequence]) -> tuple:
+    return tuple(zip(*[tuple(row) for row in M]))
 
 
 def mat_vec(M: Sequence[Sequence], x: Sequence) -> tuple:
@@ -633,7 +643,7 @@ def twist_exponents(C: ChartData, g: IntVector) -> tuple[int, ...]:
     g_cone = [g[j] for j in C.cone]
     out = []
     for l, j in enumerate(C.complement):
-        col = [C.V[k][l] for k in range(C.dim)]
+        col = [row[l] for row in C.V]
         out.append(g[j] - dot(col, g_cone))
     return tuple(out)
 
@@ -955,6 +965,51 @@ def exponent_rows(C: ChartData) -> tuple[tuple[int, ...], ...]:
     return mat_mul(C.U_inv, transpose(C.fan.generators))
 
 
+def stack_charts(charts: Sequence[ChartData]) -> ChartArrays:
+    """ChartArrays with charts[i] in row i, from each chart's own data: the
+    oracle of ChartTable.charts, and a way to stack altered charts."""
+    k, n, d = len(charts), len(charts[0].cone), len(charts[0].fan.generators)
+    return ChartArrays(
+        d,
+        np.array([C.cone for C in charts], dtype=np.int64),
+        np.array([C.complement for C in charts], dtype=np.int64).reshape(k, d - n),
+        np.array([C.V for C in charts], dtype=np.int64).reshape(k, n, d - n),
+    )
+
+
+def transition_exponents(charts: Sequence[ChartData]) -> np.ndarray:
+    """E[a, b] = U_b^-1 U_a, the exponents of transition_map(charts[a],
+    charts[b]), for all k^2 pairs from one stacked product of object arrays:
+    Python ints, exact at any size.  The oracle of the gathers E[a, b] =
+    T[b] on a's cone of charts.ChartTable."""
+    U = np.array([C.U for C in charts], dtype=object)
+    U_inv = np.array([C.U_inv for C in charts], dtype=object)
+    return U_inv[None] @ U[:, None]
+
+
+def charts_of_table(F: Fan, T) -> list[ChartData]:
+    """The charts whose V are the complement columns of the (possibly
+    altered) exact table T, with F's cones and inverses."""
+    charts = []
+    for ci, cone in enumerate(F.max_cones):
+        complement = tuple(j for j in range(len(F.generators)) if j not in cone)
+        V = tuple(tuple(int(T[ci][i][j]) for j in complement) for i in range(len(cone)))
+        U = transpose([F.generators[i] for i in cone])
+        charts.append(ChartData(F, cone, complement, U, F.inverses[ci], V))
+    return charts
+
+
+def altered_table(table: ChartTable, changes) -> ChartTable:
+    """table with T[c][i][j] raised by delta for each (c, i, j, delta); its
+    T turns to Python ints when an entry leaves int64."""
+    T = table.T.copy()
+    for c, i, j, delta in changes:
+        if T.dtype != object and abs(int(T[c, i, j]) + delta) >= 2**63:
+            T = T.astype(object)
+        T[c, i, j] += delta
+    return ChartTable(table.generators, table.cone, table.complement, table.inverses, T)
+
+
 def oracle_exponents_kill_relations(F: Fan, charts=None) -> bool:
     """Every exponent row of every chart (by default the charts of F) pairs
     to zero with every vector of the relation basis among the generators,
@@ -964,7 +1019,7 @@ def oracle_exponents_kill_relations(F: Fan, charts=None) -> bool:
         charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
     relations = integer_kernel_basis(transpose(F.generators))
     for C in charts:
-        for k in range(C.dim):
+        for k in range(len(C.cone)):
             row = [0] * len(F.generators)
             row[C.cone[k]] = 1
             for l, j in enumerate(C.complement):
@@ -977,7 +1032,7 @@ def oracle_exponents_kill_relations(F: Fan, charts=None) -> bool:
 def _oracle_phi(C: ChartData, z) -> list[complex]:
     """The chart map one component and one complement power at a time."""
     out = []
-    for k in range(C.dim):
+    for k in range(len(C.cone)):
         val = complex(z[C.cone[k]])
         for l, j in enumerate(C.complement):
             if C.V[k][l]:
@@ -1025,16 +1080,49 @@ def _oracle_rel_dev(a, b) -> float:
     return max(abs(x - y) / max(1.0, abs(y)) for x, y in zip(a, b))
 
 
+def _oracle_transitions(charts, table=None) -> dict:
+    """The exponents of every chart change (a, b): transition_map's, or T[b]'s
+    columns on a's cone of a given ChartTable."""
+    k, n = len(charts), len(charts[0].cone)
+    return {
+        (a, b): transition_map(charts[a], charts[b])
+        if table is None
+        else tuple(tuple(int(table.T[b][i][j]) for j in charts[a].cone) for i in range(n))
+        for a in range(k)
+        for b in range(k)
+    }
+
+
+def oracle_exact_checks(F: Fan, table=None) -> tuple[bool, bool]:
+    """verify.exact_checks by dot loops and on every triple of charts: the
+    relation oracle, and E[b, c] E[a, b] = E[a, c] for all a, b, c.  The
+    charts and chart changes are as in oracle_chart_suite."""
+    if table is None:
+        charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
+    else:
+        charts = charts_of_table(F, table.T)
+    E, k = _oracle_transitions(charts, table), len(charts)
+    cocycle = all(
+        mat_mul(E[b, c], E[a, b]) == E[a, c] for a in range(k) for b in range(k) for c in range(k)
+    )
+    return oracle_exponents_kill_relations(F, charts=charts), cocycle
+
+
 def oracle_chart_suite(F: Fan, seed: int = 0, samples: int = 10, table=None):
     """verify.chart_suite one chart, pair and sample at a time in pure
     Python, with the cocycle identity checked on every triple of charts.
-    The chart changes are transition_map's, or table[a, b] when a k x k
-    table of exponent matrices is given."""
+    The charts are chart_for_cone's and the chart changes transition_map's;
+    given a (possibly altered) ChartTable, each chart's V is its T's
+    complement columns instead, and the exact checks take the chart change
+    from a to b as T[b]'s columns on a's cone."""
     rng = random.Random(seed)
     d = len(F.generators)
     n = F.dim
     results = []
-    charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
+    if table is None:
+        charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
+    else:
+        charts = charts_of_table(F, table.T)
 
     worst = 0.0
     for C in charts:
@@ -1065,28 +1153,20 @@ def oracle_chart_suite(F: Fan, seed: int = 0, samples: int = 10, table=None):
             worst = max(worst, _oracle_rel_dev(_oracle_phi(C, moved), _oracle_phi(C, z)))
     results.append(CheckResult("kernel_invariance", worst < CHART_TOL, worst, CHART_TOL))
 
-    exact = oracle_exponents_kill_relations(F)
-    results.append(CheckResult("exponents_kill_relations", exact, None, None))
+    relations, cocycle = oracle_exact_checks(F, table)
+    results.append(CheckResult("exponents_kill_relations", relations, None, None))
 
+    # the monomial side's exponents are transition_map's, U_b^-1 U_a, while
+    # the chart side reads each V off the (possibly altered) table
     k = len(charts)
-    E = {
-        (a, b): transition_map(charts[a], charts[b])
-        if table is None
-        else tuple(map(tuple, table[a][b]))
-        for a in range(k)
-        for b in range(k)
-    }
+    E = _oracle_transitions(charts)
     worst = 0.0
-    cocycle = True
     for a in range(k):
         for b in range(k):
             for _ in range(samples):
                 xi = [_oracle_coord(rng, 0.5, 2.0) for _ in range(n)]
                 direct = _oracle_phi(charts[b], _oracle_psi(charts[a], xi))
                 worst = max(worst, _oracle_rel_dev(_oracle_monomials(E[a, b], xi), direct))
-            for c in range(k):
-                if mat_mul(E[b, c], E[a, b]) != E[a, c]:
-                    cocycle = False
     results.append(CheckResult("transition_matches_charts", worst < CHART_TOL, worst, CHART_TOL))
     results.append(CheckResult("transition_cocycle_exact", cocycle, None, None))
     return results

@@ -7,23 +7,26 @@ import re
 import numpy as np
 import pytest
 
+import toricwidth.charts
 import toricwidth.verify
 from toricwidth.charts import (
+    ChartTable,
     NonUnimodularConeError,
     chart_for_cone,
+    chart_table,
     kernel_params,
     monomials,
-    phi_after_psi_sigmas,
     phi_sigmas,
     psi_sigmas,
-    stack_charts,
     torus_images,
-    transition_exponents,
     transition_map,
+    transition_sides,
 )
 from geomgen import (
     AffineLatticeMap,
     _oracle_kernel_param,
+    altered_table,
+    charts_of_table,
     apply_lattice_map,
     _oracle_phi,
     _oracle_psi,
@@ -39,6 +42,9 @@ from geomgen import (
     random_delzant_polytope,
     random_simple_non_delzant_polygon,
     random_unimodular_map,
+    stack_charts,
+    transition_exponents,
+    transpose,
     unit_square,
 )
 from toricwidth.fan import Fan, normal_fan
@@ -48,9 +54,9 @@ from toricwidth.fixtures import (
     projective_space,
     resolve_fixture,
 )
-from toricwidth.lattice import dot, integer_kernel_basis, transpose
+from toricwidth.lattice import dot, integer_kernel_basis
 from toricwidth.polytope import scale
-from toricwidth.verify import chart_suite
+from toricwidth.verify import chart_suite, exact_checks
 
 TOL = 1e-9
 
@@ -77,8 +83,8 @@ def charts_of(F):
 
 def each_chart(F, samples):
     """The stacked charts of F, each repeated for `samples` rows, and their count."""
-    charts = charts_of(F)
-    return stack_charts(charts).take(np.repeat(np.arange(len(charts)), samples)), len(charts)
+    k = len(F.max_cones)
+    return chart_table(F).charts(np.repeat(np.arange(k), samples)), k
 
 
 def rel_dev(a, b):
@@ -250,7 +256,7 @@ def test_transition_matches_chart_composition():
             for C2 in charts:
                 E = np.array(transition_map(C1, C2), dtype=np.int64)
                 xi = random_torus_points(rng, 5, F.dim)
-                A1, A2 = (stack_charts([C]).take([0] * 5) for C in (C1, C2))
+                A1, A2 = (stack_charts([C] * 5) for C in (C1, C2))
                 direct = phi_sigmas(A2, psi_sigmas(A1, xi))
                 assert rel_dev(monomials(xi, E), direct) < TOL
 
@@ -268,19 +274,35 @@ def pair_form_fans():
 
 
 def test_phi_after_psi_on_the_set_coordinates_is_bit_for_bit_the_full_form():
+    # both sides of transition_sides share their powers where their
+    # exponents agree; each is bit for bit its own full form: phi_b after
+    # psi_a through the stacked charts of chart_for_cone, and the monomial
+    # map of the k^2 oracle's exponents
     rng = random.Random(15)
     for F in pair_form_fans():
-        stack = stack_charts(charts_of(F))
+        table, charts = chart_table(F), charts_of(F)
+        E = transition_exponents(charts).astype(np.int64)
         k, n = len(F.max_cones), F.dim
         samples = 3 if k <= 20 else 1
         pair = np.repeat(np.arange(k * k), samples)
         a, b = pair // k, pair % k
         xi = random_torus_points(rng, len(pair), n)
-        got = phi_after_psi_sigmas(stack, a, b, xi)
-        assert np.array_equal(got, phi_sigmas(stack.take(b), psi_sigmas(stack.take(a), xi)))
+        monomial, got = transition_sides(table, a, b, xi)
+        A, B = (stack_charts([charts[c] for c in rows]) for rows in (a, b))
+        assert np.array_equal(got, phi_sigmas(B, psi_sigmas(A, xi)))
+        assert np.array_equal(monomial, monomials(xi, E[a, b]))
         # a slice of rows gives the same values as the whole
         some = slice(len(pair) // 3, len(pair) // 2)
-        assert np.array_equal(phi_after_psi_sigmas(stack, a[some], b[some], xi[some]), got[some])
+        sides = transition_sides(table, a[some], b[some], xi[some])
+        assert np.array_equal(sides[0], monomial[some]) and np.array_equal(sides[1], got[some])
+        # on a table with one raised entry in every chart's first complement
+        # column, the chart side follows the table and the monomial side not
+        wrong = altered_table(table, [(c, 0, table.complement[c, 0], 1) for c in range(k)])
+        bad = charts_of_table(F, wrong.T)
+        A, B = (stack_charts([bad[c] for c in rows]) for rows in (a, b))
+        monomial_w, got_w = transition_sides(wrong, a, b, xi)
+        assert np.array_equal(got_w, phi_sigmas(B, psi_sigmas(A, xi)))
+        assert np.array_equal(monomial_w, monomial) and not np.array_equal(got_w, got)
 
 
 def test_transition_cocycle_exact():
@@ -306,33 +328,41 @@ def exponent_table_fans():
 
 
 def test_transition_exponents_match_each_transition_map():
+    # the k^2 oracle against transition_map, and the table's gathers
+    # E[a, b] = T[b] on a's cone against the oracle, in int64 and past it
     for F in exponent_table_fans():
         charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
         E = transition_exponents(charts)
+        table = chart_table(F)
         k, n = len(charts), F.dim
         assert E.shape == (k, k, n, n) and E.dtype == object
         for a in range(k):
             for b in range(k):
                 assert tuple(map(tuple, E[a, b])) == transition_map(charts[a], charts[b])
                 assert all(type(e) is int for e in E[a, b].flat)
+                assert table.T[b][:, table.cone[a]].tolist() == E[a, b].tolist()
     assert max(abs(e) for e in E.flat) > 2**63  # the steep surface comes last, exact
+    assert table.T.dtype == object
+    with pytest.raises(OverflowError):
+        table.exponents  # the float maps need int64 exponents
+
+
+def one_chart(table: ChartTable, c: int) -> ChartTable:
+    rows = slice(c, c + 1)
+    return ChartTable(
+        table.generators, table.cone[rows], table.complement[rows], table.inverses[rows], table.T[rows]
+    )
 
 
 def test_relation_check_agrees_with_the_dot_loop_oracle():
-    too_wide = 0
     for F in exponent_table_fans():
-        charts = charts_of(F)
         assert oracle_exponents_kill_relations(F) is True
-        try:
-            A = stack_charts(charts)
-        except OverflowError:
-            # the steep surface's V is past int64, so chart_suite stops at
-            # stack_charts, before the relation check
-            too_wide += 1
-            continue
-        assert toricwidth.verify._exponents_kill_relations(F, A) is True
-        assert all(toricwidth.verify._exponents_kill_relations(F, stack_charts([C])) for C in charts)
-    assert too_wide == 1
+        table = chart_table(F)
+        assert exact_checks(table) == (True, True)
+        for c in range(len(table.cone)):
+            assert exact_checks(one_chart(table, c)) == (True, True)
+    # the steep surface's V is past int64: its checks ran on Python ints
+    assert table.T.dtype == object
 
 
 def test_relation_check_catches_every_wrong_v_entry():
@@ -342,7 +372,7 @@ def test_relation_check_catches_every_wrong_v_entry():
     rng = random.Random(13)
     fans = TEST_FANS + [normal_fan(random_delzant_polytope(rng, n)) for n in (3, 4)]
     for F in fans:
-        charts = charts_of(F)
+        charts, table = charts_of(F), chart_table(F)
         d, n = len(F.generators), F.dim
         for c, C in enumerate(charts):
             for i in range(n):
@@ -351,9 +381,17 @@ def test_relation_check_catches_every_wrong_v_entry():
                     V[i][l] += 1
                     bad = list(charts)
                     bad[c] = dataclasses.replace(C, V=tuple(map(tuple, V)))
-                    assert toricwidth.verify._exponents_kill_relations(F, stack_charts(bad)) is False
-                    assert toricwidth.verify._exponents_kill_relations(F, stack_charts(bad[c:c + 1])) is False
+                    wrong = altered_table(table, [(c, i, C.complement[l], 1)])
+                    assert exact_checks(wrong)[0] is False
+                    assert exact_checks(one_chart(wrong, c))[0] is False
                     assert oracle_exponents_kill_relations(F, charts=bad) is False
+
+
+# the checks that a wrong entry of some chart's V fails
+FAILED_BY_A_WRONG_V = {
+    "kernel_param_in_kernel", "exponents_kill_relations",
+    "transition_matches_charts", "transition_cocycle_exact",
+}
 
 
 def test_chart_suite_passes_and_catches_a_wrong_transition(monkeypatch):
@@ -361,48 +399,49 @@ def test_chart_suite_passes_and_catches_a_wrong_transition(monkeypatch):
     assert all(r.passed for r in chart_suite(F, seed=3, samples=2))
 
     # each ordered pair of the 6 charts in turn gets the identity as its
-    # chart change; both transition checks fail, as under the k^3 oracle
-    charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
-    k = len(charts)
+    # chart change on the generators of a's cone off b's cone: T[b]'s
+    # columns there become unit columns, and so does that part of V_b.  The
+    # transition sweep, whose monomial side multiplies U_b^-1 U_a out of the
+    # inverses, fails with the kernel and exact checks, as under the k^3
+    # oracle on the same table
+    table = chart_table(F)
+    k, n = len(table.cone), F.dim
     for a in range(k):
         for b in range(k):
             if a == b:
                 continue
-
-            def wrong(charts, a=a, b=b):
-                E = transition_exponents(charts)
-                E[a, b] = E[a, a]
-                return E
-
-            monkeypatch.setattr(toricwidth.verify, "transition_exponents", wrong)
+            changes = [
+                (b, i, j, int(i == m) - int(table.T[b, i, j]))
+                for m, j in enumerate(table.cone[a]) if j not in table.cone[b]
+                for i in range(n)
+            ]
+            wrong = altered_table(table, changes)
+            monkeypatch.setattr(toricwidth.verify, "chart_table", lambda F, wrong=wrong: wrong)
             got = chart_suite(F, seed=a * k + b, samples=2)
             failed = {r.name for r in got if not r.passed}
-            assert failed == {"transition_matches_charts", "transition_cocycle_exact"}
-            assert_same_results(got, oracle_chart_suite(F, a * k + b, 2, table=wrong(charts)))
+            assert failed == FAILED_BY_A_WRONG_V
+            assert_same_results(got, oracle_chart_suite(F, a * k + b, 2, table=wrong))
 
 
 def test_chart_suite_catches_a_wrong_v_entry_on_another_charts_cone(monkeypatch):
     # the transition sweep reads V_b only on the columns whose generator lies
     # in chart a's cone; raising any one entry of any V breaks it, since
-    # every generator of a complete fan lies in some maximal cone
+    # every generator of a complete fan lies in some maximal cone, and so it
+    # breaks the cocycle check, which reads the same columns, and the
+    # relation and kernel checks, as under the k^3 oracle
     F = normal_fan(blown_up_hirzebruch())
-    charts = charts_of(F)
+    table, charts = chart_table(F), charts_of(F)
     d, n = len(F.generators), F.dim
     for c, C in enumerate(charts):
         for i in range(n):
             for l in range(d - n):
                 assert any(C.complement[l] in other.cone for other in charts)
-                V = [list(row) for row in C.V]
-                V[i][l] += 1
-                bad = dataclasses.replace(C, V=tuple(map(tuple, V)))
-
-                def chart(F, ci, c=c, bad=bad):
-                    return bad if ci == c else chart_for_cone(F, ci)
-
-                monkeypatch.setattr(toricwidth.verify, "chart_for_cone", chart)
-                got = {r.name: r.passed for r in chart_suite(F, seed=c, samples=2)}
-                assert got["transition_matches_charts"] is False
-                assert got["phi_after_psi_identity"] and got["transition_cocycle_exact"]
+                wrong = altered_table(table, [(c, i, C.complement[l], 1)])
+                monkeypatch.setattr(toricwidth.verify, "chart_table", lambda F, wrong=wrong: wrong)
+                got = chart_suite(F, seed=c, samples=2)
+                failed = {r.name for r in got if not r.passed}
+                assert failed == FAILED_BY_A_WRONG_V
+                assert_same_results(got, oracle_chart_suite(F, c, 2, table=wrong))
 
 
 def test_monomial_composition_is_matrix_product():
@@ -429,16 +468,16 @@ def test_row_forms_with_a_chart_per_row_match_single_points():
     draws = [normal_fan(random_delzant_polytope(rng, n)) for n in (3, 3, 4, 4)]
     for F in TEST_FANS + draws:
         charts = charts_of(F)
-        stack = stack_charts(charts)
+        table = chart_table(F)
         d, n = len(F.generators), F.dim
         which = np.array([rng.randrange(len(charts)) for _ in range(20)])
-        A = stack.take(which)
+        A = table.charts(which)
         Z = random_torus_points(rng, len(which), d)
         XI, AC = Z[:, :n], Z[:, n:]
         phi, psi, alpha = phi_sigmas(A, Z), psi_sigmas(A, XI), kernel_params(A, AC)
         image = torus_images(F, alpha)
         for r, c in enumerate(which):
-            one = stack.take([c])
+            one = table.charts(np.array([c]))
             assert phi[r].tolist() == phi_sigmas(one, Z[[r]])[0].tolist()
             assert psi[r].tolist() == psi_sigmas(one, XI[[r]])[0].tolist()
             assert alpha[r].tolist() == kernel_params(one, AC[[r]])[0].tolist()

@@ -5,6 +5,7 @@ import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import toricwidth.cli
 import toricwidth.embedding
 import toricwidth.fan
 import toricwidth.lattice
+import toricwidth.numeric
 import toricwidth.polytope
 import toricwidth.verify
 import toricwidth.width
@@ -25,6 +27,7 @@ from geomgen import (
     oracle_lattice_points,
     oracle_sections,
     polytope_data,
+    product_polytope,
     random_delzant_polygon,
     unit_square,
 )
@@ -246,6 +249,8 @@ def test_verify_high_degree_does_not_overflow(capsys):
 
 
 def test_verify_builds_each_chart_and_transition_once(capsys, monkeypatch, tmp_path):
+    # every chart and chart change is a gather of one exact table: verify
+    # builds the table once, no ChartData, and no k x k table of chart changes
     P = scale(random_delzant_polygon(random.Random(10)), 3)  # room for the cuts
     while P.num_facets < 10:
         P = next(
@@ -254,7 +259,7 @@ def test_verify_builds_each_chart_and_transition_once(capsys, monkeypatch, tmp_p
         )
     path = tmp_path / "polygon.json"
     path.write_text(json.dumps(polytope_data(P)))
-    calls = {"chart_for_cone": 0, "transition_exponents": 0, "transition_map": 0}
+    calls = {"chart_for_cone": 0, "chart_table": 0, "transition_map": 0}
     for name in calls:
         real = getattr(toricwidth.charts, name)
 
@@ -267,7 +272,20 @@ def test_verify_builds_each_chart_and_transition_once(capsys, monkeypatch, tmp_p
                 monkeypatch.setattr(mod, name, counted)
     assert main(["verify", str(path), "--samples", "2"]) == 0
     capsys.readouterr()
-    assert calls == {"chart_for_cone": 10, "transition_exponents": 1, "transition_map": 0}
+    assert calls == {"chart_for_cone": 0, "chart_table": 1, "transition_map": 0}
+    # with small slices, the chart suite on b8 x b8 (k = 64, n = 4) peaks
+    # below the size of one int64 k x k table of 4 x 4 exponent matrices
+    b8 = blowup_polygon(random.Random(1), 8)
+    F = toricwidth.fan.normal_fan(product_polytope(b8, b8))
+    k, n = len(F.max_cones), F.dim
+    monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 256)
+    tracemalloc.start()
+    try:
+        assert all(r.passed for r in toricwidth.verify.chart_suite(F, seed=0, samples=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k * k * n * n * 8
 
 
 def test_parse_errors_exit_2(capsys, tmp_path):

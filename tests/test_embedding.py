@@ -9,10 +9,11 @@ from geomgen import (
     full_section_exponents,
     hirzebruch,
     sections_by_conditions,
+    stack_charts,
     twist_exponents,
     unit_square,
 )
-from toricwidth.charts import chart_for_cone, kernel_params, stack_charts
+from toricwidth.charts import chart_for_cone, kernel_params
 from toricwidth.embedding import MonomialEmbedding, sections_by_polytope
 from toricwidth.fan import normal_fan
 from toricwidth.fixtures import (

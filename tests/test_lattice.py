@@ -13,6 +13,7 @@ from geomgen import (
     oracle_det,
     oracle_rref,
     random_delzant_polytope,
+    transpose,
 )
 from toricwidth.charts import NonUnimodularConeError, chart_for_cone
 from toricwidth.fan import Fan, normal_fan
@@ -25,7 +26,6 @@ from toricwidth.lattice import (
     is_primitive,
     rref,
     solve_rational,
-    transpose,
 )
 
 

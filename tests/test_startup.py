@@ -6,6 +6,7 @@ first."""
 import importlib
 import os
 import platform
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -75,3 +76,25 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
 """
     )
     assert float(out) < 16
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="an RLIMIT_AS cap on the child process")
+def test_numpy_that_cannot_load_under_a_memory_cap_ends_in_one_line():
+    # in 40 MiB of address space numpy's shared libraries fail to map: verify
+    # ends in one error line with exit 3, not numpy's page-long ImportError
+    cap = 40 * 2**20
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "toricwidth.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+
+    # here the exact core runs from 20 MiB on and numpy needs more than 56
+    if run("analyze", "cpn:1:1").returncode != 0:
+        pytest.skip("the interpreter does not start in 40 MiB here")
+    proc = run("verify", "cpn:1:1")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: cannot import numpy: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

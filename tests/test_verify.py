@@ -7,20 +7,29 @@ import random
 import numpy as np
 import pytest
 
+import toricwidth.charts
 import toricwidth.numeric
 import toricwidth.verify
 from geomgen import (
+    altered_table,
+    apply_lattice_map,
     assert_same_results,
     blowup_polygon,
+    hirzebruch,
     lattice_point_ladder,
     oracle_chart_suite,
+    oracle_exact_checks,
     random_delzant_polygon,
+    random_delzant_polytope,
+    random_unimodular_map,
 )
+from toricwidth.charts import chart_table
 from toricwidth.embedding import sections_by_polytope
 from toricwidth.fan import normal_fan
 from toricwidth.fixtures import resolve_fixture
 from toricwidth.numeric import ToricPotential
-from toricwidth.verify import chart_suite, numeric_suite
+from toricwidth.polytope import HalfspacePolytope
+from toricwidth.verify import chart_suite, exact_checks, numeric_suite
 
 FIXTURES = (
     "example-3.7", "example-3.8:1", "example-3.8:3", "cpn:1:1", "cpn:2:1", "cpn:2:5",
@@ -48,15 +57,68 @@ def test_chart_suite_matches_the_per_sample_oracle(group):
         assert_same_results(got, oracle_chart_suite(F, seed=i, samples=3))
 
 
-@pytest.mark.parametrize("spec", ["example-3.8:1", "cpn:3:2"])
+@pytest.mark.parametrize("spec", ["example-3.8:1", "cpn:3:2", "cpn:3:10", "blowup-10"])
 def test_small_batches_give_identical_results(monkeypatch, spec):
-    # 64 entries put a few rows in each slice of every sweep
-    P = resolve_fixture(spec)
+    # 64 entries put a few rows in each slice of every sweep, and one row of
+    # N > 64 monomials in each slice of the potential's pass
+    P = blowup_polygon(random.Random(5), 10) if spec == "blowup-10" else resolve_fixture(spec)
     F = normal_fan(P)
     T = ToricPotential(sections_by_polytope(P, P.vertices[0]))
     whole = chart_suite(F, seed=6, samples=5), numeric_suite(T, seed=6, samples=5)
     monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 64)
     assert (chart_suite(F, seed=6, samples=5), numeric_suite(T, seed=6, samples=5)) == whole
+
+
+def test_numeric_suite_stacks_its_samples_in_bounded_chunks(monkeypatch):
+    # 64 entries put n = 2 samples in chunks of 64 // n^2 = 16: 40 samples
+    # go through three passes of 6n + 13 = 25 rows a sample, in which only
+    # the pullback's base rows hold a covariance, and give the results of
+    # one stack
+    P = resolve_fixture("example-3.8:1")
+    T = ToricPotential(sections_by_polytope(P, P.vertices[0]))
+    whole = numeric_suite(T, seed=4, samples=40)
+    passes = []
+
+    def recorded(T, X, hessians=None):
+        sums = toricwidth.numeric.evaluate(T, X, hessians)
+        passes.append((len(X), sums.cov.shape))
+        return sums
+
+    monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 64)
+    monkeypatch.setattr(toricwidth.verify, "evaluate", recorded)
+    assert numeric_suite(T, seed=4, samples=40) == whole
+    assert passes == [(400, (16, 2, 2)), (400, (16, 2, 2)), (200, (8, 2, 2))]
+
+
+@pytest.mark.parametrize("group", ["ladder", "projective", "random", "blowup"])
+def test_the_object_fallback_gives_identical_results(monkeypatch, group):
+    # a bound of 0 sends the table and its exact checks to Python ints
+    fans = [normal_fan(P) for P in oracle_inputs(group)]
+    want = [chart_suite(F, seed=i, samples=3) for i, F in enumerate(fans)]
+    monkeypatch.setattr(toricwidth.charts, "INT64_BOUND", 0)
+    assert all(chart_table(F).T.dtype == object for F in fans)
+    assert [chart_suite(F, seed=i, samples=3) for i, F in enumerate(fans)] == want
+
+
+def test_exact_checks_past_int64_match_the_triple_oracle():
+    # the (1, 2^62) parallelogram puts n max|w| max|u| at 2^125 and a
+    # steep Hirzebruch surface its V past 2^63: both tables and their checks
+    # run on Python ints.  Each agrees with the oracle as it is, and with any
+    # one V entry raised by 2^64
+    rng = random.Random(19)
+    parallelogram = HalfspacePolytope(((1, 2**62), (0, 1), (-1, -(2**62)), (0, -1)), (0, 0, -1, -1))
+    steep = apply_lattice_map(hirzebruch(2**70), random_unimodular_map(rng))
+    fans = [normal_fan(P) for P in (parallelogram, steep)]
+    fans += [normal_fan(random_delzant_polytope(rng, n)) for n in (3, 4)]
+    for F in fans:
+        table = chart_table(F)
+        assert table.T.dtype == (np.int64 if F.dim > 2 else object)
+        assert exact_checks(table) == oracle_exact_checks(F) == (True, True)
+        k, n = table.cone.shape
+        for c in range(k):
+            for j in table.complement[c]:
+                wrong = altered_table(table, [(c, rng.randrange(n), j, 2**64)])
+                assert exact_checks(wrong) == oracle_exact_checks(F, wrong) == (False, False)
 
 
 def test_points_are_drawn_as_a_per_sample_loop_draws_them():

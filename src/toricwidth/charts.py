@@ -17,10 +17,12 @@ table T with T[c]_ij = <w_i^c, u_j>.  Its columns on chart c's cone are the
 identity and its other columns are c's V; the exponents of the chart change
 phi_b after psi_a, E[a, b] = U_b^-1 U_a, are T[b]'s columns on a's cone.  So
 every V is a gather of T, and no chart runs an elimination or a product of
-its own.  T is int64 when n max|w| max|u| < INT64_BOUND bounds every entry
-and every partial sum, and an object array of Python ints, exact at any
-size, otherwise.  The float maps need int64 exponents, so
-ChartTable.exponents raises OverflowError on entries past 2^63.
+its own.  T is int64 when d M^2 < INT64_BOUND for
+M = max(n max|w| max|u|, max|u|, 1), which bounds T, the generators and
+every product and partial sum of T, of the generators and of verify's exact
+checks on them, and an object array of Python ints, exact at any size,
+otherwise.  The float maps need int64 exponents, so ChartTable.exponents
+raises OverflowError on entries past 2^63.
 
 Each map has one form, on rows of points (phi_sigmas, psi_sigmas,
 kernel_params, torus_images, monomials, transition_sides), evaluated with
@@ -158,7 +160,8 @@ def chart_table(F: Fan) -> ChartTable:
     off[np.arange(k)[:, None], cone] = False
     complement = np.nonzero(off)[1].reshape(k, d - n)
     G, W = exact_array(F.generators), exact_array(inverses)
-    if n * largest(W) * largest(G) >= INT64_BOUND:
+    M = max(n * largest(W) * largest(G), largest(G), 1)
+    if d * M * M >= INT64_BOUND:
         G, W = G.astype(object), W.astype(object)
     return ChartTable(G, cone, complement, W, W @ G.T)
 

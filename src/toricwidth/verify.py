@@ -36,20 +36,20 @@ column of generator cone_a[m], and that of E[0,b] E[a,0] is E[0,b] times
 T[0]'s column of the same generator; so the k^2 pair identities are the k
 identities T[b] = E[0,b] T[0] on the columns of the generators that lie in
 some cone, k n^2 d products instead of k^2 n^3.  E[a,a] = I is T[a] = I on
-a's cone.  The products run in int64 when d M^2 < charts.INT64_BOUND for
-M = max(|T|, |G|, 1), which bounds every entry and partial sum, and in
-Python ints otherwise.
+a's cone.  The products run in the table's dtype: int64 when chart_table's
+bound shows that every entry and partial sum fits, Python ints otherwise.
 
 The numeric suite draws every check's points first, in the order of the
-checks.  The rows where a check needs the potential (the gradient stencil
-and its base points, Psi's stencil and the pullback's base rows, the radial
-rows and the Psi rows), 6n + 13 rows a sample, are stacked and go through
-one numeric.evaluate pass, in slices of at most numeric.BATCH_ENTRIES
-point-monomial pairs.  Each check then hands its rows' Sums to the
-function that the library offers for it alone (potential_values,
-potential_partials, pullback_check, radial_quantities, psi_maps), so a
-check has one code path.  The samples are stacked in chunks of at most
-BATCH_ENTRIES // n^2 (one chunk at the default 10 for n <= 40), so the
+checks.  The rows where the gradient, radial and psi checks need the
+potential (the gradient stencil and its base points, the radial rows and
+the Psi rows), 2n + 12 rows a sample, are stacked and go through one
+numeric.evaluate pass, in slices of at most numeric.BATCH_ENTRIES
+point-monomial pairs; each check then hands its rows' Sums to the function
+that the library offers for it (potential_values, radial_quantities,
+psi_maps).  The pullback check runs numeric.pullback_check on its rows,
+which makes its own two passes, one over Psi's stencil and one with the
+n x n covariances over the rows.  The samples are stacked in chunks of at
+most BATCH_ENTRIES // n^2 (one chunk at the default 10 for n <= 40), so the
 stack and Psi's stencil, 8 n^2 floats a sample, stay within a few
 BATCH_ENTRIES floats each whatever the sample count; every value is
 computed row by row, so the chunks give the values of one stack.
@@ -63,12 +63,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import charts, numeric
+from . import numeric
 from .charts import (
     ChartTable,
     chart_table,
     kernel_params,
-    largest,
     phi_sigmas,
     psi_sigmas,
     torus_images,
@@ -81,7 +80,6 @@ from .numeric import (
     axis_radius_bound,
     evaluate,
     moduli,
-    potential_partials,
     potential_values,
     psi_maps,
     pullback_check,
@@ -161,13 +159,10 @@ def exact_checks(table: ChartTable) -> tuple[bool, bool]:
     exponent rows (I on its cone, V on its complement) kill them; together
     these hold exactly when every chart's V is U^-1 W.  The cocycle check is
     E[a, a] = I and E[a, b] = E[0, b] E[a, 0] on every pair, column by
-    column (see the module doc).  Every product sums at most d terms of
-    entries below M = max(|T|, |G|, 1), so it runs in int64 when d M^2 stays
-    below charts.INT64_BOUND and in Python ints otherwise."""
+    column (see the module doc).  They run in the table's dtype, which
+    chart_table chose so that every product and partial sum fits."""
     T, G, cone, complement = table.T, table.generators, table.cone, table.complement
-    (k, n, d), M = T.shape, max(largest(T), largest(G), 1)
-    if d * M * M >= charts.INT64_BOUND:
-        T, G = T.astype(object), G.astype(object)
+    k, n, d = T.shape
     chart, row = np.arange(k)[:, None, None], np.arange(n)[:, None]
     identity = np.eye(n, dtype=T.dtype)
     R = np.zeros((d, d - n), dtype=T.dtype)
@@ -244,9 +239,9 @@ def numeric_suite(
     T: ToricPotential, seed: int = 0, samples: int = 10
 ) -> list[CheckResult]:
     """Each check draws its samples from rng in the order a per-sample loop
-    would; then, a chunk of samples at a time, every row where a check
-    needs the potential goes through one evaluate pass, and each check
-    reads its rows' sums."""
+    would; then, a chunk of samples at a time, the rows of the gradient,
+    radial and psi checks go through one evaluate pass, each check reads
+    its rows' sums, and pullback_check runs its own passes."""
     rng = random.Random(seed)
     n = T.dim
     results = []
@@ -268,33 +263,28 @@ def numeric_suite(
         h = 1e-6 * np.maximum(1.0, np.abs(x[c]))
         shift = np.eye(n) * h[:, :, None]  # shift[s, j] moves sample s along axis j
         stencil = np.concatenate([x[c, None, :] + shift, x[c, None, :] - shift]).reshape(-1, n)
-        pullback = numeric._pullback_rows(T, xi_pullback[c])
-        parts = [stencil, x[c], pullback[2], radial[r], moduli(xi_psi[c])]
+        parts = [stencil, x[c], radial[r], moduli(xi_psi[c])]
         ends = np.cumsum([len(p) for p in parts])
-        mask = np.zeros(ends[-1], dtype=bool)
-        mask[ends[1]:ends[2]] = pullback[3]
-        sums = evaluate(T, np.concatenate(parts), mask)
-        at_stencil, at_x, at_pullback, at_radial, at_psi = (
-            sums[a:b] for a, b in zip([0, *ends[:-1]], ends)
-        )
+        sums = evaluate(T, np.concatenate(parts))
+        at_stencil, at_x, at_radial, at_psi = (sums[a:b] for a, b in zip([0, *ends[:-1]], ends))
 
         # exact partials against central differences of the potential
-        values = potential_values(T, stencil, at_stencil).reshape(2, -1, n)
+        values = potential_values(at_stencil).reshape(2, -1, n)
         fd = (values[0] - values[1]) / (2 * h)
-        exact = potential_partials(T, x[c], at_x)
+        exact = at_x.partials
         dev = np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))
         fd_worst.append(float(np.max(dev, initial=0.0)))
 
         # pullback of the standard form through Psi reproduces the form of Phi
-        pullback_worst.append(pullback_check(T, xi_pullback[c], at_pullback, pullback))
+        pullback_worst.append(pullback_check(T, xi_pullback[c]))
 
         # |Psi_j| never exceeds the per-axis radius bound
-        gap = radial_quantities(T, radial[r], at_radial) - bounds
+        gap = radial_quantities(at_radial) - bounds
         gap_worst.append(float(np.max(gap, initial=0.0)))
         radial_ok = radial_ok and not (gap > 1e-9).any()
 
         # Psi extends to the closed chart with |Psi_j|^2 below 2 max_k (J_k)_j
-        w = psi_maps(T, xi_psi[c], at_psi)
+        w = psi_maps(xi_psi[c], at_psi)
         psi_ok = psi_ok and not (np.abs(w) > bounds + 1e-9).any()
 
     worst = _worst(fd_worst)

@@ -36,7 +36,18 @@ from toricwidth.lattice import (
     rref,
     solve_rational,
 )
-from toricwidth.numeric import GRADIENT_STEP
+from toricwidth.numeric import (
+    GRADIENT_STEP,
+    axis_radius_bound,
+    evaluate,
+    potential_partial,
+    potential_value,
+    psi_map,
+    pullback_check,
+    radial_quantities,
+    sup_along_path,
+    suggested_path_exponent,
+)
 from toricwidth.polytope import (
     EmptyPolytopeError,
     HalfspacePolytope,
@@ -51,7 +62,7 @@ from toricwidth.polytope import (
     recession_direction,
     scale,
 )
-from toricwidth.verify import CHART_TOL, CheckResult
+from toricwidth.verify import CHART_TOL, GRADIENT_TOL, PATH_TOL, PULLBACK_TOL, CheckResult
 from toricwidth.width import CylinderBound, FanoCertificate, verify_fano_certificate
 
 # step of oracle_pullback_check's second differences of the potential
@@ -930,6 +941,52 @@ def oracle_pullback_check(T, xi, value=oracle_potential_value, psi=oracle_psi_ma
         for b in range(2 * n):
             rhs[a, b] = -(H[axes[a], axes[b]] * phases[a] * np.conj(phases[b])).imag
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def _oracle_point(rng: random.Random, lo: float, hi: float) -> complex:
+    r, angle = rng.uniform(lo, hi), rng.uniform(0, 2 * math.pi)
+    return complex(r * math.cos(angle), r * math.sin(angle))
+
+
+def oracle_numeric_suite(T, seed: int = 0, samples: int = 10) -> list[CheckResult]:
+    """verify.numeric_suite one sample at a time: the points drawn with
+    random.Random in the suite's order, each check's rows evaluated one by
+    one through the scalar functions (potential_value, potential_partial,
+    pullback_check on one row, radial_quantities on one row, psi_map)."""
+    rng = random.Random(seed)
+    n = T.dim
+    bounds = np.array([axis_radius_bound(T, j) for j in range(n)])
+    xs = [[rng.uniform(0.1, 10.0) for _ in range(n)] for _ in range(samples)]
+    pullback = [[_oracle_point(rng, 0.1, 0.9) for _ in range(n)] for _ in range(samples)]
+    radial = [[rng.uniform(0.1, 3.0) ** 2 for _ in range(n)] for _ in range(10 * samples)]
+    psi = [[_oracle_point(rng, 0.1, 3.0) for _ in range(n)] for _ in range(samples)]
+    results = []
+
+    worst = 0.0
+    for x in xs:
+        for j in range(n):
+            h = 1e-6 * max(1.0, abs(x[j]))
+            xp, xm = list(x), list(x)
+            xp[j] += h
+            xm[j] -= h
+            fd = (potential_value(T, xp) - potential_value(T, xm)) / (2 * h)
+            exact = potential_partial(T, x, j)
+            worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
+    results.append(CheckResult("gradient_finite_difference", worst < GRADIENT_TOL, worst, GRADIENT_TOL))
+    worst = max((pullback_check(T, xi) for xi in pullback), default=0.0)
+    results.append(CheckResult("symplectic_pullback", worst < PULLBACK_TOL, worst, PULLBACK_TOL))
+    gaps = [float(g) for x in radial for g in radial_quantities(evaluate(T, [x]))[0] - bounds]
+    ok = not any(g > 1e-9 for g in gaps)
+    results.append(CheckResult("radial_bound", ok, max([0.0] + gaps), 1e-9))
+
+    worst = 0.0
+    for j in range(n):
+        got = sup_along_path(T, j, suggested_path_exponent(T, j), 1e6)
+        worst = max(worst, abs(got - float(bounds[j])))
+    results.append(CheckResult("radial_sup_along_path", worst < PATH_TOL, worst, PATH_TOL))
+    ok = not any(abs(w) > b + 1e-9 for xi in psi for w, b in zip(psi_map(T, xi), bounds))
+    results.append(CheckResult("psi_within_cylinder", ok, None, None))
+    return results
 
 
 def oracle_chart_for_cone(F: Fan, cone_index: int) -> ChartData:

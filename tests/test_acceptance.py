@@ -41,6 +41,7 @@ from toricwidth.fixtures import (
 from toricwidth.numeric import (
     ToricPotential,
     axis_radius_bound,
+    evaluate,
     potential_partial,
     potential_value,
     pullback_check,
@@ -215,7 +216,7 @@ def test_path_supremum_and_radial_bound():
             assert abs(sup - axis_radius_bound(T, j)) < 1e-3
         for _ in range(100):
             x = [rng.uniform(0.1, 3.0) for _ in range(T.dim)]
-            radial = radial_quantities(T, [x])[0]
+            radial = radial_quantities(evaluate(T, [x]))[0]
             for j in range(T.dim):
                 assert radial[j] <= axis_radius_bound(T, j) + 1e-12
     print(

@@ -25,8 +25,9 @@ from toricwidth.numeric import (
     DegenerateJacobianWarning,
     ToricPotential,
     axis_radius_bound,
+    evaluate,
+    moduli,
     potential_partial,
-    potential_partials,
     potential_value,
     potential_values,
     psi_map,
@@ -126,7 +127,7 @@ def test_radial_quantity_bounded_by_axis_maximum():
         bounds = [axis_radius_bound(T, j) for j in range(T.dim)]
         for _ in range(100):
             x = [rng.uniform(0.1, 3.0) for _ in range(T.dim)]
-            assert (radial_quantities(T, [x])[0] <= np.array(bounds) + 1e-12).all()
+            assert (radial_quantities(evaluate(T, [x]))[0] <= np.array(bounds) + 1e-12).all()
 
 
 def test_radial_quantity_matches_psi_modulus():
@@ -135,7 +136,7 @@ def test_radial_quantity_matches_psi_modulus():
     for _ in range(10):
         xi = random_modulus_point(rng, 2)
         out = psi_map(T, xi)
-        radial = radial_quantities(T, [[abs(c) ** 2 for c in xi]])[0]
+        radial = radial_quantities(evaluate(T, [[abs(c) ** 2 for c in xi]]))[0]
         for j in range(2):
             assert abs(out[j]) == pytest.approx(radial[j])
 
@@ -184,7 +185,7 @@ def test_error_paths():
     with pytest.raises(ValueError):
         psi_map(CP2, (1.0,))
     with pytest.raises(ValueError, match="coordinates must be positive"):
-        radial_quantities(CP2, [(0.0, 1.0)])
+        radial_quantities(evaluate(CP2, [(0.0, 1.0)]))
     with pytest.raises(ValueError):
         sup_along_path(CP2, 0, 2, 1.0)
 
@@ -236,7 +237,7 @@ def test_potential_matches_scalar_oracle(oracle_potential):
     T = oracle_potential
     for x in oracle_points(T, random.Random(31)):
         assert potential_value(T, x) == pytest.approx(oracle_potential_value(T, x), rel=1e-12)
-        got = potential_partials(T, [x])[0]
+        got = evaluate(T, [x]).partials[0]
         for j in range(T.dim):
             want = oracle_potential_partial(T, x, j)
             assert got[j] == pytest.approx(want, rel=1e-12, abs=0)
@@ -280,7 +281,8 @@ def test_complex_hessian_matches_linear_space_oracle(oracle_potential):
     rows = []
     for x in oracle_points(T, rng) + [[0.0] * T.dim]:
         rows.append([math.sqrt(c) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for c in x])
-    got = toricwidth.numeric._complex_hessians(T, np.array(rows))
+    XI = np.array(rows)
+    got = toricwidth.numeric._complex_hessians(XI, evaluate(T, moduli(XI), hessians=True))
     assert sum(0 in row for row in rows) > len(rows) // 2
     for H, xi in zip(got, rows):
         want = oracle_complex_hessian(T, xi)
@@ -297,8 +299,8 @@ def test_pullback_check_raises_where_the_monomial_sum_vanishes():
     "call",
     [
         lambda T: pullback_check(T, (1e155,)),
-        lambda T: potential_values(T, [[math.inf]]),
-        lambda T: psi_maps(T, [[1e155]]),
+        lambda T: potential_values(evaluate(T, [[math.inf]])),
+        lambda T: psi_maps([[1e155]], evaluate(T, moduli(np.array([[1e155]])))),
     ],
     ids=["pullback_check", "potential_values", "psi_maps"],
 )
@@ -354,9 +356,9 @@ def test_batches_split_by_entry_budget_without_changing_values(monkeypatch):
     X = rng.uniform(0.1, 10.0, (50, 2))
     X[::7, 0] = 0.0
     XI = np.sqrt(X) * np.exp(1j * rng.uniform(0, 2 * np.pi, X.shape))
-    whole = potential_values(T, X), potential_partials(T, X), psi_maps(T, XI)
+    whole = potential_values(evaluate(T, X)), evaluate(T, X).partials, psi_maps(XI, evaluate(T, moduli(XI)))
     monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 3 * len(T.embedding.exponents))
-    split = potential_values(T, X), potential_partials(T, X), psi_maps(T, XI)
+    split = potential_values(evaluate(T, X)), evaluate(T, X).partials, psi_maps(XI, evaluate(T, moduli(XI)))
     for a, b in zip(whole, split):
         assert np.array_equal(a, b)
 
@@ -381,7 +383,7 @@ def test_high_degree_stays_finite():
     # sum_k 10^k = (10^401 - 1) / 9, and the weighted mean degree is 400 - 1/9
     assert potential_value(T, [10.0]) == pytest.approx(2 * (401 * math.log(10) - math.log(9)))
     assert potential_partial(T, [10.0], 0) == pytest.approx(2 * (400 - 1 / 9) / 10, rel=1e-12)
-    assert radial_quantities(T, [[10.0]])[0, 0] <= axis_radius_bound(T, 0)
+    assert radial_quantities(evaluate(T, [[10.0]]))[0, 0] <= axis_radius_bound(T, 0)
     assert np.isfinite(psi_map(T, [3.0 + 1j])).all()
 
 
@@ -401,7 +403,7 @@ def test_psi_map_steps_inside_where_the_sum_vanishes():
 def test_radial_quantities_match_pointwise():
     T = blowup_potential()
     X = np.random.default_rng(35).uniform(0.1, 3.0, (30, 2))
-    R = radial_quantities(T, X)
+    R = radial_quantities(evaluate(T, X))
     for x, r in zip(X, R):
         for j in range(2):
             assert r[j] == pytest.approx(math.sqrt(x[j] * potential_partial(T, x, j)), rel=1e-12)

@@ -19,6 +19,7 @@ from geomgen import (
     lattice_point_ladder,
     oracle_chart_suite,
     oracle_exact_checks,
+    oracle_numeric_suite,
     random_delzant_polygon,
     random_delzant_polytope,
     random_unimodular_map,
@@ -28,7 +29,7 @@ from toricwidth.embedding import sections_by_polytope
 from toricwidth.fan import normal_fan
 from toricwidth.fixtures import resolve_fixture
 from toricwidth.numeric import ToricPotential
-from toricwidth.polytope import HalfspacePolytope
+from toricwidth.polytope import HalfspacePolytope, clear_denominators
 from toricwidth.verify import chart_suite, exact_checks, numeric_suite
 
 FIXTURES = (
@@ -57,6 +58,17 @@ def test_chart_suite_matches_the_per_sample_oracle(group):
         assert_same_results(got, oracle_chart_suite(F, seed=i, samples=3))
 
 
+@pytest.mark.parametrize("group", ["ladder", "projective", "random", "blowup"])
+def test_numeric_suite_matches_the_per_sample_oracle_bit_for_bit(group):
+    # the potential of each input's embedding, as verify builds it
+    for i, P in enumerate(oracle_inputs(group)):
+        _, Pq = clear_denominators(P)
+        T = ToricPotential(sections_by_polytope(Pq, Pq.vertices[0]))
+        got = numeric_suite(T, seed=i, samples=3)
+        assert all(r.passed for r in got)
+        assert got == oracle_numeric_suite(T, seed=i, samples=3)
+
+
 @pytest.mark.parametrize("spec", ["example-3.8:1", "cpn:3:2", "cpn:3:10", "blowup-10"])
 def test_small_batches_give_identical_results(monkeypatch, spec):
     # 64 entries put a few rows in each slice of every sweep, and one row of
@@ -70,24 +82,28 @@ def test_small_batches_give_identical_results(monkeypatch, spec):
 
 
 def test_numeric_suite_stacks_its_samples_in_bounded_chunks(monkeypatch):
-    # 64 entries put n = 2 samples in chunks of 64 // n^2 = 16: 40 samples
-    # go through three passes of 6n + 13 = 25 rows a sample, in which only
-    # the pullback's base rows hold a covariance, and give the results of
-    # one stack
+    # 64 entries put n = 2 samples in chunks of 64 // n^2 = 16: each of the
+    # three chunks makes one shared pass of 2n + 12 = 16 rows a sample, then
+    # pullback_check's pass over its 4n stencil points a sample and its pass
+    # with covariances over the chunk's own rows; together they give the
+    # results of one stack
     P = resolve_fixture("example-3.8:1")
     T = ToricPotential(sections_by_polytope(P, P.vertices[0]))
     whole = numeric_suite(T, seed=4, samples=40)
     passes = []
+    evaluate = toricwidth.numeric.evaluate
 
-    def recorded(T, X, hessians=None):
-        sums = toricwidth.numeric.evaluate(T, X, hessians)
-        passes.append((len(X), sums.cov.shape))
+    def recorded(T, X, hessians=False):
+        sums = evaluate(T, X, hessians)
+        passes.append((len(X), None if sums.cov is None else sums.cov.shape))
         return sums
 
     monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 64)
+    monkeypatch.setattr(toricwidth.numeric, "evaluate", recorded)
     monkeypatch.setattr(toricwidth.verify, "evaluate", recorded)
     assert numeric_suite(T, seed=4, samples=40) == whole
-    assert passes == [(400, (16, 2, 2)), (400, (16, 2, 2)), (200, (8, 2, 2))]
+    full = [(256, None), (128, None), (16, (16, 2, 2))]
+    assert passes == full + full + [(128, None), (64, None), (8, (8, 2, 2))]
 
 
 @pytest.mark.parametrize("group", ["ladder", "projective", "random", "blowup"])

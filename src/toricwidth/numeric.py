@@ -10,9 +10,10 @@ is a symplectomorphism onto its image wherever the partials are positive.
 This module evaluates those quantities and verifies the pullback identity:
 Psi's Jacobian is a central difference, the form side is in closed form.
 
-Everything is computed in log space, t = log x, on the N x n exponent array:
-Phi~ = 2 logsumexp(J t) and x_j dPhi~/dx_j = 2 (softmax-weighted mean of the
-j-th exponents), so no monomial is ever formed and none can overflow.
+Everything is computed in log space, t = log x, on the exponents stored once
+as n x N columns: Phi~ = 2 logsumexp(J t) and x_j dPhi~/dx_j = 2
+(softmax-weighted mean of the j-th exponents), so no monomial is ever formed
+and none can overflow.
 
 All of it comes from passes over stacks of points (evaluate), one point per
 row: per slice of at most BATCH_ENTRIES point-monomial pairs, one _log_sum
@@ -23,7 +24,10 @@ the Hessian needs.  Each check is a function of a pass's per-row Sums
 caller may stack the rows of several checks into one pass, as verify's
 numeric suite does; pullback_check runs its own two passes, one over Psi's
 stencil and one with hessians over its rows.  Every step works row by row,
-so a row's values do not depend on the other rows of its pass.
+so a row's values do not depend on the other rows of its pass: each sum over
+the N monomials is an einsum along the contiguous axis of the columns, whose
+kernel adds a row's terms in an order fixed by N alone, where a BLAS product
+would block the sum by the shape of the whole slice.
 """
 
 from __future__ import annotations
@@ -72,24 +76,30 @@ class ToricPotential:
         return self.embedding.dim
 
     @cached_property
-    def exponent_array(self) -> np.ndarray:
-        """The exponents as an N x n float array, one row per monomial in
-        lexicographic order, built from the fibres: each prefix repeated
-        along its fibre, next to the fibre's range of x_n.  The exponents
-        must fit in int64."""
+    def exponent_columns(self) -> np.ndarray:
+        """The exponents as an n x N C-contiguous float array, one column per
+        monomial in lexicographic order, built from the fibres: each prefix
+        repeated along its fibre, above the fibre's range of x_n.  The
+        exponents must fit in int64."""
         fibres = self.embedding.fibres
         a, b = (np.array([f[i] for f in fibres], dtype=np.int64) for i in (1, 2))
         lengths = b - a + 1
         starts = np.cumsum(lengths) - lengths
-        J = np.empty((int(lengths.sum()), self.dim), dtype=np.int64)
-        J[:, :-1] = np.repeat(np.array([f[0] for f in fibres], dtype=np.int64), lengths, axis=0)
-        J[:, -1] = np.arange(len(J)) + np.repeat(a - starts, lengths)  # a + (row - start)
+        prefixes = np.array([f[0] for f in fibres], dtype=np.int64)
+        J = np.empty((self.dim, int(lengths.sum())), dtype=np.int64)
+        J[:-1] = np.repeat(prefixes.T, lengths, axis=1)
+        J[-1] = np.arange(J.shape[1]) + np.repeat(a - starts, lengths)  # a + (column - start)
         # Exact, as the exponents of a section set stay far below 2^53.  Filling
         # int64 and converting in one pass frees an array as large as the
         # result, so glibc's malloc raises its mmap threshold and the N-wide
         # work arrays of a first verify call are reused from the heap instead
         # of mapped afresh (135,000 fewer page faults on example-3.8:50).
         return J.astype(float)
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """The total degree sum_j (J_k)_j of each monomial, as floats."""
+        return self.exponent_columns.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -120,46 +130,49 @@ def _log_sum(T: ToricPotential, X: np.ndarray):
     (log 0 read as 0), the softmax weights of the monomials that do not
     vanish, their sum and log sum_k x^{J_k}.  Rows whose monomials all
     vanish get nan weights and a nan log sum."""
-    J = T.exponent_array
+    JT = T.exponent_columns
     zero = X == 0
     t = np.log(np.where(zero, 1.0, X))
-    # axis by axis rather than one matrix product, so that a row's values
-    # do not depend on the other rows of its batch
-    raw = t[:, :1] * J[:, 0]
-    for j in range(1, T.dim):
-        raw = raw + t[:, j:j + 1] * J[:, j]
-    L = np.where(zero @ (J.T > 0), -np.inf, raw) if zero.any() else raw
+    # einsum, not t @ JT: it adds each entry's n products in axis order, as
+    # an axis-by-axis sum would, where BLAS sums in an order set by the batch
+    raw = np.einsum("mj,jk->mk", t, JT)
+    L = np.where(zero @ (JT > 0), -np.inf, raw) if zero.any() else raw
     top = L.max(axis=1)
     with np.errstate(invalid="ignore"):
-        W = np.exp(L - top[:, None])
+        W = np.subtract(L, top[:, None])
+        np.exp(W, out=W)
     den = W.sum(axis=1)
     return raw, W, den, top + np.log(den)
 
 
 def _partials(T: ToricPotential, X: np.ndarray, raw, W, den, lse) -> np.ndarray:
     """dPhi~/dx_j at each row of X from its _log_sum."""
-    J = T.exponent_array
+    JT = T.exponent_columns
     with np.errstate(divide="ignore", invalid="ignore"):
-        # einsum, not W @ J: BLAS sums in an order that varies with the batch
-        out = 2.0 * np.einsum("mk,kj->mj", W, J) / den[:, None] / X
+        # einsum, not W @ JT.T: along the contiguous monomial axis it sums a
+        # row in an order fixed by N alone, where BLAS sums in an order set
+        # by the batch, so a row's partials do not depend on the other rows
+        out = 2.0 * np.einsum("mk,jk->mj", W, JT) / den[:, None] / X
     # on x_j = 0 only the reduced monomials x^{J_k - e_j} with (J_k)_j = 1
     # survive, and only if no other zero coordinate kills them
     zero = X == 0
     for r, j in zip(*np.nonzero(zero)):
         others = zero[r].copy()
         others[j] = False
-        alive = (J[:, j] == 1) & ~(J[:, others] > 0).any(axis=1)
+        alive = (JT[j] == 1) & ~(JT[others] > 0).any(axis=0)
         out[r, j] = 2.0 * np.exp(raw[r, alive] - lse[r]).sum()
     return out
 
 
 def _covariances(T: ToricPotential, W: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """sum_k w_k D_ka D_kb at each row of the weights W, normalized by den."""
-    J = T.exponent_array
-    W = W / den[:, None]
-    # einsum, not @: BLAS sums in an order that varies with the batch
-    D = J - np.einsum("mk,kj->mj", W, J)[:, None]
-    return np.einsum("mk,mka,mkb->mab", W, D, D)
+    """sum_k w_k D_ak D_bk at each row of the weights W, normalized by den
+    in place, with D = J - sum_k w_k J_k the centred exponents."""
+    JT = T.exponent_columns
+    W /= den[:, None]
+    # einsum along the contiguous monomial axis, as in _partials
+    D = JT - np.einsum("mk,jk->mj", W, JT)[:, :, None]
+    # three operands in one einsum, so that D is the only (m, n, N) array
+    return np.einsum("mk,mak,mbk->mab", W, D, D)
 
 
 def evaluate(T: ToricPotential, X, hessians: bool = False) -> Sums:
@@ -171,7 +184,7 @@ def evaluate(T: ToricPotential, X, hessians: bool = False) -> Sums:
     work array is n times as wide; every step works row by row, so a row's
     values do not depend on the other rows of its slice."""
     X = _points(T, X)
-    (m, n), N = X.shape, len(T.exponent_array)
+    (m, n), N = X.shape, T.exponent_columns.shape[1]
     lse, partials = np.empty(m), np.empty((m, n))
     cov = np.empty((m, n, n)) if hessians else None
     step = max(1, BATCH_ENTRIES // (N * n if hessians else N))
@@ -337,15 +350,14 @@ def pullback_check(T: ToricPotential, xi) -> float:
 
 
 def axis_radius_bound(T: ToricPotential, j: int) -> float:
-    return math.sqrt(2 * T.exponent_array[:, j].max())
+    return math.sqrt(2 * T.exponent_columns[j].max())
 
 
 def suggested_path_exponent(T: ToricPotential, j: int) -> int:
     """Smallest s certain to make the axis-j terms dominate along the path
     x = (t^s on axis j, t elsewhere): one more than the largest complementary
     degree appearing in the exponent set."""
-    J = T.exponent_array
-    return 1 + int((J.sum(axis=1) - J[:, j]).max())
+    return 1 + int((T.degrees - T.exponent_columns[j]).max())
 
 
 def sup_along_path(T: ToricPotential, j: int, s: int, t_max: float) -> float:
@@ -354,8 +366,8 @@ def sup_along_path(T: ToricPotential, j: int, s: int, t_max: float) -> float:
     overflow."""
     if t_max <= 1:
         raise ValueError("t_max must exceed 1")
-    J = T.exponent_array
-    weights = J[:, j] * s + (J.sum(axis=1) - J[:, j])
+    Jj = T.exponent_columns[j]
+    weights = Jj * s + (T.degrees - Jj)
     e = np.exp((weights - weights.max()) * math.log(t_max))
-    return math.sqrt(2 * (J[:, j] @ e) / e.sum())
+    return math.sqrt(2 * (Jj @ e) / e.sum())
 

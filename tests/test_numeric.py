@@ -363,18 +363,37 @@ def test_batches_split_by_entry_budget_without_changing_values(monkeypatch):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("spec", ["cpn:3:10", "example-3.8:3"])
+def test_one_row_slices_give_the_covariances_bit_for_bit(monkeypatch, spec):
+    T = fixture_potential(spec)
+    rng = np.random.default_rng(35)
+    X = rng.uniform(0.1, 10.0, (23, T.dim))
+    X[::5, 0] = 0.0
+    X[1::6, -1] = 0.0
+    X[2, :] = 0.0
+    fields = lambda s: (s.lse, s.partials, s.cov)
+    whole = fields(evaluate(T, X, hessians=True))
+    rows = [fields(evaluate(T, X[r:r + 1], hessians=True)) for r in range(len(X))]
+    monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 1)
+    split = fields(evaluate(T, X, hessians=True))
+    for i, (a, b) in enumerate(zip(whole, split)):
+        assert np.array_equal(a, b), i
+        assert np.array_equal(a, np.concatenate([r[i] for r in rows])), i
+
+
 def test_exponent_array_is_the_oracle_exponents_as_floats():
-    # the rows np.array(exponents, float) gave, so every deviation is unchanged
+    # the rows np.array(exponents, float) gives, stored as columns
     for label, P, vertices in embedding_cases():
         _, Pq = clear_denominators(P)
         for k in vertices:
-            J = ToricPotential(sections_by_polytope(Pq, Pq.vertices[k])).exponent_array
+            JT = ToricPotential(sections_by_polytope(Pq, Pq.vertices[k])).exponent_columns
             want = np.array(oracle_sections(P, k), dtype=float)
-            assert J.dtype == want.dtype and J.flags.c_contiguous, (label, k)
-            assert np.array_equal(J, want), (label, k)
+            # contiguous along the monomials, the axis every sum runs over
+            assert JT.dtype == want.dtype and JT.flags.c_contiguous, (label, k)
+            assert np.array_equal(JT.T, want), (label, k)
     for exponents in (((0, 0), (1, 0), (0, 1)), ((1,),), ((3,), (4,)), ((1, 0), (2, 1))):
-        J = ToricPotential(embedding_from_exponents(exponents)).exponent_array
-        assert np.array_equal(J, np.array(sorted(exponents), dtype=float))
+        JT = ToricPotential(embedding_from_exponents(exponents)).exponent_columns
+        assert np.array_equal(JT.T, np.array(sorted(exponents), dtype=float))
 
 
 def test_high_degree_stays_finite():

@@ -21,7 +21,6 @@ from .polytope import (
     lattice_fibres,
     lattice_points,
     normalize_at_vertex,
-    scale,
     vertex_sums,
 )
 from .width import (

@@ -27,7 +27,6 @@ from .fan import normal_fan
 from .polytope import (
     HalfspacePolytope,
     NotDelzantError,
-    clear_denominators,
     from_dict,
     is_delzant,
     vertex_sums,
@@ -154,11 +153,10 @@ def cmd_embed(args) -> int:
     P = load_polytope(args.input)
     if not is_delzant(P):
         raise NotDelzantError("the embedding requires a Delzant polytope")
-    _, Pq = clear_denominators(P)
-    vertices = Pq.vertices
+    vertices = P.vertices
     if not 0 <= args.vertex < len(vertices):
         raise ParseFailure(f"vertex index out of range (have {len(vertices)})")
-    E = sections_by_polytope(Pq, vertices[args.vertex])
+    E = sections_by_polytope(P, vertices[args.vertex])
     _write_exponents(E)
     return EXIT_OK
 

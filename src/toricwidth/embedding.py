@@ -1,8 +1,9 @@
 """The monomial basis of sections and the induced projective embedding.
 
 Fixing a vertex v of a Delzant polytope P, the invariant sections restricted
-to the dense chart of v are the monomials xi^J for J a lattice point of P
-normalized at v: moved to the origin with its facets on the coordinate
+to the dense chart of v are the monomials xi^J for J a lattice point of qP
+normalized at q v, with q the lcm of the offsets' denominators (q = 1 for
+an integral P): moved to the origin with its facets on the coordinate
 hyperplanes, so every J lies in Z^n_{>=0}.
 
 An embedding holds these exponents as the fibres (prefix, a, b) of the
@@ -70,5 +71,6 @@ class MonomialEmbedding:
 
 
 def sections_by_polytope(P: HalfspacePolytope, v: Vertex) -> MonomialEmbedding:
-    """Lattice points of P normalized at the vertex v, as its fibres."""
+    """Lattice points of qP normalized at q v, as their fibres, with q the
+    lcm of the offsets' denominators (normalize_at_vertex)."""
     return MonomialEmbedding.from_fibres(lattice_fibres(normalize_at_vertex(P, v)))

@@ -5,18 +5,20 @@ enumeration, Delzant verification, lattice points and vertex normalization
 all run in exact arithmetic; nothing here touches floats.  The denominator
 scale q of the offsets and the integers q * lambda_i are one cached
 property per polytope, integer_offsets, which the vertex walk, the width
-bounds and clear_denominators read.  Vertices come from a walk along the
-edges of a simple polytope, one integer elimination per vertex, started at
-the first feasible n-subset of facets; each walked vertex keeps its edge
-directions, and an unbounded edge is reported as the recession direction.
-A polytope that is not simple, or an input the walk cannot start on, is
-handed to the scan of every n-subset instead.  The walk is the one place
-a vertex is found unimodular: the Delzant test reads D = |det U_A| off the
-walked vertex, and the normalization at a vertex, the normal fan and its
-charts read U_A^-1 off it, with no elimination of their own.  The
-lattice-point count and the volume of a Delzant polytope are vertex sums
-over those edge directions (Brion's and Lawrence's formulas), so their
-cost follows the vertices, not the volume.
+bounds and the normalization at a vertex read.  That normalization is the
+chart of qP at q v, in integers, so no dilated copy qP is built.  Vertices
+come from a walk along the edges of a simple polytope, one integer
+elimination per vertex, started at the first feasible n-subset of facets;
+each walked vertex keeps its edge directions, and an unbounded edge is
+reported as the recession direction.  A polytope that is not simple, or an
+input the walk cannot start on, is handed to the scan of every n-subset
+instead.  The walk is the one place a vertex is found unimodular: the
+Delzant test reads D = |det U_A| off the walked vertex, and the
+normalization at a vertex, the normal fan and its charts read U_A^-1 off
+it, with no elimination of their own.  The lattice-point count and the
+volume of a Delzant polytope are vertex sums over those edge directions
+(Brion's and Lawrence's formulas), so their cost follows the vertices, not
+the volume.
 The lattice points themselves come fibre by fibre, x_n's interval above
 each prefix x_1..x_{n-1}, from a walk over the coordinates that drops a
 partial prefix once a facet is out of reach of the rest of the box.
@@ -98,8 +100,9 @@ class HalfspacePolytope:
     def vertices(self) -> tuple[Vertex, ...]:
         """enumerate_vertices(self), computed at most once per polytope object.
 
-        scale and normalize_at_vertex hand their image the mapped list once
-        this one is known, so derived polytopes do not enumerate again.
+        normalize_at_vertex hands its image the mapped list, so the chart is
+        not enumerated again; P's vertices and qP's are in the same
+        lexicographic order, so P's index k names qP's k-th vertex.
         """
         return tuple(enumerate_vertices(self))
 
@@ -258,22 +261,16 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
     bounded.  With no start, P is empty or contains a line.  When its
     normals span R^n it is pointed, so empty; otherwise P is its slice by
     K^perp plus the kernel K of the normals, and it is empty when that
-    pointed slice has no feasible n-subset either.  A P that is not empty,
-    or not simple, goes to the subset scan, which runs to its end: after
+    pointed slice has no feasible n-subset either; when it is not, the
+    first kernel vector is raised as the recession direction, with no
+    second elimination.  A start vertex that is not simple, or a walk that
+    ties, goes to the subset scan, which runs to its end: after
     recession_direction rules out an unbounded P, it keeps the feasible
     solutions of every n-subset.  Raises for unbounded or empty input.
     """
     scan = _feasible_bases(P)
-    found: dict[RationalVector, tuple[int, ...]] = {}
     start = next(scan, None)
-    if start is not None:
-        basis, point, tight = start
-        if len(tight) == P.dim:
-            walked = _edge_walk(P, basis)
-            if walked is not None:
-                return walked
-        found[point] = tight
-    else:
+    if start is None:
         # with the rows +-k (offset 0) for k in the kernel K, P's pointed
         # slice by K^perp, which has a vertex iff P is nonempty
         kernel = integer_kernel_basis(P.normals)
@@ -281,13 +278,20 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
         pointed = HalfspacePolytope(P.normals + rows, P.offsets + (0,) * len(rows))
         if not kernel or next(_feasible_bases(pointed), None) is None:
             raise EmptyPolytopeError("no feasible vertex")
+        # P is nonempty and contains the line of kernel[0], the direction
+        # recession_direction would return
+        raise UnboundedPolytopeError(f"recession direction {kernel[0]}")
+    basis, point, tight = start
+    if len(tight) == P.dim:
+        walked = _edge_walk(P, basis)
+        if walked is not None:
+            return walked
     r = recession_direction(P)
     if r is not None:
         raise UnboundedPolytopeError(f"recession direction {r}")
+    found: dict[RationalVector, tuple[int, ...]] = {point: tight}
     for _, point, tight in scan:
         found.setdefault(point, tight)
-    if not found:
-        raise EmptyPolytopeError("no feasible vertex")
     return [Vertex(pt, found[pt]) for pt in sorted(found)]
 
 
@@ -333,6 +337,13 @@ def lattice_fibres(P: HalfspacePolytope) -> list[tuple[IntVector, int, int]]:
     x_n the reach is 0 and the interval is the fibre.  So the cost is the
     prefixes visited times the facets, not the box; on a simplex at a vertex
     every visited prefix has a point above it.  Exact in Python integers.
+
+    The commands call it only on an image from normalize_at_vertex, which
+    lies in the nonnegative orthant with a vertex at 0.  On a polytope long
+    and thin across x_1..x_{n-1} the relaxation by the box is loose: the
+    (1, 2^e) parallelogram as given, with normals (1, 2^e), (0, 1) and their
+    negatives, has 4 points, but its cost follows the 2^e prefixes of its
+    box; normalized at a vertex it is the unit square.
     """
     lo, hi = bounding_box(P)
     n = P.dim
@@ -486,43 +497,20 @@ def vertex_sums(P: HalfspacePolytope) -> tuple[int, Fraction]:
     return points, Fraction(sign * vol, den * math.factorial(n) * q**n)
 
 
-def _with_mapped_vertices(
-    Q: HalfspacePolytope, P: HalfspacePolytope, f, linear=None
-) -> HalfspacePolytope:
-    """Give Q = f(P) the images of P's vertices, if P already knows them.
-
-    f must be an affine bijection that keeps the facet order, so each image
-    vertex has the same tight facets; only the lexicographic order can change.
-    The edge directions D U_A^-1 of the image are linear * w for a lattice
-    map with matrix `linear`; a dilation (linear None) keeps the normals, so
-    it keeps them too.
-    """
-    if "vertices" in vars(P):
-
-        def edges(v):
-            if linear is None or v.edges is None:
-                return v.edges
-            return tuple(
-                [tuple([sum(map(operator.mul, row, w)) for row in linear]) for w in v.edges]
-            )
-
-        images = (Vertex(f(v.point), v.active, edges(v)) for v in P.vertices)
-        vars(Q)["vertices"] = tuple(sorted(images, key=lambda v: v.point))
-    return Q
-
-
 def normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
-    """P moved by x -> U_A x - lambda_A, with U_A the normals of the facets A
-    tight at the Delzant vertex v as rows: v goes to the origin and facet
-    A_k to <y, e_k> >= 0, so the image sits in the nonnegative orthant.
+    """The chart of the class [P] at the Delzant vertex v: qP moved by
+    y -> U_A y - q lambda_A, for q = P.integer_offsets[0] and U_A the normals
+    of the facets A tight at v as rows.  q v goes to the origin and facet A_k
+    to <y, e_k> >= 0, so the image sits in the nonnegative orthant, and its
+    offsets q lambda_i - <u_i, q v> are integers.  For q = 1 it is P moved
+    by x -> U_A x - lambda_A.
 
     Read off the walk at v, with no elimination: the edge directions w_k are
     the columns of U_A^-1, so the image normals U_A^-T u_i are
-    (<w_k, u_i>)_k and the offsets lambda_i - <u_i, v>, handed over as ints
-    when q = 1 (as on the qP that embed and verify pass in), so each becomes
-    one Fraction.  A vertex x maps to its slacks <u_{A_k}, x> - lambda_{A_k},
-    in integers over one denominator m, kept as ints when m = 1, and its
-    edges by U_A.
+    (<w_k, u_i>)_k.  The image gets P's vertices: a vertex x maps to
+    <u_{A_k}, q x> - q lambda_{A_k}, in integers over one denominator,
+    kept as ints when that is 1, with the same tight facets, and its edges
+    are mapped by U_A.  No dilated copy of P is built.
     """
     if len(v.active) != P.dim:
         raise NotDelzantError(f"vertex {format_point(v.point)} lies on {len(v.active)} facets")
@@ -536,35 +524,22 @@ def normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
     A = [P.normals[i] for i in v.active]
     qv = [c.numerator * (q // c.denominator) for c in v.point]  # integral, as D = 1
     normals = tuple(tuple(sum(map(operator.mul, w, u)) for w in v.edges) for u in P.normals)
-    offsets = [bi - sum(map(operator.mul, u, qv)) for u, bi in zip(P.normals, b)]
-    if q != 1:
-        offsets = [Fraction(t, q) for t in offsets]
+    offsets = tuple(bi - sum(map(operator.mul, u, qv)) for u, bi in zip(P.normals, b))
+    Q = HalfspacePolytope(normals, offsets)
 
-    def slacks(x):
-        m = math.lcm(q, *(c.denominator for c in x))
-        mx = [c.numerator * (m // c.denominator) for c in x]
-        s = [sum(map(operator.mul, u, mx)) - b[i] * (m // q) for u, i in zip(A, v.active)]
-        return tuple(s) if m == 1 else tuple(Fraction(t, m) for t in s)
+    def image(x: Vertex) -> Vertex:
+        # m x is integral and q divides m, so the slacks of qP at q x are s / r
+        m = math.lcm(q, *(c.denominator for c in x.point))
+        r = m // q
+        mx = [c.numerator * (m // c.denominator) for c in x.point]
+        s = [sum(map(operator.mul, u, mx)) - b[i] * r for u, i in zip(A, v.active)]
+        point = tuple(s) if r == 1 else tuple(Fraction(t, r) for t in s)
+        # P's vertices come from the walk that gave v, so each has its edges
+        edges = tuple(tuple(sum(map(operator.mul, u, w)) for u in A) for w in x.edges)
+        return Vertex(point, x.active, edges)
 
-    return _with_mapped_vertices(HalfspacePolytope(normals, offsets), P, slacks, A)
-
-
-def scale(P: HalfspacePolytope, c) -> HalfspacePolytope:
-    """Dilate by c > 0: same normals, offsets multiplied by c."""
-    c = Fraction(c)
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
-    return _with_mapped_vertices(
-        HalfspacePolytope(P.normals, tuple(c * l for l in P.offsets)),
-        P,
-        lambda x: tuple(c * a for a in x),
-    )
-
-
-def clear_denominators(P: HalfspacePolytope) -> tuple[int, HalfspacePolytope]:
-    """(q, qP) with q = P.integer_offsets[0]; qP is P itself when q = 1."""
-    q = P.integer_offsets[0]
-    return q, scale(P, q) if q != 1 else P
+    vars(Q)["vertices"] = tuple(sorted(map(image, P.vertices), key=lambda x: x.point))
+    return Q
 
 
 def _exact_int(x) -> int:

@@ -87,7 +87,7 @@ from .numeric import (
     sup_along_path,
     suggested_path_exponent,
 )
-from .polytope import HalfspacePolytope, clear_denominators
+from .polytope import HalfspacePolytope
 
 CHART_TOL = 1e-9
 GRADIENT_TOL = 1e-5
@@ -309,12 +309,12 @@ def polytope_suites(
 ) -> list[CheckResult]:
     """Chart and numeric suites derived from one polytope.
 
-    The fan is built once, on P, so an undefined fan names P's vertex; qP,
-    for q = P.integer_offsets[0], has the same fan and gets P's vertices,
-    and the embedding is that of qP at its first vertex.
+    The fan is built once, on P, so an undefined fan names P's vertex.  The
+    embedding is that of qP, for q = P.integer_offsets[0], at its first
+    vertex: normalize_at_vertex maps P's first vertex to the chart of qP,
+    so no dilated copy of P is built.
     """
     results = chart_suite(normal_fan(P), seed=seed, samples=samples)
-    _, Pq = clear_denominators(P)
-    E = sections_by_polytope(Pq, Pq.vertices[0])
+    E = sections_by_polytope(P, P.vertices[0])
     results += numeric_suite(ToricPotential(E), seed=seed, samples=samples)
     return results

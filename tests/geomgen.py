@@ -53,14 +53,11 @@ from toricwidth.polytope import (
     HalfspacePolytope,
     UnboundedPolytopeError,
     Vertex,
-    _with_mapped_vertices,
     bounding_box,
-    clear_denominators,
     is_delzant,
     lattice_fibres,
     lattice_points,
     recession_direction,
-    scale,
 )
 from toricwidth.verify import CHART_TOL, GRADIENT_TOL, PATH_TOL, PULLBACK_TOL, CheckResult
 from toricwidth.width import CylinderBound, FanoCertificate, verify_fano_certificate
@@ -222,9 +219,7 @@ class AffineLatticeMap:
 
 
 def apply_lattice_map(P: HalfspacePolytope, f: AffineLatticeMap) -> HalfspacePolytope:
-    """Image polytope: normals become M^-T u, offsets pick up <t, u'>.  The
-    image gets P's vertices mapped by f, with edges mapped by M, if P knows
-    them, as polytope.normalize_at_vertex hands its image."""
+    """Image polytope: normals become M^-T u, offsets pick up <t, u'>."""
     MinvT = transpose(inverse_unimodular(f.matrix))
     new_normals = []
     new_offsets = []
@@ -232,9 +227,15 @@ def apply_lattice_map(P: HalfspacePolytope, f: AffineLatticeMap) -> HalfspacePol
         u2 = mat_vec(MinvT, u)
         new_normals.append(u2)
         new_offsets.append(l + dot(f.translation, u2))
-    return _with_mapped_vertices(
-        HalfspacePolytope(tuple(new_normals), tuple(new_offsets)), P, f.apply, f.matrix
-    )
+    return HalfspacePolytope(tuple(new_normals), tuple(new_offsets))
+
+
+def dilate(P: HalfspacePolytope, c) -> HalfspacePolytope:
+    """cP for c > 0: the same normals, the offsets multiplied by c."""
+    c = Fraction(c)
+    if c <= 0:
+        raise ValueError("dilation factor must be positive")
+    return HalfspacePolytope(P.normals, tuple(c * l for l in P.offsets))
 
 
 def vertex_map(P: HalfspacePolytope, v: Vertex) -> AffineLatticeMap:
@@ -246,10 +247,13 @@ def vertex_map(P: HalfspacePolytope, v: Vertex) -> AffineLatticeMap:
 
 
 def oracle_normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
-    """The oracle of normalize_at_vertex: P under vertex_map(P, v), with
-    normals M^-T u from an inverse of its own and vertices mapped in
-    Fractions."""
-    return apply_lattice_map(P, vertex_map(P, v))
+    """The oracle of normalize_at_vertex: the dilate qP, for q the lcm of the
+    offsets' denominators, under vertex_map(qP, q v), with normals M^-T u
+    from an inverse of its own.  vertex_map reads only v's tight facets,
+    which q v has in qP too."""
+    q = math.lcm(*(l.denominator for l in P.offsets))
+    Pq = dilate(P, q)
+    return apply_lattice_map(Pq, vertex_map(Pq, v))
 
 
 def oracle_is_delzant(P: HalfspacePolytope) -> bool:
@@ -327,7 +331,7 @@ def blowup_polygon(rng: random.Random, facets: int) -> HalfspacePolytope:
         if roomy:
             P = blow_up(P, rng.choice(roomy).active)
         else:
-            P = scale(P, 2)
+            P = dilate(P, 2)
     return P
 
 
@@ -467,7 +471,7 @@ def lattice_point_ladder() -> list[HalfspacePolytope]:
     ]
     # the 4-D dilations stop at P^4 itself, so the oracle's box stays small
     dilated = [
-        scale(P, c)
+        dilate(P, c)
         for P in base
         if P.dim < 4 or P == projective_space(4)
         for c in (Fraction(5, 2), Fraction(1, 3))
@@ -485,12 +489,12 @@ def lattice_point_ladder() -> list[HalfspacePolytope]:
     far = -(10**20) + Fraction(1, 3)
     latticeless = [
         HalfspacePolytope(((1,), (-1,)), (Fraction(1, 3), Fraction(-2, 3))),
-        shifted(scale(projective_space(2), Fraction(1, 3)), (Fraction(1, 2), Fraction(-5, 2))),
-        shifted(scale(cube, Fraction(1, 4)), (Fraction(1, 4),) * 3),
+        shifted(dilate(projective_space(2), Fraction(1, 3)), (Fraction(1, 2), Fraction(-5, 2))),
+        shifted(dilate(cube, Fraction(1, 4)), (Fraction(1, 4),) * 3),
     ]
     return base + dilated + images + latticeless + [
-        shifted(scale(projective_space(2, 3), Fraction(5, 2)), (far, 10**19)),
-        shifted(scale(cube, Fraction(5, 2)), (far, 10**19, 10**19)),
+        shifted(dilate(projective_space(2, 3), Fraction(5, 2)), (far, 10**19)),
+        shifted(dilate(cube, Fraction(5, 2)), (far, 10**19, 10**19)),
     ]
 
 
@@ -525,10 +529,9 @@ def embedding_cases() -> list[tuple[str, HalfspacePolytope, tuple[int, ...]]]:
 @functools.cache
 def oracle_sections(P: HalfspacePolytope, k: int) -> tuple[tuple[int, ...], ...]:
     """The exponents embed --vertex k prints, by the box scan: the lattice
-    points of qP normalized at its k-th vertex.  Cached, as the CLI and the
-    numeric tests compare against the same cases."""
-    _, Pq = clear_denominators(P)
-    return tuple(oracle_lattice_points(oracle_normalize_at_vertex(Pq, Pq.vertices[k])))
+    points of qP normalized at its k-th vertex, q times P's k-th vertex.
+    Cached, as the CLI and the numeric tests compare against the same cases."""
+    return tuple(oracle_lattice_points(oracle_normalize_at_vertex(P, P.vertices[k])))
 
 
 def oracle_relations(P: HalfspacePolytope, totals):
@@ -1264,6 +1267,6 @@ def oracle_ehrhart_volume(P: HalfspacePolytope) -> Fraction:
     a lattice polytope: its n-th finite difference at k = 1 .. n+1, over n!,
     from the fibre counts of kP."""
     n = P.dim
-    counts = [fibre_count(scale(P, k)) for k in range(1, n + 2)]
+    counts = [fibre_count(dilate(P, k)) for k in range(1, n + 2)]
     difference = sum((-1) ** (n - j) * math.comb(n, j) * counts[j] for j in range(n + 1))
     return Fraction(difference, math.factorial(n))

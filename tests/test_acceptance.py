@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from geomgen import (
+    dilate,
     hirzebruch,
     mat_mul,
     oracle_is_smooth,
@@ -49,7 +50,7 @@ from toricwidth.numeric import (
     sup_along_path,
     suggested_path_exponent,
 )
-from toricwidth.polytope import enumerate_vertices, is_delzant, lattice_points, scale
+from toricwidth.polytope import enumerate_vertices, is_delzant, lattice_points
 from toricwidth.width import cylinder_bound, verify_fano_certificate, width_report
 
 TEST_POLYTOPES = [
@@ -57,7 +58,7 @@ TEST_POLYTOPES = [
     unit_square(),
     hirzebruch(),
     blown_up_hirzebruch(),
-    scale(iterated_plane_blowup(1), 2),
+    dilate(iterated_plane_blowup(1), 2),
 ]
 
 
@@ -238,7 +239,7 @@ def test_random_polygon_property_suite():
         v = enumerate_vertices(P)[0]
         base = cylinder_bound(P, v).coefficient_pi
         for q in (2, 3):
-            Pq = scale(P, q)
+            Pq = dilate(P, q)
             vq = next(
                 w
                 for w in enumerate_vertices(Pq)

@@ -32,6 +32,7 @@ from geomgen import (
     _oracle_psi,
     assert_same_results,
     blowup_polygon,
+    dilate,
     exponent_rows,
     hirzebruch,
     mat_mul,
@@ -55,7 +56,6 @@ from toricwidth.fixtures import (
     resolve_fixture,
 )
 from toricwidth.lattice import dot, integer_kernel_basis
-from toricwidth.polytope import scale
 from toricwidth.verify import chart_suite, exact_checks
 
 TOL = 1e-9
@@ -65,7 +65,7 @@ TEST_FANS = [
     normal_fan(unit_square()),
     normal_fan(hirzebruch()),
     normal_fan(blown_up_hirzebruch()),
-    normal_fan(scale(iterated_plane_blowup(1), 2)),
+    normal_fan(dilate(iterated_plane_blowup(1), 2)),
 ]
 
 

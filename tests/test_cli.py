@@ -22,6 +22,7 @@ import toricwidth.width
 from geomgen import (
     blow_up,
     blowup_polygon,
+    dilate,
     embedding_cases,
     lattice_point_ladder,
     oracle_lattice_points,
@@ -35,11 +36,9 @@ from toricwidth.cli import main
 from toricwidth.fixtures import blown_up_hirzebruch
 from toricwidth.polytope import (
     bounding_box,
-    clear_denominators,
     is_delzant,
     lattice_points,
     normalize_at_vertex,
-    scale,
 )
 from toricwidth.verify import CheckResult
 
@@ -156,8 +155,8 @@ def test_embed_prints_the_oracle_points(capsys, tmp_path):
 
 def test_embed_and_verify_read_no_lattice_points(capsys, monkeypatch):
     # both read the fibres; the exponent list is the tests' alone
-    _, Pq = clear_denominators(toricwidth.cli.load_polytope("example-3.8:50"))
-    Q = normalize_at_vertex(Pq, Pq.vertices[0])
+    P = toricwidth.cli.load_polytope("example-3.8:50")
+    Q = normalize_at_vertex(P, P.vertices[0])
     listed = json.dumps([list(J) for J in lattice_points(Q)]) + "\n"
     argvs = [["embed", "example-3.8:50"], ["verify", "cpn:2:20", "--format", "json"]]
     before = [_outcome(capsys, argv) for argv in argvs]
@@ -251,7 +250,7 @@ def test_verify_high_degree_does_not_overflow(capsys):
 def test_verify_builds_each_chart_and_transition_once(capsys, monkeypatch, tmp_path):
     # every chart and chart change is a gather of one exact table: verify
     # builds the table once, no ChartData, and no k x k table of chart changes
-    P = scale(random_delzant_polygon(random.Random(10)), 3)  # room for the cuts
+    P = dilate(random_delzant_polygon(random.Random(10)), 3)  # room for the cuts
     while P.num_facets < 10:
         P = next(
             Q for v in P.vertices
@@ -444,6 +443,23 @@ def test_one_vertex_enumeration_per_call(capsys, enumerations, spec, argv):
     assert main([argv[0], spec, *argv[1:]]) == 0
     capsys.readouterr()
     assert len(enumerations) == 1
+
+
+# the input and its chart at a vertex, and no dilated copy qP: q = 51 on
+# example-3.8:50 and q = 1 on cpn:3:10
+@pytest.mark.parametrize("spec", ["example-3.8:50", "cpn:3:10"])
+@pytest.mark.parametrize("argv", [["embed"], ["verify", "--samples", "1"]])
+def test_embed_and_verify_build_two_polytopes(capsys, monkeypatch, spec, argv):
+    built = []
+    real = toricwidth.polytope.HalfspacePolytope.__post_init__
+    monkeypatch.setattr(
+        toricwidth.polytope.HalfspacePolytope,
+        "__post_init__",
+        lambda self: built.append(self) or real(self),
+    )
+    assert main([argv[0], spec, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(built) == 2
 
 
 def test_width_reads_no_lattice_points(capsys, monkeypatch):
@@ -655,8 +671,8 @@ def test_embed_and_analyze_test_no_box_point(capsys, monkeypatch, argv):
     if argv[0] == "analyze":
         assert calls == []
         return
-    _, Pq = clear_denominators(toricwidth.cli.load_polytope(argv[1]))
-    Q = normalize_at_vertex(Pq, Pq.vertices[0])
+    P = toricwidth.cli.load_polytope(argv[1])
+    Q = normalize_at_vertex(P, P.vertices[0])
     lo, hi = bounding_box(Q)
     prefixes = math.prod(b - a + 1 for a, b in zip(lo[:-1], hi[:-1]))
     assert len(calls) <= prefixes * Q.num_facets < prefixes * (hi[-1] - lo[-1] + 1)

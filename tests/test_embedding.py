@@ -1,13 +1,19 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from geomgen import (
+    blowup_polygon,
+    dilate,
     embedding_from_exponents,
     full_section_exponents,
     hirzebruch,
+    oracle_sections,
+    random_delzant_polygon,
+    random_delzant_polytope,
     sections_by_conditions,
     stack_charts,
     twist_exponents,
@@ -20,8 +26,9 @@ from toricwidth.fixtures import (
     blown_up_hirzebruch,
     iterated_plane_blowup,
     projective_space,
+    resolve_fixture,
 )
-from toricwidth.polytope import enumerate_vertices, scale
+from toricwidth.polytope import HalfspacePolytope, enumerate_vertices
 
 TOL = 1e-9
 
@@ -30,7 +37,7 @@ TEST_POLYTOPES = [
     unit_square(),
     hirzebruch(),
     blown_up_hirzebruch(),
-    scale(iterated_plane_blowup(1), 2),
+    dilate(iterated_plane_blowup(1), 2),
 ]
 
 
@@ -85,7 +92,7 @@ def test_twist_exponents_blowup():
 
 
 def test_twist_exponents_cp2_degree2():
-    P = scale(projective_space(2, 1), 2)
+    P = dilate(projective_space(2, 1), 2)
     F = normal_fan(P)
     g = P.integer_offsets[1]
     C = chart_for_cone(F, F.max_cones.index((0, 1)))
@@ -97,8 +104,25 @@ def test_sections_cp2():
     v = enumerate_vertices(P)[0]
     E = sections_by_polytope(P, v)
     assert E.exponents == ((0, 0), (0, 1), (1, 0))
-    E2 = sections_by_polytope(scale(P, 2), enumerate_vertices(scale(P, 2))[0])
+    E2 = sections_by_polytope(dilate(P, 2), enumerate_vertices(dilate(P, 2))[0])
     assert len(E2.exponents) == 6
+
+
+def test_sections_of_a_rational_polytope_are_those_of_qp_at_every_vertex():
+    # at P's k-th vertex the exponents are the lattice points of qP
+    # normalized at its k-th vertex; q is 1, 3, 2 and 4 on example-3.8:m
+    # (offset -2m / (m + 1)), 3 on the 5/3-dilates and 15 on the segment
+    rng = random.Random(30)
+    drawn = [random_delzant_polygon(rng) for _ in range(4)]
+    drawn += [blowup_polygon(random.Random(d), d) for d in (5, 7, 9)]
+    drawn += [random_delzant_polytope(random.Random(seed), 3) for seed in (0, 2)]
+    cases = [resolve_fixture(f"example-3.8:{m}") for m in (1, 2, 3, 7)]
+    cases += [dilate(P, Fraction(5, 3)) for P in drawn]
+    cases.append(HalfspacePolytope(((1,), (-1,)), (Fraction(-7, 3), Fraction(-11, 5))))
+    assert [P.integer_offsets[0] for P in cases] == [1, 3, 2, 4] + [3] * len(drawn) + [15]
+    for i, P in enumerate(cases):
+        for k, v in enumerate(P.vertices):
+            assert sections_by_polytope(P, v).exponents == oracle_sections(P, k), (i, k)
 
 
 def test_sections_by_conditions_requires_strict_convexity():

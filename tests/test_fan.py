@@ -7,6 +7,7 @@ import pytest
 from geomgen import (
     blow_up,
     blowup_polygon,
+    dilate,
     hirzebruch,
     lattice_point_ladder,
     oracle_cones_meet_in_faces,
@@ -31,9 +32,7 @@ from toricwidth.lattice import solve_rational
 from toricwidth.polytope import (
     HalfspacePolytope,
     NotDelzantError,
-    clear_denominators,
     is_delzant,
-    scale,
 )
 
 CP2_FAN = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
@@ -181,7 +180,7 @@ def test_strict_convexity_of_all_fixture_supports():
         unit_square(),
         hirzebruch(),
         blown_up_hirzebruch(),
-        scale(iterated_plane_blowup(1), 2),
+        dilate(iterated_plane_blowup(1), 2),
         projective_space(3, 1),
     ):
         F = normal_fan(P)
@@ -201,7 +200,7 @@ def test_strict_convexity_matches_the_support_polytope_oracle():
     cube = product_polytope(*(projective_space(1, 2),) * 3)
     polytopes = [random_delzant_polygon(rng) for _ in range(12)] + [
         blown_up_hirzebruch(),
-        clear_denominators(iterated_plane_blowup(1))[1],
+        iterated_plane_blowup(1),
         hirzebruch(),
         unit_square(),
         *(projective_space(n) for n in (1, 2, 3, 4)),
@@ -228,7 +227,7 @@ def _fan_flag_inputs():
     return (
         lattice_point_ladder()
         + drawn
-        + [scale(P, c) for P in drawn for c in (Fraction(1, 3), Fraction(5, 2))]
+        + [dilate(P, c) for P in drawn for c in (Fraction(1, 3), Fraction(5, 2))]
         # the benchmark's blow-up polygons, drawn with polygon_rng(1, d, 0)
         + [blowup_polygon(random.Random(100000 + d), d) for d in range(5, 17)]
         + [cube, blow_up(cube, cube.vertices[0].active)]

@@ -37,7 +37,7 @@ from toricwidth.numeric import (
     sup_along_path,
     suggested_path_exponent,
 )
-from toricwidth.polytope import clear_denominators, enumerate_vertices
+from toricwidth.polytope import enumerate_vertices
 from toricwidth.verify import numeric_suite
 
 CP2 = ToricPotential(embedding_from_exponents(((0, 0), (1, 0), (0, 1))))
@@ -210,7 +210,7 @@ def test_projective_space_potential_matches_fubini_study():
 
 
 def fixture_potential(spec: str) -> ToricPotential:
-    _, P = clear_denominators(resolve_fixture(spec))
+    P = resolve_fixture(spec)
     return ToricPotential(sections_by_polytope(P, P.vertices[0]))
 
 
@@ -384,9 +384,8 @@ def test_one_row_slices_give_the_covariances_bit_for_bit(monkeypatch, spec):
 def test_exponent_array_is_the_oracle_exponents_as_floats():
     # the rows np.array(exponents, float) gives, stored as columns
     for label, P, vertices in embedding_cases():
-        _, Pq = clear_denominators(P)
         for k in vertices:
-            JT = ToricPotential(sections_by_polytope(Pq, Pq.vertices[k])).exponent_columns
+            JT = ToricPotential(sections_by_polytope(P, P.vertices[k])).exponent_columns
             want = np.array(oracle_sections(P, k), dtype=float)
             # contiguous along the monomials, the axis every sum runs over
             assert JT.dtype == want.dtype and JT.flags.c_contiguous, (label, k)

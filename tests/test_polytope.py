@@ -11,6 +11,7 @@ from geomgen import (
     AffineLatticeMap,
     apply_lattice_map,
     blowup_polygon,
+    dilate,
     fibre_count,
     hirzebruch,
     lattice_point_ladder,
@@ -50,7 +51,6 @@ from toricwidth.polytope import (
     lattice_fibres,
     lattice_points,
     normalize_at_vertex,
-    scale,
     vertex_sums,
 )
 
@@ -138,7 +138,7 @@ def test_non_simple_vertex_detected():
 
 
 def test_lattice_points_simplex_doubled():
-    pts = lattice_points(scale(SIMPLEX, 2))
+    pts = lattice_points(dilate(SIMPLEX, 2))
     assert pts == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
 
@@ -163,7 +163,7 @@ def test_lattice_points_against_oracle_random():
 
 def test_lattice_fibres_simplex_doubled():
     # x_2 <= 2 - x_1 on each fibre; the facet x_1 >= 0 (c = 0) keeps every prefix
-    assert lattice_fibres(scale(SIMPLEX, 2)) == [((0,), 0, 2), ((1,), 0, 1), ((2,), 0, 0)]
+    assert lattice_fibres(dilate(SIMPLEX, 2)) == [((0,), 0, 2), ((1,), 0, 1), ((2,), 0, 0)]
     # ceil(1/3) = 1 and floor(8/3) = 2 on the segment [1/3, 8/3]
     segment = HalfspacePolytope(((1,), (-1,)), (Fraction(1, 3), Fraction(-8, 3)))
     assert lattice_fibres(segment) == [((), 1, 2)]
@@ -195,7 +195,7 @@ def test_lattice_fibres_expand_to_the_oracle_points():
         product_polytope(blowups[0], blowups[1]),
         PRISM,
     ]
-    cases = dilated + [scale(P, Fraction(5, 3)) for P in dilated]
+    cases = dilated + [dilate(P, Fraction(5, 3)) for P in dilated]
     cases += [random_delzant_polytope(random.Random(seed), 4) for seed in range(3)]
     for P in cases:
         Q = normalize_at_vertex(P, rng.choice(P.vertices))
@@ -255,8 +255,9 @@ def test_vertices_property_matches_enumeration():
 
 
 def test_derived_vertices_match_fresh_enumeration():
-    """scale, normalize_at_vertex and geomgen.apply_lattice_map pass mapped vertices on;
-    each list must equal a fresh enumeration of an equal, newly built polytope."""
+    """normalize_at_vertex passes mapped vertices on; each list must equal a
+    fresh enumeration of an equal, newly built polytope, on integral inputs
+    and on their 3/2-dilates, whose charts are those of qP."""
     rng = random.Random(41)
     polytopes = [
         unit_square(),
@@ -268,31 +269,12 @@ def test_derived_vertices_match_fresh_enumeration():
         projective_space(3, 2),
         projective_space(4, 1),
     ] + [random_delzant_polygon(rng) for _ in range(12)]
-    for P in polytopes:
-        P.vertices
-        if P.dim == 1:
-            f = AffineLatticeMap(((-1,),), (Fraction(5, 2),))
-        else:
-            f = random_unimodular_map(rng, P.dim)
-        images = [scale(P, Fraction(3, 2)), scale(P, 4), apply_lattice_map(P, f)]
-        images += [normalize_at_vertex(P, v) for v in P.vertices]
-        for Q in images:
+    for P in polytopes + [dilate(P, Fraction(3, 2)) for P in polytopes]:
+        for Q in [normalize_at_vertex(P, v) for v in P.vertices]:
             assert "vertices" in vars(Q)  # derived, not enumerated again
             fresh = HalfspacePolytope(Q.normals, Q.offsets)
             assert list(Q.vertices) == enumerate_vertices(fresh)
             assert [v.edges for v in Q.vertices] == [v.edges for v in fresh.vertices]
-
-
-def test_unknown_vertices_are_not_derived():
-    Q = scale(blown_up_hirzebruch(), 2)
-    assert "vertices" not in vars(Q)
-
-
-def test_scale():
-    P = scale(SIMPLEX, Fraction(3, 2))
-    assert P.offsets == (0, 0, Fraction(-3, 2))
-    with pytest.raises(ValueError):
-        scale(SIMPLEX, 0)
 
 
 def test_integer_offsets():
@@ -383,7 +365,7 @@ def test_volume_equals_the_shoelace_area_and_the_ehrhart_coefficient():
         [resolve_fixture(name) for name in COUNT_FIXTURES if name.startswith(("ex", "cpn:2"))]
         + [blowup_polygon(random.Random(d), d) for d in range(4, 17)]
         + [random_delzant_polygon(rng) for _ in range(30)]
-        + [scale(random_delzant_polygon(rng), Fraction(5, 3)) for _ in range(5)]
+        + [dilate(random_delzant_polygon(rng), Fraction(5, 3)) for _ in range(5)]
     )
     for P in polygons:
         assert vertex_sums(P)[1] == oracle_polygon_area(P)
@@ -427,7 +409,7 @@ def unimodularity_generators():
     scanned = [P for P in FALLBACK_INPUTS if not raises(enumerate_vertices, P)]
     base = (
         count_generators()
-        + [scale(blowup_polygon(random.Random(d), d), Fraction(5, 3)) for d in range(5, 10)]
+        + [dilate(blowup_polygon(random.Random(d), d), Fraction(5, 3)) for d in range(5, 10)]
         + [random_simple_non_delzant_polygon(random.Random(seed)) for seed in range(10)]
         + scanned
     )
@@ -442,7 +424,8 @@ def test_is_delzant_equals_the_oracle_on_every_generator():
 
 def test_normalize_at_vertex_equals_the_oracle_map_at_every_vertex():
     # the image of the oracle map, with its vertices and edges enumerated
-    # afresh; vertices that are not unimodular are refused by both
+    # afresh; on a rational P (the 5/3-dilates) that is the normalization of
+    # qP at q v; vertices that are not unimodular are refused by both
     for P in unimodularity_generators():
         for v in P.vertices:
             if len(v.active) != P.dim:
@@ -620,7 +603,7 @@ def test_edge_walk_matches_the_subset_scan():
     variants = [
         Q
         for P in fixtures[:4] + polygons[:20]
-        for Q in (scale(P, Fraction(7, 3)), apply_lattice_map(P, random_unimodular_map(rng, P.dim)))
+        for Q in (dilate(P, Fraction(7, 3)), apply_lattice_map(P, random_unimodular_map(rng, P.dim)))
     ]
     blowups = [blowup_polygon(random.Random(d), d) for d in range(5, 25)]
     non_delzant = [random_simple_non_delzant_polygon(rng) for _ in range(50)]

@@ -29,7 +29,7 @@ from toricwidth.embedding import sections_by_polytope
 from toricwidth.fan import normal_fan
 from toricwidth.fixtures import resolve_fixture
 from toricwidth.numeric import ToricPotential
-from toricwidth.polytope import HalfspacePolytope, clear_denominators
+from toricwidth.polytope import HalfspacePolytope
 from toricwidth.verify import chart_suite, exact_checks, numeric_suite
 
 FIXTURES = (
@@ -62,8 +62,7 @@ def test_chart_suite_matches_the_per_sample_oracle(group):
 def test_numeric_suite_matches_the_per_sample_oracle_bit_for_bit(group):
     # the potential of each input's embedding, as verify builds it
     for i, P in enumerate(oracle_inputs(group)):
-        _, Pq = clear_denominators(P)
-        T = ToricPotential(sections_by_polytope(Pq, Pq.vertices[0]))
+        T = ToricPotential(sections_by_polytope(P, P.vertices[0]))
         got = numeric_suite(T, seed=i, samples=3)
         assert all(r.passed for r in got)
         assert got == oracle_numeric_suite(T, seed=i, samples=3)

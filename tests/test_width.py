@@ -8,6 +8,7 @@ from geomgen import (
     apply_lattice_map,
     blow_up,
     blowup_polygon,
+    dilate,
     hirzebruch,
     lattice_point_ladder,
     oracle_cylinder_bound,
@@ -35,7 +36,6 @@ from toricwidth.polytope import (
     HalfspacePolytope,
     enumerate_vertices,
     is_delzant,
-    scale,
 )
 from toricwidth.width import (
     GAMMA_CAVEAT,
@@ -137,7 +137,7 @@ def test_fano_rejects_non_monotone():
         assert fano_check(iterated_plane_blowup(m)) is None
     # degree-2 class on the simplex is a rescaled monotone class but the
     # normalization r(lambda + <m,u>) = -1 still has a solution with r = 3/2
-    cert = fano_check(scale(projective_space(2, 1), 2))
+    cert = fano_check(dilate(projective_space(2, 1), 2))
     assert cert is not None and cert.r == Fraction(3, 2)
 
 
@@ -241,7 +241,7 @@ def test_cylinder_bound_scales_linearly():
         v = enumerate_vertices(P)[0]
         base = cylinder_bound(P, v).coefficient_pi
         for q in (2, 3):
-            Pq = scale(P, q)
+            Pq = dilate(P, q)
             vq = next(
                 w
                 for w in enumerate_vertices(Pq)
@@ -284,7 +284,7 @@ def _fano_ladder():
         product_polytope(projective_space(1), projective_space(2)),
         product_polytope(unit_square(), projective_space(1)),
     ]
-    dilated = [scale(P, c) for P in base for c in (2, Fraction(1, 3), Fraction(5, 2))]
+    dilated = [dilate(P, c) for P in base for c in (2, Fraction(1, 3), Fraction(5, 2))]
     images = [
         apply_lattice_map(P, random_unimodular_map(rng, P.dim))
         for P in base + dilated
@@ -319,10 +319,10 @@ def test_cylinder_bound_matches_lattice_point_maxima():
         projective_space(3, 2),
         unit_square(),
     ]
-    dilations = [scale(P, c) for P in polygons for c in (Fraction(2, 3), Fraction(5, 2))]
+    dilations = [dilate(P, c) for P in polygons for c in (Fraction(2, 3), Fraction(5, 2))]
     for P in fixtures + polygons + dilations:
         q = P.integer_offsets[0]
-        Pq = scale(P, q)
+        Pq = dilate(P, q)
         for v in enumerate_vertices(P):
             vq = next(w for w in Pq.vertices if w.point == tuple(q * c for c in v.point))
             E = sections_by_polytope(Pq, vq)
@@ -357,7 +357,7 @@ def _relation_ladder():
     base += [random_delzant_polytope(rng, n) for n in (3, 4) for _ in range(3)]
     base += [resolve_fixture(f) for f in ("cpn:2:1", "cpn:3:1", "cpn:4:1", "example-3.7", "example-3.8:5")]
     base += [unit_square(), REFLEXIVE_HEXAGON]
-    return [[P] + [scale(P, c) for c in (2, Fraction(1, 3), Fraction(5, 2))] for P in base]
+    return [[P] + [dilate(P, c) for c in (2, Fraction(1, 3), Fraction(5, 2))] for P in base]
 
 
 def test_relation_join_matches_multiset_oracle():
@@ -383,7 +383,7 @@ def test_cylinder_bound_matches_fraction_oracle():
     rng = random.Random(1607)
     non_delzant = [random_simple_non_delzant_polygon(rng) for _ in range(5)]
     negative = 0
-    for family in _relation_ladder() + [[P, scale(P, Fraction(5, 3))] for P in non_delzant]:
+    for family in _relation_ladder() + [[P, dilate(P, Fraction(5, 3))] for P in non_delzant]:
         for P in family:
             image = apply_lattice_map(P, random_unimodular_map(rng, P.dim))
             negative += any(c < 0 for w in image.vertices for c in w.point)

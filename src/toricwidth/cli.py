@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", type=int, default=0)
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("verify", help="randomized chart and numeric property suites")
+    p = sub.add_parser("verify", help="exact chart checks and randomized numeric property suites")
     p.add_argument("input")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10)

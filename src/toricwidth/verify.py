@@ -1,43 +1,58 @@
-"""Randomized property suites behind the command line verify subcommand.
+"""Property suites behind the command line verify subcommand.
 
-Each check returns a CheckResult; a suite is a list of them.  Chart checks
-run at relative tolerance 1e-9 on coordinates with modulus in [0.5, 2].
-Of the numeric checks, the gradient check draws real x in [0.1, 10], the
-pullback check modulus in [0.1, 0.9], and the radial and psi checks modulus
-in [0.1, 3].
+Each check returns a CheckResult; a suite is a list of them.
 
-Every sweep draws its points from the seeded rng in the order and number of
-a loop over charts (or ordered pairs of charts), then samples, then
-coordinates, so a seed gives the same points however they are evaluated;
-each slice takes them from one getrandbits call (_draws).
+The chart suite draws no points: each chart check is an identity between
+Laurent monomial maps, which holds on the torus exactly when two integer
+exponent matrices are equal, and exact_checks decides all six on the exact
+table of charts.chart_table, T[c] = U_c^-1 G^T of shape (k, n, d) for k
+charts, with G the (d, n) generators.  Chart c's map phi_c has exponents
+T[c], its V_c being T[c] on c's complement, psi_c puts its coordinates on
+c's cone and 1 elsewhere, and R_c, -V_c on c's cone rows and I on its
+complement rows, parametrizes the kernel torus: ac -> ac^(R_c).
 
-The chart suite reads every chart from one exact table (charts.chart_table):
-T[c] = U_c^-1 G^T, of shape (k, n, d) for k charts.  The chart sweeps put
-one (chart, sample) or (chart a, chart b, sample) on each row and evaluate a
-slice of rows in one numpy pass, each row with its V gathered from T
-(ChartTable.charts).  A slice holds at most numeric.BATCH_ENTRIES entries,
-counted by its sweep's row width, and draws its own points, so memory does
-not grow with the sample count.  The one-chart sweeps have rows of n * d
-entries; the transition sweep multiplies E[a, b] = U_b^-1 U_a out of the
-table's inverses and generators, row by row, and compares its monomial map
-with phi_b after psi_a through chart b's V, read off T, on the n
-coordinates that psi_a sets (charts.transition_sides), rows of n * (n + 1)
-entries.  So a wrong entry of T fails this sweep as well as the exact
-checks.  No ChartData and no k x k table of chart changes is built.
+- phi_after_psi_identity: phi_c after psi_c has exponents T[c] on c's cone,
+  so it is the identity iff that is I (the diagonal).
+- kernel_param_in_kernel: the torus map alpha -> alpha^(G^T) after the
+  parametrization has exponents G^T R_c = W_c - U_c V_c, for U_c and W_c
+  the generators on c's cone and off it: trivial iff U_c V_c = W_c.
+- kernel_invariance: moving z by ac^(R_c) moves phi_c(z) by ac^(T[c] R_c),
+  and T[c] R_c = V_c - D_c V_c for D_c = T[c] on c's cone: invariant iff
+  D_c V_c = V_c, which the diagonal implies.
+- exponents_kill_relations: the relations R_0 read off chart 0 satisfy
+  G^T R_0 = 0 (the kernel check at chart 0), and every chart's exponent
+  rows X[c] (T[c] with I on c's cone, as phi_c's formula reads them) kill
+  them: X[c] R_0 = X[c] on 0's complement - (X[c] on 0's cone) V_0 = 0.
+  Together these hold exactly when every chart's V is U^-1 W.
+- transition_matches_charts: phi_b after psi_a has exponents X[b] on a's
+  cone, and the chart change U_b^-1 U_a is U_b^-1 G^T there, multiplied out
+  of the table's inverses; over every pair (a, b) that is
+  U_b^-1 G^T = X[b] on the generators that lie in some cone (used).
+- transition_cocycle_exact: E[b,c] E[a,b] = E[a,c] is checked on pairs:
+  E[a,a] = I for every a and E[a,b] = E[0,b] E[a,0] for every (a, b).  With
+  M_a = E[a,0] these give E[0,b] M_b = E[b,b] = I, so E[a,b] = M_b^-1 M_a
+  and every triple composes.  Conversely the triple identity gives both
+  facts for invertible E (at a = b = c, and at b = 0), as every U_b^-1 U_a
+  is, so the pair check rejects every table that the triple check rejects.
+  Column m of E[a,b] is T[b]'s column of generator cone_a[m], and that of
+  E[0,b] E[a,0] is E[0,b] times T[0]'s column of the same generator; so the
+  k^2 pair identities are the k identities T[b] = E[0,b] T[0] on the used
+  columns, and E[a,a] = I is the diagonal.
 
-The exact checks (exact_checks) read T itself.  The cocycle identity
-E[b,c] E[a,b] = E[a,c] is checked on pairs: E[a,a] = I for every a and
-E[a,b] = E[0,b] E[a,0] for every (a, b).  With M_a = E[a,0] these give
-E[0,b] M_b = E[b,b] = I, so E[a,b] = M_b^-1 M_a and every triple composes.
-Conversely the triple identity gives both facts for invertible E (at
-a = b = c, and at b = 0), as every U_b^-1 U_a is, so the pair check rejects
-every table that the triple check rejects.  Column m of E[a,b] is T[b]'s
-column of generator cone_a[m], and that of E[0,b] E[a,0] is E[0,b] times
-T[0]'s column of the same generator; so the k^2 pair identities are the k
-identities T[b] = E[0,b] T[0] on the columns of the generators that lie in
-some cone, k n^2 d products instead of k^2 n^3.  E[a,a] = I is T[a] = I on
-a's cone.  The products run in the table's dtype: int64 when chart_table's
-bound shows that every entry and partial sum fits, Python ints otherwise.
+Each check is at most k n^2 d products, and none runs over the k^2 pairs.
+They run in the table's dtype: int64 when chart_table's bound d M^2 < 2^63
+holds.  M bounds every entry of G, of T (and so of each V_c and X[c]) and
+n max|U^-1| max|G|.  An entry of U_c V_c, D_c V_c, (X[c] on 0's cone) V_0
+or T[:, :, cone_0] T[0] is a sum of n products of at most M^2 each, and
+one of U_b^-1 G^T a sum of n products of at most M / n: every product and
+partial sum stays within n M^2 <= d M^2, so int64 is exact whenever
+chart_table picked it.
+
+The numeric checks draw their points from a random.Random(seed) of their
+own: the gradient check real x in [0.1, 10], the pullback check modulus in
+[0.1, 0.9], and the radial and psi checks modulus in [0.1, 3].  Every draw
+of a check comes in the order and number of a per-sample loop, and each
+slice takes them from one getrandbits call (_draws).
 
 The numeric suite draws every check's points first, in the order of the
 checks.  The rows where the gradient, radial and psi checks need the
@@ -64,15 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric
-from .charts import (
-    ChartTable,
-    chart_table,
-    kernel_params,
-    phi_sigmas,
-    psi_sigmas,
-    torus_images,
-    transition_sides,
-)
+from .charts import ChartTable, chart_table
 from .embedding import sections_by_polytope
 from .fan import Fan, normal_fan
 from .numeric import (
@@ -89,7 +96,6 @@ from .numeric import (
 )
 from .polytope import HalfspacePolytope
 
-CHART_TOL = 1e-9
 GRADIENT_TOL = 1e-5
 PULLBACK_TOL = 1e-4
 PATH_TOL = 1e-3
@@ -131,108 +137,44 @@ def _coords(rng: random.Random, m: int, lo: float, hi: float) -> np.ndarray:
     return z
 
 
-def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)), initial=0.0))
-
-
 def _worst(values) -> float:
     """The largest of the values, or nan when one is nan, as np.max over
     all of them would give; 0 when there are none."""
     return max(values, key=lambda v: (math.isnan(v), v), default=0.0)
 
 
-def _sweep(rows: int, width: int, check) -> float:
-    """The worst of check(r) over consecutive slices r of range(rows), each
-    slice small enough that a work array of `width` entries per row stays
-    within numeric.BATCH_ENTRIES."""
-    step = max(1, numeric.BATCH_ENTRIES // width)
-    return max(
-        (check(np.arange(i, min(i + step, rows))) for i in range(0, rows, step)), default=0.0
-    )
-
-
-def exact_checks(table: ChartTable) -> tuple[bool, bool]:
-    """The relation check and the cocycle check on the exact table T.
-
-    Relations R among the generators G read off chart 0 (-V_0 on its cone
-    rows, I on its complement rows) satisfy G R = 0, and every chart's
-    exponent rows (I on its cone, V on its complement) kill them; together
-    these hold exactly when every chart's V is U^-1 W.  The cocycle check is
-    E[a, a] = I and E[a, b] = E[0, b] E[a, 0] on every pair, column by
-    column (see the module doc).  They run in the table's dtype, which
-    chart_table chose so that every product and partial sum fits."""
+def exact_checks(table: ChartTable) -> list[CheckResult]:
+    """The six chart checks, each decided exactly on the table T (see the
+    module doc), in the table's dtype, which chart_table chose so that
+    every product and partial sum fits."""
     T, G, cone, complement = table.T, table.generators, table.cone, table.complement
     k, n, d = T.shape
     chart, row = np.arange(k)[:, None, None], np.arange(n)[:, None]
     identity = np.eye(n, dtype=T.dtype)
-    R = np.zeros((d, d - n), dtype=T.dtype)
-    R[complement[0], np.arange(d - n)] = 1
-    R[cone[0]] = -T[0][:, complement[0]]
+    D = T[chart, row, cone[:, None]]  # T[c] on c's cone
+    V = T[chart, row, complement[:, None]]
+    U, W = G[cone].transpose(0, 2, 1), G[complement].transpose(0, 2, 1)
+    diagonal = bool((D == identity).all())
+    in_kernel = (U @ V == W).all(axis=(1, 2))  # G^T R_c = 0, chart by chart
     X = T.copy()
     X[chart, row, cone[:, None]] = identity
-    relations = not (G.T @ R).any() and not (X @ R).any()
-    diagonal = bool((T[chart, row, cone[:, None]] == identity).all())
     used = np.zeros(d, dtype=bool)  # the generators in some cone
     used[cone] = True
-    cocycle = diagonal and bool((T[:, :, cone[0]] @ T[0][:, used] == T[:, :, used]).all())
-    return relations, cocycle
+    checks = {
+        "phi_after_psi_identity": diagonal,
+        "kernel_param_in_kernel": bool(in_kernel.all()),
+        "kernel_invariance": bool((D @ V == V).all()),
+        "exponents_kill_relations": bool(in_kernel[0])
+        and bool((X[:, :, cone[0]] @ V[0] == X[:, :, complement[0]]).all()),
+        "transition_matches_charts": bool((table.inverses @ G[used].T == X[:, :, used]).all()),
+        "transition_cocycle_exact": diagonal
+        and bool((T[:, :, cone[0]] @ T[0][:, used] == T[:, :, used]).all()),
+    }
+    return [CheckResult(name, passed, None, None) for name, passed in checks.items()]
 
 
-def chart_suite(F: Fan, seed: int = 0, samples: int = 10) -> list[CheckResult]:
-    rng = random.Random(seed)
-    d = len(F.generators)
-    n = F.dim
-    results = []
-    table = chart_table(F)
-    k = len(table.cone)
-    # rows are (chart, sample) or (chart a, chart b, sample), in the order of
-    # a loop over them; each slice draws its own points from rng
-
-    def identity(rows):
-        # phi after psi is the identity on each chart
-        xi = _coords(rng, len(rows) * n, 0.5, 2.0).reshape(-1, n)
-        A = table.charts(rows // samples)
-        return _rel_dev(phi_sigmas(A, psi_sigmas(A, xi)), xi)
-
-    worst = _sweep(k * samples, n * d, identity)
-    results.append(CheckResult("phi_after_psi_identity", worst < CHART_TOL, worst, CHART_TOL))
-
-    # every chart has d - n complement generators; with none, there is no
-    # kernel torus to check
-    kernel_rows = k * samples if d > n else 0
-
-    def in_kernel(rows):
-        # kernel parametrization lands in the kernel of the torus map
-        ac = _coords(rng, len(rows) * (d - n), 0.5, 2.0).reshape(-1, d - n)
-        image = torus_images(F, kernel_params(table.charts(rows // samples), ac))
-        return float(np.max(np.abs(image - 1.0), initial=0.0))
-
-    worst = _sweep(kernel_rows, n * d, in_kernel)
-    results.append(CheckResult("kernel_param_in_kernel", worst < CHART_TOL, worst, CHART_TOL))
-
-    def invariance(rows):
-        # chart maps are invariant under the kernel torus
-        draws = _coords(rng, len(rows) * (2 * d - n), 0.5, 2.0).reshape(-1, 2 * d - n)
-        z, ac = draws[:, :d], draws[:, d:]
-        A = table.charts(rows // samples)
-        return _rel_dev(phi_sigmas(A, kernel_params(A, ac) * z), phi_sigmas(A, z))
-
-    worst = _sweep(kernel_rows, n * d, invariance)
-    results.append(CheckResult("kernel_invariance", worst < CHART_TOL, worst, CHART_TOL))
-
-    relations, cocycle = exact_checks(table)
-    results.append(CheckResult("exponents_kill_relations", relations, None, None))
-
-    # transitions: numeric agreement with phi_b(psi_a(xi)) for each pair
-    def transitions(rows):
-        xi = _coords(rng, len(rows) * n, 0.5, 2.0).reshape(-1, n)
-        pair = rows // samples
-        return _rel_dev(*transition_sides(table, pair // k, pair % k, xi))
-
-    worst = _sweep(k * k * samples, n * (n + 1), transitions)
-    results.append(CheckResult("transition_matches_charts", worst < CHART_TOL, worst, CHART_TOL))
-    results.append(CheckResult("transition_cocycle_exact", cocycle, None, None))
-    return results
+def chart_suite(F: Fan) -> list[CheckResult]:
+    return exact_checks(chart_table(F))
 
 
 def numeric_suite(
@@ -314,7 +256,7 @@ def polytope_suites(
     vertex: normalize_at_vertex maps P's first vertex to the chart of qP,
     so no dilated copy of P is built.
     """
-    results = chart_suite(normal_fan(P), seed=seed, samples=samples)
+    results = chart_suite(normal_fan(P))
     E = sections_by_polytope(P, P.vertices[0])
     results += numeric_suite(ToricPotential(E), seed=seed, samples=samples)
     return results

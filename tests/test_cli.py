@@ -15,7 +15,6 @@ import toricwidth.cli
 import toricwidth.embedding
 import toricwidth.fan
 import toricwidth.lattice
-import toricwidth.numeric
 import toricwidth.polytope
 import toricwidth.verify
 import toricwidth.width
@@ -272,15 +271,14 @@ def test_verify_builds_each_chart_and_transition_once(capsys, monkeypatch, tmp_p
     assert main(["verify", str(path), "--samples", "2"]) == 0
     capsys.readouterr()
     assert calls == {"chart_for_cone": 0, "chart_table": 1, "transition_map": 0}
-    # with small slices, the chart suite on b8 x b8 (k = 64, n = 4) peaks
-    # below the size of one int64 k x k table of 4 x 4 exponent matrices
+    # the chart suite on b8 x b8 (k = 64, n = 4) peaks below the size of
+    # one int64 k x k table of 4 x 4 exponent matrices
     b8 = blowup_polygon(random.Random(1), 8)
     F = toricwidth.fan.normal_fan(product_polytope(b8, b8))
     k, n = len(F.max_cones), F.dim
-    monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 256)
     tracemalloc.start()
     try:
-        assert all(r.passed for r in toricwidth.verify.chart_suite(F, seed=0, samples=1))
+        assert all(r.passed for r in toricwidth.verify.chart_suite(F))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

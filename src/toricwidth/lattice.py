@@ -6,9 +6,11 @@ module is exact: arbitrary-precision ints, fractions.Fraction, no floats.
 All elimination is one integer kernel, _eliminate (fraction-free
 Gauss-Jordan).  fraction_free_solve and solve_rational read D and the
 right-hand block, rref the rows over D and the pivot columns; the rest sit
-on these.  No Z-basis test lives here: a vertex's tight normals form one
-when the edge walk's elimination there ends with D = 1, and the fan and the
-charts take their inverses from the walk.
+on these.  The vertex enumeration eliminates only at its start, once, to
+pick n independent normals with their dictionary; its later pivots are
+its own.  No Z-basis test lives here: a vertex's tight normals form one
+when the walk's D = |det U_A| there is 1, and the fan and the charts take
+their inverses from the walk.
 """
 
 from __future__ import annotations

@@ -7,18 +7,20 @@ scale q of the offsets and the integers q * lambda_i are one cached
 property per polytope, integer_offsets, which the vertex walk, the width
 bounds and the normalization at a vertex read.  That normalization is the
 chart of qP at q v, in integers, so no dilated copy qP is built.  Vertices
-come from a walk along the edges of a simple polytope, one integer
-elimination per vertex, started at the first feasible n-subset of facets;
-each walked vertex keeps its edge directions, and an unbounded edge is
-reported as the recession direction.  A polytope that is not simple, or an
-input the walk cannot start on, is handed to the scan of every n-subset
-instead.  The walk is the one place a vertex is found unimodular: the
-Delzant test reads D = |det U_A| off the walked vertex, and the
-normalization at a vertex, the normal fan and its charts read U_A^-1 off
-it, with no elimination of their own.  The lattice-point count and the
-volume of a Delzant polytope are vertex sums over those edge directions
-(Brion's and Lawrence's formulas), so their cost follows the vertices, not
-the volume.
+come from integer pivots on a dictionary of D U_A^-1 and the facet
+slacks, as in lrs: the dual simplex method pivots from the first n
+independent normals to a feasible basis, or to a row that proves P empty,
+and a walk along the edges of a simple polytope reaches each neighbour by
+one pivot of its parent's dictionary, so the start's one elimination is
+the only one.  Each walked vertex keeps its edge directions, and an
+unbounded edge is reported as the recession direction.  A polytope that is
+not simple is handed to the scan of every n-subset instead.  The walk is
+the one place a vertex is found unimodular: the Delzant test reads
+D = |det U_A| off the walked vertex, and the normalization at a vertex,
+the normal fan and its charts read U_A^-1 off it, with no elimination of
+their own.  The lattice-point count and the volume of a Delzant polytope
+are vertex sums over those edge directions (Brion's and Lawrence's
+formulas), so their cost follows the vertices, not the volume.
 The lattice points themselves come fibre by fibre, x_n's interval above
 each prefix x_1..x_{n-1}, from a walk over the coordinates that drops a
 partial prefix once a facet is out of reach of the rest of the box.
@@ -32,11 +34,12 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lattice import (
     IntVector,
     RationalVector,
+    _eliminate,
     dot,
     fraction_free_solve,
     int_vector,
@@ -176,8 +179,8 @@ def recession_direction(P: HalfspacePolytope) -> IntVector | None:
 
 
 def _feasible_bases(P: HalfspacePolytope):
-    """(basis, point, tight facets) for every n-subset of facets, in
-    combinations order, whose equalities meet in one point of P.
+    """(point, tight facets) for every n-subset of facets, in combinations
+    order, whose equalities meet in one point of P.
 
     (q, b) = P.integer_offsets, so each subset is one integer elimination
     and feasibility is an integer sign test.
@@ -192,105 +195,211 @@ def _feasible_bases(P: HalfspacePolytope):
         slack = [sum(map(operator.mul, u, X)) - D * bi for u, bi in zip(P.normals, b)]
         if min(slack) >= 0:
             point = tuple(Fraction(x, D * q) for x in X)
-            yield basis, point, tuple(i for i, s in enumerate(slack) if s == 0)
+            yield point, tuple(i for i, s in enumerate(slack) if s == 0)
 
 
-def _edge_walk(P: HalfspacePolytope, start: tuple[int, ...]) -> list[Vertex] | None:
+class _Dictionary(NamedTuple):
+    """A basis of n facets with its point and edges, for the pivots of the
+    start and of the walk (Avis and Fukuda, A pivoting algorithm for convex
+    hulls and vertex enumeration, 1992; Avis, lrs, 2000).
+
+    basis holds the facet indices A in increasing order and D = |det U_A|,
+    for U_A their normals as rows.  Each of the n + 1 columns is a vector
+    of R^n in integers over D, followed by its pairing with every facet:
+    - X is D q x, for x the point where the facets of A meet, followed by
+      the slacks S_i = <u_i, X> - D b_i;
+    - E[k] is e_k, column k of D U_A^-1, followed by R_ik = <u_i, e_k>.
+    e_k leaves facet A_k and stays on the others: R_{A_l}k = D [l = k].
+    """
+
+    basis: tuple[int, ...]
+    D: int
+    X: tuple[int, ...]
+    E: list[tuple[int, ...]]
+
+
+def _dictionary(U: Sequence[IntVector], b: Sequence[int]) -> _Dictionary | None:
+    """The dictionary of the first n facets whose normals are independent,
+    from one elimination of [U^T | I]; None when the normals do not span R^n.
+
+    The elimination takes its pivots among the normals, as columns, in
+    index order, and ends with D times the identity on the pivot columns.
+    So its row operations are D U_A^-T: the rows of the right block are the
+    edges e_k, and column i of the left block holds R_ik = <u_i, e_k>.
+    """
+    n, d = len(U[0]), len(U)
+    A = [[*col, *(int(i == k) for i in range(n))] for k, col in enumerate(zip(*U))]
+    basis, D = _eliminate(A, d)
+    if len(basis) < n:
+        return None
+    s = 1 if D > 0 else -1
+    E = [tuple(s * x for x in (*row[d:], *row[:d])) for row in A]
+    # X = sum_k b_{A_k} e_k, and S_i = sum_k b_{A_k} R_ik - D b_i
+    X = tuple(
+        sum(b[i] * e[m] for i, e in zip(basis, E)) - (s * D * b[m - n] if m >= n else 0)
+        for m in range(n + d)
+    )
+    return _Dictionary(tuple(basis), s * D, X, E)
+
+
+def _pivot(dic: _Dictionary, i: int, j: int) -> _Dictionary:
+    """The dictionary with facet i in place of A_j: one integer pivot on
+    r = R_ij, exact in every division.
+
+    D' = |r|, and every other column c, X included, becomes
+    (|r| c - sgn(r) c_i e_j) / D, where c_i is its pairing with facet i;
+    the new column of facet i is sgn(r) e_j.  A column with c_i = 0 is kept
+    as it is when |r| = D, as at every step between two unimodular bases.
+    The columns are then put in the order of the sorted basis.
+    """
+    basis, D, X, E = dic
+    n = len(basis)
+    ej = E[j]
+    r = ej[n + i]
+    a, s = (r, 1) if r > 0 else (-r, -1)
+
+    def update(c):
+        t = s * c[n + i]
+        if not t:
+            return c if a == D else tuple([a * x // D for x in c])
+        return tuple([(a * x - t * y) // D for x, y in zip(c, ej)])
+
+    new = basis[:j] + (i,) + basis[j + 1 :]
+    order = sorted(range(n), key=new.__getitem__)
+    E = [update(c) if k != j else ej if s > 0 else tuple(-y for y in ej) for k, c in enumerate(E)]
+    return _Dictionary(tuple(new[k] for k in order), a, update(X), [E[k] for k in order])
+
+
+def _dual_simplex(dic: _Dictionary) -> _Dictionary | None:
+    """A feasible basis of {x : <u_i, x> >= b_i}, by the dual simplex method
+    from the dictionary dic; None when the set is empty.
+
+    c = sum of the normals of dic's basis pairs to D with each of its edges,
+    so that basis is dual feasible for min <c, x>, and each pivot keeps
+    every <c, e_k> >= 0.  Bland's rule makes the pivots terminate (Bland
+    1977): the leaving row is the least facet index i with S_i < 0, and the
+    entering column the one of least ratio <c, e_k> / R_ik over R_ik > 0,
+    ties going to the least facet index.  A row with S_i < 0 and no
+    R_ik > 0 is a Farkas certificate: u_i is a nonpositive combination of
+    the basis normals, so <u_i, x> < b_i wherever they hold.
+    """
+    first = dic.basis
+    n = len(first)
+    while True:
+        i = next((i for i, s in enumerate(dic.X[n:]) if s < 0), None)
+        if i is None:
+            return dic
+        best = None
+        for k, e in enumerate(dic.E):
+            r = e[n + i]
+            if r > 0:
+                cost = sum(e[n + l] for l in first)  # <c, e_k>
+                if best is None or cost * r_best < c_best * r:
+                    best, c_best, r_best = k, cost, r
+        if best is None:
+            return None
+        dic = _pivot(dic, i, best)
+
+
+def _edge_walk(P: HalfspacePolytope, start: _Dictionary) -> list[Vertex] | None:
     """Every vertex, by a depth-first search of the edge graph from the
-    simple vertex on the facets `start`; None when a ratio test ties.
+    simple vertex of the dictionary `start`; None when a ratio test ties.
 
-    At a vertex x on the n facets A, with U_A their normals as rows, one
-    elimination of [U_A | b_A | I] gives D q x and D U_A^-1.  Column j of the
-    latter is an edge direction e_j that leaves the j-th facet of A and stays
-    on the others.  Along x + t e_j the scaled slack D (q <x, u_i> - b_i) of
-    facet i changes by t D q <e_j, u_i>, so the neighbour's new facet is the
-    i with <e_j, u_i> < 0 and the least ratio slack_i / -<e_j, u_i>,
-    compared by integer cross-multiplication.  No such i means an unbounded
+    At a vertex on the facets A, the edge e_j leaves A_j and stays on the
+    others.  Along x + t e_j the slack S_i of facet i changes by t R_ij, so
+    the neighbour's new facet is the i with R_ij < 0 and the least ratio
+    S_i / -R_ij, compared by integer cross-multiplication: the dictionary
+    holds both, so no dot product is taken.  No such i means an unbounded
     edge: then <e_j, u_i> >= 0 for every i, so e_j over the gcd of its
     entries is raised as the recession direction.  A unique least ratio
     keeps the neighbour simple, so every visited vertex is simple and its
-    tight facets are its basis.  (q, b) are P.integer_offsets.
+    tight facets are its basis.  Each unseen neighbour's dictionary is one
+    pivot of its parent's, so a walk over k vertices makes k - 1 pivots and
+    no elimination.  The vertices are sorted on the integers X L / D, with
+    L the lcm of the D's, which order them as their points do.
     """
-    n, d = P.dim, P.num_facets
-    U = P.normals
-    q, b = P.integer_offsets
-    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    seen = {start}
+    n = P.dim
+    q = P.integer_offsets[0]
+    seen = {start.basis}
     stack = [start]
-    vertices = []
+    walked = []
     while stack:
-        basis = stack.pop()
-        D, Y = fraction_free_solve(
-            [U[i] for i in basis], [(b[i], *identity[k]) for k, i in enumerate(basis)]
-        )
-        X, *edges = zip(*Y)
-        vertices.append(Vertex(tuple(Fraction(x, D * q) for x in X), basis, tuple(edges)))
-        others = [i for i in range(d) if i not in basis]
-        slack = {i: sum(map(operator.mul, U[i], X)) - D * b[i] for i in others}
-        for j, e in enumerate(edges):
+        dic = stack.pop()
+        walked.append(dic)
+        basis, _, X, E = dic
+        S = X[n:]
+        for j, e in enumerate(E):
             best, tie = None, False
-            for i in others:
-                r = sum(map(operator.mul, U[i], e))
+            for i, r in enumerate(e[n:]):
                 if r >= 0:
                     continue
-                # c > 0 iff slack[i] / -r < s_best / -r_best
-                c = 1 if best is None else slack[i] * r_best - s_best * r
+                # c > 0 iff S[i] / -r < s_best / -r_best
+                c = 1 if best is None else S[i] * r_best - s_best * r
                 if c > 0:
-                    best, s_best, r_best, tie = i, slack[i], r, False
+                    best, s_best, r_best, tie = i, S[i], r, False
                 elif c == 0:
                     tie = True
             if best is None:
-                g = math.gcd(*e)
-                raise UnboundedPolytopeError(f"recession direction {tuple(x // g for x in e)}")
+                g = math.gcd(*e[:n])
+                raise UnboundedPolytopeError(f"recession direction {tuple(x // g for x in e[:n])}")
             if tie:
                 return None
             nxt = tuple(sorted(basis[:j] + basis[j + 1 :] + (best,)))
             if nxt not in seen:
                 seen.add(nxt)
-                stack.append(nxt)
-    return sorted(vertices, key=lambda v: v.point)
+                stack.append(_pivot(dic, best, j))
+    L = math.lcm(*(dic.D for dic in walked))
+    walked.sort(key=lambda dic: tuple(x * (L // dic.D) for x in dic.X[:n]))
+    return [
+        Vertex(
+            tuple(map(Fraction, X[:n])) if D * q == 1 else tuple(Fraction(x, D * q) for x in X[:n]),
+            basis,
+            tuple(e[:n] for e in E),
+        )
+        for basis, D, X, E in walked
+    ]
 
 
 def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
     """All vertices, deduplicated, sorted lexicographically by point.
 
-    The start is the first n-subset of facets, in combinations order, whose
-    equalities meet in a point of P.  If that vertex is simple, an edge walk
-    from it lists every vertex with one integer elimination each, and raises
-    on the first unbounded edge it meets; a walk that meets none proves P
-    bounded.  With no start, P is empty or contains a line.  When its
-    normals span R^n it is pointed, so empty; otherwise P is its slice by
-    K^perp plus the kernel K of the normals, and it is empty when that
-    pointed slice has no feasible n-subset either; when it is not, the
-    first kernel vector is raised as the recession direction, with no
-    second elimination.  A start vertex that is not simple, or a walk that
-    ties, goes to the subset scan, which runs to its end: after
+    One elimination of the normals as columns picks the first n independent
+    ones and gives their dictionary.  From it the dual simplex method
+    reaches a feasible basis, or a Farkas row that proves P empty.  If that vertex is simple, an edge walk
+    from it lists every vertex, one pivot each, and raises on the first
+    unbounded edge it meets; a walk that meets none proves P bounded.  When
+    the normals do not span R^n, P is its slice by K^perp plus the kernel K
+    of the normals: the slice, with the rows +-k (offset 0) for k in K, is
+    pointed and goes through the same start, and P is empty when that start
+    finds it empty; when it does not, the first kernel vector is raised as
+    the recession direction.  A start vertex that is not simple, or a walk
+    that ties, goes to the subset scan, which runs to its end: after
     recession_direction rules out an unbounded P, it keeps the feasible
     solutions of every n-subset.  Raises for unbounded or empty input.
     """
-    scan = _feasible_bases(P)
-    start = next(scan, None)
-    if start is None:
-        # with the rows +-k (offset 0) for k in the kernel K, P's pointed
-        # slice by K^perp, which has a vertex iff P is nonempty
-        kernel = integer_kernel_basis(P.normals)
+    n, U = P.dim, P.normals
+    b = P.integer_offsets[1]
+    first = _dictionary(U, b)
+    if first is None:
+        kernel = integer_kernel_basis(U)
         rows = tuple(s for k in kernel for s in (k, tuple(-x for x in k)))
-        pointed = HalfspacePolytope(P.normals + rows, P.offsets + (0,) * len(rows))
-        if not kernel or next(_feasible_bases(pointed), None) is None:
+        if _dual_simplex(_dictionary(U + rows, b + (0,) * len(rows))) is None:
             raise EmptyPolytopeError("no feasible vertex")
         # P is nonempty and contains the line of kernel[0], the direction
         # recession_direction would return
         raise UnboundedPolytopeError(f"recession direction {kernel[0]}")
-    basis, point, tight = start
-    if len(tight) == P.dim:
-        walked = _edge_walk(P, basis)
+    start = _dual_simplex(first)
+    if start is None:
+        raise EmptyPolytopeError("no feasible vertex")
+    if start.X[n:].count(0) == n:
+        walked = _edge_walk(P, start)
         if walked is not None:
             return walked
     r = recession_direction(P)
     if r is not None:
         raise UnboundedPolytopeError(f"recession direction {r}")
-    found: dict[RationalVector, tuple[int, ...]] = {point: tight}
-    for _, point, tight in scan:
+    found: dict[RationalVector, tuple[int, ...]] = {}
+    for point, tight in _feasible_bases(P):
         found.setdefault(point, tight)
     return [Vertex(pt, found[pt]) for pt in sorted(found)]
 

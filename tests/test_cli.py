@@ -488,8 +488,8 @@ def test_analyze_reads_no_lattice_points(capsys, monkeypatch):
 
 
 def test_analyze_width_and_embed_read_unimodularity_off_the_walk(capsys, monkeypatch, tmp_path):
-    # no elimination beyond the vertex walk's but width's one in fano_check,
-    # so no Z-basis test, inverse or smoothness test of their own
+    # no elimination beyond the vertex enumeration's but width's one in
+    # fano_check, so no Z-basis test, inverse or smoothness test of their own
     path = tmp_path / "P.json"
     path.write_text(json.dumps(HUGE_BOX_INPUTS["parallelogram-2^62"][0]))
     specs = ["example-3.7", "example-3.8:50", "cpn:3:10", "cpn:4:3", str(path)]
@@ -506,33 +506,34 @@ def test_analyze_width_and_embed_read_unimodularity_off_the_walk(capsys, monkeyp
         eliminations += 1
         return eliminate(*args)
 
-    monkeypatch.setattr(toricwidth.lattice, "_eliminate", counted)
-    monkeypatch.setattr(toricwidth.width, "_eliminate", counted)
+    for mod in (toricwidth.lattice, toricwidth.polytope, toricwidth.width):
+        monkeypatch.setattr(mod, "_eliminate", counted)
     for argv, want in zip(argvs, before):
         eliminations = 0
         toricwidth.polytope.enumerate_vertices(toricwidth.cli.load_polytope(argv[1]))
-        walk = eliminations
+        vertices = eliminations
         eliminations = 0
         assert _outcome(capsys, argv) == want, argv
-        assert eliminations == walk + (argv[0] == "width"), argv
+        assert eliminations == vertices + (argv[0] == "width"), argv
 
 
-def test_verify_eliminates_only_in_the_walk(capsys, monkeypatch, tmp_path):
+def test_verify_eliminates_only_in_the_start(capsys, monkeypatch, tmp_path):
     # the facets workload's 11-facet polygon, drawn with polygon_rng(1, 11, 0):
-    # the fan, the charts and the exact checks take U^-1 off the walked
-    # vertices, so verify runs the walk's 12 eliminations and no other
+    # the walk reaches each vertex by a pivot, and the fan, the charts and the
+    # exact checks take U^-1 off the walked vertices, so verify runs the
+    # start's one elimination and no other
     path = tmp_path / "p11.json"
     path.write_text(json.dumps(polytope_data(blowup_polygon(random.Random(100011), 11))))
     calls = []
     real = toricwidth.lattice._eliminate
-    for mod in (toricwidth.lattice, toricwidth.width):
+    for mod in (toricwidth.lattice, toricwidth.polytope, toricwidth.width):
         monkeypatch.setattr(mod, "_eliminate", lambda *a: calls.append(a) or real(*a))
     toricwidth.polytope.enumerate_vertices(toricwidth.cli.load_polytope(str(path)))
-    walk = len(calls)
+    start = len(calls)
     calls.clear()
     assert main(["verify", str(path), "--samples", "1"]) == 0
     capsys.readouterr()
-    assert walk == len(calls) == 12
+    assert start == len(calls) == 1
 
 
 # empty or unbounded inputs and the one-line cause each subcommand gives; the

@@ -638,6 +638,144 @@ def test_edge_walk_matches_the_subset_scan_in_higher_dimensions(n):
         assert_same_vertices(HalfspacePolytope(P.normals, P.offsets))
 
 
+def count_pivots(monkeypatch) -> dict[str, int]:
+    """Counts of the pivots made before the edge walk starts ("start", the
+    dual simplex) and in it ("walk"), and of the eliminations wherever
+    polytope or lattice binds _eliminate, while the test runs."""
+    counts = {"start": 0, "walk": 0, "eliminations": 0}
+    phase = ["start"]
+    pivot, walk = toricwidth.polytope._pivot, toricwidth.polytope._edge_walk
+    eliminate = toricwidth.lattice._eliminate
+
+    def counted_pivot(*args):
+        counts[phase[0]] += 1
+        return pivot(*args)
+
+    def counted_walk(*args):
+        phase[0] = "walk"
+        try:
+            return walk(*args)
+        finally:
+            phase[0] = "start"
+
+    def counted_eliminate(*args):
+        counts["eliminations"] += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(toricwidth.polytope, "_pivot", counted_pivot)
+    monkeypatch.setattr(toricwidth.polytope, "_edge_walk", counted_walk)
+    for mod in (toricwidth.lattice, toricwidth.polytope):
+        monkeypatch.setattr(mod, "_eliminate", counted_eliminate)
+    return counts
+
+
+def test_the_start_eliminates_once_and_the_walk_pivots_once_per_vertex(monkeypatch):
+    # one elimination picks the first n independent normals and gives their
+    # dictionary; every other vertex is one pivot of its parent's
+    counts = count_pivots(monkeypatch)
+    b4, b5, b8 = (blowup_polygon(random.Random(s), d) for s, d in ((2, 4), (1, 5), (1, 8)))
+    products = [(product_polytope(b8, b8, b8), 512), (product_polytope(*[b5] * 4), 625),
+                (product_polytope(*[b4] * 5), 1024)]
+    for P, k in products:
+        counts.update(start=0, walk=0, eliminations=0)
+        assert len(enumerate_vertices(P)) == k
+        assert counts["eliminations"] == 1
+        assert counts["walk"] == k - 1
+
+
+def test_an_empty_product_is_found_empty_by_the_dual_simplex_method(monkeypatch):
+    # b12 x b12 and b8^3 with the facet x_1 >= 10^6: a Farkas row ends the
+    # start, and no n-subset of the C(d, n) is tried
+    def refuse(P):
+        raise AssertionError("no subset scan on an empty input")
+
+    monkeypatch.setattr(toricwidth.polytope, "_feasible_bases", refuse)
+    b8, b12 = blowup_polygon(random.Random(1), 8), blowup_polygon(random.Random(2), 12)
+    for P in (product_polytope(b12, b12), product_polytope(b8, b8, b8)):
+        far = (1,) + (0,) * (P.dim - 1)
+        Q = HalfspacePolytope(P.normals + (far,), P.offsets + (Fraction(10**6),))
+        with pytest.raises(EmptyPolytopeError, match="^no feasible vertex$"):
+            enumerate_vertices(Q)
+
+
+def big_lattice_map(rng: random.Random, n: int) -> AffineLatticeMap:
+    """(I + a E_ij)(I + b E_jk) for distinct i, j, k and |a|, |b| in
+    [2^19, 2^20]: a unimodular map whose entry ab is near 2^40.  Its inverse
+    I - a E_ij - b E_jk has no such entry, so the normals of the image under
+    the inverse, which the transpose maps, carry ab."""
+    i, j, k = rng.sample(range(n), 3)
+    a, b = (rng.choice((-1, 1)) * rng.randint(2**19, 2**20) for _ in range(2))
+    M = [[int(r == c) for c in range(n)] for r in range(n)]
+    M[i][j], M[j][k], M[i][k] = a, b, a * b
+    return AffineLatticeMap(tuple(map(tuple, M)), tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)))
+
+
+def test_the_exact_pivots_match_the_subset_scan(monkeypatch):
+    # every division of a pivot is exact, at D = 1 and at D > 1: products,
+    # 5/3-dilates, images with entries near 2^40, the simple polygons that
+    # are not Delzant, and draws with their facets shuffled, which moves the
+    # first n independent normals off the polytope so that the dual simplex
+    # method pivots
+    counts = count_pivots(monkeypatch)
+    rng = random.Random(32)
+    b4, b8 = blowup_polygon(random.Random(2), 4), blowup_polygon(random.Random(1), 8)
+    inputs = [product_polytope(b8, b8), product_polytope(b4, b4, b4)]
+    for n in (3, 4):
+        for _ in range(8):
+            P = random_delzant_polytope(rng, n)
+            order = rng.sample(range(P.num_facets), P.num_facets)
+            shuffled = HalfspacePolytope(
+                tuple(P.normals[i] for i in order), tuple(P.offsets[i] for i in order)
+            )
+            f = big_lattice_map(rng, n)
+            inputs += [P, dilate(P, Fraction(5, 3)), apply_lattice_map(P, f),
+                       apply_lattice_map(P, f.inverse()), shuffled]
+    inputs += [random_simple_non_delzant_polygon(rng) for _ in range(20)]
+    assert max(abs(x) for P in inputs for u in P.normals for x in u) > 2**38
+    starts = []
+    dual_simplex = toricwidth.polytope._dual_simplex
+    monkeypatch.setattr(
+        toricwidth.polytope, "_dual_simplex",
+        lambda dic: starts.append((dic.basis, dual_simplex(dic))) or starts[-1][1],
+    )
+    for P in inputs:
+        starts.clear()
+        assert_same_vertices(HalfspacePolytope(P.normals, P.offsets))
+        # each pivot keeps the basis dual feasible, so the start minimizes
+        # <c, x> over P, whose vertices the oracle has just confirmed, for c
+        # the sum of the first n independent normals
+        ((first, start),) = starts
+        c = [sum(col) for col in zip(*(P.normals[i] for i in first))]
+        q = P.integer_offsets[0]
+        least = min(q * start.D * dot(c, v.point) for v in enumerate_vertices(P))
+        assert dot(c, start.X[: P.dim]) == least
+    assert counts["start"] > 0
+
+
+def test_the_recession_direction_is_the_first_unbounded_edge_from_the_start():
+    # on these two inputs the first feasible n-subset in combinations order
+    # and the dual simplex start differ, and so does the first unbounded
+    # edge the walk meets: (0, -1, 0, 0) and (-1, 0, 0, 0) before the start
+    # moved to the dual simplex method
+    cases = [
+        (half_spaces(
+            [(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1),
+             (0, 0, 0, -1), (-2, -2, -1, -1)],
+            [-1, -3, 0, -1, 0, -1, 3],
+        ), "(-1, 0, 0, 0)"),
+        (half_spaces(
+            [(-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 0),
+             (0, 0, 0, 1), (-2, 1, 2, -1)],
+            [-1, 0, -3, 0, -1, 0, 2],
+        ), "(-1, 0, 0, 2)"),
+    ]
+    for P, direction in cases:
+        with pytest.raises(UnboundedPolytopeError) as got:
+            enumerate_vertices(P)
+        assert str(got.value) == f"recession direction {direction}"
+        assert_recession_direction(P, str(got.value))
+
+
 def test_normal_sums_group_each_multiset_once_by_its_sum():
     P = random_delzant_polytope(random.Random(4), 3)
     for k in range(5):

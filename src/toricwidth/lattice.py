@@ -4,13 +4,13 @@ Vectors are tuples, matrices are tuples of row tuples.  Everything in this
 module is exact: arbitrary-precision ints, fractions.Fraction, no floats.
 
 All elimination is one integer kernel, _eliminate (fraction-free
-Gauss-Jordan).  fraction_free_solve and solve_rational read D and the
-right-hand block, rref the rows over D and the pivot columns; the rest sit
-on these.  The vertex enumeration eliminates only at its start, once, to
-pick n independent normals with their dictionary; its later pivots are
-its own.  No Z-basis test lives here: a vertex's tight normals form one
-when the walk's D = |det U_A| there is 1, and the fan and the charts take
-their inverses from the walk.
+Gauss-Jordan).  solve_rational reads D and the right-hand block, rref the
+rows over D and the pivot columns; the rest sit on these.  The vertex
+enumeration calls _eliminate once, at its start, to pick n independent
+normals with their dictionary; its later pivots are its own.  No Z-basis
+test lives here: a vertex's tight normals form one when the walk's
+D = |det U_A| there is 1, and the fan and the charts take their inverses
+from the walk.  The tests' oracles keep their own square solve in geomgen.
 """
 
 from __future__ import annotations
@@ -96,29 +96,6 @@ def _eliminate(A: list[list[int]], width: int) -> tuple[list[int], int]:
         pivots.append(c)
         D = p
     return pivots, D
-
-
-def fraction_free_solve(
-    M: Sequence[Sequence[int]], B: Sequence[Sequence[int]]
-) -> tuple[int, list[list[int]]] | None:
-    """Integers (D, Y) with M Y = D B and D > 0; None when M is singular.
-
-    M is an n x n integer matrix and B an integer matrix of n rows, given as
-    rows.  [M | B] is eliminated with pivots in M's columns: the left block
-    ends as the last pivot, +-det M, times the identity, so D = |det M| and
-    Y = D M^-1 B.
-    """
-    n = len(M)
-    if n == 0 or any(len(row) != n for row in M) or len(B) != n:
-        raise ValueError("need a square system with matching right-hand side")
-    A = [[*row, *rhs] for row, rhs in zip(M, B)]
-    pivots, D = _eliminate(A, n)
-    if len(pivots) < n:
-        return None
-    Y = [row[n:] for row in A]
-    if D < 0:
-        return -D, [[-y for y in row] for row in Y]
-    return D, Y
 
 
 def solve_rational(M: Sequence[Sequence], b: Sequence) -> RationalVector | None:

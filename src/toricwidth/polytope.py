@@ -10,20 +10,22 @@ chart of qP at q v, in integers, so no dilated copy qP is built.  Vertices
 come from integer pivots on a dictionary of D U_A^-1 and the facet
 slacks, as in lrs: the dual simplex method pivots from the first n
 independent normals to a feasible basis, or to a row that proves P empty,
-and a walk along the edges of a simple polytope reaches each neighbour by
-one pivot of its parent's dictionary, so the start's one elimination is
-the only one.  Each walked vertex keeps its edge directions, and an
-unbounded edge is reported as the recession direction.  A polytope that is
-not simple is handed to the scan of every n-subset instead.  The walk is
-the one place a vertex is found unimodular: the Delzant test reads
-D = |det U_A| off the walked vertex, and the normalization at a vertex,
-the normal fan and its charts read U_A^-1 off it, with no elimination of
-their own.  The lattice-point count and the volume of a Delzant polytope
-are vertex sums over those edge directions (Brion's and Lawrence's
-formulas), so their cost follows the vertices, not the volume.
-The lattice points themselves come fibre by fibre, x_n's interval above
-each prefix x_1..x_{n-1}, from a walk over the coordinates that drops a
-partial prefix once a facet is out of reach of the rest of the box.
+and a walk over the feasible bases reaches each by one pivot of its
+parent's dictionary, so the start's one elimination is the only one.  On a
+simple polytope the bases are the vertices and the pivots its edges; where
+a ratio test ties, the walk takes every tied facet, so it also lists the
+vertices of a polytope that is not simple.  Each vertex on exactly n
+facets keeps its edge directions, and an unbounded edge is reported as the
+recession direction.  The walk is the one place a vertex is found
+unimodular: the Delzant test reads D = |det U_A| off each vertex on n
+facets, and the normalization at a vertex, the normal fan and its charts
+read U_A^-1 off it, with no elimination of their own.  The lattice-point
+count and the volume of a Delzant polytope are vertex sums over those edge
+directions (Brion's and Lawrence's formulas), so their cost follows the
+vertices, not the volume.  The lattice points themselves come fibre by
+fibre, x_n's interval above each prefix x_1..x_{n-1}, from a walk over the
+coordinates that drops a partial prefix once a facet is out of reach of
+the rest of the box.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .lattice import (
     RationalVector,
     _eliminate,
     dot,
-    fraction_free_solve,
     int_vector,
     integer_kernel_basis,
     is_primitive,
@@ -133,13 +134,13 @@ class HalfspacePolytope:
 class Vertex:
     """A vertex point together with the indices of all facets tight there.
 
-    A vertex of the edge walk also keeps its edge directions: edges[k] is
-    column k of D U_A^-1, with U_A the normals of the facets `active` as
-    rows and D = |det U_A|, so it leaves facet active[k] and stays on the
-    others.  <edges[0], u_{A_0}> = D, so D = 1, a Z-basis of tight normals,
-    is read off them: is_delzant, vertex_sums, normalize_at_vertex and
-    fan.normal_fan do so.  They are None on a vertex of the subset scan,
-    and not compared.
+    A vertex on exactly n facets also keeps the edge directions the walk
+    gives it: edges[k] is column k of D U_A^-1, with U_A the normals of the
+    facets `active` as rows and D = |det U_A|, so it leaves facet active[k]
+    and stays on the others.  <edges[0], u_{A_0}> = D, so D = 1, a Z-basis
+    of tight normals, is read off them: is_delzant, vertex_sums,
+    normalize_at_vertex and fan.normal_fan do so.  They are None on a
+    vertex on more than n facets, and not compared.
     """
 
     point: RationalVector
@@ -157,7 +158,10 @@ def recession_direction(P: HalfspacePolytope) -> IntVector | None:
 
     The recession cone is {0} iff the normals positively span R^n.  A nonzero
     recession cone either contains a line (normals do not span R^n) or has an
-    extreme ray cut out by n-1 linearly independent normals.
+    extreme ray cut out by n-1 linearly independent normals, so the search
+    makes one elimination per (n-1)-subset.  No command calls it: the edge
+    walk reports an unbounded edge instead.  The benchmark's tracer binds it
+    by name, and the tests' oracle_vertices calls it.
     """
     n = P.dim
     kernel = integer_kernel_basis(P.normals)  # empty iff the normals span R^n
@@ -176,26 +180,6 @@ def recession_direction(P: HalfspacePolytope) -> IntVector | None:
             if all(dot(s, u) >= 0 for u in P.normals):
                 return s
     return None
-
-
-def _feasible_bases(P: HalfspacePolytope):
-    """(point, tight facets) for every n-subset of facets, in combinations
-    order, whose equalities meet in one point of P.
-
-    (q, b) = P.integer_offsets, so each subset is one integer elimination
-    and feasibility is an integer sign test.
-    """
-    q, b = P.integer_offsets
-    for basis in combinations(range(P.num_facets), P.dim):
-        solved = fraction_free_solve([P.normals[i] for i in basis], [(b[i],) for i in basis])
-        if solved is None:
-            continue
-        D, Y = solved
-        X = [y for y, in Y]
-        slack = [sum(map(operator.mul, u, X)) - D * bi for u, bi in zip(P.normals, b)]
-        if min(slack) >= 0:
-            point = tuple(Fraction(x, D * q) for x in X)
-            yield point, tuple(i for i, s in enumerate(slack) if s == 0)
 
 
 class _Dictionary(NamedTuple):
@@ -301,22 +285,27 @@ def _dual_simplex(dic: _Dictionary) -> _Dictionary | None:
         dic = _pivot(dic, i, best)
 
 
-def _edge_walk(P: HalfspacePolytope, start: _Dictionary) -> list[Vertex] | None:
-    """Every vertex, by a depth-first search of the edge graph from the
-    simple vertex of the dictionary `start`; None when a ratio test ties.
+def _edge_walk(P: HalfspacePolytope, start: _Dictionary) -> list[Vertex]:
+    """Every vertex, by a depth-first search over the feasible bases from
+    the dictionary `start`.
 
-    At a vertex on the facets A, the edge e_j leaves A_j and stays on the
-    others.  Along x + t e_j the slack S_i of facet i changes by t R_ij, so
-    the neighbour's new facet is the i with R_ij < 0 and the least ratio
-    S_i / -R_ij, compared by integer cross-multiplication: the dictionary
-    holds both, so no dot product is taken.  No such i means an unbounded
-    edge: then <e_j, u_i> >= 0 for every i, so e_j over the gcd of its
-    entries is raised as the recession direction.  A unique least ratio
-    keeps the neighbour simple, so every visited vertex is simple and its
-    tight facets are its basis.  Each unseen neighbour's dictionary is one
-    pivot of its parent's, so a walk over k vertices makes k - 1 pivots and
-    no elimination.  The vertices are sorted on the integers X L / D, with
-    L the lcm of the D's, which order them as their points do.
+    At a basis A, the edge e_j leaves A_j and stays on the others.  Along
+    x + t e_j the slack S_i of facet i changes by t R_ij, so the next basis
+    takes in an i with R_ij < 0 and the least ratio S_i / -R_ij, compared
+    by integer cross-multiplication: the dictionary holds both, so no dot
+    product is taken.  When several facets reach the least ratio, each
+    gives a basis, and a ratio of 0 (a facet already tight) gives another
+    basis at the same point; the feasible bases are connected by these
+    pivots, so the search reaches them all.  No i with R_ij < 0 means an
+    unbounded edge: then <e_j, u_i> >= 0 for every i, so e_j over the gcd
+    of its entries is raised as the recession direction.  Each unseen
+    basis's dictionary is one pivot of its parent's, so no elimination is
+    made.  The bases are grouped by their points, sorted on the integers
+    X L / D, with L the lcm of the D's, which order them as the points do.
+    A point on exactly n facets has one basis, whose edges it keeps; a
+    point on more is a vertex with its tight facets and no edges.  On a
+    simple polytope every basis is a vertex, so k vertices take k - 1
+    pivots.
     """
     n = P.dim
     q = P.integer_offsets[0]
@@ -329,8 +318,9 @@ def _edge_walk(P: HalfspacePolytope, start: _Dictionary) -> list[Vertex] | None:
         basis, _, X, E = dic
         S = X[n:]
         for j, e in enumerate(E):
+            R = e[n:]
             best, tie = None, False
-            for i, r in enumerate(e[n:]):
+            for i, r in enumerate(R):
                 if r >= 0:
                     continue
                 # c > 0 iff S[i] / -r < s_best / -r_best
@@ -342,22 +332,28 @@ def _edge_walk(P: HalfspacePolytope, start: _Dictionary) -> list[Vertex] | None:
             if best is None:
                 g = math.gcd(*e[:n])
                 raise UnboundedPolytopeError(f"recession direction {tuple(x // g for x in e[:n])}")
-            if tie:
-                return None
-            nxt = tuple(sorted(basis[:j] + basis[j + 1 :] + (best,)))
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(_pivot(dic, best, j))
+            entering = (best,)
+            if tie:  # every facet of the least ratio
+                entering = [i for i, r in enumerate(R) if r < 0 and S[i] * r_best == s_best * r]
+            rest = basis[:j] + basis[j + 1 :]
+            for i in entering:
+                nxt = tuple(sorted(rest + (i,)))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(_pivot(dic, i, j))
     L = math.lcm(*(dic.D for dic in walked))
-    walked.sort(key=lambda dic: tuple(x * (L // dic.D) for x in dic.X[:n]))
-    return [
-        Vertex(
-            tuple(map(Fraction, X[:n])) if D * q == 1 else tuple(Fraction(x, D * q) for x in X[:n]),
-            basis,
-            tuple(e[:n] for e in E),
-        )
-        for basis, D, X, E in walked
-    ]
+    points = {}
+    for dic in walked:
+        points.setdefault(tuple(x * (L // dic.D) for x in dic.X[:n]), dic)
+    vertices = []
+    for _, (basis, D, X, E) in sorted(points.items()):
+        x, S = X[:n], X[n:]
+        point = tuple(map(Fraction, x)) if D * q == 1 else tuple(Fraction(c, D * q) for c in x)
+        if S.count(0) == n:
+            vertices.append(Vertex(point, basis, tuple(e[:n] for e in E)))
+        else:
+            vertices.append(Vertex(point, tuple(i for i, s in enumerate(S) if s == 0)))
+    return vertices
 
 
 def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
@@ -365,19 +361,16 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
 
     One elimination of the normals as columns picks the first n independent
     ones and gives their dictionary.  From it the dual simplex method
-    reaches a feasible basis, or a Farkas row that proves P empty.  If that vertex is simple, an edge walk
-    from it lists every vertex, one pivot each, and raises on the first
-    unbounded edge it meets; a walk that meets none proves P bounded.  When
-    the normals do not span R^n, P is its slice by K^perp plus the kernel K
-    of the normals: the slice, with the rows +-k (offset 0) for k in K, is
-    pointed and goes through the same start, and P is empty when that start
-    finds it empty; when it does not, the first kernel vector is raised as
-    the recession direction.  A start vertex that is not simple, or a walk
-    that ties, goes to the subset scan, which runs to its end: after
-    recession_direction rules out an unbounded P, it keeps the feasible
-    solutions of every n-subset.  Raises for unbounded or empty input.
+    reaches a feasible basis, or a Farkas row that proves P empty.  An edge
+    walk from that basis lists every vertex by pivots and raises on the
+    first unbounded edge it meets; a walk that meets none proves P bounded.
+    When the normals do not span R^n, P is its slice by K^perp plus the
+    kernel K of the normals: the slice, with the rows +-k (offset 0) for k
+    in K, is pointed and goes through the same start, and P is empty when
+    that start finds it empty; when it does not, the first kernel vector is
+    raised as the recession direction.  Raises for unbounded or empty input.
     """
-    n, U = P.dim, P.normals
+    U = P.normals
     b = P.integer_offsets[1]
     first = _dictionary(U, b)
     if first is None:
@@ -385,27 +378,16 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
         rows = tuple(s for k in kernel for s in (k, tuple(-x for x in k)))
         if _dual_simplex(_dictionary(U + rows, b + (0,) * len(rows))) is None:
             raise EmptyPolytopeError("no feasible vertex")
-        # P is nonempty and contains the line of kernel[0], the direction
-        # recession_direction would return
+        # P is nonempty and contains the line of kernel[0]
         raise UnboundedPolytopeError(f"recession direction {kernel[0]}")
     start = _dual_simplex(first)
     if start is None:
         raise EmptyPolytopeError("no feasible vertex")
-    if start.X[n:].count(0) == n:
-        walked = _edge_walk(P, start)
-        if walked is not None:
-            return walked
-    r = recession_direction(P)
-    if r is not None:
-        raise UnboundedPolytopeError(f"recession direction {r}")
-    found: dict[RationalVector, tuple[int, ...]] = {}
-    for point, tight in _feasible_bases(P):
-        found.setdefault(point, tight)
-    return [Vertex(pt, found[pt]) for pt in sorted(found)]
+    return _edge_walk(P, start)
 
 
 def _unimodular(P: HalfspacePolytope, v: Vertex) -> bool:
-    """v is a vertex of the edge walk whose tight normals form a Z-basis:
+    """v lies on exactly n facets whose normals form a Z-basis:
     D = <w_0, u_{A_0}> = 1, read off its first edge direction."""
     if v.edges is None:
         return False
@@ -415,11 +397,9 @@ def _unimodular(P: HalfspacePolytope, v: Vertex) -> bool:
 def is_delzant(P: HalfspacePolytope) -> bool:
     """Every vertex has exactly n tight facets whose normals form a Z-basis.
 
-    Read off the walk, with no elimination of its own.  The walk's vertices
-    are all simple and each carries D in its edges.  The subset scan, whose
-    vertices carry no edges, runs only when P is not simple: when the start
-    vertex lies on more than n facets, or when a ratio test ties, which puts
-    n + 1 facets through the neighbour.  So the test is exact.
+    Read off the walk, with no elimination of its own: each vertex on
+    exactly n facets carries D in its edges, and a vertex on more carries
+    none, so it fails.
     """
     return all(_unimodular(P, v) for v in P.vertices)
 
@@ -569,7 +549,7 @@ def vertex_sums(P: HalfspacePolytope) -> tuple[int, Fraction]:
       computation, 1991): sum_v <v, c>^n / (n! prod_k (-a_k)), where
       <v, c> = sum_k lambda_{A_k} a_k, as v = U_A^-1 lambda_A.
     Python integers throughout, and no vertex is inverted again.  Raises
-    NotDelzantError unless every vertex is a walked vertex with D = 1.
+    NotDelzantError unless every vertex lies on n facets with D = 1.
     """
     n = P.dim
     q, b = P.integer_offsets
@@ -618,15 +598,11 @@ def normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
     the columns of U_A^-1, so the image normals U_A^-T u_i are
     (<w_k, u_i>)_k.  The image gets P's vertices: a vertex x maps to
     <u_{A_k}, q x> - q lambda_{A_k}, in integers over one denominator,
-    kept as ints when that is 1, with the same tight facets, and its edges
-    are mapped by U_A.  No dilated copy of P is built.
+    kept as ints when that is 1, with the same tight facets, and its edges,
+    if it has them, are mapped by U_A.  No dilated copy of P is built.
     """
     if len(v.active) != P.dim:
         raise NotDelzantError(f"vertex {format_point(v.point)} lies on {len(v.active)} facets")
-    if v.edges is None:  # a vertex of the subset scan
-        raise NotDelzantError(
-            f"vertex {format_point(v.point)} is on a polytope that is not simple"
-        )
     if not _unimodular(P, v):
         raise NotDelzantError(f"normals at {format_point(v.point)} do not form a Z-basis")
     q, b = P.integer_offsets
@@ -643,7 +619,8 @@ def normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
         mx = [c.numerator * (m // c.denominator) for c in x.point]
         s = [sum(map(operator.mul, u, mx)) - b[i] * r for u, i in zip(A, v.active)]
         point = tuple(s) if r == 1 else tuple(Fraction(t, r) for t in s)
-        # P's vertices come from the walk that gave v, so each has its edges
+        if x.edges is None:  # on more than n facets
+            return Vertex(point, x.active)
         edges = tuple(tuple(sum(map(operator.mul, u, w)) for u in A) for w in x.edges)
         return Vertex(point, x.active, edges)
 

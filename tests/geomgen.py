@@ -27,9 +27,9 @@ from toricwidth.lattice import (
     IntMatrix,
     IntVector,
     RationalVector,
+    _eliminate,
     dot,
     int_vector,
-    fraction_free_solve,
     integer_kernel_basis,
     rational_vector,
     rref,
@@ -141,6 +141,30 @@ def mat_vec(M: Sequence[Sequence], x: Sequence) -> tuple:
 def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple:
     Bt = transpose(B)
     return tuple(tuple(dot(row, col) for col in Bt) for row in A)
+
+
+def fraction_free_solve(
+    M: Sequence[Sequence[int]], B: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]] | None:
+    """Integers (D, Y) with M Y = D B and D > 0; None when M is singular.
+
+    M is an n x n integer matrix and B an integer matrix of n rows, given as
+    rows.  [M | B] is eliminated with pivots in M's columns: the left block
+    ends as the last pivot, +-det M, times the identity, so D = |det M| and
+    Y = D M^-1 B.  On the library's elimination kernel, lattice._eliminate,
+    which the vertex enumeration's start runs too.
+    """
+    n = len(M)
+    if n == 0 or any(len(row) != n for row in M) or len(B) != n:
+        raise ValueError("need a square system with matching right-hand side")
+    A = [[*row, *rhs] for row, rhs in zip(M, B)]
+    pivots, D = _eliminate(A, n)
+    if len(pivots) < n:
+        return None
+    Y = [row[n:] for row in A]
+    if D < 0:
+        return -D, [[-y for y in row] for row in Y]
+    return D, Y
 
 
 def inverse_unimodular(M: Sequence[Sequence[int]]) -> IntMatrix:
@@ -355,6 +379,37 @@ def random_simple_non_delzant_polygon(rng: random.Random) -> HalfspacePolytope:
     offsets = (0, 0, -k, -l, 1)
     P = HalfspacePolytope(normals, tuple(Fraction(x) for x in offsets))
     return apply_lattice_map(P, random_unimodular_map(rng))
+
+
+def random_cut_cube(rng: random.Random, n: int) -> HalfspacePolytope:
+    """A box [0, a_1] x ... x [0, a_n], a_k in 1..3, cut by up to three
+    halfspaces whose boundaries pass through corners of the box, and in
+    about a third of the draws with one facet dropped.  A cut through a
+    corner that stays in P puts it on n + 1 facets, so most draws are not
+    simple; some are empty and some unbounded."""
+    a = [rng.randint(1, 3) for _ in range(n)]
+    axes = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    normals = axes + [tuple(-x for x in u) for u in axes]
+    offsets = [0] * n + [-x for x in a]
+    for _ in range(rng.randint(1, 3)):
+        u = tuple(rng.choice((-2, -1, -1, 0, 1, 1, 2)) for _ in range(n))
+        if any(u) and math.gcd(*u) == 1 and u not in normals:
+            normals.append(u)
+            offsets.append(dot(u, [rng.choice((0, x)) for x in a]))
+    if rng.random() < 1 / 3:
+        k = rng.randrange(len(normals))
+        del normals[k], offsets[k]
+    return HalfspacePolytope(tuple(normals), tuple(Fraction(l) for l in offsets))
+
+
+def oracle_feasible_bases(P: HalfspacePolytope) -> int:
+    """The number of n-subsets of facets whose normals are independent and
+    whose equalities meet in a point of P: every n-subset solved exactly."""
+    count = 0
+    for idx in combinations(range(P.num_facets), P.dim):
+        x = solve_rational([P.normals[i] for i in idx], [P.offsets[i] for i in idx])
+        count += x is not None and all(dot(x, u) >= l for u, l in zip(P.normals, P.offsets))
+    return count
 
 
 def oracle_vertices(P: HalfspacePolytope) -> list[Vertex]:

@@ -680,7 +680,7 @@ def test_embed_and_analyze_test_no_box_point(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("sub", ["analyze", "width", "embed", "verify"])
 def test_bounded_inputs_make_no_recession_search(capsys, monkeypatch, tmp_path, sub):
-    # the edge walk proves these bounded, so it never falls back to the scan
+    # the edge walk proves these bounded, with no search of its own
     p16 = tmp_path / "p16.json"
     p16.write_text(json.dumps(polytope_data(blowup_polygon(random.Random(100016), 16))))
     calls = []

@@ -7,6 +7,7 @@ import pytest
 from geomgen import (
     AffineLatticeMap,
     blowup_polygon,
+    fraction_free_solve,
     inverse_unimodular,
     mat_mul,
     mat_vec,
@@ -20,7 +21,6 @@ from toricwidth.fan import Fan, normal_fan
 from toricwidth.fixtures import resolve_fixture
 from toricwidth.lattice import (
     dot,
-    fraction_free_solve,
     int_vector,
     integer_kernel_basis,
     is_primitive,

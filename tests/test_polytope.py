@@ -17,6 +17,7 @@ from geomgen import (
     lattice_point_ladder,
     oracle_det,
     oracle_ehrhart_volume,
+    oracle_feasible_bases,
     oracle_is_delzant,
     oracle_lattice_points,
     oracle_normalize_at_vertex,
@@ -24,6 +25,7 @@ from geomgen import (
     oracle_vertices,
     polytope_data,
     product_polytope,
+    random_cut_cube,
     random_delzant_polygon,
     random_delzant_polytope,
     random_simple_non_delzant_polygon,
@@ -51,6 +53,7 @@ from toricwidth.polytope import (
     lattice_fibres,
     lattice_points,
     normalize_at_vertex,
+    recession_direction,
     vertex_sums,
 )
 
@@ -403,15 +406,15 @@ def raises(f, *args) -> bool:
 
 def unimodularity_generators():
     """count_generators() with five 5/3 dilates of blow-up polygons, simple
-    non-Delzant polygons, the bounded inputs the walk hands to the subset
-    scan, and lattice images of all of these with shears of 2^40 and 2^62."""
+    non-Delzant polygons, the bounded inputs of FALLBACK_INPUTS, and lattice
+    images of all of these with shears of 2^40 and 2^62."""
     rng = random.Random(62)
-    scanned = [P for P in FALLBACK_INPUTS if not raises(enumerate_vertices, P)]
+    bounded = [P for P in FALLBACK_INPUTS if not raises(enumerate_vertices, P)]
     base = (
         count_generators()
         + [dilate(blowup_polygon(random.Random(d), d), Fraction(5, 3)) for d in range(5, 10)]
         + [random_simple_non_delzant_polygon(random.Random(seed)) for seed in range(10)]
-        + scanned
+        + bounded
     )
     return base + [lattice_image(P, rng, shear) for shear in (2**40, 2**62) for P in base]
 
@@ -425,14 +428,13 @@ def test_is_delzant_equals_the_oracle_on_every_generator():
 def test_normalize_at_vertex_equals_the_oracle_map_at_every_vertex():
     # the image of the oracle map, with its vertices and edges enumerated
     # afresh; on a rational P (the 5/3-dilates) that is the normalization of
-    # qP at q v; vertices that are not unimodular are refused by both
+    # qP at q v; vertices that are not unimodular are refused by both, and
+    # every vertex on exactly n facets carries the walk's edges
     for P in unimodularity_generators():
         for v in P.vertices:
+            assert len(v.active) != P.dim or v.edges is not None
             if len(v.active) != P.dim:
                 with pytest.raises(NotDelzantError, match=r"^vertex .* lies on \d+ facets$"):
-                    normalize_at_vertex(P, v)
-            elif v.edges is None:
-                with pytest.raises(NotDelzantError, match=r"polytope that is not simple$"):
                     normalize_at_vertex(P, v)
             elif raises(vertex_map, P, v):
                 with pytest.raises(NotDelzantError, match=r"do not form a Z-basis$"):
@@ -448,14 +450,15 @@ def test_normalize_at_vertex_equals_the_oracle_map_at_every_vertex():
 
 
 def test_normalize_at_vertex_names_what_is_not_delzant():
-    # the cut cube's origin is simple, but the walk ties, so the subset scan
-    # lists the vertices and no vertex carries the walk's edges
+    # the cut cube is not simple, but its origin lies on three facets whose
+    # normals form a Z-basis, so it normalizes; the corner (0, 0, 1) does not
     origin, corner = CUT_CUBE.vertices[:2]
-    assert (origin.point, len(origin.active), origin.edges) == ((0, 0, 0), 3, None)
-    with pytest.raises(
-        NotDelzantError, match=r"^vertex \(0, 0, 0\) is on a polytope that is not simple$"
-    ):
-        normalize_at_vertex(CUT_CUBE, origin)
+    assert (origin.point, origin.active) == ((0, 0, 0), (0, 1, 2))
+    assert origin.edges is not None and corner.edges is None
+    Q = normalize_at_vertex(CUT_CUBE, origin)
+    want = oracle_normalize_at_vertex(CUT_CUBE, origin)
+    assert (Q.normals, Q.offsets) == (want.normals, want.offsets)
+    assert Q.vertices == HalfspacePolytope(want.normals, want.offsets).vertices
     with pytest.raises(NotDelzantError, match=r"^vertex \(0, 0, 1\) lies on 4 facets$"):
         normalize_at_vertex(CUT_CUBE, corner)
 
@@ -522,7 +525,8 @@ def half_spaces(normals, offsets):
     return HalfspacePolytope(tuple(normals), tuple(Fraction(l) for l in offsets))
 
 
-# inputs the edge walk must hand to the subset scan, with the scan's result
+# inputs that are not simple, unbounded, empty or not pointed: the walk
+# follows ratio ties and degenerate pivots through them
 CUT_CUBE = half_spaces(
     [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (-1, -1, -1)],
     [0, 0, 0, -1, -1, -1, -1],
@@ -685,12 +689,12 @@ def test_the_start_eliminates_once_and_the_walk_pivots_once_per_vertex(monkeypat
 
 def test_an_empty_product_is_found_empty_by_the_dual_simplex_method(monkeypatch):
     # b12 x b12 and b8^3 with the facet x_1 >= 10^6: a Farkas row ends the
-    # start, and no n-subset of the C(d, n) is tried
-    def refuse(P):
-        raise AssertionError("no subset scan on an empty input")
+    # start, and no walk runs
+    def refuse(P, start):
+        raise AssertionError("no edge walk on an empty input")
 
-    monkeypatch.setattr(toricwidth.polytope, "_feasible_bases", refuse)
     b8, b12 = blowup_polygon(random.Random(1), 8), blowup_polygon(random.Random(2), 12)
+    monkeypatch.setattr(toricwidth.polytope, "_edge_walk", refuse)
     for P in (product_polytope(b12, b12), product_polytope(b8, b8, b8)):
         far = (1,) + (0,) * (P.dim - 1)
         Q = HalfspacePolytope(P.normals + (far,), P.offsets + (Fraction(10**6),))
@@ -774,6 +778,59 @@ def test_the_recession_direction_is_the_first_unbounded_edge_from_the_start():
             enumerate_vertices(P)
         assert str(got.value) == f"recession direction {direction}"
         assert_recession_direction(P, str(got.value))
+
+
+def pyramid(polygon, p):
+    """The pyramid over a polygon with integer offsets, apex (p, 1) for a
+    lattice point p inside it: z >= 0 and <u_i, x> + (lambda_i - <u_i, p>) z
+    >= lambda_i, so the apex lies on every side facet."""
+    sides = [(*u, int(l) - dot(u, p)) for u, l in zip(polygon.normals, polygon.offsets)]
+    return half_spaces([(0, 0, 1), *sides], [0, *polygon.offsets])
+
+
+DODECAGON = half_spaces(
+    [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1), (-1, 0), (-2, -1), (-1, -1), (-1, -2),
+     (0, -1), (1, -1)],
+    [-5, -11, -7, -11, -5, -7, -5, -11, -7, -11, -5, -7],
+)
+
+
+def test_the_walk_follows_ties_through_every_feasible_basis(monkeypatch):
+    # polytopes that are not simple: the walk pushes one pivot per facet of
+    # the least ratio, degenerate zero-ratio pivots included, and reaches
+    # every feasible basis from the start's one elimination
+    counts = count_pivots(monkeypatch)
+    square = half_spaces([(1, 0), (0, 1), (-1, 0), (0, -1)], [-1, -1, -1, -1])
+    pyramids = [pyramid(square, (0, 0)), pyramid(DODECAGON, (0, 0))]
+    # the apex (0, 0, 1) lies on every side facet
+    assert [len(P.vertices) for P in pyramids] == [5, 13]
+    assert [max(len(v.active) for v in P.vertices) for P in pyramids] == [4, 12]
+    rng = random.Random(33)
+    draws = [random_cut_cube(rng, n) for n in (2, 3, 4) for _ in range(100)]
+    bounded = not_simple = 0
+    for P in pyramids + [CUT_CUBE] + draws:
+        assert_same_vertices(P)
+        if raises(enumerate_vertices, P):
+            continue
+        bounded += 1
+        bases = oracle_feasible_bases(P)
+        counts.update(start=0, walk=0, eliminations=0)
+        vertices = enumerate_vertices(P)
+        assert counts["eliminations"] == 1
+        assert counts["walk"] + 1 == bases
+        assert all((len(v.active) == P.dim) == (v.edges is not None) for v in vertices)
+        not_simple += any(v.edges is None for v in vertices)
+    assert bounded > 200 and not_simple > 150
+
+
+def test_an_open_pyramid_reports_the_first_unbounded_edge_of_the_walk():
+    # the apex lies on all four facets; the walk meets the unbounded edge
+    # (-1, 1, -1) first, where the search over pairs of normals finds another
+    P = half_spaces([(0, 1, -1), (1, 0, -1), (0, -1, -1), (-1, 0, -1)], [0, 0, 0, 0])
+    assert recession_direction(P) == (-1, -1, -1)
+    with pytest.raises(UnboundedPolytopeError, match=r"^recession direction \(-1, 1, -1\)$"):
+        enumerate_vertices(P)
+    assert_same_vertices(P)
 
 
 def test_normal_sums_group_each_multiset_once_by_its_sum():

@@ -13,19 +13,18 @@ z -> z^A equals z -> z^B exactly when the integer matrices A and B are
 equal; so every identity among them is one of exponent matrices, which
 verify decides in exact integer arithmetic without evaluating a point.
 
-Every chart of a fan with k maximal cones comes from one exact product
-(chart_table): the stacked inverses U_c^-1, the edge directions of the
-walked vertices (fan.normal_fan), times the generators give the (k, n, d)
-table T with T[c]_ij = <w_i^c, u_j>.  Its columns on chart c's cone are the
-identity and its other columns are c's V; the exponents of the chart change
-phi_b after psi_a, E[a, b] = U_b^-1 U_a, are T[b]'s columns on a's cone.  So
-every V is a gather of T, and no chart runs an elimination or a product of
-its own.  T is int64 when d M^2 < INT64_BOUND for
-M = max(n max|w| max|u|, max|u|, 1), which bounds T, the generators and
-every product and partial sum of T, of the generators and of verify's exact
-checks on them (see verify.exact_checks), and an object array of Python
-ints, exact at any size, otherwise.  chart_for_cone and transition_map give
-the exact data of one chart and of one chart change.
+Every chart of a fan with k maximal cones comes from the walk (chart_table):
+the pairings of the walked vertices (fan.normal_fan), stacked, are the
+(k, n, d) table T with T[c]_ij = <w_i^c, u_j>, w_i^c the rows of U_c^-1.
+Its columns on chart c's cone are the identity and its other columns are
+c's V; the exponents of the chart change phi_b after psi_a,
+E[a, b] = U_b^-1 U_a, are T[b]'s columns on a's cone.  So every V is a
+gather of T, and no chart runs an elimination or a product of its own.  T
+is int64 when d M^2 < INT64_BOUND for M = max(n max|w| max|u|, max|u|, 1),
+which bounds T, the generators and every product and partial sum of
+verify's exact checks on them (see verify.exact_checks), and an object
+array of Python ints, exact at any size, otherwise.  chart_for_cone and
+transition_map give the exact data of one chart and of one chart change.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ import numpy as np
 from .fan import Fan
 from .lattice import IntMatrix, dot
 
-# an int64 product is used only when a bound on its entries and partial sums
-# stays below this; a module constant, so that a test can force the fallback
+# int64 tables are used only when a bound on their products' entries and
+# partial sums stays below this; a module constant, so a test can force the fallback
 INT64_BOUND = 2**63
 
 
@@ -58,24 +57,25 @@ class ChartData:
     V: IntMatrix  # n x (d - n); column l belongs to generator complement[l]
 
 
-def _inverse(F: Fan, cone_index: int) -> IntMatrix:
-    """U^-1 of F.max_cones[cone_index]; refuses a cone that is not unimodular."""
+def _cone_rows(F: Fan, cone_index: int) -> tuple[IntMatrix, IntMatrix]:
+    """U^-1 of F.max_cones[cone_index] and its pairings U^-1 G^T, as the
+    walk kept them; refuses a cone that is not unimodular."""
     cone = F.max_cones[cone_index]
     if len(cone) != F.dim:
         raise NonUnimodularConeError(f"cone {cone} is not full-dimensional")
     U_inv = F.inverses[cone_index] if F.inverses else None
     if U_inv is None:
         raise NonUnimodularConeError(f"cone {cone} generators are not a Z-basis")
-    return U_inv
+    return U_inv, F.pairings[cone_index]
 
 
 def chart_for_cone(F: Fan, cone_index: int) -> ChartData:
     """Chart data for F.max_cones[cone_index]; the cone must be unimodular.
-    V[k][l] = <w_k, u_{complement[l]}> over the rows w_k of F's U^-1."""
-    U_inv = _inverse(F, cone_index)
+    V[k][l] = <w_k, u_{complement[l]}>, gathered from the cone's pairings."""
+    U_inv, pairings = _cone_rows(F, cone_index)
     cone = F.max_cones[cone_index]
     complement = tuple(i for i in range(len(F.generators)) if i not in cone)
-    V = tuple(tuple(dot(w, F.generators[j]) for j in complement) for w in U_inv)
+    V = tuple(tuple(row[j] for j in complement) for row in pairings)
     U = tuple(zip(*(F.generators[i] for i in cone)))
     return ChartData(F, cone, complement, U, U_inv, V)
 
@@ -97,8 +97,8 @@ def largest(A: np.ndarray) -> int:
 class ChartTable:
     """Every chart of a smooth fan: its generators G (d, n), and per
     maximal cone c its slots cone[c], its complement, U_c^-1 and
-    T[c] = U_c^-1 G^T.  G, the inverses and T are all int64 or all
-    Python-int object arrays (see the module doc)."""
+    T[c] = U_c^-1 G^T, the pairings of c's vertex.  G, the inverses and T
+    are all int64 or all Python-int object arrays (see the module doc)."""
 
     generators: np.ndarray  # (d, n)
     cone: np.ndarray  # (k, n)
@@ -108,20 +108,20 @@ class ChartTable:
 
 
 def chart_table(F: Fan) -> ChartTable:
-    """Every chart of F from one exact product of the stacked inverses and
-    the generators; refuses F, naming the first such cone, when a maximal
-    cone is not unimodular."""
-    inverses = [_inverse(F, ci) for ci in range(len(F.max_cones))]
+    """Every chart of F, stacked from the cones' inverses and pairings with
+    no product; refuses F, naming the first such cone, when a maximal cone
+    is not unimodular."""
+    inverses, pairings = zip(*(_cone_rows(F, ci) for ci in range(len(F.max_cones))))
     k, n, d = len(inverses), F.dim, len(F.generators)
     cone = np.array(F.max_cones, dtype=np.int64).reshape(k, n)
     off = np.ones((k, d), dtype=bool)
     off[np.arange(k)[:, None], cone] = False
     complement = np.nonzero(off)[1].reshape(k, d - n)
-    G, W = exact_array(F.generators), exact_array(inverses)
+    G, W, T = exact_array(F.generators), exact_array(inverses), exact_array(pairings)
     M = max(n * largest(W) * largest(G), largest(G), 1)
     if d * M * M >= INT64_BOUND:
-        G, W = G.astype(object), W.astype(object)
-    return ChartTable(G, cone, complement, W, W @ G.T)
+        G, W, T = G.astype(object), W.astype(object), T.astype(object)
+    return ChartTable(G, cone, complement, W, T)
 
 
 def transition_map(C1: ChartData, C2: ChartData) -> IntMatrix:

@@ -3,13 +3,13 @@
 The fan of a polytope {x : <x, u_i> >= lambda_i} has the facet normals as
 generators and, as maximal cones, the tight facet sets of the vertices.  It
 is complete because the polytope is bounded, and smooth exactly when the
-polytope is Delzant: normal_fan keeps each cone's inverse U^-1 off the
-vertex walk, so nothing here eliminates.  Strict convexity of a support
-function, the test used to certify very ample classes, is one inequality
-per maximal cone and generator outside it: <h_sigma, u_j> > g(u_j).  For
-g = lambda on a Delzant polytope that is a theorem (h_sigma is the simple
-vertex on the facets sigma), so `analyze` does not run is_strictly_convex;
-the tests keep it as the oracle.
+polytope is Delzant: normal_fan keeps each cone's inverse and pairings
+off the vertex walk, so nothing here eliminates.  Strict convexity of a
+support function, the test used to certify very ample classes, is one
+inequality per maximal cone and generator outside it:
+<h_sigma, u_j> > g(u_j).  For g = lambda on a Delzant polytope that is a
+theorem (h_sigma is the simple vertex on the facets sigma), so `analyze`
+does not run is_strictly_convex; the tests keep it as the oracle.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ class Fan:
     per vertex the sorted indices of the n facets tight there.
 
     inverses[k] is U^-1 of max_cones[k], U its generators as columns: the
-    edge directions of the walked vertex on those facets, as rows.  It is
-    None for a cone that is not unimodular; a fan built by hand has none.
+    edge directions of the walked vertex on those facets, as rows, and
+    pairings[k] its pairings U^-1 G^T with the generators G.  Both are None
+    for a cone that is not unimodular; a fan built by hand has neither.
     Built by normal_fan, so it needs no checks of its own: the polytope has
     already checked the normals, and the n tight normals of a simple vertex
     are independent.
@@ -36,6 +37,7 @@ class Fan:
     generators: tuple[IntVector, ...]
     max_cones: tuple[tuple[int, ...], ...]
     inverses: tuple[IntMatrix | None, ...] = field(default=(), compare=False, repr=False)
+    pairings: tuple[IntMatrix | None, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -46,18 +48,19 @@ def normal_fan(P: HalfspacePolytope) -> Fan:
     """Fan on the facet normals whose maximal cones are the vertex normal cones.
 
     Requires every vertex to be simple (exactly n tight facets); smoothness is
-    not required.  A walked vertex with D = 1 gives its edges as U^-1.
+    not required.  A walked vertex with D = 1 gives U^-1 and the pairings.
     """
     n = P.dim
-    cones, inverses = [], []
+    cones, inverses, pairings = [], [], []
     for v in P.vertices:
         if len(v.active) != n:
             raise NotDelzantError(
                 f"vertex {format_point(v.point)} lies on {len(v.active)} facets; fan undefined"
             )
         cones.append(v.active)
-        inverses.append(v.edges if _unimodular(P, v) else None)
-    return Fan(P.normals, tuple(cones), tuple(inverses))
+        inverses.append(v.edges if _unimodular(v) else None)
+        pairings.append(v.pairings if _unimodular(v) else None)
+    return Fan(P.normals, tuple(cones), tuple(inverses), tuple(pairings))
 
 
 def cone_linear_parts(F: Fan, g: IntVector) -> dict[tuple[int, ...], tuple]:

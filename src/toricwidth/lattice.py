@@ -10,7 +10,8 @@ enumeration calls _eliminate once, at its start, to pick n independent
 normals with their dictionary; its later pivots are its own.  No Z-basis
 test lives here: a vertex's tight normals form one when the walk's
 D = |det U_A| there is 1, and the fan and the charts take their inverses
-from the walk.  The tests' oracles keep their own square solve in geomgen.
+and their pairings U_A^-1 G^T with the generators G from the walk.  The
+tests' oracles keep their own square solve in geomgen.
 """
 
 from __future__ import annotations

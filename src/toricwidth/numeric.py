@@ -298,19 +298,18 @@ def _complex_hessians(XI: np.ndarray, sums: Sums) -> np.ndarray:
     return H
 
 
-def _stencil(XI: np.ndarray):
-    """The central-difference stencil of Psi's Jacobian at each row of XI,
-    4n complex points a row, row r's at [4n r, 4n (r + 1)), and the step
-    along each real axis."""
-    m, n = XI.shape
-    p0 = np.concatenate([XI.real, XI.imag], axis=1)
+def central_stencil(p0: np.ndarray):
+    """The central-difference stencil at each real row of p0 (m, k):
+    P[r, b, 0] and P[r, b, 1] are row r moved by +steps[r, b] and
+    -steps[r, b] along axis b, with steps = GRADIENT_STEP max(1, |p0|).
+    Returns P (m, k, 2, k) and steps."""
+    m, k = p0.shape
     steps = GRADIENT_STEP * np.maximum(1.0, np.abs(p0))
-    shift = np.eye(2 * n) * steps[:, :, None]  # shift[r, b] moves row r along axis b
-    P = np.empty((m, 2 * n, 2, 2 * n))
+    shift = np.eye(k) * steps[:, :, None]  # shift[r, b] moves row r along axis b
+    P = np.empty((m, k, 2, k))
     np.add(p0[:, None], shift, out=P[:, :, 0])
     np.subtract(p0[:, None], shift, out=P[:, :, 1])
-    P = P.reshape(-1, 2 * n)
-    return P[:, :n] + 1j * P[:, n:], steps
+    return P, steps
 
 
 def pullback_check(T: ToricPotential, xi) -> float:
@@ -330,7 +329,9 @@ def pullback_check(T: ToricPotential, xi) -> float:
         raise ValueError(f"need {T.dim} coordinates")
     XI = XI.reshape(-1, T.dim)
     m, n = XI.shape
-    stencil, steps = _stencil(XI)
+    # the stencil of Psi's Jacobian along the real axes (x, y), 4n points a row
+    P, steps = central_stencil(np.concatenate([XI.real, XI.imag], axis=1))
+    stencil = (P[..., :n] + 1j * P[..., n:]).reshape(-1, n)
     psi = psi_maps(stencil, evaluate(T, moduli(stencil)))
     psi = np.concatenate([psi.real, psi.imag], axis=1).reshape(m, 2 * n, 2, 2 * n)
     # row b of jac_t is the central difference of Psi along axis b: J^T

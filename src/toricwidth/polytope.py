@@ -4,28 +4,29 @@ Normals are primitive integer vectors, offsets are rationals.  Vertex
 enumeration, Delzant verification, lattice points and vertex normalization
 all run in exact arithmetic; nothing here touches floats.  The denominator
 scale q of the offsets and the integers q * lambda_i are one cached
-property per polytope, integer_offsets, which the vertex walk, the width
-bounds and the normalization at a vertex read.  That normalization is the
-chart of qP at q v, in integers, so no dilated copy qP is built.  Vertices
-come from integer pivots on a dictionary of D U_A^-1 and the facet
-slacks, as in lrs: the dual simplex method pivots from the first n
-independent normals to a feasible basis, or to a row that proves P empty,
-and a walk over the feasible bases reaches each by one pivot of its
-parent's dictionary, so the start's one elimination is the only one.  On a
-simple polytope the bases are the vertices and the pivots its edges; where
-a ratio test ties, the walk takes every tied facet, so it also lists the
-vertices of a polytope that is not simple.  Each vertex on exactly n
-facets keeps its edge directions, and an unbounded edge is reported as the
-recession direction.  The walk is the one place a vertex is found
-unimodular: the Delzant test reads D = |det U_A| off each vertex on n
-facets, and the normalization at a vertex, the normal fan and its charts
-read U_A^-1 off it, with no elimination of their own.  The lattice-point
-count and the volume of a Delzant polytope are vertex sums over those edge
-directions (Brion's and Lawrence's formulas), so their cost follows the
-vertices, not the volume.  The lattice points themselves come fibre by
-fibre, x_n's interval above each prefix x_1..x_{n-1}, from a walk over the
-coordinates that drops a partial prefix once a facet is out of reach of
-the rest of the box.
+property per polytope, integer_offsets, which the vertex walk and the width
+bounds read.  Vertices come from integer pivots on a dictionary of
+D U_A^-1 and the facet slacks, as in lrs: the dual simplex method pivots
+from the first n independent normals to a feasible basis, or to a row that
+proves P empty, and a walk over the feasible bases reaches each by one
+pivot of its parent's dictionary, so the start's one elimination is the
+only one.  On a simple polytope the bases are the vertices and the pivots
+its edges; where a ratio test ties, the walk takes every tied facet, so it
+also lists the vertices of a polytope that is not simple.  An unbounded
+edge is reported as the recession direction.  Each vertex keeps its slacks
+on every facet, and a vertex on exactly n facets also its edge directions
+and their pairings with every normal, so the walk is the one place a
+vertex's linear data is computed: the Delzant test reads D = |det U_A| off
+the pairings, the normalization at a vertex, the chart of qP at q v, reads
+its normals, offsets and image vertices off them, so no dilated copy qP is
+built, and the width's axis maxima, the normal fan and its charts read them
+too, with no elimination or product of normals of their own.  The
+lattice-point count and the volume of a Delzant polytope are vertex sums
+over the edge directions (Brion's and Lawrence's formulas), so their cost
+follows the vertices, not the volume.  The lattice points themselves come
+fibre by fibre, x_n's interval above each prefix x_1..x_{n-1}, from a walk
+over the coordinates that drops a partial prefix once a facet is out of
+reach of the rest of the box.
 """
 
 from __future__ import annotations
@@ -132,20 +133,24 @@ class HalfspacePolytope:
 
 @dataclass(frozen=True)
 class Vertex:
-    """A vertex point together with the indices of all facets tight there.
+    """A vertex point with the indices of all facets tight there, and the
+    walk's dictionary there, so that no consumer multiplies normals with it.
 
-    A vertex on exactly n facets also keeps the edge directions the walk
-    gives it: edges[k] is column k of D U_A^-1, with U_A the normals of the
-    facets `active` as rows and D = |det U_A|, so it leaves facet active[k]
-    and stays on the others.  <edges[0], u_{A_0}> = D, so D = 1, a Z-basis
-    of tight normals, is read off them: is_delzant, vertex_sums,
-    normalize_at_vertex and fan.normal_fan do so.  They are None on a
-    vertex on more than n facets, and not compared.
+    slacks[i] = q (<u_i, x> - lambda_i), for q = P.integer_offsets[0], is
+    S_i / D, ints when D = 1.  On exactly n facets a vertex also keeps
+    edges[k], column k of D U_A^-1 for U_A the normals of the facets
+    `active` as rows and D = |det U_A|, which leaves facet active[k] and
+    stays on the others, and pairings[k][i] = <u_i, edges[k]> = R_ik; on
+    more, both are None.  D = pairings[0][active[0]], so a Z-basis of tight
+    normals, D = 1, is read off them (_unimodular).  None of the three is
+    compared.
     """
 
     point: RationalVector
     active: tuple[int, ...]
     edges: tuple[IntVector, ...] | None = field(default=None, compare=False, repr=False)
+    slacks: tuple[int | Fraction, ...] | None = field(default=None, compare=False, repr=False)
+    pairings: tuple[IntVector, ...] | None = field(default=None, compare=False, repr=False)
 
 
 def format_point(x: Sequence) -> str:
@@ -302,8 +307,9 @@ def _edge_walk(P: HalfspacePolytope, start: _Dictionary) -> list[Vertex]:
     basis's dictionary is one pivot of its parent's, so no elimination is
     made.  The bases are grouped by their points, sorted on the integers
     X L / D, with L the lcm of the D's, which order them as the points do.
-    A point on exactly n facets has one basis, whose edges it keeps; a
-    point on more is a vertex with its tight facets and no edges.  On a
+    Every point keeps its slacks S / D.  A point on exactly n facets has one
+    basis, whose edges and pairings R it keeps; a point on more is a vertex
+    with its tight facets and neither.  On a
     simple polytope every basis is a vertex, so k vertices take k - 1
     pivots.
     """
@@ -349,10 +355,13 @@ def _edge_walk(P: HalfspacePolytope, start: _Dictionary) -> list[Vertex]:
     for _, (basis, D, X, E) in sorted(points.items()):
         x, S = X[:n], X[n:]
         point = tuple(map(Fraction, x)) if D * q == 1 else tuple(Fraction(c, D * q) for c in x)
+        slacks = S if D == 1 else tuple(Fraction(s, D) for s in S)
         if S.count(0) == n:
-            vertices.append(Vertex(point, basis, tuple(e[:n] for e in E)))
+            edges, pairings = tuple(e[:n] for e in E), tuple(e[n:] for e in E)
+            vertices.append(Vertex(point, basis, edges, slacks, pairings))
         else:
-            vertices.append(Vertex(point, tuple(i for i, s in enumerate(S) if s == 0)))
+            active = tuple(i for i, s in enumerate(S) if s == 0)
+            vertices.append(Vertex(point, active, slacks=slacks))
     return vertices
 
 
@@ -386,12 +395,10 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
     return _edge_walk(P, start)
 
 
-def _unimodular(P: HalfspacePolytope, v: Vertex) -> bool:
+def _unimodular(v: Vertex) -> bool:
     """v lies on exactly n facets whose normals form a Z-basis:
-    D = <w_0, u_{A_0}> = 1, read off its first edge direction."""
-    if v.edges is None:
-        return False
-    return sum(map(operator.mul, v.edges[0], P.normals[v.active[0]])) == 1
+    D = <u_{A_0}, w_0> = 1, read off the pairings of its first edge."""
+    return v.pairings is not None and v.pairings[0][v.active[0]] == 1
 
 
 def is_delzant(P: HalfspacePolytope) -> bool:
@@ -401,7 +408,7 @@ def is_delzant(P: HalfspacePolytope) -> bool:
     exactly n facets carries D in its edges, and a vertex on more carries
     none, so it fails.
     """
-    return all(_unimodular(P, v) for v in P.vertices)
+    return all(_unimodular(v) for v in P.vertices)
 
 
 def bounding_box(P: HalfspacePolytope) -> tuple[IntVector, IntVector]:
@@ -555,7 +562,7 @@ def vertex_sums(P: HalfspacePolytope) -> tuple[int, Fraction]:
     q, b = P.integer_offsets
     vertices = P.vertices
     for v in vertices:
-        if not _unimodular(P, v):
+        if not _unimodular(v):
             raise NotDelzantError(f"the tangent cone at {format_point(v.point)} is not unimodular")
     K = 1 + max(abs(x) for v in vertices for w in v.edges for x in w)
     c = [K**i for i in range(n)]
@@ -594,35 +601,26 @@ def normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
     offsets q lambda_i - <u_i, q v> are integers.  For q = 1 it is P moved
     by x -> U_A x - lambda_A.
 
-    Read off the walk at v, with no elimination: the edge directions w_k are
-    the columns of U_A^-1, so the image normals U_A^-T u_i are
-    (<w_k, u_i>)_k.  The image gets P's vertices: a vertex x maps to
-    <u_{A_k}, q x> - q lambda_{A_k}, in integers over one denominator,
-    kept as ints when that is 1, with the same tight facets, and its edges,
-    if it has them, are mapped by U_A.  No dilated copy of P is built.
+    Read off the walk's dictionary, with no elimination and no product:
+    the image normal U_A^-T u_i is (<u_i, w_k>)_k for the columns w_k of
+    U_A^-1, column i of v's pairings, and the image offset is minus v's
+    slack on facet i.  A vertex x of P maps to its slacks on A, and its
+    edges, if it has them, to its pairings on A; it keeps its tight facets,
+    slacks and pairings, which the map leaves as they are.  No dilated copy
+    of P is built.
     """
     if len(v.active) != P.dim:
         raise NotDelzantError(f"vertex {format_point(v.point)} lies on {len(v.active)} facets")
-    if not _unimodular(P, v):
+    if not _unimodular(v):
         raise NotDelzantError(f"normals at {format_point(v.point)} do not form a Z-basis")
-    q, b = P.integer_offsets
-    A = [P.normals[i] for i in v.active]
-    qv = [c.numerator * (q // c.denominator) for c in v.point]  # integral, as D = 1
-    normals = tuple(tuple(sum(map(operator.mul, w, u)) for w in v.edges) for u in P.normals)
-    offsets = tuple(bi - sum(map(operator.mul, u, qv)) for u, bi in zip(P.normals, b))
-    Q = HalfspacePolytope(normals, offsets)
+    Q = HalfspacePolytope(tuple(zip(*v.pairings)), tuple(-s for s in v.slacks))
 
     def image(x: Vertex) -> Vertex:
-        # m x is integral and q divides m, so the slacks of qP at q x are s / r
-        m = math.lcm(q, *(c.denominator for c in x.point))
-        r = m // q
-        mx = [c.numerator * (m // c.denominator) for c in x.point]
-        s = [sum(map(operator.mul, u, mx)) - b[i] * r for u, i in zip(A, v.active)]
-        point = tuple(s) if r == 1 else tuple(Fraction(t, r) for t in s)
-        if x.edges is None:  # on more than n facets
-            return Vertex(point, x.active)
-        edges = tuple(tuple(sum(map(operator.mul, u, w)) for u in A) for w in x.edges)
-        return Vertex(point, x.active, edges)
+        point = tuple(x.slacks[a] for a in v.active)
+        if x.pairings is None:  # on more than n facets
+            return Vertex(point, x.active, slacks=x.slacks)
+        edges = tuple(tuple(r[a] for a in v.active) for r in x.pairings)
+        return Vertex(point, x.active, edges, x.slacks, x.pairings)
 
     vars(Q)["vertices"] = tuple(sorted(map(image, P.vertices), key=lambda x: x.point))
     return Q

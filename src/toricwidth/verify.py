@@ -5,11 +5,12 @@ Each check returns a CheckResult; a suite is a list of them.
 The chart suite draws no points: each chart check is an identity between
 Laurent monomial maps, which holds on the torus exactly when two integer
 exponent matrices are equal, and exact_checks decides all six on the exact
-table of charts.chart_table, T[c] = U_c^-1 G^T of shape (k, n, d) for k
-charts, with G the (d, n) generators.  Chart c's map phi_c has exponents
-T[c], its V_c being T[c] on c's complement, psi_c puts its coordinates on
-c's cone and 1 elsewhere, and R_c, -V_c on c's cone rows and I on its
-complement rows, parametrizes the kernel torus: ac -> ac^(R_c).
+table of charts.chart_table, of shape (k, n, d) for k charts: T[c] is the
+pairings U_c^-1 G^T that the walk kept at chart c's vertex, with G the
+(d, n) generators.  Chart c's map phi_c has exponents T[c], its V_c being
+T[c] on c's complement, psi_c puts its coordinates on c's cone and 1
+elsewhere, and R_c, -V_c on c's cone rows and I on its complement rows,
+parametrizes the kernel torus: ac -> ac^(R_c).
 
 - phi_after_psi_identity: phi_c after psi_c has exponents T[c] on c's cone,
   so it is the identity iff that is I (the diagonal).
@@ -27,7 +28,8 @@ complement rows, parametrizes the kernel torus: ac -> ac^(R_c).
 - transition_matches_charts: phi_b after psi_a has exponents X[b] on a's
   cone, and the chart change U_b^-1 U_a is U_b^-1 G^T there, multiplied out
   of the table's inverses; over every pair (a, b) that is
-  U_b^-1 G^T = X[b] on the generators that lie in some cone (used).
+  U_b^-1 G^T = X[b] on the generators that lie in some cone (used): the
+  walk's edges times G against its pairings, which its pivots update apart.
 - transition_cocycle_exact: E[b,c] E[a,b] = E[a,c] is checked on pairs:
   E[a,a] = I for every a and E[a,b] = E[0,b] E[a,0] for every (a, b).  With
   M_a = E[a,0] these give E[0,b] M_b = E[b,b] = I, so E[a,b] = M_b^-1 M_a
@@ -202,17 +204,15 @@ def numeric_suite(
     chunk = max(1, numeric.BATCH_ENTRIES // (n * n))
     for i in range(0, samples, chunk):
         c, r = slice(i, i + chunk), slice(10 * i, 10 * (i + chunk))
-        h = 1e-6 * np.maximum(1.0, np.abs(x[c]))
-        shift = np.eye(n) * h[:, :, None]  # shift[s, j] moves sample s along axis j
-        stencil = np.concatenate([x[c, None, :] + shift, x[c, None, :] - shift]).reshape(-1, n)
-        parts = [stencil, x[c], radial[r], moduli(xi_psi[c])]
+        stencil, h = numeric.central_stencil(x[c])
+        parts = [stencil.reshape(-1, n), x[c], radial[r], moduli(xi_psi[c])]
         ends = np.cumsum([len(p) for p in parts])
         sums = evaluate(T, np.concatenate(parts))
         at_stencil, at_x, at_radial, at_psi = (sums[a:b] for a, b in zip([0, *ends[:-1]], ends))
 
         # exact partials against central differences of the potential
-        values = potential_values(at_stencil).reshape(2, -1, n)
-        fd = (values[0] - values[1]) / (2 * h)
+        values = potential_values(at_stencil).reshape(-1, n, 2)
+        fd = (values[..., 0] - values[..., 1]) / (2 * h)
         exact = at_x.partials
         dev = np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))
         fd_worst.append(float(np.max(dev, initial=0.0)))

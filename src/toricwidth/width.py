@@ -31,7 +31,6 @@ Exact arithmetic throughout; pi is kept symbolic as a coefficient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,15 +57,11 @@ def cylinder_bound(P: HalfspacePolytope, v: Vertex) -> CylinderBound:
     facet through v, so its maximum over P is attained at a vertex.  For
     integral offsets the vertices are lattice points, so this is the maximum
     over the embedding exponents; rational offsets give that of qP over q.
-    Each maximum is taken in integers, over the vertices scaled by the lcm Q
-    of their coordinates' denominators, and divided by Q once.
+    Each vertex keeps its slacks q (<x, u_i> - lambda_i) from the walk, so
+    each maximum is one max over them, divided by q.
     """
-    Q = math.lcm(*(c.denominator for w in P.vertices for c in w.point))
-    points = [tuple(c.numerator * (Q // c.denominator) for c in w.point) for w in P.vertices]
-    maxima = tuple(
-        Fraction(max(dot(p, P.normals[a]) for p in points), Q) - P.offsets[a]
-        for a in v.active
-    )
+    q = P.integer_offsets[0]
+    maxima = tuple(Fraction(max(w.slacks[a] for w in P.vertices), q) for a in v.active)
     m = min(maxima)
     axis = maxima.index(m)
     return CylinderBound(2 * m, axis, maxima)

@@ -390,6 +390,24 @@ def test_chart_suite_catches_a_wrong_v_entry_on_another_charts_cone():
                 assert failed_checks(oracle_chart_suite(F, c, 2, table=wrong)) <= failed
 
 
+def test_chart_suite_catches_a_wrong_walk_pairing():
+    # the table's T is the walked vertices' pairings, which the pivots update
+    # beside the edges, so the transition check compares two blocks of the
+    # walk's dictionary: one wrong off-cone pairing of one cone breaks it
+    for P in (blown_up_hirzebruch(), random_delzant_polytope(random.Random(5), 3)):
+        F = normal_fan(P)
+        assert not failed_checks(chart_suite(F))
+        for c, cone in enumerate(F.max_cones):
+            for i in range(F.dim):
+                for j in set(range(len(F.generators))).difference(cone):
+                    pairings = [list(row) for row in F.pairings[c]]
+                    pairings[i][j] += 1
+                    wrong = list(F.pairings)
+                    wrong[c] = tuple(map(tuple, pairings))
+                    bad = dataclasses.replace(F, pairings=tuple(wrong))
+                    assert "transition_matches_charts" in failed_checks(chart_suite(bad))
+
+
 def test_exact_suite_catches_a_wrong_entry_on_a_charts_own_cone():
     # phi_c after psi_c reads T[c] on c's cone, where it must be I; the float
     # sweeps read only c's complement there, so they pass whatever it holds.

@@ -449,6 +449,40 @@ def test_normalize_at_vertex_equals_the_oracle_map_at_every_vertex():
                 assert [w.edges for w in Q.vertices] == [w.edges for w in fresh.vertices]
 
 
+def assert_walk_data(P):
+    """Each vertex's slacks are q (<u_i, x> - lambda_i), ints when it lies on
+    n facets with D = 1, and its pairings are <u_i, edges[k]>, set exactly
+    where edges are."""
+    q = math.lcm(*(l.denominator for l in P.offsets))
+    for v in P.vertices:
+        assert v.slacks == tuple(q * (dot(u, v.point) - l) for u, l in zip(P.normals, P.offsets))
+        if v.edges is None:
+            assert v.pairings is None
+            continue
+        assert v.pairings == tuple(tuple(dot(u, e) for u in P.normals) for e in v.edges)
+        if abs(oracle_det([P.normals[i] for i in v.active])) == 1:
+            assert all(type(s) is int for s in v.slacks)
+
+
+def test_vertices_keep_the_walks_slacks_and_pairings_and_their_images_carry_them():
+    # every generator: the fixtures and draws, the 5/3-dilates, simple
+    # non-Delzant polygons, the cut cube and lattice images with entries
+    # near 2^40 and 2^62.  The image at a Delzant vertex, the first two of
+    # each P, keeps each mapped vertex's slacks and pairings unchanged
+    cut_cube_corners = 0
+    for P in unimodularity_generators():
+        assert_walk_data(P)
+        cut_cube_corners += P is CUT_CUBE and sum(v.pairings is None for v in P.vertices)
+        by_facets = {x.active: x for x in P.vertices}
+        for v in [v for v in P.vertices if not raises(vertex_map, P, v)][:2]:
+            Q = normalize_at_vertex(P, v)
+            for w in Q.vertices:
+                x = by_facets[w.active]
+                assert (w.slacks, w.pairings) == (x.slacks, x.pairings)
+            assert_walk_data(Q)
+    assert cut_cube_corners == 3  # (1, 0, 0), (0, 1, 0) and (0, 0, 1) lie on 4 facets
+
+
 def test_normalize_at_vertex_names_what_is_not_delzant():
     # the cut cube is not simple, but its origin lies on three facets whose
     # normals form a Z-basis, so it normalizes; the corner (0, 0, 1) does not

@@ -10,7 +10,9 @@ file {"dim": n, "normals": [[...], ...], "offsets": ["p/q", ...]}.
 
 Exit codes: 0 success, 2 parse error, 3 infeasible or unbounded (or otherwise
 unusable) polytope, a floating point failure such as an overflow, or running out
-of memory, 4 property suite failure.
+of memory, 4 property suite failure.  Exit 3 on a polytope that is not Delzant
+names its first failing vertex, in one line for every command.  A reader that
+closes stdout early (embed ... | head) gets exit 0 and no message.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ import sys
 
 from . import fixtures
 from .embedding import MonomialEmbedding, sections_by_polytope
-from .fan import normal_fan
-from .polytope import (
-    HalfspacePolytope,
-    NotDelzantError,
-    from_dict,
-    is_delzant,
-    vertex_sums,
-)
+from .polytope import HalfspacePolytope, delzant_vertices, from_dict, vertex_sums
 from .width import width_report
 
 EXIT_OK = 0
@@ -77,13 +72,10 @@ def _emit(obj: dict, fmt: str) -> None:
 
 def cmd_analyze(args) -> int:
     P = load_polytope(args.input)
-    if None in normal_fan(P).inverses:  # normal_fan exits on a non-simple vertex
-        raise ValueError("fan must be smooth")
-    # Past both exits P is Delzant, its fan smooth and complete (P is bounded).
-    # g = q lambda, the offsets of qP, is then strictly convex (Cox-Little-
-    # Schenck 6.1): h_sigma is the vertex of qP on the facets sigma, which is
-    # simple, so <h_sigma, u_j> > q lambda_j for j outside sigma.  The tests keep
-    # fan.is_strictly_convex as the oracle.
+    # vertex_sums refuses P unless it is Delzant; then its fan is smooth and
+    # complete, and g = q lambda, the offsets of qP, strictly convex (Cox-Little-
+    # Schenck 6.1): h_sigma, the vertex of qP on the facets sigma, is simple, so
+    # <h_sigma, u_j> > q lambda_j off sigma; fan.is_strictly_convex is the oracle.
     count, volume = vertex_sums(P)
     out = {
         "dim": P.dim,
@@ -103,7 +95,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_width(args) -> int:
     P = load_polytope(args.input)
-    count = len(P.vertices)
+    count = len(delzant_vertices(P))
     if not 0 <= args.vertex < count:
         raise ParseFailure(f"vertex index out of range (have {count})")
     rep = width_report(P, vertex_index=args.vertex)
@@ -151,9 +143,7 @@ def _write_exponents(E: MonomialEmbedding) -> None:
 
 def cmd_embed(args) -> int:
     P = load_polytope(args.input)
-    if not is_delzant(P):
-        raise NotDelzantError("the embedding requires a Delzant polytope")
-    vertices = P.vertices
+    vertices = delzant_vertices(P)
     if not 0 <= args.vertex < len(vertices):
         raise ParseFailure(f"vertex index out of range (have {len(vertices)})")
     E = sections_by_polytope(P, vertices[args.vertex])
@@ -226,7 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: stdout goes to /dev/null, so the final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ParseFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lattice import IntMatrix, IntVector, dot
-from .polytope import HalfspacePolytope, NotDelzantError, _unimodular, format_point
+from .polytope import HalfspacePolytope, NotDelzantError, _refusal
 
 
 @dataclass(frozen=True)
@@ -47,19 +47,18 @@ class Fan:
 def normal_fan(P: HalfspacePolytope) -> Fan:
     """Fan on the facet normals whose maximal cones are the vertex normal cones.
 
-    Requires every vertex to be simple (exactly n tight facets); smoothness is
-    not required.  A walked vertex with D = 1 gives U^-1 and the pairings.
+    Refuses the first vertex that is not simple as the Delzant test does; a
+    vertex that passes the test gives U^-1 and the pairings, another None.
     """
     n = P.dim
     cones, inverses, pairings = [], [], []
     for v in P.vertices:
+        why = _refusal(v, n)
         if len(v.active) != n:
-            raise NotDelzantError(
-                f"vertex {format_point(v.point)} lies on {len(v.active)} facets; fan undefined"
-            )
+            raise NotDelzantError(why)
         cones.append(v.active)
-        inverses.append(v.edges if _unimodular(v) else None)
-        pairings.append(v.pairings if _unimodular(v) else None)
+        inverses.append(None if why else v.edges)
+        pairings.append(None if why else v.pairings)
     return Fan(P.normals, tuple(cones), tuple(inverses), tuple(pairings))
 
 

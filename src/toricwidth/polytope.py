@@ -16,11 +16,12 @@ also lists the vertices of a polytope that is not simple.  An unbounded
 edge is reported as the recession direction.  Each vertex keeps its slacks
 on every facet, and a vertex on exactly n facets also its edge directions
 and their pairings with every normal, so the walk is the one place a
-vertex's linear data is computed: the Delzant test reads D = |det U_A| off
-the pairings, the normalization at a vertex, the chart of qP at q v, reads
-its normals, offsets and image vertices off them, so no dilated copy qP is
-built, and the width's axis maxima, the normal fan and its charts read them
-too, with no elimination or product of normals of their own.  The
+vertex's linear data is computed: the Delzant test, the one gate of every
+command (delzant_vertices), reads D = |det U_A| off the pairings, the
+normalization at a vertex, the chart of qP at q v, reads its normals,
+offsets and image vertices off them, so no dilated copy qP is built, and
+the width's axis maxima, the normal fan and its charts read them too, with
+no elimination or product of normals of their own.  The
 lattice-point count and the volume of a Delzant polytope are vertex sums
 over the edge directions (Brion's and Lawrence's formulas), so their cost
 follows the vertices, not the volume.  The lattice points themselves come
@@ -142,7 +143,7 @@ class Vertex:
     `active` as rows and D = |det U_A|, which leaves facet active[k] and
     stays on the others, and pairings[k][i] = <u_i, edges[k]> = R_ik; on
     more, both are None.  D = pairings[0][active[0]], so a Z-basis of tight
-    normals, D = 1, is read off them (_unimodular).  None of the three is
+    normals, D = 1, is read off them (_refusal).  None of the three is
     compared.
     """
 
@@ -395,20 +396,29 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
     return _edge_walk(P, start)
 
 
-def _unimodular(v: Vertex) -> bool:
-    """v lies on exactly n facets whose normals form a Z-basis:
-    D = <u_{A_0}, w_0> = 1, read off the pairings of its first edge."""
-    return v.pairings is not None and v.pairings[0][v.active[0]] == 1
+def _refusal(v: Vertex, n: int) -> str | None:
+    """Why v is not a Delzant vertex, or None when it lies on exactly n facets
+    whose normals form a Z-basis: D = <u_{A_0}, w_0> = 1, off its pairings."""
+    if len(v.active) != n:
+        return f"vertex {format_point(v.point)} lies on {len(v.active)} facets"
+    if v.pairings[0][v.active[0]] != 1:
+        return f"normals at {format_point(v.point)} do not form a Z-basis"
+    return None
 
 
 def is_delzant(P: HalfspacePolytope) -> bool:
-    """Every vertex has exactly n tight facets whose normals form a Z-basis.
+    """Every vertex lies on exactly n facets whose normals form a Z-basis:
+    delzant_vertices's test as a flag, read off the walk with no elimination."""
+    return not any(_refusal(v, P.dim) for v in P.vertices)
 
-    Read off the walk, with no elimination of its own: each vertex on
-    exactly n facets carries D in its edges, and a vertex on more carries
-    none, so it fails.
-    """
-    return all(_unimodular(v) for v in P.vertices)
+
+def delzant_vertices(P: HalfspacePolytope) -> tuple[Vertex, ...]:
+    """P.vertices, unless one fails the Delzant test: then NotDelzantError
+    gives the refusal of the first that fails, in lexicographic order."""
+    for v in P.vertices:
+        if why := _refusal(v, P.dim):
+            raise NotDelzantError(why)
+    return P.vertices
 
 
 def bounding_box(P: HalfspacePolytope) -> tuple[IntVector, IntVector]:
@@ -556,14 +566,11 @@ def vertex_sums(P: HalfspacePolytope) -> tuple[int, Fraction]:
       computation, 1991): sum_v <v, c>^n / (n! prod_k (-a_k)), where
       <v, c> = sum_k lambda_{A_k} a_k, as v = U_A^-1 lambda_A.
     Python integers throughout, and no vertex is inverted again.  Raises
-    NotDelzantError unless every vertex lies on n facets with D = 1.
+    NotDelzantError, through delzant_vertices, unless P is Delzant.
     """
     n = P.dim
     q, b = P.integer_offsets
-    vertices = P.vertices
-    for v in vertices:
-        if not _unimodular(v):
-            raise NotDelzantError(f"the tangent cone at {format_point(v.point)} is not unimodular")
+    vertices = delzant_vertices(P)
     K = 1 + max(abs(x) for v in vertices for w in v.edges for x in w)
     c = [K**i for i in range(n)]
     L, terms = _todd_terms(n)
@@ -609,10 +616,8 @@ def normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
     slacks and pairings, which the map leaves as they are.  No dilated copy
     of P is built.
     """
-    if len(v.active) != P.dim:
-        raise NotDelzantError(f"vertex {format_point(v.point)} lies on {len(v.active)} facets")
-    if not _unimodular(v):
-        raise NotDelzantError(f"normals at {format_point(v.point)} do not form a Z-basis")
+    if why := _refusal(v, P.dim):
+        raise NotDelzantError(why)
     Q = HalfspacePolytope(tuple(zip(*v.pairings)), tuple(-s for s in v.slacks))
 
     def image(x: Vertex) -> Vertex:

@@ -96,7 +96,7 @@ from .numeric import (
     sup_along_path,
     suggested_path_exponent,
 )
-from .polytope import HalfspacePolytope
+from .polytope import HalfspacePolytope, delzant_vertices
 
 GRADIENT_TOL = 1e-5
 PULLBACK_TOL = 1e-4
@@ -249,14 +249,14 @@ def numeric_suite(
 def polytope_suites(
     P: HalfspacePolytope, seed: int = 0, samples: int = 10
 ) -> list[CheckResult]:
-    """Chart and numeric suites derived from one polytope.
+    """Chart and numeric suites of one polytope, refused by delzant_vertices.
 
-    The fan is built once, on P, so an undefined fan names P's vertex.  The
-    embedding is that of qP, for q = P.integer_offsets[0], at its first
-    vertex: normalize_at_vertex maps P's first vertex to the chart of qP,
-    so no dilated copy of P is built.
+    The fan is built once, on P.  The embedding is that of qP, for
+    q = P.integer_offsets[0], at its first vertex: normalize_at_vertex maps
+    P's first vertex to the chart of qP, so no dilated copy of P is built.
     """
+    vertices = delzant_vertices(P)
     results = chart_suite(normal_fan(P))
-    E = sections_by_polytope(P, P.vertices[0])
+    E = sections_by_polytope(P, vertices[0])
     results += numeric_suite(ToricPotential(E), seed=seed, samples=samples)
     return results

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import IntVector, RationalVector, _eliminate, dot
-from .polytope import HalfspacePolytope, NotDelzantError, UnboundedPolytopeError, Vertex, is_delzant
+from .polytope import HalfspacePolytope, UnboundedPolytopeError, Vertex, delzant_vertices
 
 GAMMA_CAVEAT = (
     "gamma bound omitted: the class is not monotone, and the bound is only "
@@ -231,9 +231,7 @@ def width_report(P: HalfspacePolytope, vertex_index: int = 0) -> WidthReport:
     denominator_scale is the lcm q of the offset denominators: the embedding
     is that of qP, and the cylinder bound is reported divided by q.
     """
-    if not is_delzant(P):
-        raise NotDelzantError("width bounds require a Delzant polytope")
-    vertices = P.vertices
+    vertices = delzant_vertices(P)
     if not 0 <= vertex_index < len(vertices):
         raise ValueError(f"vertex index out of range (have {len(vertices)} vertices)")
     v = vertices[vertex_index]

@@ -290,6 +290,20 @@ def oracle_is_delzant(P: HalfspacePolytope) -> bool:
     )
 
 
+def oracle_refusal(P: HalfspacePolytope) -> str | None:
+    """The oracle of the Delzant gate's message: it names the first vertex of
+    P.vertices whose tight facets, found by dot products, are not n, or whose
+    tight normals have |oracle_det| != 1; None when there is no such vertex."""
+    for v in P.vertices:
+        tight = [u for u, l in zip(P.normals, P.offsets) if dot(v.point, u) == l]
+        point = "(" + ", ".join(map(str, v.point)) + ")"
+        if len(tight) != P.dim:
+            return f"vertex {point} lies on {len(tight)} facets"
+        if abs(oracle_det(tight)) != 1:
+            return f"normals at {point} do not form a Z-basis"
+    return None
+
+
 def random_unimodular_map(rng: random.Random, n: int = 2, shear: int = 2) -> AffineLatticeMap:
     """Product of 1 to 4 random integer shears with entries in [-shear, shear],
     plus a random integer translation."""

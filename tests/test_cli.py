@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,15 +26,18 @@ from geomgen import (
     embedding_cases,
     lattice_point_ladder,
     oracle_lattice_points,
+    oracle_refusal,
     oracle_sections,
     polytope_data,
     product_polytope,
     random_delzant_polygon,
+    random_simple_non_delzant_polygon,
     unit_square,
 )
 from toricwidth.cli import main
 from toricwidth.fixtures import blown_up_hirzebruch
 from toricwidth.polytope import (
+    HalfspacePolytope,
     bounding_box,
     is_delzant,
     lattice_points,
@@ -351,6 +355,22 @@ def test_directory_input_is_a_parse_error(tmp_path, sub):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def test_embed_into_a_pipe_closed_early_exits_quietly():
+    # as `embed cpn:3:40 | head -c 10`: the reader takes 10 of about 150 kB,
+    # more than a pipe holds, and closes its end while embed still writes
+    src = Path(toricwidth.cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toricwidth.cli", "embed", "cpn:3:40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.read(10) == b"[[0, 0, 0]"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_needs_a_sample(capsys, samples):
     assert main(["verify", "example-3.7", "--samples", samples]) == 2
@@ -395,12 +415,12 @@ def test_non_simple_vertex_message_is_readable(capsys, tmp_path):
     for sub in ("analyze", "verify"):
         assert main([sub, str(cut_cube)]) == 3
         err = capsys.readouterr().err
-        assert err == "error: vertex (0, 0, 1) lies on 4 facets; fan undefined\n"
+        assert err == "error: vertex (0, 0, 1) lies on 4 facets\n"
 
 
 def test_analyze_names_the_vertex_of_the_input_polytope(capsys, tmp_path):
-    # the cut cube at half size: analyze and verify read the fan off P itself,
-    # not qP
+    # the cut cube at half size: the refusal names the vertex of P itself, not
+    # that of qP
     half = tmp_path / "half_cube.json"
     half.write_text(
         json.dumps(
@@ -414,9 +434,42 @@ def test_analyze_names_the_vertex_of_the_input_polytope(capsys, tmp_path):
     )
     for sub in ("analyze", "verify"):
         assert main([sub, str(half)]) == 3
-        assert capsys.readouterr().err == (
-            "error: vertex (0, 0, 1/2) lies on 4 facets; fan undefined\n"
-        )
+        assert capsys.readouterr().err == "error: vertex (0, 0, 1/2) lies on 4 facets\n"
+
+
+def test_every_command_refuses_a_non_delzant_polytope_in_one_line(capsys, tmp_path):
+    # the cut cube (not simple), its half (whose vertex is not that of qP), the
+    # triangle with a det-2 corner, its prism over [0, 1] and simple polygons
+    # with a det-2 corner: each command names the first vertex of P.vertices
+    # that the oracle rejects
+    cube = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (-1, -1, -1)]
+    inputs = [
+        HalfspacePolytope(cube, (0, 0, 0, -1, -1, -1, -1)),
+        HalfspacePolytope(cube, (0, 0, 0) + (Fraction(-1, 2),) * 4),
+        HalfspacePolytope(((1, 0), (0, 1), (-1, -2)), (0, 0, -2)),
+        HalfspacePolytope(
+            ((1, 0, 0), (0, 1, 0), (-1, -2, 0), (0, 0, 1), (0, 0, -1)), (0, 0, -2, 0, -1)
+        ),
+    ]
+    assert [oracle_refusal(P) for P in inputs] == [
+        "vertex (0, 0, 1) lies on 4 facets",
+        "vertex (0, 0, 1/2) lies on 4 facets",
+        "normals at (0, 1) do not form a Z-basis",
+        "normals at (0, 1, 0) do not form a Z-basis",
+    ]
+    rng = random.Random(35)
+    inputs += [random_simple_non_delzant_polygon(rng) for _ in range(10)]
+    path = tmp_path / "P.json"
+    for P in inputs:
+        want = oracle_refusal(P)
+        assert want is not None
+        path.write_text(json.dumps(polytope_data(P)))
+        # the gate comes before the range check of --vertex
+        argvs = [["analyze"], ["width"], ["embed"], ["verify"], ["width", "--vertex", "99"],
+                 ["embed", "--vertex", "99"]]
+        for sub, *rest in argvs:
+            assert main([sub, str(path), *rest]) == 3
+            assert capsys.readouterr() == ("", f"error: {want}\n"), (sub, rest, want)
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from geomgen import (
     oracle_is_complete,
     oracle_is_smooth,
     oracle_is_strictly_convex,
+    oracle_refusal,
     polytope_data,
     polytope_from_support,
     product_polytope,
@@ -264,4 +265,4 @@ def test_analyze_stops_exactly_on_non_smooth_fans(capsys, tmp_path):
         assert not oracle_is_smooth(normal_fan(P))
         path.write_text(json.dumps(polytope_data(P)))
         assert main(["analyze", str(path)]) == 3
-        assert capsys.readouterr().err == "error: fan must be smooth\n"
+        assert capsys.readouterr().err == f"error: {oracle_refusal(P)}\n"

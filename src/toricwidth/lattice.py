@@ -26,29 +26,6 @@ IntMatrix = tuple[tuple[int, ...], ...]
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _as_int(x) -> int:
-    if type(x) is int:  # not bool, which takes the exact parse below
-        return x
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise ValueError(f"not an integer: {x}")
-    return f.numerator
-
-
-def int_vector(entries: Iterable) -> IntVector:
-    v = tuple(_as_int(x) for x in entries)
-    if not v:
-        raise ValueError("empty vector")
-    return v
-
-
-def rational_vector(entries: Iterable) -> RationalVector:
-    v = tuple(Fraction(x) for x in entries)
-    if not v:
-        raise ValueError("empty vector")
-    return v
-
-
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError("length mismatch")

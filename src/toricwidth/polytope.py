@@ -8,15 +8,20 @@ property per polytope, integer_offsets, which the vertex walk and the width
 bounds read.  Vertices come from integer pivots on a dictionary of
 D U_A^-1 and the facet slacks, as in lrs: the dual simplex method pivots
 from the first n independent normals to a feasible basis, or to a row that
-proves P empty, and a walk over the feasible bases reaches each by one
-pivot of its parent's dictionary, so the start's one elimination is the
-only one.  On a simple polytope the bases are the vertices and the pivots
-its edges; where a ratio test ties, the walk takes every tied facet, so it
-also lists the vertices of a polytope that is not simple.  An unbounded
-edge is reported as the recession direction.  Each vertex keeps its slacks
-on every facet, and a vertex on exactly n facets also its edge directions
-and their pairings with every normal, so the walk is the one place a
-vertex's linear data is computed: the Delzant test, the one gate of every
+proves P empty, and a walk over the lexicographically feasible bases
+reaches each by one pivot of its parent's dictionary, so the start's one
+elimination is the only one.  The walk perturbs the offsets of the facets
+outside its start basis, b_i -> b_i - eps^(i+1), and compares perturbed
+slacks only where two ratios tie; the perturbed polytope is simple, so one
+facet enters per edge.  On a simple polytope the bases are the vertices and
+the pivots its edges, k - 1 for k vertices; a vertex on m > n facets takes
+the bases of a triangulation of its vertex figure (m - 2 for n = 3), not
+its up to C(m, n) feasible bases, so the cost of a polytope that is not
+simple follows its vertices too.  An unbounded edge is reported as the
+recession direction.  Each vertex keeps its slacks on every facet, and a
+vertex on exactly n facets also its edge directions and their pairings
+with every normal, so the walk is the one place a vertex's linear data is
+computed: the Delzant test, the one gate of every
 command (delzant_vertices), reads D = |det U_A| off the pairings, the
 normalization at a vertex, the chart of qP at q v, reads its normals,
 offsets and image vertices off them, so no dilated copy qP is built, and
@@ -32,6 +37,7 @@ reach of the rest of the box.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -45,10 +51,8 @@ from .lattice import (
     RationalVector,
     _eliminate,
     dot,
-    int_vector,
     integer_kernel_basis,
     is_primitive,
-    rational_vector,
 )
 
 
@@ -72,8 +76,32 @@ class HalfspacePolytope:
     offsets: RationalVector
 
     def __post_init__(self):
-        normals = tuple(int_vector(u) for u in self.normals)
-        offsets = rational_vector(self.offsets)
+        # a tuple of int tuples and a tuple of Fractions are kept as given;
+        # anything else is converted, and refused unless it is exact
+        normals, offsets = self.normals, self.offsets
+        if (
+            type(normals) is not tuple
+            or not all(type(u) is tuple and u for u in normals)
+            or {type(x) for u in normals for x in u} != {int}
+        ):
+            converted = []
+            for u in normals:
+                v = []
+                for x in u:
+                    if type(x) is not int:  # not bool, which takes the exact parse
+                        f = Fraction(x)
+                        if f.denominator != 1:
+                            raise ValueError(f"not an integer: {x}")
+                        x = f.numerator
+                    v.append(x)
+                if not v:
+                    raise ValueError("empty vector")
+                converted.append(tuple(v))
+            normals = tuple(converted)
+        if type(offsets) is not tuple or {type(l) for l in offsets} - {Fraction}:
+            offsets = tuple(map(Fraction, offsets))
+        if not offsets:
+            raise ValueError("empty vector")
         if len(normals) != len(offsets):
             raise ValueError("need one offset per normal")
         n = len(normals[0])
@@ -82,7 +110,8 @@ class HalfspacePolytope:
         for u in normals:
             if not is_primitive(u):
                 raise ValueError(f"normal {u} is not primitive")
-        if len(set(zip(normals, offsets))) != len(normals):
+        pairs = zip(normals, (l.numerator for l in offsets), (l.denominator for l in offsets))
+        if len(set(pairs)) != len(normals):
             raise ValueError("duplicate facet inequality")
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
@@ -200,6 +229,15 @@ class _Dictionary(NamedTuple):
       the slacks S_i = <u_i, X> - D b_i;
     - E[k] is e_k, column k of D U_A^-1, followed by R_ik = <u_i, e_k>.
     e_k leaves facet A_k and stays on the others: R_{A_l}k = D [l = k].
+
+    The walk perturbs the offsets of the facets outside its start basis A0,
+    b_i -> b_i - eps^(i+1) (Charnes 1952; lrs perturbs relative to its
+    start in the same way).  The point moves by -sum eps^(A_k+1) e_k / D
+    over the A_k outside A0, so D times the perturbed slack of facet i is
+    the vector with S_i at position 0, -R_ik at position A_k + 1 for those
+    A_k, and D at position i + 1 when i is outside A0, in powers of eps:
+    all of it is in the columns.  A0 is feasible for the perturbed offsets,
+    as every facet tight at its point gains D eps^(i+1).
     """
 
     basis: tuple[int, ...]
@@ -238,26 +276,26 @@ def _pivot(dic: _Dictionary, i: int, j: int) -> _Dictionary:
 
     D' = |r|, and every other column c, X included, becomes
     (|r| c - sgn(r) c_i e_j) / D, where c_i is its pairing with facet i;
-    the new column of facet i is sgn(r) e_j.  A column with c_i = 0 is kept
-    as it is when |r| = D, as at every step between two unimodular bases.
-    The columns are then put in the order of the sorted basis.
+    the new column of facet i is sgn(r) e_j, and goes to i's slot in the
+    sorted basis.  A column with c_i = 0 is kept as it is when |r| = D, as
+    at every step between two unimodular bases.
     """
     basis, D, X, E = dic
     n = len(basis)
     ej = E[j]
     r = ej[n + i]
     a, s = (r, 1) if r > 0 else (-r, -1)
-
-    def update(c):
+    cols = [X, *E[:j], *E[j + 1 :]]
+    for k, c in enumerate(cols):
         t = s * c[n + i]
-        if not t:
-            return c if a == D else tuple([a * x // D for x in c])
-        return tuple([(a * x - t * y) // D for x, y in zip(c, ej)])
-
-    new = basis[:j] + (i,) + basis[j + 1 :]
-    order = sorted(range(n), key=new.__getitem__)
-    E = [update(c) if k != j else ej if s > 0 else tuple(-y for y in ej) for k, c in enumerate(E)]
-    return _Dictionary(tuple(new[k] for k in order), a, update(X), [E[k] for k in order])
+        if t:
+            cols[k] = tuple([(a * x - t * y) // D for x, y in zip(c, ej)])
+        elif a != D:
+            cols[k] = tuple([a * x // D for x in c])
+    rest = basis[:j] + basis[j + 1 :]
+    p = bisect.bisect(rest, i)
+    cols.insert(p + 1, ej if s > 0 else tuple([-y for y in ej]))
+    return _Dictionary((*rest[:p], i, *rest[p:]), a, cols[0], cols[1:])
 
 
 def _dual_simplex(dic: _Dictionary) -> _Dictionary | None:
@@ -292,78 +330,98 @@ def _dual_simplex(dic: _Dictionary) -> _Dictionary | None:
 
 
 def _edge_walk(P: HalfspacePolytope, start: _Dictionary) -> list[Vertex]:
-    """Every vertex, by a depth-first search over the feasible bases from
-    the dictionary `start`.
+    """Every vertex, by a depth-first search over the lexicographically
+    feasible bases from the dictionary `start`.
 
     At a basis A, the edge e_j leaves A_j and stays on the others.  Along
     x + t e_j the slack S_i of facet i changes by t R_ij, so the next basis
-    takes in an i with R_ij < 0 and the least ratio S_i / -R_ij, compared
+    takes in the i with R_ij < 0 and the least ratio S_i / -R_ij, compared
     by integer cross-multiplication: the dictionary holds both, so no dot
-    product is taken.  When several facets reach the least ratio, each
-    gives a basis, and a ratio of 0 (a facet already tight) gives another
-    basis at the same point; the feasible bases are connected by these
-    pivots, so the search reaches them all.  No i with R_ij < 0 means an
-    unbounded edge: then <e_j, u_i> >= 0 for every i, so e_j over the gcd
-    of its entries is raised as the recession direction.  Each unseen
-    basis's dictionary is one pivot of its parent's, so no elimination is
-    made.  The bases are grouped by their points, sorted on the integers
-    X L / D, with L the lcm of the D's, which order them as the points do.
-    Every point keeps its slacks S / D.  A point on exactly n facets has one
-    basis, whose edges and pairings R it keeps; a point on more is a vertex
-    with its tight facets and neither.  On a
-    simple polytope every basis is a vertex, so k vertices take k - 1
-    pivots.
+    product is taken.  Only when two ratios tie are the perturbed slacks
+    (see _Dictionary) over -R_ij compared, entry by entry over the
+    positions A_k + 1 of the A_k outside the start basis, up to the first
+    position of the two facets' own, which holds D for one and 0 for the
+    other.  Perturbed slacks of two facets are never proportional, so
+    exactly one facet enters.  These are the pivots of the perturbed
+    polytope P_eps, which is simple: each basis is one of its vertices and
+    each pivot one of its edges, so the edge back to the parent, the column
+    of the facet that entered, is not ratio-tested.  The graph of P_eps is connected and
+    each vertex of P is the limit of one of its vertices, so the search
+    lists every vertex of P; at a vertex on m facets it takes the bases of
+    a triangulation of the vertex figure (m - 2 for n = 3), not every
+    feasible basis.  No i with R_ij < 0 means an unbounded edge: then
+    <e_j, u_i> >= 0 for every i, so e_j over the gcd of its entries is
+    raised as the recession direction.  Each unseen basis's dictionary is
+    one pivot of its parent's, so no elimination is made.
+
+    Each basis's point goes into its vertex when the basis is popped, so
+    no dictionary outlives the step that expands it.  Every point keeps its
+    slacks S / D.  A point on exactly n facets has one basis, whose edges
+    and pairings R it keeps; a point on more is a vertex with its tight
+    facets and neither, taken from the first of its bases popped.  The
+    vertices are sorted on the integers X L / D, with L the lcm of the D's,
+    which order them as the points do.  On a simple polytope every basis
+    is a vertex, so k vertices take k - 1 pivots.
     """
-    n = P.dim
+    n, d = P.dim, P.num_facets
     q = P.integer_offsets[0]
+    fixed = set(start.basis)  # the facets whose offsets are not perturbed
     seen = {start.basis}
-    stack = [start]
-    walked = []
+    stack = [(start, None)]  # a dictionary, and the column back to its parent
+    found = []  # (X[:n], D, vertex) per point
+    degenerate = set()  # the tight facets of each point on more than n
     while stack:
-        dic = stack.pop()
-        walked.append(dic)
-        basis, _, X, E = dic
+        dic, back = stack.pop()
+        basis, D, X, E = dic
         S = X[n:]
+        active = basis if S.count(0) == n else tuple(i for i, s in enumerate(S) if s == 0)
+        if active is basis or active not in degenerate:
+            x = X[:n]
+            point = tuple(map(Fraction, x)) if D * q == 1 else tuple(Fraction(c, D * q) for c in x)
+            slacks = S if D == 1 else tuple(Fraction(s, D) for s in S)
+            if active is basis:
+                edges, pairings = tuple(e[:n] for e in E), tuple(e[n:] for e in E)
+                found.append((x, D, Vertex(point, basis, edges, slacks, pairings)))
+            else:
+                degenerate.add(active)
+                found.append((x, D, Vertex(point, active, slacks=slacks)))
         for j, e in enumerate(E):
+            if j == back:
+                continue
             R = e[n:]
-            best, tie = None, False
+            best = None
             for i, r in enumerate(R):
                 if r >= 0:
                     continue
                 # c > 0 iff S[i] / -r < s_best / -r_best
                 c = 1 if best is None else S[i] * r_best - s_best * r
+                if c == 0:  # a tie: compare the perturbed slacks over -r
+                    # up to the first own position, where one of the two has D
+                    own = best if best not in fixed else i if i not in fixed else d
+                    c = 1 if own == best else -1
+                    for a, f in zip(basis, E):
+                        if a > own:
+                            break
+                        if a not in fixed:
+                            # > 0 iff R_ia / r < R_best,a / r_best
+                            t = f[n + best] * r - f[n + i] * r_best
+                            if t:
+                                c = t
+                                break
                 if c > 0:
-                    best, s_best, r_best, tie = i, S[i], r, False
-                elif c == 0:
-                    tie = True
+                    best, s_best, r_best = i, S[i], r
             if best is None:
                 g = math.gcd(*e[:n])
                 raise UnboundedPolytopeError(f"recession direction {tuple(x // g for x in e[:n])}")
-            entering = (best,)
-            if tie:  # every facet of the least ratio
-                entering = [i for i, r in enumerate(R) if r < 0 and S[i] * r_best == s_best * r]
             rest = basis[:j] + basis[j + 1 :]
-            for i in entering:
-                nxt = tuple(sorted(rest + (i,)))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(_pivot(dic, i, j))
-    L = math.lcm(*(dic.D for dic in walked))
-    points = {}
-    for dic in walked:
-        points.setdefault(tuple(x * (L // dic.D) for x in dic.X[:n]), dic)
-    vertices = []
-    for _, (basis, D, X, E) in sorted(points.items()):
-        x, S = X[:n], X[n:]
-        point = tuple(map(Fraction, x)) if D * q == 1 else tuple(Fraction(c, D * q) for c in x)
-        slacks = S if D == 1 else tuple(Fraction(s, D) for s in S)
-        if S.count(0) == n:
-            edges, pairings = tuple(e[:n] for e in E), tuple(e[n:] for e in E)
-            vertices.append(Vertex(point, basis, edges, slacks, pairings))
-        else:
-            active = tuple(i for i, s in enumerate(S) if s == 0)
-            vertices.append(Vertex(point, active, slacks=slacks))
-    return vertices
+            p = bisect.bisect(rest, best)
+            nxt = (*rest[:p], best, *rest[p:])
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append((_pivot(dic, best, j), p))
+    L = math.lcm(*(D for _, D, _ in found))
+    found.sort(key=lambda f: f[0] if f[1] == L else tuple(x * (L // f[1]) for x in f[0]))
+    return [v for _, _, v in found]
 
 
 def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
@@ -371,9 +429,15 @@ def enumerate_vertices(P: HalfspacePolytope) -> list[Vertex]:
 
     One elimination of the normals as columns picks the first n independent
     ones and gives their dictionary.  From it the dual simplex method
-    reaches a feasible basis, or a Farkas row that proves P empty.  An edge
-    walk from that basis lists every vertex by pivots and raises on the
-    first unbounded edge it meets; a walk that meets none proves P bounded.
+    reaches a feasible basis, or a Farkas row that proves P empty; the walk
+    perturbs the offsets of the other facets only, so that basis is
+    lexicographically feasible as it is.  An edge walk from it lists every
+    vertex by pivots, one per basis of the perturbed polytope, and raises
+    on the first unbounded edge it meets; a walk that meets none proves P
+    bounded.  On a simple polytope that is one elimination and k - 1
+    pivots for k vertices; a vertex on m > n facets adds the bases of a
+    triangulation of its vertex figure, not the up to C(m, n) feasible
+    bases there.
     When the normals do not span R^n, P is its slice by K^perp plus the
     kernel K of the normals: the slice, with the rows +-k (offset 0) for k
     in K, is pointed and goes through the same start, and P is empty when

@@ -29,9 +29,7 @@ from toricwidth.lattice import (
     RationalVector,
     _eliminate,
     dot,
-    int_vector,
     integer_kernel_basis,
-    rational_vector,
     rref,
     solve_rational,
 )
@@ -119,6 +117,29 @@ def oracle_det(M) -> Fraction:
             A[i][k] = 0
         prev = A[k][k]
     return Fraction(sign * A[n - 1][n - 1]) / scale
+
+
+def _as_int(x) -> int:
+    if type(x) is int:  # not bool, which takes the exact parse below
+        return x
+    f = Fraction(x)
+    if f.denominator != 1:
+        raise ValueError(f"not an integer: {x}")
+    return f.numerator
+
+
+def int_vector(entries) -> IntVector:
+    v = tuple(_as_int(x) for x in entries)
+    if not v:
+        raise ValueError("empty vector")
+    return v
+
+
+def rational_vector(entries) -> RationalVector:
+    v = tuple(Fraction(x) for x in entries)
+    if not v:
+        raise ValueError("empty vector")
+    return v
 
 
 def oracle_is_smooth(F: Fan) -> bool:
@@ -416,6 +437,26 @@ def random_cut_cube(rng: random.Random, n: int) -> HalfspacePolytope:
     return HalfspacePolytope(tuple(normals), tuple(Fraction(l) for l in offsets))
 
 
+def pyramid(D: int) -> HalfspacePolytope:
+    """pyrD: the pyramid over the base Q = blowup_polygon(Random(1), D), with
+    its apex a = (c, 1) over the centre c of Q's bounding box.  Facet i of Q
+    gives <u_i, x> + c_i z >= lambda_i with c_i = lambda_i - <u_i, c>,
+    scaled to a primitive normal, and z >= 0 closes it; so pyrD has D + 1
+    facets and D + 1 vertices, and its apex lies on D of them."""
+    Q = blowup_polygon(random.Random(1), D)
+    lo, hi = bounding_box(Q)
+    c = [Fraction(a + b, 2) for a, b in zip(lo, hi)]
+    normals, offsets = [], []
+    for u, l in zip(Q.normals, Q.offsets):
+        row = (*u, l - dot(u, c), l)
+        m = math.lcm(*(Fraction(x).denominator for x in row))
+        row = [int(x * m) for x in row]
+        g = math.gcd(*row[:-1])
+        normals.append(tuple(x // g for x in row[:-1]))
+        offsets.append(Fraction(row[-1], g))
+    return HalfspacePolytope(tuple(normals) + ((0, 0, 1),), tuple(offsets) + (Fraction(0),))
+
+
 def oracle_feasible_bases(P: HalfspacePolytope) -> int:
     """The number of n-subsets of facets whose normals are independent and
     whose equalities meet in a point of P: every n-subset solved exactly."""
@@ -423,6 +464,39 @@ def oracle_feasible_bases(P: HalfspacePolytope) -> int:
     for idx in combinations(range(P.num_facets), P.dim):
         x = solve_rational([P.normals[i] for i in idx], [P.offsets[i] for i in idx])
         count += x is not None and all(dot(x, u) >= l for u, l in zip(P.normals, P.offsets))
+    return count
+
+
+def oracle_lex_feasible_bases(P: HalfspacePolytope, fixed) -> int:
+    """The number of n-subsets A of facets whose normals are independent and
+    whose point stays in P when the offset of each facet i outside `fixed`
+    is lowered by eps^(i+1), for every small eps > 0.
+
+    Every n-subset is solved exactly, for its point x, and where x is in P
+    for the columns w_k of U_A^-1 too.  The perturbed point is
+    x - sum eps^(A_k+1) w_k over the A_k outside `fixed`, so each slack is
+    a polynomial in eps, which must be 0 or have its lowest nonzero
+    coefficient positive."""
+    n, d = P.dim, P.num_facets
+    count = 0
+    for A in combinations(range(d), n):
+        U = [P.normals[i] for i in A]
+        x = solve_rational(U, [P.offsets[i] for i in A])
+        if x is None or any(dot(x, u) < l for u, l in zip(P.normals, P.offsets)):
+            continue
+        W = [solve_rational(U, [int(l == k) for l in range(n)]) for k in range(n)]
+
+        def lowest(i):  # the lowest nonzero coefficient of facet i's slack
+            slack = [Fraction(0)] * (d + 1)
+            slack[0] = dot(x, P.normals[i]) - P.offsets[i]
+            for a, w in zip(A, W):
+                if a not in fixed:
+                    slack[a + 1] = -dot(w, P.normals[i])
+            if i not in fixed:
+                slack[i + 1] = Fraction(1)
+            return next((c for c in slack if c), 0)
+
+        count += all(lowest(i) >= 0 for i in range(d) if i not in A)
     return count
 
 

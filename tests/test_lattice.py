@@ -8,6 +8,7 @@ from geomgen import (
     AffineLatticeMap,
     blowup_polygon,
     fraction_free_solve,
+    int_vector,
     inverse_unimodular,
     mat_mul,
     mat_vec,
@@ -21,7 +22,6 @@ from toricwidth.fan import Fan, normal_fan
 from toricwidth.fixtures import resolve_fixture
 from toricwidth.lattice import (
     dot,
-    int_vector,
     integer_kernel_basis,
     is_primitive,
     rref,
@@ -308,6 +308,7 @@ def test_transpose_and_columns():
 
 
 def test_int_vector_rejects_non_integers():
+    # the tests' converter, which AffineLatticeMap validates with
     with pytest.raises(ValueError):
         int_vector((1, Fraction(1, 2)))
     assert int_vector((Fraction(2, 1), 3)) == (2, 3)

@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import geomgen
 from geomgen import (
     AffineLatticeMap,
     apply_lattice_map,
@@ -14,10 +15,12 @@ from geomgen import (
     dilate,
     fibre_count,
     hirzebruch,
+    int_vector,
     lattice_point_ladder,
     oracle_det,
     oracle_ehrhart_volume,
     oracle_feasible_bases,
+    oracle_lex_feasible_bases,
     oracle_is_delzant,
     oracle_lattice_points,
     oracle_normalize_at_vertex,
@@ -31,6 +34,7 @@ from geomgen import (
     random_delzant_polytope,
     random_simple_non_delzant_polygon,
     random_unimodular_map,
+    rational_vector,
     unit_square,
     vertex_map,
 )
@@ -48,6 +52,7 @@ from toricwidth.polytope import (
     NotDelzantError,
     UnboundedPolytopeError,
     bounding_box,
+    delzant_vertices,
     enumerate_vertices,
     from_dict,
     is_delzant,
@@ -68,6 +73,29 @@ def test_constructor_validates():
         HalfspacePolytope(((1, 0), (1, 0)), (0, 0))  # duplicate facet
     with pytest.raises(ValueError):
         HalfspacePolytope(((1, 0), (0, 1)), (0,))  # length mismatch
+
+
+def test_constructor_keeps_exact_input_and_converts_the_rest():
+    # int tuples and Fractions are kept as the same objects; other input is
+    # converted exactly, and refused with the messages of the tests'
+    # int_vector and rational_vector, normals first, in order
+    normals, offsets = ((1, 0), (0, 1)), (Fraction(0), Fraction(1, 2))
+    P = HalfspacePolytope(normals, offsets)
+    assert P.normals is normals and P.offsets is offsets
+    Q = HalfspacePolytope([[True, 0.0], (Fraction(0), "1")], [0, "1/2"])
+    assert Q == P and all(type(x) is int for u in Q.normals for x in u)
+    assert all(type(l) is Fraction for l in Q.offsets)
+    assert int_vector((True, 0.0)) == Q.normals[0] and rational_vector([0, "1/2"]) == Q.offsets
+    for args, message in [
+        ((((1, 0), (0, Fraction(1, 2))), (0, 0)), "not an integer: 1/2"),
+        ((((), (Fraction(1, 2),)), (0, 0)), "empty vector"),
+        ((((1, 0), (0, 1)), ()), "empty vector"),
+        (((), ()), "empty vector"),
+        ((((1, 0), (1, 0)), (Fraction(1, 2), 0.5)), "duplicate facet inequality"),
+    ]:
+        with pytest.raises(ValueError) as got:
+            HalfspacePolytope(*args)
+        assert str(got.value) == message
 
 
 def test_square_vertices():
@@ -685,8 +713,9 @@ def test_edge_walk_matches_the_subset_scan_in_higher_dimensions(n):
 def count_pivots(monkeypatch) -> dict[str, int]:
     """Counts of the pivots made before the edge walk starts ("start", the
     dual simplex) and in it ("walk"), and of the eliminations wherever
-    polytope or lattice binds _eliminate, while the test runs."""
-    counts = {"start": 0, "walk": 0, "eliminations": 0}
+    polytope or lattice binds _eliminate, while the test runs; "start basis"
+    holds the basis the last walk started from."""
+    counts = {"start": 0, "walk": 0, "eliminations": 0, "start basis": None}
     phase = ["start"]
     pivot, walk = toricwidth.polytope._pivot, toricwidth.polytope._edge_walk
     eliminate = toricwidth.lattice._eliminate
@@ -695,10 +724,11 @@ def count_pivots(monkeypatch) -> dict[str, int]:
         counts[phase[0]] += 1
         return pivot(*args)
 
-    def counted_walk(*args):
+    def counted_walk(P, start):
+        counts["start basis"] = start.basis
         phase[0] = "walk"
         try:
-            return walk(*args)
+            return walk(P, start)
         finally:
             phase[0] = "start"
 
@@ -715,16 +745,31 @@ def count_pivots(monkeypatch) -> dict[str, int]:
 
 def test_the_start_eliminates_once_and_the_walk_pivots_once_per_vertex(monkeypatch):
     # one elimination picks the first n independent normals and gives their
-    # dictionary; every other vertex is one pivot of its parent's
+    # dictionary; every other vertex is one pivot of its parent's, on every
+    # simple generator: fixtures, random polygons and polytopes, blow-up
+    # polygons, simple non-Delzant polygons, their dilates and lattice images,
+    # the lattice-point ladder and products up to b4^5
     counts = count_pivots(monkeypatch)
+    rng = random.Random(36)
     b4, b5, b8 = (blowup_polygon(random.Random(s), d) for s, d in ((2, 4), (1, 5), (1, 8)))
-    products = [(product_polytope(b8, b8, b8), 512), (product_polytope(*[b5] * 4), 625),
-                (product_polytope(*[b4] * 5), 1024)]
-    for P, k in products:
+    products = [product_polytope(b8, b8, b8), product_polytope(*[b5] * 4),
+                product_polytope(*[b4] * 5), product_polytope(b4, SIMPLEX)]
+    fixtures = [resolve_fixture(name) for name in ("example-3.7", "example-3.8:7", "cpn:3:10")]
+    polygons = [random_delzant_polygon(rng) for _ in range(20)]
+    polygons += [random_simple_non_delzant_polygon(rng) for _ in range(20)]
+    polygons += [blowup_polygon(random.Random(d), d) for d in range(5, 16)]
+    polytopes = [random_delzant_polytope(rng, n) for n in (3, 4) for _ in range(10)]
+    simple = fixtures + polygons + polytopes + lattice_point_ladder()
+    simple += [dilate(P, Fraction(5, 3)) for P in simple[:10]]
+    simple += [apply_lattice_map(P, random_unimodular_map(rng, P.dim)) for P in simple[:10]]
+    for P in products + simple:
+        P = HalfspacePolytope(P.normals, P.offsets)
         counts.update(start=0, walk=0, eliminations=0)
-        assert len(enumerate_vertices(P)) == k
+        vertices = P.vertices
+        assert all(len(v.active) == P.dim for v in vertices)
         assert counts["eliminations"] == 1
-        assert counts["walk"] == k - 1
+        assert counts["walk"] == len(vertices) - 1
+    assert [len(P.vertices) for P in products[:3]] == [512, 625, 1024]
 
 
 def test_an_empty_product_is_found_empty_by_the_dual_simplex_method(monkeypatch):
@@ -835,10 +880,12 @@ DODECAGON = half_spaces(
 )
 
 
-def test_the_walk_follows_ties_through_every_feasible_basis(monkeypatch):
-    # polytopes that are not simple: the walk pushes one pivot per facet of
-    # the least ratio, degenerate zero-ratio pivots included, and reaches
-    # every feasible basis from the start's one elimination
+def test_the_walk_visits_each_lexicographically_feasible_basis_once(monkeypatch):
+    # polytopes that are not simple: one facet enters per edge of the
+    # perturbed polytope, so the walk reaches each of its bases, the
+    # lexicographically feasible bases of P for the start's perturbation,
+    # once, from the start's one elimination; they are a subset of P's
+    # feasible bases
     counts = count_pivots(monkeypatch)
     square = half_spaces([(1, 0), (0, 1), (-1, 0), (0, -1)], [-1, -1, -1, -1])
     pyramids = [pyramid(square, (0, 0)), pyramid(DODECAGON, (0, 0))]
@@ -847,20 +894,48 @@ def test_the_walk_follows_ties_through_every_feasible_basis(monkeypatch):
     assert [max(len(v.active) for v in P.vertices) for P in pyramids] == [4, 12]
     rng = random.Random(33)
     draws = [random_cut_cube(rng, n) for n in (2, 3, 4) for _ in range(100)]
-    bounded = not_simple = 0
+    bounded = not_simple = fewer = 0
     for P in pyramids + [CUT_CUBE] + draws:
         assert_same_vertices(P)
         if raises(enumerate_vertices, P):
             continue
         bounded += 1
-        bases = oracle_feasible_bases(P)
         counts.update(start=0, walk=0, eliminations=0)
         vertices = enumerate_vertices(P)
         assert counts["eliminations"] == 1
-        assert counts["walk"] + 1 == bases
+        bases = oracle_lex_feasible_bases(P, counts["start basis"])
+        feasible = oracle_feasible_bases(P)
+        assert counts["walk"] + 1 == bases <= feasible
+        fewer += bases < feasible
         assert all((len(v.active) == P.dim) == (v.edges is not None) for v in vertices)
         not_simple += any(v.edges is None for v in vertices)
-    assert bounded > 200 and not_simple > 150
+    assert bounded > 200 and not_simple > 150 and fewer > 100
+    # the apex of the pyramid over the dodecagon takes the 10 triangles of a
+    # triangulation of its vertex figure, against its C(12, 3) feasible bases
+    counts.update(walk=0)
+    enumerate_vertices(HalfspacePolytope(pyramids[1].normals, pyramids[1].offsets))
+    assert counts["walk"] + 1 == 12 + 10
+
+
+@pytest.mark.parametrize("D", [20, 40])
+def test_a_pyramid_is_refused_after_pivots_that_follow_its_facets(monkeypatch, D):
+    # pyrD has D + 1 facets and D + 1 vertices, its apex on D facets; the
+    # walk over every feasible basis took 1,159 and 9,919 pivots on pyr20 and
+    # pyr40, the perturbed walk takes D - 2 bases at the apex and one at
+    # each vertex of the base
+    counts = count_pivots(monkeypatch)
+    P = geomgen.pyramid(D)
+    assert (P.num_facets, len(P.vertices)) == (D + 1, D + 1)
+    counts.update(start=0, walk=0, eliminations=0)
+    P = HalfspacePolytope(P.normals, P.offsets)
+    with pytest.raises(NotDelzantError) as got:
+        delzant_vertices(P)
+    assert str(got.value) == oracle_refusal(P)
+    if D == 40:
+        assert str(got.value) == "vertex (32, 32, 1) lies on 40 facets"
+    assert counts["eliminations"] == 1
+    assert counts["start"] + counts["walk"] <= 2 * (D + 1)
+    assert counts["walk"] + 1 == (D - 2) + D
 
 
 def test_an_open_pyramid_reports_the_first_unbounded_edge_of_the_walk():

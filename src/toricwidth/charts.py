@@ -19,12 +19,13 @@ the pairings of the walked vertices (fan.normal_fan), stacked, are the
 Its columns on chart c's cone are the identity and its other columns are
 c's V; the exponents of the chart change phi_b after psi_a,
 E[a, b] = U_b^-1 U_a, are T[b]'s columns on a's cone.  So every V is a
-gather of T, and no chart runs an elimination or a product of its own.  T
-is int64 when d M^2 < INT64_BOUND for M = max(n max|w| max|u|, max|u|, 1),
-which bounds T, the generators and every product and partial sum of
-verify's exact checks on them (see verify.exact_checks), and an object
-array of Python ints, exact at any size, otherwise.  chart_for_cone and
-transition_map give the exact data of one chart and of one chart change.
+gather of T, and no chart runs an elimination or a product of its own.
+chart_table reads M = max(n max|w| max|u|, max|u|, 1) off the Python ints
+of the generators and inverses, before building any array; M bounds T, the
+generators and every product and partial sum of verify.exact_checks, so G,
+the inverses and T are all built as int64 when d M^2 < INT64_BOUND, and as
+object arrays of Python ints, exact at any size, otherwise.  chart_for_cone
+and transition_map give the exact data of one chart and of one chart change.
 """
 
 from __future__ import annotations
@@ -80,19 +81,6 @@ def chart_for_cone(F: Fan, cone_index: int) -> ChartData:
     return ChartData(F, cone, complement, U, U_inv, V)
 
 
-def exact_array(rows) -> np.ndarray:
-    """rows as an int64 array when every entry fits, else as Python ints."""
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
-
-
-def largest(A: np.ndarray) -> int:
-    """max |entry| of an exact array, as a Python int (0 when empty)."""
-    return max(int(A.max()), -int(A.min())) if A.size else 0
-
-
 @dataclass(frozen=True)
 class ChartTable:
     """Every chart of a smooth fan: its generators G (d, n), and per
@@ -117,10 +105,10 @@ def chart_table(F: Fan) -> ChartTable:
     off = np.ones((k, d), dtype=bool)
     off[np.arange(k)[:, None], cone] = False
     complement = np.nonzero(off)[1].reshape(k, d - n)
-    G, W, T = exact_array(F.generators), exact_array(inverses), exact_array(pairings)
-    M = max(n * largest(W) * largest(G), largest(G), 1)
-    if d * M * M >= INT64_BOUND:
-        G, W, T = G.astype(object), W.astype(object), T.astype(object)
+    g = max(abs(a) for u in F.generators for a in u)
+    M = max(n * max(abs(a) for U_inv in inverses for w in U_inv for a in w) * g, g, 1)
+    dtype = np.int64 if d * M * M < INT64_BOUND else object
+    G, W, T = (np.array(rows, dtype=dtype) for rows in (F.generators, inverses, pairings))
     return ChartTable(G, cone, complement, W, T)
 
 

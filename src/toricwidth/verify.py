@@ -52,9 +52,10 @@ chart_table picked it.
 
 The numeric checks draw their points from a random.Random(seed) of their
 own: the gradient check real x in [0.1, 10], the pullback check modulus in
-[0.1, 0.9], and the radial and psi checks modulus in [0.1, 3].  Every draw
-of a check comes in the order and number of a per-sample loop, and each
-slice takes them from one getrandbits call (_draws).
+[0.1, 0.9], and the radial and psi checks modulus in [0.1, 3].  They come
+in the order and number of a per-sample loop, one call a draw: a real point
+is rng.uniform(lo, hi), a complex one cmath.rect(rng.uniform(lo, hi),
+rng.uniform(0, 2 pi)), and a radial square rng.uniform(0.1, 3.0) ** 2.
 
 The numeric suite draws every check's points first, in the order of the
 checks.  The rows where the gradient, radial and psi checks need the
@@ -74,6 +75,7 @@ computed row by row, so the chunks give the values of one stack.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -110,39 +112,6 @@ class CheckResult:
     deviation: float | None
     tolerance: float | None
     detail: str = ""
-
-
-def _draws(rng: random.Random, m: int) -> np.ndarray:
-    """The integers a < 2^53 of m draws rng.random() = a 2^-53, as floats:
-    one getrandbits call gives the words, first drawn lowest, and two words
-    w0, w1 make a = (w0 >> 5) 2^26 + (w1 >> 6)."""
-    w = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u4").reshape(m, 2)
-    return (w[:, 0] >> 5) * 67108864.0 + (w[:, 1] >> 6)
-
-
-def _uniform(rng: random.Random, m: int, lo: float, hi: float) -> np.ndarray:
-    """m draws rng.uniform(lo, hi) = lo + (hi - lo) random(), bit for bit:
-    c (a 2^-53) and (c 2^-53) a round alike, as a 2^-53 and c 2^-53 are
-    exact, so both products round the same real number."""
-    return lo + (hi - lo) * 2.0**-53 * _draws(rng, m)
-
-
-def _coords(rng: random.Random, m: int, lo: float, hi: float) -> np.ndarray:
-    """m points cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 pi)), drawn
-    from rng in that order and evaluated as cmath.rect does, r cos and
-    r sin written in place as the real and imaginary parts."""
-    a = _draws(rng, 2 * m).reshape(m, 2)
-    r, angle = lo + (hi - lo) * 2.0**-53 * a[:, 0], 2 * math.pi * 2.0**-53 * a[:, 1]
-    z = np.empty(m, dtype=complex)
-    np.multiply(r, np.cos(angle), out=z.real)
-    np.multiply(r, np.sin(angle), out=z.imag)
-    return z
-
-
-def _worst(values) -> float:
-    """The largest of the values, or nan when one is nan, as np.max over
-    all of them would give; 0 when there are none."""
-    return max(values, key=lambda v: (math.isnan(v), v), default=0.0)
 
 
 def exact_checks(table: ChartTable) -> list[CheckResult]:
@@ -191,14 +160,16 @@ def numeric_suite(
     results = []
     bounds = np.array([axis_radius_bound(T, j) for j in range(n)])
 
-    x = _uniform(rng, samples * n, 0.1, 10.0).reshape(samples, n)
-    xi_pullback = _coords(rng, samples * n, 0.1, 0.9).reshape(samples, n)
-    # squared by libm pow, as rng.uniform(0.1, 3.0) ** 2 was, not numpy's x * x
-    radial = np.array([u**2 for u in _uniform(rng, 10 * samples * n, 0.1, 3.0).tolist()])
-    radial = radial.reshape(-1, n)
-    xi_psi = _coords(rng, samples * n, 0.1, 3.0).reshape(-1, n)
+    def points(lo: float, hi: float) -> np.ndarray:
+        draws = [cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 * math.pi)) for _ in range(samples * n)]
+        return np.array(draws, dtype=complex).reshape(samples, n)
 
-    # each check's worst per chunk, taken together by _worst
+    x = np.array([rng.uniform(0.1, 10.0) for _ in range(samples * n)]).reshape(samples, n)
+    xi_pullback = points(0.1, 0.9)
+    radial = np.array([rng.uniform(0.1, 3.0) ** 2 for _ in range(10 * samples * n)]).reshape(-1, n)
+    xi_psi = points(0.1, 3.0)
+
+    # each check's worst per chunk; np.max keeps a nan, and gives 0 with no chunks
     fd_worst, pullback_worst, gap_worst = [], [], []
     radial_ok = psi_ok = True
     chunk = max(1, numeric.BATCH_ENTRIES // (n * n))
@@ -229,11 +200,11 @@ def numeric_suite(
         w = psi_maps(xi_psi[c], at_psi)
         psi_ok = psi_ok and not (np.abs(w) > bounds + 1e-9).any()
 
-    worst = _worst(fd_worst)
+    worst = float(np.max(fd_worst, initial=0.0))
     results.append(CheckResult("gradient_finite_difference", worst < GRADIENT_TOL, worst, GRADIENT_TOL))
-    worst = _worst(pullback_worst)
+    worst = float(np.max(pullback_worst, initial=0.0))
     results.append(CheckResult("symplectic_pullback", worst < PULLBACK_TOL, worst, PULLBACK_TOL))
-    results.append(CheckResult("radial_bound", radial_ok, _worst(gap_worst), 1e-9))
+    results.append(CheckResult("radial_bound", radial_ok, float(np.max(gap_worst, initial=0.0)), 1e-9))
 
     # the radial quantity attains the bound along the distinguished path
     worst = 0.0

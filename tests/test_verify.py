@@ -1,6 +1,5 @@
 """The batched verify suites against the per-sample loops they replace."""
 
-import cmath
 import math
 import random
 
@@ -61,14 +60,47 @@ def test_chart_suite_matches_the_per_sample_oracle(group):
         assert_same_flags(got, oracle_chart_suite(F, seed=i, samples=3))
 
 
-@pytest.mark.parametrize("group", ["ladder", "projective", "random", "blowup"])
+@pytest.mark.parametrize("group", ["ladder", "projective", "random", "blowup", "refill"])
 def test_numeric_suite_matches_the_per_sample_oracle_bit_for_bit(group):
-    # the potential of each input's embedding, as verify builds it
-    for i, P in enumerate(oracle_inputs(group)):
+    # the potential of each input's embedding, as verify builds it; 40 samples
+    # of a 2-D input take 1,200 draws, past a refill of the Mersenne Twister state
+    samples = 40 if group == "refill" else 3
+    inputs = [resolve_fixture("example-3.8:1")] if group == "refill" else oracle_inputs(group)
+    for i, P in enumerate(inputs):
         T = ToricPotential(sections_by_polytope(P, P.vertices[0]))
-        got = numeric_suite(T, seed=i, samples=3)
+        got = numeric_suite(T, seed=i, samples=samples)
         assert all(r.passed for r in got)
-        assert got == oracle_numeric_suite(T, seed=i, samples=3)
+        assert got == oracle_numeric_suite(T, seed=i, samples=samples)
+
+
+def test_numeric_suite_without_samples_reports_no_deviation():
+    P = resolve_fixture("example-3.8:1")
+    T = ToricPotential(sections_by_polytope(P, P.vertices[0]))
+    got = numeric_suite(T, samples=0)
+    sampled = {"gradient_finite_difference", "symplectic_pullback", "radial_bound"}
+    assert len(got) == 5 and all(r.passed for r in got)
+    assert [r.deviation for r in got if r.name in sampled] == [0.0, 0.0, 0.0]
+    assert got == oracle_numeric_suite(T, samples=0)
+
+
+@pytest.mark.parametrize("chunk", [0, 1])
+def test_a_nan_pullback_in_one_chunk_fails_the_check(monkeypatch, chunk):
+    # 20 entries put n = 2 samples in chunks of 20 // n^2 = 5: two chunks
+    P = resolve_fixture("example-3.8:1")
+    T = ToricPotential(sections_by_polytope(P, P.vertices[0]))
+    calls = []
+    check = toricwidth.verify.pullback_check
+
+    def nan_in_one_chunk(T, xi):
+        calls.append(len(xi))
+        return math.nan if len(calls) == chunk + 1 else check(T, xi)
+
+    monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 20)
+    monkeypatch.setattr(toricwidth.verify, "pullback_check", nan_in_one_chunk)
+    got = {r.name: r for r in numeric_suite(T, samples=10)}
+    assert calls == [5, 5]
+    assert math.isnan(got["symplectic_pullback"].deviation)
+    assert not got["symplectic_pullback"].passed
 
 
 @pytest.mark.parametrize("spec", ["example-3.8:1", "cpn:3:2", "cpn:3:10", "blowup-10"])
@@ -113,7 +145,9 @@ def test_the_object_fallback_gives_identical_results(monkeypatch, group):
     fans = [normal_fan(P) for P in oracle_inputs(group)]
     want = [chart_suite(F) for F in fans]
     monkeypatch.setattr(toricwidth.charts, "INT64_BOUND", 0)
-    assert all(chart_table(F).T.dtype == object for F in fans)
+    for F in fans:
+        table = chart_table(F)
+        assert table.generators.dtype == table.inverses.dtype == table.T.dtype == object
     assert [chart_suite(F) for F in fans] == want
 
 
@@ -129,7 +163,8 @@ def test_exact_checks_past_int64_match_the_triple_oracle():
     fans += [normal_fan(random_delzant_polytope(rng, n)) for n in (3, 4)]
     for F in fans:
         table = chart_table(F)
-        assert table.T.dtype == (np.int64 if F.dim > 2 else object)
+        want = np.int64 if F.dim > 2 else object
+        assert table.generators.dtype == table.inverses.dtype == table.T.dtype == want
         assert all(r.passed for r in exact_checks(table))
         assert oracle_exact_checks(F) == (True, True)
         k, n = table.cone.shape
@@ -138,36 +173,3 @@ def test_exact_checks_past_int64_match_the_triple_oracle():
                 wrong = altered_table(table, [(c, rng.randrange(n), j, 2**64)])
                 got = relation_and_cocycle(exact_checks(wrong))
                 assert got == oracle_exact_checks(F, wrong) == (False, False)
-
-
-def test_points_are_drawn_as_a_per_sample_loop_draws_them():
-    rng = random.Random(8)
-    want = [cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi)) for _ in range(50)]
-    got = toricwidth.verify._coords(random.Random(8), 50, 0.5, 2.0)
-    assert all(abs(g - w) <= 1e-15 * abs(w) for g, w in zip(got, want))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**70 + 1, -3])
-def test_draws_from_one_call_equal_a_per_draw_loop(seed):
-    # 312 points take 624 draws of two words each: two whole refills of the
-    # Mersenne Twister state, so 311 and 313 end on either side of one
-    for m in (0, 1, 311, 312, 313, 2420):
-        rng, loop = random.Random(seed), random.Random(seed)
-        got = toricwidth.verify._coords(rng, m, 0.5, 2.0)
-        u = np.array([loop.random() for _ in range(2 * m)]).reshape(m, 2)
-        r, angle = 0.5 + 1.5 * u[:, 0], 2 * math.pi * u[:, 1]
-        assert np.array_equal(got.real, r * np.cos(angle))
-        assert np.array_equal(got.imag, r * np.sin(angle))
-        assert rng.getstate() == loop.getstate()
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**70 + 1, -3])
-def test_uniform_draws_equal_rng_uniform(seed):
-    # 312 draws of two words each refill the Mersenne Twister state once
-    for m in (0, 1, 311, 312, 313, 2420):
-        for lo, hi in ((0.1, 10.0), (0.1, 3.0), (0.5, 2.0)):
-            rng, loop = random.Random(seed), random.Random(seed)
-            got = toricwidth.verify._uniform(rng, m, lo, hi)
-            want = [loop.uniform(lo, hi) for _ in range(m)]
-            assert got.tolist() == want
-            assert rng.getstate() == loop.getstate()

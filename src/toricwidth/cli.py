@@ -25,7 +25,7 @@ import sys
 
 from . import fixtures
 from .embedding import MonomialEmbedding, sections_by_polytope
-from .polytope import HalfspacePolytope, delzant_vertices, from_dict, vertex_sums
+from .polytope import HalfspacePolytope, Vertex, delzant_vertices, from_dict, vertex_sums
 from .width import width_report
 
 EXIT_OK = 0
@@ -93,12 +93,17 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _vertex(P: HalfspacePolytope, index: int) -> Vertex:
+    """delzant_vertices(P)[index]: the Delzant gate, then the range check."""
+    vertices = delzant_vertices(P)
+    if not 0 <= index < len(vertices):
+        raise ParseFailure(f"vertex index out of range (have {len(vertices)})")
+    return vertices[index]
+
+
 def cmd_width(args) -> int:
     P = load_polytope(args.input)
-    count = len(delzant_vertices(P))
-    if not 0 <= args.vertex < count:
-        raise ParseFailure(f"vertex index out of range (have {count})")
-    rep = width_report(P, vertex_index=args.vertex)
+    rep = width_report(P, v := _vertex(P, args.vertex))
     cyl, lam, fano, gamma = rep.cylinder, rep.lu_lambda, rep.fano, rep.lu_gamma
     cert = None
     if fano is not None:
@@ -118,8 +123,8 @@ def cmd_width(args) -> int:
         },
         "gamma_search_bound": None if gamma is None else gamma.search_bound,
         "gamma_note": rep.gamma_note,
-        "vertex": [str(c) for c in rep.vertex.point],
-        "denominator_scale": rep.denominator_scale,
+        "vertex": [str(c) for c in v.point],
+        "denominator_scale": P.integer_offsets[0],
     }
     _emit(out, args.format)
     return EXIT_OK
@@ -143,11 +148,7 @@ def _write_exponents(E: MonomialEmbedding) -> None:
 
 def cmd_embed(args) -> int:
     P = load_polytope(args.input)
-    vertices = delzant_vertices(P)
-    if not 0 <= args.vertex < len(vertices):
-        raise ParseFailure(f"vertex index out of range (have {len(vertices)})")
-    E = sections_by_polytope(P, vertices[args.vertex])
-    _write_exponents(E)
+    _write_exponents(sections_by_polytope(P, _vertex(P, args.vertex)))
     return EXIT_OK
 
 

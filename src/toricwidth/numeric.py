@@ -15,6 +15,11 @@ as n x N columns: Phi~ = 2 logsumexp(J t) and x_j dPhi~/dx_j = 2
 (softmax-weighted mean of the j-th exponents), so no monomial is ever formed
 and none can overflow.
 
+The domain is the closed chart x >= 0: on x_j = 0 the partials continue
+through the reduced exponents J_k - e_j.  evaluate alone refuses a row, one
+outside it (_points) or one whose monomial sum vanishes ("potential
+undefined: monomial sum vanishes"); what reads a pass's Sums checks none.
+
 All of it comes from passes over stacks of points (evaluate), one point per
 row: per slice of at most BATCH_ENTRIES point-monomial pairs, one _log_sum
 gives each row's log sum and softmax weights, from which the partials
@@ -46,7 +51,6 @@ GRADIENT_STEP = 1e-6
 # central differences with step 1e-6 leave ~1e-10 of noise in an exactly
 # singular determinant, while honest Jacobians here have |det| of order 1
 DEGENERATE_JACOBIAN_TOL = 1e-8
-ZERO_DENOMINATOR_BUMP = 1e-12
 # points x exponents held at once: 128 KiB per float work array (a larger
 # budget buys no speed); with N > BATCH_ENTRIES exponents a slice is one
 # row, and a work array N floats
@@ -110,9 +114,8 @@ class Sums:
     exponents, sum_k w_k D_ka D_kb with D = J - sum_k w_k J_k.
 
     On a coordinate hyperplane x_j = 0 the partial is continued through the
-    reduced exponents J_k - e_j; rows where the monomial sum vanishes are
-    nan.  X is checked as it went in, so a function handed these sums does
-    not check its rows again."""
+    reduced exponents J_k - e_j.  evaluate has refused every row that the
+    functions handed these sums could not take, so none checks again."""
 
     T: ToricPotential
     X: np.ndarray  # (m, n)
@@ -177,7 +180,7 @@ def _covariances(T: ToricPotential, W: np.ndarray, den: np.ndarray) -> np.ndarra
 
 def evaluate(T: ToricPotential, X, hessians: bool = False) -> Sums:
     """The Sums at each row of X (points with nonnegative coordinates), with
-    the covariances, n^2 floats a row, if hessians.
+    the covariances, n^2 floats a row, if hessians; it alone refuses rows.
 
     The rows go through _log_sum in slices of at most BATCH_ENTRIES
     point-monomial pairs, n times fewer with hessians, as the covariance's
@@ -191,6 +194,8 @@ def evaluate(T: ToricPotential, X, hessians: bool = False) -> Sums:
     for i in range(0, m, step):
         rows = slice(i, i + step)
         raw, W, den, lse[rows] = _log_sum(T, X[rows])
+        if np.isnan(lse[rows]).any():
+            raise ValueError("potential undefined: monomial sum vanishes")
         partials[rows] = _partials(T, X[rows], raw, W, den, lse[rows])
         if hessians:
             cov[rows] = _covariances(T, W, den)
@@ -217,38 +222,24 @@ def moduli(XI: np.ndarray) -> np.ndarray:
 
 def potential_values(sums: Sums) -> np.ndarray:
     """Phi~ at each row of a pass."""
-    values = 2.0 * sums.lse
-    if np.isnan(values).any():
-        raise ValueError("potential undefined: monomial sum vanishes")
-    return values
+    return 2.0 * sums.lse
 
 
 def radial_quantities(sums: Sums) -> np.ndarray:
-    """sqrt(x_j * dPhi~/dx_j) = |Psi(xi)_j| at x = |xi|^2, for each row
-    x > 0 of a pass; bounded above by sqrt(2 max_k (J_k)_j)."""
-    if (sums.X == 0).any():
-        raise ValueError("coordinates must be positive")
+    """sqrt(x_j * dPhi~/dx_j) = |Psi(xi)_j| at x = |xi|^2, for each row of a
+    pass, 0 on x_j = 0; bounded above by sqrt(2 max_k (J_k)_j)."""
     return np.sqrt(sums.X * sums.partials)
 
 
 def potential_value(T: ToricPotential, x: Sequence[float]) -> float:
-    if len(x) != T.dim:
-        raise ValueError(f"need {T.dim} coordinates")
     return float(potential_values(evaluate(T, [x]))[0])
 
 
 def potential_partial(T: ToricPotential, x: Sequence[float], j: int) -> float:
-    """dPhi~/dx_j = 2 sum_k (J_k)_j x^{J_k - e_j} / sum_k x^{J_k}.
-
-    The reduced exponent J_k - e_j keeps the numerator finite on the
-    coordinate hyperplanes, but callers must still pass positive x here.
-    """
-    if len(x) != T.dim:
-        raise ValueError(f"need {T.dim} coordinates")
+    """dPhi~/dx_j = 2 sum_k (J_k)_j x^{J_k - e_j} / sum_k x^{J_k} at x >= 0,
+    continued to x_j = 0 by the reduced exponents J_k - e_j."""
     if not 0 <= j < T.dim:
         raise ValueError("axis out of range")
-    if any(c <= 0 for c in x):
-        raise ValueError("coordinates must be positive")
     return float(evaluate(T, [x]).partials[0, j])
 
 
@@ -256,27 +247,14 @@ def psi_maps(XI, sums: Sums) -> np.ndarray:
     """Psi at each row of the complex array XI, from the pass at
     moduli(XI), extended continuously to the coordinate hyperplanes;
     raises if some partial is nonpositive."""
-    X, partials = sums.X, sums.partials.copy()
-    vanished = np.isnan(partials).any(axis=1)
-    if vanished.any():
-        # the monomial sum vanishes on this hyperplane; step just inside
-        X = X[vanished]
-        partials[vanished] = evaluate(sums.T, np.where(X > 0, X, ZERO_DENOMINATOR_BUMP)).partials
-        warnings.warn(
-            "potential degenerates on a coordinate hyperplane; evaluated "
-            f"at distance {ZERO_DENOMINATOR_BUMP} instead",
-            DegenerateJacobianWarning,
-        )
-    if (partials <= 0).any():
+    if (sums.partials <= 0).any():
         raise ValueError("a partial is nonpositive; the map is not defined here")
-    return np.sqrt(partials) * XI
+    return np.sqrt(sums.partials) * XI
 
 
 def psi_map(T: ToricPotential, xi: Sequence[complex]) -> tuple[complex, ...]:
     """Psi(xi)_k = sqrt(dPhi~/dx_k at |xi|^2) * xi_k, extended continuously
     to the coordinate hyperplanes; raises if some partial is nonpositive."""
-    if len(xi) != T.dim:
-        raise ValueError(f"need {T.dim} coordinates")
     XI = np.array([xi], dtype=complex)
     return tuple(complex(w) for w in psi_maps(XI, evaluate(T, moduli(XI)))[0])
 
@@ -288,8 +266,6 @@ def _complex_hessians(XI: np.ndarray, sums: Sums) -> np.ndarray:
     2003), so H_ab = 2 Cov(J_a, J_b) / (xi_a conj(xi_b)).  On x_a = 0 row
     and column a vanish but for H_aa, the continued dPhi~/dx_a."""
     X = sums.X
-    if np.isnan(sums.lse).any():
-        raise ValueError("potential undefined: monomial sum vanishes")
     xi = np.where(X == 0, 1.0, XI)
     H = 2.0 * sums.cov / (xi[:, :, None] * xi.conj()[:, None])
     r, a = np.nonzero(X == 0)

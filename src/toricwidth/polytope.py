@@ -141,25 +141,6 @@ class HalfspacePolytope:
         """
         return tuple(enumerate_vertices(self))
 
-    def normal_sums(self, k: int) -> dict[IntVector, list[tuple[int, ...]]]:
-        """The k-multisets of facet indices, as sorted index tuples, keyed by
-        the sum of their normals.  Each table is built at most once per
-        polytope object, from the one of size k - 1."""
-        tables = self._normal_sum_tables
-        while len(tables) <= k:
-            table: dict = {}
-            for s, multisets in tables[-1].items():
-                for m in multisets:
-                    for j in range(m[-1] if m else 0, self.num_facets):
-                        key = tuple(map(operator.add, s, self.normals[j]))
-                        table.setdefault(key, []).append(m + (j,))
-            tables.append(table)
-        return tables[k]
-
-    @functools.cached_property
-    def _normal_sum_tables(self) -> list[dict]:
-        return [{(0,) * self.dim: [()]}]
-
 
 @dataclass(frozen=True)
 class Vertex:

@@ -52,30 +52,35 @@ chart_table picked it.
 
 The numeric checks draw their points from a random.Random(seed) of their
 own: the gradient check real x in [0.1, 10], the pullback check modulus in
-[0.1, 0.9], and the radial and psi checks modulus in [0.1, 3].  They come
-in the order and number of a per-sample loop, one call a draw: a real point
-is rng.uniform(lo, hi), a complex one cmath.rect(rng.uniform(lo, hi),
+[0.1, 0.9], and the radial and psi checks modulus in [0.1, 3], so none lies
+on a coordinate hyperplane.  They come in the order and number of a loop
+over the checks and then the samples, one call a draw: a real point is
+rng.uniform(lo, hi), a complex one cmath.rect(rng.uniform(lo, hi),
 rng.uniform(0, 2 pi)), and a radial square rng.uniform(0.1, 3.0) ** 2.
 
-The numeric suite draws every check's points first, in the order of the
-checks.  The rows where the gradient, radial and psi checks need the
-potential (the gradient stencil and its base points, the radial rows and
-the Psi rows), 2n + 12 rows a sample, are stacked and go through one
-numeric.evaluate pass, in slices of at most numeric.BATCH_ENTRIES
-point-monomial pairs; each check then hands its rows' Sums to the function
-that the library offers for it (potential_values, radial_quantities,
-psi_maps).  The pullback check runs numeric.pullback_check on its rows,
+The numeric suite draws a chunk's points inside its loop over chunks, each
+check from its own copy of the generator, set to the check's first draw,
+so no check's points are held beyond a chunk.  The rows where the
+gradient, radial and psi checks need the potential (the gradient stencil
+and its base points, the radial rows and the Psi rows), 2n + 12 rows a
+sample, are stacked and go through one numeric.evaluate pass, in slices of
+at most numeric.BATCH_ENTRIES point-monomial pairs; each check then hands
+its rows' Sums to the function that the library offers for it
+(potential_values, radial_quantities, psi_maps).  The pullback check runs numeric.pullback_check on its rows,
 which makes its own two passes, one over Psi's stencil and one with the
 n x n covariances over the rows.  The samples are stacked in chunks of at
 most BATCH_ENTRIES // n^2 (one chunk at the default 10 for n <= 40), so the
-stack and Psi's stencil, 8 n^2 floats a sample, stay within a few
-BATCH_ENTRIES floats each whatever the sample count; every value is
+draws, the stack and Psi's stencil, 8 n^2 floats a sample, stay within a
+few BATCH_ENTRIES floats each whatever the sample count; every value is
 computed row by row, so the chunks give the values of one stack.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
+import copy
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -111,7 +116,6 @@ class CheckResult:
     passed: bool
     deviation: float | None
     tolerance: float | None
-    detail: str = ""
 
 
 def exact_checks(table: ChartTable) -> list[CheckResult]:
@@ -151,32 +155,44 @@ def chart_suite(F: Fan) -> list[CheckResult]:
 def numeric_suite(
     T: ToricPotential, seed: int = 0, samples: int = 10
 ) -> list[CheckResult]:
-    """Each check draws its samples from rng in the order a per-sample loop
-    would; then, a chunk of samples at a time, the rows of the gradient,
-    radial and psi checks go through one evaluate pass, each check reads
-    its rows' sums, and pullback_check runs its own passes."""
-    rng = random.Random(seed)
+    """A chunk of samples at a time, each check draws its chunk's points
+    from its own copy of rng, in the order a per-sample loop would; then the
+    rows of the gradient, radial and psi checks go through one evaluate
+    pass, each check reads its rows' sums, and pullback_check runs its own
+    passes."""
     n = T.dim
     results = []
     bounds = np.array([axis_radius_bound(T, j) for j in range(n)])
+    chunk = max(1, numeric.BATCH_ENTRIES // (n * n))
+    # the gradient, pullback and radial checks take n, 2n and 10n random()
+    # calls a sample, so each later check's copy of rng starts that far on;
+    # in one chunk (the default) the checks draw in turn from rng itself, as
+    # a copy costs about a tenth of a small verify call
+    rngs = [random.Random(seed)]
+    for calls in (n, 2 * n, 10 * n):
+        rng = rngs[-1]
+        if samples > chunk:
+            rng = copy.copy(rng)
+            # consume the earlier check's draws unkept, in C
+            collections.deque(itertools.starmap(rng.random, itertools.repeat((), calls * samples)), 0)
+        rngs.append(rng)
+    grad_rng, pullback_rng, radial_rng, psi_rng = rngs
 
-    def points(lo: float, hi: float) -> np.ndarray:
-        draws = [cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 * math.pi)) for _ in range(samples * n)]
-        return np.array(draws, dtype=complex).reshape(samples, n)
-
-    x = np.array([rng.uniform(0.1, 10.0) for _ in range(samples * n)]).reshape(samples, n)
-    xi_pullback = points(0.1, 0.9)
-    radial = np.array([rng.uniform(0.1, 3.0) ** 2 for _ in range(10 * samples * n)]).reshape(-1, n)
-    xi_psi = points(0.1, 3.0)
+    def points(rng: random.Random, lo: float, hi: float, m: int) -> np.ndarray:
+        draws = [cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 * math.pi)) for _ in range(m * n)]
+        return np.array(draws, dtype=complex).reshape(m, n)
 
     # each check's worst per chunk; np.max keeps a nan, and gives 0 with no chunks
     fd_worst, pullback_worst, gap_worst = [], [], []
     radial_ok = psi_ok = True
-    chunk = max(1, numeric.BATCH_ENTRIES // (n * n))
     for i in range(0, samples, chunk):
-        c, r = slice(i, i + chunk), slice(10 * i, 10 * (i + chunk))
-        stencil, h = numeric.central_stencil(x[c])
-        parts = [stencil.reshape(-1, n), x[c], radial[r], moduli(xi_psi[c])]
+        m = min(chunk, samples - i)
+        x = np.array([grad_rng.uniform(0.1, 10.0) for _ in range(m * n)]).reshape(m, n)
+        xi_pullback = points(pullback_rng, 0.1, 0.9, m)
+        radial = np.array([radial_rng.uniform(0.1, 3.0) ** 2 for _ in range(10 * m * n)]).reshape(-1, n)
+        xi_psi = points(psi_rng, 0.1, 3.0, m)
+        stencil, h = numeric.central_stencil(x)
+        parts = [stencil.reshape(-1, n), x, radial, moduli(xi_psi)]
         ends = np.cumsum([len(p) for p in parts])
         sums = evaluate(T, np.concatenate(parts))
         at_stencil, at_x, at_radial, at_psi = (sums[a:b] for a, b in zip([0, *ends[:-1]], ends))
@@ -189,15 +205,16 @@ def numeric_suite(
         fd_worst.append(float(np.max(dev, initial=0.0)))
 
         # pullback of the standard form through Psi reproduces the form of Phi
-        pullback_worst.append(pullback_check(T, xi_pullback[c]))
+        pullback_worst.append(pullback_check(T, xi_pullback))
 
         # |Psi_j| never exceeds the per-axis radius bound
         gap = radial_quantities(at_radial) - bounds
         gap_worst.append(float(np.max(gap, initial=0.0)))
         radial_ok = radial_ok and not (gap > 1e-9).any()
 
-        # Psi extends to the closed chart with |Psi_j|^2 below 2 max_k (J_k)_j
-        w = psi_maps(xi_psi[c], at_psi)
+        # |Psi_j|^2 stays below 2 max_k (J_k)_j at the drawn points, |xi| in
+        # [0.1, 3]; on the closed chart's hyperplanes the tests check it
+        w = psi_maps(xi_psi, at_psi)
         psi_ok = psi_ok and not (np.abs(w) > bounds + 1e-9).any()
 
     worst = float(np.max(fd_worst, initial=0.0))

@@ -14,11 +14,11 @@ Three bounds are computed from a Delzant polytope:
     relations are searched up to sum a_i = 2(n + 1), and the bound is
     reported with that search bound, since the defining set is infinite.
 
-Lambda and gamma read their relations off one join of half-sum tables,
-built once per polytope, with the integer values q * -sum lambda_i a_i for
-(q, q * lambda) = P.integer_offsets; see _relations.  width_report keeps
-the CylinderBound, LambdaBound and GammaBound it builds, and the command
-line writes its report from them.
+Lambda and gamma read their relations off one join of the half-sum tables
+of normal_sums, built at most once per polytope, with the integer values
+q * -sum lambda_i a_i for (q, q * lambda) = P.integer_offsets; see
+_relations.  width_report takes the vertex its caller chose and keeps the
+CylinderBound, LambdaBound and GammaBound it builds, for the report.
 
 The class is monotone iff r(lambda_i + <m, u_i>) = -1 has a solution with
 r > 0 (Batyrev's reflexivity criterion: the translated and rescaled polytope
@@ -31,6 +31,8 @@ Exact arithmetic throughout; pi is kept symbolic as a coefficient.
 
 from __future__ import annotations
 
+import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,20 +82,43 @@ class GammaBound:
     search_bound: int
 
 
+# id(P) -> its half-sum tables by size, dropped with P (hashing P hashes every offset)
+_NORMAL_SUMS: dict[int, list[dict]] = {}
+
+
+def normal_sums(P: HalfspacePolytope, k: int) -> dict[IntVector, list[tuple[int, ...]]]:
+    """The k-multisets of facet indices of P, as sorted index tuples, keyed
+    by the sum of their normals.  Each table is built at most once per
+    polytope, from the one of size k - 1."""
+    tables = _NORMAL_SUMS.get(id(P))
+    if tables is None:
+        tables = _NORMAL_SUMS[id(P)] = [{(0,) * P.dim: [()]}]
+        weakref.finalize(P, _NORMAL_SUMS.pop, id(P))
+    while len(tables) <= k:
+        table: dict = {}
+        for s, multisets in tables[-1].items():
+            for m in multisets:
+                for j in range(m[-1] if m else 0, P.num_facets):
+                    key = tuple(map(operator.add, s, P.normals[j]))
+                    table.setdefault(key, []).append(m + (j,))
+        tables.append(table)
+    return tables[k]
+
+
 def _relations(P: HalfspacePolytope, totals):
     """(a, q * -sum lambda_i a_i), for (q, q * lambda) = P.integer_offsets,
     for the nonnegative integer a with sum a_i u_i = 0 and sum a_i in totals.
 
     The sorted index tuple of an a of total t splits into its first t // 2
     and last t - t // 2 indices, L and R, whose normal sums cancel; so the
-    pairs of P.normal_sums entries with opposite sums and L[-1] <= R[0] give
+    pairs of normal_sums entries with opposite sums and L[-1] <= R[0] give
     each a once.  Values are integer sums of the -q * lambda_i.  Callers take
     least witnesses with min, so the join's order does not matter.
     """
     offsets = P.integer_offsets[1]
     for total in totals:
-        right = P.normal_sums(total - total // 2)
-        for s, lefts in P.normal_sums(total // 2).items():
+        right = normal_sums(P, total - total // 2)
+        for s, lefts in normal_sums(P, total // 2).items():
             rights = right.get(tuple(-c for c in s), ())
             for L in lefts:
                 for R in rights:
@@ -199,12 +224,10 @@ def lu_gamma(P: HalfspacePolytope, fano: FanoCertificate) -> GammaBound | None:
 
 @dataclass(frozen=True)
 class WidthReport:
-    """The bounds of width_report, the cylinder bound at `vertex`.  lu_gamma
-    is None when fano is, since the class is then not monotone, or when no
-    relation is within the search bound; gamma_note says which."""
+    """The bounds of width_report.  lu_gamma is None when fano is, since the
+    class is then not monotone, or when no relation is within the search
+    bound; gamma_note says which."""
 
-    vertex: Vertex
-    denominator_scale: int  # q of P.integer_offsets
     cylinder: CylinderBound
     lu_lambda: LambdaBound | None
     fano: FanoCertificate | None
@@ -224,17 +247,11 @@ class WidthReport:
         return min(b.coefficient_pi for b in bounds if b is not None)
 
 
-def width_report(P: HalfspacePolytope, vertex_index: int = 0) -> WidthReport:
-    """All bounds for one polytope; vertex_index picks the embedding vertex
-    from the lexicographically sorted vertex list (0 = smallest).
-
-    denominator_scale is the lcm q of the offset denominators: the embedding
-    is that of qP, and the cylinder bound is reported divided by q.
-    """
-    vertices = delzant_vertices(P)
-    if not 0 <= vertex_index < len(vertices):
-        raise ValueError(f"vertex index out of range (have {len(vertices)} vertices)")
-    v = vertices[vertex_index]
+def width_report(P: HalfspacePolytope, v: Vertex) -> WidthReport:
+    """All bounds for the Delzant polytope P (delzant_vertices refuses any
+    other), the cylinder bound at its vertex v: that of the embedding of qP,
+    for q = P.integer_offsets[0], divided by q."""
+    delzant_vertices(P)
     cyl, lam, fano = cylinder_bound(P, v), lu_lambda(P), fano_check(P)
     gamma = None if fano is None else lu_gamma(P, fano)
-    return WidthReport(v, P.integer_offsets[0], cyl, lam, fano, gamma)
+    return WidthReport(cyl, lam, fano, gamma)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -576,19 +577,18 @@ def random_delzant_polytope(rng: random.Random, n: int) -> HalfspacePolytope:
 
 
 def oracle_lattice_points(P: HalfspacePolytope) -> list[tuple[int, ...]]:
-    """Brute force over a deliberately enlarged box, separate code path."""
+    """Brute force over a deliberately enlarged box, separate code path:
+    <x, u_i> >= p_i / q_i is tested as <x, q_i u_i> >= p_i in integers."""
     from toricwidth.polytope import enumerate_vertices
 
     pts = [v.point for v in enumerate_vertices(P)]
     n = P.dim
     lo = [int(min(p[i] for p in pts)) - 2 for i in range(n)]
     hi = [int(max(p[i] for p in pts)) + 2 for i in range(n)]
+    rows = [([lam.denominator * c for c in u], lam.numerator) for u, lam in zip(P.normals, P.offsets)]
     out = []
     for x in product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        if all(
-            sum(Fraction(xi) * ui for xi, ui in zip(x, u)) >= lam
-            for u, lam in zip(P.normals, P.offsets)
-        ):
+        if all(sum(map(operator.mul, x, qu)) >= p for qu, p in rows):
             out.append(x)
     return sorted(out)
 
@@ -1095,18 +1095,26 @@ def _oracle_point(rng: random.Random, lo: float, hi: float) -> complex:
     return complex(r * math.cos(angle), r * math.sin(angle))
 
 
-def oracle_numeric_suite(T, seed: int = 0, samples: int = 10) -> list[CheckResult]:
-    """verify.numeric_suite one sample at a time: the points drawn with
-    random.Random in the suite's order, each check's rows evaluated one by
-    one through the scalar functions (potential_value, potential_partial,
-    pullback_check on one row, radial_quantities on one row, psi_map)."""
+def oracle_draws(n: int, seed: int, samples: int):
+    """The points of verify.numeric_suite's gradient, pullback, radial and
+    psi checks, drawn with random.Random in the suite's order: every
+    gradient point, then every pullback point, and so on."""
     rng = random.Random(seed)
-    n = T.dim
-    bounds = np.array([axis_radius_bound(T, j) for j in range(n)])
     xs = [[rng.uniform(0.1, 10.0) for _ in range(n)] for _ in range(samples)]
     pullback = [[_oracle_point(rng, 0.1, 0.9) for _ in range(n)] for _ in range(samples)]
     radial = [[rng.uniform(0.1, 3.0) ** 2 for _ in range(n)] for _ in range(10 * samples)]
     psi = [[_oracle_point(rng, 0.1, 3.0) for _ in range(n)] for _ in range(samples)]
+    return xs, pullback, radial, psi
+
+
+def oracle_numeric_suite(T, seed: int = 0, samples: int = 10) -> list[CheckResult]:
+    """verify.numeric_suite one sample at a time: the points of
+    oracle_draws, each check's rows evaluated one by one through the scalar
+    functions (potential_value, potential_partial, pullback_check on one
+    row, radial_quantities on one row, psi_map)."""
+    n = T.dim
+    bounds = np.array([axis_radius_bound(T, j) for j in range(n)])
+    xs, pullback, radial, psi = oracle_draws(n, seed, samples)
     results = []
 
     worst = 0.0

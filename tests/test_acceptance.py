@@ -77,7 +77,8 @@ def random_disc_point(rng, n):
 
 def test_blown_up_hirzebruch_end_to_end():
     start = time.perf_counter()
-    rep = width_report(blown_up_hirzebruch())
+    P = blown_up_hirzebruch()
+    rep = width_report(P, P.vertices[0])
     elapsed = time.perf_counter() - start
     assert rep.lu_lambda.coefficient_pi == 8
     assert rep.lu_lambda.witness == (0, 1, 0, 1, 1, 0)
@@ -94,7 +95,8 @@ def test_blown_up_hirzebruch_end_to_end():
 def test_iterated_blowup_family_end_to_end():
     for m in (1, 2, 5, 10):
         start = time.perf_counter()
-        rep = width_report(iterated_plane_blowup(m))
+        P = iterated_plane_blowup(m)
+        rep = width_report(P, P.vertices[0])
         elapsed = time.perf_counter() - start
         assert rep.lu_lambda.coefficient_pi == 2 * (6 + Fraction(2 * m, m + 1))
         assert rep.fano is None
@@ -102,14 +104,14 @@ def test_iterated_blowup_family_end_to_end():
         assert elapsed < 1.0
         print(
             f"PASS blowup family m={m}: Lambda={rep.lu_lambda.coefficient_pi}pi, "
-            f"cylinder=8pi via scale q={rep.denominator_scale}, {elapsed:.3f}s"
+            f"cylinder=8pi via scale q={P.integer_offsets[0]}, {elapsed:.3f}s"
         )
 
 
 def test_projective_space_sanity():
     for n in (1, 2, 3):
         P = projective_space(n, 1)
-        rep = width_report(P)
+        rep = width_report(P, P.vertices[0])
         assert rep.cylinder.coefficient_pi == 2
         assert rep.lu_lambda.coefficient_pi == 2
         assert rep.lu_gamma.coefficient_pi == 2

@@ -213,7 +213,7 @@ def test_verify_json_format(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    failing = [CheckResult("forced", False, 1.0, 1e-9, "synthetic failure")]
+    failing = [CheckResult("forced", False, 1.0, 1e-9)]
     monkeypatch.setattr("toricwidth.verify.polytope_suites", lambda P, seed, samples: failing)
     rc, out = run(capsys, "verify", "cpn:1:1")
     assert rc == 4

@@ -179,13 +179,11 @@ def test_error_paths():
     with pytest.raises(ValueError):
         potential_value(CP2, (1.0,))
     with pytest.raises(ValueError):
-        potential_partial(CP2, (0.0, 1.0), 0)
-    with pytest.raises(ValueError):
         potential_partial(CP2, (1.0, 1.0), 2)
     with pytest.raises(ValueError):
+        potential_partial(CP2, (1.0,), 0)
+    with pytest.raises(ValueError):
         psi_map(CP2, (1.0,))
-    with pytest.raises(ValueError, match="coordinates must be positive"):
-        radial_quantities(evaluate(CP2, [(0.0, 1.0)]))
     with pytest.raises(ValueError):
         sup_along_path(CP2, 0, 2, 1.0)
 
@@ -405,17 +403,41 @@ def test_high_degree_stays_finite():
     assert np.isfinite(psi_map(T, [3.0 + 1j])).all()
 
 
-def test_psi_map_steps_inside_where_the_sum_vanishes():
-    # x_0 + x_0^2 x_1 vanishes on x_0 = 0; stepping to x_0 = b gives
-    # dPhi~/dx_1 = 2 b / (1 + b x_1)
+def test_every_function_refuses_where_the_monomial_sum_vanishes():
+    # x_0 + x_0^2 x_1 vanishes on x_0 = 0: evaluate refuses the row, with
+    # no warning and no step inside
     T = ToricPotential(embedding_from_exponents(((1, 0), (2, 1))))
-    b = toricwidth.numeric.ZERO_DENOMINATOR_BUMP
-    with pytest.warns(DegenerateJacobianWarning, match="distance 1e-12"):
-        out = psi_map(T, (0.0, 0.5j))
-    assert out[0] == 0.0
-    assert out[1] == pytest.approx(math.sqrt(2 * b / (1 + b * 0.25)) * 0.5j, rel=1e-12)
-    with pytest.raises(ValueError, match="monomial sum vanishes"):
-        potential_value(T, (0.0, 1.0))
+    calls = [
+        lambda: psi_map(T, (0.0, 0.5j)),
+        lambda: pullback_check(T, (0.0, 0.5j)),
+        lambda: potential_value(T, (0.0, 1.0)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="^potential undefined: monomial sum vanishes$"):
+                call()
+
+
+def test_the_closed_chart_matches_the_oracles(oracle_potential):
+    # rows with some xi_j = 0: psi_maps and radial_quantities stay within the
+    # axis radius bounds and equal the linear-space oracles there
+    T = oracle_potential
+    rng = random.Random(38)
+    rows = [[math.sqrt(c) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for c in x]
+            for x in oracle_points(T, rng) if 0.0 in x]
+    XI = np.array(rows)
+    sums = evaluate(T, moduli(XI))
+    W, R = psi_maps(XI, sums), radial_quantities(sums)
+    bounds = np.array([axis_radius_bound(T, j) for j in range(T.dim)])
+    assert (np.abs(W) <= bounds + 1e-9).all() and (R <= bounds + 1e-9).all()
+    for xi, x, w, r in zip(rows, sums.X, W, R):
+        for got, want in zip(w, oracle_psi_map(T, xi)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        for j in range(T.dim):
+            partial = oracle_potential_partial(T, x, j)
+            assert potential_partial(T, x, j) == pytest.approx(partial, rel=1e-12)
+            assert r[j] == pytest.approx(math.sqrt(x[j] * partial), rel=1e-12, abs=0)
 
 
 def test_radial_quantities_match_pointwise():

@@ -3,7 +3,6 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -946,15 +945,3 @@ def test_an_open_pyramid_reports_the_first_unbounded_edge_of_the_walk():
     with pytest.raises(UnboundedPolytopeError, match=r"^recession direction \(-1, 1, -1\)$"):
         enumerate_vertices(P)
     assert_same_vertices(P)
-
-
-def test_normal_sums_group_each_multiset_once_by_its_sum():
-    P = random_delzant_polytope(random.Random(4), 3)
-    for k in range(5):
-        table = P.normal_sums(k)
-        listed = sorted(m for ms in table.values() for m in ms)
-        assert listed == list(combinations_with_replacement(range(P.num_facets), k))
-        for s, ms in table.items():
-            for m in ms:
-                assert s == tuple(sum(P.normals[i][c] for i in m) for c in range(P.dim))
-        assert P.normal_sums(k) is table  # built once per polytope

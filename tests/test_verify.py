@@ -17,6 +17,7 @@ from geomgen import (
     hirzebruch,
     lattice_point_ladder,
     oracle_chart_suite,
+    oracle_draws,
     oracle_exact_checks,
     oracle_numeric_suite,
     random_delzant_polygon,
@@ -137,6 +138,35 @@ def test_numeric_suite_stacks_its_samples_in_bounded_chunks(monkeypatch):
     assert numeric_suite(T, seed=4, samples=40) == whole
     full = [(256, None), (128, None), (16, (16, 2, 2))]
     assert passes == full + full + [(128, None), (64, None), (8, (8, 2, 2))]
+
+
+def test_each_check_draws_its_chunks_from_where_the_last_one_ended(monkeypatch):
+    # 64 entries put n = 2 samples in chunks of 16: each check draws its
+    # chunk from its own copy of the generator, and the points reaching the
+    # checks, three chunks each, are those of one pass over the checks
+    P = resolve_fixture("example-3.8:1")
+    T = ToricPotential(sections_by_polytope(P, P.vertices[0]))
+    seen = {"gradient": [], "pullback": [], "radial": [], "psi": []}
+
+    def recorded(module, name, check, points):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            seen[check].append(points(*args))
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 64)
+    recorded(toricwidth.numeric, "central_stencil", "gradient", lambda x: x)
+    recorded(toricwidth.verify, "pullback_check", "pullback", lambda T, xi: xi)
+    recorded(toricwidth.verify, "radial_quantities", "radial", lambda sums: sums.X)
+    recorded(toricwidth.verify, "psi_maps", "psi", lambda XI, sums: XI)
+    numeric_suite(T, seed=4, samples=40)
+    # pullback_check's own stencils have 2n columns
+    seen["gradient"] = [x for x in seen["gradient"] if x.shape[1] == T.dim]
+    for chunks, want in zip(seen.values(), oracle_draws(T.dim, 4, 40)):
+        assert len(chunks) == 3
+        assert np.array_equal(np.concatenate(chunks), np.array(want))
 
 
 @pytest.mark.parametrize("group", ["ladder", "projective", "random", "blowup"])

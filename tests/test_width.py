@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -34,6 +35,7 @@ from toricwidth.fixtures import (
 from toricwidth.lattice import dot
 from toricwidth.polytope import (
     HalfspacePolytope,
+    NotDelzantError,
     enumerate_vertices,
     is_delzant,
 )
@@ -45,6 +47,7 @@ from toricwidth.width import (
     fano_check,
     lu_gamma,
     lu_lambda,
+    normal_sums,
     verify_fano_certificate,
     width_report,
 )
@@ -175,13 +178,14 @@ def test_lu_gamma_simplex_and_square():
 
 def test_lu_gamma_requires_fano():
     for P in (blown_up_hirzebruch(), iterated_plane_blowup(1)):
-        rep = width_report(P)
+        rep = width_report(P, P.vertices[0])
         assert rep.fano is None and rep.lu_gamma is None
         assert rep.gamma_note == GAMMA_CAVEAT
 
 
 def test_width_report_blowup():
-    rep = width_report(blown_up_hirzebruch())
+    P = blown_up_hirzebruch()
+    rep = width_report(P, P.vertices[0])
     assert rep.cylinder.coefficient_pi == 6
     assert rep.lu_lambda.coefficient_pi == 8
     assert rep.lu_lambda.witness == (0, 1, 0, 1, 1, 0)
@@ -190,12 +194,12 @@ def test_width_report_blowup():
     assert rep.gamma_note == GAMMA_CAVEAT
     assert rep.min_bound_pi == 6
     assert rep.cylinder.axis == 1
-    assert rep.denominator_scale == 1
 
 
 def test_width_report_family():
     for m in (1, 2, 5, 10):
-        rep = width_report(iterated_plane_blowup(m))
+        P = iterated_plane_blowup(m)
+        rep = width_report(P, P.vertices[0])
         assert rep.cylinder.coefficient_pi == 8
         assert rep.lu_lambda.coefficient_pi == 2 * (6 + Fraction(2 * m, m + 1))
         assert rep.min_bound_pi == 8
@@ -203,7 +207,8 @@ def test_width_report_family():
 
 def test_width_report_projective_spaces():
     for n in (1, 2, 3):
-        rep = width_report(projective_space(n, 1))
+        P = projective_space(n, 1)
+        rep = width_report(P, P.vertices[0])
         assert rep.cylinder.coefficient_pi == 2
         assert rep.lu_lambda.coefficient_pi == 2
         assert rep.lu_gamma.coefficient_pi == 2
@@ -214,12 +219,16 @@ def test_width_report_projective_spaces():
 
 def test_width_report_vertex_choice():
     P = blown_up_hirzebruch()
-    rep = width_report(P, vertex_index=5)  # vertex (4, 3)
-    assert rep.vertex.point == (4, 3)
+    v = P.vertices[5]
+    assert v.point == (4, 3)
+    rep = width_report(P, v)
     # maxima at the far vertex still dominate the polytope's extent
+    assert rep.cylinder == cylinder_bound(P, v)
     assert rep.cylinder.coefficient_pi == min(rep.cylinder.axis_maxima) * 2
-    with pytest.raises(ValueError):
-        width_report(P, vertex_index=6)
+    # the vertex comes from the caller, but the Delzant gate stays
+    triangle = HalfspacePolytope(((1, 0), (0, 1), (-1, -2)), (0, 0, -2))
+    with pytest.raises(NotDelzantError, match="do not form a Z-basis"):
+        width_report(triangle, triangle.vertices[0])
 
 
 def test_width_report_scales_offsets_exactly():
@@ -228,8 +237,8 @@ def test_width_report_scales_offsets_exactly():
         ((1, 0), (0, 1), (-1, 0), (0, -1)),
         (0, 0, Fraction(-5, 4), Fraction(-5, 4)),
     )
-    rep = width_report(P)
-    assert rep.denominator_scale == 4
+    rep = width_report(P, P.vertices[0])
+    assert P.integer_offsets[0] == 4
     assert rep.cylinder.coefficient_pi == Fraction(2 * 5, 4)
     assert rep.cylinder.axis_maxima == (Fraction(5, 4), Fraction(5, 4))
 
@@ -410,3 +419,24 @@ def test_fano_check_matches_the_rref_route():
         assert cert == rref_fano_check(P), P
         certificates += cert is not None
     assert 50 <= certificates < len(inputs) - 50
+
+
+def test_normal_sums_group_each_multiset_once_by_its_sum():
+    P = random_delzant_polytope(random.Random(4), 3)
+    for k in range(5):
+        table = normal_sums(P, k)
+        listed = sorted(m for ms in table.values() for m in ms)
+        assert listed == list(combinations_with_replacement(range(P.num_facets), k))
+        for s, ms in table.items():
+            for m in ms:
+                assert s == tuple(sum(P.normals[i][c] for i in m) for c in range(P.dim))
+        assert normal_sums(P, k) is table  # built once per polytope
+
+
+def test_normal_sums_go_with_their_polytope():
+    P = random_delzant_polytope(random.Random(4), 3)
+    key = id(P)
+    normal_sums(P, 2)
+    assert key in toricwidth.width._NORMAL_SUMS
+    del P
+    assert key not in toricwidth.width._NORMAL_SUMS

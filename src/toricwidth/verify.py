@@ -66,9 +66,9 @@ and its base points, the radial rows and the Psi rows), 2n + 12 rows a
 sample, are stacked and go through one numeric.evaluate pass, in slices of
 at most numeric.BATCH_ENTRIES point-monomial pairs; each check then hands
 its rows' Sums to the function that the library offers for it
-(potential_values, radial_quantities, psi_maps).  The pullback check runs numeric.pullback_check on its rows,
-which makes its own two passes, one over Psi's stencil and one with the
-n x n covariances over the rows.  The samples are stacked in chunks of at
+(potential_values, radial_quantities, psi_maps).  The pullback check runs
+numeric.pullback_check on its rows, which makes its own two passes, one
+over Psi's stencil and one with the n x n covariances over the rows.  The samples are stacked in chunks of at
 most BATCH_ENTRIES // n^2 (one chunk at the default 10 for n <= 40), so the
 draws, the stack and Psi's stencil, 8 n^2 floats a sample, stay within a
 few BATCH_ENTRIES floats each whatever the sample count; every value is
@@ -174,7 +174,8 @@ def numeric_suite(
         if samples > chunk:
             rng = copy.copy(rng)
             # consume the earlier check's draws unkept, in C
-            collections.deque(itertools.starmap(rng.random, itertools.repeat((), calls * samples)), 0)
+            skipped = itertools.starmap(rng.random, itertools.repeat((), calls * samples))
+            collections.deque(skipped, 0)
         rngs.append(rng)
     grad_rng, pullback_rng, radial_rng, psi_rng = rngs
 

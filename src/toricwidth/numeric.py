@@ -23,12 +23,12 @@ undefined: monomial sum vanishes"); what reads a pass's Sums checks none.
 All of it comes from passes over stacks of points (evaluate), one point per
 row: per slice of at most BATCH_ENTRIES point-monomial pairs, one _log_sum
 gives each row's log sum and softmax weights, from which the partials
-follow, and, in a pass with hessians, the covariance of the exponents that
-the Hessian needs.  Each check is a function of a pass's per-row Sums
-(potential_values, radial_quantities, psi_maps, _complex_hessians), so a
-caller may stack the rows of several checks into one pass, as verify's
-numeric suite does; pullback_check runs its own two passes, one over Psi's
-stencil and one with hessians over its rows.  Every step works row by row,
+follow, and, for the pass's last hessians rows, the covariance of the
+exponents that the Hessian needs.  Each check is a function of a pass's
+per-row Sums (potential_values, radial_quantities, psi_maps and
+pullback_deviation, whose rows are Psi's stencil and then its base rows,
+last for their covariances), so a caller may stack the rows of all checks
+into one pass, as verify's numeric suite does.  Every step works row by row,
 so a row's values do not depend on the other rows of its pass: each sum over
 the N monomials is an einsum along the contiguous axis of the columns, whose
 kernel adds a row's terms in an order fixed by N alone, where a BLAS product
@@ -110,8 +110,9 @@ class ToricPotential:
 class Sums:
     """The potential's sums at each row of a stack of points X, from one
     pass (evaluate) for T: lse = log sum_k x^{J_k}, the partials dPhi~/dx_j
-    and, if the pass asked for them, the softmax covariances of the
-    exponents, sum_k w_k D_ka D_kb with D = J - sum_k w_k J_k.
+    and, for the last len(cov) rows, those the pass asked covariances for,
+    the softmax covariances of the exponents, sum_k w_k D_ka D_kb with
+    D = J - sum_k w_k J_k.
 
     On a coordinate hyperplane x_j = 0 the partial is continued through the
     reduced exponents J_k - e_j.  evaluate has refused every row that the
@@ -121,10 +122,13 @@ class Sums:
     X: np.ndarray  # (m, n)
     lse: np.ndarray  # (m,)
     partials: np.ndarray  # (m, n)
-    cov: np.ndarray | None  # (m, n, n), or None without hessians
+    cov: np.ndarray  # (h, n, n) for the last h rows
 
-    def __getitem__(self, rows) -> "Sums":
-        cov = None if self.cov is None else self.cov[rows]
+    def __getitem__(self, rows: slice) -> "Sums":
+        """A contiguous run of rows, whose covariances stay its last rows."""
+        start, stop, _ = rows.indices(len(self.X))
+        first = len(self.X) - len(self.cov)  # the first row with covariances
+        cov = self.cov[max(start - first, 0):max(stop - first, 0)]
         return Sums(self.T, self.X[rows], self.lse[rows], self.partials[rows], cov)
 
 
@@ -178,27 +182,32 @@ def _covariances(T: ToricPotential, W: np.ndarray, den: np.ndarray) -> np.ndarra
     return np.einsum("mk,mak,mbk->mab", W, D, D)
 
 
-def evaluate(T: ToricPotential, X, hessians: bool = False) -> Sums:
+def evaluate(T: ToricPotential, X, hessians: int = 0) -> Sums:
     """The Sums at each row of X (points with nonnegative coordinates), with
-    the covariances, n^2 floats a row, if hessians; it alone refuses rows.
+    the covariances, n^2 floats a row, of the last hessians rows; it alone
+    refuses rows.
 
     The rows go through _log_sum in slices of at most BATCH_ENTRIES
-    point-monomial pairs, n times fewer with hessians, as the covariance's
-    work array is n times as wide; every step works row by row, so a row's
-    values do not depend on the other rows of its slice."""
+    point-monomial pairs, and a slice's covariance rows, whose work array is
+    n times as wide, n times fewer at a time; every step works row by row,
+    so a row's values do not depend on the other rows of its slice."""
     X = _points(T, X)
     (m, n), N = X.shape, T.exponent_columns.shape[1]
-    lse, partials = np.empty(m), np.empty((m, n))
-    cov = np.empty((m, n, n)) if hessians else None
-    step = max(1, BATCH_ENTRIES // (N * n if hessians else N))
+    if isinstance(hessians, bool) or not 0 <= hessians <= m:  # True is no row count
+        raise ValueError(f"hessians must count some of the {m} rows")
+    first = m - hessians
+    lse, partials, cov = np.empty(m), np.empty((m, n)), np.empty((hessians, n, n))
+    step, wide = max(1, BATCH_ENTRIES // N), max(1, BATCH_ENTRIES // (N * n))
     for i in range(0, m, step):
         rows = slice(i, i + step)
         raw, W, den, lse[rows] = _log_sum(T, X[rows])
         if np.isnan(lse[rows]).any():
             raise ValueError("potential undefined: monomial sum vanishes")
         partials[rows] = _partials(T, X[rows], raw, W, den, lse[rows])
-        if hessians:
-            cov[rows] = _covariances(T, W, den)
+        stop = i + len(W)
+        for j in range(max(i, first), stop, wide):
+            k = min(j + wide, stop)
+            cov[j - first:k - first] = _covariances(T, W[j - i:k - i], den[j - i:k - i])
     return Sums(T, X, lse, partials, cov)
 
 
@@ -288,35 +297,34 @@ def central_stencil(p0: np.ndarray):
     return P, steps
 
 
-def pullback_check(T: ToricPotential, xi) -> float:
-    """Max entrywise deviation between J^T Omega0 J for the real Jacobian J
-    of Psi and the form matrix of (i/2) del delbar Phi at xi.
-
-    xi is one point or an m x n array of points, one per row; the result is
-    the worst deviation over the rows.  The Jacobian is a central difference
-    of psi_maps, from one pass over the stencil points, and the form is in
-    closed form (_complex_hessians), from one pass with hessians over the
-    rows; both hold O(n^2) floats a row, whatever the number of exponents.
-    Each row's deviation equals that of a call with the row alone.  A
-    numerically singular Jacobian at any row gives one warning.
-    """
-    XI = np.asarray(xi, dtype=complex)
-    if XI.ndim not in (1, 2) or XI.shape[-1] != T.dim:
-        raise ValueError(f"need {T.dim} coordinates")
-    XI = XI.reshape(-1, T.dim)
-    m, n = XI.shape
-    # the stencil of Psi's Jacobian along the real axes (x, y), 4n points a row
+def pullback_stencil(XI: np.ndarray):
+    """The stencil of Psi's Jacobian along the real axes (x, y) at each row
+    of XI (m, n): its 4n complex points a row, stacked as (4nm, n), and
+    their steps (m, 2n).  pullback_deviation reads a pass over the moduli
+    of this stack followed by moduli(XI), with hessians for XI's m rows."""
+    n = XI.shape[1]
     P, steps = central_stencil(np.concatenate([XI.real, XI.imag], axis=1))
-    stencil = (P[..., :n] + 1j * P[..., n:]).reshape(-1, n)
-    psi = psi_maps(stencil, evaluate(T, moduli(stencil)))
-    psi = np.concatenate([psi.real, psi.imag], axis=1).reshape(m, 2 * n, 2, 2 * n)
+    return (P[..., :n] + 1j * P[..., n:]).reshape(-1, n), steps
+
+
+def pullback_deviation(XI: np.ndarray, stencil: np.ndarray, steps: np.ndarray, sums: Sums) -> float:
+    """Max entrywise deviation, over the rows of XI, between J^T Omega0 J
+    for the real Jacobian J of Psi and the form matrix of (i/2) del delbar
+    Phi, read off the pass that pullback_stencil asks for: J is a central
+    difference of psi_maps over the stencil, and the form is closed
+    (_complex_hessians) on XI's rows.  A numerically singular Jacobian at
+    any row gives one warning."""
+    m, n = XI.shape
+    psi = psi_maps(stencil, sums[:len(stencil)]).reshape(m, 2 * n, 2, n)
+    diff = psi[:, :, 0] - psi[:, :, 1]
+    del psi  # 4n complex rows a sample, the check's largest array
     # row b of jac_t is the central difference of Psi along axis b: J^T
-    jac_t = (psi[:, :, 0] - psi[:, :, 1]) / (2 * steps[:, :, None])
+    jac_t = np.concatenate([diff.real, diff.imag], axis=2) / (2 * steps[:, :, None])
     # J^T Omega0 J = A B^T - B A^T for the real and imaginary blocks [A | B] of J^T
     AB = jac_t[..., :n] @ jac_t[..., n:].transpose(0, 2, 1)
     # the form matrix of (i/2) del delbar Phi in real coordinates (x, y):
     # [[-Im H, Re H], [-Re H, -Im H]] for the complex Hessian H
-    H = _complex_hessians(XI, evaluate(T, moduli(XI), hessians=True))
+    H = _complex_hessians(XI, sums[len(stencil):])
     rhs = np.empty((m, 2 * n, 2 * n))
     rhs[:, :n, :n] = rhs[:, n:, n:] = -H.imag
     rhs[:, :n, n:] = H.real
@@ -326,8 +334,22 @@ def pullback_check(T: ToricPotential, xi) -> float:
     return float(np.abs(AB - AB.transpose(0, 2, 1) - rhs).max(initial=0.0))
 
 
-def axis_radius_bound(T: ToricPotential, j: int) -> float:
-    return math.sqrt(2 * T.exponent_columns[j].max())
+def pullback_check(T: ToricPotential, xi) -> float:
+    """pullback_deviation at xi, one point or an m x n array of points, one
+    per row, from one pass over Psi's stencil and the rows.  Each row's
+    deviation equals that of a call with the row alone."""
+    XI = np.asarray(xi, dtype=complex)
+    if XI.ndim not in (1, 2) or XI.shape[-1] != T.dim:
+        raise ValueError(f"need {T.dim} coordinates")
+    XI = XI.reshape(-1, T.dim)
+    stencil, steps = pullback_stencil(XI)
+    sums = evaluate(T, moduli(np.concatenate([stencil, XI])), hessians=len(XI))
+    return pullback_deviation(XI, stencil, steps, sums)
+
+
+def axis_radius_bounds(T: ToricPotential) -> np.ndarray:
+    """sqrt(2 max_k (J_k)_j) for each axis j: the bound on |Psi_j|."""
+    return np.sqrt(2 * T.exponent_columns.max(axis=1))
 
 
 def suggested_path_exponent(T: ToricPotential, j: int) -> int:
@@ -344,7 +366,11 @@ def sup_along_path(T: ToricPotential, j: int, s: int, t_max: float) -> float:
     if t_max <= 1:
         raise ValueError("t_max must exceed 1")
     Jj = T.exponent_columns[j]
-    weights = Jj * s + (T.degrees - Jj)
-    e = np.exp((weights - weights.max()) * math.log(t_max))
+    # the exact integer weights s (J_k)_j + sum_{i != j} (J_k)_i, overwritten
+    e = Jj * (s - 1)
+    e += T.degrees
+    e -= e.max()
+    e *= math.log(t_max)
+    np.exp(e, out=e)
     return math.sqrt(2 * (Jj @ e) / e.sum())
 

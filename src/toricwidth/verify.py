@@ -59,20 +59,20 @@ rng.uniform(lo, hi), a complex one cmath.rect(rng.uniform(lo, hi),
 rng.uniform(0, 2 pi)), and a radial square rng.uniform(0.1, 3.0) ** 2.
 
 The numeric suite draws a chunk's points inside its loop over chunks, each
-check from its own copy of the generator, set to the check's first draw,
-so no check's points are held beyond a chunk.  The rows where the
-gradient, radial and psi checks need the potential (the gradient stencil
-and its base points, the radial rows and the Psi rows), 2n + 12 rows a
-sample, are stacked and go through one numeric.evaluate pass, in slices of
+check from its own copy of the generator, set to the check's first draw.
+Every row where a check needs the potential, 6n + 13 a sample, goes into
+one stack: the gradient stencil (2n) and its base point, the 10 radial
+rows, the Psi row, Psi's stencil (4n) and, last, the pullback's base row,
+which alone needs the n x n covariances.  The stack goes through one
+numeric.evaluate pass a chunk, with hessians for those rows, in slices of
 at most numeric.BATCH_ENTRIES point-monomial pairs; each check then hands
-its rows' Sums to the function that the library offers for it
-(potential_values, radial_quantities, psi_maps).  The pullback check runs
-numeric.pullback_check on its rows, which makes its own two passes, one
-over Psi's stencil and one with the n x n covariances over the rows.  The samples are stacked in chunks of at
-most BATCH_ENTRIES // n^2 (one chunk at the default 10 for n <= 40), so the
-draws, the stack and Psi's stencil, 8 n^2 floats a sample, stay within a
-few BATCH_ENTRIES floats each whatever the sample count; every value is
-computed row by row, so the chunks give the values of one stack.
+its rows' Sums to the function the library offers for it (potential_values,
+pullback_deviation, radial_quantities, psi_maps).  The chunks have at most
+BATCH_ENTRIES // n^2 samples (one chunk at the default 10 for n <= 40), so
+whatever the sample count a chunk holds at most (6 + 13/n) BATCH_ENTRIES
+floats of stack and 8 BATCH_ENTRIES of Psi's stencil, dropped before the
+next chunk's; every value is computed row by row, so the chunks give the
+values of one stack.
 """
 
 from __future__ import annotations
@@ -93,12 +93,13 @@ from .embedding import sections_by_polytope
 from .fan import Fan, normal_fan
 from .numeric import (
     ToricPotential,
-    axis_radius_bound,
+    axis_radius_bounds,
     evaluate,
     moduli,
     potential_values,
     psi_maps,
-    pullback_check,
+    pullback_deviation,
+    pullback_stencil,
     radial_quantities,
     sup_along_path,
     suggested_path_exponent,
@@ -157,12 +158,11 @@ def numeric_suite(
 ) -> list[CheckResult]:
     """A chunk of samples at a time, each check draws its chunk's points
     from its own copy of rng, in the order a per-sample loop would; then the
-    rows of the gradient, radial and psi checks go through one evaluate
-    pass, each check reads its rows' sums, and pullback_check runs its own
-    passes."""
+    rows of every check go through one evaluate pass, with covariances for
+    the pullback check's base rows, and each check reads its rows' sums."""
     n = T.dim
     results = []
-    bounds = np.array([axis_radius_bound(T, j) for j in range(n)])
+    bounds = axis_radius_bounds(T)
     chunk = max(1, numeric.BATCH_ENTRIES // (n * n))
     # the gradient, pullback and radial checks take n, 2n and 10n random()
     # calls a sample, so each later check's copy of rng starts that far on;
@@ -183,46 +183,51 @@ def numeric_suite(
         draws = [cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 * math.pi)) for _ in range(m * n)]
         return np.array(draws, dtype=complex).reshape(m, n)
 
-    # each check's worst per chunk; np.max keeps a nan, and gives 0 with no chunks
-    fd_worst, pullback_worst, gap_worst = [], [], []
-    radial_ok = psi_ok = True
-    for i in range(0, samples, chunk):
-        m = min(chunk, samples - i)
+    # the worst gradient, pullback and radial deviations of the next m samples
+    # and whether their Psi rows keep the bounds; a chunk's arrays die with it
+    def chunk_worst(m: int) -> tuple[float, float, float, bool]:
         x = np.array([grad_rng.uniform(0.1, 10.0) for _ in range(m * n)]).reshape(m, n)
         xi_pullback = points(pullback_rng, 0.1, 0.9, m)
         radial = np.array([radial_rng.uniform(0.1, 3.0) ** 2 for _ in range(10 * m * n)]).reshape(-1, n)
         xi_psi = points(psi_rng, 0.1, 3.0, m)
         stencil, h = numeric.central_stencil(x)
-        parts = [stencil.reshape(-1, n), x, radial, moduli(xi_psi)]
-        ends = np.cumsum([len(p) for p in parts])
-        sums = evaluate(T, np.concatenate(parts))
-        at_stencil, at_x, at_radial, at_psi = (sums[a:b] for a, b in zip([0, *ends[:-1]], ends))
+        psi_stencil, psi_steps = pullback_stencil(xi_pullback)
+        # the gradient stencil and points, the radial rows, then the moduli of
+        # the psi check's rows, of Psi's stencil and, last for their
+        # covariances, of the pullback's base rows
+        x_rows = moduli(np.concatenate([xi_psi, psi_stencil, xi_pullback]))
+        sums = evaluate(T, np.concatenate([stencil.reshape(-1, n), x, radial, x_rows]), hessians=m)
+        ends = np.cumsum([2 * n * m, m, 10 * m, m])
+        at_stencil, at_x, at_radial, at_psi = (sums[a:b] for a, b in zip([0, *ends[:3]], ends))
 
         # exact partials against central differences of the potential
         values = potential_values(at_stencil).reshape(-1, n, 2)
         fd = (values[..., 0] - values[..., 1]) / (2 * h)
         exact = at_x.partials
         dev = np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))
-        fd_worst.append(float(np.max(dev, initial=0.0)))
 
         # pullback of the standard form through Psi reproduces the form of Phi
-        pullback_worst.append(pullback_check(T, xi_pullback))
+        pullback = pullback_deviation(xi_pullback, psi_stencil, psi_steps, sums[ends[3]:])
 
-        # |Psi_j| never exceeds the per-axis radius bound
-        gap = radial_quantities(at_radial) - bounds
-        gap_worst.append(float(np.max(gap, initial=0.0)))
-        radial_ok = radial_ok and not (gap > 1e-9).any()
+        # |Psi_j| never exceeds the per-axis radius bound: the largest signed
+        # gap, so that a passing run shows its margin
+        gap = float(np.max(radial_quantities(at_radial) - bounds))
 
         # |Psi_j|^2 stays below 2 max_k (J_k)_j at the drawn points, |xi| in
         # [0.1, 3]; on the closed chart's hyperplanes the tests check it
-        w = psi_maps(xi_psi, at_psi)
-        psi_ok = psi_ok and not (np.abs(w) > bounds + 1e-9).any()
+        psi_ok = not (np.abs(psi_maps(xi_psi, at_psi)) > bounds + 1e-9).any()
+        return float(np.max(dev, initial=0.0)), pullback, gap, psi_ok
 
+    # each check's worst per chunk; np.max keeps a nan
+    chunks = [chunk_worst(min(chunk, samples - i)) for i in range(0, samples, chunk)]
+    fd_worst, pullback_worst, gap_worst, psi_ok = zip(*chunks) if chunks else ((),) * 4
     worst = float(np.max(fd_worst, initial=0.0))
     results.append(CheckResult("gradient_finite_difference", worst < GRADIENT_TOL, worst, GRADIENT_TOL))
     worst = float(np.max(pullback_worst, initial=0.0))
     results.append(CheckResult("symplectic_pullback", worst < PULLBACK_TOL, worst, PULLBACK_TOL))
-    results.append(CheckResult("radial_bound", radial_ok, float(np.max(gap_worst, initial=0.0)), 1e-9))
+    # with no samples there is no gap, and 0.0 stands for none
+    worst = float(np.max(gap_worst)) if gap_worst else 0.0
+    results.append(CheckResult("radial_bound", worst <= 1e-9, worst, 1e-9))
 
     # the radial quantity attains the bound along the distinguished path
     worst = 0.0
@@ -231,7 +236,7 @@ def numeric_suite(
         got = sup_along_path(T, j, s, 1e6)
         worst = max(worst, abs(got - float(bounds[j])))
     results.append(CheckResult("radial_sup_along_path", worst < PATH_TOL, worst, PATH_TOL))
-    results.append(CheckResult("psi_within_cylinder", psi_ok, None, None))
+    results.append(CheckResult("psi_within_cylinder", all(psi_ok), None, None))
     return results
 
 

@@ -37,7 +37,7 @@ from toricwidth.fixtures import (
 )
 from toricwidth.numeric import (
     ToricPotential,
-    axis_radius_bound,
+    axis_radius_bounds,
     evaluate,
     potential_partial,
     potential_value,
@@ -211,12 +211,12 @@ def test_path_supremum_and_radial_bound():
         for j in range(T.dim):
             s = suggested_path_exponent(T, j)
             sup = sup_along_path(T, j, s, 1e9)
-            assert abs(sup - axis_radius_bound(T, j)) < 1e-3
+            assert abs(sup - axis_radius_bounds(T)[j]) < 1e-3
         for _ in range(100):
             x = [rng.uniform(0.1, 3.0) for _ in range(T.dim)]
             radial = radial_quantities(evaluate(T, [x]))[0]
             for j in range(T.dim):
-                assert radial[j] <= axis_radius_bound(T, j) + 1e-12
+                assert radial[j] <= axis_radius_bounds(T)[j] + 1e-12
     print(
         "PASS radial analysis: path supremum within 1e-3 of sqrt(2 max) on "
         "every axis of 5 embeddings; bound holds at 100 random points each"

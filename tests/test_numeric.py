@@ -24,7 +24,7 @@ from toricwidth.fixtures import blown_up_hirzebruch, projective_space, resolve_f
 from toricwidth.numeric import (
     DegenerateJacobianWarning,
     ToricPotential,
-    axis_radius_bound,
+    axis_radius_bounds,
     evaluate,
     moduli,
     potential_partial,
@@ -124,7 +124,7 @@ def test_pullback_single_exponent_is_degenerate():
 def test_radial_quantity_bounded_by_axis_maximum():
     rng = random.Random(21)
     for T in (CP2, blowup_potential()):
-        bounds = [axis_radius_bound(T, j) for j in range(T.dim)]
+        bounds = axis_radius_bounds(T)
         for _ in range(100):
             x = [rng.uniform(0.1, 3.0) for _ in range(T.dim)]
             assert (radial_quantities(evaluate(T, [x]))[0] <= np.array(bounds) + 1e-12).all()
@@ -155,7 +155,7 @@ def test_sup_along_path_attains_axis_bound():
         for j in range(T.dim):
             s = suggested_path_exponent(T, j)
             sup = sup_along_path(T, j, s, 1e9)
-            assert abs(sup - axis_radius_bound(T, j)) < 1e-3
+            assert abs(sup - axis_radius_bounds(T)[j]) < 1e-3
 
 
 def test_sup_along_path_increases_toward_bound():
@@ -163,7 +163,7 @@ def test_sup_along_path_increases_toward_bound():
     s = suggested_path_exponent(T, 0)
     values = [sup_along_path(T, 0, s, t) for t in (10.0, 1e3, 1e6, 1e9)]
     assert values == sorted(values)
-    assert values[-1] <= axis_radius_bound(T, 0)
+    assert values[-1] <= axis_radius_bounds(T)[0]
 
 
 def test_fs_diastasis():
@@ -280,7 +280,7 @@ def test_complex_hessian_matches_linear_space_oracle(oracle_potential):
     for x in oracle_points(T, rng) + [[0.0] * T.dim]:
         rows.append([math.sqrt(c) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for c in x])
     XI = np.array(rows)
-    got = toricwidth.numeric._complex_hessians(XI, evaluate(T, moduli(XI), hessians=True))
+    got = toricwidth.numeric._complex_hessians(XI, evaluate(T, moduli(XI), hessians=len(XI)))
     assert sum(0 in row for row in rows) > len(rows) // 2
     for H, xi in zip(got, rows):
         want = oracle_complex_hessian(T, xi)
@@ -370,13 +370,43 @@ def test_one_row_slices_give_the_covariances_bit_for_bit(monkeypatch, spec):
     X[1::6, -1] = 0.0
     X[2, :] = 0.0
     fields = lambda s: (s.lse, s.partials, s.cov)
-    whole = fields(evaluate(T, X, hessians=True))
-    rows = [fields(evaluate(T, X[r:r + 1], hessians=True)) for r in range(len(X))]
+    whole = fields(evaluate(T, X, hessians=len(X)))
+    rows = [fields(evaluate(T, X[r:r + 1], hessians=1)) for r in range(len(X))]
     monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 1)
-    split = fields(evaluate(T, X, hessians=True))
+    split = fields(evaluate(T, X, hessians=len(X)))
     for i, (a, b) in enumerate(zip(whole, split)):
         assert np.array_equal(a, b), i
         assert np.array_equal(a, np.concatenate([r[i] for r in rows])), i
+
+
+@pytest.mark.parametrize("spec", ["cpn:1:400", "example-3.8:1", "cpn:3:10"])
+@pytest.mark.parametrize("entries", [20, 64, None])
+def test_trailing_covariances_match_a_pass_over_those_rows_alone(monkeypatch, spec, entries):
+    # the last h rows of a stack, sliced n times narrower than the rows
+    # before them, get the covariances and sums of a pass over them alone
+    T = fixture_potential(spec)
+    rng = np.random.default_rng(39)
+    X = rng.uniform(0.1, 10.0, (40, T.dim))
+    X[::6, 0] = 0.0
+    if entries is not None:
+        monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", entries)
+    for h in (0, 1, 7, 40):
+        got = evaluate(T, X, hessians=h)
+        alone = evaluate(T, X[len(X) - h:], hessians=h)
+        assert got.cov.shape == (h, T.dim, T.dim)
+        assert np.array_equal(got.cov, alone.cov), h
+        assert np.array_equal(got.lse[len(X) - h:], alone.lse), h
+        assert np.array_equal(got.partials[len(X) - h:], alone.partials), h
+        # a run of rows keeps the covariances of those among its last rows
+        run = got[max(len(X) - h - 3, 0):len(X) - 1]
+        assert np.array_equal(run.cov, alone.cov[:h - 1]), h
+
+
+def test_evaluate_takes_a_row_count_of_hessians():
+    # True is not one row: a flag would silently give one covariance
+    for h in (True, -1, 3):
+        with pytest.raises(ValueError, match="hessians must count some of the 2 rows"):
+            evaluate(CP2, [[1.0, 2.0], [3.0, 4.0]], hessians=h)
 
 
 def test_exponent_array_is_the_oracle_exponents_as_floats():
@@ -399,7 +429,7 @@ def test_high_degree_stays_finite():
     # sum_k 10^k = (10^401 - 1) / 9, and the weighted mean degree is 400 - 1/9
     assert potential_value(T, [10.0]) == pytest.approx(2 * (401 * math.log(10) - math.log(9)))
     assert potential_partial(T, [10.0], 0) == pytest.approx(2 * (400 - 1 / 9) / 10, rel=1e-12)
-    assert radial_quantities(evaluate(T, [[10.0]]))[0, 0] <= axis_radius_bound(T, 0)
+    assert radial_quantities(evaluate(T, [[10.0]]))[0, 0] <= axis_radius_bounds(T)[0]
     assert np.isfinite(psi_map(T, [3.0 + 1j])).all()
 
 
@@ -429,7 +459,7 @@ def test_the_closed_chart_matches_the_oracles(oracle_potential):
     XI = np.array(rows)
     sums = evaluate(T, moduli(XI))
     W, R = psi_maps(XI, sums), radial_quantities(sums)
-    bounds = np.array([axis_radius_bound(T, j) for j in range(T.dim)])
+    bounds = axis_radius_bounds(T)
     assert (np.abs(W) <= bounds + 1e-9).all() and (R <= bounds + 1e-9).all()
     for xi, x, w, r in zip(rows, sums.X, W, R):
         for got, want in zip(w, oracle_psi_map(T, xi)):
@@ -450,9 +480,15 @@ def test_radial_quantities_match_pointwise():
 
 
 def test_numeric_suite_passes_and_catches_a_low_radius_bound(monkeypatch):
+    # radial_bound reports its largest signed gap |Psi_j| - bound_j: below 0
+    # on a passing run, above the tolerance once the bound is halved
     T = fixture_potential("example-3.8:3")
-    assert all(r.passed for r in numeric_suite(T, seed=4, samples=3))
-    true_bound = toricwidth.numeric.axis_radius_bound
-    monkeypatch.setattr(toricwidth.verify, "axis_radius_bound", lambda T, j: 0.5 * true_bound(T, j))
-    failed = {r.name for r in numeric_suite(T, seed=4, samples=3) if not r.passed}
+    got = {r.name: r for r in numeric_suite(T, seed=4, samples=3)}
+    assert all(r.passed for r in got.values())
+    assert got["radial_bound"].deviation < 0
+    true_bounds = toricwidth.numeric.axis_radius_bounds
+    monkeypatch.setattr(toricwidth.verify, "axis_radius_bounds", lambda T: 0.5 * true_bounds(T))
+    got = {r.name: r for r in numeric_suite(T, seed=4, samples=3)}
+    failed = {name for name, r in got.items() if not r.passed}
     assert failed == {"radial_bound", "radial_sup_along_path", "psi_within_cylinder"}
+    assert got["radial_bound"].deviation > 1e-9

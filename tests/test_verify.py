@@ -90,14 +90,14 @@ def test_a_nan_pullback_in_one_chunk_fails_the_check(monkeypatch, chunk):
     P = resolve_fixture("example-3.8:1")
     T = ToricPotential(sections_by_polytope(P, P.vertices[0]))
     calls = []
-    check = toricwidth.verify.pullback_check
+    deviation = toricwidth.verify.pullback_deviation
 
-    def nan_in_one_chunk(T, xi):
-        calls.append(len(xi))
-        return math.nan if len(calls) == chunk + 1 else check(T, xi)
+    def nan_in_one_chunk(XI, stencil, steps, sums):
+        calls.append(len(XI))
+        return math.nan if len(calls) == chunk + 1 else deviation(XI, stencil, steps, sums)
 
     monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 20)
-    monkeypatch.setattr(toricwidth.verify, "pullback_check", nan_in_one_chunk)
+    monkeypatch.setattr(toricwidth.verify, "pullback_deviation", nan_in_one_chunk)
     got = {r.name: r for r in numeric_suite(T, samples=10)}
     assert calls == [5, 5]
     assert math.isnan(got["symplectic_pullback"].deviation)
@@ -115,29 +115,51 @@ def test_small_batches_give_identical_results(monkeypatch, spec):
     assert numeric_suite(T, seed=6, samples=5) == whole
 
 
-def test_numeric_suite_stacks_its_samples_in_bounded_chunks(monkeypatch):
-    # 64 entries put n = 2 samples in chunks of 64 // n^2 = 16: each of the
-    # three chunks makes one shared pass of 2n + 12 = 16 rows a sample, then
-    # pullback_check's pass over its 4n stencil points a sample and its pass
-    # with covariances over the chunk's own rows; together they give the
-    # results of one stack
-    P = resolve_fixture("example-3.8:1")
-    T = ToricPotential(sections_by_polytope(P, P.vertices[0]))
-    whole = numeric_suite(T, seed=4, samples=40)
+def record_passes(monkeypatch) -> list:
+    """(rows, covariance shape) of every evaluate pass from here on."""
     passes = []
     evaluate = toricwidth.numeric.evaluate
 
-    def recorded(T, X, hessians=False):
+    def recorded(T, X, hessians=0):
         sums = evaluate(T, X, hessians)
-        passes.append((len(X), None if sums.cov is None else sums.cov.shape))
+        passes.append((len(X), sums.cov.shape))
         return sums
 
-    monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 64)
     monkeypatch.setattr(toricwidth.numeric, "evaluate", recorded)
     monkeypatch.setattr(toricwidth.verify, "evaluate", recorded)
+    return passes
+
+
+def test_numeric_suite_stacks_its_samples_in_bounded_chunks(monkeypatch):
+    # 64 entries put n = 2 samples in chunks of 64 // n^2 = 16: each of the
+    # three chunks makes one pass of 6n + 13 = 25 rows a sample (the
+    # gradient stencil and its base points, the radial and psi rows, Psi's
+    # stencil and the pullback rows), with covariances for the chunk's
+    # pullback rows alone; together they give the results of one stack
+    P = resolve_fixture("example-3.8:1")
+    T = ToricPotential(sections_by_polytope(P, P.vertices[0]))
+    whole = numeric_suite(T, seed=4, samples=40)
+    monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 64)
+    passes = record_passes(monkeypatch)
     assert numeric_suite(T, seed=4, samples=40) == whole
-    full = [(256, None), (128, None), (16, (16, 2, 2))]
-    assert passes == full + full + [(128, None), (64, None), (8, (8, 2, 2))]
+    assert passes == [(400, (16, 2, 2)), (400, (16, 2, 2)), (200, (8, 2, 2))]
+
+
+@pytest.mark.parametrize("spec, samples, chunks", [
+    ("example-3.8:1", 0, 0), ("example-3.8:1", 10, 1), ("cpn:3:2", 10, 1),
+    ("cpn:8:1", 256, 1), ("cpn:8:1", 257, 2), ("cpn:8:1", 600, 3),
+])
+def test_numeric_suite_makes_one_pass_per_chunk(monkeypatch, spec, samples, chunks):
+    # chunks of BATCH_ENTRIES // n^2 samples: 256 on cpn:8:1
+    P = resolve_fixture(spec)
+    T = ToricPotential(sections_by_polytope(P, P.vertices[0]))
+    passes = record_passes(monkeypatch)
+    numeric_suite(T, seed=2, samples=samples)
+    n = T.dim
+    chunk = toricwidth.numeric.BATCH_ENTRIES // n**2
+    sizes = [min(chunk, samples - i) for i in range(0, samples, chunk)]
+    assert len(sizes) == chunks
+    assert passes == [((6 * n + 13) * m, (m, n, n)) for m in sizes]
 
 
 def test_each_check_draws_its_chunks_from_where_the_last_one_ended(monkeypatch):
@@ -158,11 +180,11 @@ def test_each_check_draws_its_chunks_from_where_the_last_one_ended(monkeypatch):
 
     monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 64)
     recorded(toricwidth.numeric, "central_stencil", "gradient", lambda x: x)
-    recorded(toricwidth.verify, "pullback_check", "pullback", lambda T, xi: xi)
+    recorded(toricwidth.verify, "pullback_deviation", "pullback", lambda XI, *_: XI)
     recorded(toricwidth.verify, "radial_quantities", "radial", lambda sums: sums.X)
     recorded(toricwidth.verify, "psi_maps", "psi", lambda XI, sums: XI)
     numeric_suite(T, seed=4, samples=40)
-    # pullback_check's own stencils have 2n columns
+    # Psi's stencils, for the pullback check, have 2n columns
     seen["gradient"] = [x for x in seen["gradient"] if x.shape[1] == T.dim]
     for chunks, want in zip(seen.values(), oracle_draws(T.dim, 4, 40)):
         assert len(chunks) == 3

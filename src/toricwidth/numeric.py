@@ -109,7 +109,7 @@ class ToricPotential:
 @dataclass(frozen=True)
 class Sums:
     """The potential's sums at each row of a stack of points X, from one
-    pass (evaluate) for T: lse = log sum_k x^{J_k}, the partials dPhi~/dx_j
+    pass of evaluate: lse = log sum_k x^{J_k}, the partials dPhi~/dx_j
     and, for the last len(cov) rows, those the pass asked covariances for,
     the softmax covariances of the exponents, sum_k w_k D_ka D_kb with
     D = J - sum_k w_k J_k.
@@ -118,7 +118,6 @@ class Sums:
     reduced exponents J_k - e_j.  evaluate has refused every row that the
     functions handed these sums could not take, so none checks again."""
 
-    T: ToricPotential
     X: np.ndarray  # (m, n)
     lse: np.ndarray  # (m,)
     partials: np.ndarray  # (m, n)
@@ -129,7 +128,7 @@ class Sums:
         start, stop, _ = rows.indices(len(self.X))
         first = len(self.X) - len(self.cov)  # the first row with covariances
         cov = self.cov[max(start - first, 0):max(stop - first, 0)]
-        return Sums(self.T, self.X[rows], self.lse[rows], self.partials[rows], cov)
+        return Sums(self.X[rows], self.lse[rows], self.partials[rows], cov)
 
 
 def _log_sum(T: ToricPotential, X: np.ndarray):
@@ -208,7 +207,7 @@ def evaluate(T: ToricPotential, X, hessians: int = 0) -> Sums:
         for j in range(max(i, first), stop, wide):
             k = min(j + wide, stop)
             cov[j - first:k - first] = _covariances(T, W[j - i:k - i], den[j - i:k - i])
-    return Sums(T, X, lse, partials, cov)
+    return Sums(X, lse, partials, cov)
 
 
 def _points(T: ToricPotential, X) -> np.ndarray:

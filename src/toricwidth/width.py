@@ -14,11 +14,11 @@ Three bounds are computed from a Delzant polytope:
     relations are searched up to sum a_i = 2(n + 1), and the bound is
     reported with that search bound, since the defining set is infinite.
 
-Lambda and gamma read their relations off one join of the half-sum tables
-of normal_sums, built at most once per polytope, with the integer values
-q * -sum lambda_i a_i for (q, q * lambda) = P.integer_offsets; see
-_relations.  width_report takes the vertex its caller chose and keeps the
-CylinderBound, LambdaBound and GammaBound it builds, for the report.
+Lambda and gamma each read their relations off a join of half-sum tables
+that _relations grows inside the call and drops with it, with the integer
+values q * -sum lambda_i a_i for (q, q * lambda) = P.integer_offsets.
+width_report takes the vertex its caller chose and keeps the CylinderBound,
+LambdaBound and GammaBound it builds, for the report.
 
 The class is monotone iff r(lambda_i + <m, u_i>) = -1 has a solution with
 r > 0 (Batyrev's reflexivity criterion: the translated and rescaled polytope
@@ -32,7 +32,6 @@ Exact arithmetic throughout; pi is kept symbolic as a coefficient.
 from __future__ import annotations
 
 import operator
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,43 +81,39 @@ class GammaBound:
     search_bound: int
 
 
-# id(P) -> its half-sum tables by size, dropped with P (hashing P hashes every offset)
-_NORMAL_SUMS: dict[int, list[dict]] = {}
-
-
-def normal_sums(P: HalfspacePolytope, k: int) -> dict[IntVector, list[tuple[int, ...]]]:
+def _half_sums(P: HalfspacePolytope):
     """The k-multisets of facet indices of P, as sorted index tuples, keyed
-    by the sum of their normals.  Each table is built at most once per
-    polytope, from the one of size k - 1."""
-    tables = _NORMAL_SUMS.get(id(P))
-    if tables is None:
-        tables = _NORMAL_SUMS[id(P)] = [{(0,) * P.dim: [()]}]
-        weakref.finalize(P, _NORMAL_SUMS.pop, id(P))
-    while len(tables) <= k:
-        table: dict = {}
-        for s, multisets in tables[-1].items():
+    by the sum of their normals, for k = 0, 1, 2, ...; each table is built
+    from the one before when it is drawn."""
+    table = {(0,) * P.dim: [()]}
+    while True:
+        yield table
+        grown: dict = {}
+        for s, multisets in table.items():
             for m in multisets:
                 for j in range(m[-1] if m else 0, P.num_facets):
                     key = tuple(map(operator.add, s, P.normals[j]))
-                    table.setdefault(key, []).append(m + (j,))
-        tables.append(table)
-    return tables[k]
+                    grown.setdefault(key, []).append(m + (j,))
+        table = grown
 
 
 def _relations(P: HalfspacePolytope, totals):
-    """(a, q * -sum lambda_i a_i), for (q, q * lambda) = P.integer_offsets,
-    for the nonnegative integer a with sum a_i u_i = 0 and sum a_i in totals.
+    """One list per total, in the increasing order of totals: the (a, q * -sum
+    lambda_i a_i), for (q, q * lambda) = P.integer_offsets, over nonnegative
+    integer a with sum a_i u_i = 0 and sum a_i = total.
 
     The sorted index tuple of an a of total t splits into its first t // 2
     and last t - t // 2 indices, L and R, whose normal sums cancel; so the
-    pairs of normal_sums entries with opposite sums and L[-1] <= R[0] give
-    each a once.  Values are integer sums of the -q * lambda_i.  Callers take
-    least witnesses with min, so the join's order does not matter.
+    pairs of _half_sums entries with opposite sums and L[-1] <= R[0] give
+    each a once, in no set order.  Tables are drawn up to each total's half.
     """
     offsets = P.integer_offsets[1]
+    sums, tables = _half_sums(P), []
     for total in totals:
-        right = normal_sums(P, total - total // 2)
-        for s, lefts in normal_sums(P, total // 2).items():
+        while len(tables) <= total - total // 2:
+            tables.append(next(sums))
+        right, found = tables[total - total // 2], []
+        for s, lefts in tables[total // 2].items():
             rights = right.get(tuple(-c for c in s), ())
             for L in lefts:
                 for R in rights:
@@ -126,7 +121,8 @@ def _relations(P: HalfspacePolytope, totals):
                         a = [0] * P.num_facets
                         for i in L + R:
                             a[i] += 1
-                        yield tuple(a), -sum(offsets[i] for i in L + R)
+                        found.append((tuple(a), -sum(offsets[i] for i in L + R)))
+        yield found
 
 
 def lu_lambda(P: HalfspacePolytope) -> LambdaBound | None:
@@ -135,12 +131,11 @@ def lu_lambda(P: HalfspacePolytope) -> LambdaBound | None:
     None means no relation exists in that range.  Ties between maximizing
     relations are broken by the lexicographically smallest coefficient vector.
     """
-    found = list(_relations(P, range(1, P.dim + 2)))
-    if not found:
+    groups = _relations(P, range(1, P.dim + 2))
+    best = min((r for found in groups for r in found), key=lambda r: (-r[1], r[0]), default=None)
+    if best is None:
         return None
-    best = max(value for _, value in found)
-    witness = min(a for a, value in found if value == best)
-    return LambdaBound(Fraction(2 * best, P.integer_offsets[0]), witness)
+    return LambdaBound(Fraction(2 * best[1], P.integer_offsets[0]), best[0])
 
 
 @dataclass(frozen=True)
@@ -215,11 +210,11 @@ def lu_gamma(P: HalfspacePolytope, fano: FanoCertificate) -> GammaBound | None:
     the bound.
     """
     bound = 2 * (P.dim + 1)
-    for total in range(1, bound + 1):
-        found = list(_relations(P, (total,)))
-        if found:
-            return GammaBound(2 * total / fano.r, min(found)[0], bound)
-    return None
+    found = next(filter(None, _relations(P, range(1, bound + 1))), None)
+    if found is None:
+        return None
+    witness = min(found)[0]
+    return GammaBound(2 * sum(witness) / fano.r, witness, bound)
 
 
 @dataclass(frozen=True)

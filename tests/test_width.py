@@ -42,12 +42,13 @@ from toricwidth.polytope import (
 from toricwidth.width import (
     GAMMA_CAVEAT,
     FanoCertificate,
+    LambdaBound,
+    _half_sums,
     _relations,
     cylinder_bound,
     fano_check,
     lu_gamma,
     lu_lambda,
-    normal_sums,
     verify_fano_certificate,
     width_report,
 )
@@ -380,7 +381,8 @@ def test_relation_join_matches_multiset_oracle():
             q = P.integer_offsets[0]
             scales.add(q)
             for t in totals:
-                got = sorted(_relations(P, (t,)))
+                (group,) = _relations(P, (t,))
+                got = sorted(group)
                 assert all(type(v) is int for _, v in got)
                 assert got == sorted((a, -q * dot(P.offsets, a)) for a in want[t]), (P, t)
     assert {1, 2, 3} <= scales
@@ -421,22 +423,44 @@ def test_fano_check_matches_the_rref_route():
     assert 50 <= certificates < len(inputs) - 50
 
 
-def test_normal_sums_group_each_multiset_once_by_its_sum():
+def test_half_sums_group_each_multiset_once_by_its_sum():
     P = random_delzant_polytope(random.Random(4), 3)
-    for k in range(5):
-        table = normal_sums(P, k)
+    for k, table in zip(range(5), _half_sums(P)):
         listed = sorted(m for ms in table.values() for m in ms)
         assert listed == list(combinations_with_replacement(range(P.num_facets), k))
         for s, ms in table.items():
             for m in ms:
                 assert s == tuple(sum(P.normals[i][c] for i in m) for c in range(P.dim))
-        assert normal_sums(P, k) is table  # built once per polytope
 
 
-def test_normal_sums_go_with_their_polytope():
-    P = random_delzant_polytope(random.Random(4), 3)
-    key = id(P)
-    normal_sums(P, 2)
-    assert key in toricwidth.width._NORMAL_SUMS
-    del P
-    assert key not in toricwidth.width._NORMAL_SUMS
+def test_lu_lambda_matches_relation_oracle():
+    """The largest -sum lambda_i a_i over the oracle's relations of total
+    1 to n + 1, with the least a among ties, on the 4-D draws, cpn:4:1 and
+    the dilates, where the join reads tables of size 3."""
+    for family in _relation_ladder():
+        for P in family:
+            found = [(-dot(P.offsets, a), a) for a in oracle_relations(P, range(1, P.dim + 2))]
+            if not found:
+                assert lu_lambda(P) is None
+                continue
+            best = max(value for value, _ in found)
+            witness = min(a for value, a in found if value == best)
+            assert lu_lambda(P) == LambdaBound(2 * best, witness), P
+
+
+def test_lu_gamma_stops_at_its_first_total(monkeypatch):
+    """cpn:4:1 has relations of totals 5 and 10 only; the first needs the
+    tables of sizes 2 and 3, so gamma draws no table past size 3."""
+    drawn = []
+    real = toricwidth.width._half_sums
+
+    def counting(P):
+        for table in real(P):
+            drawn.append(table)
+            yield table
+
+    monkeypatch.setattr(toricwidth.width, "_half_sums", counting)
+    P = resolve_fixture("cpn:4:1")
+    gamma = lu_gamma(P, fano_check(P))
+    assert gamma.witness == (1,) * 5
+    assert len(drawn) <= 4

@@ -6,14 +6,19 @@ normalized at q v, with q the lcm of the offsets' denominators (q = 1 for
 an integral P): moved to the origin with its facets on the coordinate
 hyperplanes, so every J lies in Z^n_{>=0}.
 
-An embedding holds these exponents as the fibres (prefix, a, b) of the
-normalized polytope that lattice_fibres gives: the exponents (*prefix, x)
-for a <= x <= b, in strictly increasing prefix order.  So they are distinct
+vertex_chart reads that chart off the vertex walk, with no polytope built
+for it: facet i's coefficients are column i of v.pairings, its offset is
+-v.slacks[i], and the box is [0, h], h_k the largest slack of the k-th
+facet through v over P's vertices, which the cylinder bound divides by q.
+
+An embedding holds these exponents as the fibres (prefix, a, b) that
+lattice_fibres walks in that box: the exponents (*prefix, x) for
+a <= x <= b, in strictly increasing prefix order.  So they are distinct
 and sorted lexicographically without being listed, and the checks run once
 per fibre, not once per point.  lattice_fibres walks the coordinates with
 one residual per facet and drops a partial prefix once a residual is out of
 reach of the rest of the box, so it costs the prefixes visited times the
-facets; on the normalized simplex every prefix it visits has a point above it.
+facets; on the chart of a simplex every prefix it visits has a point above it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .lattice import IntVector
-from .polytope import HalfspacePolytope, Vertex, lattice_fibres, normalize_at_vertex
+from .polytope import HalfspacePolytope, Vertex, lattice_fibres, vertex_chart
 
 Fibre = tuple[IntVector, int, int]
 
@@ -72,5 +77,6 @@ class MonomialEmbedding:
 
 def sections_by_polytope(P: HalfspacePolytope, v: Vertex) -> MonomialEmbedding:
     """Lattice points of qP normalized at q v, as their fibres, with q the
-    lcm of the offsets' denominators (normalize_at_vertex)."""
-    return MonomialEmbedding.from_fibres(lattice_fibres(normalize_at_vertex(P, v)))
+    lcm of the offsets' denominators: the walk of vertex_chart(P, v), the
+    chart of normalize_at_vertex read off the vertex walk."""
+    return MonomialEmbedding.from_fibres(lattice_fibres(*vertex_chart(P, v)))

@@ -22,17 +22,20 @@ recession direction.  Each vertex keeps its slacks on every facet, and a
 vertex on exactly n facets also its edge directions and their pairings
 with every normal, so the walk is the one place a vertex's linear data is
 computed: the Delzant test, the one gate of every
-command (delzant_vertices), reads D = |det U_A| off the pairings, the
-normalization at a vertex, the chart of qP at q v, reads its normals,
-offsets and image vertices off them, so no dilated copy qP is built, and
-the width's axis maxima, the normal fan and its charts read them too, with
-no elimination or product of normals of their own.  The
+command (delzant_vertices), reads D = |det U_A| off the pairings; the
+chart of qP at q v, whose normals are v's pairings, whose offsets are
+minus v's slacks and whose box is [0, slack_maxima(P, v)], is read off
+them with no dilated copy qP and no second polytope; and the width's
+axis maxima, the normal fan and its charts read them too, with no
+elimination or product of normals of their own.  The
 lattice-point count and the volume of a Delzant polytope are vertex sums
 over the edge directions (Brion's and Lawrence's formulas), so their cost
 follows the vertices, not the volume.  The lattice points themselves come
-fibre by fibre, x_n's interval above each prefix x_1..x_{n-1}, from a walk
-over the coordinates that drops a partial prefix once a facet is out of
-reach of the rest of the box.
+fibre by fibre, x_n's interval above each prefix x_1..x_{n-1}, from one
+walker over integer facet data and an integer box (lattice_fibres) that
+drops a partial prefix once a facet is out of reach of the rest of the
+box: the embedding walks the chart at a vertex in the box of its slack
+maxima, and lattice_points walks P in the integer hull of its vertices.
 """
 
 from __future__ import annotations
@@ -466,47 +469,59 @@ def delzant_vertices(P: HalfspacePolytope) -> tuple[Vertex, ...]:
     return P.vertices
 
 
-def bounding_box(P: HalfspacePolytope) -> tuple[IntVector, IntVector]:
-    """Componentwise integer bounds covering the polytope: (lo, hi)."""
-    pts = [v.point for v in P.vertices]
-    lo = tuple(math.ceil(min(p[i] for p in pts)) for i in range(P.dim))
-    hi = tuple(math.floor(max(p[i] for p in pts)) for i in range(P.dim))
-    return lo, hi
+def slack_maxima(P: HalfspacePolytope, v: Vertex) -> tuple[int | Fraction, ...]:
+    """For each facet a through v, the largest slack w.slacks[a] over the
+    vertices w of P: q times P's extent along the chart's axis a at v, for
+    q = P.integer_offsets[0].  The cylinder bound divides them by q, and the
+    chart at v (vertex_chart) is walked in the box they bound."""
+    return tuple(max(w.slacks[a] for w in P.vertices) for a in v.active)
 
 
-def lattice_fibres(P: HalfspacePolytope) -> list[tuple[IntVector, int, int]]:
-    """The integer points of P as fibres (prefix, a, b), in lexicographic order:
-    [a, b] is the integer interval of x_n above each integer prefix
-    x_1..x_{n-1} with a point of P above it.
+def vertex_chart(P: HalfspacePolytope, v: Vertex) -> tuple:
+    """The chart of qP at q v, as lattice_fibres takes it: the columns
+    v.pairings, the offsets minus v's slacks, and the box
+    [0, floor(slack_maxima(P, v))], which holds the chart's vertices, the
+    slacks of P's vertices on v's facets.  Refuses v unless it is Delzant."""
+    if why := _refusal(v, P.dim):
+        raise NotDelzantError(why)
+    hi = tuple(map(math.floor, slack_maxima(P, v)))
+    return v.pairings, tuple(-s for s in v.slacks), (0,) * P.dim, hi
 
-    Facet i reads <x, w_i> >= p_i, with w_i = q_i u_i for lambda_i = p_i / q_i.
+
+def lattice_fibres(
+    columns: Sequence[IntVector], offsets: IntVector, lo: IntVector, hi: IntVector
+) -> list[tuple[IntVector, int, int]]:
+    """The integer points x of the box lo <= x <= hi with <x, w_i> >= p_i for
+    every facet i, as fibres (prefix, a, b), in lexicographic order: [a, b]
+    is the integer interval of x_n above each integer prefix x_1..x_{n-1}
+    with a point above it.  columns[j][i] = w_ij and offsets[i] = p_i are
+    integers, and the box must cover every point.
+
     A depth-first walk sets x_1, x_2, ... in increasing order and carries the
     residuals r_i = p_i - sum_{k <= j} w_ik x_k, one multiply-subtract per
     facet a step.  x_j runs over the interval, by integer ceiling and floor
     divisions, where no r_i exceeds reach[j][i], the largest sum_{k > j}
-    w_ik x_k on the bounding box; no other prefix has a point above it.  At
-    x_n the reach is 0 and the interval is the fibre.  So the cost is the
-    prefixes visited times the facets, not the box; on a simplex at a vertex
-    every visited prefix has a point above it.  Exact in Python integers.
+    w_ik x_k on the box; no other prefix has a point above it.  At x_n the
+    reach is 0 and the interval is the fibre.  So the cost is the prefixes
+    visited times the facets, not the box; on a simplex at a vertex every
+    visited prefix has a point above it.  Exact in Python integers.
 
-    The commands call it only on an image from normalize_at_vertex, which
-    lies in the nonnegative orthant with a vertex at 0.  On a polytope long
-    and thin across x_1..x_{n-1} the relaxation by the box is loose: the
+    The commands walk only the chart of qP at a vertex (sections_by_polytope),
+    which lies in the nonnegative orthant with a vertex at 0.  On a polytope
+    long and thin across x_1..x_{n-1} the relaxation by the box is loose: the
     (1, 2^e) parallelogram as given, with normals (1, 2^e), (0, 1) and their
     negatives, has 4 points, but its cost follows the 2^e prefixes of its
-    box; normalized at a vertex it is the unit square.
+    box; at a vertex it is the unit square.
     """
-    lo, hi = bounding_box(P)
-    n = P.dim
-    cols = list(zip(*([l.denominator * c for c in u] for u, l in zip(P.normals, P.offsets))))
-    reach = [(0,) * P.num_facets]
+    n = len(lo)
+    reach = [(0,) * len(offsets)]
     for j in range(n - 1, 0, -1):
-        reach.insert(0, tuple(t + max(c * lo[j], c * hi[j]) for t, c in zip(reach[0], cols[j])))
+        reach.insert(0, tuple(t + max(c * lo[j], c * hi[j]) for t, c in zip(reach[0], columns[j])))
     fibres = []
 
     def walk(j, prefix, r):
         a, b = lo[j], hi[j]
-        for ri, c, t in zip(r, cols[j], reach[j]):  # c x_j >= r_i - t
+        for ri, c, t in zip(r, columns[j], reach[j]):  # c x_j >= r_i - t
             if c > 0:
                 a = max(a, -((t - ri) // c))
             elif c < 0:
@@ -515,12 +530,12 @@ def lattice_fibres(P: HalfspacePolytope) -> list[tuple[IntVector, int, int]]:
             return
         if j < n - 2:
             for x in range(a, b + 1):
-                walk(j + 1, (*prefix, x), [ri - c * x for ri, c in zip(r, cols[j])])
+                walk(j + 1, (*prefix, x), [ri - c * x for ri, c in zip(r, columns[j])])
         elif j == n - 1:  # n = 1
             fibres.append((prefix, a, b))
         else:  # the fibres: c x_n >= r_i - d x_{n-1}
-            low = [(ri, d, c) for ri, d, c in zip(r, cols[j], cols[-1]) if c > 0]
-            up = [(ri, d, c) for ri, d, c in zip(r, cols[j], cols[-1]) if c < 0]
+            low = [(ri, d, c) for ri, d, c in zip(r, columns[j], columns[-1]) if c > 0]
+            up = [(ri, d, c) for ri, d, c in zip(r, columns[j], columns[-1]) if c < 0]
             for x in range(a, b + 1):
                 s, e = lo[-1], hi[-1]
                 for ri, d, c in low:
@@ -534,23 +549,25 @@ def lattice_fibres(P: HalfspacePolytope) -> list[tuple[IntVector, int, int]]:
                 if s <= e:
                     fibres.append(((*prefix, x), s, e))
 
-    walk(0, (), [l.numerator for l in P.offsets])
+    walk(0, (), offsets)
     return fibres
 
 
 def lattice_points(P: HalfspacePolytope) -> list[IntVector]:
     """All integer points of P, sorted lexicographically: the lattice_fibres
-    expanded in order, so no point of the bounding box is tested alone.
-    No command calls it; the benchmark's tracer binds it by name."""
-    lo, hi = bounding_box(P)
+    of P's own box, the integer hull of its vertices, with facet i scaled to
+    <x, q_i u_i> >= p_i for lambda_i = p_i / q_i, expanded in order, so no
+    point of the box is tested alone.  No command calls it; the benchmark's
+    tracer binds it by name."""
+    coords = list(zip(*(v.point for v in P.vertices)))
+    lo = tuple(math.ceil(min(c)) for c in coords)
+    hi = tuple(math.floor(max(c)) for c in coords)
+    columns = list(zip(*([l.denominator * c for c in u] for u, l in zip(P.normals, P.offsets))))
+    fibres = lattice_fibres(columns, [l.numerator for l in P.offsets], lo, hi)
     # one shared int per value of x_n, as in the tuples product() made for the
     # box scan; a fresh int per point costs 28 bytes more (11 MiB at N = 486,016)
     xs = tuple(range(lo[-1], hi[-1] + 1))
-    return [
-        (*prefix, x)
-        for prefix, a, b in lattice_fibres(P)
-        for x in xs[a - lo[-1] : b - lo[-1] + 1]
-    ]
+    return [(*prefix, x) for prefix, a, b in fibres for x in xs[a - lo[-1] : b - lo[-1] + 1]]
 
 
 @functools.cache
@@ -660,10 +677,13 @@ def normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
     edges, if it has them, to its pairings on A; it keeps its tight facets,
     slacks and pairings, which the map leaves as they are.  No dilated copy
     of P is built.
+
+    The normals and offsets are vertex_chart's, which no command turns into
+    a polytope: sections_by_polytope walks vertex_chart itself.  The tests
+    compare the two, and the benchmark's tracer binds this by name.
     """
-    if why := _refusal(v, P.dim):
-        raise NotDelzantError(why)
-    Q = HalfspacePolytope(tuple(zip(*v.pairings)), tuple(-s for s in v.slacks))
+    columns, offsets, _, _ = vertex_chart(P, v)
+    Q = HalfspacePolytope(tuple(zip(*columns)), offsets)
 
     def image(x: Vertex) -> Vertex:
         point = tuple(x.slacks[a] for a in v.active)

@@ -246,8 +246,9 @@ def polytope_suites(
     """Chart and numeric suites of one polytope, refused by delzant_vertices.
 
     The fan is built once, on P.  The embedding is that of qP, for
-    q = P.integer_offsets[0], at its first vertex: normalize_at_vertex maps
-    P's first vertex to the chart of qP, so no dilated copy of P is built.
+    q = P.integer_offsets[0], at its first vertex: sections_by_polytope
+    reads the chart of qP there off the walk's slacks and pairings, so no
+    dilated copy of P and no second polytope is built.
     """
     vertices = delzant_vertices(P)
     results = chart_suite(normal_fan(P))

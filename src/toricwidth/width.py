@@ -36,7 +36,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import IntVector, RationalVector, _eliminate, dot
-from .polytope import HalfspacePolytope, UnboundedPolytopeError, Vertex, delzant_vertices
+from .polytope import (
+    HalfspacePolytope,
+    UnboundedPolytopeError,
+    Vertex,
+    delzant_vertices,
+    slack_maxima,
+)
 
 GAMMA_CAVEAT = (
     "gamma bound omitted: the class is not monotone, and the bound is only "
@@ -59,10 +65,11 @@ def cylinder_bound(P: HalfspacePolytope, v: Vertex) -> CylinderBound:
     integral offsets the vertices are lattice points, so this is the maximum
     over the embedding exponents; rational offsets give that of qP over q.
     Each vertex keeps its slacks q (<x, u_i> - lambda_i) from the walk, so
-    each maximum is one max over them, divided by q.
+    the maxima are slack_maxima(P, v), the top of the box the embedding at
+    v walks, divided by q.
     """
     q = P.integer_offsets[0]
-    maxima = tuple(Fraction(max(w.slacks[a] for w in P.vertices), q) for a in v.active)
+    maxima = tuple(Fraction(m, q) for m in slack_maxima(P, v))
     m = min(maxima)
     axis = maxima.index(m)
     return CylinderBound(2 * m, axis, maxima)

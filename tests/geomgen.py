@@ -51,7 +51,6 @@ from toricwidth.polytope import (
     HalfspacePolytope,
     UnboundedPolytopeError,
     Vertex,
-    bounding_box,
     is_delzant,
     lattice_fibres,
     lattice_points,
@@ -1426,9 +1425,26 @@ def oracle_polygon_area(P: HalfspacePolytope) -> Fraction:
     return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))) / 2
 
 
+def bounding_box(P: HalfspacePolytope) -> tuple[IntVector, IntVector]:
+    """Componentwise integer bounds covering the polytope: (lo, hi)."""
+    pts = [v.point for v in P.vertices]
+    lo = tuple(math.ceil(min(p[i] for p in pts)) for i in range(P.dim))
+    hi = tuple(math.floor(max(p[i] for p in pts)) for i in range(P.dim))
+    return lo, hi
+
+
+def polytope_fibres(P: HalfspacePolytope) -> list[tuple[IntVector, int, int]]:
+    """The integer points of P as lattice_fibres gives them, walked in P's
+    bounding box with facet i scaled to <x, q_i u_i> >= p_i for
+    lambda_i = p_i / q_i.  On normalize_at_vertex(P, v) it is the oracle of
+    sections_by_polytope(P, v), whose box comes from the slacks instead."""
+    columns = list(zip(*([l.denominator * c for c in u] for u, l in zip(P.normals, P.offsets))))
+    return lattice_fibres(columns, [l.numerator for l in P.offsets], *bounding_box(P))
+
+
 def fibre_count(P: HalfspacePolytope) -> int:
     """The number of integer points of P, as the sum of its fibre lengths."""
-    return sum(b - a + 1 for _, a, b in lattice_fibres(P))
+    return sum(b - a + 1 for _, a, b in polytope_fibres(P))
 
 
 def oracle_ehrhart_volume(P: HalfspacePolytope) -> Fraction:

@@ -22,6 +22,7 @@ import toricwidth.width
 from geomgen import (
     blow_up,
     blowup_polygon,
+    bounding_box,
     dilate,
     embedding_cases,
     lattice_point_ladder,
@@ -38,7 +39,6 @@ from toricwidth.cli import main
 from toricwidth.fixtures import blown_up_hirzebruch
 from toricwidth.polytope import (
     HalfspacePolytope,
-    bounding_box,
     is_delzant,
     lattice_points,
     normalize_at_vertex,
@@ -235,8 +235,9 @@ def test_arithmetic_error_exits_3_with_one_line(capsys, monkeypatch, error):
 @pytest.mark.parametrize("command", ["embed", "verify"])
 def test_memory_error_exits_3_with_one_line(capsys, monkeypatch, command):
     # what listing the lattice fibres of a huge polytope does under an
-    # address-space limit, e.g. the degree-10^9 triangle's 10^9 fibres
-    def exhausted(P):
+    # address-space limit, e.g. the degree-10^9 triangle's 10^9 fibres; the
+    # walker takes the chart's columns, offsets and box
+    def exhausted(columns, offsets, lo, hi):
         raise MemoryError()
 
     monkeypatch.setattr(toricwidth.embedding, "lattice_fibres", exhausted)
@@ -496,11 +497,11 @@ def test_one_vertex_enumeration_per_call(capsys, enumerations, spec, argv):
     assert len(enumerations) == 1
 
 
-# the input and its chart at a vertex, and no dilated copy qP: q = 51 on
-# example-3.8:50 and q = 1 on cpn:3:10
+# the input alone: the chart at a vertex is read off the walk, and no
+# dilated copy qP is built: q = 51 on example-3.8:50 and q = 1 on cpn:3:10
 @pytest.mark.parametrize("spec", ["example-3.8:50", "cpn:3:10"])
 @pytest.mark.parametrize("argv", [["embed"], ["verify", "--samples", "1"]])
-def test_embed_and_verify_build_two_polytopes(capsys, monkeypatch, spec, argv):
+def test_embed_and_verify_build_one_polytope(capsys, monkeypatch, spec, argv):
     built = []
     real = toricwidth.polytope.HalfspacePolytope.__post_init__
     monkeypatch.setattr(
@@ -510,7 +511,7 @@ def test_embed_and_verify_build_two_polytopes(capsys, monkeypatch, spec, argv):
     )
     assert main([argv[0], spec, *argv[1:]]) == 0
     capsys.readouterr()
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def test_width_reads_no_lattice_points(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from geomgen import (
     AffineLatticeMap,
     apply_lattice_map,
     blowup_polygon,
+    bounding_box,
     dilate,
     fibre_count,
     hirzebruch,
@@ -27,6 +28,7 @@ from geomgen import (
     oracle_refusal,
     oracle_vertices,
     polytope_data,
+    polytope_fibres,
     product_polytope,
     random_cut_cube,
     random_delzant_polygon,
@@ -43,6 +45,7 @@ from toricwidth.fixtures import (
     projective_space,
 )
 import toricwidth.polytope
+from toricwidth.embedding import sections_by_polytope
 from toricwidth.fixtures import resolve_fixture
 from toricwidth.lattice import dot
 from toricwidth.polytope import (
@@ -50,17 +53,17 @@ from toricwidth.polytope import (
     HalfspacePolytope,
     NotDelzantError,
     UnboundedPolytopeError,
-    bounding_box,
     delzant_vertices,
     enumerate_vertices,
     from_dict,
     is_delzant,
-    lattice_fibres,
     lattice_points,
     normalize_at_vertex,
     recession_direction,
+    slack_maxima,
     vertex_sums,
 )
+from toricwidth.width import cylinder_bound
 
 SIMPLEX = projective_space(2, 1)
 
@@ -194,10 +197,10 @@ def test_lattice_points_against_oracle_random():
 
 def test_lattice_fibres_simplex_doubled():
     # x_2 <= 2 - x_1 on each fibre; the facet x_1 >= 0 (c = 0) keeps every prefix
-    assert lattice_fibres(dilate(SIMPLEX, 2)) == [((0,), 0, 2), ((1,), 0, 1), ((2,), 0, 0)]
+    assert polytope_fibres(dilate(SIMPLEX, 2)) == [((0,), 0, 2), ((1,), 0, 1), ((2,), 0, 0)]
     # ceil(1/3) = 1 and floor(8/3) = 2 on the segment [1/3, 8/3]
     segment = HalfspacePolytope(((1,), (-1,)), (Fraction(1, 3), Fraction(-8, 3)))
-    assert lattice_fibres(segment) == [((), 1, 2)]
+    assert polytope_fibres(segment) == [((), 1, 2)]
 
 
 PRISM = HalfspacePolytope(
@@ -208,7 +211,7 @@ PRISM = HalfspacePolytope(
 def test_lattice_fibres_drop_prefixes_cut_by_a_flat_facet():
     # the prism (simplex) x [0, 2]: x_1 + x_2 <= 1 is flat in x_3 and drops
     # the box prefix (1, 1), whose x_3 range the other facets leave as [0, 2]
-    assert lattice_fibres(PRISM) == [((0, 0), 0, 2), ((0, 1), 0, 2), ((1, 0), 0, 2)]
+    assert polytope_fibres(PRISM) == [((0, 0), 0, 2), ((0, 1), 0, 2), ((1, 0), 0, 2)]
 
 
 def test_lattice_fibres_expand_to_the_oracle_points():
@@ -240,7 +243,7 @@ def test_lattice_fibres_of_the_parallelogram_with_normal_2_40_and_1():
     # vertex it is the unit square
     e = 2**40
     P = HalfspacePolytope(((e, 1), (1, 0), (-e, -1), (-1, 0)), (0, 0, -1, -1))
-    assert lattice_fibres(P) == [((0,), 0, 1), ((1,), -e, 1 - e)]
+    assert polytope_fibres(P) == [((0,), 0, 1), ((1,), -e, 1 - e)]
     for v in P.vertices:
         Q = normalize_at_vertex(P, v)
         assert lattice_points(Q) == oracle_lattice_points(Q) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -528,6 +531,59 @@ def test_normalize_at_vertex_names_what_is_not_delzant():
     assert Q.vertices == HalfspacePolytope(want.normals, want.offsets).vertices
     with pytest.raises(NotDelzantError, match=r"^vertex \(0, 0, 1\) lies on 4 facets$"):
         normalize_at_vertex(CUT_CUBE, corner)
+
+
+def chart_generators():
+    """unimodularity_generators() with two products, the 5/3-dilates of 3-D
+    and 4-D draws (q = 3), and the (1, 2^40) and (1, 2^62) parallelograms."""
+    draws = [random_delzant_polytope(random.Random(seed), n) for n in (3, 4) for seed in range(3)]
+    return (
+        unimodularity_generators()
+        + [
+            product_polytope(hirzebruch(), projective_space(2, 1)),
+            product_polytope(blowup_polygon(random.Random(5), 5), unit_square()),
+        ]
+        + [dilate(P, Fraction(5, 3)) for P in draws]
+        + [
+            HalfspacePolytope(((1, 2**e), (0, 1), (-1, -(2**e)), (0, -1)), (0, 0, -1, -1))
+            for e in (40, 62)
+        ]
+    )
+
+
+def test_sections_walk_the_chart_of_normalize_at_vertex_at_every_vertex():
+    # the chart read off the walk (v's pairings, minus its slacks and the box
+    # [0, slack_maxima]) gives the fibres of normalize_at_vertex's image
+    # walked in its own bounding box; a vertex that is not Delzant gets
+    # normalize_at_vertex's refusal
+    refusals = set()
+    for P in chart_generators():
+        for v in P.vertices:
+            try:
+                Q = normalize_at_vertex(P, v)
+            except NotDelzantError as refused:
+                with pytest.raises(NotDelzantError) as got:
+                    sections_by_polytope(P, v)
+                assert str(got.value) == str(refused)
+                refusals.add(str(refused).split()[-1])
+                continue
+            assert list(sections_by_polytope(P, v).fibres) == polytope_fibres(Q)
+    assert refusals == {"facets", "Z-basis"}
+
+
+def test_the_chart_box_is_q_times_the_cylinders_axis_maxima():
+    # at every vertex of the Delzant generators: q times the cylinder's axis
+    # maxima, the chart box's upper corner that the embedding walks, the
+    # bounding box of normalize_at_vertex's image and the largest exponent
+    # on each axis are one vector
+    for P in filter(is_delzant, chart_generators()):
+        q = P.integer_offsets[0]
+        for v in P.vertices:
+            top = slack_maxima(P, v)
+            assert tuple(q * m for m in cylinder_bound(P, v).axis_maxima) == top
+            assert bounding_box(normalize_at_vertex(P, v)) == ((0,) * P.dim, top)
+            E = sections_by_polytope(P, v)
+            assert tuple(map(max, zip(*((*p, b) for p, _, b in E.fibres)))) == top
 
 
 def test_json_roundtrip():

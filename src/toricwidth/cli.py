@@ -45,12 +45,17 @@ def load_polytope(spec: str) -> HalfspacePolytope:
         bad_parameter = None
     except ValueError as e:
         bad_parameter = e
-    if not os.path.exists(spec):
-        if bad_parameter is not None:
-            raise ParseFailure(f"fixture {spec!r}: {bad_parameter}")
-        raise ParseFailure(f"not a fixture name and not a file: {spec!r}")
     try:
-        with open(spec) as f:
+        f = open(spec)
+    except (OSError, ValueError) as e:
+        # only a failed open asks whether the path exists, to pick the message
+        if os.path.exists(spec):
+            raise ParseFailure(f"cannot parse {spec!r}: {e}") from e
+        if bad_parameter is not None:
+            raise ParseFailure(f"fixture {spec!r}: {bad_parameter}") from None
+        raise ParseFailure(f"not a fixture name and not a file: {spec!r}") from None
+    try:
+        with f:
             data = json.load(f)
         return from_dict(data)
     except (OSError, ValueError) as e:

@@ -32,6 +32,12 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
+def quotient(p, q: int):
+    """p / q exactly: the int p // q when q divides p, else a Fraction."""
+    d, r = divmod(p, q)
+    return Fraction(p, q) if r else d
+
+
 def is_primitive(u: Sequence[int]) -> bool:
     """A nonzero integer vector is primitive when its entries have gcd 1."""
     return math.gcd(*u) == 1

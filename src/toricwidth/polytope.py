@@ -2,7 +2,8 @@
 
 Normals are primitive integer vectors, offsets are rationals.  Vertex
 enumeration, Delzant verification, lattice points and vertex normalization
-all run in exact arithmetic; nothing here touches floats.  The denominator
+all run in exact arithmetic; nothing here touches floats, and an integral
+value is an int, from the parse to the volume.  The denominator
 scale q of the offsets and the integers q * lambda_i are one cached
 property per polytope, integer_offsets, which the vertex walk and the width
 bounds read.  Vertices come from integer pivots on a dictionary of
@@ -51,11 +52,11 @@ from typing import NamedTuple, Sequence
 
 from .lattice import (
     IntVector,
-    RationalVector,
     _eliminate,
     dot,
     integer_kernel_basis,
     is_primitive,
+    quotient,
 )
 
 
@@ -73,13 +74,14 @@ class NotDelzantError(ValueError):
 
 @dataclass(frozen=True)
 class HalfspacePolytope:
-    """Intersection of halfspaces <x, u_i> >= lambda_i with primitive integer u_i."""
+    """Intersection of halfspaces <x, u_i> >= lambda_i with primitive integer
+    u_i; a tuple of int and Fraction offsets, as from_dict gives, is kept."""
 
     normals: tuple[IntVector, ...]
-    offsets: RationalVector
+    offsets: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        # a tuple of int tuples and a tuple of Fractions are kept as given;
+        # a tuple of int tuples and a tuple of ints and Fractions are kept as given;
         # anything else is converted, and refused unless it is exact
         normals, offsets = self.normals, self.offsets
         if (
@@ -101,7 +103,7 @@ class HalfspacePolytope:
                     raise ValueError("empty vector")
                 converted.append(tuple(v))
             normals = tuple(converted)
-        if type(offsets) is not tuple or {type(l) for l in offsets} - {Fraction}:
+        if type(offsets) is not tuple or {type(l) for l in offsets} - {int, Fraction}:
             offsets = tuple(map(Fraction, offsets))
         if not offsets:
             raise ValueError("empty vector")
@@ -113,8 +115,7 @@ class HalfspacePolytope:
         for u in normals:
             if not is_primitive(u):
                 raise ValueError(f"normal {u} is not primitive")
-        pairs = zip(normals, (l.numerator for l in offsets), (l.denominator for l in offsets))
-        if len(set(pairs)) != len(normals):
+        if len(set(zip(normals, offsets))) != len(normals):  # equal values hash alike
             raise ValueError("duplicate facet inequality")
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
@@ -150,17 +151,17 @@ class Vertex:
     """A vertex point with the indices of all facets tight there, and the
     walk's dictionary there, so that no consumer multiplies normals with it.
 
-    slacks[i] = q (<u_i, x> - lambda_i), for q = P.integer_offsets[0], is
-    S_i / D, ints when D = 1.  On exactly n facets a vertex also keeps
-    edges[k], column k of D U_A^-1 for U_A the normals of the facets
-    `active` as rows and D = |det U_A|, which leaves facet active[k] and
-    stays on the others, and pairings[k][i] = <u_i, edges[k]> = R_ik; on
-    more, both are None.  D = pairings[0][active[0]], so a Z-basis of tight
+    point, and slacks[i] = q (<u_i, x> - lambda_i) = S_i / D for
+    q = P.integer_offsets[0], are ints where integral.  On exactly n facets
+    a vertex also keeps edges[k], column k of D U_A^-1 for U_A the normals
+    of the facets `active` as rows and D = |det U_A|, which leaves facet
+    active[k] and stays on the others, and pairings[k][i] = <u_i, edges[k]>
+    = R_ik; on more, both are None.  D = pairings[0][active[0]], so a Z-basis of tight
     normals, D = 1, is read off them (_refusal).  None of the three is
     compared.
     """
 
-    point: RationalVector
+    point: tuple[int | Fraction, ...]
     active: tuple[int, ...]
     edges: tuple[IntVector, ...] | None = field(default=None, compare=False, repr=False)
     slacks: tuple[int | Fraction, ...] | None = field(default=None, compare=False, repr=False)
@@ -361,8 +362,8 @@ def _edge_walk(P: HalfspacePolytope, start: _Dictionary) -> list[Vertex]:
         active = basis if S.count(0) == n else tuple(i for i, s in enumerate(S) if s == 0)
         if active is basis or active not in degenerate:
             x = X[:n]
-            point = tuple(map(Fraction, x)) if D * q == 1 else tuple(Fraction(c, D * q) for c in x)
-            slacks = S if D == 1 else tuple(Fraction(s, D) for s in S)
+            point = x if D * q == 1 else tuple(quotient(c, D * q) for c in x)
+            slacks = S if D == 1 else tuple(quotient(s, D) for s in S)
             if active is basis:
                 edges, pairings = tuple(e[:n] for e in E), tuple(e[n:] for e in E)
                 found.append((x, D, Vertex(point, basis, edges, slacks, pairings)))
@@ -605,7 +606,7 @@ def _todd_terms(n: int) -> tuple[int, tuple[tuple[int, int, tuple[tuple[int, int
     return L, tuple((c.numerator * (L // c.denominator), ones, evens) for c, ones, evens in terms)
 
 
-def vertex_sums(P: HalfspacePolytope) -> tuple[int, Fraction]:
+def vertex_sums(P: HalfspacePolytope) -> tuple[int, int | Fraction]:
     """The number of integer points and the volume of a Delzant polytope,
     both as sums over its vertices, so their cost follows the vertices,
     not the volume.
@@ -659,7 +660,7 @@ def vertex_sums(P: HalfspacePolytope) -> tuple[int, Fraction]:
     points, r = divmod(sign * count, den * L)
     if r:
         raise ArithmeticError("the vertex sum of the lattice-point count is not an integer")
-    return points, Fraction(sign * vol, den * math.factorial(n) * q**n)
+    return points, quotient(sign * vol, den * math.factorial(n) * q**n)
 
 
 def normalize_at_vertex(P: HalfspacePolytope, v: Vertex) -> HalfspacePolytope:
@@ -712,11 +713,21 @@ def _exact_int(x) -> int:
     return n
 
 
+def _exact_offset(l) -> int | Fraction:
+    """Fraction(str(l)), or its refusal, but an int for an int or for digits
+    after at most one sign, which int() reads alike (or refuses alike, past
+    4300 digits); " 7 ", "7_000" or "14/2" go to Fraction, as int() may differ."""
+    if type(l) is int:
+        return l
+    s = str(l)
+    return int(s) if (s[1:] if s[:1] in ("+", "-") else s).isdecimal() else Fraction(s)
+
+
 def from_dict(data: dict) -> HalfspacePolytope:
     try:
         dim = _exact_int(data["dim"])
-        normals = tuple(tuple(_exact_int(x) for x in u) for u in data["normals"])
-        offsets = tuple(Fraction(str(l)) for l in data["offsets"])
+        normals = tuple(tuple(map(_exact_int, u)) for u in data["normals"])
+        offsets = tuple(map(_exact_offset, data["offsets"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ValueError(f"malformed polytope data: {e}") from e
     P = HalfspacePolytope(normals, offsets)

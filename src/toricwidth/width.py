@@ -23,19 +23,21 @@ LambdaBound and GammaBound it builds, for the report.
 The class is monotone iff r(lambda_i + <m, u_i>) = -1 has a solution with
 r > 0 (Batyrev's reflexivity criterion: the translated and rescaled polytope
 {<z, u_i> >= -1} has the origin as its only interior lattice point, which
-holds for every bounded P, see verify_fano_certificate).  So the Fano check
-is one exact solve, and its recheck lists no lattice points.
+holds for every bounded P, see verify_fano_certificate).  The system has a
+closed form at a vertex of the walk, so the Fano check makes no elimination.
 
-Exact arithmetic throughout; pi is kept symbolic as a coefficient.
+Exact arithmetic throughout; pi is kept symbolic as a coefficient.  A bound
+is an int where integral, but gamma, over the certificate's r, a Fraction.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import IntVector, RationalVector, _eliminate, dot
+from .lattice import IntVector, dot, quotient
 from .polytope import (
     HalfspacePolytope,
     UnboundedPolytopeError,
@@ -52,9 +54,9 @@ GAMMA_CAVEAT = (
 
 @dataclass(frozen=True)
 class CylinderBound:
-    coefficient_pi: Fraction  # 2 * min_j max_k (J_k)_j, the cylinder's radius^2
+    coefficient_pi: int | Fraction  # 2 * min_j max_k (J_k)_j, the cylinder's radius^2
     axis: int  # smallest j attaining the min
-    axis_maxima: RationalVector
+    axis_maxima: tuple[int | Fraction, ...]
 
 
 def cylinder_bound(P: HalfspacePolytope, v: Vertex) -> CylinderBound:
@@ -66,10 +68,10 @@ def cylinder_bound(P: HalfspacePolytope, v: Vertex) -> CylinderBound:
     over the embedding exponents; rational offsets give that of qP over q.
     Each vertex keeps its slacks q (<x, u_i> - lambda_i) from the walk, so
     the maxima are slack_maxima(P, v), the top of the box the embedding at
-    v walks, divided by q.
+    v walks, divided by q: ints where q divides them, else Fractions.
     """
     q = P.integer_offsets[0]
-    maxima = tuple(Fraction(m, q) for m in slack_maxima(P, v))
+    maxima = tuple(quotient(m, q) for m in slack_maxima(P, v))
     m = min(maxima)
     axis = maxima.index(m)
     return CylinderBound(2 * m, axis, maxima)
@@ -77,7 +79,7 @@ def cylinder_bound(P: HalfspacePolytope, v: Vertex) -> CylinderBound:
 
 @dataclass(frozen=True)
 class LambdaBound:
-    coefficient_pi: Fraction
+    coefficient_pi: int | Fraction
     witness: IntVector
 
 
@@ -142,7 +144,7 @@ def lu_lambda(P: HalfspacePolytope) -> LambdaBound | None:
     best = min((r for found in groups for r in found), key=lambda r: (-r[1], r[0]), default=None)
     if best is None:
         return None
-    return LambdaBound(Fraction(2 * best[1], P.integer_offsets[0]), best[0])
+    return LambdaBound(quotient(2 * best[1], P.integer_offsets[0]), best[0])
 
 
 @dataclass(frozen=True)
@@ -155,30 +157,36 @@ class FanoCertificate:
     """
 
     r: Fraction
-    m: RationalVector  # y / r
+    m: tuple[int | Fraction, ...]  # y / r
     signs: tuple[int, ...]
 
 
 def fano_check(P: HalfspacePolytope) -> FanoCertificate | None:
-    """Solve <y, u_i> + r lambda_i = -1 exactly for a unique (y, r) with r > 0;
-    {<z, u_i> >= -1} then has the origin as its only interior lattice point
-    (Batyrev's reflexivity criterion), as verify_fano_certificate rechecks.
+    """The (y, r) with <y, u_i> + r lambda_i = -1 and r > 0 for the Delzant
+    polytope P (delzant_vertices refuses any other), or None; {<z, u_i> >= -1}
+    then has the origin as its only interior lattice point (Batyrev), as
+    verify_fano_certificate rechecks.  Signs s_i = +1 need not be tried: the
+    origin would have to satisfy <0, u_i> > 1 to be interior.
 
-    Signs s_i = +1 need not be tried: the origin would have to satisfy
-    <0, u_i> > 1 to be interior.
+    Read off the first vertex v, on the facets A, with no elimination: its
+    edges w_k are the columns of U_A^-1, R_ik = <u_i, w_k> and the slacks
+    S_i = q (<u_i, v> - lambda_i).  The rows A fix y = -sum_k (1 + r
+    lambda_{A_k}) w_k, and row i then reads r S_i = q N_i, N_i = 1 - sum_k
+    R_ik, which holds on A as 0 = 0.  So a solution exists iff q N_i / S_i
+    is one r over the facets off v (S_i > 0), compared by cross-multiplying;
+    it is unique, as lambda in the span of U's columns makes P a point.
+    Then m = y / r = -sum_k (S_i + N_i q lambda_{A_k}) w_k / (q N_i).
     """
-    n = P.dim
-    q, offsets = P.integer_offsets
-    # the integer rows (u_i, q lambda_i, -1) have the unknowns (y, r / q); a
-    # unique solution pivots on every unknown and never on the rhs column,
-    # and only the rhs column of the eliminated rows, over D, is read
-    A = [[*u, l, -1] for u, l in zip(P.normals, offsets)]
-    pivots, D = _eliminate(A, n + 2)
-    r = Fraction(q * A[n][n + 1], D) if pivots == list(range(n + 1)) else 0
-    if r <= 0:
+    v = delzant_vertices(P)[0]
+    q, b = P.integer_offsets
+    N = [1 - sum(c) for c in zip(*v.pairings)]
+    i = next(i for i, s in enumerate(v.slacks) if s)
+    n_i, s_i = N[i], v.slacks[i]
+    if n_i <= 0 or any(n * s_i != n_i * s for n, s in zip(N, v.slacks)):
         return None
-    m = tuple(Fraction(A[k][n + 1], q * A[n][n + 1]) for k in range(n))  # y / r
-    cert = FanoCertificate(r, m, (-1,) * P.num_facets)
+    t = [s_i + n_i * b[a] for a in v.active]
+    m = tuple(quotient(-dot(t, w), q * n_i) for w in zip(*v.edges))
+    cert = FanoCertificate(Fraction(q * n_i, s_i), m, (-1,) * P.num_facets)
     return cert if verify_fano_certificate(P, cert) else None
 
 
@@ -191,12 +199,17 @@ def verify_fano_certificate(P: HalfspacePolytope, cert: FanoCertificate) -> bool
     integral z has <z, u_i> > -1 iff <z, u_i> >= 0, so they are the lattice
     points of the recession cone {<z, u_i> >= 0} of P, which is {0} iff P
     is bounded.  The certificate puts -m in the interior of P, so P is not
-    empty, and P.vertices raises exactly when P is unbounded.
+    empty, and P.vertices raises exactly when P is unbounded.  In integers, with r = a / c, m = x / M and lambda = b / q, each
+    equation reads a (M b_i + q <x, u_i>) = s_i c q M.
     """
     if cert.r <= 0 or len(cert.signs) != P.num_facets or len(cert.m) != P.dim:
         return False
-    for u, l, s in zip(P.normals, P.offsets, cert.signs):
-        if s != -1 or cert.r * (l + dot(cert.m, u)) != s:
+    q, b = P.integer_offsets
+    a, c = cert.r.numerator, cert.r.denominator
+    M = math.lcm(*(y.denominator for y in cert.m))
+    x = [y.numerator * (M // y.denominator) for y in cert.m]
+    for u, l, s in zip(P.normals, b, cert.signs):
+        if s != -1 or a * (M * l + q * dot(x, u)) != s * c * q * M:
             return False
     try:
         P.vertices
@@ -244,7 +257,7 @@ class WidthReport:
         return None
 
     @property
-    def min_bound_pi(self) -> Fraction:
+    def min_bound_pi(self) -> int | Fraction:
         bounds = (self.cylinder, self.lu_lambda, self.lu_gamma)
         return min(b.coefficient_pi for b in bounds if b is not None)
 

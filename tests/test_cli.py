@@ -542,8 +542,8 @@ def test_analyze_reads_no_lattice_points(capsys, monkeypatch):
 
 
 def test_analyze_width_and_embed_read_unimodularity_off_the_walk(capsys, monkeypatch, tmp_path):
-    # no elimination beyond the vertex enumeration's but width's one in
-    # fano_check, so no Z-basis test, inverse or smoothness test of their own
+    # no elimination beyond the vertex enumeration's, so no Z-basis test,
+    # inverse, smoothness test or Fano solve of their own
     path = tmp_path / "P.json"
     path.write_text(json.dumps(HUGE_BOX_INPUTS["parallelogram-2^62"][0]))
     specs = ["example-3.7", "example-3.8:50", "cpn:3:10", "cpn:4:3", str(path)]
@@ -560,7 +560,7 @@ def test_analyze_width_and_embed_read_unimodularity_off_the_walk(capsys, monkeyp
         eliminations += 1
         return eliminate(*args)
 
-    for mod in (toricwidth.lattice, toricwidth.polytope, toricwidth.width):
+    for mod in (toricwidth.lattice, toricwidth.polytope):
         monkeypatch.setattr(mod, "_eliminate", counted)
     for argv, want in zip(argvs, before):
         eliminations = 0
@@ -568,7 +568,7 @@ def test_analyze_width_and_embed_read_unimodularity_off_the_walk(capsys, monkeyp
         vertices = eliminations
         eliminations = 0
         assert _outcome(capsys, argv) == want, argv
-        assert eliminations == vertices + (argv[0] == "width"), argv
+        assert eliminations == vertices, argv
 
 
 def test_verify_eliminates_only_in_the_start(capsys, monkeypatch, tmp_path):
@@ -580,7 +580,7 @@ def test_verify_eliminates_only_in_the_start(capsys, monkeypatch, tmp_path):
     path.write_text(json.dumps(polytope_data(blowup_polygon(random.Random(100011), 11))))
     calls = []
     real = toricwidth.lattice._eliminate
-    for mod in (toricwidth.lattice, toricwidth.polytope, toricwidth.width):
+    for mod in (toricwidth.lattice, toricwidth.polytope):
         monkeypatch.setattr(mod, "_eliminate", lambda *a: calls.append(a) or real(*a))
     toricwidth.polytope.enumerate_vertices(toricwidth.cli.load_polytope(str(path)))
     start = len(calls)
@@ -748,10 +748,10 @@ def test_bounded_inputs_make_no_recession_search(capsys, monkeypatch, tmp_path, 
     assert calls == []
 
 
-def test_fano_check_makes_one_elimination(capsys, monkeypatch):
-    # cpn:2:1 is monotone, so its certificate is rechecked too, without an
-    # elimination
-    inside, calls = [], []
+def test_fano_check_makes_no_elimination_in_width(capsys, monkeypatch):
+    # cpn:2:1 is monotone, so its certificate is read off the walk and
+    # rechecked, both without an elimination: width makes only the walk's
+    inside, calls, walks = [], [], []
     real_check, real_eliminate = toricwidth.width.fano_check, toricwidth.lattice._eliminate
 
     def check(P):
@@ -762,16 +762,15 @@ def test_fano_check_makes_one_elimination(capsys, monkeypatch):
             inside.pop()
 
     def eliminate(A, width):
-        if inside:
-            calls.append(A)
+        (calls if inside else walks).append(A)
         return real_eliminate(A, width)
 
     monkeypatch.setattr(toricwidth.width, "fano_check", check)
-    for mod in (toricwidth.lattice, toricwidth.width):
+    for mod in (toricwidth.lattice, toricwidth.polytope):
         monkeypatch.setattr(mod, "_eliminate", eliminate)
     out = run_json(capsys, "width", "cpn:2:1")
     assert out["fano"]["is_fano"] is True
-    assert len(calls) == 1
+    assert len(calls) == 0 and len(walks) == 1
 
 
 def test_rational_offsets_cleared_for_analysis(capsys):

@@ -4,6 +4,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import toricwidth.lattice
+import toricwidth.polytope
 import toricwidth.width
 from geomgen import (
     apply_lattice_map,
@@ -36,6 +38,7 @@ from toricwidth.lattice import dot
 from toricwidth.polytope import (
     HalfspacePolytope,
     NotDelzantError,
+    delzant_vertices,
     enumerate_vertices,
     is_delzant,
 )
@@ -340,22 +343,25 @@ def test_cylinder_bound_matches_lattice_point_maxima():
             assert tuple(q * m for m in cylinder_bound(P, v).axis_maxima) == want
 
 
-def test_fano_check_is_one_solve(monkeypatch):
+def test_fano_check_makes_no_elimination(monkeypatch):
+    # the certificate is read off the first vertex's pairings and slacks, so
+    # once the walk has run, fano_check eliminates nothing, on a monotone
+    # input and on one that is not
     calls = []
-    real = toricwidth.width._eliminate
-    monkeypatch.setattr(
-        toricwidth.width, "_eliminate", lambda A, w: calls.append(A) or real(A, w)
-    )
+    real = toricwidth.lattice._eliminate
+    for mod in (toricwidth.lattice, toricwidth.polytope):
+        monkeypatch.setattr(mod, "_eliminate", lambda A, w: calls.append(A) or real(A, w))
     octagon = HalfspacePolytope(
         ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)),
         (0, 0, -9, -9, 3, -6, -15, -6),
     )
     P = blow_up(blow_up(octagon, (0, 4)), (1, 4))
     assert P.num_facets == 10 and is_delzant(P)
-    for Q in (P, REFLEXIVE_HEXAGON):
+    for Q, monotone in ((P, False), (REFLEXIVE_HEXAGON, True)):
+        Q.vertices
         calls.clear()
-        fano_check(Q)
-        assert len(calls) == 1
+        assert (fano_check(Q) is not None) is monotone
+        assert calls == []
 
 
 def _relation_ladder():
@@ -405,8 +411,10 @@ def test_cylinder_bound_matches_fraction_oracle():
 
 
 def test_fano_check_matches_the_rref_route():
-    """(y, r) read off the eliminated integer rows give the certificate that
-    the rational rref of [U | lambda | -1] gave, on every generator."""
+    """The closed form at the first vertex gives the certificate that the
+    rational rref of [U | lambda | -1] gave, on every Delzant input of every
+    generator; the others are refused by the Delzant gate, with its
+    exception and message."""
     rng = random.Random(1708)
     inputs = _fano_ladder() + [P for family in _relation_ladder() for P in family]
     inputs += [random_delzant_polygon(rng) for _ in range(20)]
@@ -415,12 +423,21 @@ def test_fano_check_matches_the_rref_route():
     # unbounded, and fewer facets than unknowns
     inputs += [HalfspacePolytope(((1, 0), (0, 1), (1, 1)), (0, 0, 1)),
                HalfspacePolytope(((1, 0), (0, 1)), (0, 0))]
-    certificates = 0
+    certificates = refused = 0
     for P in inputs:
+        try:
+            delzant_vertices(P)
+        except ValueError as e:
+            refused += 1
+            with pytest.raises(type(e)) as got:
+                fano_check(P)
+            assert type(got.value) is type(e) and str(got.value) == str(e), P
+            continue
         cert = fano_check(P)
         assert cert == rref_fano_check(P), P
         certificates += cert is not None
-    assert 50 <= certificates < len(inputs) - 50
+    assert 50 <= certificates < len(inputs) - refused - 50
+    assert refused == 12  # the 10 non-Delzant polygons and the 2 unbounded inputs
 
 
 def test_half_sums_group_each_multiset_once_by_its_sum():

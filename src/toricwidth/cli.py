@@ -160,6 +160,7 @@ def cmd_embed(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ParseFailure(f"--samples must be at least 1 (got {args.samples})")
+    P = load_polytope(args.input)
     try:
         import numpy  # noqa: F401  # no other command needs numpy
     except ImportError as e:
@@ -172,7 +173,6 @@ def cmd_verify(args) -> int:
         raise ValueError(f"cannot import numpy: {cause}") from None
     from .verify import polytope_suites
 
-    P = load_polytope(args.input)
     results = polytope_suites(P, seed=args.seed, samples=args.samples)
     if args.format == "json":
         keys = ("name", "passed", "deviation", "tolerance")

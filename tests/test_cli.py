@@ -592,12 +592,17 @@ def test_verify_eliminates_only_in_the_start(capsys, monkeypatch, tmp_path):
 
 # empty or unbounded inputs and the one-line cause each subcommand gives; the
 # first spans R^2 with its normals, so it is empty as no vertex is feasible;
-# the second does not, but its slice by the missing direction is empty too
+# the second does not, but its slice by the missing direction is empty too;
+# the open square pyramid is pointed at its apex 0 and recedes along a ray
 UNUSABLE_INPUTS = {
     "pointed-empty": ([[1, 0], [-1, 0], [0, 1]], ["0", "1", "0"], "no feasible vertex"),
     "empty-strip": ([[1, 0], [-1, 0]], ["0", "1"], "no feasible vertex"),
     "strip": ([[1, 0], [-1, 0]], ["0", "-1"], "recession direction (0, 1)"),
     "quadrant": ([[1, 0], [0, 1]], ["0", "0"], "recession direction (1, 0)"),
+    "open-square-pyramid": (
+        [[0, 1, -1], [1, 0, -1], [0, -1, -1], [-1, 0, -1]], ["0", "0", "0", "0"],
+        "recession direction (-1, 1, -1)",
+    ),
 }
 
 
@@ -606,7 +611,7 @@ UNUSABLE_INPUTS = {
 def test_empty_and_unbounded_inputs_name_the_cause(capsys, tmp_path, sub, name):
     normals, offsets, message = UNUSABLE_INPUTS[name]
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps({"dim": 2, "normals": normals, "offsets": offsets}))
+    path.write_text(json.dumps({"dim": len(normals[0]), "normals": normals, "offsets": offsets}))
     assert _outcome(capsys, [sub, str(path)]) == (3, "", f"error: {message}\n")
 
 

@@ -43,6 +43,21 @@ print(loaded)
     assert out == "[False, False, False, True]\n"
 
 
+def test_verify_reads_its_input_before_it_loads_numpy():
+    out = run_python(
+        """
+import contextlib, io, sys
+import toricwidth.cli
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = toricwidth.cli.main(["verify", "nosuch"])
+print((code, err.getvalue(), "numpy" in sys.modules))
+"""
+    )
+    line = "error: not a fixture name and not a file: 'nosuch'\n"
+    assert out == repr((2, line, False)) + "\n"
+
+
 def test_lazy_names_are_the_submodules_own():
     for name, module in toricwidth._NUMPY_NAMES.items():
         assert getattr(toricwidth, name) is getattr(
@@ -98,3 +113,8 @@ def test_numpy_that_cannot_load_under_a_memory_cap_ends_in_one_line():
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("error: cannot import numpy: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    # an input that does not parse is refused before numpy is loaded, as analyze refuses it
+    for spec in ("nosuch", "example-3.8:0"):
+        analyze, verify = run("analyze", spec), run("verify", spec)
+        assert (verify.returncode, verify.stdout, verify.stderr) == (2, "", analyze.stderr)
+        assert analyze.returncode == 2 and analyze.stderr.count("\n") == 1

@@ -58,7 +58,7 @@ def load_polytope(spec: str) -> HalfspacePolytope:
         with f:
             data = json.load(f)
         return from_dict(data)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise ParseFailure(f"cannot parse {spec!r}: {e}") from e
 
 

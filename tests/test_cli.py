@@ -344,16 +344,23 @@ def test_non_integral_input_is_a_parse_error(capsys, tmp_path, sub, dim, normal)
 
 @pytest.mark.parametrize("sub", ["analyze", "width", "embed", "verify"])
 def test_directory_input_is_a_parse_error(tmp_path, sub):
-    # run as a process, so an exception escaping main shows as a traceback
+    # run as a process, so an exception escaping main shows as a traceback;
+    # JSON nested past the parser's recursion limit is no more parseable
+    # than a directory, at the top level or inside "normals"
     src = Path(toricwidth.cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "toricwidth.cli", sub, str(tmp_path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith(f"error: cannot parse {str(tmp_path)!r}: ")
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    deep = "[" * 100_000 + "]" * 100_000
+    (tmp_path / "deep.json").write_text(deep)
+    (tmp_path / "deep-normals.json").write_text(
+        f'{{"dim": 2, "normals": {deep}, "offsets": ["0"]}}')
+    for path in (tmp_path, tmp_path / "deep.json", tmp_path / "deep-normals.json"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricwidth.cli", sub, str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot parse {str(path)!r}: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_embed_into_a_pipe_closed_early_exits_quietly():

@@ -31,6 +31,7 @@ and transition_map give the exact data of one chart and of one chart change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -105,10 +106,17 @@ def chart_table(F: Fan) -> ChartTable:
     off = np.ones((k, d), dtype=bool)
     off[np.arange(k)[:, None], cone] = False
     complement = np.nonzero(off)[1].reshape(k, d - n)
-    g = max(abs(a) for u in F.generators for a in u)
-    M = max(n * max(abs(a) for U_inv in inverses for w in U_inv for a in w) * g, g, 1)
-    dtype = np.int64 if d * M * M < INT64_BOUND else object
-    G, W, T = (np.array(rows, dtype=dtype) for rows in (F.generators, inverses, pairings))
+    flat = chain.from_iterable
+    g = max(map(abs, flat(F.generators)))
+    M = max(n * max(map(abs, flat(flat(inverses)))) * g, g, 1)
+    if d * M * M >= INT64_BOUND:
+        G, W, T = (np.array(rows, dtype=object) for rows in (F.generators, inverses, pairings))
+    else:
+        # M bounds every entry, so int64 holds them; fromiter reads the ints
+        # in C, where np.array would walk the nested tuples first
+        G = np.fromiter(flat(F.generators), np.int64, d * n).reshape(d, n)
+        W = np.fromiter(flat(flat(inverses)), np.int64, k * n * n).reshape(k, n, n)
+        T = np.fromiter(flat(flat(pairings)), np.int64, k * n * d).reshape(k, n, d)
     return ChartTable(G, cone, complement, W, T)
 
 

@@ -190,9 +190,11 @@ def cmd_verify(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later main
-    call in the process; parse_args keeps no state between calls."""
+    call in the process; parse_args keeps no state between calls.  Its
+    attribute commands maps each subcommand's name to its subparser."""
     parser = argparse.ArgumentParser(prog="toricwidth", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("analyze", help="Delzant, smoothness, completeness, convexity")
     p.add_argument("input")
@@ -220,7 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:  # no arguments, -h or no subcommand's name
+        args = parser.parse_args(argv)
+    else:
+        # what the nested parse does, one level down: the subparser reads
+        # every argument after the name, and the top level reports the rest
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         code = args.func(args)
         sys.stdout.flush()

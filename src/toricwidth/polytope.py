@@ -44,10 +44,10 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from operator import add, itemgetter, mul, neg, sub
 from typing import NamedTuple, Sequence
 
 from .lattice import (
@@ -247,12 +247,12 @@ def _dictionary(U: Sequence[IntVector], b: Sequence[int]) -> _Dictionary | None:
         return None
     s = 1 if D > 0 else -1
     E = [tuple(s * x for x in (*row[d:], *row[:d])) for row in A]
-    # X = sum_k b_{A_k} e_k, and S_i = sum_k b_{A_k} R_ik - D b_i
-    X = tuple(
-        sum(b[i] * e[m] for i, e in zip(basis, E)) - (s * D * b[m - n] if m >= n else 0)
-        for m in range(n + d)
-    )
-    return _Dictionary(tuple(basis), s * D, X, E)
+    # X = sum_k b_{A_k} e_k, and S_i = sum_k b_{A_k} R_ik - D b_i, as one
+    # running sum of columns
+    X = chain(repeat(0, n), map(mul, b, repeat(-s * D)))
+    for i, e in zip(basis, E):
+        X = map(add, X, map(mul, e, repeat(b[i])))
+    return _Dictionary(tuple(basis), s * D, tuple(X), E)
 
 
 def _pivot(dic: _Dictionary, i: int, j: int) -> _Dictionary:
@@ -263,7 +263,9 @@ def _pivot(dic: _Dictionary, i: int, j: int) -> _Dictionary:
     (|r| c - sgn(r) c_i e_j) / D, where c_i is its pairing with facet i;
     the new column of facet i is sgn(r) e_j, and goes to i's slot in the
     sorted basis.  A column with c_i = 0 is kept as it is when |r| = D, as
-    at every step between two unimodular bases.
+    at every step between two unimodular bases.  Between two of those,
+    |r| = D = 1 (every pivot of a walk on a Delzant polytope), a column is
+    c - sgn(r) c_i e_j with no division, taken in one C-level map.
     """
     basis, D, X, E = dic
     n = len(basis)
@@ -274,12 +276,15 @@ def _pivot(dic: _Dictionary, i: int, j: int) -> _Dictionary:
     for k, c in enumerate(cols):
         t = s * c[n + i]
         if t:
-            cols[k] = tuple([(a * x - t * y) // D for x, y in zip(c, ej)])
+            if a == D == 1:
+                cols[k] = tuple(map(sub, c, map(mul, ej, repeat(t))))
+            else:
+                cols[k] = tuple([(a * x - t * y) // D for x, y in zip(c, ej)])
         elif a != D:
             cols[k] = tuple([a * x // D for x in c])
     rest = basis[:j] + basis[j + 1 :]
     p = bisect.bisect(rest, i)
-    cols.insert(p + 1, ej if s > 0 else tuple([-y for y in ej]))
+    cols.insert(p + 1, ej if s > 0 else tuple(map(neg, ej)))
     return _Dictionary((*rest[:p], i, *rest[p:]), a, cols[0], cols[1:])
 
 
@@ -355,6 +360,7 @@ def _edge_walk(P: HalfspacePolytope, start: _Dictionary) -> list[Vertex]:
     stack = [(start, None)]  # a dictionary, and the column back to its parent
     found = []  # (X[:n], D, vertex) per point
     degenerate = set()  # the tight facets of each point on more than n
+    head, tail = itemgetter(slice(n)), itemgetter(slice(n, None))
     while stack:
         dic, back = stack.pop()
         basis, D, X, E = dic
@@ -365,7 +371,7 @@ def _edge_walk(P: HalfspacePolytope, start: _Dictionary) -> list[Vertex]:
             point = x if D * q == 1 else tuple(quotient(c, D * q) for c in x)
             slacks = S if D == 1 else tuple(quotient(s, D) for s in S)
             if active is basis:
-                edges, pairings = tuple(e[:n] for e in E), tuple(e[n:] for e in E)
+                edges, pairings = tuple(map(head, E)), tuple(map(tail, E))
                 found.append((x, D, Vertex(point, basis, edges, slacks, pairings)))
             else:
                 degenerate.add(active)
@@ -642,7 +648,7 @@ def vertex_sums(P: HalfspacePolytope) -> tuple[int, int | Fraction]:
     # sign (-1)^n is applied at the end
     count, vol, den = 0, 0, 1
     for v in vertices:
-        a = [sum(map(operator.mul, w, c)) for w in v.edges]
+        a = [sum(map(mul, w, c)) for w in v.edges]
         if 0 in a:
             raise ArithmeticError(f"an edge at {format_point(v.point)} is orthogonal to {c}")
         beta = sum(-(-b[i] // q) * ak for i, ak in zip(v.active, a))

@@ -57,9 +57,12 @@ on a coordinate hyperplane.  They come in the order and number of a loop
 over the checks and then the samples, one call a draw: a real point is
 rng.uniform(lo, hi), a complex one cmath.rect(rng.uniform(lo, hi),
 rng.uniform(0, 2 pi)), and a radial square rng.uniform(0.1, 3.0) ** 2.
+chunk_draws makes those calls' random() draws in C and applies
+Random.uniform's own arithmetic to them, so the points are the same bits.
 
-The numeric suite draws a chunk's points inside its loop over chunks, each
-check from its own copy of the generator, set to the check's first draw.
+The numeric suite takes a chunk's points from chunk_draws inside its loop
+over chunks, each check from its own copy of the generator, set to the
+check's first draw.
 Every row where a check needs the potential, 6n + 13 a sample, goes into
 one stack: the gradient stencil (2n) and its base point, the 10 radial
 rows, the Psi row, Psi's stencil (4n) and, last, the pullback's base row,
@@ -82,6 +85,7 @@ import collections
 import copy
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -153,17 +157,32 @@ def chart_suite(F: Fan) -> list[CheckResult]:
     return exact_checks(chart_table(F))
 
 
-def numeric_suite(
-    T: ToricPotential, seed: int = 0, samples: int = 10
-) -> list[CheckResult]:
-    """A chunk of samples at a time, each check draws its chunk's points
-    from its own copy of rng, in the order a per-sample loop would; then the
-    rows of every check go through one evaluate pass, with covariances for
-    the pullback check's base rows, and each check reads its rows' sums."""
-    n = T.dim
-    results = []
-    bounds = axis_radius_bounds(T)
-    chunk = max(1, numeric.BATCH_ENTRIES // (n * n))
+def _random(rng: random.Random, k: int):
+    """The next k rng.random() values, in order, called in C."""
+    return itertools.starmap(rng.random, itertools.repeat((), k))
+
+
+def _uniform(draws, lo: float, hi: float):
+    """lo + (hi - lo) * u for each random() value u of draws: what
+    rng.uniform(lo, hi) computes from its one random() call, in C."""
+    return map(operator.add, itertools.repeat(lo), map(operator.mul, itertools.repeat(hi - lo), draws))
+
+
+def chunk_draws(seed: int, n: int, samples: int, chunk: int):
+    """The points of the gradient, pullback, radial and psi checks, a chunk
+    of at most `chunk` samples at a time: arrays of shape (m, n), (m, n),
+    (10 m, n) and (m, n) for the chunk's m samples.
+
+    They are the draws of a loop over the checks and then the samples from
+    one random.Random(seed), bit for bit: a real point is rng.uniform(lo,
+    hi), lo + (hi - lo) * rng.random() in Random.uniform's own arithmetic; a
+    complex point is cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 pi));
+    and a radial square is rng.uniform(0.1, 3.0) ** 2, by pow, the libm call
+    that ** 2 makes (np.square can differ in the last bit).  The random()
+    calls and the arithmetic run in C, over iterators, and each array is
+    filled once.  Each check draws from its own copy of the generator, set
+    to the check's first draw.
+    """
     # the gradient, pullback and radial checks take n, 2n and 10n random()
     # calls a sample, so each later check's copy of rng starts that far on;
     # in one chunk (the default) the checks draw in turn from rng itself, as
@@ -173,23 +192,41 @@ def numeric_suite(
         rng = rngs[-1]
         if samples > chunk:
             rng = copy.copy(rng)
-            # consume the earlier check's draws unkept, in C
-            skipped = itertools.starmap(rng.random, itertools.repeat((), calls * samples))
-            collections.deque(skipped, 0)
+            collections.deque(_random(rng, calls * samples), 0)  # the earlier checks' draws
         rngs.append(rng)
     grad_rng, pullback_rng, radial_rng, psi_rng = rngs
 
     def points(rng: random.Random, lo: float, hi: float, m: int) -> np.ndarray:
-        draws = [cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 * math.pi)) for _ in range(m * n)]
-        return np.array(draws, dtype=complex).reshape(m, n)
+        u = list(_random(rng, 2 * m * n))  # a modulus, then an angle
+        r, phi = _uniform(u[::2], lo, hi), _uniform(u[1::2], 0, 2 * math.pi)
+        return np.fromiter(map(cmath.rect, r, phi), complex, m * n).reshape(m, n)
 
-    # the worst gradient, pullback and radial deviations of the next m samples
-    # and whether their Psi rows keep the bounds; a chunk's arrays die with it
-    def chunk_worst(m: int) -> tuple[float, float, float, bool]:
-        x = np.array([grad_rng.uniform(0.1, 10.0) for _ in range(m * n)]).reshape(m, n)
+    for i in range(0, samples, chunk):
+        m = min(chunk, samples - i)
+        x = np.fromiter(_uniform(_random(grad_rng, m * n), 0.1, 10.0), float, m * n)
         xi_pullback = points(pullback_rng, 0.1, 0.9, m)
-        radial = np.array([radial_rng.uniform(0.1, 3.0) ** 2 for _ in range(10 * m * n)]).reshape(-1, n)
-        xi_psi = points(psi_rng, 0.1, 3.0, m)
+        radii = _uniform(_random(radial_rng, 10 * m * n), 0.1, 3.0)
+        radial = np.fromiter(map(pow, radii, itertools.repeat(2)), float, 10 * m * n)
+        yield x.reshape(m, n), xi_pullback, radial.reshape(10 * m, n), points(psi_rng, 0.1, 3.0, m)
+
+
+def numeric_suite(
+    T: ToricPotential, seed: int = 0, samples: int = 10
+) -> list[CheckResult]:
+    """A chunk of samples at a time, each check takes its chunk's points
+    from chunk_draws, which draws them as a per-sample loop would; then the
+    rows of every check go through one evaluate pass, with covariances for
+    the pullback check's base rows, and each check reads its rows' sums."""
+    n = T.dim
+    results = []
+    bounds = axis_radius_bounds(T)
+    chunk = max(1, numeric.BATCH_ENTRIES // (n * n))
+
+    # the worst gradient, pullback and radial deviations of a chunk's m
+    # samples and whether their Psi rows keep the bounds; a chunk's arrays
+    # die with it
+    def chunk_worst(x, xi_pullback, radial, xi_psi) -> tuple[float, float, float, bool]:
+        m = len(x)
         stencil, h = numeric.central_stencil(x)
         psi_stencil, psi_steps = pullback_stencil(xi_pullback)
         # the gradient stencil and points, the radial rows, then the moduli of
@@ -219,7 +256,7 @@ def numeric_suite(
         return float(np.max(dev, initial=0.0)), pullback, gap, psi_ok
 
     # each check's worst per chunk; np.max keeps a nan
-    chunks = [chunk_worst(min(chunk, samples - i)) for i in range(0, samples, chunk)]
+    chunks = [chunk_worst(*draws) for draws in chunk_draws(seed, n, samples, chunk)]
     fd_worst, pullback_worst, gap_worst, psi_ok = zip(*chunks) if chunks else ((),) * 4
     worst = float(np.max(fd_worst, initial=0.0))
     results.append(CheckResult("gradient_finite_difference", worst < GRADIENT_TOL, worst, GRADIENT_TOL))

@@ -28,11 +28,13 @@ from geomgen import (
     exponent_rows,
     failed_checks,
     hirzebruch,
+    lattice_point_ladder,
     mat_mul,
     oracle_chart_for_cone,
     oracle_chart_suite,
     oracle_exponents_kill_relations,
     product_polytope,
+    random_delzant_polygon,
     random_delzant_polytope,
     random_simple_non_delzant_polygon,
     random_unimodular_map,
@@ -111,6 +113,27 @@ def oracle_chart_fans():
         for P, M in zip((polygons[-1], draws[0]), shears)
     ]
     return [normal_fan(P) for P in polygons + draws + [product_polytope(b8, b8)] + steep]
+
+
+def test_chart_table_arrays_equal_np_array_of_the_walks_rows():
+    # the int64 path reads the ints with fromiter; np.array over the nested
+    # tuples is the oracle, in values, shape and dtype, on every generator
+    rng = random.Random(17)
+    b8 = blowup_polygon(random.Random(1), 8)
+    polytopes = [random_delzant_polygon(rng) for _ in range(20)] + lattice_point_ladder()
+    polytopes += [product_polytope(b8, b8, b8), hirzebruch(3, 2, 5)]
+    fans = TEST_FANS + oracle_chart_fans() + [normal_fan(P) for P in polytopes]
+    dtypes = []
+    for F in fans:
+        table = chart_table(F)
+        dtype = table.T.dtype
+        dtypes.append(dtype)
+        for got, rows in ((table.generators, F.generators), (table.inverses, F.inverses),
+                          (table.T, F.pairings)):
+            want = np.array(rows, dtype=dtype)
+            assert got.dtype == dtype and got.shape == want.shape
+            assert (got == want).all()
+    assert dtypes.count(object) == 2 and dtypes[-3] == np.int64  # the steep fans; b8³
 
 
 def test_chart_for_cone_matches_its_own_elimination():

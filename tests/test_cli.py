@@ -682,10 +682,11 @@ def test_analyze_solves_once_per_facet_pair_and_cone(capsys, monkeypatch, tmp_pa
     assert calls == {"solve_rational": [], "cone_linear_parts": [], "is_strictly_convex": []}
 
 
-def _outcome(capsys, argv):
-    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+def _outcome(capsys, argv, run=None):
+    """(exit code, stdout, stderr) of main(argv), or of run(argv), argparse's
+    exits included."""
     try:
-        rc = main(argv)
+        rc = (run or main)(argv)
     except SystemExit as e:
         rc = e.code
     captured = capsys.readouterr()
@@ -720,6 +721,36 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch):
     monkeypatch.setattr(toricwidth.cli, "build_parser", build_parser.__wrapped__)
     assert toricwidth.cli.build_parser() is not toricwidth.cli.build_parser()
     assert [_outcome(capsys, argv) for argv in sequence] == shared
+
+
+DISPATCH_CASES = [
+    ["analyze", "example-3.7", "--bogus"],  # the top-level usage, not analyze's
+    ["analyze", "-h"],
+    ["-h"],
+    [],
+    ["verify", "cpn:2:1", "--seed"],
+    ["verify", "cpn:2:1", "--form", "json"],
+    ["analyze", "a", "b"],
+    ["analyze", "--", "example-3.7"],
+    ["frobnicate"],
+]
+
+
+@pytest.mark.parametrize("fresh", [False, True])
+def test_dispatch_answers_like_the_nested_parser(capsys, monkeypatch, fresh):
+    # main's dispatch against the parser's own parse_args and the command it
+    # picks, on the shared parser and on a fresh one
+    if fresh:
+        monkeypatch.setattr(toricwidth.cli, "build_parser", toricwidth.cli.build_parser.__wrapped__)
+
+    def nested(argv):
+        args = toricwidth.cli.build_parser().parse_args(argv)
+        return args.func(args)
+
+    for argv in DISPATCH_CASES:
+        want = _outcome(capsys, argv, nested)
+        assert _outcome(capsys, argv) == want, argv
+        assert want[0] in (0, 2)
 
 
 @pytest.mark.parametrize("argv", [["embed", "example-3.8:30"], ["analyze", "cpn:3:20"]])

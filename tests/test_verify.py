@@ -31,7 +31,7 @@ from toricwidth.fan import normal_fan
 from toricwidth.fixtures import resolve_fixture
 from toricwidth.numeric import ToricPotential
 from toricwidth.polytope import HalfspacePolytope
-from toricwidth.verify import chart_suite, exact_checks, numeric_suite
+from toricwidth.verify import chart_suite, chunk_draws, exact_checks, numeric_suite
 
 FIXTURES = (
     "example-3.7", "example-3.8:1", "example-3.8:3", "cpn:1:1", "cpn:2:1", "cpn:2:5",
@@ -72,6 +72,21 @@ def test_numeric_suite_matches_the_per_sample_oracle_bit_for_bit(group):
         got = numeric_suite(T, seed=i, samples=samples)
         assert all(r.passed for r in got)
         assert got == oracle_numeric_suite(T, seed=i, samples=samples)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chunk_draws_are_the_random_calls_bit_for_bit(n):
+    # one sample, ten in one chunk (the default) and ten in chunks of three;
+    # at seed 3, n = 2, a radial square from np.square differs in its last bit
+    default = toricwidth.numeric.BATCH_ENTRIES // (n * n)
+    for seed in range(21):
+        for samples, chunk in ((1, default), (10, default), (10, 3)):
+            chunks = list(chunk_draws(seed, n, samples, chunk))
+            assert len(chunks) == -(-samples // chunk)
+            for got, want in zip(zip(*chunks), oracle_draws(n, seed, samples)):
+                want = np.array(want)
+                assert np.concatenate(got).dtype == want.dtype
+                assert np.concatenate(got).tobytes() == want.tobytes(), (seed, samples, chunk)
 
 
 def test_numeric_suite_without_samples_reports_no_deviation():

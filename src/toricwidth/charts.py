@@ -30,6 +30,7 @@ and transition_map give the exact data of one chart and of one chart change.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -109,14 +110,16 @@ def chart_table(F: Fan) -> ChartTable:
     flat = chain.from_iterable
     g = max(map(abs, flat(F.generators)))
     M = max(n * max(map(abs, flat(flat(inverses)))) * g, g, 1)
-    if d * M * M >= INT64_BOUND:
-        G, W, T = (np.array(rows, dtype=object) for rows in (F.generators, inverses, pairings))
-    else:
-        # M bounds every entry, so int64 holds them; fromiter reads the ints
-        # in C, where np.array would walk the nested tuples first
-        G = np.fromiter(flat(F.generators), np.int64, d * n).reshape(d, n)
-        W = np.fromiter(flat(flat(inverses)), np.int64, k * n * n).reshape(k, n, n)
-        T = np.fromiter(flat(flat(pairings)), np.int64, k * n * d).reshape(k, n, d)
+    dtype = np.int64 if d * M * M < INT64_BOUND else object
+    # fromiter reads the entries in C, where np.array walks the nested tuples
+    G, W, T = (
+        np.fromiter(entries, dtype, math.prod(shape)).reshape(shape)
+        for entries, shape in (
+            (flat(F.generators), (d, n)),
+            (flat(flat(inverses)), (k, n, n)),
+            (flat(flat(pairings)), (k, n, d)),
+        )
+    )
     return ChartTable(G, cone, complement, W, T)
 
 

@@ -67,8 +67,6 @@ def _eliminate(A: list[list[int]], width: int) -> tuple[list[int], int]:
     pivots, D = [], 1
     for c in range(width):
         r = len(pivots)
-        if r == len(A):  # every row has its pivot
-            break
         pivot = next((i for i in range(r, len(A)) if A[i][c]), None)
         if pivot is None:
             continue

@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, repeat
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, mul, neg, sub
 from typing import NamedTuple, Sequence
 
 from .lattice import (
@@ -360,7 +360,6 @@ def _edge_walk(P: HalfspacePolytope, start: _Dictionary) -> list[Vertex]:
     stack = [(start, None)]  # a dictionary, and the column back to its parent
     found = []  # (X[:n], D, vertex) per point
     degenerate = set()  # the tight facets of each point on more than n
-    head, tail = itemgetter(slice(n)), itemgetter(slice(n, None))
     while stack:
         dic, back = stack.pop()
         basis, D, X, E = dic
@@ -371,7 +370,7 @@ def _edge_walk(P: HalfspacePolytope, start: _Dictionary) -> list[Vertex]:
             point = x if D * q == 1 else tuple(quotient(c, D * q) for c in x)
             slacks = S if D == 1 else tuple(quotient(s, D) for s in S)
             if active is basis:
-                edges, pairings = tuple(map(head, E)), tuple(map(tail, E))
+                edges, pairings = tuple(e[:n] for e in E), tuple(e[n:] for e in E)
                 found.append((x, D, Vertex(point, basis, edges, slacks, pairings)))
             else:
                 degenerate.add(active)

@@ -116,8 +116,8 @@ def oracle_chart_fans():
 
 
 def test_chart_table_arrays_equal_np_array_of_the_walks_rows():
-    # the int64 path reads the ints with fromiter; np.array over the nested
-    # tuples is the oracle, in values, shape and dtype, on every generator
+    # the arrays are read with fromiter; np.array over the nested tuples is
+    # the oracle, in values, shape and dtype, on every generator
     rng = random.Random(17)
     b8 = blowup_polygon(random.Random(1), 8)
     polytopes = [random_delzant_polygon(rng) for _ in range(20)] + lattice_point_ladder()

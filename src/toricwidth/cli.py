@@ -191,10 +191,10 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later main
     call in the process; parse_args keeps no state between calls.  Its
-    attribute commands maps each subcommand's name to its subparser."""
+    attribute input_only maps each subcommand's name to what parse_args
+    gives for that name and one input with no option, the input left out."""
     parser = argparse.ArgumentParser(prog="toricwidth", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
 
     p = sub.add_parser("analyze", help="Delzant, smoothness, completeness, convexity")
     p.add_argument("input")
@@ -218,21 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_verify)
+    parser.input_only = {name: vars(parser.parse_args([name, "input"])) for name in sub.choices}
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    sub = parser.commands.get(argv[0]) if argv else None
-    if sub is None:  # no arguments, -h or no subcommand's name
-        args = parser.parse_args(argv)
+    if len(argv) == 2 and argv[0] in parser.input_only and argv[1][:1] != "-":
+        # argparse reads an argument that does not start with "-" as the
+        # input, so a name and such an argument parse to input_only's values
+        args = argparse.Namespace(**{**parser.input_only[argv[0]], "input": argv[1]})
     else:
-        # what the nested parse does, one level down: the subparser reads
-        # every argument after the name, and the top level reports the rest
-        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if rest:
-            parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        args = parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -733,6 +733,10 @@ DISPATCH_CASES = [
     ["analyze", "a", "b"],
     ["analyze", "--", "example-3.7"],
     ["frobnicate"],
+    # a name and one argument not starting with "-" skip argparse in main
+    ["analyze", "example-3.7"],
+    ["width", "cpn:2:1"],
+    ["embed", "cpn:2:1"],
 ]
 
 

@@ -22,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import fixtures
 from .embedding import MonomialEmbedding, sections_by_polytope
@@ -67,9 +68,48 @@ def _pi(bound) -> str | None:
     return None if bound is None else str(bound.coefficient_pi)
 
 
+# the JSON text of a scalar of exactly these types, by C-level calls
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    type(None): {None: "null"}.__getitem__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+}
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for dict keys that are str, by json's own
+    escapes and reprs and its isinstance order, in one recursive pass that
+    writes a container's str, int, bool and None items in place: json's
+    indented encoder runs a generator per container and a check chain per
+    value in pure Python."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return _SCALAR_TEXT[type(obj)](obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOAT_NAMES.get(text, text)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [text(v) if (text := _SCALAR_TEXT.get(type(v))) else _json(v, inner) for v in obj]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    if isinstance(obj, dict):
+        items = [
+            f"{encode_basestring_ascii(k)}: "
+            f"{text(v) if (text := _SCALAR_TEXT.get(type(v))) else _json(v, inner)}"
+            for k, v in obj.items()
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(obj: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(obj, indent=2))
+        print(_json(obj))
     else:
         for key, value in obj.items():
             print(f"{key}: {value}")
@@ -176,7 +216,7 @@ def cmd_verify(args) -> int:
     results = polytope_suites(P, seed=args.seed, samples=args.samples)
     if args.format == "json":
         keys = ("name", "passed", "deviation", "tolerance")
-        print(json.dumps([{k: getattr(r, k) for k in keys} for r in results], indent=2))
+        print(_json([{k: getattr(r, k) for k in keys} for r in results]))
     else:
         width = max(len(r.name) for r in results)
         for r in results:

@@ -17,30 +17,37 @@ and none can overflow.
 
 The domain is the closed chart x >= 0: on x_j = 0 the partials continue
 through the reduced exponents J_k - e_j.  evaluate alone refuses a row, one
-outside it (_points) or one whose monomial sum vanishes ("potential
-undefined: monomial sum vanishes"); what reads a pass's Sums checks none.
+outside it or one whose monomial sum vanishes ("potential undefined:
+monomial sum vanishes"); what reads a pass's Sums checks none.
 
 All of it comes from passes over stacks of points (evaluate), one point per
-row: per slice of at most BATCH_ENTRIES point-monomial pairs, one _log_sum
-gives each row's log sum and softmax weights, from which the partials
-follow, and, for the pass's last hessians rows, the covariance of the
-exponents that the Hessian needs.  Each check is a function of a pass's
-per-row Sums (potential_values, radial_quantities, psi_maps and
-pullback_deviation, whose rows are Psi's stencil and then its base rows,
-last for their covariances), so a caller may stack the rows of all checks
-into one pass, as verify's numeric suite does.  Every step works row by row,
-so a row's values do not depend on the other rows of its pass: each sum over
-the N monomials is an einsum along the contiguous axis of the columns, whose
-kernel adds a row's terms in an order fixed by N alone, where a BLAS product
-would block the sum by the shape of the whole slice.
+row.  A pass takes log x once, finite exactly when no coordinate is zero,
+negative or not finite, so one test clears a stack of drawn points, and
+runs under one errstate; per slice of at most BATCH_ENTRIES point-monomial
+pairs, _slice_sums gives each row's log sum, softmax weights and partials,
+and _covariances, for the pass's last hessians rows, the covariances the
+Hessian needs.  Each check is a function of a pass's per-row Sums
+(potential_values, radial_quantities, psi_maps and pullback_deviation,
+whose rows are Psi's stencil and then its base rows, last for their
+covariances), so a caller may stack the rows of all checks into one pass,
+as verify's numeric suite does.  Every step works row by row, so a row's
+values do not depend on the other rows of its pass: each sum over the N
+monomials is an einsum along the contiguous axis of the columns, whose
+kernel adds a row's terms in an order fixed by N alone, where a BLAS
+product would block the sum by the shape of the whole slice, and
+sups_along_paths takes every axis in one call, a row's dot being the BLAS
+call of 1-D operands.  Reductions call the ufuncs' reduce, as the ndarray
+methods first run numpy's Python-level wrappers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -65,6 +72,9 @@ BATCH_ENTRIES = 1 << 14
 np.empty(2 * BATCH_ENTRIES, dtype=complex)
 
 
+FORM_PARTS, FORM_SIGNS = np.array([[1, 0], [0, 1]]), np.array([[-1.0, 1.0], [-1.0, -1.0]])
+
+
 class DegenerateJacobianWarning(UserWarning):
     pass
 
@@ -82,28 +92,21 @@ class ToricPotential:
     @cached_property
     def exponent_columns(self) -> np.ndarray:
         """The exponents as an n x N C-contiguous float array, one column per
-        monomial in lexicographic order, built from the fibres: each prefix
-        repeated along its fibre, above the fibre's range of x_n.  The
-        exponents must fit in int64."""
-        fibres = self.embedding.fibres
-        a, b = (np.array([f[i] for f in fibres], dtype=np.int64) for i in (1, 2))
-        lengths = b - a + 1
-        starts = np.cumsum(lengths) - lengths
-        prefixes = np.array([f[0] for f in fibres], dtype=np.int64)
-        J = np.empty((self.dim, int(lengths.sum())), dtype=np.int64)
-        J[:-1] = np.repeat(prefixes.T, lengths, axis=1)
-        J[-1] = np.arange(J.shape[1]) + np.repeat(a - starts, lengths)  # a + (column - start)
-        # Exact, as the exponents of a section set stay far below 2^53.  Filling
-        # int64 and converting in one pass frees an array as large as the
-        # result, so glibc's malloc raises its mmap threshold and the N-wide
-        # work arrays of a first verify call are reused from the heap instead
-        # of mapped afresh (135,000 fewer page faults on example-3.8:50).
-        return J.astype(float)
+        monomial in lexicographic order, built from the fibres: each fibre's
+        prefix above a - start (its first x_n less its first column),
+        repeated along the fibre, plus the column index on the last row.
+        Exact, as the exponents of a section set stay far below 2^53."""
+        prefixes, a, b = zip(*self.embedding.fibres)
+        lengths = [hi - lo + 1 for lo, hi in zip(a, b)]
+        heads = [*zip(*prefixes), list(map(operator.sub, a, accumulate(lengths, initial=0)))]
+        J = np.array(heads, dtype=float).repeat(lengths, axis=1)
+        J[-1] += np.arange(J.shape[1])
+        return J
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """The total degree sum_j (J_k)_j of each monomial, as floats."""
-        return self.exponent_columns.sum(axis=0)
+        return np.add.reduce(self.exponent_columns, axis=0)
 
 
 @dataclass(frozen=True)
@@ -131,43 +134,38 @@ class Sums:
         return Sums(self.X[rows], self.lse[rows], self.partials[rows], cov)
 
 
-def _log_sum(T: ToricPotential, X: np.ndarray):
-    """For rows x >= 0 of X: the unmasked log-monomials sum_j J_kj log x_j
-    (log 0 read as 0), the softmax weights of the monomials that do not
-    vanish, their sum and log sum_k x^{J_k}.  Rows whose monomials all
-    vanish get nan weights and a nan log sum."""
+def _slice_sums(T: ToricPotential, X: np.ndarray, t: np.ndarray, zero: np.ndarray | None):
+    """The softmax weights of the monomials that do not vanish, their sum,
+    log sum_k x^{J_k} and dPhi~/dx_j at the rows x >= 0 of X, from t = log x
+    (log 0 read as 0) and zero, which marks the zero coordinates or is None
+    if there is none.  Rows whose monomials all vanish get nan weights and a
+    nan log sum."""
     JT = T.exponent_columns
-    zero = X == 0
-    t = np.log(np.where(zero, 1.0, X))
     # einsum, not t @ JT: it adds each entry's n products in axis order, as
     # an axis-by-axis sum would, where BLAS sums in an order set by the batch
     raw = np.einsum("mj,jk->mk", t, JT)
-    L = np.where(zero @ (JT > 0), -np.inf, raw) if zero.any() else raw
-    top = L.max(axis=1)
-    with np.errstate(invalid="ignore"):
-        W = np.subtract(L, top[:, None])
-        np.exp(W, out=W)
-    den = W.sum(axis=1)
-    return raw, W, den, top + np.log(den)
-
-
-def _partials(T: ToricPotential, X: np.ndarray, raw, W, den, lse) -> np.ndarray:
-    """dPhi~/dx_j at each row of X from its _log_sum."""
-    JT = T.exponent_columns
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # einsum, not W @ JT.T: along the contiguous monomial axis it sums a
-        # row in an order fixed by N alone, where BLAS sums in an order set
-        # by the batch, so a row's partials do not depend on the other rows
-        out = 2.0 * np.einsum("mk,jk->mj", W, JT) / den[:, None] / X
+    # the log-monomials; with no zero coordinate the weights overwrite raw,
+    # which only the partials on x_j = 0 read again
+    L = raw if zero is None else np.where(zero @ (JT > 0), -np.inf, raw)
+    # each row's max, exact in any order: reduceat runs a row in one inner
+    # loop, where a reduction along axis 1 pays for each short row
+    top = np.maximum.reduceat(L.ravel(), np.arange(0, L.size, L.shape[1]))
+    W = np.subtract(L, top[:, None], out=L)
+    np.exp(W, out=W)
+    den = np.add.reduce(W, axis=1)
+    lse = top + np.log(den)
+    # einsum, not W @ JT.T: along the contiguous monomial axis it sums a
+    # row in an order fixed by N alone, where BLAS sums in an order set by
+    # the batch, so a row's partials do not depend on the other rows
+    partials = 2.0 * np.einsum("mk,jk->mj", W, JT) / den[:, None] / X
     # on x_j = 0 only the reduced monomials x^{J_k - e_j} with (J_k)_j = 1
     # survive, and only if no other zero coordinate kills them
-    zero = X == 0
-    for r, j in zip(*np.nonzero(zero)):
+    for r, j in zip(*np.nonzero(zero)) if zero is not None else ():
         others = zero[r].copy()
         others[j] = False
         alive = (JT[j] == 1) & ~(JT[others] > 0).any(axis=0)
-        out[r, j] = 2.0 * np.exp(raw[r, alive] - lse[r]).sum()
-    return out
+        partials[r, j] = 2.0 * np.exp(raw[r, alive] - lse[r]).sum()
+    return W, den, lse, partials
 
 
 def _covariances(T: ToricPotential, W: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -186,39 +184,41 @@ def evaluate(T: ToricPotential, X, hessians: int = 0) -> Sums:
     the covariances, n^2 floats a row, of the last hessians rows; it alone
     refuses rows.
 
-    The rows go through _log_sum in slices of at most BATCH_ENTRIES
+    The rows go through _slice_sums in slices of at most BATCH_ENTRIES
     point-monomial pairs, and a slice's covariance rows, whose work array is
     n times as wide, n times fewer at a time; every step works row by row,
     so a row's values do not depend on the other rows of its slice."""
-    X = _points(T, X)
-    (m, n), N = X.shape, T.exponent_columns.shape[1]
-    if isinstance(hessians, bool) or not 0 <= hessians <= m:  # True is no row count
-        raise ValueError(f"hessians must count some of the {m} rows")
-    first = m - hessians
-    lse, partials, cov = np.empty(m), np.empty((m, n)), np.empty((hessians, n, n))
-    step, wide = max(1, BATCH_ENTRIES // N), max(1, BATCH_ENTRIES // (N * n))
-    for i in range(0, m, step):
-        rows = slice(i, i + step)
-        raw, W, den, lse[rows] = _log_sum(T, X[rows])
-        if np.isnan(lse[rows]).any():
-            raise ValueError("potential undefined: monomial sum vanishes")
-        partials[rows] = _partials(T, X[rows], raw, W, den, lse[rows])
-        stop = i + len(W)
-        for j in range(max(i, first), stop, wide):
-            k = min(j + wide, stop)
-            cov[j - first:k - first] = _covariances(T, W[j - i:k - i], den[j - i:k - i])
-    return Sums(X, lse, partials, cov)
-
-
-def _points(T: ToricPotential, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != T.dim:
         raise ValueError(f"need points with {T.dim} coordinates, one per row")
-    if (X < 0).any():
-        raise ValueError("coordinates must be nonnegative")
-    if not np.isfinite(X).all():
-        raise ValueError("coordinate not finite: x = |xi|^2 overflows above |xi| ~ 1.3e154")
-    return X
+    # x_j = 0 divides by zero, and a vanishing sum makes a row nan, refused below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # finite exactly where x is positive and finite, as on the drawn points
+        t, zero = np.log(X), None
+        if not np.logical_and.reduce(np.isfinite(t), axis=None):
+            if (X < 0).any():
+                raise ValueError("coordinates must be nonnegative")
+            if not np.isfinite(X).all():
+                raise ValueError("coordinate not finite: x = |xi|^2 overflows above |xi| ~ 1.3e154")
+            zero = X == 0
+            t = np.log(np.where(zero, 1.0, X))
+        (m, n), N = X.shape, T.exponent_columns.shape[1]
+        if isinstance(hessians, bool) or not 0 <= hessians <= m:  # True is no row count
+            raise ValueError(f"hessians must count some of the {m} rows")
+        first = m - hessians
+        lse, partials, cov = np.empty(m), np.empty((m, n)), np.empty((hessians, n, n))
+        step, wide = max(1, BATCH_ENTRIES // N), max(1, BATCH_ENTRIES // (N * n))
+        for i in range(0, m, step):
+            rows = slice(i, i + step)
+            z = None if zero is None else zero[rows]
+            W, den, lse[rows], partials[rows] = _slice_sums(T, X[rows], t[rows], z)
+            stop = i + len(W)
+            for j in range(max(i, first), stop, wide):
+                k = min(j + wide, stop)
+                cov[j - first:k - first] = _covariances(T, W[j - i:k - i], den[j - i:k - i])
+    if np.logical_or.reduce(np.isnan(lse)):
+        raise ValueError("potential undefined: monomial sum vanishes")
+    return Sums(X, lse, partials, cov)
 
 
 def moduli(XI: np.ndarray) -> np.ndarray:
@@ -255,7 +255,7 @@ def psi_maps(XI, sums: Sums) -> np.ndarray:
     """Psi at each row of the complex array XI, from the pass at
     moduli(XI), extended continuously to the coordinate hyperplanes;
     raises if some partial is nonpositive."""
-    if (sums.partials <= 0).any():
+    if np.logical_or.reduce(sums.partials <= 0, axis=None):
         raise ValueError("a partial is nonpositive; the map is not defined here")
     return np.sqrt(sums.partials) * XI
 
@@ -273,13 +273,26 @@ def _complex_hessians(XI: np.ndarray, sums: Sums) -> np.ndarray:
     twice the covariance of the exponents under the softmax weights (Abreu
     2003), so H_ab = 2 Cov(J_a, J_b) / (xi_a conj(xi_b)).  On x_a = 0 row
     and column a vanish but for H_aa, the continued dPhi~/dx_a."""
-    X = sums.X
-    xi = np.where(X == 0, 1.0, XI)
+    zero = sums.X == 0
+    xi = np.where(zero, 1.0, XI)
     H = 2.0 * sums.cov / (xi[:, :, None] * xi.conj()[:, None])
-    r, a = np.nonzero(X == 0)
+    r, a = zero.nonzero()
     if len(r):
         H[r, a, a] = sums.partials[r, a]
     return H
+
+
+@cache
+def _signed_axes(n: int, imaginary: bool = False) -> np.ndarray:
+    """A[b, 0] = e_b and A[b, 1] = -e_b along each axis b: the n real axes,
+    or with imaginary the 2n real axes (x, then y) of C^n, as complex
+    vectors; one array per shape, so that no stencil builds its own."""
+    axes = np.identity(n)
+    if imaginary:
+        axes = np.concatenate([axes, 1j * axes])
+    signed = np.stack([axes, -axes], axis=1)
+    signed.flags.writeable = False  # shared by every later call
+    return signed
 
 
 def central_stencil(p0: np.ndarray):
@@ -287,23 +300,20 @@ def central_stencil(p0: np.ndarray):
     P[r, b, 0] and P[r, b, 1] are row r moved by +steps[r, b] and
     -steps[r, b] along axis b, with steps = GRADIENT_STEP max(1, |p0|).
     Returns P (m, k, 2, k) and steps."""
-    m, k = p0.shape
     steps = GRADIENT_STEP * np.maximum(1.0, np.abs(p0))
-    shift = np.eye(k) * steps[:, :, None]  # shift[r, b] moves row r along axis b
-    P = np.empty((m, k, 2, k))
-    np.add(p0[:, None], shift, out=P[:, :, 0])
-    np.subtract(p0[:, None], shift, out=P[:, :, 1])
-    return P, steps
+    return p0[:, None, None] + steps[:, :, None, None] * _signed_axes(p0.shape[1]), steps
 
 
 def pullback_stencil(XI: np.ndarray):
     """The stencil of Psi's Jacobian along the real axes (x, y) at each row
     of XI (m, n): its 4n complex points a row, stacked as (4nm, n), and
-    their steps (m, 2n).  pullback_deviation reads a pass over the moduli
-    of this stack followed by moduli(XI), with hessians for XI's m rows."""
+    their steps (m, 2n), as central_stencil takes them on (Re XI, Im XI).
+    pullback_deviation reads a pass over the moduli of this stack followed
+    by moduli(XI), with hessians for XI's m rows."""
     n = XI.shape[1]
-    P, steps = central_stencil(np.concatenate([XI.real, XI.imag], axis=1))
-    return (P[..., :n] + 1j * P[..., n:]).reshape(-1, n), steps
+    steps = GRADIENT_STEP * np.maximum(1.0, np.abs(np.concatenate([XI.real, XI.imag], axis=1)))
+    stencil = XI[:, None, None] + steps[:, :, None, None] * _signed_axes(n, imaginary=True)
+    return stencil.reshape(-1, n), steps
 
 
 def pullback_deviation(XI: np.ndarray, stencil: np.ndarray, steps: np.ndarray, sums: Sums) -> float:
@@ -319,18 +329,18 @@ def pullback_deviation(XI: np.ndarray, stencil: np.ndarray, steps: np.ndarray, s
     del psi  # 4n complex rows a sample, the check's largest array
     # row b of jac_t is the central difference of Psi along axis b: J^T
     jac_t = np.concatenate([diff.real, diff.imag], axis=2) / (2 * steps[:, :, None])
-    # J^T Omega0 J = A B^T - B A^T for the real and imaginary blocks [A | B] of J^T
+    # J^T Omega0 J = A B^T - B A^T for the real and imaginary blocks [A | B]
+    # of J^T, with block (p, q) of its rows and columns as [r, a, b, p, q]
     AB = jac_t[..., :n] @ jac_t[..., n:].transpose(0, 2, 1)
-    # the form matrix of (i/2) del delbar Phi in real coordinates (x, y):
-    # [[-Im H, Re H], [-Re H, -Im H]] for the complex Hessian H
-    H = _complex_hessians(XI, sums[len(stencil):])
-    rhs = np.empty((m, 2 * n, 2 * n))
-    rhs[:, :n, :n] = rhs[:, n:, n:] = -H.imag
-    rhs[:, :n, n:] = H.real
-    rhs[:, n:, :n] = -H.real
-    if (np.abs(np.linalg.det(jac_t)) < DEGENERATE_JACOBIAN_TOL).any():
+    pulled = (AB - AB.transpose(0, 2, 1)).reshape(m, 2, n, 2, n).transpose(0, 2, 4, 1, 3)
+    # the form matrix of (i/2) del delbar Phi in real coordinates (x, y),
+    # [[-Im H, Re H], [-Re H, -Im H]] for the complex Hessian H, as [r, a, b, p, q]:
+    # block (p, q) is part FORM_PARTS[p, q] of H (0 real, 1 imaginary) times FORM_SIGNS[p, q]
+    H = _complex_hessians(XI, sums[len(stencil):]).view(float).reshape(m, n, n, 2)
+    form = H[..., FORM_PARTS] * FORM_SIGNS
+    if np.logical_or.reduce(np.abs(np.linalg.det(jac_t)) < DEGENERATE_JACOBIAN_TOL):
         warnings.warn("Jacobian of Psi is numerically singular", DegenerateJacobianWarning)
-    return float(np.abs(AB - AB.transpose(0, 2, 1) - rhs).max(initial=0.0))
+    return float(np.maximum.reduce(np.abs(pulled - form), axis=None, initial=0.0))
 
 
 def pullback_check(T: ToricPotential, xi) -> float:
@@ -348,28 +358,29 @@ def pullback_check(T: ToricPotential, xi) -> float:
 
 def axis_radius_bounds(T: ToricPotential) -> np.ndarray:
     """sqrt(2 max_k (J_k)_j) for each axis j: the bound on |Psi_j|."""
-    return np.sqrt(2 * T.exponent_columns.max(axis=1))
+    return np.sqrt(2 * np.maximum.reduce(T.exponent_columns, axis=1))
 
 
-def suggested_path_exponent(T: ToricPotential, j: int) -> int:
-    """Smallest s certain to make the axis-j terms dominate along the path
-    x = (t^s on axis j, t elsewhere): one more than the largest complementary
-    degree appearing in the exponent set."""
-    return 1 + int((T.degrees - T.exponent_columns[j]).max())
+def suggested_path_exponents(T: ToricPotential) -> np.ndarray:
+    """For each axis j, the smallest s certain to make the axis-j terms
+    dominate along the path x = (t^s on axis j, t elsewhere): one more than
+    the largest complementary degree appearing in the exponent set."""
+    return 1 + np.maximum.reduce(T.degrees - T.exponent_columns, axis=1)
 
 
-def sup_along_path(T: ToricPotential, j: int, s: int, t_max: float) -> float:
-    """Column j of radial_quantities along x_j = t^s, x_i = t (i != j),
-    evaluated at t_max in log space so that huge powers like t^60 cannot
-    overflow."""
+def sups_along_paths(T: ToricPotential, axes, t_max: float) -> np.ndarray:
+    """Row i: column j = axes[i] (axes a list or a slice) of
+    radial_quantities along x_j = t^s, x_l = t (l != j), for s the suggested
+    path exponent of axis j, at t_max in log space so that huge powers like
+    t^60 cannot overflow.  A row's sums, one vector product and a pairwise
+    sum along it, do not depend on the other rows."""
     if t_max <= 1:
         raise ValueError("t_max must exceed 1")
-    Jj = T.exponent_columns[j]
-    # the exact integer weights s (J_k)_j + sum_{i != j} (J_k)_i, overwritten
-    e = Jj * (s - 1)
-    e += T.degrees
-    e -= e.max()
-    e *= math.log(t_max)
-    np.exp(e, out=e)
-    return math.sqrt(2 * (Jj @ e) / e.sum())
-
+    J = T.exponent_columns[axes]
+    # the exact integer weights s (J_k)_j + sum_{l != j} (J_k)_l, overwritten
+    E = J * (suggested_path_exponents(T)[axes, None] - 1)
+    E += T.degrees
+    E -= np.maximum.reduce(E, axis=1, keepdims=True)
+    E *= math.log(t_max)
+    np.exp(E, out=E)
+    return np.sqrt(2 * (J[:, None] @ E[:, :, None])[:, 0, 0] / np.add.reduce(E, axis=1))

@@ -57,7 +57,7 @@ on a coordinate hyperplane.  They come in the order and number of a loop
 over the checks and then the samples, one call a draw: a real point is
 rng.uniform(lo, hi), a complex one cmath.rect(rng.uniform(lo, hi),
 rng.uniform(0, 2 pi)), and a radial square rng.uniform(0.1, 3.0) ** 2.
-chunk_draws makes those calls' random() draws in C and applies
+chunk_draws makes a chunk's random() calls in one C pass and applies
 Random.uniform's own arithmetic to them, so the points are the same bits.
 
 The numeric suite takes a chunk's points from chunk_draws inside its loop
@@ -70,7 +70,8 @@ which alone needs the n x n covariances.  The stack goes through one
 numeric.evaluate pass a chunk, with hessians for those rows, in slices of
 at most numeric.BATCH_ENTRIES point-monomial pairs; each check then hands
 its rows' Sums to the function the library offers for it (potential_values,
-pullback_deviation, radial_quantities, psi_maps).  The chunks have at most
+pullback_deviation, radial_quantities, psi_maps), and the path check of
+every axis is one numeric.sups_along_paths call.  The chunks have at most
 BATCH_ENTRIES // n^2 samples (one chunk at the default 10 for n <= 40), so
 whatever the sample count a chunk holds at most (6 + 13/n) BATCH_ENTRIES
 floats of stack and 8 BATCH_ENTRIES of Psi's stencil, dropped before the
@@ -85,7 +86,6 @@ import collections
 import copy
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 
@@ -105,8 +105,7 @@ from .numeric import (
     pullback_deviation,
     pullback_stencil,
     radial_quantities,
-    sup_along_path,
-    suggested_path_exponent,
+    sups_along_paths,
 )
 from .polytope import HalfspacePolytope, delzant_vertices
 
@@ -162,10 +161,10 @@ def _random(rng: random.Random, k: int):
     return itertools.starmap(rng.random, itertools.repeat((), k))
 
 
-def _uniform(draws, lo: float, hi: float):
-    """lo + (hi - lo) * u for each random() value u of draws: what
-    rng.uniform(lo, hi) computes from its one random() call, in C."""
-    return map(operator.add, itertools.repeat(lo), map(operator.mul, itertools.repeat(hi - lo), draws))
+def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """lo + (hi - lo) * u for each random() value of u: what rng.uniform(lo,
+    hi) computes from its one random() call, in the same two roundings."""
+    return lo + (hi - lo) * u
 
 
 def chunk_draws(seed: int, n: int, samples: int, chunk: int):
@@ -178,10 +177,10 @@ def chunk_draws(seed: int, n: int, samples: int, chunk: int):
     hi), lo + (hi - lo) * rng.random() in Random.uniform's own arithmetic; a
     complex point is cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 pi));
     and a radial square is rng.uniform(0.1, 3.0) ** 2, by pow, the libm call
-    that ** 2 makes (np.square can differ in the last bit).  The random()
-    calls and the arithmetic run in C, over iterators, and each array is
-    filled once.  Each check draws from its own copy of the generator, set
-    to the check's first draw.
+    that ** 2 makes (np.square can differ in the last bit).  A chunk's
+    random() calls, every check's in turn, fill one array in one C pass, and
+    cmath.rect and pow map over its slices in C.  Each check draws from its
+    own copy of the generator, set to the check's first draw.
     """
     # the gradient, pullback and radial checks take n, 2n and 10n random()
     # calls a sample, so each later check's copy of rng starts that far on;
@@ -194,20 +193,20 @@ def chunk_draws(seed: int, n: int, samples: int, chunk: int):
             rng = copy.copy(rng)
             collections.deque(_random(rng, calls * samples), 0)  # the earlier checks' draws
         rngs.append(rng)
-    grad_rng, pullback_rng, radial_rng, psi_rng = rngs
 
-    def points(rng: random.Random, lo: float, hi: float, m: int) -> np.ndarray:
-        u = list(_random(rng, 2 * m * n))  # a modulus, then an angle
-        r, phi = _uniform(u[::2], lo, hi), _uniform(u[1::2], 0, 2 * math.pi)
-        return np.fromiter(map(cmath.rect, r, phi), complex, m * n).reshape(m, n)
+    def points(u: np.ndarray, hi: float) -> np.ndarray:  # a modulus, then an angle
+        r, phi = _uniform(u[::2], 0.1, hi).tolist(), _uniform(u[1::2], 0, 2 * math.pi).tolist()
+        return np.fromiter(map(cmath.rect, r, phi), complex, len(r)).reshape(-1, n)
+
+    def chunk_points(k: int):  # k = m n, the draws die with the call
+        u = np.fromiter(itertools.chain(*map(_random, rngs, (k, 2 * k, 10 * k, 2 * k))), float, 15 * k)
+        radii = _uniform(u[3 * k:13 * k], 0.1, 3.0).tolist()
+        radial = np.fromiter(map(math.pow, radii, itertools.repeat(2.0)), float, 10 * k)
+        x = _uniform(u[:k], 0.1, 10.0).reshape(-1, n)
+        return x, points(u[k:3 * k], 0.9), radial.reshape(-1, n), points(u[13 * k:], 3.0)
 
     for i in range(0, samples, chunk):
-        m = min(chunk, samples - i)
-        x = np.fromiter(_uniform(_random(grad_rng, m * n), 0.1, 10.0), float, m * n)
-        xi_pullback = points(pullback_rng, 0.1, 0.9, m)
-        radii = _uniform(_random(radial_rng, 10 * m * n), 0.1, 3.0)
-        radial = np.fromiter(map(pow, radii, itertools.repeat(2)), float, 10 * m * n)
-        yield x.reshape(m, n), xi_pullback, radial.reshape(10 * m, n), points(psi_rng, 0.1, 3.0, m)
+        yield chunk_points(min(chunk, samples - i) * n)
 
 
 def numeric_suite(
@@ -218,14 +217,12 @@ def numeric_suite(
     rows of every check go through one evaluate pass, with covariances for
     the pullback check's base rows, and each check reads its rows' sums."""
     n = T.dim
-    results = []
     bounds = axis_radius_bounds(T)
     chunk = max(1, numeric.BATCH_ENTRIES // (n * n))
-
-    # the worst gradient, pullback and radial deviations of a chunk's m
-    # samples and whether their Psi rows keep the bounds; a chunk's arrays
-    # die with it
-    def chunk_worst(x, xi_pullback, radial, xi_psi) -> tuple[float, float, float, bool]:
+    # the worst gradient, pullback and radial deviations so far (the largest
+    # signed gap, 0.0 without samples); np.maximum keeps a nan
+    worst, psi_ok = np.array([0.0, 0.0, -math.inf]), True
+    for x, xi_pullback, radial, xi_psi in chunk_draws(seed, n, samples, chunk):
         m = len(x)
         stencil, h = numeric.central_stencil(x)
         psi_stencil, psi_steps = pullback_stencil(xi_pullback)
@@ -234,47 +231,39 @@ def numeric_suite(
         # covariances, of the pullback's base rows
         x_rows = moduli(np.concatenate([xi_psi, psi_stencil, xi_pullback]))
         sums = evaluate(T, np.concatenate([stencil.reshape(-1, n), x, radial, x_rows]), hessians=m)
-        ends = np.cumsum([2 * n * m, m, 10 * m, m])
-        at_stencil, at_x, at_radial, at_psi = (sums[a:b] for a, b in zip([0, *ends[:3]], ends))
+        at_x, at_radial, at_psi = 2 * n * m, (2 * n + 1) * m, (2 * n + 11) * m
 
         # exact partials against central differences of the potential
-        values = potential_values(at_stencil).reshape(-1, n, 2)
+        values = potential_values(sums[:at_x]).reshape(-1, n, 2)
         fd = (values[..., 0] - values[..., 1]) / (2 * h)
-        exact = at_x.partials
+        exact = sums.partials[at_x:at_radial]
         dev = np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))
 
         # pullback of the standard form through Psi reproduces the form of Phi
-        pullback = pullback_deviation(xi_pullback, psi_stencil, psi_steps, sums[ends[3]:])
+        pullback = pullback_deviation(xi_pullback, psi_stencil, psi_steps, sums[at_psi + m:])
 
         # |Psi_j| never exceeds the per-axis radius bound: the largest signed
         # gap, so that a passing run shows its margin
-        gap = float(np.max(radial_quantities(at_radial) - bounds))
+        gap = np.maximum.reduce(radial_quantities(sums[at_radial:at_psi]) - bounds, axis=None)
+        np.maximum(worst, (np.maximum.reduce(dev, axis=None), pullback, gap), out=worst)
 
         # |Psi_j|^2 stays below 2 max_k (J_k)_j at the drawn points, |xi| in
         # [0.1, 3]; on the closed chart's hyperplanes the tests check it
-        psi_ok = not (np.abs(psi_maps(xi_psi, at_psi)) > bounds + 1e-9).any()
-        return float(np.max(dev, initial=0.0)), pullback, gap, psi_ok
+        psi = psi_maps(xi_psi, sums[at_psi:at_psi + m])
+        psi_ok &= not np.logical_or.reduce(np.abs(psi) > bounds + 1e-9, axis=None)
+        del stencil, psi_stencil, x_rows, sums  # before the next chunk's are drawn
 
-    # each check's worst per chunk; np.max keeps a nan
-    chunks = [chunk_worst(*draws) for draws in chunk_draws(seed, n, samples, chunk)]
-    fd_worst, pullback_worst, gap_worst, psi_ok = zip(*chunks) if chunks else ((),) * 4
-    worst = float(np.max(fd_worst, initial=0.0))
-    results.append(CheckResult("gradient_finite_difference", worst < GRADIENT_TOL, worst, GRADIENT_TOL))
-    worst = float(np.max(pullback_worst, initial=0.0))
-    results.append(CheckResult("symplectic_pullback", worst < PULLBACK_TOL, worst, PULLBACK_TOL))
-    # with no samples there is no gap, and 0.0 stands for none
-    worst = float(np.max(gap_worst)) if gap_worst else 0.0
-    results.append(CheckResult("radial_bound", worst <= 1e-9, worst, 1e-9))
-
+    fd, pullback, gap = worst.tolist() if samples > 0 else (0.0, 0.0, 0.0)
     # the radial quantity attains the bound along the distinguished path
-    worst = 0.0
-    for j in range(n):
-        s = suggested_path_exponent(T, j)
-        got = sup_along_path(T, j, s, 1e6)
-        worst = max(worst, abs(got - float(bounds[j])))
-    results.append(CheckResult("radial_sup_along_path", worst < PATH_TOL, worst, PATH_TOL))
-    results.append(CheckResult("psi_within_cylinder", all(psi_ok), None, None))
-    return results
+    sups = sups_along_paths(T, slice(None), 1e6)
+    path = float(np.maximum.reduce(np.abs(sups - bounds), axis=None, initial=0.0))
+    return [
+        CheckResult("gradient_finite_difference", fd < GRADIENT_TOL, fd, GRADIENT_TOL),
+        CheckResult("symplectic_pullback", pullback < PULLBACK_TOL, pullback, PULLBACK_TOL),
+        CheckResult("radial_bound", gap <= 1e-9, gap, 1e-9),
+        CheckResult("radial_sup_along_path", path < PATH_TOL, path, PATH_TOL),
+        CheckResult("psi_within_cylinder", psi_ok, None, None),
+    ]
 
 
 def polytope_suites(

@@ -25,6 +25,7 @@ from geomgen import (
     random_delzant_polygon,
     random_simple_non_delzant_polygon,
     sections_by_conditions,
+    sup_along_path,
     unit_square,
 )
 from toricwidth.charts import chart_for_cone, transition_map
@@ -43,8 +44,6 @@ from toricwidth.numeric import (
     potential_value,
     pullback_check,
     radial_quantities,
-    sup_along_path,
-    suggested_path_exponent,
 )
 from toricwidth.polytope import enumerate_vertices, is_delzant, lattice_points
 from toricwidth.width import cylinder_bound, verify_fano_certificate, width_report
@@ -209,8 +208,7 @@ def test_path_supremum_and_radial_bound():
     for P in TEST_POLYTOPES:
         T = ToricPotential(sections_by_polytope(P, enumerate_vertices(P)[0]))
         for j in range(T.dim):
-            s = suggested_path_exponent(T, j)
-            sup = sup_along_path(T, j, s, 1e9)
+            sup = sup_along_path(T, j, 1e9)
             assert abs(sup - axis_radius_bounds(T)[j]) < 1e-3
         for _ in range(100):
             x = [rng.uniform(0.1, 3.0) for _ in range(T.dim)]

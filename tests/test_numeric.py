@@ -18,6 +18,8 @@ from geomgen import (
     oracle_psi_map,
     oracle_pullback_check,
     oracle_sections,
+    sup_along_path,
+    suggested_path_exponent,
 )
 from toricwidth.embedding import sections_by_polytope
 from toricwidth.fixtures import blown_up_hirzebruch, projective_space, resolve_fixture
@@ -34,8 +36,6 @@ from toricwidth.numeric import (
     psi_maps,
     pullback_check,
     radial_quantities,
-    sup_along_path,
-    suggested_path_exponent,
 )
 from toricwidth.polytope import enumerate_vertices
 from toricwidth.verify import numeric_suite
@@ -153,15 +153,13 @@ def test_suggested_path_exponent():
 def test_sup_along_path_attains_axis_bound():
     for T in (CP2, blowup_potential()):
         for j in range(T.dim):
-            s = suggested_path_exponent(T, j)
-            sup = sup_along_path(T, j, s, 1e9)
+            sup = sup_along_path(T, j, 1e9)
             assert abs(sup - axis_radius_bounds(T)[j]) < 1e-3
 
 
 def test_sup_along_path_increases_toward_bound():
     T = blowup_potential()
-    s = suggested_path_exponent(T, 0)
-    values = [sup_along_path(T, 0, s, t) for t in (10.0, 1e3, 1e6, 1e9)]
+    values = [sup_along_path(T, 0, t) for t in (10.0, 1e3, 1e6, 1e9)]
     assert values == sorted(values)
     assert values[-1] <= axis_radius_bounds(T)[0]
 
@@ -185,7 +183,7 @@ def test_error_paths():
     with pytest.raises(ValueError):
         psi_map(CP2, (1.0,))
     with pytest.raises(ValueError):
-        sup_along_path(CP2, 0, 2, 1.0)
+        sup_along_path(CP2, 0, 1.0)
 
 
 def test_no_spurious_warnings_on_interior_points():

@@ -9,6 +9,7 @@ import pytest
 import toricwidth.charts
 import toricwidth.numeric
 import toricwidth.verify
+import geomgen
 from geomgen import (
     altered_table,
     apply_lattice_map,
@@ -61,17 +62,27 @@ def test_chart_suite_matches_the_per_sample_oracle(group):
         assert_same_flags(got, oracle_chart_suite(F, seed=i, samples=3))
 
 
-@pytest.mark.parametrize("group", ["ladder", "projective", "random", "blowup", "refill"])
+@pytest.mark.parametrize("group", ["ladder", "projective", "random", "blowup", "refill", "verify"])
 def test_numeric_suite_matches_the_per_sample_oracle_bit_for_bit(group):
     # the potential of each input's embedding, as verify builds it; 40 samples
-    # of a 2-D input take 1,200 draws, past a refill of the Mersenne Twister state
-    samples = 40 if group == "refill" else 3
-    inputs = [resolve_fixture("example-3.8:1")] if group == "refill" else oracle_inputs(group)
+    # of a 2-D input take 1,200 draws, past a refill of the Mersenne Twister
+    # state; "verify" runs the verify workload's own inputs at its seed 1 and
+    # 10 samples, where cpn:1:400 (N = 401) and cpn:3:10 (N = 286) take 5 and
+    # 6 slices a pass
+    samples = {"refill": 40, "verify": 10}.get(group, 3)
+    if group == "refill":
+        inputs = [resolve_fixture("example-3.8:1")]
+    elif group == "verify":
+        inputs = [resolve_fixture(f) for f in ("cpn:1:400", "cpn:3:10", "example-3.8:3")]
+        inputs.append(blowup_polygon(random.Random(1), 10))
+    else:
+        inputs = oracle_inputs(group)
     for i, P in enumerate(inputs):
+        seed = 1 if group == "verify" else i
         T = ToricPotential(sections_by_polytope(P, P.vertices[0]))
-        got = numeric_suite(T, seed=i, samples=samples)
+        got = numeric_suite(T, seed=seed, samples=samples)
         assert all(r.passed for r in got)
-        assert got == oracle_numeric_suite(T, seed=i, samples=samples)
+        assert got == oracle_numeric_suite(T, seed=seed, samples=samples)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -175,6 +186,29 @@ def test_numeric_suite_makes_one_pass_per_chunk(monkeypatch, spec, samples, chun
     sizes = [min(chunk, samples - i) for i in range(0, samples, chunk)]
     assert len(sizes) == chunks
     assert passes == [((6 * n + 13) * m, (m, n, n)) for m in sizes]
+
+
+def test_numeric_suite_makes_one_pass_and_one_path_kernel_call(monkeypatch):
+    # the path check of every axis is one row of one sups_along_paths call,
+    # never a call per axis
+    P = resolve_fixture("cpn:3:3")
+    T = ToricPotential(sections_by_polytope(P, P.vertices[0]))
+    passes, kernels = record_passes(monkeypatch), []
+    kernel = toricwidth.verify.sups_along_paths
+
+    def recorded(T, axes, t_max):
+        rows = kernel(T, axes, t_max)
+        kernels.append(len(rows))
+        return rows
+
+    def refuse(*args):
+        raise AssertionError("a path check per axis")
+
+    monkeypatch.setattr(toricwidth.verify, "sups_along_paths", recorded)
+    monkeypatch.setattr(geomgen, "sup_along_path", refuse)
+    numeric_suite(T, seed=1)
+    assert passes == [(31 * 10, (10, 3, 3))]
+    assert kernels == [3]
 
 
 def test_each_check_draws_its_chunks_from_where_the_last_one_ended(monkeypatch):

@@ -232,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later main
     call in the process; parse_args keeps no state between calls.  Its
     attribute input_only maps each subcommand's name to what parse_args
-    gives for that name and one input with no option, the input left out."""
+    gives for that name and one input with no option, the input left out,
+    and options maps the name to the subcommand's options that take one
+    value, by option string."""
     parser = argparse.ArgumentParser(prog="toricwidth", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -259,18 +261,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_verify)
     parser.input_only = {name: vars(parser.parse_args([name, "input"])) for name in sub.choices}
+    parser.options = {name: {flag: action for action in p._actions if action.nargs is None
+                             for flag in action.option_strings}
+                      for name, p in sub.choices.items()}
     return parser
+
+
+def _namespace(parser: argparse.ArgumentParser, argv) -> argparse.Namespace | None:
+    """What parse_args gives for argv when it is a subcommand's name, an
+    input and pairs "--option value" of that subcommand's own options, each
+    spelled in full, with a value that does not start with "-" and passes
+    the option's type and choices; None for any other argv.  argparse reads
+    such an argv the same way: an argument that does not start with "-" is
+    a value, the option's type converts it and its choices are checked
+    after."""
+    if not argv or len(argv) % 2 or argv[0] not in parser.input_only or argv[1][:1] == "-":
+        return None
+    options = parser.options[argv[0]]
+    values = {**parser.input_only[argv[0]], "input": argv[1]}
+    for flag, text in zip(argv[2::2], argv[3::2]):
+        action = options.get(flag)
+        if action is None or text[:1] == "-":
+            return None
+        try:
+            value = action.type(text) if action.type else text
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) == 2 and argv[0] in parser.input_only and argv[1][:1] != "-":
-        # argparse reads an argument that does not start with "-" as the
-        # input, so a name and such an argument parse to input_only's values
-        args = argparse.Namespace(**{**parser.input_only[argv[0]], "input": argv[1]})
-    else:
-        args = parser.parse_args(argv)
+    # a usage error, or any argv the shortcut does not read, goes to argparse
+    args = _namespace(parser, argv) or parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -23,17 +23,42 @@ monomial sum vanishes"); what reads a pass's Sums checks none.
 All of it comes from passes over stacks of points (evaluate), one point per
 row.  A pass takes log x once, finite exactly when no coordinate is zero,
 negative or not finite, so one test clears a stack of drawn points, and
-runs under one errstate; per slice of at most BATCH_ENTRIES point-monomial
-pairs, _slice_sums gives each row's log sum, softmax weights and partials,
-and _covariances, for the pass's last hessians rows, the covariances the
-Hessian needs.  Each check is a function of a pass's per-row Sums
+runs under one errstate.  Each check is a function of a pass's per-row Sums
 (potential_values, radial_quantities, psi_maps and pullback_deviation,
 whose rows are Psi's stencil and then its base rows, last for their
 covariances), so a caller may stack the rows of all checks into one pass,
-as verify's numeric suite does.  Every step works row by row, so a row's
-values do not depend on the other rows of its pass: each sum over the N
-monomials is an einsum along the contiguous axis of the columns, whose
-kernel adds a row's terms in an order fixed by N alone, where a BLAS
+as verify's numeric suite does.
+
+A pass sums the monomials in one of two ways.  The dense pass
+(_dense_sums) sums over every exponent, per slice of at most BATCH_ENTRIES
+point-monomial pairs: each row's log sum, softmax weights and partials,
+and _covariances, for the pass's last hessians rows, the covariances the
+Hessian needs.  The closed pass (_fibre_sums) sums each fibre (prefix,
+a..b) in closed form, per slice of at most BATCH_ENTRIES point-fibre
+pairs.  With s = log x_n, v = |s| and the index i counted from the fibre's
+heavy end (b if s >= 0, else a), a fibre of length L is e^{M_f} sum_i
+e^{-v i}, for M_f = <t', p_f> + s * (heavy end), so
+
+    S0 = sum_i e^{-v i} = expm1(-L v) / expm1(-v)   (L at v = 0),
+    mu = mean of i = 1 / expm1(v) - L / expm1(L v),
+    sigma^2 = variance of i = 1 / (4 sinh^2(v/2)) - L^2 / (4 sinh^2(L v/2)),
+
+each written through e^{-v} and e^{-L v}, which cannot overflow.  Below
+L v = SERIES_BELOW the two terms of mu and sigma^2 cancel, and their series
+take over: mu = (L-1)/2 - v (L^2-1)/12 + v^3 (L^4-1)/720 - v^5 (L^6-1)/30240
+and sigma^2 = (L^2-1)/12 - v^2 (L^4-1)/240 + v^4 (L^6-1)/6048.  Then lse =
+top + log sum_f e^{M_f - top} S0_f, the mean exponent is the weighted mean
+of the fibres' centres (p_f, heavy end -+ mu_f), and the covariances are
+the weighted covariance of the centres plus sum_f w_f sigma^2_f on entry
+(n, n).  The closed pass runs where the potential's mean fibre length N / F
+reaches CLOSED_FORM_LENGTH (T.closed_form), at the rows off the coordinate
+hyperplanes; the dense pass takes every other row and stays the closed
+one's oracle in the tests.
+
+Every step of either pass works row by row, so a row's values do not
+depend on the other rows of its pass: each sum over the monomials or the
+fibres is an einsum or a reduction along the contiguous axis, whose kernel
+adds a row's terms in an order fixed by N (or F) alone, where a BLAS
 product would block the sum by the shape of the whole slice, and
 sups_along_paths takes every axis in one call, a row's dot being the BLAS
 call of 1-D operands.  Reductions call the ufuncs' reduce, as the ndarray
@@ -70,6 +95,14 @@ BATCH_ENTRIES = 1 << 14
 # this 512 KiB one here raises them whatever the process loaded before numpy,
 # whose own import raises them only when it comes first.
 np.empty(2 * BATCH_ENTRIES, dtype=complex)
+# evaluate sums each fibre in closed form once the mean fibre length N / F
+# reaches this.  The closed pass makes about three times the dense pass's
+# numpy calls, so it wins only on long fibres: over verify's numeric suite
+# the two cost the same at N / F = 13 in two dimensions (cpn:2:24), near 8
+# in three and near 60 in one, where the suite's stack is shortest
+CLOSED_FORM_LENGTH = 13
+# below L v = SERIES_BELOW a fibre's mean and variance take their series
+SERIES_BELOW = 0.05
 
 
 FORM_PARTS, FORM_SIGNS = np.array([[1, 0], [0, 1]]), np.array([[-1.0, 1.0], [-1.0, -1.0]])
@@ -108,6 +141,23 @@ class ToricPotential:
         """The total degree sum_j (J_k)_j of each monomial, as floats."""
         return np.add.reduce(self.exponent_columns, axis=0)
 
+    @cached_property
+    def fibre_columns(self) -> np.ndarray:
+        """The fibres (prefix, a, b) as an (n + 2) x F float array, one
+        column per fibre: the n - 1 prefix rows, then a, b and the fibre's
+        length b - a + 1."""
+        prefixes, a, b = zip(*self.embedding.fibres)
+        C = np.array([*zip(*prefixes), a, b, b], dtype=float)
+        C[-1] -= C[-3] - 1
+        return C
+
+    @cached_property
+    def closed_form(self) -> bool:
+        """Whether evaluate sums each fibre in closed form: the mean fibre
+        length N / F reaches CLOSED_FORM_LENGTH."""
+        fibres = self.embedding.fibres
+        return sum(b - a + 1 for _, a, b in fibres) >= CLOSED_FORM_LENGTH * len(fibres)
+
 
 @dataclass(frozen=True)
 class Sums:
@@ -134,12 +184,18 @@ class Sums:
         return Sums(self.X[rows], self.lse[rows], self.partials[rows], cov)
 
 
-def _slice_sums(T: ToricPotential, X: np.ndarray, t: np.ndarray, zero: np.ndarray | None):
-    """The softmax weights of the monomials that do not vanish, their sum,
-    log sum_k x^{J_k} and dPhi~/dx_j at the rows x >= 0 of X, from t = log x
-    (log 0 read as 0) and zero, which marks the zero coordinates or is None
-    if there is none.  Rows whose monomials all vanish get nan weights and a
-    nan log sum."""
+def _row_max(L: np.ndarray) -> np.ndarray:
+    """Each row's max, exact in any order: reduceat runs a row in one inner
+    loop, where a reduction along axis 1 pays for each short row."""
+    return np.maximum.reduceat(L.ravel(), np.arange(0, L.size, L.shape[1]))
+
+
+def _dense_sums(T: ToricPotential, X: np.ndarray, t: np.ndarray, zero: np.ndarray | None):
+    """The dense pass over a slice: log sum_k x^{J_k} and dPhi~/dx_j at the
+    rows x >= 0 of X, from t = log x (log 0 read as 0) and zero, which marks
+    the zero coordinates or is None if there is none, and a function giving
+    the covariances of a run of these rows.  Rows whose monomials all
+    vanish get a nan log sum."""
     JT = T.exponent_columns
     # einsum, not t @ JT: it adds each entry's n products in axis order, as
     # an axis-by-axis sum would, where BLAS sums in an order set by the batch
@@ -147,9 +203,7 @@ def _slice_sums(T: ToricPotential, X: np.ndarray, t: np.ndarray, zero: np.ndarra
     # the log-monomials; with no zero coordinate the weights overwrite raw,
     # which only the partials on x_j = 0 read again
     L = raw if zero is None else np.where(zero @ (JT > 0), -np.inf, raw)
-    # each row's max, exact in any order: reduceat runs a row in one inner
-    # loop, where a reduction along axis 1 pays for each short row
-    top = np.maximum.reduceat(L.ravel(), np.arange(0, L.size, L.shape[1]))
+    top = _row_max(L)
     W = np.subtract(L, top[:, None], out=L)
     np.exp(W, out=W)
     den = np.add.reduce(W, axis=1)
@@ -165,18 +219,95 @@ def _slice_sums(T: ToricPotential, X: np.ndarray, t: np.ndarray, zero: np.ndarra
         others[j] = False
         alive = (JT[j] == 1) & ~(JT[others] > 0).any(axis=0)
         partials[r, j] = 2.0 * np.exp(raw[r, alive] - lse[r]).sum()
-    return W, den, lse, partials
+    return lse, partials, lambda rows: _covariances(W[rows], den[rows], JT, "mk,jk->mj")
 
 
-def _covariances(T: ToricPotential, W: np.ndarray, den: np.ndarray) -> np.ndarray:
+def _covariances(W: np.ndarray, den: np.ndarray, centres: np.ndarray, means: str) -> np.ndarray:
     """sum_k w_k D_ak D_bk at each row of the weights W, normalized by den
-    in place, with D = J - sum_k w_k J_k the centred exponents."""
-    JT = T.exponent_columns
+    in place, with D = c - sum_k w_k c_k for the points c_k, the columns
+    of centres, and means the einsum that gives sum_k w_k c_k."""
     W /= den[:, None]
-    # einsum along the contiguous monomial axis, as in _partials
-    D = JT - np.einsum("mk,jk->mj", W, JT)[:, :, None]
-    # three operands in one einsum, so that D is the only (m, n, N) array
+    # einsum along the contiguous axis of the points, as in _dense_sums
+    D = centres - np.einsum(means, W, centres)[:, :, None]
+    # three operands in one einsum, so that D is the only (m, n, K) array
     return np.einsum("mk,mak,mbk->mab", W, D, D)
+
+
+def _fibre_sums(T: ToricPotential, X: np.ndarray, t: np.ndarray, zero):
+    """The closed pass over a slice: what _dense_sums gives at rows x > 0
+    (zero marks no coordinate), each fibre summed in closed form (see the
+    module doc)."""
+    C = T.fibre_columns
+    P, L = C[:-3], C[-1]
+    s = t[:, -1:]
+    # the fibres' heavy ends, where x^J is largest along the fibre (b at
+    # s = 0 too), and -v, -L v for v = |s|: each fibre's terms are
+    # e^{M_f - v i}, 0 <= i < L
+    heavy = np.where(s >= 0, C[-2], C[-3])
+    nv = -np.abs(s)
+    nLv = L * nv
+    e, eL = np.expm1(nv), np.expm1(nLv)
+    r, rL = np.exp(nv) / e, np.exp(nLv) / eL
+    # the mean and variance of i: differences of two terms of order 1 / v
+    # that cancel as L v -> 0, where their series take over
+    LrL = L * rL
+    mu, var = LrL - r, r / e - L * LrL / eL
+    S0 = eL / e  # sum_i e^{-v i}
+    series = nLv > -SERIES_BELOW
+    if np.logical_or.reduce(series, axis=None):
+        v, w = -nv, L * L
+        u = v * v
+        c1, c2, c3 = (w - 1) / 12, (w * w - 1) / 240, (w * w * w - 1) / 6048
+        mu = np.where(series, (L - 1) / 2 - v * (c1 - u * (c2 / 3 - u * c3 / 5)), mu)
+        var = np.where(series, c1 - u * (c2 - u * c3), var)
+        S0 = np.where(v == 0, L, S0)
+    M = np.einsum("mj,jf->mf", t[:, :-1], P)
+    M += s * heavy
+    top = _row_max(M)
+    E = np.subtract(M, top[:, None], out=M)
+    np.exp(E, out=E)
+    E *= S0
+    den = np.add.reduce(E, axis=1)
+    lse = top + np.log(den)
+    # the mean exponent of each fibre: its prefix, and its mean x_n, b - mu
+    # or a + mu
+    mean = heavy - np.copysign(mu, s)
+    sums = np.empty_like(X)
+    sums[:, :-1] = np.einsum("mf,jf->mj", E, P)
+    sums[:, -1] = np.einsum("mf,mf->m", E, mean)
+    partials = 2.0 * sums / den[:, None] / X
+
+    def covariances(rows):
+        # the covariance of the fibres' means, plus the variance along them
+        means = mean[rows, None]
+        centres = np.concatenate([np.broadcast_to(P, (len(means), *P.shape)), means], axis=1)
+        spread = np.einsum("mf,mf->m", E[rows], var[rows]) / den[rows]
+        cov = _covariances(E[rows], den[rows], centres, "mk,mjk->mj")
+        cov[:, -1, -1] += spread
+        return cov
+
+    return lse, partials, covariances
+
+
+def _sums(T: ToricPotential, X: np.ndarray, t: np.ndarray, zero, hessians: int, kernel):
+    """lse, partials and the covariances of the last hessians rows, from
+    kernel (_dense_sums or _fibre_sums) over slices of at most
+    BATCH_ENTRIES point-monomial (or point-fibre) pairs, and a slice's
+    covariance rows, whose work array is n times as wide, n times fewer at
+    a time."""
+    (m, n), K = X.shape, (T.fibre_columns if kernel is _fibre_sums else T.exponent_columns).shape[1]
+    first = m - hessians
+    lse, partials, cov = np.empty(m), np.empty((m, n)), np.empty((hessians, n, n))
+    step, wide = max(1, BATCH_ENTRIES // K), max(1, BATCH_ENTRIES // (K * n))
+    for i in range(0, m, step):
+        rows = slice(i, i + step)
+        z = None if zero is None else zero[rows]
+        lse[rows], partials[rows], covariances = kernel(T, X[rows], t[rows], z)
+        stop = min(i + step, m)
+        for j in range(max(i, first), stop, wide):
+            k = min(j + wide, stop)
+            cov[j - first:k - first] = covariances(slice(j - i, k - i))
+    return lse, partials, cov
 
 
 def evaluate(T: ToricPotential, X, hessians: int = 0) -> Sums:
@@ -184,15 +315,16 @@ def evaluate(T: ToricPotential, X, hessians: int = 0) -> Sums:
     the covariances, n^2 floats a row, of the last hessians rows; it alone
     refuses rows.
 
-    The rows go through _slice_sums in slices of at most BATCH_ENTRIES
-    point-monomial pairs, and a slice's covariance rows, whose work array is
-    n times as wide, n times fewer at a time; every step works row by row,
-    so a row's values do not depend on the other rows of its slice."""
+    A potential whose fibres are long (T.closed_form) takes the closed pass
+    at every row off the coordinate hyperplanes, the rest the dense pass;
+    every step of either works row by row, so a row's values do not depend
+    on the other rows of its pass."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != T.dim:
         raise ValueError(f"need points with {T.dim} coordinates, one per row")
-    # x_j = 0 divides by zero, and a vanishing sum makes a row nan, refused below
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # x_j = 0 divides by zero, and a vanishing sum makes a row nan, refused
+    # below; the closed pass's unused branch may overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # finite exactly where x is positive and finite, as on the drawn points
         t, zero = np.log(X), None
         if not np.logical_and.reduce(np.isfinite(t), axis=None):
@@ -202,20 +334,22 @@ def evaluate(T: ToricPotential, X, hessians: int = 0) -> Sums:
                 raise ValueError("coordinate not finite: x = |xi|^2 overflows above |xi| ~ 1.3e154")
             zero = X == 0
             t = np.log(np.where(zero, 1.0, X))
-        (m, n), N = X.shape, T.exponent_columns.shape[1]
+        m, n = X.shape
         if isinstance(hessians, bool) or not 0 <= hessians <= m:  # True is no row count
             raise ValueError(f"hessians must count some of the {m} rows")
-        first = m - hessians
-        lse, partials, cov = np.empty(m), np.empty((m, n)), np.empty((hessians, n, n))
-        step, wide = max(1, BATCH_ENTRIES // N), max(1, BATCH_ENTRIES // (N * n))
-        for i in range(0, m, step):
-            rows = slice(i, i + step)
-            z = None if zero is None else zero[rows]
-            W, den, lse[rows], partials[rows] = _slice_sums(T, X[rows], t[rows], z)
-            stop = i + len(W)
-            for j in range(max(i, first), stop, wide):
-                k = min(j + wide, stop)
-                cov[j - first:k - first] = _covariances(T, W[j - i:k - i], den[j - i:k - i])
+        if T.closed_form and zero is not None:
+            # the closed pass at the rows off the coordinate hyperplanes, the
+            # dense one at the rest, each row to its place
+            lse, partials, cov = np.empty(m), np.empty((m, n)), np.empty((hessians, n, n))
+            on, first = np.logical_or.reduce(zero, axis=1), m - hessians
+            for rows, kernel in ((np.flatnonzero(~on), _fibre_sums),
+                                 (np.flatnonzero(on), _dense_sums)):
+                h = np.count_nonzero(rows >= first)
+                part = _sums(T, X[rows], t[rows], zero[rows], h, kernel)
+                lse[rows], partials[rows], cov[rows[len(rows) - h:] - first] = part
+        else:
+            kernel = _fibre_sums if T.closed_form else _dense_sums
+            lse, partials, cov = _sums(T, X, t, zero, hessians, kernel)
     if np.logical_or.reduce(np.isnan(lse)):
         raise ValueError("potential undefined: monomial sum vanishes")
     return Sums(X, lse, partials, cov)

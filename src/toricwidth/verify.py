@@ -68,7 +68,8 @@ one stack: the gradient stencil (2n) and its base point, the 10 radial
 rows, the Psi row, Psi's stencil (4n) and, last, the pullback's base row,
 which alone needs the n x n covariances.  The stack goes through one
 numeric.evaluate pass a chunk, with hessians for those rows, in slices of
-at most numeric.BATCH_ENTRIES point-monomial pairs; each check then hands
+at most numeric.BATCH_ENTRIES point-monomial pairs, or point-fibre pairs
+where the potential sums its fibres in closed form; each check then hands
 its rows' Sums to the function the library offers for it (potential_values,
 pullback_deviation, radial_quantities, psi_maps), and the path check of
 every axis is one numeric.sups_along_paths call.  The chunks have at most

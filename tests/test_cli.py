@@ -723,6 +723,17 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch):
     assert [_outcome(capsys, argv) for argv in sequence] == shared
 
 
+# argv that main reads without argparse, each answering as parse_args does
+OPTION_ARGV = [
+    ["verify", "cpn:2:1", "--seed", "3", "--samples", "2", "--format", "json"],
+    ["verify", "cpn:2:1", "--format", "json", "--samples", "2", "--seed", "3"],
+    ["verify", "example-3.7", "--samples", "1", "--format", "text"],
+    ["width", "example-3.7", "--vertex", "2"],
+    ["width", "cpn:2:1", "--format", "text", "--vertex", "1"],
+    ["analyze", "example-3.7", "--format", "text"],
+    ["embed", "cpn:2:1", "--vertex", "2"],
+]
+
 DISPATCH_CASES = [
     ["analyze", "example-3.7", "--bogus"],  # the top-level usage, not analyze's
     ["analyze", "-h"],
@@ -737,6 +748,23 @@ DISPATCH_CASES = [
     ["analyze", "example-3.7"],
     ["width", "cpn:2:1"],
     ["embed", "cpn:2:1"],
+    # and so do pairs "--option value" of the subcommand's own options
+    *OPTION_ARGV,
+    # spelled in full, each value passing its type and choices and not
+    # starting with "-"; a repeated option keeps its last value in both
+    ["verify", "cpn:2:1", "--se", "1", "--samples", "2"],
+    ["verify", "cpn:2:1", "--seed=1", "--samples", "2"],
+    ["verify", "cpn:2:1", "--samples", "3", "--samples", "2"],
+    ["verify", "cpn:2:1", "--seed", "x"],
+    ["verify", "cpn:2:1", "--seed", "1.5"],
+    ["verify", "cpn:2:1", "--format", "xml"],
+    ["verify", "cpn:2:1", "--seed", "-1", "--samples", "2"],
+    ["verify", "cpn:2:1", "--seed", "-1_0"],  # int() reads it, argparse takes an option
+    ["verify", "cpn:2:1", "--samples", "2", "-h"],
+    ["verify", "cpn:2:1", "--", "--samples", "2"],
+    ["verify", "--samples", "2", "cpn:2:1"],
+    ["embed", "cpn:2:1", "--format", "json"],
+    ["width", "example-3.7", "--vertex"],
 ]
 
 
@@ -755,6 +783,18 @@ def test_dispatch_answers_like_the_nested_parser(capsys, monkeypatch, fresh):
         want = _outcome(capsys, argv, nested)
         assert _outcome(capsys, argv) == want, argv
         assert want[0] in (0, 2)
+
+
+def test_option_argv_skips_argparse(capsys, monkeypatch):
+    # main answers OPTION_ARGV with the parser's parse_args unused
+    wants = [_outcome(capsys, argv) for argv in OPTION_ARGV]
+    assert {rc for rc, _, _ in wants} == {0}
+
+    def refuse(argv):
+        raise AssertionError(f"parse_args called on {argv}")
+
+    monkeypatch.setattr(toricwidth.cli.build_parser(), "parse_args", refuse)
+    assert [_outcome(capsys, argv) for argv in OPTION_ARGV] == wants
 
 
 @pytest.mark.parametrize("argv", [["embed", "example-3.8:30"], ["analyze", "cpn:3:20"]])

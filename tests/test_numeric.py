@@ -9,6 +9,7 @@ import pytest
 import toricwidth.numeric
 import toricwidth.verify
 from geomgen import (
+    dilate,
     embedding_cases,
     embedding_from_exponents,
     fs_diastasis,
@@ -18,6 +19,7 @@ from geomgen import (
     oracle_psi_map,
     oracle_pullback_check,
     oracle_sections,
+    random_delzant_polytope,
     sup_along_path,
     suggested_path_exponent,
 )
@@ -490,3 +492,103 @@ def test_numeric_suite_passes_and_catches_a_low_radius_bound(monkeypatch):
     failed = {name for name, r in got.items() if not r.passed}
     assert failed == {"radial_bound", "radial_sup_along_path", "psi_within_cylinder"}
     assert got["radial_bound"].deviation > 1e-9
+
+
+def both_passes(monkeypatch, P) -> tuple[ToricPotential, ToricPotential]:
+    """The potential of P's embedding at its first vertex twice: once taking
+    the closed pass whatever its fibre lengths, once the dense pass."""
+    E = sections_by_polytope(P, P.vertices[0])
+    potentials = []
+    for length in (0, math.inf):
+        monkeypatch.setattr(toricwidth.numeric, "CLOSED_FORM_LENGTH", length)
+        potentials.append(ToricPotential(E))
+        assert potentials[-1].closed_form is (length == 0)  # fixed on first use
+    monkeypatch.undo()
+    return potentials[0], potentials[1]
+
+
+CLOSED_FORM_INPUTS = {
+    "cpn:1:400": lambda: resolve_fixture("cpn:1:400"),
+    "example-3.8:50": lambda: resolve_fixture("example-3.8:50"),
+    "cpn:3:40": lambda: resolve_fixture("cpn:3:40"),  # N / F = 14.3
+    "dilated-3d": lambda: dilate(random_delzant_polytope(random.Random(3), 3), 6),
+}
+
+
+def closed_form_rows(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Drawn rows, then rows whose x_n is 1, 1 +- 1e-9 or e^{+-8}, where
+    the closed pass turns to its series or to long tails."""
+    X = rng.uniform(0.1, 10.0, (40, n))
+    special = rng.uniform(0.1, 10.0, (5, n))
+    special[:, -1] = [1.0, 1 + 1e-9, 1 - 1e-9, math.exp(8), math.exp(-8)]
+    return np.concatenate([X, special])
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_INPUTS)
+def test_the_closed_pass_matches_the_dense_pass(monkeypatch, spec):
+    # lse and partials to 1e-10 relative, covariances to 1e-10 of each
+    # row's largest entry; rows on a coordinate hyperplane take the dense
+    # pass bit for bit
+    closed, dense = both_passes(monkeypatch, CLOSED_FORM_INPUTS[spec]())
+    n = closed.dim
+    rng = np.random.default_rng(41)
+    X = closed_form_rows(n, rng)
+    on = X[::4].copy()
+    on[:, 0] = 0.0
+    on[1::2, -1] = 0.0
+    X = np.concatenate([X, on])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate(closed, X, hessians=len(X))
+    want = evaluate(dense, X, hessians=len(X))
+    assert np.abs(got.lse - want.lse).max() <= 1e-10 * np.abs(want.lse).max()
+    assert (np.abs(got.partials - want.partials) <= 1e-10 * np.abs(want.partials)).all()
+    scale = np.abs(want.cov).max(axis=(1, 2))
+    assert (np.abs(got.cov - want.cov).max(axis=(1, 2)) <= 1e-10 * scale).all()
+    zero = (X == 0).any(axis=1)
+    assert zero.sum() == len(on)
+    for a, b in ((got.lse, want.lse), (got.partials, want.partials), (got.cov, want.cov)):
+        assert np.array_equal(a[zero], b[zero])
+
+
+@pytest.mark.parametrize("spec", ["cpn:1:400", "dilated-3d"])
+def test_the_closed_pass_works_row_by_row(monkeypatch, spec):
+    # one-row slices and one-row passes give the bits of the whole pass,
+    # rows on a coordinate hyperplane mixed in
+    closed, _ = both_passes(monkeypatch, CLOSED_FORM_INPUTS[spec]())
+    X = closed_form_rows(closed.dim, np.random.default_rng(42))[::3]
+    X[::4, 0] = 0.0
+    fields = lambda s: (s.lse, s.partials, s.cov)
+    whole = fields(evaluate(closed, X, hessians=len(X)))
+    rows = [fields(evaluate(closed, X[r:r + 1], hessians=1)) for r in range(len(X))]
+    tail = fields(evaluate(closed, X[5:], hessians=3))
+    monkeypatch.setattr(toricwidth.numeric, "BATCH_ENTRIES", 1)
+    split = fields(evaluate(closed, X, hessians=len(X)))
+    for i, (a, b) in enumerate(zip(whole, split)):
+        assert np.array_equal(a, b), i
+        assert np.array_equal(a, np.concatenate([r[i] for r in rows])), i
+    assert np.array_equal(tail[2], whole[2][-3:])
+    assert np.array_equal(tail[0], whole[0][5:])
+
+
+def test_the_closed_pass_stays_finite_and_quiet_at_extreme_rows(monkeypatch):
+    # no RuntimeWarning, though the unused branch overflows or divides by 0
+    closed, dense = both_passes(monkeypatch, resolve_fixture("example-3.8:50"))
+    X = np.array([[1e-300, 1e-300], [1e300, 1e-300], [1e-300, 1e300], [1e300, 1e300],
+                  [1.0, 1.0], [5e-324, 2.0], [2.0, 5e-324]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate(closed, X, hessians=len(X))
+    assert np.isfinite(got.lse).all() and np.isfinite(got.partials).all()
+    assert np.isfinite(got.cov).all()
+    want = evaluate(dense, X, hessians=len(X))
+    assert np.abs(got.lse - want.lse).max() <= 1e-10 * np.abs(want.lse).max()
+
+
+def test_long_fibres_select_the_closed_pass():
+    # N / F reaches CLOSED_FORM_LENGTH = 13 on these; of the verify
+    # workload's fixtures only on cpn:1:400 (401), not on cpn:2:20 (11)
+    closed = {"cpn:1:400", "example-3.8:50", "cpn:3:40", "cpn:2:24"}
+    dense = {"example-3.7", "example-3.8:1", "example-3.8:3", "cpn:2:5", "cpn:2:20", "cpn:3:3",
+             "cpn:3:10"}
+    assert {spec for spec in closed | dense if fixture_potential(spec).closed_form} == closed

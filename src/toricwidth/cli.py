@@ -17,17 +17,16 @@ closes stdout early (embed ... | head) gets exit 0 and no message.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+import types
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 from . import fixtures
-from .embedding import MonomialEmbedding, sections_by_polytope
 from .polytope import HalfspacePolytope, Vertex, delzant_vertices, from_dict, vertex_sums
-from .width import width_report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -147,6 +146,8 @@ def _vertex(P: HalfspacePolytope, index: int) -> Vertex:
 
 
 def cmd_width(args) -> int:
+    from toricwidth.width import width_report
+
     P = load_polytope(args.input)
     rep = width_report(P, v := _vertex(P, args.vertex))
     cyl, lam, fano, gamma = rep.cylinder, rep.lu_lambda, rep.fano, rep.lu_gamma
@@ -175,11 +176,11 @@ def cmd_width(args) -> int:
     return EXIT_OK
 
 
-def _write_exponents(E: MonomialEmbedding) -> None:
+def _write_exponents(E) -> None:
     """Write json.dumps([list(J) for J in E.exponents]) and a newline to
-    stdout one fibre at a time: one head "[p_1, ..., p_{n-1}, " per prefix
-    and one "x]" per value of x_n, so no exponent is listed and the whole
-    text is never held at once."""
+    stdout, for the MonomialEmbedding E, one fibre at a time: one head
+    "[p_1, ..., p_{n-1}, " per prefix and one "x]" per value of x_n, so no
+    exponent is listed and the whole text is never held at once."""
     top = max(b for _, _, b in E.fibres)
     tails = [f"{x}]" for x in range(top + 1)]
     write = sys.stdout.write
@@ -192,6 +193,8 @@ def _write_exponents(E: MonomialEmbedding) -> None:
 
 
 def cmd_embed(args) -> int:
+    from toricwidth.embedding import sections_by_polytope
+
     P = load_polytope(args.input)
     _write_exponents(sections_by_polytope(P, _vertex(P, args.vertex)))
     return EXIT_OK
@@ -211,7 +214,7 @@ def cmd_verify(args) -> int:
             e = e.__cause__
         cause = (str(e).strip() or type(e).__name__).splitlines()[0]
         raise ValueError(f"cannot import numpy: {cause}") from None
-    from .verify import polytope_suites
+    from toricwidth.verify import polytope_suites
 
     results = polytope_suites(P, seed=args.seed, samples=args.samples)
     if args.format == "json":
@@ -227,47 +230,48 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_PROPERTY
 
 
+# a one-value option of a subcommand, given after its input
+Option = namedtuple("Option", "flag dest type choices default help")
+FORMAT = ("json", "text")
+
+# name: (handler, help, options), the one source of the argparse parser and
+# of the argv that main reads without it
+COMMANDS = {
+    "analyze": (cmd_analyze, "Delzant, smoothness, completeness, convexity",
+                (Option("--format", "format", None, FORMAT, "json", None),)),
+    "width": (cmd_width, "all width bounds as multiples of pi",
+              (Option("--vertex", "vertex", int, None, 0, "index into the sorted vertex list"),
+               Option("--format", "format", None, FORMAT, "json", None))),
+    "embed": (cmd_embed, "exponents of the monomial embedding",
+              (Option("--vertex", "vertex", int, None, 0, None),)),
+    "verify": (cmd_verify, "exact chart checks and randomized numeric property suites",
+               (Option("--seed", "seed", int, None, 0, None),
+                Option("--samples", "samples", int, None, 10, None),
+                Option("--format", "format", None, FORMAT, "text", None))),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and shared by every later main
-    call in the process; parse_args keeps no state between calls.  Its
-    attribute input_only maps each subcommand's name to what parse_args
-    gives for that name and one input with no option, the input left out,
-    and options maps the name to the subcommand's options that take one
-    value, by option string."""
+def build_parser():
+    """The argparse parser of COMMANDS, built on the first call and shared
+    by every later main call in the process; parse_args keeps no state
+    between calls.  argparse is imported here, so that a process whose argv
+    _namespace reads never loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="toricwidth", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="Delzant, smoothness, completeness, convexity")
-    p.add_argument("input")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("width", help="all width bounds as multiples of pi")
-    p.add_argument("input")
-    p.add_argument("--vertex", type=int, default=0, help="index into the sorted vertex list")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_width)
-
-    p = sub.add_parser("embed", help="exponents of the monomial embedding")
-    p.add_argument("input")
-    p.add_argument("--vertex", type=int, default=0)
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("verify", help="exact chart checks and randomized numeric property suites")
-    p.add_argument("input")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_verify)
-    parser.input_only = {name: vars(parser.parse_args([name, "input"])) for name in sub.choices}
-    parser.options = {name: {flag: action for action in p._actions if action.nargs is None
-                             for flag in action.option_strings}
-                      for name, p in sub.choices.items()}
+    for name, (func, text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("input")
+        for o in options:
+            p.add_argument(o.flag, dest=o.dest, type=o.type, choices=o.choices,
+                           default=o.default, help=o.help)
+        p.set_defaults(func=func)
     return parser
 
 
-def _namespace(parser: argparse.ArgumentParser, argv) -> argparse.Namespace | None:
+def _namespace(argv) -> types.SimpleNamespace | None:
     """What parse_args gives for argv when it is a subcommand's name, an
     input and pairs "--option value" of that subcommand's own options, each
     spelled in full, with a value that does not start with "-" and passes
@@ -275,29 +279,28 @@ def _namespace(parser: argparse.ArgumentParser, argv) -> argparse.Namespace | No
     such an argv the same way: an argument that does not start with "-" is
     a value, the option's type converts it and its choices are checked
     after."""
-    if not argv or len(argv) % 2 or argv[0] not in parser.input_only or argv[1][:1] == "-":
+    if not argv or len(argv) % 2 or argv[0] not in COMMANDS or argv[1][:1] == "-":
         return None
-    options = parser.options[argv[0]]
-    values = {**parser.input_only[argv[0]], "input": argv[1]}
+    func, _, options = COMMANDS[argv[0]]
+    values = {"command": argv[0], "input": argv[1], **{o.dest: o.default for o in options}}
     for flag, text in zip(argv[2::2], argv[3::2]):
-        action = options.get(flag)
-        if action is None or text[:1] == "-":
+        o = next((o for o in options if o.flag == flag), None)
+        if o is None or text[:1] == "-":
             return None
         try:
-            value = action.type(text) if action.type else text
+            value = o.type(text) if o.type else text
         except (TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if o.choices is not None and value not in o.choices:
             return None
-        values[action.dest] = value
-    return argparse.Namespace(**values)
+        values[o.dest] = value
+    return types.SimpleNamespace(**values, func=func)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     # a usage error, or any argv the shortcut does not read, goes to argparse
-    args = _namespace(parser, argv) or parser.parse_args(argv)
+    args = _namespace(argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -23,9 +23,9 @@ facets; on the chart of a simplex every prefix it visits has a point above it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .lattice import IntVector
 from .polytope import HalfspacePolytope, Vertex, lattice_fibres, vertex_chart

@@ -17,8 +17,8 @@ tests' oracles keep their own square solve in geomgen.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 IntVector = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
@@ -67,6 +67,8 @@ def _eliminate(A: list[list[int]], width: int) -> tuple[list[int], int]:
     pivots, D = [], 1
     for c in range(width):
         r = len(pivots)
+        if r == len(A):  # every row holds a pivot
+            break
         pivot = next((i for i in range(r, len(A)) if A[i][c]), None)
         if pivot is None:
             continue

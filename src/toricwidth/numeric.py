@@ -70,10 +70,10 @@ from __future__ import annotations
 import math
 import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
@@ -507,7 +507,8 @@ def sups_along_paths(T: ToricPotential, axes, t_max: float) -> np.ndarray:
     radial_quantities along x_j = t^s, x_l = t (l != j), for s the suggested
     path exponent of axis j, at t_max in log space so that huge powers like
     t^60 cannot overflow.  A row's sums, one vector product and a pairwise
-    sum along it, do not depend on the other rows."""
+    sum along it, do not depend on the other rows.  A lane below -746, where
+    np.exp gives +0.0 on a slow path, is set to 0.0 without it."""
     if t_max <= 1:
         raise ValueError("t_max must exceed 1")
     J = T.exponent_columns[axes]
@@ -516,5 +517,7 @@ def sups_along_paths(T: ToricPotential, axes, t_max: float) -> np.ndarray:
     E += T.degrees
     E -= np.maximum.reduce(E, axis=1, keepdims=True)
     E *= math.log(t_max)
-    np.exp(E, out=E)
+    low = E < -746.0
+    np.exp(E, out=E, where=~low)
+    np.copyto(E, 0.0, where=low)
     return np.sqrt(2 * (J[:, None] @ E[:, :, None])[:, 0, 0] / np.add.reduce(E, axis=1))

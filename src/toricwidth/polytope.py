@@ -44,11 +44,12 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from operator import add, mul, neg, sub
-from typing import NamedTuple, Sequence
 
 from .lattice import (
     IntVector,
@@ -145,6 +146,15 @@ class HalfspacePolytope:
         """
         return tuple(enumerate_vertices(self))
 
+    @functools.cached_property
+    def delzant_refusal(self) -> str | None:
+        """Why P is not Delzant, the _refusal of its first vertex that fails
+        in lexicographic order, or None when every vertex passes; computed
+        at most once per polytope object, so that the gates a command passes
+        (delzant_vertices) walk the vertices once between them."""
+        n = self.dim
+        return next(filter(None, (_refusal(v, n) for v in self.vertices)), None)
+
 
 @dataclass(frozen=True)
 class Vertex:
@@ -202,33 +212,29 @@ def recession_direction(P: HalfspacePolytope) -> IntVector | None:
     return None
 
 
-class _Dictionary(NamedTuple):
-    """A basis of n facets with its point and edges, for the pivots of the
-    start and of the walk (Avis and Fukuda, A pivoting algorithm for convex
-    hulls and vertex enumeration, 1992; Avis, lrs, 2000).
+_Dictionary = namedtuple("_Dictionary", "basis D X E")
+_Dictionary.__doc__ = """A basis of n facets with its point and edges, for the
+pivots of the start and of the walk (Avis and Fukuda, A pivoting algorithm
+for convex hulls and vertex enumeration, 1992; Avis, lrs, 2000).
 
-    basis holds the facet indices A in increasing order and D = |det U_A|,
-    for U_A their normals as rows.  Each of the n + 1 columns is a vector
-    of R^n in integers over D, followed by its pairing with every facet:
-    - X is D q x, for x the point where the facets of A meet, followed by
-      the slacks S_i = <u_i, X> - D b_i;
-    - E[k] is e_k, column k of D U_A^-1, followed by R_ik = <u_i, e_k>.
-    e_k leaves facet A_k and stays on the others: R_{A_l}k = D [l = k].
+The tuple basis holds the facet indices A in increasing order, and the int
+D = |det U_A|, for U_A their normals as rows.  Each of the n + 1 columns,
+the tuple X and the tuples of the list E, is a vector of R^n in integers
+over D, followed by its pairing with every facet:
+- X is D q x, for x the point where the facets of A meet, followed by
+  the slacks S_i = <u_i, X> - D b_i;
+- E[k] is e_k, column k of D U_A^-1, followed by R_ik = <u_i, e_k>.
+e_k leaves facet A_k and stays on the others: R_{A_l}k = D [l = k].
 
-    The walk perturbs the offsets of the facets outside its start basis A0,
-    b_i -> b_i - eps^(i+1) (Charnes 1952; lrs perturbs relative to its
-    start in the same way).  The point moves by -sum eps^(A_k+1) e_k / D
-    over the A_k outside A0, so D times the perturbed slack of facet i is
-    the vector with S_i at position 0, -R_ik at position A_k + 1 for those
-    A_k, and D at position i + 1 when i is outside A0, in powers of eps:
-    all of it is in the columns.  A0 is feasible for the perturbed offsets,
-    as every facet tight at its point gains D eps^(i+1).
-    """
-
-    basis: tuple[int, ...]
-    D: int
-    X: tuple[int, ...]
-    E: list[tuple[int, ...]]
+The walk perturbs the offsets of the facets outside its start basis A0,
+b_i -> b_i - eps^(i+1) (Charnes 1952; lrs perturbs relative to its
+start in the same way).  The point moves by -sum eps^(A_k+1) e_k / D
+over the A_k outside A0, so D times the perturbed slack of facet i is
+the vector with S_i at position 0, -R_ik at position A_k + 1 for those
+A_k, and D at position i + 1 when i is outside A0, in powers of eps:
+all of it is in the columns.  A0 is feasible for the perturbed offsets,
+as every facet tight at its point gains D eps^(i+1).
+"""
 
 
 def _dictionary(U: Sequence[IntVector], b: Sequence[int]) -> _Dictionary | None:
@@ -463,15 +469,15 @@ def _refusal(v: Vertex, n: int) -> str | None:
 def is_delzant(P: HalfspacePolytope) -> bool:
     """Every vertex lies on exactly n facets whose normals form a Z-basis:
     delzant_vertices's test as a flag, read off the walk with no elimination."""
-    return not any(_refusal(v, P.dim) for v in P.vertices)
+    return P.delzant_refusal is None
 
 
 def delzant_vertices(P: HalfspacePolytope) -> tuple[Vertex, ...]:
     """P.vertices, unless one fails the Delzant test: then NotDelzantError
-    gives the refusal of the first that fails, in lexicographic order."""
-    for v in P.vertices:
-        if why := _refusal(v, P.dim):
-            raise NotDelzantError(why)
+    gives the refusal of the first that fails, in lexicographic order, on
+    every call; the verdict is P.delzant_refusal, taken once per polytope."""
+    if why := P.delzant_refusal:
+        raise NotDelzantError(why)
     return P.vertices
 
 

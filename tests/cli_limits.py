@@ -80,12 +80,17 @@ def failed_checks(r):
 
 
 def imports(r):
-    """From -X importtime: toricwidth.cli's cumulative time in us, and numpy's modules."""
+    """From -X importtime: toricwidth.cli's cumulative time in us, numpy's
+    modules, and toricwidth's modules with argparse if it was loaded."""
     rows = [line.split("|") for line in r.stderr.splitlines()
             if line.startswith("import time:") and line.count("|") == 2]
     modules = {name.strip(): cumulative.strip() for _, cumulative, name in rows}
-    return modules.get("toricwidth.cli"), sorted(m for m in modules if m.split(".")[0] == "numpy")
+    return (modules.get("toricwidth.cli"),
+            sorted(m for m in modules if m.split(".")[0] == "numpy"),
+            sorted(m for m in modules if m.split(".")[0] in ("toricwidth", "argparse")))
 
+
+IMPORTS = "cli import us, numpy modules, toricwidth modules and argparse"
 
 # what a row reads off its Result, by the name it is printed under
 READ = {
@@ -101,7 +106,7 @@ READ = {
         {c["name"]: c["deviation"] for c in json.loads(r.stdout)}.get,
         ("symplectic_pullback", "radial_bound")), r.cpu),
     "failed checks and peak RSS": lambda r: (failed_checks(r), r.rss),
-    "cli import us, numpy modules": imports,
+    IMPORTS: imports,
     "stdout, under 2 CPU s and 64 MiB": lambda r: (r.stdout, r.cpu < 2 and r.rss < 64),
 }
 
@@ -127,6 +132,8 @@ Row = namedtuple("Row", "argv input limit code stderr read want env",
 
 JSON, AS256, AS1G, CPU5 = ["--format", "json"], ("AS", 256), ("AS", 1024), ("CPU", 5)
 IMPORTTIME = {"PYTHONPROFILEIMPORTTIME": "1"}
+CORE = ["toricwidth", "toricwidth.cli", "toricwidth.fixtures", "toricwidth.lattice",
+        "toricwidth.polytope"]
 
 ROWS = [
     # radial_bound's deviation is the largest signed gap |Psi_j| - bound_j: a
@@ -152,12 +159,16 @@ ROWS = [
         Row(["embed"], P, AS1G, read="stdout", want="[[0, 0], [0, 1], [1, 0], [1, 1]]\n"),
         Row(["verify", *JSON], P, AS1G, read="failed checks", want=[]),
     )],
-    # start-up loads no numpy; from source, as with PYTHONDONTWRITEBYTECODE=1
-    # where no bytecode was ever written, the import time is only reported
-    *[Row([command], "example-3.8:1", stderr=None, read="cli import us, numpy modules",
-          env=IMPORTTIME, want=lambda got, _: got[0] is not None and got[1] == [])
-      for command in ("analyze", "width", "embed")],
-    Row(["analyze"], "example-3.8:1", code=None, stderr=None, read="cli import us, numpy modules",
+    # start-up loads no numpy and no argparse, and of toricwidth the core
+    # with the module of its own subcommand; from source, as with
+    # PYTHONDONTWRITEBYTECODE=1 where no bytecode was ever written, the
+    # import time is only reported
+    *[Row([command], "example-3.8:1", stderr=None, read=IMPORTS, env=IMPORTTIME,
+          want=lambda got, _, own=own: got[0] is not None and got[1] == []
+          and got[2] == sorted(CORE + own))
+      for command, own in (("analyze", []), ("width", ["toricwidth.width"]),
+                           ("embed", ["toricwidth.embedding"]))],
+    Row(["analyze"], "example-3.8:1", code=None, stderr=None, read=IMPORTS,
         env={**IMPORTTIME, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": package_copy}),
     Row(["analyze"], "cpn:3:300", read="lattice points"),
     Row(["embed"], "cpn:3:300", ("AS", 128), read="exponents",

@@ -44,7 +44,6 @@ from toricwidth.numeric import (
     pullback_check,
     radial_quantities,
     suggested_path_exponents,
-    sups_along_paths,
 )
 from toricwidth.polytope import (
     EmptyPolytopeError,
@@ -1112,9 +1111,18 @@ def suggested_path_exponent(T, j: int) -> int:
 
 
 def sup_along_path(T, j: int, t_max: float) -> float:
-    """Row j of numeric.sups_along_paths, alone: the path check of one axis,
+    """Row j of numeric.sups_along_paths, alone and with np.exp taken on
+    every lane, underflowing ones included: the path check of one axis,
     which the per-sample oracle runs axis by axis."""
-    return float(sups_along_paths(T, [j], t_max)[0])
+    if t_max <= 1:
+        raise ValueError("t_max must exceed 1")
+    J = T.exponent_columns[[j]]
+    E = J * (suggested_path_exponents(T)[[j], None] - 1)
+    E += T.degrees
+    E -= np.maximum.reduce(E, axis=1, keepdims=True)
+    E *= math.log(t_max)
+    np.exp(E, out=E)
+    return float(np.sqrt(2 * (J[:, None] @ E[:, :, None])[:, 0, 0] / np.add.reduce(E, axis=1))[0])
 
 
 def oracle_numeric_suite(T, seed: int = 0, samples: int = 10) -> list[CheckResult]:

@@ -39,6 +39,8 @@ from toricwidth.cli import main
 from toricwidth.fixtures import blown_up_hirzebruch
 from toricwidth.polytope import (
     HalfspacePolytope,
+    NotDelzantError,
+    delzant_vertices,
     is_delzant,
     lattice_points,
     normalize_at_vertex,
@@ -858,6 +860,33 @@ def test_fano_check_makes_no_elimination_in_width(capsys, monkeypatch):
     out = run_json(capsys, "width", "cpn:2:1")
     assert out["fano"]["is_fano"] is True
     assert len(calls) == 0 and len(walks) == 1
+
+
+def test_width_walks_the_delzant_gate_once(capsys, monkeypatch, tmp_path):
+    # width passes the gate three times (its vertex, width_report and
+    # fano_check) and keeps the verdict on P: _refusal runs once per vertex
+    # of a Delzant P, and up to the first refused vertex of another, whose
+    # refusal every later gate on P raises again
+    calls = []
+    real = toricwidth.polytope._refusal
+    monkeypatch.setattr(toricwidth.polytope, "_refusal", lambda v, n: calls.append(v) or real(v, n))
+    for spec in ("example-3.7", "cpn:2:1", "example-3.8:2"):
+        calls.clear()
+        assert main(["width", spec]) == 0
+        capsys.readouterr()
+        assert len(calls) == len(toricwidth.cli.load_polytope(spec).vertices)
+    P = HalfspacePolytope(((1, 0), (0, 1), (-1, -2)), (0, 0, -2))
+    path = tmp_path / "P.json"
+    path.write_text(json.dumps(polytope_data(P)))
+    calls.clear()
+    assert main(["width", str(path)]) == 3
+    assert capsys.readouterr().err == "error: normals at (0, 1) do not form a Z-basis\n"
+    assert len(calls) == [v.point for v in P.vertices].index((0, 1)) + 1
+    calls.clear()
+    for _ in range(3):
+        with pytest.raises(NotDelzantError, match=r"^normals at \(0, 1\) do not form a Z-basis$"):
+            delzant_vertices(P)
+    assert len(calls) == 2
 
 
 def test_rational_offsets_cleared_for_analysis(capsys):

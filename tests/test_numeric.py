@@ -38,6 +38,7 @@ from toricwidth.numeric import (
     psi_maps,
     pullback_check,
     radial_quantities,
+    sups_along_paths,
 )
 from toricwidth.polytope import enumerate_vertices
 from toricwidth.verify import numeric_suite
@@ -164,6 +165,17 @@ def test_sup_along_path_increases_toward_bound():
     values = [sup_along_path(T, 0, t) for t in (10.0, 1e3, 1e6, 1e9)]
     assert values == sorted(values)
     assert values[-1] <= axis_radius_bounds(T)[0]
+
+
+def test_path_kernel_matches_its_oracle_bit_for_bit():
+    # the kernel sets the lanes below -746 to 0.0 without np.exp, which the
+    # oracle takes on every lane: on example-3.8:200 all but 0.01 % of the
+    # lanes underflow, and at t = 10 no lane of CP2 or the blow-up does
+    P = resolve_fixture("example-3.8:200")
+    long = ToricPotential(sections_by_polytope(P, enumerate_vertices(P)[0]))
+    for T, t_max in ((long, 1e6), (CP2, 10.0), (blowup_potential(), 10.0)):
+        want = [sup_along_path(T, j, t_max) for j in range(T.dim)]
+        assert sups_along_paths(T, slice(None), t_max).tolist() == want
 
 
 def test_fs_diastasis():

@@ -1,7 +1,8 @@
 """What a process loads: analyze, width and embed run on the exact core
 alone, and only verify (or a library import of charts or numeric) loads
-numpy.  verify's work arrays come back from the heap whatever was imported
-first."""
+numpy; each loads only the modules of its own subcommand, and argparse only
+for an argv that main does not read itself.  verify's work arrays come back
+from the heap whatever was imported first."""
 
 import os
 import platform
@@ -17,9 +18,9 @@ import toricwidth
 SRC = Path(toricwidth.__file__).resolve().parents[1]
 
 
-def run_python(code: str) -> str:
+def run_python(code: str, *flags: str) -> str:
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0, proc.stderr
@@ -43,6 +44,45 @@ print(loaded)
 """
     )
     assert out == repr([[], [], [], verify]) + "\n"
+
+
+# what a subcommand may load beyond fixtures, polytope and lattice
+OPTIONAL = ["argparse", "typing", "toricwidth.embedding", "toricwidth.width"]
+
+
+@pytest.mark.parametrize("spec", ["cpn:2:1", "file"])
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        (None, None, []),
+        (["analyze"], 0, []),
+        (["width"], 0, ["toricwidth.width"]),
+        (["embed"], 0, ["toricwidth.embedding"]),
+        (["width", "--vertex"], 2, ["argparse"]),  # a usage error
+    ],
+)
+def test_a_process_loads_only_what_its_subcommand_runs(tmp_path, spec, argv, code, loaded):
+    # under -S, site preloads nothing: what is loaded after main is what the
+    # import of toricwidth.cli and the subcommand loaded
+    if spec == "file":
+        spec = tmp_path / "triangle.json"
+        spec.write_text('{"dim": 2, "normals": [[1, 0], [0, 1], [-1, -1]], "offsets": [0, 0, -2]}')
+    argv = argv and [argv[0], str(spec), *argv[1:]]
+    out = run_python(
+        f"""
+import sys
+import toricwidth.cli
+code = None
+if {argv!r}:
+    try:
+        code = toricwidth.cli.main({argv!r})
+    except SystemExit as e:
+        code = e.code
+print((code, [m for m in {OPTIONAL!r} if m in sys.modules]))
+""",
+        "-S",
+    )
+    assert out.splitlines()[-1] == repr((code, loaded))
 
 
 def test_verify_reads_its_input_before_it_loads_numpy():

@@ -116,9 +116,11 @@ def test_every_exported_function_is_reached_or_traced(capsys, tmp_path):
     try:
         for f in cached:  # so this run calls what earlier calls cached
             f.cache_clear()
-        # cpn:1:20's one fibre of 21 monomials takes the closed pass
+        # cpn:1:20's one fibre of 21 monomials takes the closed pass, and
+        # main hands "--format=text" to argparse
         for spec in ("example-3.7", "example-3.8:2", "cpn:2:1", "cpn:1:20", *unusable):
-            for argv in (["analyze"], ["width"], ["embed"], ["verify", "--samples", "1"]):
+            for argv in (["analyze"], ["width"], ["embed"], ["verify", "--samples", "1"],
+                         ["analyze", "--format=text"]):
                 want = 3 if spec in unusable else 0
                 assert toricwidth.cli.main([argv[0], spec, *argv[1:]]) == want
     finally:

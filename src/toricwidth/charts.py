@@ -13,19 +13,20 @@ z -> z^A equals z -> z^B exactly when the integer matrices A and B are
 equal; so every identity among them is one of exponent matrices, which
 verify decides in exact integer arithmetic without evaluating a point.
 
-Every chart of a fan with k maximal cones comes from the walk (chart_table):
-the pairings of the walked vertices (fan.normal_fan), stacked, are the
-(k, n, d) table T with T[c]_ij = <w_i^c, u_j>, w_i^c the rows of U_c^-1.
-Its columns on chart c's cone are the identity and its other columns are
-c's V; the exponents of the chart change phi_b after psi_a,
-E[a, b] = U_b^-1 U_a, are T[b]'s columns on a's cone.  So every V is a
-gather of T, and no chart runs an elimination or a product of its own.
-chart_table reads M = max(n max|w| max|u|, max|u|, 1) off the Python ints
-of the generators and inverses, before building any array; M bounds T, the
-generators and every product and partial sum of verify.exact_checks, so G,
-the inverses and T are all built as int64 when d M^2 < INT64_BOUND, and as
-object arrays of Python ints, exact at any size, otherwise.  chart_for_cone
-and transition_map give the exact data of one chart and of one chart change.
+Every chart of a Delzant polytope with k vertices comes from the walk
+(chart_table): the pairings of the walked vertices (delzant_vertices),
+stacked, are the (k, n, d) table T with T[c]_ij = <w_i^c, u_j>, w_i^c the
+rows of U_c^-1.  Its columns on chart c's cone are the identity and its
+other columns are c's V; the exponents of the chart change phi_b after
+psi_a, E[a, b] = U_b^-1 U_a, are T[b]'s columns on a's cone.  So every V
+is a gather of T, and no chart runs an elimination or a product of its
+own.  chart_table reads M = max(n max|w| max|u|, max|u|, 1) off the Python
+ints of the normals and the walk's edges, before building any array; M
+bounds T, the generators and every product and partial sum of
+verify.exact_checks, so G, the inverses and T are all built as int64 when
+d M^2 < INT64_BOUND, and as object arrays of Python ints, exact at any
+size, otherwise.  chart_for_cone and transition_map give the exact data of
+one chart of a fan.Fan and of one chart change; no command builds a Fan.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from itertools import chain
 
 import numpy as np
 
-from .fan import Fan
 from .lattice import IntMatrix, dot
+from .polytope import HalfspacePolytope, delzant_vertices
 
 # int64 tables are used only when a bound on their products' entries and
 # partial sums stays below this; a module constant, so a test can force the fallback
@@ -52,7 +53,7 @@ class NonUnimodularConeError(ValueError):
 class ChartData:
     """Exact chart data for one maximal cone of a smooth fan."""
 
-    fan: Fan
+    fan: Fan  # a fan.Fan, named here only as an annotation
     cone: tuple[int, ...]
     complement: tuple[int, ...]
     U: IntMatrix
@@ -60,25 +61,19 @@ class ChartData:
     V: IntMatrix  # n x (d - n); column l belongs to generator complement[l]
 
 
-def _cone_rows(F: Fan, cone_index: int) -> tuple[IntMatrix, IntMatrix]:
-    """U^-1 of F.max_cones[cone_index] and its pairings U^-1 G^T, as the
-    walk kept them; refuses a cone that is not unimodular."""
+def chart_for_cone(F: Fan, cone_index: int) -> ChartData:
+    """Chart data for F.max_cones[cone_index], off the inverse U^-1 and the
+    pairings U^-1 G^T that the walk kept; refuses a cone that is not
+    unimodular.  V[k][l] = <w_k, u_{complement[l]}>, gathered from the
+    cone's pairings."""
     cone = F.max_cones[cone_index]
-    if len(cone) != F.dim:
+    if len(cone) != len(F.generators[0]):
         raise NonUnimodularConeError(f"cone {cone} is not full-dimensional")
     U_inv = F.inverses[cone_index] if F.inverses else None
     if U_inv is None:
         raise NonUnimodularConeError(f"cone {cone} generators are not a Z-basis")
-    return U_inv, F.pairings[cone_index]
-
-
-def chart_for_cone(F: Fan, cone_index: int) -> ChartData:
-    """Chart data for F.max_cones[cone_index]; the cone must be unimodular.
-    V[k][l] = <w_k, u_{complement[l]}>, gathered from the cone's pairings."""
-    U_inv, pairings = _cone_rows(F, cone_index)
-    cone = F.max_cones[cone_index]
     complement = tuple(i for i in range(len(F.generators)) if i not in cone)
-    V = tuple(tuple(row[j] for j in complement) for row in pairings)
+    V = tuple(tuple(row[j] for j in complement) for row in F.pairings[cone_index])
     U = tuple(zip(*(F.generators[i] for i in cone)))
     return ChartData(F, cone, complement, U, U_inv, V)
 
@@ -97,25 +92,26 @@ class ChartTable:
     T: np.ndarray  # (k, n, d)
 
 
-def chart_table(F: Fan) -> ChartTable:
-    """Every chart of F, stacked from the cones' inverses and pairings with
-    no product; refuses F, naming the first such cone, when a maximal cone
-    is not unimodular."""
-    inverses, pairings = zip(*(_cone_rows(F, ci) for ci in range(len(F.max_cones))))
-    k, n, d = len(inverses), F.dim, len(F.generators)
-    cone = np.array(F.max_cones, dtype=np.int64).reshape(k, n)
+def chart_table(P: HalfspacePolytope) -> ChartTable:
+    """Every chart of P's normal fan, stacked with no product from each
+    walked vertex's tight facets, edges (U^-1) and pairings; refuses P, as
+    delzant_vertices does, unless it is Delzant."""
+    rows = ((v.active, v.edges, v.pairings) for v in delzant_vertices(P))
+    cones, inverses, pairings = zip(*rows)
+    k, n, d = len(cones), P.dim, P.num_facets
+    cone = np.array(cones, dtype=np.int64).reshape(k, n)
     off = np.ones((k, d), dtype=bool)
     off[np.arange(k)[:, None], cone] = False
     complement = np.nonzero(off)[1].reshape(k, d - n)
     flat = chain.from_iterable
-    g = max(map(abs, flat(F.generators)))
+    g = max(map(abs, flat(P.normals)))
     M = max(n * max(map(abs, flat(flat(inverses)))) * g, g, 1)
     dtype = np.int64 if d * M * M < INT64_BOUND else object
     # fromiter reads the entries in C, where np.array walks the nested tuples
     G, W, T = (
         np.fromiter(entries, dtype, math.prod(shape)).reshape(shape)
         for entries, shape in (
-            (flat(F.generators), (d, n)),
+            (flat(P.normals), (d, n)),
             (flat(flat(inverses)), (k, n, n)),
             (flat(flat(pairings)), (k, n, d)),
         )

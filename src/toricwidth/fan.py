@@ -4,7 +4,9 @@ The fan of a polytope {x : <x, u_i> >= lambda_i} has the facet normals as
 generators and, as maximal cones, the tight facet sets of the vertices.  It
 is complete because the polytope is bounded, and smooth exactly when the
 polytope is Delzant: normal_fan keeps each cone's inverse and pairings
-off the vertex walk, so nothing here eliminates.  Strict convexity of a
+off the vertex walk, so nothing here eliminates.  No command builds a Fan
+(charts.chart_table reads the walked vertices themselves): only the tests
+and the benchmark's tracer reach this module.  Strict convexity of a
 support function, the test used to certify very ample classes, is one
 inequality per maximal cone and generator outside it:
 <h_sigma, u_j> > g(u_j).  For g = lambda on a Delzant polytope that is a
@@ -38,10 +40,6 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
     inverses: tuple[IntMatrix | None, ...] = field(default=(), compare=False, repr=False)
     pairings: tuple[IntMatrix | None, ...] = field(default=(), compare=False, repr=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.generators[0])
 
 
 def normal_fan(P: HalfspacePolytope) -> Fan:

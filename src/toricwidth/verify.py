@@ -95,7 +95,6 @@ import numpy as np
 from . import numeric
 from .charts import ChartTable, chart_table
 from .embedding import sections_by_polytope
-from .fan import Fan, normal_fan
 from .numeric import (
     ToricPotential,
     axis_radius_bounds,
@@ -108,7 +107,7 @@ from .numeric import (
     radial_quantities,
     sups_along_paths,
 )
-from .polytope import HalfspacePolytope, delzant_vertices
+from .polytope import HalfspacePolytope
 
 GRADIENT_TOL = 1e-5
 PULLBACK_TOL = 1e-4
@@ -153,8 +152,8 @@ def exact_checks(table: ChartTable) -> list[CheckResult]:
     return [CheckResult(name, passed, None, None) for name, passed in checks.items()]
 
 
-def chart_suite(F: Fan) -> list[CheckResult]:
-    return exact_checks(chart_table(F))
+def chart_suite(P: HalfspacePolytope) -> list[CheckResult]:
+    return exact_checks(chart_table(P))
 
 
 def _random(rng: random.Random, k: int):
@@ -270,15 +269,15 @@ def numeric_suite(
 def polytope_suites(
     P: HalfspacePolytope, seed: int = 0, samples: int = 10
 ) -> list[CheckResult]:
-    """Chart and numeric suites of one polytope, refused by delzant_vertices.
+    """Chart and numeric suites of one polytope, refused by delzant_vertices
+    in chart_table, the one Delzant gate of the call.
 
-    The fan is built once, on P.  The embedding is that of qP, for
-    q = P.integer_offsets[0], at its first vertex: sections_by_polytope
-    reads the chart of qP there off the walk's slacks and pairings, so no
-    dilated copy of P and no second polytope is built.
+    The embedding is that of qP, for q = P.integer_offsets[0], at its
+    first vertex: sections_by_polytope reads the chart of qP there off the
+    walk's slacks and pairings, so no dilated copy of P and no second
+    polytope is built.
     """
-    vertices = delzant_vertices(P)
-    results = chart_suite(normal_fan(P))
-    E = sections_by_polytope(P, vertices[0])
+    results = chart_suite(P)
+    E = sections_by_polytope(P, P.vertices[0])
     results += numeric_suite(ToricPotential(E), seed=seed, samples=samples)
     return results

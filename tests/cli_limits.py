@@ -168,6 +168,12 @@ ROWS = [
           and got[2] == sorted(CORE + own))
       for command, own in (("analyze", []), ("width", ["toricwidth.width"]),
                            ("embed", ["toricwidth.embedding"]))],
+    # verify loads numpy, and of toricwidth the core with the charts, the
+    # embedding, the numeric layer and its own module: no fan, no argparse
+    Row(["verify"], "example-3.8:1", stderr=None, read=IMPORTS, env=IMPORTTIME,
+        want=lambda got, _: got[0] is not None and got[1] != [] and got[2] == sorted(
+            CORE + ["toricwidth.charts", "toricwidth.embedding", "toricwidth.numeric",
+                    "toricwidth.verify"])),
     Row(["analyze"], "example-3.8:1", code=None, stderr=None, read=IMPORTS,
         env={**IMPORTTIME, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": package_copy}),
     Row(["analyze"], "cpn:3:300", read="lattice points"),
@@ -180,12 +186,14 @@ ROWS = [
     )],
     Row(["verify", "--seed", "1", "--samples", "3", *JSON], "b16²", read="failed checks", want=[]),
     Row(["verify", "--seed", "1", *JSON], "b8²", read="failed checks", want=[]),
-    # many vertices, and no vertex, under 5 CPU s
+    # many vertices, and no vertex, under 5 CPU s; verify's chart tables on
+    # b5⁴ and b4⁵ (625 and 1,024 charts) are the largest a CPU-bounded row reaches
     *[row for P, count in (("b5⁴", 625), ("b4⁵", 1024)) for row in (
         Row(["analyze"], P, CPU5, read="vertices", want=count),
         Row(["width"], P, CPU5),
         Row(["embed"], P, CPU5, read="exponents",
             want=one_exponent_per_lattice_point("analyze " + P)),
+        Row(["verify", *JSON], P, CPU5, read="failed checks", want=[]),
     )],
     *[Row(["analyze"], P, CPU5, 3, "error: no feasible vertex\n")
       for P in ("b12²+x₁≥10⁶", "b8³+x₁≥10⁶")],

@@ -145,7 +145,7 @@ def oracle_is_smooth(F: Fan) -> bool:
     """Every maximal cone's generators form a Z-basis: n of them, with
     |oracle_det| = 1."""
     return all(
-        len(c) == F.dim and abs(oracle_det([F.generators[i] for i in c])) == 1
+        len(c) == len(F.generators[0]) and abs(oracle_det([F.generators[i] for i in c])) == 1
         for c in F.max_cones
     )
 
@@ -893,7 +893,7 @@ def oracle_is_complete(F) -> bool:
     in angular order, turn by less than pi at each step and each consecutive
     pair spans a maximal cone, and there are no other maximal cones.
     """
-    if F.dim == 1:
+    if len(F.generators[0]) == 1:
         return {F.generators[i][0] > 0 for c in F.max_cones for i in c} == {True, False}
 
     def half_plane(u) -> int:
@@ -1168,7 +1168,7 @@ def oracle_chart_for_cone(F: Fan, cone_index: int) -> ChartData:
     inverse the fan took from the edge walk; it needs no walk, so it takes
     a fan built by hand too."""
     cone = F.max_cones[cone_index]
-    n = F.dim
+    n = len(F.generators[0])
     if len(cone) != n:
         raise NonUnimodularConeError(f"cone {cone} is not full-dimensional")
     U = transpose([F.generators[i] for i in cone])
@@ -1335,7 +1335,7 @@ def oracle_exact_checks(F: Fan, table=None) -> tuple[bool, bool]:
         charts = charts_of_table(F, table.T)
     E, k = _oracle_transitions(charts, table), len(charts)
     E = np.array([[E[a, b] for b in range(k)] for a in range(k)], dtype=object)
-    if F.dim * max(abs(e) for e in E.flat) ** 2 < 2**63:
+    if len(F.generators[0]) * max(abs(e) for e in E.flat) ** 2 < 2**63:
         E = E.astype(np.int64)
     # E[b, c] E[a, b] for all (b, c) against E[a, c]
     cocycle = all(np.array_equal(E @ E[a][:, None], np.broadcast_to(E[a], E.shape)) for a in range(k))
@@ -1353,7 +1353,7 @@ def oracle_chart_suite(F: Fan, seed: int = 0, samples: int = 10, table=None):
     from a to b as T[b]'s columns on a's cone."""
     rng = random.Random(seed)
     d = len(F.generators)
-    n = F.dim
+    n = len(F.generators[0])
     results = []
     if table is None:
         charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]

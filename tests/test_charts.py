@@ -50,17 +50,19 @@ from toricwidth.fixtures import (
     projective_space,
 )
 from toricwidth.lattice import dot, integer_kernel_basis
+from toricwidth.polytope import NotDelzantError
 from toricwidth.verify import chart_suite, exact_checks
 
 TOL = 1e-9
 
-TEST_FANS = [
-    normal_fan(projective_space(2, 1)),
-    normal_fan(unit_square()),
-    normal_fan(hirzebruch()),
-    normal_fan(blown_up_hirzebruch()),
-    normal_fan(dilate(iterated_plane_blowup(1), 2)),
+TEST_POLYTOPES = [
+    projective_space(2, 1),
+    unit_square(),
+    hirzebruch(),
+    blown_up_hirzebruch(),
+    dilate(iterated_plane_blowup(1), 2),
 ]
+TEST_FANS = [normal_fan(P) for P in TEST_POLYTOPES]
 
 
 def random_torus_point(rng, n):
@@ -99,7 +101,7 @@ def test_chart_rejects_non_unimodular():
         chart_for_cone(F, 0)
 
 
-def oracle_chart_fans():
+def oracle_chart_polytopes():
     """Blow-up polygons with 4 to 16 facets, 3-D and 4-D draws, b8 x b8, and
     lattice images of a polygon and a 3-D draw whose normals have entries
     of 2^40 and more."""
@@ -112,7 +114,7 @@ def oracle_chart_fans():
         apply_lattice_map(P, AffineLatticeMap(M, (0,) * len(M)))
         for P, M in zip((polygons[-1], draws[0]), shears)
     ]
-    return [normal_fan(P) for P in polygons + draws + [product_polytope(b8, b8)] + steep]
+    return polygons + draws + [product_polytope(b8, b8)] + steep
 
 
 def test_chart_table_arrays_equal_np_array_of_the_walks_rows():
@@ -122,10 +124,9 @@ def test_chart_table_arrays_equal_np_array_of_the_walks_rows():
     b8 = blowup_polygon(random.Random(1), 8)
     polytopes = [random_delzant_polygon(rng) for _ in range(20)] + lattice_point_ladder()
     polytopes += [product_polytope(b8, b8, b8), hirzebruch(3, 2, 5)]
-    fans = TEST_FANS + oracle_chart_fans() + [normal_fan(P) for P in polytopes]
     dtypes = []
-    for F in fans:
-        table = chart_table(F)
+    for P in TEST_POLYTOPES + oracle_chart_polytopes() + polytopes:
+        F, table = normal_fan(P), chart_table(P)
         dtype = table.T.dtype
         dtypes.append(dtype)
         for got, rows in ((table.generators, F.generators), (table.inverses, F.inverses),
@@ -139,7 +140,7 @@ def test_chart_table_arrays_equal_np_array_of_the_walks_rows():
 def test_chart_for_cone_matches_its_own_elimination():
     # the fan's inverses come from the edge walk; the oracle eliminates
     # [U | I | W] per cone, as chart_for_cone did before it read them
-    fans = oracle_chart_fans()
+    fans = [normal_fan(P) for P in oracle_chart_polytopes()]
     for F in fans:
         for ci in range(len(F.max_cones)):
             got, want = chart_for_cone(F, ci), oracle_chart_for_cone(F, ci)
@@ -172,16 +173,27 @@ def test_chart_for_cone_refuses_what_its_own_elimination_refuses():
         chart_for_cone(F, 0)
 
 
+def test_chart_table_and_suite_refuse_as_the_delzant_gate_does():
+    # chart_table reads delzant_vertices(P), so it raises the gate's own line
+    rng = random.Random(18)
+    for _ in range(5):
+        P = random_simple_non_delzant_polygon(rng)
+        message = f"^{re.escape(P.delzant_refusal)}$"
+        for build in (chart_table, chart_suite):
+            with pytest.raises(NotDelzantError, match=message):
+                build(P)
+
+
 def test_phi_psi_identity():
     # phi after psi is the identity: exactly, as T[c] is I on c's cone, and
     # in floats, through the oracle's chart maps
     rng = random.Random(0)
-    for F in TEST_FANS:
-        table = chart_table(F)
+    for P, F in zip(TEST_POLYTOPES, TEST_FANS):
+        table = chart_table(P)
         for c, C in enumerate(charts_of(F)):
-            assert table.T[c][:, table.cone[c]].tolist() == np.eye(F.dim, dtype=int).tolist()
+            assert table.T[c][:, table.cone[c]].tolist() == np.eye(P.dim, dtype=int).tolist()
             for _ in range(10):
-                xi = random_torus_point(rng, F.dim)
+                xi = random_torus_point(rng, P.dim)
                 assert np.abs(np.array(_oracle_phi(C, _oracle_psi(C, xi))) - xi).max() < 1e-12
 
 
@@ -210,27 +222,27 @@ def test_kernel_param_cp2():
 
 def test_kernel_param_lands_in_kernel():
     rng = random.Random(1)
-    for F in TEST_FANS:
+    for P, F in zip(TEST_POLYTOPES, TEST_FANS):
         generator_rows = list(zip(*F.generators))
         for C in charts_of(F):
             for _ in range(10):
                 ac = random_torus_point(rng, len(C.complement))
                 image = _oracle_monomials(generator_rows, _oracle_kernel_param(C, ac))
                 assert np.abs(np.array(image) - 1).max() < TOL
-        assert "kernel_param_in_kernel" not in failed_checks(chart_suite(F))
+        assert "kernel_param_in_kernel" not in failed_checks(chart_suite(P))
 
 
 def test_kernel_invariance_of_charts():
     rng = random.Random(2)
-    for F in TEST_FANS:
+    for P, F in zip(TEST_POLYTOPES, TEST_FANS):
         d = len(F.generators)
         for C in charts_of(F):
             for _ in range(10):
                 z = random_torus_point(rng, d)
-                ac = random_torus_point(rng, d - F.dim)
+                ac = random_torus_point(rng, d - P.dim)
                 moved = [a * w for a, w in zip(_oracle_kernel_param(C, ac), z)]
                 assert rel_dev(_oracle_phi(C, moved), _oracle_phi(C, z)) < TOL
-        assert "kernel_invariance" not in failed_checks(chart_suite(F))
+        assert "kernel_invariance" not in failed_checks(chart_suite(P))
 
 
 def test_multiplicativity_of_charts():
@@ -272,7 +284,7 @@ def test_transition_matches_chart_composition():
             for C2 in charts:
                 E = transition_map(C1, C2)
                 for _ in range(5):
-                    xi = random_torus_point(rng, F.dim)
+                    xi = random_torus_point(rng, len(F.generators[0]))
                     direct = _oracle_phi(C2, _oracle_psi(C1, xi))
                     assert rel_dev(_oracle_monomials(E, xi), direct) < TOL
 
@@ -289,24 +301,25 @@ def test_transition_cocycle_exact():
                     assert mat_mul(E23, E12) == E13
 
 
-def exponent_table_fans():
+def exponent_table_polytopes():
     """TEST_FANS, 3-D and 4-D random Delzant polytopes, and a unimodular
     image of the Hirzebruch surface of degree 2^70, whose transition
     exponents lie past 2^63."""
     rng = random.Random(12)
     draws = [random_delzant_polytope(rng, n) for n in (3, 3, 4, 4)]
     steep = apply_lattice_map(hirzebruch(2**70), random_unimodular_map(rng))
-    return TEST_FANS + [normal_fan(P) for P in draws + [steep]]
+    return TEST_POLYTOPES + draws + [steep]
 
 
 def test_transition_exponents_match_each_transition_map():
     # the k^2 oracle against transition_map, and the table's gathers
     # E[a, b] = T[b] on a's cone against the oracle, in int64 and past it
-    for F in exponent_table_fans():
+    for P in exponent_table_polytopes():
+        F = normal_fan(P)
         charts = [chart_for_cone(F, ci) for ci in range(len(F.max_cones))]
         E = transition_exponents(charts)
-        table = chart_table(F)
-        k, n = len(charts), F.dim
+        table = chart_table(P)
+        k, n = len(charts), P.dim
         assert E.shape == (k, k, n, n) and E.dtype == object
         for a in range(k):
             for b in range(k):
@@ -325,9 +338,9 @@ def one_chart(table: ChartTable, c: int) -> ChartTable:
 
 
 def test_relation_check_agrees_with_the_dot_loop_oracle():
-    for F in exponent_table_fans():
-        assert oracle_exponents_kill_relations(F) is True
-        table = chart_table(F)
+    for P in exponent_table_polytopes():
+        assert oracle_exponents_kill_relations(normal_fan(P)) is True
+        table = chart_table(P)
         assert not failed_checks(exact_checks(table))
         for c in range(len(table.cone)):
             assert not failed_checks(exact_checks(one_chart(table, c)))
@@ -341,10 +354,10 @@ def test_relation_check_catches_every_wrong_v_entry():
     # a wrong chart alone has relations that G does not kill.  The exact
     # suite fails every check that the float oracle fails on the same table
     rng = random.Random(13)
-    fans = TEST_FANS + [normal_fan(random_delzant_polytope(rng, n)) for n in (3, 4)]
-    for F in fans:
-        charts, table = charts_of(F), chart_table(F)
-        d, n = len(F.generators), F.dim
+    for P in TEST_POLYTOPES + [random_delzant_polytope(rng, n) for n in (3, 4)]:
+        F = normal_fan(P)
+        charts, table = charts_of(F), chart_table(P)
+        d, n = len(F.generators), P.dim
         for c, C in enumerate(charts):
             for i in range(n):
                 for l in range(d - n):
@@ -368,8 +381,9 @@ FAILED_BY_A_WRONG_V = {
 
 
 def test_chart_suite_passes_and_catches_a_wrong_transition():
-    F = normal_fan(blown_up_hirzebruch())
-    assert all(r.passed for r in chart_suite(F))
+    P = blown_up_hirzebruch()
+    F = normal_fan(P)
+    assert all(r.passed for r in chart_suite(P))
 
     # each ordered pair of the 6 charts in turn gets the identity as its
     # chart change on the generators of a's cone off b's cone: T[b]'s
@@ -377,8 +391,8 @@ def test_chart_suite_passes_and_catches_a_wrong_transition():
     # transition check, which multiplies U_b^-1 U_a out of the inverses,
     # fails with the kernel and exact checks, and with every check that the
     # float oracle fails on the same table
-    table = chart_table(F)
-    k, n = len(table.cone), F.dim
+    table = chart_table(P)
+    k, n = len(table.cone), P.dim
     for a in range(k):
         for b in range(k):
             if a == b:
@@ -400,9 +414,10 @@ def test_chart_suite_catches_a_wrong_v_entry_on_another_charts_cone():
     # every generator of a complete fan lies in some maximal cone, and so it
     # breaks the cocycle check, which reads the same columns, and the
     # relation and kernel checks, with every check the float oracle fails
-    F = normal_fan(blown_up_hirzebruch())
-    table, charts = chart_table(F), charts_of(F)
-    d, n = len(F.generators), F.dim
+    P = blown_up_hirzebruch()
+    F = normal_fan(P)
+    table, charts = chart_table(P), charts_of(F)
+    d, n = len(F.generators), P.dim
     for c, C in enumerate(charts):
         for i in range(n):
             for l in range(d - n):
@@ -418,17 +433,14 @@ def test_chart_suite_catches_a_wrong_walk_pairing():
     # beside the edges, so the transition check compares two blocks of the
     # walk's dictionary: one wrong off-cone pairing of one cone breaks it
     for P in (blown_up_hirzebruch(), random_delzant_polytope(random.Random(5), 3)):
-        F = normal_fan(P)
-        assert not failed_checks(chart_suite(F))
-        for c, cone in enumerate(F.max_cones):
-            for i in range(F.dim):
-                for j in set(range(len(F.generators))).difference(cone):
-                    pairings = [list(row) for row in F.pairings[c]]
-                    pairings[i][j] += 1
-                    wrong = list(F.pairings)
-                    wrong[c] = tuple(map(tuple, pairings))
-                    bad = dataclasses.replace(F, pairings=tuple(wrong))
-                    assert "transition_matches_charts" in failed_checks(chart_suite(bad))
+        table = chart_table(P)
+        assert not failed_checks(exact_checks(table))
+        k, n = table.cone.shape
+        for c in range(k):
+            for i in range(n):
+                for j in table.complement[c]:
+                    wrong = altered_table(table, [(c, i, j, 1)])
+                    assert "transition_matches_charts" in failed_checks(exact_checks(wrong))
 
 
 def test_exact_suite_catches_a_wrong_entry_on_a_charts_own_cone():
@@ -436,8 +448,8 @@ def test_exact_suite_catches_a_wrong_entry_on_a_charts_own_cone():
     # sweeps read only c's complement there, so they pass whatever it holds.
     # Raising entry (i, m) of that block adds row m of V_c to row i of
     # T[c] R_c, so the kernel invariance fails too unless that row is 0
-    for F in TEST_FANS:
-        table = chart_table(F)
+    for P, F in zip(TEST_POLYTOPES, TEST_FANS):
+        table = chart_table(P)
         k, n = table.cone.shape
         for c in range(k):
             for i in range(n):
@@ -454,10 +466,10 @@ def test_exact_suite_catches_a_wrong_entry_on_a_charts_own_cone():
 def test_exact_suite_agrees_with_the_float_oracle_wherever_it_is_finite():
     # each float sweep tests the identity of monomial maps that its exact
     # check decides; on entries of 2^40 and more the sweeps overflow
-    for i, F in enumerate(oracle_chart_fans() + exponent_table_fans()):
-        got = chart_suite(F)
+    for i, P in enumerate(oracle_chart_polytopes() + exponent_table_polytopes()):
+        got = chart_suite(P)
         assert not failed_checks(got)
-        assert_same_flags(got, oracle_chart_suite(F, i, 1))
+        assert_same_flags(got, oracle_chart_suite(normal_fan(P), i, 1))
 
 
 def test_monomial_composition_is_matrix_product():

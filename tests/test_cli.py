@@ -281,11 +281,11 @@ def test_verify_builds_each_chart_and_transition_once(capsys, monkeypatch, tmp_p
     # the chart suite on b8 x b8 (k = 64, n = 4) peaks below the size of
     # one int64 k x k table of 4 x 4 exponent matrices
     b8 = blowup_polygon(random.Random(1), 8)
-    F = toricwidth.fan.normal_fan(product_polytope(b8, b8))
-    k, n = len(F.max_cones), F.dim
+    P = product_polytope(b8, b8)
+    k, n = len(delzant_vertices(P)), P.dim  # the walk, before the trace
     tracemalloc.start()
     try:
-        assert all(r.passed for r in toricwidth.verify.chart_suite(F))
+        assert all(r.passed for r in toricwidth.verify.chart_suite(P))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -887,6 +887,21 @@ def test_width_walks_the_delzant_gate_once(capsys, monkeypatch, tmp_path):
         with pytest.raises(NotDelzantError, match=r"^normals at \(0, 1\) do not form a Z-basis$"):
             delzant_vertices(P)
     assert len(calls) == 2
+
+
+def test_verify_walks_the_delzant_gate_once(capsys, monkeypatch):
+    # the chart table reads the walked vertices behind verify's one gate, and
+    # the embedding's vertex_chart checks its own vertex: _refusal runs once
+    # per vertex and once more, in every module that binds it
+    calls = []
+    real = toricwidth.polytope._refusal
+    for m in vars(toricwidth).values():
+        if getattr(m, "_refusal", None) is real:
+            monkeypatch.setattr(m, "_refusal", lambda v, n: calls.append(v) or real(v, n))
+    assert main(["verify", "example-3.8:2"]) == 0
+    capsys.readouterr()
+    assert len(toricwidth.cli.load_polytope("example-3.8:2").vertices) == 7
+    assert len(calls) == 8
 
 
 def test_rational_offsets_cleared_for_analysis(capsys):

@@ -106,7 +106,7 @@ def _fans():
 
 def test_chart_inverse_is_the_unimodular_inverse():
     for F in _fans():
-        n = F.dim
+        n = len(F.generators[0])
         identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         for k in range(len(F.max_cones)):
             C = chart_for_cone(F, k)

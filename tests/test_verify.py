@@ -54,11 +54,10 @@ def oracle_inputs(group: str) -> list:
 def test_chart_suite_matches_the_per_sample_oracle(group):
     # the exact checks pass where the float sweeps of the oracle pass
     for i, P in enumerate(oracle_inputs(group)):
-        F = normal_fan(P)
-        got = chart_suite(F)
+        got = chart_suite(P)
         assert all(r.passed for r in got)
         assert all(r.deviation is None and r.tolerance is None for r in got)
-        assert_same_flags(got, oracle_chart_suite(F, seed=i, samples=3))
+        assert_same_flags(got, oracle_chart_suite(normal_fan(P), seed=i, samples=3))
 
 
 @pytest.mark.parametrize("group", ["ladder", "projective", "random", "blowup", "refill", "verify"])
@@ -238,13 +237,13 @@ def test_each_check_draws_its_chunks_from_where_the_last_one_ended(monkeypatch):
 @pytest.mark.parametrize("group", ["ladder", "projective", "random", "blowup"])
 def test_the_object_fallback_gives_identical_results(monkeypatch, group):
     # a bound of 0 sends the table and its exact checks to Python ints
-    fans = [normal_fan(P) for P in oracle_inputs(group)]
-    want = [chart_suite(F) for F in fans]
+    polytopes = oracle_inputs(group)
+    want = [chart_suite(P) for P in polytopes]
     monkeypatch.setattr(toricwidth.charts, "INT64_BOUND", 0)
-    for F in fans:
-        table = chart_table(F)
+    for P in polytopes:
+        table = chart_table(P)
         assert table.generators.dtype == table.inverses.dtype == table.T.dtype == object
-    assert [chart_suite(F) for F in fans] == want
+    assert [chart_suite(P) for P in polytopes] == want
 
 
 def test_exact_checks_past_int64_match_the_triple_oracle():
@@ -255,11 +254,9 @@ def test_exact_checks_past_int64_match_the_triple_oracle():
     rng = random.Random(19)
     parallelogram = HalfspacePolytope(((1, 2**62), (0, 1), (-1, -(2**62)), (0, -1)), (0, 0, -1, -1))
     steep = apply_lattice_map(hirzebruch(2**70), random_unimodular_map(rng))
-    fans = [normal_fan(P) for P in (parallelogram, steep)]
-    fans += [normal_fan(random_delzant_polytope(rng, n)) for n in (3, 4)]
-    for F in fans:
-        table = chart_table(F)
-        want = np.int64 if F.dim > 2 else object
+    for P in [parallelogram, steep] + [random_delzant_polytope(rng, n) for n in (3, 4)]:
+        F, table = normal_fan(P), chart_table(P)
+        want = np.int64 if P.dim > 2 else object
         assert table.generators.dtype == table.inverses.dtype == table.T.dtype == want
         assert all(r.passed for r in exact_checks(table))
         assert oracle_exact_checks(F) == (True, True)
